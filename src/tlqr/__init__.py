@@ -87,7 +87,8 @@ from .simulate import (
     noise_scale,
     replay,
     rollout,
+    rollout_states,
     sweep_epsilon,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

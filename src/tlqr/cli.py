@@ -167,11 +167,12 @@ def cmd_plan(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _load(args)
+    n_threads = _threads(args)
     planned = plan_experiment(config)
     grid = None
     if args.full_grid:
         grid = epsilon_grid(*FULL_GRID)
-    result = run_sweep(planned, modes=_MODE_CHOICES[args.mode], n_threads=_threads(args), grid=grid)
+    result = run_sweep(planned, modes=_MODE_CHOICES[args.mode], n_threads=n_threads, grid=grid)
     os.makedirs(args.out, exist_ok=True)
     outputs = ["sweep.csv", "plan_report.json"]
     write_sweep_csv(os.path.join(args.out, "sweep.csv"), result)
@@ -236,7 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, out_required=True):
         p.add_argument("--config", help="experiment config JSON (bundled default if omitted)")
         p.add_argument("--seed", type=int, help="override the config master seed")
-        p.add_argument("--threads", type=int, help="worker threads (or TLQR_THREADS)")
+        p.add_argument(
+            "--threads", type=int, help="accepted for compatibility; no effect (or TLQR_THREADS)"
+        )
         if out_required:
             p.add_argument("--out", required=True, help="output directory")
 

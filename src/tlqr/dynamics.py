@@ -78,7 +78,12 @@ class SystemModel(ABC):
 
     @abstractmethod
     def transition(self, x: Array, u: Array) -> Array:
-        """The map f(x, u) without control-bound enforcement."""
+        """The map f(x, u) without control-bound enforcement.
+
+        Takes one state (n,) and control (m,) and returns (n,), or a batch of
+        N states (N, n) and controls (N, m) and returns (N, n); row i of a
+        batch result equals the single-state result for row i.
+        """
 
     @abstractmethod
     def transition_jacobians(self, x: Array, u: Array) -> tuple[Array, Array]:
@@ -87,7 +92,10 @@ class SystemModel(ABC):
     # -- bound handling; identity for unconstrained models.
 
     def clamp_control(self, u: Array) -> Array:
-        """Project a control onto the admissible set (identity by default)."""
+        """Project a control (m,) or a batch (N, m) onto the admissible set.
+
+        Identity by default.
+        """
         return np.asarray(u, dtype=float)
 
     def validate_control(self, u: Array) -> None:
@@ -183,9 +191,12 @@ class KinematicCar(SystemModel):
             raise ValueError(f"unknown integrator '{self.integrator}'")
 
     def _drift(self, x: Array, u: Array) -> Array:
-        v, phi = u
-        theta = x[2]
-        return np.array([v * np.cos(theta), v * np.sin(theta), v / self.wheelbase * np.tan(phi)])
+        # Transposed unpacking serves (n,) and (N, n) alike.
+        v, phi = u.T
+        theta = x.T[2]
+        return np.array(
+            [v * np.cos(theta), v * np.sin(theta), v / self.wheelbase * np.tan(phi)]
+        ).T
 
     def _drift_jacobians(self, x: Array, u: Array) -> tuple[Array, Array]:
         v, phi = u
@@ -240,11 +251,12 @@ class KinematicCar(SystemModel):
         return a, b
 
     def clamp_control(self, u: Array) -> Array:
-        v = np.clip(u[0], -self.v_max, self.v_max)
+        v, phi = np.asarray(u, dtype=float).T
         # Strict bound: the largest representable angle below phi_max.
         phi_lim = np.nextafter(self.phi_max, 0.0)
-        phi = np.clip(u[1], -phi_lim, phi_lim)
-        return np.array([v, phi])
+        return np.array(
+            [np.clip(v, -self.v_max, self.v_max), np.clip(phi, -phi_lim, phi_lim)]
+        ).T
 
     def validate_control(self, u: Array) -> None:
         if abs(u[0]) > self.v_max:
@@ -284,7 +296,9 @@ class LinearSystem(SystemModel):
         object.__setattr__(self, "control_dim", b.shape[1])
 
     def transition(self, x: Array, u: Array) -> Array:
-        return self.a @ np.asarray(x, dtype=float) + self.b @ np.asarray(u, dtype=float)
+        x = np.asarray(x, dtype=float)
+        u = np.asarray(u, dtype=float)
+        return (self.a @ x.T).T + (self.b @ u.T).T
 
     def transition_jacobians(self, x: Array, u: Array) -> tuple[Array, Array]:
         return self.a.copy(), self.b.copy()

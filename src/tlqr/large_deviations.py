@@ -23,7 +23,7 @@ from ._stats import linear_fit, wilson_interval
 from .dynamics import Array, SystemModel
 from .exceptions import InsufficientData
 from .lqr import TrackingPolicy, feedback_control
-from .simulate import _CTX_EXIT, CLOSED_LOOP, derive_seed, rollout
+from .simulate import _CTX_EXIT, CLOSED_LOOP, derive_seed, rollout_states
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +124,8 @@ def estimate_exit_probability(
     """Fraction of closed-loop runs whose deviation ever exceeds delta.
 
     A run exits when max_{s <= horizon_index} |x_s - x_nom_s| > delta
-    (Euclidean norm on the full state). Per-run seeds derive from the given
+    (Euclidean norm on the full state). All runs step together through
+    :func:`~tlqr.simulate.rollout_states`. Per-run seeds derive from the given
     seed, so estimates with the same seed share trajectories exactly.
     """
     if delta <= 0:
@@ -135,12 +136,10 @@ def estimate_exit_probability(
     t_max = k if horizon_index is None else horizon_index
     if not 0 <= t_max <= k:
         raise ValueError(f"horizon_index must lie in [0, {k}]")
-    exits = 0
-    for j in range(n_runs):
-        run = rollout(policy, model, epsilon, CLOSED_LOOP, derive_seed(seed, _CTX_EXIT, j))
-        dev = np.linalg.norm(run.states[: t_max + 1] - policy.nominal.states[: t_max + 1], axis=1)
-        if dev.max() > delta:
-            exits += 1
+    seeds = [derive_seed(seed, _CTX_EXIT, j) for j in range(n_runs)]
+    states = rollout_states(policy, model, epsilon, CLOSED_LOOP, seeds)
+    dev = np.linalg.norm(states[:, : t_max + 1] - policy.nominal.states[: t_max + 1], axis=2)
+    exits = int(np.count_nonzero(dev.max(axis=1) > delta))
     p_hat = exits / n_runs
     low, high = wilson_interval(exits, n_runs)
     return ExitEstimate(

@@ -274,7 +274,7 @@ def optimize_nominal(
     max_violation = 0.0
     if bounds is not None:
         max_violation = float(np.max(np.maximum(0.0, np.abs(controls) - bounds)))
-        controls = np.array([model.clamp_control(u) for u in controls])
+        controls = model.clamp_control(controls)
 
     final_cost = nominal_cost(model, cost_spec, x0, controls)
     trajectory = model.rollout_nominal(x0, controls)

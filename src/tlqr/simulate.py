@@ -1,14 +1,18 @@
 """Stochastic closed-loop / open-loop execution and NMSE sweep experiments.
 
 Noise enters additively with per-component standard deviation
-epsilon * max_t |u_nom_t|_2. Every run draws its noise from a generator
-seeded by a counter-style mix of (master seed, grid index, run index, mode),
-so results are bit-reproducible and independent of scheduling or thread
-count.
+epsilon * max_t |u_nom_t|_2. Every run draws its noise from its own
+generator, seeded by a counter-style mix of (master seed, grid index, run
+index, mode), so results are bit-reproducible and do not depend on how runs
+are grouped.
+
+Monte Carlo studies go through one batched kernel, :func:`rollout_states`,
+which steps all runs of a batch together with one array operation per time
+index. The scalar :func:`rollout` stays as its oracle and carries the
+optional replanning hook.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -109,6 +113,58 @@ def rollout(
     )
 
 
+def rollout_states(
+    policy: TrackingPolicy,
+    model: SystemModel,
+    epsilon: float,
+    mode: str,
+    seeds: Sequence[int],
+) -> Array:
+    """States (N, K+1, n) of N runs executed together, one per seed.
+
+    Run j draws its noise exactly as ``rollout(..., seed=seeds[j])`` does,
+    so its states match the scalar path: bit for bit in open loop, and up to
+    round-off of the batched feedback product in closed loop. Closed loop
+    applies the clamped feedback law; open loop applies the planned
+    controls, which are bound-checked once per batch.
+    """
+    if mode not in _MODE_TAGS:
+        raise ValueError(f"unknown mode '{mode}'")
+    if epsilon < 0:
+        raise ValueError("epsilon must be nonnegative")
+    nominal = policy.nominal
+    k, n = policy.horizon, model.state_dim
+    if (nominal.state_dim, nominal.control_dim) != (n, model.control_dim):
+        raise ValueError(
+            f"policy dimensions (n={nominal.state_dim}, m={nominal.control_dim}) do not "
+            f"match the model (n={n}, m={model.control_dim})"
+        )
+    if mode == OPEN_LOOP:
+        for u in nominal.controls:
+            model.validate_control(u)
+    noise = NoiseModel(epsilon, noise_scale(nominal.controls), n)
+    noises = np.empty((len(seeds), k, n))
+    for j, seed in enumerate(seeds):
+        noises[j] = noise.sample(np.random.default_rng(seed), k)
+
+    states = np.empty((len(seeds), k + 1, n))
+    states[:, 0] = nominal.states[0]
+    for t in range(k):
+        x = states[:, t]
+        if mode == CLOSED_LOOP:
+            # Elementwise product and sum, not a matrix product: BLAS picks
+            # kernels by batch size, which would make a run's rounding depend
+            # on its batch.
+            u = model.clamp_control(
+                nominal.controls[t]
+                - np.sum(policy.gains[t] * (x - nominal.states[t])[:, None, :], axis=2)
+            )
+        else:
+            u = np.broadcast_to(nominal.controls[t], (len(seeds), model.control_dim))
+        states[:, t + 1] = model.transition(x, u) + noises[:, t]
+    return states
+
+
 def replay(model: SystemModel, x0: Array, controls: Array, noises: Array) -> Array:
     """Reconstruct the state sequence from stored controls and noises."""
     controls = np.asarray(controls, dtype=float)
@@ -120,21 +176,22 @@ def replay(model: SystemModel, x0: Array, controls: Array, noises: Array) -> Arr
     return states
 
 
-def nmse_values(planned: NominalTrajectory, runs: Sequence[Rollout]) -> Array:
+def nmse_values(planned: NominalTrajectory, runs: Sequence[Rollout] | Array) -> Array:
     """Per-run normalized mean squared error, in percent.
 
-    Both trajectories are stacked into single vectors (initial state
-    included); the value is |planned - run|^2 / |planned|^2 * 100.
+    ``runs`` is a sequence of rollouts or an (N, K+1, n) state array as
+    returned by :func:`rollout_states`. Both trajectories are stacked into
+    single vectors (initial state included); the value is
+    |planned - run|^2 / |planned|^2 * 100.
     """
     denom = float(np.sum(planned.states**2))
     if denom == 0.0:
         raise ValueError("planned trajectory has zero norm")
-    vals = np.empty(len(runs))
-    for i, run in enumerate(runs):
-        if run.states.shape != planned.states.shape:
-            raise ValueError("run horizon does not match the planned trajectory")
-        vals[i] = np.sum((run.states - planned.states) ** 2) / denom * 100.0
-    return vals
+    states = runs if isinstance(runs, np.ndarray) else [run.states for run in runs]
+    if any(np.shape(s) != planned.states.shape for s in states):
+        raise ValueError("run horizon does not match the planned trajectory")
+    diff = np.reshape(states, (len(states),) + planned.states.shape) - planned.states
+    return np.sum(diff.reshape(len(states), -1) ** 2, axis=1) / denom * 100.0
 
 
 def nmse(planned: NominalTrajectory, runs: Sequence[Rollout]) -> float:
@@ -208,17 +265,11 @@ def _mode_stats(
     n_runs: int,
     master_seed: int,
 ) -> tuple[float, float]:
-    runs = [
-        rollout(
-            policy,
-            model,
-            epsilon,
-            mode,
-            derive_seed(master_seed, _CTX_SWEEP, grid_index, _MODE_TAGS[mode], j),
-        )
+    seeds = [
+        derive_seed(master_seed, _CTX_SWEEP, grid_index, _MODE_TAGS[mode], j)
         for j in range(n_runs)
     ]
-    vals = nmse_values(policy.nominal, runs)
+    vals = nmse_values(policy.nominal, rollout_states(policy, model, epsilon, mode, seeds))
     sd = float(vals.std(ddof=1)) if n_runs > 1 else 0.0
     return float(vals.mean()), sd
 
@@ -234,9 +285,10 @@ def sweep_epsilon(
 ) -> SweepResult:
     """Average NMSE per epsilon for closed- and/or open-loop execution.
 
-    The (grid point, mode) batches may run on a thread pool; per-run seeds
-    are derived from (master_seed, grid index, run index, mode), so the
-    result is identical for any thread count.
+    Each (grid point, mode) pair is one batch of ``n_runs`` runs through
+    :func:`rollout_states`; per-run seeds are derived from (master_seed,
+    grid index, run index, mode). ``n_threads`` is accepted for
+    compatibility and has no effect: the batched kernel runs on one thread.
     """
     grid = np.asarray(grid, dtype=float)
     if len(grid) == 0 or np.any(grid <= 0):
@@ -249,32 +301,21 @@ def sweep_epsilon(
         if mode not in _MODE_TAGS:
             raise ValueError(f"unknown mode '{mode}'")
 
-    tasks = [(i, mode) for i in range(len(grid)) for mode in modes]
-
-    def run_task(task):
-        i, mode = task
-        try:
-            return task, _mode_stats(policy, model, grid[i], i, mode, n_runs, master_seed)
-        except Exception as exc:
-            raise RuntimeError(f"sweep failed at epsilon={grid[i]:.6g} ({mode})") from exc
-
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = dict(pool.map(run_task, tasks))
-    else:
-        results = dict(map(run_task, tasks))
-
     rows = []
     for i, eps in enumerate(grid):
-        closed = results.get((i, CLOSED_LOOP), (np.nan, np.nan))
-        opened = results.get((i, OPEN_LOOP), (np.nan, np.nan))
+        stats = {CLOSED_LOOP: (np.nan, np.nan), OPEN_LOOP: (np.nan, np.nan)}
+        for mode in modes:
+            try:
+                stats[mode] = _mode_stats(policy, model, eps, i, mode, n_runs, master_seed)
+            except Exception as exc:
+                raise RuntimeError(f"sweep failed at epsilon={eps:.6g} ({mode})") from exc
         rows.append(
             SweepRow(
                 epsilon=float(eps),
-                avg_nmse_closed=closed[0],
-                avg_nmse_open=opened[0],
-                sd_closed=closed[1],
-                sd_open=opened[1],
+                avg_nmse_closed=stats[CLOSED_LOOP][0],
+                avg_nmse_open=stats[OPEN_LOOP][0],
+                sd_closed=stats[CLOSED_LOOP][1],
+                sd_open=stats[OPEN_LOOP][1],
                 n_runs=n_runs,
             )
         )

@@ -1,8 +1,10 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+import tlqr
 from tlqr.cli import main
 from tlqr.config import canonical_json, default_config, parse_config
 
@@ -154,6 +156,17 @@ def test_output_path_collision_exit3(config_path, tmp_path, capsys):
     blocker = tmp_path / "not_a_dir"
     blocker.write_text("occupied", encoding="utf-8")
     assert main(["plan", "--config", config_path, "--out", str(blocker)]) == 3
+
+
+def test_sweep_rejects_non_integer_thread_env(config_path, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("TLQR_THREADS", "two")
+    assert main(["sweep", "--config", config_path, "--out", str(tmp_path / "o")]) == 1
+    assert "TLQR_THREADS" in capsys.readouterr().err
+
+
+def test_package_version_matches_pyproject():
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r'^version = "([^"]+)"$', text, re.M).group(1) == tlqr.__version__
 
 
 def test_help_exits_zero(capsys):

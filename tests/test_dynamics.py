@@ -152,6 +152,30 @@ def test_clamp_control():
     assert abs(clamped[1]) < CAR.phi_max
     inside = np.array([0.2, -0.3])
     np.testing.assert_array_equal(CAR.clamp_control(inside), inside)
+    batch = np.array([[5.0, 3.0], [0.2, -0.3], [-0.9, -2.0]])
+    clamped = CAR.clamp_control(batch)
+    assert clamped.shape == batch.shape
+    for i in range(len(batch)):
+        assert np.array_equal(clamped[i], CAR.clamp_control(batch[i]))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        CAR,
+        KinematicCar(wheelbase=0.5, step_period=0.7, integrator="rk4"),
+        LinearSystem(a=[[0.9, 0.2], [-0.1, 1.0]], b=[[0.0], [0.5]]),
+    ],
+    ids=["car-euler", "car-rk4", "linear"],
+)
+def test_transition_batch_rows_equal_single_calls(model):
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((7, model.state_dim))
+    u = 0.4 * rng.standard_normal((7, model.control_dim))
+    batch = model.transition(x, u)
+    assert batch.shape == (7, model.state_dim)
+    for i in range(7):
+        assert np.array_equal(batch[i], model.transition(x[i], u[i]))
 
 
 def test_rk4_closer_to_fine_reference_than_euler():

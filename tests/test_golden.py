@@ -1,0 +1,47 @@
+"""Sweep and exit-study values pinned against tests/data/golden.json.
+
+The golden values come from the scalar per-run engine of tlqr 0.1.0
+(``tests/data/make_golden.py``). Open-loop runs are reproduced bit for bit;
+closed-loop runs may differ at round-off level, which the divergent
+closed-loop regime above eps ~0.129 (steering clamp saturated near pi/2)
+amplifies chaotically, so closed-loop columns are compared up to eps = 0.1.
+"""
+import json
+from pathlib import Path
+
+import pytest
+
+from tlqr import derive_seed, estimate_exit_probability
+from tlqr.experiments import _CTX_LDP
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "golden.json").read_text(encoding="utf-8"))
+REL_TOL = 1e-9
+CLOSED_EPS_MAX = 0.1
+
+
+def test_sweep_matches_golden(desk_sweep, car_experiment):
+    result, _ = desk_sweep
+    planned, _ = car_experiment
+    assert planned.config.master_seed == GOLDEN["master_seed"]
+    assert len(result.rows) == len(GOLDEN["sweep"])
+    for row, ref in zip(result.rows, GOLDEN["sweep"]):
+        assert row.epsilon == ref["epsilon"] and row.n_runs == ref["n_runs"]
+        assert row.avg_nmse_open == pytest.approx(ref["avg_nmse_open"], rel=REL_TOL)
+        assert row.sd_open == pytest.approx(ref["sd_open"], rel=REL_TOL)
+        if row.epsilon <= CLOSED_EPS_MAX:
+            assert row.avg_nmse_closed == pytest.approx(ref["avg_nmse_closed"], rel=REL_TOL)
+            assert row.sd_closed == pytest.approx(ref["sd_closed"], rel=REL_TOL)
+
+
+def test_exit_estimates_match_golden(car_experiment):
+    planned, _ = car_experiment
+    for i, ref in enumerate(GOLDEN["exits"]):
+        est = estimate_exit_probability(
+            planned.policy,
+            planned.model,
+            ref["delta"],
+            ref["epsilon"],
+            n_runs=GOLDEN["exit_runs"],
+            seed=derive_seed(GOLDEN["master_seed"], _CTX_LDP, i),
+        )
+        assert est.as_dict() == ref

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from tlqr import (
     CLOSED_LOOP,
     OPEN_LOOP,
+    BoundViolation,
     LqrWeights,
     NominalTrajectory,
     design_tracking_policy,
@@ -12,6 +15,7 @@ from tlqr import (
     noise_scale,
     replay,
     rollout,
+    rollout_states,
     sweep_epsilon,
 )
 from tlqr.simulate import Rollout, nmse_values
@@ -187,3 +191,70 @@ def test_replan_hook_fires_and_completes(car_experiment):
     assert run.states.shape == (planned.policy.horizon + 1, 3)
     baseline = rollout(planned.policy, model, 0.1, CLOSED_LOOP, seed=31)
     assert baseline.replan_steps == ()
+
+
+def _seeds(n):
+    return [derive_seed(99, j) for j in range(n)]
+
+
+@pytest.mark.parametrize("epsilon", [0.01, 0.06, 0.15])
+def test_rollout_states_open_loop_bitwise_equals_rollout(car_experiment, epsilon):
+    planned, _ = car_experiment
+    seeds = _seeds(300)
+    batch = rollout_states(planned.policy, planned.model, epsilon, OPEN_LOOP, seeds)
+    assert batch.shape == (300, planned.policy.horizon + 1, 3)
+    for j, seed in enumerate(seeds):
+        run = rollout(planned.policy, planned.model, epsilon, OPEN_LOOP, seed)
+        assert np.array_equal(batch[j], run.states)
+
+
+@pytest.mark.parametrize("epsilon", [0.01, 0.06, 0.1])
+def test_rollout_states_closed_loop_matches_rollout(car_experiment, epsilon):
+    # The batched feedback product may round differently from the per-run
+    # one; the difference stays at round-off level below the divergent
+    # regime (eps above about 0.129).
+    planned, _ = car_experiment
+    seeds = _seeds(300)
+    batch = rollout_states(planned.policy, planned.model, epsilon, CLOSED_LOOP, seeds)
+    for j, seed in enumerate(seeds):
+        run = rollout(planned.policy, planned.model, epsilon, CLOSED_LOOP, seed)
+        np.testing.assert_allclose(batch[j], run.states, rtol=1e-9, atol=0)
+
+
+def test_rollout_states_zero_noise_closed_loop_is_nominal(car_experiment):
+    planned, _ = car_experiment
+    batch = rollout_states(planned.policy, planned.model, 0.0, CLOSED_LOOP, _seeds(5))
+    for states in batch:
+        assert np.array_equal(states, planned.policy.nominal.states)
+
+
+@pytest.mark.parametrize("mode", [CLOSED_LOOP, OPEN_LOOP])
+def test_rollout_states_run_independent_of_batch_position(car_experiment, mode):
+    planned, _ = car_experiment
+    seeds = _seeds(100)
+    batch = rollout_states(planned.policy, planned.model, 0.08, mode, seeds)
+    reversed_batch = rollout_states(planned.policy, planned.model, 0.08, mode, seeds[::-1])
+    assert np.array_equal(reversed_batch[::-1], batch)
+    for j, seed in enumerate(seeds):
+        alone = rollout_states(planned.policy, planned.model, 0.08, mode, [seed])
+        assert np.array_equal(alone[0], batch[j])
+
+
+def test_rollout_states_rejects_bad_arguments(car_experiment):
+    planned, _ = car_experiment
+    with pytest.raises(ValueError, match="nonnegative"):
+        rollout_states(planned.policy, planned.model, -0.01, CLOSED_LOOP, [1])
+    with pytest.raises(ValueError, match="unknown mode"):
+        rollout_states(planned.policy, planned.model, 0.05, "sideways", [1])
+
+
+def test_rollout_states_open_loop_rejects_out_of_bounds_nominal(car_experiment):
+    planned, _ = car_experiment
+    controls = planned.policy.nominal.controls.copy()
+    controls[4, 0] = 2.0 * planned.model.v_max
+    nominal = NominalTrajectory(states=planned.policy.nominal.states, controls=controls)
+    policy = dataclasses.replace(planned.policy, nominal=nominal)
+    with pytest.raises(BoundViolation):
+        rollout_states(policy, planned.model, 0.05, OPEN_LOOP, [1, 2])
+    with pytest.raises(BoundViolation):
+        rollout(policy, planned.model, 0.05, OPEN_LOOP, 1)
