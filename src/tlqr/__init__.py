@@ -17,19 +17,14 @@ from .config import (
 )
 from .dynamics import KinematicCar, LinearSystem, NoiseModel, NominalTrajectory, SystemModel
 from .error_analysis import (
-    CostErrorCoefficients,
     CostErrorStats,
     CostLinearization,
     Deviations,
-    TransitionProducts,
-    closed_loop_matrices,
-    control_error_nonrecursive,
-    cost_error_coefficients,
+    cost_error_sensitivities,
     cost_error_statistics,
     first_order_cost_error,
     linear_deviations,
     linearize_cost,
-    state_error_nonrecursive,
 )
 from .exceptions import (
     BoundViolation,
@@ -43,7 +38,6 @@ from .experiments import (
     build_cost_spec,
     build_model,
     plan_experiment,
-    run_cost_error_study,
     run_exit_study,
     run_sweep,
 )
@@ -61,6 +55,7 @@ from .lqr import (
     LqrWeights,
     LtvSystem,
     TrackingPolicy,
+    closed_loop_matrices,
     design_tracking_policy,
     feedback_control,
     linearize_along,
@@ -91,4 +86,4 @@ from .simulate import (
     sweep_epsilon,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -132,24 +132,23 @@ def _write_manifest(outdir: str, config: ExperimentConfig, outputs: list[str]) -
 
 
 def _load(args) -> ExperimentConfig:
+    """Config from --config (or the bundled default) with the --seed override.
+
+    Also rejects a non-integer ``TLQR_THREADS``. The thread count itself has
+    no effect: every Monte Carlo study runs through one batched kernel.
+    """
+    env = os.environ.get("TLQR_THREADS", "")
+    if args.threads is None and env:
+        try:
+            int(env)
+        except ValueError:
+            raise ConfigError("TLQR_THREADS", f"not an integer: '{env}'")
     config = load_config(args.config) if args.config else default_config()
     if args.seed is not None:
         if not 0 <= args.seed < 2**64:
             raise ConfigError("--seed", "must fit in 64 bits")
         config = dataclasses.replace(config, master_seed=args.seed)
     return config
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("TLQR_THREADS", "")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError("TLQR_THREADS", f"not an integer: '{env}'")
-    return 1
 
 
 def cmd_plan(args) -> int:
@@ -167,12 +166,11 @@ def cmd_plan(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _load(args)
-    n_threads = _threads(args)
     planned = plan_experiment(config)
     grid = None
     if args.full_grid:
         grid = epsilon_grid(*FULL_GRID)
-    result = run_sweep(planned, modes=_MODE_CHOICES[args.mode], n_threads=n_threads, grid=grid)
+    result = run_sweep(planned, modes=_MODE_CHOICES[args.mode], grid=grid)
     os.makedirs(args.out, exist_ok=True)
     outputs = ["sweep.csv", "plan_report.json"]
     write_sweep_csv(os.path.join(args.out, "sweep.csv"), result)

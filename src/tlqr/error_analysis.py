@@ -1,21 +1,22 @@
 """First-order tracking-error and cost-error analysis around a nominal.
 
 Under the feedback law u_t = u_nom_t - L_t (x_t - x_nom_t), the linearized
-deviation dynamics are xdev_{t+1} = D_t xdev_t + w_t with D_t = A_t - B_t L_t.
-Unrolling gives the deviations as explicit linear functions of the noise:
+deviation dynamics are xdev_{t+1} = D_t xdev_t + w_t with D_t = A_t - B_t L_t
+(``lqr.closed_loop_matrices``) and udev_t = -L_t xdev_t, started on the
+nominal (xdev_0 = 0). ``linear_deviations`` runs that recursion in O(K).
 
-    xdev_{t+1} = sum_{s=0}^{t} Dprod(s+1, t) w_s
-    udev_{t+1} = -L_{t+1} xdev_{t+1}
+Plugging the deviations into the first-order cost expansion shows that the
+cost deviation from the nominal cost is linear in the noise,
+sum_s v_s . w_s, with one sensitivity vector per noise step. It therefore
+has exactly zero mean for zero-mean noise and is Gaussian for Gaussian
+noise. ``cost_error_sensitivities`` computes every v_s in one backward
+(adjoint) sweep:
 
-where Dprod(t1, t2) = D_{t2} ... D_{t1} (identity when t2 < t1). Plugging
-these into the first-order cost expansion shows the cost deviation from the
-nominal cost is itself linear in the noise vectors, with one coefficient
-vector per (noise step, cost term); it therefore has exactly zero mean for
-zero-mean noise, and it is Gaussian for Gaussian noise.
+    mu_K = cx_K,  mu_t = cx_t - L_t^T cu_t + D_t^T mu_{t+1},  v_s = mu_{s+1}.
 
-Since the run starts on the nominal (xdev_0 = 0), the index-0 entry of the
-D sequence never enters any noise coefficient; the conventional value A_0 is
-kept so the product table is fully populated.
+The paper's non-recursive forms (the noise maps D_t ... D_{s+1}, the explicit
+deviation sums and the per-(s, t) cost coefficients) are kept in ``verify``
+as oracles for these recursions.
 """
 from __future__ import annotations
 
@@ -25,102 +26,8 @@ import numpy as np
 
 from ._stats import excess_kurtosis, skewness
 from .dynamics import Array
-from .lqr import LtvSystem, TrackingPolicy
+from .lqr import TrackingPolicy
 from .planner import CostSpec
-
-
-def closed_loop_matrices(sys: LtvSystem, gains: Array) -> Array:
-    """Closed-loop matrices D_t = A_t - B_t L_t, with D_0 set to A_0.
-
-    The t = 0 convention is immaterial for error propagation (the initial
-    deviation is zero) but keeps the product table complete.
-    """
-    gains = np.asarray(gains, dtype=float)
-    if gains.shape != (sys.horizon, sys.control_dim, sys.state_dim):
-        raise ValueError(
-            f"gains have shape {gains.shape}, expected "
-            f"({sys.horizon}, {sys.control_dim}, {sys.state_dim})"
-        )
-    d = sys.a - np.einsum("tnm,tmk->tnk", sys.b, gains)
-    d[0] = sys.a[0]
-    return d
-
-
-class TransitionProducts:
-    """Cached ordered products of closed-loop matrices.
-
-    ``product(t1, t2)`` returns D_{t2} @ ... @ D_{t1} for t2 >= t1 and the
-    identity otherwise; ``noise_map(s, t)`` = product(s + 1, t) maps the
-    noise injected at step s to the deviation at step t + 1.
-    """
-
-    def __init__(self, d: Array):
-        d = np.asarray(d, dtype=float)
-        if d.ndim != 3 or d.shape[1] != d.shape[2]:
-            raise ValueError("d must be a (K, n, n) stack of square matrices")
-        self.d = d
-        k, n = d.shape[0], d.shape[1]
-        self._eye = np.eye(n)
-        self._rows: list[Array] = []
-        for t1 in range(k):
-            row = np.empty((k - t1, n, n))
-            row[0] = d[t1]
-            for t2 in range(t1 + 1, k):
-                row[t2 - t1] = d[t2] @ row[t2 - t1 - 1]
-            self._rows.append(row)
-
-    @property
-    def horizon(self) -> int:
-        return self.d.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.d.shape[1]
-
-    def product(self, t1: int, t2: int) -> Array:
-        if t1 < 0 or t2 > self.horizon - 1:
-            raise ValueError(f"product indices ({t1}, {t2}) outside the horizon")
-        if t2 < t1:
-            return self._eye
-        return self._rows[t1][t2 - t1]
-
-    def noise_map(self, s: int, t: int) -> Array:
-        if not 0 <= s <= t <= self.horizon - 1:
-            raise ValueError(f"noise_map indices ({s}, {t}) invalid")
-        return self.product(s + 1, t)
-
-
-def state_error_nonrecursive(products: TransitionProducts, noises: Array) -> Array:
-    """Deviation at step t+1 as the direct sum over past noise injections.
-
-    ``noises`` holds w_0 .. w_t; the result equals the recursive propagation
-    xdev_{s+1} = D_s xdev_s + w_s started from zero.
-    """
-    noises = np.asarray(noises, dtype=float)
-    if noises.ndim != 2 or noises.shape[1] != products.dim:
-        raise ValueError(f"noises must be (t+1, {products.dim})")
-    t = len(noises) - 1
-    if t < 0 or t > products.horizon - 1:
-        raise ValueError("noise sequence length outside the horizon")
-    out = np.zeros(products.dim)
-    for s in range(t + 1):
-        out += products.noise_map(s, t) @ noises[s]
-    return out
-
-
-def control_error_nonrecursive(
-    products: TransitionProducts, gains: Array, noises: Array
-) -> Array:
-    """Feedback-induced control deviation at step t+1: -sum_s L_{t+1} Dprod w_s."""
-    noises = np.asarray(noises, dtype=float)
-    gains = np.asarray(gains, dtype=float)
-    t = len(noises) - 1
-    if t + 1 > len(gains) - 1:
-        raise ValueError("control deviation needs a gain at step t+1")
-    out = np.zeros(gains.shape[1])
-    for s in range(t + 1):
-        out -= (gains[t + 1] @ products.noise_map(s, t)) @ noises[s]
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,27 +41,22 @@ class Deviations:
         if len(self.states) != len(self.controls) + 1:
             raise ValueError("expected K+1 state deviations for K control deviations")
 
-    def magnitudes(self) -> Array:
-        """Per-step combined magnitude |xdev_t| + |udev_t| for t < K."""
-        return np.linalg.norm(self.states[:-1], axis=1) + np.linalg.norm(
-            self.controls, axis=1
-        )
 
+def linear_deviations(closed_loop: Array, gains: Array, noises: Array) -> Deviations:
+    """First-order deviation history from a complete noise sequence.
 
-def linear_deviations(
-    products: TransitionProducts, gains: Array, noises: Array
-) -> Deviations:
-    """Full first-order deviation history from a complete noise sequence."""
+    xdev_0 = 0, xdev_{t+1} = D_t xdev_t + w_t and udev_t = -L_t xdev_t.
+    """
+    d = np.asarray(closed_loop, dtype=float)
+    gains = np.asarray(gains, dtype=float)
     noises = np.asarray(noises, dtype=float)
-    k = products.horizon
-    if noises.shape != (k, products.dim):
-        raise ValueError(f"noises must be ({k}, {products.dim})")
-    states = np.zeros((k + 1, products.dim))
-    controls = np.zeros((k, gains.shape[1]))
-    for t in range(1, k + 1):
-        states[t] = state_error_nonrecursive(products, noises[:t])
-    for t in range(1, k):
-        controls[t] = control_error_nonrecursive(products, gains, noises[:t])
+    k, n = d.shape[0], d.shape[1]
+    if noises.shape != (k, n):
+        raise ValueError(f"noises must be ({k}, {n})")
+    states = np.zeros((k + 1, n))
+    for t in range(k):
+        states[t + 1] = d[t] @ states[t] + noises[t]
+    controls = -np.einsum("tmn,tn->tm", gains, states[:k])
     return Deviations(states=states, controls=controls)
 
 
@@ -203,60 +105,23 @@ def first_order_cost_error(lin: CostLinearization, deviations: Deviations) -> fl
     return total
 
 
-class CostErrorCoefficients:
-    """Per-noise coefficient vectors of the first-order cost error.
+def cost_error_sensitivities(lin: CostLinearization, closed_loop: Array, gains: Array) -> Array:
+    """Per-noise sensitivities v (K, n): the first-order cost error is sum_s v_s . w_s.
 
-    ``table[(s, t)]`` is the vector multiplying noise w_s inside the cost
-    term at step t (t = K denotes the terminal term). The decomposition
-    certifies that the cost error is degree one in the noise variables, so
-    its expectation vanishes identically under zero-mean noise.
+    One backward sweep: v_{K-1} = cx_K and
+    v_{t-1} = cx_t - L_t^T cu_t + D_t^T v_t. Stage 0 never enters, since
+    xdev_0 = 0.
     """
-
-    def __init__(self, table: dict[tuple[int, int], Array], horizon: int, dim: int):
-        self.table = table
-        self.horizon = horizon
-        self.dim = dim
-
-    def evaluate(self, noises: Array) -> float:
-        """Reconstruct the cost error for one noise sequence."""
-        noises = np.asarray(noises, dtype=float)
-        if noises.shape != (self.horizon, self.dim):
-            raise ValueError(f"noises must be ({self.horizon}, {self.dim})")
-        return float(sum(w @ noises[s] for (s, t), w in self.table.items()))
-
-    def per_noise_totals(self) -> Array:
-        """Aggregate coefficient of each noise vector: v_s = sum_t w_{s,t}."""
-        totals = np.zeros((self.horizon, self.dim))
-        for (s, _t), w in self.table.items():
-            totals[s] += w
-        return totals
-
-    def variance(self, sigma: float) -> float:
-        """Exact variance of the cost error for i.i.d. N(0, sigma^2 I) noise."""
-        totals = self.per_noise_totals()
-        return float(sigma**2 * np.sum(totals * totals))
-
-
-def cost_error_coefficients(
-    lin: CostLinearization, products: TransitionProducts, gains: Array
-) -> CostErrorCoefficients:
-    """Coefficient vectors w_{s,t} of the first-order cost error.
-
-    For stage terms (t <= K-1): w_{s,t} = (cx_t M - cu_t L_t M)^T with
-    M = noise_map(s, t-1); the terminal term uses the terminal gradient.
-    """
-    k = lin.horizon
-    if products.horizon != k:
-        raise ValueError("product table horizon does not match the cost linearization")
+    d = np.asarray(closed_loop, dtype=float)
     gains = np.asarray(gains, dtype=float)
-    table: dict[tuple[int, int], Array] = {}
-    for t in range(1, k):
-        for s in range(t):
-            m = products.noise_map(s, t - 1)
-            table[(s, t)] = lin.cx[t] @ m - lin.cu[t] @ (gains[t] @ m)
-    for s in range(k):
-        table[(s, k)] = lin.cx_terminal @ products.noise_map(s, k - 1)
-    return CostErrorCoefficients(table=table, horizon=k, dim=products.dim)
+    k = lin.horizon
+    if d.shape[0] != k or gains.shape[0] != k:
+        raise ValueError("closed-loop and gain horizons do not match the cost linearization")
+    v = np.empty((k, d.shape[1]))
+    v[k - 1] = lin.cx_terminal
+    for t in range(k - 1, 0, -1):
+        v[t - 1] = lin.cx[t] - gains[t].T @ lin.cu[t] + d[t].T @ v[t]
+    return v
 
 
 @dataclass(frozen=True)
@@ -302,8 +167,7 @@ def cost_error_statistics(
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
     lin = linearize_cost(cost_spec, policy.nominal)
-    products = TransitionProducts(policy.closed_loop)
-    coeffs = cost_error_coefficients(lin, products, policy.gains)
+    v = cost_error_sensitivities(lin, policy.closed_loop, policy.gains)
     base_sigma = float(np.linalg.norm(policy.nominal.controls, axis=1).max())
     sigma = epsilon * base_sigma
 
@@ -311,8 +175,8 @@ def cost_error_statistics(
     if sigma == 0.0:
         samples = np.zeros(n_samples)
     else:
-        noises = sigma * rng.standard_normal((n_samples, policy.horizon * products.dim))
-        samples = noises @ coeffs.per_noise_totals().ravel()
+        noises = sigma * rng.standard_normal((n_samples, v.size))
+        samples = noises @ v.ravel()
 
     mean = float(samples.mean())
     sd = float(samples.std(ddof=1)) if n_samples > 1 else 0.0

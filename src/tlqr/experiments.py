@@ -7,7 +7,6 @@ import numpy as np
 
 from .config import ExperimentConfig, epsilon_grid
 from .dynamics import KinematicCar, SystemModel
-from .error_analysis import CostErrorStats, cost_error_statistics
 from .exceptions import InsufficientData
 from .large_deviations import ExitEstimate, RateFit, estimate_exit_probability, fit_rate
 from .lqr import LqrWeights, TrackingPolicy, design_tracking_policy
@@ -80,7 +79,6 @@ def plan_experiment(config: ExperimentConfig) -> PlannedExperiment:
 def run_sweep(
     planned: PlannedExperiment,
     modes=("closed_loop", "open_loop"),
-    n_threads: int = 1,
     grid=None,
 ) -> SweepResult:
     """NMSE sweep over the configured (or overridden) epsilon grid."""
@@ -94,7 +92,6 @@ def run_sweep(
         cfg.n_runs,
         planned.config.master_seed,
         modes=modes,
-        n_threads=n_threads,
     )
 
 
@@ -124,12 +121,3 @@ def run_exit_study(
         fit = None
     return estimates, fit
 
-
-def run_cost_error_study(
-    planned: PlannedExperiment, epsilon: float = 0.05, n_samples: int = 100_000
-) -> CostErrorStats:
-    """Moment statistics of the first-order cost error on the planned policy."""
-    seed = derive_seed(planned.config.master_seed, 4)
-    return cost_error_statistics(
-        planned.policy, planned.cost_spec, epsilon, n_samples, seed
-    )

@@ -11,6 +11,11 @@ yields gains for the tracking law u_t = u_nom_t - L_t (x_t - x_nom_t).
 P is symmetrized after every step to suppress asymmetric round-off. The
 value identity x0^T P_0 x0 = accumulated quadratic cost under the gains
 holds for the noise-free LTV error dynamics.
+
+Under those gains the deviation from the nominal evolves as
+xdev_{t+1} = D_t xdev_t + w_t with D_t = A_t - B_t L_t; ``closed_loop_matrices``
+is the one builder of that stack, stored on the policy and used by the
+first-order error analysis.
 """
 from __future__ import annotations
 
@@ -153,13 +158,24 @@ def riccati_backward(sys: LtvSystem, weights: LqrWeights) -> tuple[Array, Array]
     return gains, riccati
 
 
+def closed_loop_matrices(sys: LtvSystem, gains: Array) -> Array:
+    """Closed-loop matrices D_t = A_t - B_t L_t for t = 0 .. K-1, shape (K, n, n)."""
+    gains = np.asarray(gains, dtype=float)
+    if gains.shape != (sys.horizon, sys.control_dim, sys.state_dim):
+        raise ValueError(
+            f"gains have shape {gains.shape}, expected "
+            f"({sys.horizon}, {sys.control_dim}, {sys.state_dim})"
+        )
+    return sys.a - np.einsum("tnm,tmk->tnk", sys.b, gains)
+
+
 def design_tracking_policy(
     model: SystemModel, nominal: NominalTrajectory, weights: LqrWeights
 ) -> TrackingPolicy:
     """Linearize along the nominal and synthesize the tracking gains."""
     sys = linearize_along(model, nominal)
     gains, riccati = riccati_backward(sys, weights)
-    closed_loop = sys.a - np.einsum("tnm,tmk->tnk", sys.b, gains)
+    closed_loop = closed_loop_matrices(sys, gains)
     return TrackingPolicy(
         nominal=nominal, gains=gains, riccati=riccati, closed_loop=closed_loop, model=model
     )

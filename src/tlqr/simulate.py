@@ -281,14 +281,12 @@ def sweep_epsilon(
     n_runs: int,
     master_seed: int,
     modes: Sequence[str] = (CLOSED_LOOP, OPEN_LOOP),
-    n_threads: int = 1,
 ) -> SweepResult:
     """Average NMSE per epsilon for closed- and/or open-loop execution.
 
     Each (grid point, mode) pair is one batch of ``n_runs`` runs through
     :func:`rollout_states`; per-run seeds are derived from (master_seed,
-    grid index, run index, mode). ``n_threads`` is accepted for
-    compatibility and has no effect: the batched kernel runs on one thread.
+    grid index, run index, mode).
     """
     grid = np.asarray(grid, dtype=float)
     if len(grid) == 0 or np.any(grid <= 0):

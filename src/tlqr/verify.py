@@ -3,12 +3,15 @@
 Each suite runs a set of named checks and reports the measured value next
 to its bound, so a report is reviewable without rerunning. Suites:
 
-* ``propagation``: non-recursive error propagation against the recursive
-  linear simulation, the feedback identity udev = -L xdev, and the
-  coefficient-form reconstruction of the first-order cost error, on random
-  LTV instances.
-* ``costerror``: zero-mean / Gaussianity statistics of the first-order cost
-  error on the configured car policy.
+* ``propagation``: on random LTV instances, the paper's non-recursive
+  deviation sums (oracles built here from dense noise maps) against the
+  O(K) recursion of ``error_analysis.linear_deviations``, the explicit
+  control sum against the feedback identity udev = -L xdev, and the
+  adjoint sensitivity form sum_s v_s . w_s of the first-order cost error
+  against its evaluation on the deviation history.
+* ``costerror``: the same reconstruction plus zero-mean / Gaussianity
+  statistics of the first-order cost error on the configured car policy,
+  and its sample variance against the closed form sigma^2 sum_s |v_s|^2.
 * ``riccati``: the scalar hand fixture and the LQR value identity.
 * ``ldp``: exit-rate regression signature plus exact synthetic recovery and
   the zero action of the nominal path.
@@ -22,19 +25,15 @@ import numpy as np
 from .dynamics import Array
 from .error_analysis import (
     CostLinearization,
-    TransitionProducts,
-    closed_loop_matrices,
-    control_error_nonrecursive,
-    cost_error_coefficients,
+    cost_error_sensitivities,
     cost_error_statistics,
     first_order_cost_error,
     linear_deviations,
     linearize_cost,
-    state_error_nonrecursive,
 )
 from .experiments import PlannedExperiment, plan_experiment, run_exit_study
 from .large_deviations import ExitEstimate, PathSample, action_functional, fit_rate, tracking_drift
-from .lqr import LqrWeights, LtvSystem, riccati_backward
+from .lqr import LqrWeights, LtvSystem, closed_loop_matrices, riccati_backward
 from .simulate import derive_seed
 
 SUITE_NAMES = ("propagation", "costerror", "riccati", "ldp")
@@ -105,21 +104,58 @@ def random_ltv_instance(
     return LtvSystem(a=a, b=b), weights
 
 
-def _recursive_state_errors(d: Array, noises: Array) -> Array:
-    """Oracle: xdev_{t+1} = D_t xdev_t + w_t started from zero."""
-    k, n = noises.shape
-    xdev = np.zeros((k + 1, n))
-    for t in range(k):
-        xdev[t + 1] = d[t] @ xdev[t] + noises[t]
-    return xdev
+def _noise_maps(d: Array) -> Array:
+    """Oracle: dense noise maps M[s, t] = D_t ... D_{s+1}, shape (K, K, n, n).
+
+    M[s, t] carries the noise injected at step s to the deviation at step
+    t + 1; it is the identity for t = s and zero for t < s.
+    """
+    k, n = d.shape[0], d.shape[1]
+    maps = np.zeros((k, k, n, n))
+    for s in range(k):
+        maps[s, s] = np.eye(n)
+        for t in range(s + 1, k):
+            maps[s, t] = d[t] @ maps[s, t - 1]
+    return maps
+
+
+def _state_sums(maps: Array, noises: Array) -> Array:
+    """Oracle: xdev_{t+1} = sum_{s <= t} M(s, t) w_s, as a (K+1, n) history."""
+    states = np.zeros((len(noises) + 1, noises.shape[1]))
+    states[1:] = np.einsum("stij,sj->ti", maps, noises)
+    return states
+
+
+def _control_sums(maps: Array, gains: Array, noises: Array) -> Array:
+    """Oracle: udev_{t+1} = -sum_{s <= t} L_{t+1} M(s, t) w_s, as a (K, m) history."""
+    controls = np.zeros((len(noises), gains.shape[1]))
+    controls[1:] = -np.einsum("tmi,stij,sj->tm", gains[1:], maps[:, :-1], noises)
+    return controls
+
+
+def _coefficient_sums(lin: CostLinearization, maps: Array, gains: Array) -> Array:
+    """Oracle: v_s = sum_t w_{s,t}, the paper's per-(noise, cost term) coefficients.
+
+    For a stage term t <= K-1, w_{s,t} = cx_t M - cu_t L_t M with
+    M = M(s, t-1); the terminal term contributes cx_K M(s, K-1).
+    """
+    k = lin.horizon
+    v = np.zeros((k, maps.shape[-1]))
+    for s in range(k):
+        for t in range(s + 1, k):
+            m = maps[s, t - 1]
+            v[s] += lin.cx[t] @ m - lin.cu[t] @ (gains[t] @ m)
+        v[s] += lin.cx_terminal @ maps[s, k - 1]
+    return v
 
 
 def propagation_errors(n_instances: int = 1000, seed: int = 1001) -> dict:
     """Worst-case discrepancies over random LTV instances.
 
     Returns max relative error of the non-recursive state deviation against
-    the recursive oracle, max entrywise error of udev + L xdev, and max
-    relative error of the coefficient-form cost-error reconstruction.
+    the recursion, max entrywise error of the explicit control sum against
+    udev = -L xdev, and max relative error of the sensitivity-form
+    cost-error reconstruction.
     """
     rng = np.random.default_rng(seed)
     max_state_rel = 0.0
@@ -129,27 +165,24 @@ def propagation_errors(n_instances: int = 1000, seed: int = 1001) -> dict:
         sys, weights = random_ltv_instance(rng)
         gains, _ = riccati_backward(sys, weights)
         d = closed_loop_matrices(sys, gains)
-        products = TransitionProducts(d)
         k, n_x = sys.horizon, sys.state_dim
         noises = rng.uniform(-1.0, 1.0, size=(k, n_x))
-        oracle = _recursive_state_errors(d, noises)
-        for t in range(1, k + 1):
-            direct = state_error_nonrecursive(products, noises[:t])
-            denom = max(float(np.linalg.norm(oracle[t])), 1e-12)
-            max_state_rel = max(max_state_rel, float(np.linalg.norm(direct - oracle[t])) / denom)
-        for t in range(1, k):
-            udev = control_error_nonrecursive(products, gains, noises[:t])
-            resid = udev + gains[t] @ state_error_nonrecursive(products, noises[:t])
-            max_identity_abs = max(max_identity_abs, float(np.abs(resid).max()))
+        deviations = linear_deviations(d, gains, noises)
+        maps = _noise_maps(d)
+        gap = np.linalg.norm(_state_sums(maps, noises)[1:] - deviations.states[1:], axis=1)
+        denom = np.maximum(np.linalg.norm(deviations.states[1:], axis=1), 1e-12)
+        max_state_rel = max(max_state_rel, float((gap / denom).max()))
+        resid = _control_sums(maps, gains, noises) - deviations.controls
+        max_identity_abs = max(max_identity_abs, float(np.abs(resid).max()))
         lin = CostLinearization(
             cx=rng.uniform(-1.0, 1.0, size=(k, n_x)),
             cu=rng.uniform(-1.0, 1.0, size=(k, sys.control_dim)),
             cx_terminal=rng.uniform(-1.0, 1.0, size=n_x),
             nominal_cost=0.0,
         )
-        coeffs = cost_error_coefficients(lin, products, gains)
-        direct_value = first_order_cost_error(lin, linear_deviations(products, gains, noises))
-        rebuilt = coeffs.evaluate(noises)
+        v = cost_error_sensitivities(lin, d, gains)
+        direct_value = first_order_cost_error(lin, deviations)
+        rebuilt = float(np.sum(v * noises))
         denom = max(abs(direct_value), 1e-12)
         max_reconstruction_rel = max(max_reconstruction_rel, abs(rebuilt - direct_value) / denom)
     return {
@@ -222,23 +255,24 @@ def cost_error_suite(
 ) -> SuiteReport:
     policy, cost_spec = planned.policy, planned.cost_spec
     lin = linearize_cost(cost_spec, policy.nominal)
-    products = TransitionProducts(policy.closed_loop)
-    coeffs = cost_error_coefficients(lin, products, policy.gains)
+    v = cost_error_sensitivities(lin, policy.closed_loop, policy.gains)
 
-    # Direct evaluation through the deviation histories vs the coefficient form.
+    # Direct evaluation through the deviation histories vs the sensitivity form.
     rng = np.random.default_rng(derive_seed(planned.config.master_seed, 5))
     sigma = epsilon * float(np.linalg.norm(policy.nominal.controls, axis=1).max())
     max_rel = 0.0
     for _ in range(100):
-        noises = sigma * rng.standard_normal((policy.horizon, products.dim))
-        direct = first_order_cost_error(lin, linear_deviations(products, policy.gains, noises))
-        rebuilt = coeffs.evaluate(noises)
+        noises = sigma * rng.standard_normal(v.shape)
+        direct = first_order_cost_error(
+            lin, linear_deviations(policy.closed_loop, policy.gains, noises)
+        )
+        rebuilt = float(np.sum(v * noises))
         max_rel = max(max_rel, abs(rebuilt - direct) / max(abs(direct), 1e-12))
 
     stats = cost_error_statistics(
         policy, cost_spec, epsilon, n_samples, derive_seed(planned.config.master_seed, 4)
     )
-    var_ratio_err = abs(stats.sd**2 / coeffs.variance(sigma) - 1.0)
+    var_ratio_err = abs(stats.sd**2 / (sigma**2 * float(np.sum(v * v))) - 1.0)
     checks = (
         Check("coefficient_reconstruction_rel", max_rel, 1e-9, "<="),
         Check("mean_z_score_abs", abs(stats.z), 4.0, "<="),

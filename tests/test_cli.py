@@ -160,7 +160,10 @@ def test_output_path_collision_exit3(config_path, tmp_path, capsys):
 
 def test_sweep_rejects_non_integer_thread_env(config_path, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("TLQR_THREADS", "two")
-    assert main(["sweep", "--config", config_path, "--out", str(tmp_path / "o")]) == 1
+    for command in ("sweep", "plan", "ldp"):
+        assert main([command, "--config", config_path, "--out", str(tmp_path / command)]) == 1
+        assert "TLQR_THREADS" in capsys.readouterr().err
+    assert main(["verify", "--config", config_path, "--suite", "riccati"]) == 1
     assert "TLQR_THREADS" in capsys.readouterr().err
 
 

@@ -3,38 +3,50 @@ import pytest
 
 from tlqr import (
     CLOSED_LOOP,
-    LqrWeights,
     LtvSystem,
-    TransitionProducts,
     closed_loop_matrices,
-    control_error_nonrecursive,
-    cost_error_coefficients,
+    cost_error_sensitivities,
     cost_error_statistics,
     first_order_cost_error,
     goal_tracking_cost,
     linear_deviations,
+    linearize_along,
     linearize_cost,
     riccati_backward,
     rollout,
-    state_error_nonrecursive,
 )
 from tlqr.error_analysis import CostLinearization, Deviations
 from tlqr.simulate import derive_seed
 from tlqr._stats import linear_fit
-from tlqr.verify import propagation_errors, random_ltv_instance
+from tlqr.verify import (
+    _coefficient_sums,
+    _control_sums,
+    _noise_maps,
+    _state_sums,
+    propagation_errors,
+    random_ltv_instance,
+)
 
 
-def scalar_products(d_values):
-    return TransitionProducts(np.array(d_values, dtype=float).reshape(-1, 1, 1))
+def scalar_stack(values):
+    return np.array(values, dtype=float).reshape(-1, 1, 1)
 
 
-def test_closed_loop_matrices_conventions():
+def random_cost_linearization(rng, k, n_x, n_u):
+    return CostLinearization(
+        cx=rng.uniform(-1, 1, size=(k, n_x)),
+        cu=rng.uniform(-1, 1, size=(k, n_u)),
+        cx_terminal=rng.uniform(-1, 1, size=n_x),
+        nominal_cost=0.0,
+    )
+
+
+def test_closed_loop_matrices_conventions(car_experiment):
     rng = np.random.default_rng(2)
     sys, weights = random_ltv_instance(rng, max_nx=3, max_k=8)
     gains, _ = riccati_backward(sys, weights)
     d = closed_loop_matrices(sys, gains)
-    np.testing.assert_array_equal(d[0], sys.a[0])
-    for t in range(1, sys.horizon):
+    for t in range(sys.horizon):
         np.testing.assert_allclose(d[t], sys.a[t] - sys.b[t] @ gains[t], atol=1e-15)
     # no feedback or no actuation leaves A unchanged
     zero_gains = np.zeros_like(gains)
@@ -42,54 +54,64 @@ def test_closed_loop_matrices_conventions():
     scalar_sys = LtvSystem(a=np.ones((2, 1, 1)), b=np.ones((2, 1, 1)))
     d_scalar = closed_loop_matrices(scalar_sys, np.full((2, 1, 1), 0.5))
     assert d_scalar[1, 0, 0] == 0.5
+    # the policy stores exactly the builder's output for its own linearization
+    planned, _ = car_experiment
+    policy = planned.policy
+    lin_sys = linearize_along(planned.model, policy.nominal)
+    np.testing.assert_array_equal(policy.closed_loop, closed_loop_matrices(lin_sys, policy.gains))
 
 
 def test_product_table_identities():
     rng = np.random.default_rng(4)
     d = rng.uniform(-1, 1, size=(6, 3, 3))
-    products = TransitionProducts(d)
+    maps = _noise_maps(d)
     for t in range(6):
-        np.testing.assert_array_equal(products.product(t, t), d[t])
-        np.testing.assert_array_equal(products.product(t + 1, t), np.eye(3))
-    for t1 in range(6):
-        for t2 in range(t1, 6):
+        np.testing.assert_array_equal(maps[t, t], np.eye(3))
+        if t > 0:
+            np.testing.assert_array_equal(maps[t - 1, t], d[t])
+    for s in range(6):
+        for t in range(s):
+            np.testing.assert_array_equal(maps[s, t], np.zeros((3, 3)))
+        for t in range(s + 1, 6):
             oracle = np.eye(3)  # independent association order
-            for t in range(t1, t2 + 1):
-                oracle = oracle @ d[t1 + t2 - t]
-            np.testing.assert_allclose(products.product(t1, t2), oracle, atol=1e-12)
-            if t2 > t1:
-                np.testing.assert_allclose(
-                    products.product(t1, t2),
-                    d[t2] @ products.product(t1, t2 - 1),
-                    atol=1e-12,
-                )
+            for u in range(s + 1, t + 1):
+                oracle = oracle @ d[s + 1 + t - u]
+            np.testing.assert_allclose(maps[s, t], oracle, atol=1e-12)
+            np.testing.assert_allclose(maps[s, t], d[t] @ maps[s, t - 1], atol=1e-12)
 
 
 def test_state_error_scalar_hand_value():
-    products = scalar_products([2.0, 0.5])
-    out = state_error_nonrecursive(products, np.array([[1.0], [1.0]]))
-    assert out[0] == pytest.approx(1.5, abs=1e-15)
-    np.testing.assert_array_equal(
-        state_error_nonrecursive(products, np.zeros((2, 1))), np.zeros(1)
+    d = scalar_stack([2.0, 0.5])
+    noises = np.array([[1.0], [1.0]])
+    out = _state_sums(_noise_maps(d), noises)
+    assert out[2, 0] == pytest.approx(1.5, abs=1e-15)
+    assert linear_deviations(d, np.zeros((2, 1, 1)), noises).states[2, 0] == pytest.approx(
+        1.5, abs=1e-15
     )
+    np.testing.assert_array_equal(_state_sums(_noise_maps(d), np.zeros((2, 1))), np.zeros((3, 1)))
 
 
 def test_control_error_scalar_hand_value():
-    products = scalar_products([2.0, 0.5, 3.0])
-    gains = np.array([0.1, 0.2, 0.5]).reshape(3, 1, 1)
-    out = control_error_nonrecursive(products, gains, np.array([[1.0], [1.0]]))
-    assert out[0] == pytest.approx(-0.75, abs=1e-15)
+    d = scalar_stack([2.0, 0.5, 3.0])
+    gains = scalar_stack([0.1, 0.2, 0.5])
+    noises = np.array([[1.0], [1.0], [1.0]])
+    out = _control_sums(_noise_maps(d), gains, noises)
+    assert out[2, 0] == pytest.approx(-0.75, abs=1e-15)
+    assert linear_deviations(d, gains, noises).controls[2, 0] == pytest.approx(-0.75, abs=1e-15)
 
 
 def test_error_length_validation():
-    products = scalar_products([1.0, 1.0])
-    with pytest.raises(ValueError):
-        state_error_nonrecursive(products, np.zeros((3, 1)))
-    with pytest.raises(ValueError):
-        state_error_nonrecursive(products, np.zeros((1, 2)))
+    d = np.ones((2, 1, 1))
     gains = np.ones((2, 1, 1))
     with pytest.raises(ValueError):
-        control_error_nonrecursive(products, gains, np.zeros((2, 1)))
+        linear_deviations(d, gains, np.zeros((3, 1)))
+    with pytest.raises(ValueError):
+        linear_deviations(d, gains, np.zeros((2, 2)))
+    lin = CostLinearization(
+        cx=np.zeros((3, 1)), cu=np.zeros((3, 1)), cx_terminal=np.zeros(1), nominal_cost=0.0
+    )
+    with pytest.raises(ValueError):
+        cost_error_sensitivities(lin, d, gains)
 
 
 def test_nonrecursive_matches_recursive_and_feedback_identity():
@@ -107,11 +129,16 @@ def test_first_index_convention_is_inert():
     d_junk = d.copy()
     d_junk[0] = rng.uniform(-9, 9, size=d[0].shape)
     noises = rng.standard_normal((sys.horizon, sys.state_dim))
-    for t in range(1, sys.horizon + 1):
-        np.testing.assert_array_equal(
-            state_error_nonrecursive(TransitionProducts(d), noises[:t]),
-            state_error_nonrecursive(TransitionProducts(d_junk), noises[:t]),
-        )
+    maps, maps_junk = _noise_maps(d), _noise_maps(d_junk)
+    np.testing.assert_array_equal(maps, maps_junk)
+    np.testing.assert_array_equal(_state_sums(maps, noises), _state_sums(maps_junk, noises))
+    np.testing.assert_array_equal(
+        linear_deviations(d, gains, noises).states, linear_deviations(d_junk, gains, noises).states
+    )
+    lin = random_cost_linearization(rng, sys.horizon, sys.state_dim, sys.control_dim)
+    np.testing.assert_array_equal(
+        cost_error_sensitivities(lin, d, gains), cost_error_sensitivities(lin, d_junk, gains)
+    )
 
 
 def test_linearize_cost_effort_only(car_experiment):
@@ -178,45 +205,60 @@ def test_first_order_cost_error_zero_and_linear():
 
 
 def test_coefficient_table_scalar_hand_values():
-    # K = 2, unit cost gradients, D_1 = 0.5: stage row 1 plus two terminal rows.
-    products = scalar_products([2.0, 0.5])
-    gains = np.array([0.5, 0.5]).reshape(2, 1, 1)
+    # K = 2, unit cost gradients, D_1 = 0.5: the table entries (0,1) = 1.0,
+    # (0,2) = 0.5 and (1,2) = 1.0 sum to v = [1.5, 1.0].
+    d = scalar_stack([2.0, 0.5])
+    gains = scalar_stack([0.5, 0.5])
     lin = CostLinearization(
         cx=np.ones((2, 1)),
         cu=np.zeros((2, 1)),
         cx_terminal=np.ones(1),
         nominal_cost=0.0,
     )
-    coeffs = cost_error_coefficients(lin, products, gains)
-    assert coeffs.table[(0, 1)][0] == pytest.approx(1.0, abs=1e-15)
-    assert coeffs.table[(0, 2)][0] == pytest.approx(0.5, abs=1e-15)
-    assert coeffs.table[(1, 2)][0] == pytest.approx(1.0, abs=1e-15)
-    assert set(coeffs.table) == {(0, 1), (0, 2), (1, 2)}
+    v = cost_error_sensitivities(lin, d, gains)
+    np.testing.assert_allclose(v[:, 0], [1.5, 1.0], rtol=0, atol=1e-15)
+    oracle = _coefficient_sums(lin, _noise_maps(d), gains)
+    np.testing.assert_allclose(oracle[:, 0], [1.5, 1.0], rtol=0, atol=1e-15)
 
 
 def test_zero_cost_gradients_give_zero_coefficients():
-    products = scalar_products([1.0, 1.0, 1.0])
+    d = scalar_stack([1.0, 1.0, 1.0])
     gains = np.ones((3, 1, 1))
     lin = CostLinearization(
         cx=np.zeros((3, 1)), cu=np.zeros((3, 1)), cx_terminal=np.zeros(1), nominal_cost=0.0
     )
-    coeffs = cost_error_coefficients(lin, products, gains)
-    assert all(np.all(w == 0.0) for w in coeffs.table.values())
+    assert np.all(cost_error_sensitivities(lin, d, gains) == 0.0)
+    assert np.all(_coefficient_sums(lin, _noise_maps(d), gains) == 0.0)
+
+
+def test_sensitivities_match_coefficient_oracle():
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        sys, weights = random_ltv_instance(rng)
+        gains, _ = riccati_backward(sys, weights)
+        d = closed_loop_matrices(sys, gains)
+        lin = random_cost_linearization(rng, sys.horizon, sys.state_dim, sys.control_dim)
+        v = cost_error_sensitivities(lin, d, gains)
+        oracle = _coefficient_sums(lin, _noise_maps(d), gains)
+        assert np.linalg.norm(v - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
 
 def test_cost_error_is_odd_and_additive_in_noise(car_experiment):
     planned, _ = car_experiment
     policy = planned.policy
     lin = linearize_cost(planned.cost_spec, policy.nominal)
-    products = TransitionProducts(policy.closed_loop)
-    coeffs = cost_error_coefficients(lin, products, policy.gains)
+    v = cost_error_sensitivities(lin, policy.closed_loop, policy.gains)
+
+    def evaluate(noises):
+        return float(np.sum(v * noises))
+
     rng = np.random.default_rng(6)
     w1 = rng.standard_normal((policy.horizon, 3))
     w2 = rng.standard_normal((policy.horizon, 3))
-    j1, j2 = coeffs.evaluate(w1), coeffs.evaluate(w2)
+    j1, j2 = evaluate(w1), evaluate(w2)
     scale = max(abs(j1), abs(j2))
-    assert abs(coeffs.evaluate(-w1) + j1) <= 1e-12 * scale
-    assert coeffs.evaluate(w1 + w2) == pytest.approx(j1 + j2, abs=1e-10 * scale)
+    assert abs(evaluate(-w1) + j1) <= 1e-12 * scale
+    assert evaluate(w1 + w2) == pytest.approx(j1 + j2, abs=1e-10 * scale)
 
 
 def test_statistics_zero_epsilon_degenerate(car_experiment):
@@ -230,11 +272,9 @@ def test_statistics_mean_and_variance(car_experiment):
     stats = cost_error_statistics(planned.policy, planned.cost_spec, 0.05, 20000, seed=21)
     assert abs(stats.mean) <= 4 * stats.sd / np.sqrt(stats.n)
     lin = linearize_cost(planned.cost_spec, planned.policy.nominal)
-    coeffs = cost_error_coefficients(
-        lin, TransitionProducts(planned.policy.closed_loop), planned.policy.gains
-    )
+    v = cost_error_sensitivities(lin, planned.policy.closed_loop, planned.policy.gains)
     sigma = 0.05 * np.linalg.norm(planned.policy.nominal.controls, axis=1).max()
-    assert stats.sd**2 == pytest.approx(coeffs.variance(sigma), rel=0.05)
+    assert stats.sd**2 == pytest.approx(sigma**2 * np.sum(v * v), rel=0.05)
 
 
 def test_statistics_sample_floor():
@@ -246,7 +286,6 @@ def test_first_order_prediction_gap_superlinear(car_experiment):
     """The gap between true and first-order deviations shrinks faster than eps."""
     planned, _ = car_experiment
     policy, model = planned.policy, planned.model
-    products = TransitionProducts(policy.closed_loop)
     eps_grid = np.array([0.01, 0.02, 0.04, 0.08])
     gaps = []
     for i, eps in enumerate(eps_grid):
@@ -254,7 +293,7 @@ def test_first_order_prediction_gap_superlinear(car_experiment):
         for j in range(100):
             run = rollout(policy, model, eps, CLOSED_LOOP, derive_seed(777, i, j))
             true_dev = run.states - policy.nominal.states
-            predicted = linear_deviations(products, policy.gains, run.noises).states
+            predicted = linear_deviations(policy.closed_loop, policy.gains, run.noises).states
             worst.append(np.linalg.norm(true_dev - predicted, axis=1).max())
         gaps.append(np.mean(worst))
     slope, _, _ = linear_fit(np.log(eps_grid), np.log(gaps))

@@ -128,14 +128,6 @@ def test_sweep_grid_validation(car_experiment):
         sweep_epsilon(planned.policy, planned.model, [0.1], 1, 1, modes=("sideways",))
 
 
-def test_sweep_thread_count_invariant(car_experiment):
-    planned, _ = car_experiment
-    grid = [0.03, 0.06, 0.09]
-    serial = sweep_epsilon(planned.policy, planned.model, grid, 10, 42, n_threads=1)
-    threaded = sweep_epsilon(planned.policy, planned.model, grid, 10, 42, n_threads=4)
-    assert serial.rows == threaded.rows
-
-
 def test_sweep_single_mode_leaves_nan(car_experiment):
     planned, _ = car_experiment
     result = sweep_epsilon(

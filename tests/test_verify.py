@@ -1,0 +1,38 @@
+from tlqr.verify import cost_error_suite, ldp_suite, propagation_suite, riccati_suite
+
+# The printed check names, in order, are part of the `tlqr verify` output
+# contract: scripts that read the report match on them.
+CHECK_NAMES = [
+    "propagation.state_error_vs_recursive_rel",
+    "propagation.control_feedback_identity_abs",
+    "propagation.coefficient_reconstruction_rel",
+    "costerror.coefficient_reconstruction_rel",
+    "costerror.mean_z_score_abs",
+    "costerror.skewness_abs",
+    "costerror.excess_kurtosis_abs",
+    "costerror.variance_vs_closed_form_rel",
+    "riccati.scalar_fixture_p_abs",
+    "riccati.scalar_fixture_gain_abs",
+    "riccati.value_identity_rel",
+    "ldp.synthetic_slope_recovery_abs",
+    "ldp.synthetic_r2_recovery_abs",
+    "ldp.nominal_path_action",
+    "ldp.exit_p_hat_min",
+    "ldp.exit_p_hat_max",
+    "ldp.rate_fit_slope",
+    "ldp.rate_fit_r_squared",
+]
+
+
+def test_check_names_in_printed_order_and_all_pass(car_experiment):
+    planned, _ = car_experiment
+    reports = [
+        propagation_suite(n_instances=10),
+        cost_error_suite(planned),
+        riccati_suite(n_instances=5),
+        ldp_suite(planned),
+    ]
+    checks = [(f"{r.suite}.{c.name}", c) for r in reports for c in r.checks]
+    assert [name for name, _ in checks] == CHECK_NAMES
+    failed = [(name, c.value, c.op, c.bound) for name, c in checks if not c.passed]
+    assert failed == []
