@@ -77,10 +77,8 @@ from .simulate import (
     SweepRow,
     decay_rate_ratio,
     derive_seed,
-    nmse,
     nmse_values,
     noise_scale,
-    replay,
     rollout,
     rollout_states,
     sweep_epsilon,

@@ -14,8 +14,6 @@ import os
 import sys
 from datetime import datetime, timezone
 
-import numpy as np
-
 from . import __version__
 from .config import (
     FULL_GRID,

@@ -102,11 +102,22 @@ def _expect_keys(d: dict, known: set[str], required: set[str], prefix: str) -> N
             raise ConfigError(f"{prefix}{key}", "missing required key")
 
 
+def _finite(value: int | float, field: str, what: str) -> float:
+    # Python's json admits NaN, Infinity and integers beyond the float range; no field does.
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(field, f"{what} is not finite ({number})")
+    return number
+
+
 def _number(d: dict, key: str, prefix: str) -> float:
     value = d[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{prefix}{key}", f"expected a number, got {type(value).__name__}")
-    return float(value)
+    return _finite(value, f"{prefix}{key}", "value")
 
 
 def _integer(d: dict, key: str, prefix: str) -> int:
@@ -124,7 +135,7 @@ def _vector(d: dict, key: str, prefix: str) -> tuple[float, ...]:
     for i, entry in enumerate(value):
         if isinstance(entry, bool) or not isinstance(entry, (int, float)):
             raise ConfigError(f"{prefix}{key}", f"entry {i} is not a number")
-        out.append(float(entry))
+        out.append(_finite(entry, f"{prefix}{key}", f"entry {i}"))
     return tuple(out)
 
 

@@ -122,24 +122,11 @@ class SystemModel(ABC):
         self.validate_control(u)
         return self.transition(x, u)
 
-    def step_noisy(self, x: Array, u: Array, w: Array) -> Array:
-        """One transition with additive noise: step(x, u) + w."""
-        w = np.asarray(w, dtype=float)
-        if w.shape != (self.state_dim,):
-            raise ValueError(f"noise has shape {w.shape}, expected ({self.state_dim},)")
-        return self.step(x, u) + w
-
-    def jacobian_state(self, x: Array, u: Array) -> Array:
-        """Jacobian of the transition map with respect to the state."""
+    def jacobians(self, x: Array, u: Array) -> tuple[Array, Array]:
+        """Jacobians (d f/d x, d f/d u); validates dimensions and the smooth domain."""
         x, u = self._check_dims(x, u)
         self._check_smooth_domain(u)
-        return self.transition_jacobians(x, u)[0]
-
-    def jacobian_control(self, x: Array, u: Array) -> Array:
-        """Jacobian of the transition map with respect to the control."""
-        x, u = self._check_dims(x, u)
-        self._check_smooth_domain(u)
-        return self.transition_jacobians(x, u)[1]
+        return self.transition_jacobians(x, u)
 
     def _check_smooth_domain(self, u: Array) -> None:
         """Raise :class:`DomainError` at singular points (none by default)."""
@@ -328,10 +315,6 @@ class NoiseModel:
     @property
     def sigma(self) -> float:
         return self.epsilon * self.base_sigma
-
-    @property
-    def covariance(self) -> Array:
-        return self.sigma**2 * np.eye(self.dim)
 
     def sample(self, rng: np.random.Generator, length: int) -> Array:
         """Draw a (length, dim) noise sequence."""

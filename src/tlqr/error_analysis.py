@@ -28,6 +28,7 @@ from ._stats import excess_kurtosis, skewness
 from .dynamics import Array
 from .lqr import TrackingPolicy
 from .planner import CostSpec
+from .simulate import noise_scale
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,7 +68,6 @@ class CostLinearization:
     cx: Array
     cu: Array
     cx_terminal: Array
-    nominal_cost: float
 
     @property
     def horizon(self) -> int:
@@ -79,18 +79,14 @@ def linearize_cost(cost_spec: CostSpec, nominal) -> CostLinearization:
     k = nominal.horizon
     cx = np.empty((k, nominal.state_dim))
     cu = np.empty((k, nominal.control_dim))
-    total = 0.0
     for t in range(k):
         x, u = nominal.states[t], nominal.controls[t]
         cx[t] = cost_spec.stage_grad_x(t, x, u)
         cu[t] = cost_spec.stage_grad_u(t, x, u)
-        total += cost_spec.stage(t, x, u)
-    total += cost_spec.terminal(nominal.states[k])
     return CostLinearization(
         cx=cx,
         cu=cu,
         cx_terminal=np.asarray(cost_spec.terminal_grad(nominal.states[k]), dtype=float),
-        nominal_cost=float(total),
     )
 
 
@@ -168,8 +164,7 @@ def cost_error_statistics(
         raise ValueError("epsilon must be nonnegative")
     lin = linearize_cost(cost_spec, policy.nominal)
     v = cost_error_sensitivities(lin, policy.closed_loop, policy.gains)
-    base_sigma = float(np.linalg.norm(policy.nominal.controls, axis=1).max())
-    sigma = epsilon * base_sigma
+    sigma = epsilon * noise_scale(policy.nominal.controls)
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if sigma == 0.0:

@@ -30,13 +30,12 @@ from .simulate import _CTX_EXIT, CLOSED_LOOP, derive_seed, rollout_states
 class DriftField:
     """Per-step drift rate of a (possibly time-varying) discrete system.
 
-    ``rate(t, x)`` returns the state increment per unit time at step t;
-    ``nominal`` is a fixed path of the drift: nominal[t+1] = nominal[t]
-    + dt * rate(t, nominal[t]) exactly.
+    ``rate(t, x)`` returns the state increment per unit time at step t on
+    a grid of period ``dt``; ``horizon``, when set, is the number of steps
+    the rate is defined for.
     """
 
     rate: Callable[[int, Array], Array]
-    nominal: Array
     dt: float
     horizon: Optional[int] = None
 
@@ -55,7 +54,7 @@ def tracking_drift(model: SystemModel, policy: TrackingPolicy) -> DriftField:
         u = feedback_control(policy, t, x)
         return (model.step(x, u) - x) / dt
 
-    return DriftField(rate=rate, nominal=policy.nominal.states, dt=dt, horizon=policy.horizon)
+    return DriftField(rate=rate, dt=dt, horizon=policy.horizon)
 
 
 @dataclass(frozen=True, eq=False)

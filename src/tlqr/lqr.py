@@ -132,8 +132,7 @@ def linearize_along(model: SystemModel, nominal: NominalTrajectory) -> LtvSystem
     a = np.empty((k, model.state_dim, model.state_dim))
     b = np.empty((k, model.state_dim, model.control_dim))
     for t in range(k):
-        a[t] = model.jacobian_state(nominal.states[t], nominal.controls[t])
-        b[t] = model.jacobian_control(nominal.states[t], nominal.controls[t])
+        a[t], b[t] = model.jacobians(nominal.states[t], nominal.controls[t])
     return LtvSystem(a=a, b=b)
 
 

@@ -22,6 +22,10 @@ from .exceptions import NumericalFailure
 
 ARMIJO_C1 = 1e-4
 CURVATURE_SKIP = 1e-10
+# Line-search steps below this count as collapsed (reported as converged).
+STEP_FLOOR = 1e-12
+# Curvature pairs kept by the limited-memory update.
+MEMORY = 10
 
 
 @dataclass(frozen=True)
@@ -29,8 +33,8 @@ class CostSpec:
     """Stage and terminal cost with analytic gradients.
 
     ``stage(t, x, u)`` and ``terminal(x)`` return nonnegative scalars; the
-    gradient callables return arrays of matching dimension. Weight fields
-    record how the cost was assembled (penalty weights may be zero).
+    gradient callables return arrays of matching dimension. ``goal``, when
+    set, is the target state the planner reports its terminal errors against.
     """
 
     stage: Callable[[int, Array, Array], float]
@@ -38,9 +42,6 @@ class CostSpec:
     stage_grad_x: Callable[[int, Array, Array], Array]
     stage_grad_u: Callable[[int, Array, Array], Array]
     terminal_grad: Callable[[Array], Array]
-    effort_weight: float = 0.0
-    goal_weight: float = 0.0
-    bound_weight: float = 0.0
     goal: Optional[Array] = None
 
 
@@ -115,9 +116,6 @@ def goal_tracking_cost(
         stage_grad_x=stage_grad_x,
         stage_grad_u=stage_grad_u,
         terminal_grad=terminal_grad,
-        effort_weight=effort_weight,
-        goal_weight=goal_weight,
-        bound_weight=bound_weight,
         goal=x_g,
     )
 
@@ -188,8 +186,6 @@ def optimize_nominal(
     init_controls: Array | None = None,
     tolerance: float = 1e-6,
     max_iters: int = 500,
-    step_floor: float = 1e-12,
-    memory: int = 10,
 ) -> tuple[NominalTrajectory, PlannerReport]:
     """Minimize the nominal rollout cost over the control sequence.
 
@@ -243,11 +239,11 @@ def optimize_nominal(
         j_new = value(z_new)
         while j_new > j + ARMIJO_C1 * alpha * slope:
             alpha *= 0.5
-            if alpha < step_floor:
+            if alpha < STEP_FLOOR:
                 break
             z_new = z + alpha * d
             j_new = value(z_new)
-        if alpha < step_floor:
+        if alpha < STEP_FLOOR:
             converged = True  # step-size collapse at the resolution limit
             break
         g_new = grad(z_new)
@@ -257,7 +253,7 @@ def optimize_nominal(
             s_list.append(s)
             y_list.append(y)
             rho_list.append(1.0 / sy)
-            if len(s_list) > memory:
+            if len(s_list) > MEMORY:
                 del s_list[0], y_list[0], rho_list[0]
         z, j, g = z_new, j_new, g_new
         history.append(j)

@@ -8,13 +8,12 @@ are grouped.
 
 Monte Carlo studies go through one batched kernel, :func:`rollout_states`,
 which steps all runs of a batch together with one array operation per time
-index. The scalar :func:`rollout` stays as its oracle and carries the
-optional replanning hook.
+index. The scalar :func:`rollout` stays as its oracle.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -51,9 +50,6 @@ class Rollout:
     states: Array
     controls: Array
     noises: Array
-    seed: int
-    mode: str
-    replan_steps: tuple[int, ...] = ()
 
 
 def rollout(
@@ -62,16 +58,11 @@ def rollout(
     epsilon: float,
     mode: str,
     seed: int,
-    replan_threshold: Optional[float] = None,
-    replan_fn: Optional[Callable[[int, Array], TrackingPolicy]] = None,
 ) -> Rollout:
     """Execute the policy for its full horizon under sampled process noise.
 
     Closed loop applies the clamped feedback law each step; open loop applies
-    the planned control sequence regardless of state. The optional replan
-    hook fires in closed loop when the tracking deviation exceeds
-    ``replan_threshold``: ``replan_fn(t, x)`` must return a fresh policy
-    covering the remaining horizon. Disabled by default.
+    the planned control sequence regardless of state.
     """
     if mode not in _MODE_TAGS:
         raise ValueError(f"unknown mode '{mode}'")
@@ -85,32 +76,14 @@ def rollout(
     states = np.empty((k + 1, model.state_dim))
     controls = np.empty((k, model.control_dim))
     states[0] = policy.nominal.states[0]
-    active, offset = policy, 0
-    replans: list[int] = []
     for t in range(k):
         if mode == CLOSED_LOOP:
-            if (
-                replan_threshold is not None
-                and replan_fn is not None
-                and t > 0
-                and np.linalg.norm(states[t] - active.nominal.states[t - offset])
-                > replan_threshold
-            ):
-                active, offset = replan_fn(t, states[t]), t
-                replans.append(t)
-            u = feedback_control(active, t - offset, states[t])
+            u = feedback_control(policy, t, states[t])
         else:
             u = policy.nominal.controls[t]
         controls[t] = u
         states[t + 1] = model.step(states[t], u) + noises[t]
-    return Rollout(
-        states=states,
-        controls=controls,
-        noises=noises,
-        seed=seed,
-        mode=mode,
-        replan_steps=tuple(replans),
-    )
+    return Rollout(states=states, controls=controls, noises=noises)
 
 
 def rollout_states(
@@ -165,40 +138,21 @@ def rollout_states(
     return states
 
 
-def replay(model: SystemModel, x0: Array, controls: Array, noises: Array) -> Array:
-    """Reconstruct the state sequence from stored controls and noises."""
-    controls = np.asarray(controls, dtype=float)
-    noises = np.asarray(noises, dtype=float)
-    states = np.empty((len(controls) + 1, model.state_dim))
-    states[0] = np.asarray(x0, dtype=float)
-    for t in range(len(controls)):
-        states[t + 1] = model.step(states[t], controls[t]) + noises[t]
-    return states
-
-
-def nmse_values(planned: NominalTrajectory, runs: Sequence[Rollout] | Array) -> Array:
+def nmse_values(planned: NominalTrajectory, states: Array) -> Array:
     """Per-run normalized mean squared error, in percent.
 
-    ``runs`` is a sequence of rollouts or an (N, K+1, n) state array as
-    returned by :func:`rollout_states`. Both trajectories are stacked into
-    single vectors (initial state included); the value is
-    |planned - run|^2 / |planned|^2 * 100.
+    ``states`` is an (N, K+1, n) array as returned by :func:`rollout_states`.
+    Both trajectories are stacked into single vectors (initial state
+    included); the value is |planned - run|^2 / |planned|^2 * 100.
     """
     denom = float(np.sum(planned.states**2))
     if denom == 0.0:
         raise ValueError("planned trajectory has zero norm")
-    states = runs if isinstance(runs, np.ndarray) else [run.states for run in runs]
-    if any(np.shape(s) != planned.states.shape for s in states):
+    states = np.asarray(states, dtype=float)
+    if states.ndim != 3 or states.shape[1:] != planned.states.shape:
         raise ValueError("run horizon does not match the planned trajectory")
-    diff = np.reshape(states, (len(states),) + planned.states.shape) - planned.states
+    diff = states - planned.states
     return np.sum(diff.reshape(len(states), -1) ** 2, axis=1) / denom * 100.0
-
-
-def nmse(planned: NominalTrajectory, runs: Sequence[Rollout]) -> float:
-    """Average NMSE (percent) over a set of runs."""
-    if len(runs) == 0:
-        raise ValueError("need at least one run")
-    return float(nmse_values(planned, runs).mean())
 
 
 @dataclass(frozen=True)
@@ -227,9 +181,6 @@ class SweepResult:
 
     def closed(self) -> Array:
         return np.array([r.avg_nmse_closed for r in self.rows])
-
-    def open(self) -> Array:
-        return np.array([r.avg_nmse_open for r in self.rows])
 
 
 def decay_rate_ratio(result: SweepResult, eps_min: float = 0.02) -> float:

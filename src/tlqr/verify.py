@@ -34,7 +34,7 @@ from .error_analysis import (
 from .experiments import PlannedExperiment, plan_experiment, run_exit_study
 from .large_deviations import ExitEstimate, PathSample, action_functional, fit_rate, tracking_drift
 from .lqr import LqrWeights, LtvSystem, closed_loop_matrices, riccati_backward
-from .simulate import derive_seed
+from .simulate import derive_seed, noise_scale
 
 SUITE_NAMES = ("propagation", "costerror", "riccati", "ldp")
 
@@ -178,7 +178,6 @@ def propagation_errors(n_instances: int = 1000, seed: int = 1001) -> dict:
             cx=rng.uniform(-1.0, 1.0, size=(k, n_x)),
             cu=rng.uniform(-1.0, 1.0, size=(k, sys.control_dim)),
             cx_terminal=rng.uniform(-1.0, 1.0, size=n_x),
-            nominal_cost=0.0,
         )
         v = cost_error_sensitivities(lin, d, gains)
         direct_value = first_order_cost_error(lin, deviations)
@@ -259,7 +258,7 @@ def cost_error_suite(
 
     # Direct evaluation through the deviation histories vs the sensitivity form.
     rng = np.random.default_rng(derive_seed(planned.config.master_seed, 5))
-    sigma = epsilon * float(np.linalg.norm(policy.nominal.controls, axis=1).max())
+    sigma = epsilon * noise_scale(policy.nominal.controls)
     max_rel = 0.0
     for _ in range(100):
         noises = sigma * rng.standard_normal(v.shape)

@@ -62,6 +62,14 @@ def test_plan_rejects_unknown_key(tmp_path, capsys):
     assert "sweeep" in capsys.readouterr().err
 
 
+def test_plan_rejects_non_finite_config_number(tmp_path, capsys):
+    # json.dumps writes the float NaN as the bare token NaN, which json.load reads back.
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(small_config_dict(x0=[float("nan"), 0.5, 0.0])), encoding="utf-8")
+    assert main(["plan", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert "x0" in capsys.readouterr().err
+
+
 def test_plan_byte_identical_across_runs(config_path, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["plan", "--config", config_path, "--out", str(out1)]) == 0

@@ -65,6 +65,13 @@ def test_zero_horizon_names_field():
         ("sweep", "n_runs", 0, "sweep.n_runs"),
         ("ldp", "delta", 0.0, "ldp.delta"),
         ("lqr", "wu", [1.0, 0.0], "lqr.wu"),
+        ("model", "wheelbase", math.nan, "model.wheelbase"),
+        ("planner", "tolerance", math.nan, "planner.tolerance"),
+        ("sweep", "eps_end", math.inf, "sweep.eps_end"),
+        ("ldp", "delta", math.inf, "ldp.delta"),
+        ("lqr", "wx", [1.0, math.nan, 1.0], "lqr.wx"),
+        ("ldp", "eps_grid", [0.03, -math.inf], "ldp.eps_grid"),
+        pytest.param("model", "v_max", 10**400, "model.v_max", id="model-v_max-int_overflow"),
     ],
 )
 def test_out_of_domain_fields_rejected(section, key, value, field):

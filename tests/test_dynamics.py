@@ -38,30 +38,13 @@ def test_step_deterministic():
     assert np.array_equal(CAR.step(X0, u), CAR.step(X0, u))
 
 
-def test_step_noisy_zero_noise_equals_step():
-    u = np.array([0.4, 0.1])
-    assert np.array_equal(CAR.step_noisy(X0, u, np.zeros(3)), CAR.step(X0, u))
-
-
-def test_step_noisy_additive():
-    u = np.array([0.6, 0.0])
-    out = CAR.step_noisy(X0, u, np.array([0.01, 0.0, 0.0]))
-    np.testing.assert_allclose(out, [-1.07, 0.5, 0.0], atol=1e-12)
-    w1 = np.array([0.003, -0.001, 0.002])
-    w2 = np.array([-0.004, 0.002, 0.001])
-    np.testing.assert_allclose(
-        CAR.step_noisy(X0, u, w1 + w2), CAR.step_noisy(X0, u, w1) + w2, atol=1e-15
-    )
-    np.testing.assert_allclose(CAR.step_noisy(X0, u, w1) - CAR.step(X0, u), w1, atol=1e-15)
-
-
 def test_jacobian_state_hand_value():
-    a = CAR.jacobian_state(X0, np.array([0.6, 0.0]))
+    a, _ = CAR.jacobians(X0, np.array([0.6, 0.0]))
     np.testing.assert_allclose(a, [[1, 0, 0], [0, 1, 0.42], [0, 0, 1]], atol=1e-12)
 
 
 def test_jacobian_control_hand_value():
-    b = CAR.jacobian_control(X0, np.array([0.6, 0.0]))
+    _, b = CAR.jacobians(X0, np.array([0.6, 0.0]))
     np.testing.assert_allclose(b, [[0.7, 0], [0, 0], [0, 0.84]], atol=1e-12)
 
 
@@ -93,8 +76,9 @@ def test_jacobians_match_finite_differences(model):
 def test_zero_step_period_degenerate():
     frozen = KinematicCar(wheelbase=0.5, step_period=0.0)
     u = np.array([0.3, 0.4])
-    np.testing.assert_array_equal(frozen.jacobian_state(X0, u), np.eye(3))
-    np.testing.assert_array_equal(frozen.jacobian_control(X0, u), np.zeros((3, 2)))
+    a, b = frozen.jacobians(X0, u)
+    np.testing.assert_array_equal(a, np.eye(3))
+    np.testing.assert_array_equal(b, np.zeros((3, 2)))
     np.testing.assert_array_equal(frozen.step(X0, u), X0)
 
 
@@ -126,7 +110,9 @@ def test_dimension_mismatch_errors():
     with pytest.raises(ValueError):
         CAR.step(X0, np.zeros(3))
     with pytest.raises(ValueError):
-        CAR.step_noisy(X0, np.zeros(2), np.zeros(2))
+        CAR.jacobians(np.zeros(2), np.zeros(2))
+    with pytest.raises(ValueError):
+        CAR.jacobians(X0, np.zeros(3))
 
 
 def test_speed_bound_violation_names_component():
@@ -143,7 +129,7 @@ def test_steering_bound_violation_names_component():
 
 def test_jacobian_domain_error_at_singularity():
     with pytest.raises(DomainError):
-        CAR.jacobian_state(X0, np.array([0.1, CAR.phi_max]))
+        CAR.jacobians(X0, np.array([0.1, CAR.phi_max]))
 
 
 def test_clamp_control():
@@ -201,11 +187,6 @@ def test_noise_model_zero_mean():
     n = 20000
     samples = noise.sample(rng, n)
     assert np.linalg.norm(samples.mean(axis=0)) <= 5 * noise.sigma * np.sqrt(3 / n)
-
-
-def test_noise_model_covariance_definition():
-    noise = NoiseModel(epsilon=0.1, base_sigma=2.0, dim=3)
-    np.testing.assert_allclose(noise.covariance, 0.04 * np.eye(3))
 
 
 def test_invalid_model_parameters():

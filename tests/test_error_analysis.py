@@ -37,7 +37,6 @@ def random_cost_linearization(rng, k, n_x, n_u):
         cx=rng.uniform(-1, 1, size=(k, n_x)),
         cu=rng.uniform(-1, 1, size=(k, n_u)),
         cx_terminal=rng.uniform(-1, 1, size=n_x),
-        nominal_cost=0.0,
     )
 
 
@@ -107,9 +106,7 @@ def test_error_length_validation():
         linear_deviations(d, gains, np.zeros((3, 1)))
     with pytest.raises(ValueError):
         linear_deviations(d, gains, np.zeros((2, 2)))
-    lin = CostLinearization(
-        cx=np.zeros((3, 1)), cu=np.zeros((3, 1)), cx_terminal=np.zeros(1), nominal_cost=0.0
-    )
+    lin = CostLinearization(cx=np.zeros((3, 1)), cu=np.zeros((3, 1)), cx_terminal=np.zeros(1))
     with pytest.raises(ValueError):
         cost_error_sensitivities(lin, d, gains)
 
@@ -192,7 +189,6 @@ def test_first_order_cost_error_zero_and_linear():
         cx=np.array([[1.0, 2.0], [0.5, -1.0]]),
         cu=np.array([[1.0], [2.0]]),
         cx_terminal=np.array([3.0, -1.0]),
-        nominal_cost=0.0,
     )
     zero = Deviations(states=np.zeros((3, 2)), controls=np.zeros((2, 1)))
     assert first_order_cost_error(lin, zero) == 0.0
@@ -213,7 +209,6 @@ def test_coefficient_table_scalar_hand_values():
         cx=np.ones((2, 1)),
         cu=np.zeros((2, 1)),
         cx_terminal=np.ones(1),
-        nominal_cost=0.0,
     )
     v = cost_error_sensitivities(lin, d, gains)
     np.testing.assert_allclose(v[:, 0], [1.5, 1.0], rtol=0, atol=1e-15)
@@ -224,9 +219,7 @@ def test_coefficient_table_scalar_hand_values():
 def test_zero_cost_gradients_give_zero_coefficients():
     d = scalar_stack([1.0, 1.0, 1.0])
     gains = np.ones((3, 1, 1))
-    lin = CostLinearization(
-        cx=np.zeros((3, 1)), cu=np.zeros((3, 1)), cx_terminal=np.zeros(1), nominal_cost=0.0
-    )
+    lin = CostLinearization(cx=np.zeros((3, 1)), cu=np.zeros((3, 1)), cx_terminal=np.zeros(1))
     assert np.all(cost_error_sensitivities(lin, d, gains) == 0.0)
     assert np.all(_coefficient_sums(lin, _noise_maps(d), gains) == 0.0)
 

@@ -14,7 +14,7 @@ from tlqr.large_deviations import ExitEstimate
 
 
 def zero_drift(dim=1, dt=0.1):
-    return DriftField(rate=lambda t, x: np.zeros(dim), nominal=np.zeros((2, dim)), dt=dt)
+    return DriftField(rate=lambda t, x: np.zeros(dim), dt=dt)
 
 
 def make_estimate(eps, p):
@@ -72,9 +72,7 @@ def test_action_refinement_stability():
     # linear drift, linear path: halving the grid moves the sum by <= 1%
     def action_on_grid(n):
         dt = 1.0 / n
-        field = DriftField(
-            rate=lambda t, x: -0.3 * x, nominal=np.zeros((n + 1, 1)), dt=dt
-        )
+        field = DriftField(rate=lambda t, x: -0.3 * x, dt=dt)
         path = (1.0 + np.arange(n + 1) * dt).reshape(-1, 1)
         return action_functional(field, PathSample(path=path, dt=dt), epsilon=1.0)
 

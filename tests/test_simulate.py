@@ -7,18 +7,14 @@ from tlqr import (
     CLOSED_LOOP,
     OPEN_LOOP,
     BoundViolation,
-    LqrWeights,
     NominalTrajectory,
-    design_tracking_policy,
     derive_seed,
-    nmse,
+    nmse_values,
     noise_scale,
-    replay,
     rollout,
     rollout_states,
     sweep_epsilon,
 )
-from tlqr.simulate import Rollout, nmse_values
 
 
 def test_zero_noise_closed_loop_tracks_nominal(car_experiment):
@@ -43,14 +39,6 @@ def test_same_seed_bit_identical(car_experiment):
     assert np.array_equal(a.noises, b.noises)
 
 
-def test_replay_reconstructs_exactly(car_experiment):
-    planned, _ = car_experiment
-    for mode in (CLOSED_LOOP, OPEN_LOOP):
-        run = rollout(planned.policy, planned.model, 0.1, mode, seed=77)
-        rebuilt = replay(planned.model, run.states[0], run.controls, run.noises)
-        assert np.array_equal(rebuilt, run.states)
-
-
 def test_applied_controls_respect_bounds(car_experiment):
     planned, _ = car_experiment
     run = rollout(planned.policy, planned.model, 0.3, CLOSED_LOOP, seed=5)
@@ -67,53 +55,30 @@ def test_noise_scale_examples():
         noise_scale(np.zeros((0, 2)))
 
 
-def _stub_run(planned, states):
-    return Rollout(
-        states=states,
-        controls=planned.trajectory.controls,
-        noises=np.zeros_like(states[1:]),
-        seed=0,
-        mode=CLOSED_LOOP,
-    )
-
-
 def test_nmse_examples(car_experiment):
     planned, _ = car_experiment
-    exact = _stub_run(planned, planned.trajectory.states.copy())
-    assert nmse(planned.trajectory, [exact]) == 0.0
+    exact = planned.trajectory.states[None]
+    assert nmse_values(planned.trajectory, exact).mean() == 0.0
 
     planned_stack = NominalTrajectory(
         states=np.array([[1.0], [1.0]]), controls=np.zeros((1, 1))
     )
-    run = Rollout(
-        states=np.array([[1.1], [0.9]]),
-        controls=np.zeros((1, 1)),
-        noises=np.zeros((1, 1)),
-        seed=0,
-        mode=CLOSED_LOOP,
-    )
-    assert nmse(planned_stack, [run]) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_nmse_averages_per_run_values(car_experiment):
-    planned, _ = car_experiment
-    rng = np.random.default_rng(3)
-    runs = [
-        _stub_run(planned, planned.trajectory.states + 0.01 * rng.standard_normal((21, 3)))
-        for _ in range(2)
-    ]
-    vals = nmse_values(planned.trajectory, runs)
-    assert nmse(planned.trajectory, runs) == pytest.approx(vals.mean(), rel=1e-15)
+    run = np.array([[[1.1], [0.9]]])
+    assert nmse_values(planned_stack, run).mean() == pytest.approx(1.0, rel=1e-12)
 
 
 def test_nmse_zero_norm_nominal_rejected():
     zero = NominalTrajectory(states=np.zeros((2, 1)), controls=np.zeros((1, 1)))
-    run = Rollout(
-        states=np.ones((2, 1)), controls=np.zeros((1, 1)), noises=np.zeros((1, 1)),
-        seed=0, mode=CLOSED_LOOP,
-    )
     with pytest.raises(ValueError):
-        nmse(zero, [run])
+        nmse_values(zero, np.ones((1, 2, 1)))
+
+
+def test_nmse_rejects_mismatched_state_array(car_experiment):
+    planned, _ = car_experiment
+    states = planned.trajectory.states
+    for bad in (states[None, :-1], states[None, :, :2], states):
+        with pytest.raises(ValueError, match="horizon"):
+            nmse_values(planned.trajectory, bad)
 
 
 def test_sweep_grid_validation(car_experiment):
@@ -158,31 +123,6 @@ def test_derive_seed_is_stable_and_tag_sensitive():
     assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
     assert derive_seed(1, 2, 3) != derive_seed(1, 3, 2)
     assert derive_seed(1, 2, 3) != derive_seed(2, 2, 3)
-
-
-def test_replan_hook_fires_and_completes(car_experiment):
-    planned, _ = car_experiment
-    model = planned.model
-
-    def replan(t, x):
-        horizon = planned.policy.horizon - t
-        nominal = model.rollout_nominal(x, np.zeros((horizon, 2)))
-        weights = LqrWeights.constant(np.ones(3), np.ones(2), horizon)
-        return design_tracking_policy(model, nominal, weights)
-
-    run = rollout(
-        planned.policy,
-        model,
-        0.1,
-        CLOSED_LOOP,
-        seed=31,
-        replan_threshold=0.05,
-        replan_fn=replan,
-    )
-    assert len(run.replan_steps) >= 1
-    assert run.states.shape == (planned.policy.horizon + 1, 3)
-    baseline = rollout(planned.policy, model, 0.1, CLOSED_LOOP, seed=31)
-    assert baseline.replan_steps == ()
 
 
 def _seeds(n):
