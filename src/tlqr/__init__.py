@@ -18,13 +18,11 @@ from .config import (
 from .dynamics import KinematicCar, LinearSystem, NoiseModel, NominalTrajectory, SystemModel
 from .error_analysis import (
     CostErrorStats,
-    CostLinearization,
     Deviations,
     cost_error_sensitivities,
     cost_error_statistics,
     first_order_cost_error,
     linear_deviations,
-    linearize_cost,
 )
 from .exceptions import (
     BoundViolation,
@@ -62,10 +60,13 @@ from .lqr import (
     riccati_backward,
 )
 from .planner import (
+    CostLinearization,
     CostSpec,
     PlannerReport,
+    adjoint_sweep,
     cost_gradient,
     goal_tracking_cost,
+    linearize_cost,
     nominal_cost,
     optimize_nominal,
 )

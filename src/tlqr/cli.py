@@ -65,21 +65,11 @@ def write_trajectory_csv(path: str, planned: PlannedExperiment) -> None:
     _write_csv(path, ["t", "x", "y", "theta", "v", "phi"], rows)
 
 
-def _matrix_header(prefix: str, shape: tuple[int, int]) -> list[str]:
-    return [f"{prefix}_{i}_{j}" for i in range(shape[0]) for j in range(shape[1])]
-
-
-def write_gains_csv(path: str, planned: PlannedExperiment) -> None:
-    gains = planned.policy.gains
-    header = ["t"] + _matrix_header("l", gains.shape[1:])
-    rows = [[t] + [float(v) for v in gains[t].ravel()] for t in range(len(gains))]
-    _write_csv(path, header, rows)
-
-
-def write_riccati_csv(path: str, planned: PlannedExperiment) -> None:
-    riccati = planned.policy.riccati
-    header = ["t"] + _matrix_header("p", riccati.shape[1:])
-    rows = [[t] + [float(v) for v in riccati[t].ravel()] for t in range(len(riccati))]
+def write_matrix_stack_csv(path: str, prefix: str, stack) -> None:
+    """One row per t of a (K, r, c) stack, columns {prefix}_{i}_{j} in row-major order."""
+    r, c = stack.shape[1:]
+    header = ["t"] + [f"{prefix}_{i}_{j}" for i in range(r) for j in range(c)]
+    rows = [[t] + [float(v) for v in stack[t].ravel()] for t in range(len(stack))]
     _write_csv(path, header, rows)
 
 
@@ -155,8 +145,8 @@ def cmd_plan(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     outputs = ["trajectory.csv", "gains.csv", "riccati.csv", "plan_report.json"]
     write_trajectory_csv(os.path.join(args.out, "trajectory.csv"), planned)
-    write_gains_csv(os.path.join(args.out, "gains.csv"), planned)
-    write_riccati_csv(os.path.join(args.out, "riccati.csv"), planned)
+    write_matrix_stack_csv(os.path.join(args.out, "gains.csv"), "l", planned.policy.gains)
+    write_matrix_stack_csv(os.path.join(args.out, "riccati.csv"), "p", planned.policy.riccati)
     _write_json(os.path.join(args.out, "plan_report.json"), _plan_report_dict(planned))
     _write_manifest(args.out, config, outputs + ["manifest.json"])
     return 0 if planned.report.converged else 2

@@ -28,13 +28,11 @@ Array = np.ndarray
 class NominalTrajectory:
     """A dynamically feasible state/control pair sequence.
 
-    ``states`` has one more row than ``controls``; ``nominal_cost`` is filled
-    in by the planner once a cost specification is attached.
+    ``states`` has one more row than ``controls``.
     """
 
     states: Array
     controls: Array
-    nominal_cost: float | None = None
 
     def __post_init__(self):
         states = np.asarray(self.states, dtype=float)

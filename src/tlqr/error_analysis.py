@@ -9,8 +9,8 @@ Plugging the deviations into the first-order cost expansion shows that the
 cost deviation from the nominal cost is linear in the noise,
 sum_s v_s . w_s, with one sensitivity vector per noise step. It therefore
 has exactly zero mean for zero-mean noise and is Gaussian for Gaussian
-noise. ``cost_error_sensitivities`` computes every v_s in one backward
-(adjoint) sweep:
+noise. ``cost_error_sensitivities`` computes every v_s with the planner's
+backward ``adjoint_sweep`` over the cost linearization (``linearize_cost``):
 
     mu_K = cx_K,  mu_t = cx_t - L_t^T cu_t + D_t^T mu_{t+1},  v_s = mu_{s+1}.
 
@@ -27,7 +27,7 @@ import numpy as np
 from ._stats import excess_kurtosis, skewness
 from .dynamics import Array
 from .lqr import TrackingPolicy
-from .planner import CostSpec
+from .planner import CostLinearization, CostSpec, adjoint_sweep, linearize_cost
 from .simulate import noise_scale
 
 
@@ -61,35 +61,6 @@ def linear_deviations(closed_loop: Array, gains: Array, noises: Array) -> Deviat
     return Deviations(states=states, controls=controls)
 
 
-@dataclass(frozen=True, eq=False)
-class CostLinearization:
-    """Cost gradients along a nominal trajectory, one row per stage."""
-
-    cx: Array
-    cu: Array
-    cx_terminal: Array
-
-    @property
-    def horizon(self) -> int:
-        return len(self.cx)
-
-
-def linearize_cost(cost_spec: CostSpec, nominal) -> CostLinearization:
-    """Stage and terminal cost gradients evaluated at the nominal points."""
-    k = nominal.horizon
-    cx = np.empty((k, nominal.state_dim))
-    cu = np.empty((k, nominal.control_dim))
-    for t in range(k):
-        x, u = nominal.states[t], nominal.controls[t]
-        cx[t] = cost_spec.stage_grad_x(t, x, u)
-        cu[t] = cost_spec.stage_grad_u(t, x, u)
-    return CostLinearization(
-        cx=cx,
-        cu=cu,
-        cx_terminal=np.asarray(cost_spec.terminal_grad(nominal.states[k]), dtype=float),
-    )
-
-
 def first_order_cost_error(lin: CostLinearization, deviations: Deviations) -> float:
     """Linear part of the cost deviation: sum_t (cx_t xdev_t + cu_t udev_t) + terminal."""
     k = lin.horizon
@@ -104,20 +75,16 @@ def first_order_cost_error(lin: CostLinearization, deviations: Deviations) -> fl
 def cost_error_sensitivities(lin: CostLinearization, closed_loop: Array, gains: Array) -> Array:
     """Per-noise sensitivities v (K, n): the first-order cost error is sum_s v_s . w_s.
 
-    One backward sweep: v_{K-1} = cx_K and
-    v_{t-1} = cx_t - L_t^T cu_t + D_t^T v_t. Stage 0 never enters, since
-    xdev_0 = 0.
+    v_s = mu_{s+1} of ``adjoint_sweep`` with forcing cx_t - L_t^T cu_t and
+    maps D_t. Stage 0 never enters, since xdev_0 = 0.
     """
     d = np.asarray(closed_loop, dtype=float)
     gains = np.asarray(gains, dtype=float)
     k = lin.horizon
     if d.shape[0] != k or gains.shape[0] != k:
         raise ValueError("closed-loop and gain horizons do not match the cost linearization")
-    v = np.empty((k, d.shape[1]))
-    v[k - 1] = lin.cx_terminal
-    for t in range(k - 1, 0, -1):
-        v[t - 1] = lin.cx[t] - gains[t].T @ lin.cu[t] + d[t].T @ v[t]
-    return v
+    forcing = np.array([lin.cx[t] - gains[t].T @ lin.cu[t] for t in range(k)])
+    return adjoint_sweep(lin.cx_terminal, forcing, d)[1:]
 
 
 @dataclass(frozen=True)

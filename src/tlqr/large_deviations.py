@@ -116,13 +116,12 @@ def estimate_exit_probability(
     model: SystemModel,
     delta: float,
     epsilon: float,
-    horizon_index: Optional[int] = None,
     n_runs: int = 1000,
     seed: int = 0,
 ) -> ExitEstimate:
     """Fraction of closed-loop runs whose deviation ever exceeds delta.
 
-    A run exits when max_{s <= horizon_index} |x_s - x_nom_s| > delta
+    A run exits when max_{s <= K} |x_s - x_nom_s| > delta
     (Euclidean norm on the full state). All runs step together through
     :func:`~tlqr.simulate.rollout_states`. Per-run seeds derive from the given
     seed, so estimates with the same seed share trajectories exactly.
@@ -131,13 +130,9 @@ def estimate_exit_probability(
         raise ValueError("delta must be positive")
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    k = policy.horizon
-    t_max = k if horizon_index is None else horizon_index
-    if not 0 <= t_max <= k:
-        raise ValueError(f"horizon_index must lie in [0, {k}]")
     seeds = [derive_seed(seed, _CTX_EXIT, j) for j in range(n_runs)]
     states = rollout_states(policy, model, epsilon, CLOSED_LOOP, seeds)
-    dev = np.linalg.norm(states[:, : t_max + 1] - policy.nominal.states[: t_max + 1], axis=2)
+    dev = np.linalg.norm(states - policy.nominal.states, axis=2)
     exits = int(np.count_nonzero(dev.max(axis=1) > delta))
     p_hat = exits / n_runs
     low, high = wilson_interval(exits, n_runs)

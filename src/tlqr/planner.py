@@ -6,9 +6,11 @@ is the deterministic rollout cost
     J(u) = sum_t c_t(x_t, u_t) + c_K(x_K),   x_{t+1} = f(x_t, u_t),
 
 with goal attraction and control bounds handled as smooth penalties inside
-the cost. The gradient comes from a backward adjoint sweep over the rollout
-Jacobians; the search direction from a limited-memory quasi-Newton update
-with a backtracking Armijo line search.
+the cost. Each trial point is rolled out once; the accepted point's states
+feed its gradient, the backward ``adjoint_sweep`` over the rollout Jacobians.
+The cost-error analysis runs the same sweep on the closed-loop matrices. The
+search direction comes from a limited-memory quasi-Newton update with a
+backtracking Armijo line search.
 """
 from __future__ import annotations
 
@@ -43,6 +45,48 @@ class CostSpec:
     stage_grad_u: Callable[[int, Array, Array], Array]
     terminal_grad: Callable[[Array], Array]
     goal: Optional[Array] = None
+
+
+@dataclass(frozen=True, eq=False)
+class CostLinearization:
+    """Cost gradients along a trajectory, one row per stage."""
+
+    cx: Array
+    cu: Array
+    cx_terminal: Array
+
+    @property
+    def horizon(self) -> int:
+        return len(self.cx)
+
+
+def linearize_cost(cost_spec: CostSpec, nominal: NominalTrajectory) -> CostLinearization:
+    """Stage and terminal cost gradients evaluated at the trajectory points."""
+    k = nominal.horizon
+    cx = np.empty((k, nominal.state_dim))
+    cu = np.empty((k, nominal.control_dim))
+    for t in range(k):
+        x, u = nominal.states[t], nominal.controls[t]
+        cx[t] = cost_spec.stage_grad_x(t, x, u)
+        cu[t] = cost_spec.stage_grad_u(t, x, u)
+    return CostLinearization(
+        cx=cx,
+        cu=cu,
+        cx_terminal=np.asarray(cost_spec.terminal_grad(nominal.states[k]), dtype=float),
+    )
+
+
+def adjoint_sweep(terminal: Array, forcing: Array, maps: Array) -> Array:
+    """Backward vector recursion lam_K = terminal, lam_t = forcing_t + maps_t^T lam_{t+1}.
+
+    Returns the (K+1, n) history lam_0..lam_K for K forcing rows and maps.
+    """
+    k = len(forcing)
+    lam = np.empty((k + 1, len(terminal)))
+    lam[k] = terminal
+    for t in range(k - 1, -1, -1):
+        lam[t] = forcing[t] + maps[t].T @ lam[t + 1]
+    return lam
 
 
 @dataclass(frozen=True)
@@ -129,33 +173,25 @@ def _rollout_raw(model: SystemModel, x0: Array, controls: Array) -> Array:
     return states
 
 
-def nominal_cost(model: SystemModel, cost_spec: CostSpec, x0: Array, controls: Array) -> float:
-    """Deterministic rollout cost of a control sequence (penalties included)."""
+def nominal_cost(cost_spec: CostSpec, states: Array, controls: Array) -> float:
+    """Cost of a rollout, states (K+1, n) under controls (K, m), penalties included."""
     controls = np.asarray(controls, dtype=float)
-    if controls.ndim != 2 or len(controls) < 1:
-        raise ValueError("controls must be a nonempty (K, n_u) array")
-    x0 = np.asarray(x0, dtype=float)
-    states = _rollout_raw(model, x0, controls)
+    if controls.ndim != 2 or len(controls) < 1 or len(states) != len(controls) + 1:
+        raise ValueError("expected nonempty (K, n_u) controls and K+1 states")
     total = sum(cost_spec.stage(t, states[t], u) for t, u in enumerate(controls))
     return float(total + cost_spec.terminal(states[-1]))
 
 
-def cost_gradient(model: SystemModel, cost_spec: CostSpec, x0: Array, controls: Array) -> Array:
-    """Gradient of nominal_cost with respect to each control, via the adjoint.
+def cost_gradient(model: SystemModel, cost_spec: CostSpec, states: Array, controls: Array) -> Array:
+    """Gradient of nominal_cost with respect to each control along a rollout.
 
-    Backward sweep: lambda_K = dc_K/dx; g_t = dc_t/du + B_t^T lambda_{t+1};
-    lambda_t = dc_t/dx + A_t^T lambda_{t+1}.
+    lam = adjoint_sweep(dc_K/dx, dc_t/dx, A_t) and g_t = dc_t/du + B_t^T lam_{t+1}.
     """
-    controls = np.asarray(controls, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-    states = _rollout_raw(model, x0, controls)
-    grad = np.empty_like(controls)
-    lam = cost_spec.terminal_grad(states[-1])
-    for t in range(len(controls) - 1, -1, -1):
-        a, b = model.transition_jacobians(states[t], controls[t])
-        grad[t] = cost_spec.stage_grad_u(t, states[t], controls[t]) + b.T @ lam
-        lam = cost_spec.stage_grad_x(t, states[t], controls[t]) + a.T @ lam
-    return grad
+    traj = NominalTrajectory(states=states, controls=controls)
+    lin = linearize_cost(cost_spec, traj)
+    jacobians = [model.transition_jacobians(x, u) for x, u in zip(traj.states, traj.controls)]
+    lam = adjoint_sweep(lin.cx_terminal, lin.cx, np.array([a for a, _ in jacobians]))
+    return np.array([lin.cu[t] + b.T @ lam[t + 1] for t, (_, b) in enumerate(jacobians)])
 
 
 def _two_loop_direction(grad, s_list, y_list, rho_list):
@@ -207,20 +243,22 @@ def optimize_nominal(
         raise ValueError("horizon must be >= 1")
     k, n_u = init_controls.shape
 
-    def value(z: Array) -> float:
-        j = nominal_cost(model, cost_spec, x0, z.reshape(k, n_u))
+    def value(z: Array) -> tuple[float, Array]:
+        controls = z.reshape(k, n_u)
+        states = _rollout_raw(model, x0, controls)
+        j = nominal_cost(cost_spec, states, controls)
         if not np.isfinite(j):
-            raise NumericalFailure(f"cost is not finite ({j})", iterate=z.reshape(k, n_u))
-        return j
+            raise NumericalFailure(f"cost is not finite ({j})", iterate=controls)
+        return j, states
 
-    def grad(z: Array) -> Array:
-        return cost_gradient(model, cost_spec, x0, z.reshape(k, n_u)).ravel()
+    def grad(z: Array, states: Array) -> Array:
+        return cost_gradient(model, cost_spec, states, z.reshape(k, n_u)).ravel()
 
     z = init_controls.ravel().copy()
-    j = value(z)
-    g = grad(z)
+    j, states = value(z)
+    g = grad(z, states)
     history = [j]
-    best_z, best_j = z.copy(), j
+    best_z, best_j, best_states = z.copy(), j, states
     s_list: list[Array] = []
     y_list: list[Array] = []
     rho_list: list[float] = []
@@ -236,17 +274,17 @@ def optimize_nominal(
             slope = d @ g
         alpha = 1.0
         z_new = z + alpha * d
-        j_new = value(z_new)
+        j_new, states = value(z_new)
         while j_new > j + ARMIJO_C1 * alpha * slope:
             alpha *= 0.5
             if alpha < STEP_FLOOR:
                 break
             z_new = z + alpha * d
-            j_new = value(z_new)
+            j_new, states = value(z_new)
         if alpha < STEP_FLOOR:
             converged = True  # step-size collapse at the resolution limit
             break
-        g_new = grad(z_new)
+        g_new = grad(z_new, states)
         s, y = z_new - z, g_new - g
         sy = s @ y
         if sy > CURVATURE_SKIP * np.linalg.norm(s) * np.linalg.norm(y):
@@ -258,13 +296,13 @@ def optimize_nominal(
         z, j, g = z_new, j_new, g_new
         history.append(j)
         if j < best_j:
-            best_z, best_j = z.copy(), j
+            best_z, best_j, best_states = z.copy(), j, states
         iterations += 1
         if float(np.linalg.norm(g)) <= tolerance:
             converged = True
 
     controls = best_z.reshape(k, n_u)
-    gradient_norm = float(np.linalg.norm(grad(best_z)))
+    gradient_norm = float(np.linalg.norm(grad(best_z, best_states)))
 
     bounds = model.control_bounds()
     max_violation = 0.0
@@ -272,11 +310,8 @@ def optimize_nominal(
         max_violation = float(np.max(np.maximum(0.0, np.abs(controls) - bounds)))
         controls = model.clamp_control(controls)
 
-    final_cost = nominal_cost(model, cost_spec, x0, controls)
     trajectory = model.rollout_nominal(x0, controls)
-    trajectory = NominalTrajectory(
-        states=trajectory.states, controls=trajectory.controls, nominal_cost=final_cost
-    )
+    final_cost = nominal_cost(cost_spec, trajectory.states, trajectory.controls)
 
     pos_err = np.nan
     head_err = np.nan

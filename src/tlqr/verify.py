@@ -24,16 +24,15 @@ import numpy as np
 
 from .dynamics import Array
 from .error_analysis import (
-    CostLinearization,
     cost_error_sensitivities,
     cost_error_statistics,
     first_order_cost_error,
     linear_deviations,
-    linearize_cost,
 )
 from .experiments import PlannedExperiment, plan_experiment, run_exit_study
 from .large_deviations import ExitEstimate, PathSample, action_functional, fit_rate, tracking_drift
 from .lqr import LqrWeights, LtvSystem, closed_loop_matrices, riccati_backward
+from .planner import CostLinearization, linearize_cost
 from .simulate import derive_seed, noise_scale
 
 SUITE_NAMES = ("propagation", "costerror", "riccati", "ldp")

@@ -15,7 +15,8 @@ from tlqr import (
     riccati_backward,
     rollout,
 )
-from tlqr.error_analysis import CostLinearization, Deviations
+from tlqr.error_analysis import Deviations
+from tlqr.planner import CostLinearization
 from tlqr.simulate import derive_seed
 from tlqr._stats import linear_fit
 from tlqr.verify import (

@@ -152,7 +152,3 @@ def test_estimate_validation(car_experiment):
         estimate_exit_probability(
             planned.policy, planned.model, delta=0.3, epsilon=0.1, n_runs=0
         )
-    with pytest.raises(ValueError):
-        estimate_exit_probability(
-            planned.policy, planned.model, delta=0.3, epsilon=0.1, horizon_index=99
-        )

@@ -17,6 +17,18 @@ X0 = np.array([-1.5, 0.5, 0.0])
 X_GOAL = np.array([-0.5, 1.0, 0.0])
 
 
+def raw_states(model, x0, controls):
+    """Rollout through the unchecked transition, so out-of-bound controls are allowed."""
+    states = [np.asarray(x0, dtype=float)]
+    for u in controls:
+        states.append(model.transition(states[-1], u))
+    return np.array(states)
+
+
+def cost_of(model, cost_spec, x0, controls):
+    return nominal_cost(cost_spec, raw_states(model, x0, controls), controls)
+
+
 def fd_gradient(model, cost_spec, x0, controls, h=1e-5):
     grad = np.empty_like(controls)
     for t in range(controls.shape[0]):
@@ -26,29 +38,29 @@ def fd_gradient(model, cost_spec, x0, controls, h=1e-5):
             down = controls.copy()
             down[t, i] -= h
             grad[t, i] = (
-                nominal_cost(model, cost_spec, x0, up) - nominal_cost(model, cost_spec, x0, down)
+                cost_of(model, cost_spec, x0, up) - cost_of(model, cost_spec, x0, down)
             ) / (2 * h)
     return grad
 
 
 def test_cost_zero_at_goal_with_zero_controls():
     cost = goal_tracking_cost(CAR, X0, effort_weight=0.0, goal_weight=1.0, bound_weight=0.0)
-    assert nominal_cost(CAR, cost, X0, np.zeros((20, 2))) == 0.0
+    assert cost_of(CAR, cost, X0, np.zeros((20, 2))) == 0.0
 
 
 def test_cost_hand_value_goal_penalty():
     cost = goal_tracking_cost(
         CAR, X_GOAL, effort_weight=0.0, goal_weight=1.0, bound_weight=0.0, heading_weight=1.0
     )
-    assert nominal_cost(CAR, cost, X0, np.zeros((20, 2))) == pytest.approx(1.25, abs=1e-12)
+    assert cost_of(CAR, cost, X0, np.zeros((20, 2))) == pytest.approx(1.25, abs=1e-12)
 
 
 def test_cost_linear_in_goal_weight():
     c1 = goal_tracking_cost(CAR, X_GOAL, effort_weight=0.0, goal_weight=1.0, bound_weight=0.0)
     c2 = goal_tracking_cost(CAR, X_GOAL, effort_weight=0.0, goal_weight=2.0, bound_weight=0.0)
     controls = np.tile([0.3, 0.1], (8, 1))
-    assert nominal_cost(CAR, c2, X0, controls) == pytest.approx(
-        2.0 * nominal_cost(CAR, c1, X0, controls), rel=1e-14
+    assert cost_of(CAR, c2, X0, controls) == pytest.approx(
+        2.0 * cost_of(CAR, c1, X0, controls), rel=1e-14
     )
 
 
@@ -63,7 +75,7 @@ def test_gradient_matches_finite_differences():
         if case % 5 == 0:  # exercise the bound-penalty branch
             controls[0] = [0.75, 1.7]
         x0 = rng.uniform(-1, 1, size=3)
-        grad = cost_gradient(CAR, cost, x0, controls)
+        grad = cost_gradient(CAR, cost, raw_states(CAR, x0, controls), controls)
         fd = fd_gradient(CAR, cost, x0, controls)
         assert np.linalg.norm(grad - fd) <= 1e-5 * max(np.linalg.norm(fd), 1.0)
 
@@ -72,7 +84,9 @@ def test_gradient_effort_only_closed_form():
     cost = goal_tracking_cost(CAR, X_GOAL, effort_weight=0.25, goal_weight=0.0, bound_weight=0.0)
     controls = np.tile([0.2, -0.3], (6, 1))
     np.testing.assert_allclose(
-        cost_gradient(CAR, cost, X0, controls), 2 * 0.25 * controls, atol=1e-15
+        cost_gradient(CAR, cost, raw_states(CAR, X0, controls), controls),
+        2 * 0.25 * controls,
+        atol=1e-15,
     )
 
 
@@ -95,6 +109,15 @@ def test_reference_instance_reaches_goal(car_experiment):
     assert report.max_bound_violation <= 1e-3
 
 
+def test_reference_run_pinned(car_experiment):
+    """The reference plan's iterate sequence, pinned to the last bit."""
+    report = car_experiment[0].report
+    assert report.iterations == 490
+    assert len(report.cost_history) == 491
+    assert report.final_cost == 0.16028221323927846
+    assert report.gradient_norm == 6.269212198836642e-07
+
+
 def test_cost_history_monotone(car_experiment):
     planned, _ = car_experiment
     hist = planned.report.cost_history
@@ -111,8 +134,8 @@ def test_returned_trajectory_refeasible(car_experiment):
 def test_stored_cost_matches_recompute(car_experiment):
     planned, _ = car_experiment
     traj = planned.trajectory
-    recomputed = nominal_cost(planned.model, planned.cost_spec, traj.states[0], traj.controls)
-    assert traj.nominal_cost == pytest.approx(recomputed, rel=1e-10)
+    recomputed = nominal_cost(planned.cost_spec, traj.states, traj.controls)
+    assert planned.report.final_cost == pytest.approx(recomputed, rel=1e-10)
 
 
 def _linear_quadratic_optimum(model, x0, goal, r_u, r_g, k):
@@ -153,7 +176,8 @@ def test_non_convergence_returns_best_iterate():
     assert not report.converged
     assert report.iterations == 1
     assert len(report.cost_history) == 2
-    assert traj.nominal_cost <= report.cost_history[0]
+    assert report.final_cost <= report.cost_history[0]
+    assert report.final_cost == nominal_cost(cost, traj.states, traj.controls)
 
 
 def test_nan_cost_raises_numerical_failure():

@@ -1,10 +1,11 @@
-"""Every public function, class and method of the package has a caller in it.
+"""Every public function, class, method and field of the package has a caller in it.
 
 A name counts as used when some module of ``tlqr`` other than the package
 ``__init__`` (which only re-exports) refers to it outside its own
 definition: a function or class by name or as a module attribute, a method
-as an attribute. The match is by name, not by type, so a method is covered
-by any attribute of the same name.
+as an attribute, an annotated class field as an attribute read. The match
+is by name, not by type, so a method or field is covered by any attribute
+of the same name.
 """
 import ast
 from pathlib import Path
@@ -21,6 +22,7 @@ ALLOWED = {
     "simulate.SweepResult.epsilons": "acceptance criteria 6-8 use it",
     "simulate.SweepResult.closed": "acceptance criteria 6-8 use it",
     "_stats.spearman": "acceptance criteria 6-8 use it",
+    "simulate.Rollout.noises": "oracle output that tests compare",
 }
 
 
@@ -29,26 +31,41 @@ def _public(name: str) -> bool:
 
 
 def _definitions(module: str, tree: ast.Module):
-    """(qualified name, bare name, is_method) of every public top-level definition."""
+    """(qualified name, bare name, kind) of every public top-level definition.
+
+    kind is "name" for a function or class, "method" or "field" for a
+    public method or annotated field of a public class.
+    """
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _public(node.name):
-            yield f"{module}.{node.name}", node.name, False
+            yield f"{module}.{node.name}", node.name, "name"
         if isinstance(node, ast.ClassDef) and _public(node.name):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and _public(item.name):
-                    yield f"{module}.{node.name}.{item.name}", item.name, True
+                    yield f"{module}.{node.name}.{item.name}", item.name, "method"
+                if (
+                    isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)
+                    and _public(item.target.id)
+                ):
+                    yield f"{module}.{node.name}.{item.target.id}", item.target.id, "field"
 
 
 def unreferenced_names() -> list[str]:
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
     nodes = [node for tree in trees.values() for node in ast.walk(tree)]
     names = {node.id for node in nodes if isinstance(node, ast.Name)}
-    attributes = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    attributes = [node for node in nodes if isinstance(node, ast.Attribute)]
+    used = {
+        "name": names | {node.attr for node in attributes},
+        "method": {node.attr for node in attributes},
+        "field": {node.attr for node in attributes if isinstance(node.ctx, ast.Load)},
+    }
     return [
         qualified
         for module, tree in trees.items()
-        for qualified, name, is_method in _definitions(module, tree)
-        if name not in attributes and (is_method or name not in names)
+        for qualified, name, kind in _definitions(module, tree)
+        if name not in used[kind]
     ]
 
 
