@@ -53,7 +53,7 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 
 def write_trajectory_csv(path: str, planned: PlannedExperiment) -> None:
-    traj = planned.trajectory
+    traj = planned.policy.nominal
     rows = []
     for t in range(traj.horizon + 1):
         x, y, theta = traj.states[t]

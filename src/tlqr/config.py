@@ -1,15 +1,18 @@
 """Experiment configuration: strict JSON schema, round-tripping, hashing.
 
 The file format is a single UTF-8 JSON object mirroring
-:class:`ExperimentConfig`. Unknown keys are errors rather than warnings so
-typos cannot silently fall back to defaults.
+:class:`ExperimentConfig`. The config dataclasses are the schema: their
+fields name the keys, and a field with a default names an optional key that
+takes that default. Unknown keys are errors rather than warnings so typos
+cannot silently fall back to defaults.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from typing import get_type_hints
 
 import numpy as np
 
@@ -72,13 +75,8 @@ class ExperimentConfig:
     master_seed: int
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["x0"] = list(d["x0"])
-        d["x_g"] = list(d["x_g"])
-        d["lqr"]["wx"] = list(d["lqr"]["wx"])
-        d["lqr"]["wu"] = list(d["lqr"]["wu"])
-        d["ldp"]["eps_grid"] = list(d["ldp"]["eps_grid"])
-        return d
+        """The config as the JSON object it is read from: vector fields become lists."""
+        return json.loads(json.dumps(asdict(self)))
 
 
 def epsilon_grid(start: float, step: float, end: float) -> np.ndarray:
@@ -93,7 +91,7 @@ def epsilon_grid(start: float, step: float, end: float) -> np.ndarray:
     return np.round(start + step * np.arange(count), 12)
 
 
-def _expect_keys(d: dict, known: set[str], required: set[str], prefix: str) -> None:
+def _expect_keys(d: dict, known: set[str], required: list[str], prefix: str) -> None:
     for key in d:
         if key not in known:
             raise ConfigError(f"{prefix}{key}", "unknown key")
@@ -139,164 +137,112 @@ def _vector(d: dict, key: str, prefix: str) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _parse_model(d: dict) -> ModelConfig:
-    prefix = "model."
+# Reader of a JSON value by the type of the config field it fills.
+_READERS = {float: _number, int: _integer, tuple[float, ...]: _vector}
+
+
+def _read(cls, d: dict, prefix: str):
+    """Build the config dataclass ``cls`` from a JSON object.
+
+    The schema is the dataclass itself: its fields are the known keys, the
+    fields without a default are the required ones, and each value is read
+    by its field type. A field whose type is itself a config dataclass is a
+    nested JSON object. Range checks are left to :func:`parse_config`.
+    """
+    schema = fields(cls)
     _expect_keys(
         d,
-        known={"name", "wheelbase", "dt", "v_max", "phi_max", "integrator"},
-        required={"name", "wheelbase", "dt", "v_max", "phi_max"},
+        known={f.name for f in schema},
+        required=[f.name for f in schema if f.default is MISSING],
         prefix=prefix,
     )
-    name = d["name"]
-    if name != "car":
-        raise ConfigError("model.name", f"unknown model '{name}' (supported: car)")
-    cfg = ModelConfig(
-        name=name,
-        wheelbase=_number(d, "wheelbase", prefix),
-        dt=_number(d, "dt", prefix),
-        v_max=_number(d, "v_max", prefix),
-        phi_max=_number(d, "phi_max", prefix),
-        integrator=d.get("integrator", "euler"),
-    )
-    if cfg.wheelbase <= 0:
-        raise ConfigError("model.wheelbase", "must be > 0")
-    if cfg.dt <= 0:
-        raise ConfigError("model.dt", "must be > 0")
-    if cfg.v_max <= 0:
-        raise ConfigError("model.v_max", "must be > 0")
-    if not 0 < cfg.phi_max <= math.pi / 2:
-        raise ConfigError("model.phi_max", "must lie in (0, pi/2]")
-    if cfg.integrator not in ("euler", "rk4"):
-        raise ConfigError("model.integrator", f"unknown integrator '{cfg.integrator}'")
-    return cfg
-
-
-def _parse_planner(d: dict) -> PlannerConfig:
-    prefix = "planner."
-    _expect_keys(
-        d,
-        known={"r_u", "r_g", "r_b", "tolerance", "max_iters"},
-        required={"r_u", "r_g", "r_b"},
-        prefix=prefix,
-    )
-    cfg = PlannerConfig(
-        r_u=_number(d, "r_u", prefix),
-        r_g=_number(d, "r_g", prefix),
-        r_b=_number(d, "r_b", prefix),
-        tolerance=_number(d, "tolerance", prefix) if "tolerance" in d else 1e-6,
-        max_iters=_integer(d, "max_iters", prefix) if "max_iters" in d else 500,
-    )
-    for field_name in ("r_u", "r_g", "r_b"):
-        if getattr(cfg, field_name) < 0:
-            raise ConfigError(f"planner.{field_name}", "must be >= 0")
-    if cfg.tolerance <= 0:
-        raise ConfigError("planner.tolerance", "must be > 0")
-    if cfg.max_iters < 1:
-        raise ConfigError("planner.max_iters", "must be >= 1")
-    return cfg
-
-
-def _parse_lqr(d: dict, n_x: int, n_u: int) -> LqrConfig:
-    prefix = "lqr."
-    _expect_keys(d, known={"wx", "wu"}, required={"wx", "wu"}, prefix=prefix)
-    wx = _vector(d, "wx", prefix)
-    wu = _vector(d, "wu", prefix)
-    if len(wx) != n_x:
-        raise ConfigError("lqr.wx", f"expected {n_x} diagonal entries, got {len(wx)}")
-    if len(wu) != n_u:
-        raise ConfigError("lqr.wu", f"expected {n_u} diagonal entries, got {len(wu)}")
-    if any(w < 0 for w in wx):
-        raise ConfigError("lqr.wx", "entries must be >= 0")
-    if any(w <= 0 for w in wu):
-        raise ConfigError("lqr.wu", "entries must be > 0")
-    return LqrConfig(wx=wx, wu=wu)
-
-
-def _parse_sweep(d: dict) -> SweepConfig:
-    prefix = "sweep."
-    _expect_keys(
-        d,
-        known={"eps_start", "eps_step", "eps_end", "n_runs"},
-        required={"eps_start", "eps_step", "eps_end", "n_runs"},
-        prefix=prefix,
-    )
-    cfg = SweepConfig(
-        eps_start=_number(d, "eps_start", prefix),
-        eps_step=_number(d, "eps_step", prefix),
-        eps_end=_number(d, "eps_end", prefix),
-        n_runs=_integer(d, "n_runs", prefix),
-    )
-    if cfg.eps_start <= 0:
-        raise ConfigError("sweep.eps_start", "must be > 0")
-    if cfg.eps_step <= 0:
-        raise ConfigError("sweep.eps_step", "must be > 0")
-    if cfg.eps_end < cfg.eps_start:
-        raise ConfigError("sweep.eps_end", "must be >= eps_start")
-    if cfg.n_runs < 1:
-        raise ConfigError("sweep.n_runs", "must be >= 1")
-    return cfg
-
-
-def _parse_ldp(d: dict) -> LdpConfig:
-    prefix = "ldp."
-    _expect_keys(
-        d,
-        known={"delta", "eps_grid", "n_runs"},
-        required={"delta", "eps_grid", "n_runs"},
-        prefix=prefix,
-    )
-    cfg = LdpConfig(
-        delta=_number(d, "delta", prefix),
-        eps_grid=_vector(d, "eps_grid", prefix),
-        n_runs=_integer(d, "n_runs", prefix),
-    )
-    if cfg.delta <= 0:
-        raise ConfigError("ldp.delta", "must be > 0")
-    if any(e <= 0 for e in cfg.eps_grid):
-        raise ConfigError("ldp.eps_grid", "entries must be > 0")
-    if any(b <= a for a, b in zip(cfg.eps_grid, cfg.eps_grid[1:])):
-        raise ConfigError("ldp.eps_grid", "entries must be strictly increasing")
-    if cfg.n_runs < 1:
-        raise ConfigError("ldp.n_runs", "must be >= 1")
-    return cfg
+    types = get_type_hints(cls)
+    values = {}
+    for f in schema:
+        if f.name not in d:
+            continue
+        kind = types[f.name]
+        if is_dataclass(kind):
+            if not isinstance(d[f.name], dict):
+                raise ConfigError(f"{prefix}{f.name}", "expected a JSON object")
+            values[f.name] = _read(kind, d[f.name], f"{prefix}{f.name}.")
+        elif kind is str:
+            # Text fields are checked against their allowed values in parse_config.
+            values[f.name] = d[f.name]
+        else:
+            values[f.name] = _READERS[kind](d, f.name, prefix)
+    return cls(**values)
 
 
 def parse_config(data: dict) -> ExperimentConfig:
     """Validate a plain dict against the schema; raise ConfigError on issues."""
     if not isinstance(data, dict):
         raise ConfigError("<root>", "top level must be a JSON object")
-    known = {"model", "x0", "x_g", "horizon", "planner", "lqr", "sweep", "ldp", "master_seed"}
-    _expect_keys(data, known=known, required=known, prefix="")
-    for section in ("model", "planner", "lqr", "sweep", "ldp"):
-        if not isinstance(data[section], dict):
-            raise ConfigError(section, "expected a JSON object")
+    cfg = _read(ExperimentConfig, data, "")
 
-    model = _parse_model(data["model"])
-    x0 = _vector(data, "x0", "")
-    x_g = _vector(data, "x_g", "")
+    model = cfg.model
+    if model.name != "car":
+        raise ConfigError("model.name", f"unknown model '{model.name}' (supported: car)")
+    if model.wheelbase <= 0:
+        raise ConfigError("model.wheelbase", "must be > 0")
+    if model.dt <= 0:
+        raise ConfigError("model.dt", "must be > 0")
+    if model.v_max <= 0:
+        raise ConfigError("model.v_max", "must be > 0")
+    if not 0 < model.phi_max <= math.pi / 2:
+        raise ConfigError("model.phi_max", "must lie in (0, pi/2]")
+    if model.integrator not in ("euler", "rk4"):
+        raise ConfigError("model.integrator", f"unknown integrator '{model.integrator}'")
+
     n_x, n_u = 3, 2  # car dimensions
-    if len(x0) != n_x:
-        raise ConfigError("x0", f"expected {n_x} entries, got {len(x0)}")
-    if len(x_g) != n_x:
-        raise ConfigError("x_g", f"expected {n_x} entries, got {len(x_g)}")
-    horizon = _integer(data, "horizon", "")
-    if horizon < 1:
+    if len(cfg.x0) != n_x:
+        raise ConfigError("x0", f"expected {n_x} entries, got {len(cfg.x0)}")
+    if len(cfg.x_g) != n_x:
+        raise ConfigError("x_g", f"expected {n_x} entries, got {len(cfg.x_g)}")
+    if cfg.horizon < 1:
         raise ConfigError("horizon", "must be >= 1")
-    master_seed = _integer(data, "master_seed", "")
-    if not 0 <= master_seed < 2**64:
+    if not 0 <= cfg.master_seed < 2**64:
         raise ConfigError("master_seed", "must fit in 64 bits")
 
-    return ExperimentConfig(
-        model=model,
-        x0=x0,
-        x_g=x_g,
-        horizon=horizon,
-        planner=_parse_planner(data["planner"]),
-        lqr=_parse_lqr(data["lqr"], n_x, n_u),
-        sweep=_parse_sweep(data["sweep"]),
-        ldp=_parse_ldp(data["ldp"]),
-        master_seed=master_seed,
-    )
+    planner = cfg.planner
+    for field_name in ("r_u", "r_g", "r_b"):
+        if getattr(planner, field_name) < 0:
+            raise ConfigError(f"planner.{field_name}", "must be >= 0")
+    if planner.tolerance <= 0:
+        raise ConfigError("planner.tolerance", "must be > 0")
+    if planner.max_iters < 1:
+        raise ConfigError("planner.max_iters", "must be >= 1")
+
+    lqr = cfg.lqr
+    if len(lqr.wx) != n_x:
+        raise ConfigError("lqr.wx", f"expected {n_x} diagonal entries, got {len(lqr.wx)}")
+    if len(lqr.wu) != n_u:
+        raise ConfigError("lqr.wu", f"expected {n_u} diagonal entries, got {len(lqr.wu)}")
+    if any(w < 0 for w in lqr.wx):
+        raise ConfigError("lqr.wx", "entries must be >= 0")
+    if any(w <= 0 for w in lqr.wu):
+        raise ConfigError("lqr.wu", "entries must be > 0")
+
+    sweep = cfg.sweep
+    if sweep.eps_start <= 0:
+        raise ConfigError("sweep.eps_start", "must be > 0")
+    if sweep.eps_step <= 0:
+        raise ConfigError("sweep.eps_step", "must be > 0")
+    if sweep.eps_end < sweep.eps_start:
+        raise ConfigError("sweep.eps_end", "must be >= eps_start")
+    if sweep.n_runs < 1:
+        raise ConfigError("sweep.n_runs", "must be >= 1")
+
+    ldp = cfg.ldp
+    if ldp.delta <= 0:
+        raise ConfigError("ldp.delta", "must be > 0")
+    if any(e <= 0 for e in ldp.eps_grid):
+        raise ConfigError("ldp.eps_grid", "entries must be > 0")
+    if any(b <= a for a, b in zip(ldp.eps_grid, ldp.eps_grid[1:])):
+        raise ConfigError("ldp.eps_grid", "entries must be strictly increasing")
+    if ldp.n_runs < 1:
+        raise ConfigError("ldp.n_runs", "must be >= 1")
+    return cfg
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -10,7 +10,7 @@ from .dynamics import KinematicCar, SystemModel
 from .exceptions import InsufficientData
 from .large_deviations import ExitEstimate, RateFit, estimate_exit_probability, fit_rate
 from .lqr import LqrWeights, TrackingPolicy, design_tracking_policy
-from .planner import CostSpec, NominalTrajectory, PlannerReport, goal_tracking_cost, optimize_nominal
+from .planner import CostSpec, PlannerReport, goal_tracking_cost, optimize_nominal
 from .simulate import SweepResult, derive_seed, sweep_epsilon
 
 # Seed context for the exit-probability study (sweep and rollout contexts
@@ -42,12 +42,14 @@ def build_cost_spec(config: ExperimentConfig, model: SystemModel) -> CostSpec:
 
 @dataclass(frozen=True, eq=False)
 class PlannedExperiment:
-    """Everything derived from one config: model, cost, nominal, policy."""
+    """Everything derived from one config: cost, planner report and policy.
+
+    The policy carries the model (``policy.model``) and the planned nominal
+    (``policy.nominal``).
+    """
 
     config: ExperimentConfig
-    model: SystemModel
     cost_spec: CostSpec
-    trajectory: NominalTrajectory
     report: PlannerReport
     policy: TrackingPolicy
 
@@ -66,14 +68,7 @@ def plan_experiment(config: ExperimentConfig) -> PlannedExperiment:
     )
     weights = LqrWeights.constant(config.lqr.wx, config.lqr.wu, config.horizon)
     policy = design_tracking_policy(model, trajectory, weights)
-    return PlannedExperiment(
-        config=config,
-        model=model,
-        cost_spec=cost_spec,
-        trajectory=trajectory,
-        report=report,
-        policy=policy,
-    )
+    return PlannedExperiment(config=config, cost_spec=cost_spec, report=report, policy=policy)
 
 
 def run_sweep(
@@ -87,7 +82,6 @@ def run_sweep(
         grid = epsilon_grid(cfg.eps_start, cfg.eps_step, cfg.eps_end)
     return sweep_epsilon(
         planned.policy,
-        planned.model,
         grid,
         cfg.n_runs,
         planned.config.master_seed,
@@ -107,7 +101,6 @@ def run_exit_study(
     estimates = [
         estimate_exit_probability(
             planned.policy,
-            planned.model,
             cfg.delta,
             eps,
             n_runs=cfg.n_runs,

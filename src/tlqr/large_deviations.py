@@ -8,9 +8,10 @@ deviation from the drift,
 discretized here as a left-endpoint Riemann sum on the controller's step
 grid. For the tracked system the drift is the feedback-compensated one-step
 map converted to a rate, so the nominal trajectory has exactly zero action.
-Exit probabilities from a radius-delta tube around the nominal decay like
-exp(-rate / eps^2) as the noise level drops; ``fit_rate`` checks that
-signature by regressing log p on 1 / eps^2.
+Both the drift and the exit study run the policy on the plant it carries
+(``policy.model``). Exit probabilities from a radius-delta tube around the
+nominal decay like exp(-rate / eps^2) as the noise level drops;
+``fit_rate`` checks that signature by regressing log p on 1 / eps^2.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ._stats import linear_fit, wilson_interval
-from .dynamics import Array, SystemModel
+from .dynamics import Array
 from .exceptions import InsufficientData
 from .lqr import TrackingPolicy, feedback_control
 from .simulate import _CTX_EXIT, CLOSED_LOOP, derive_seed, rollout_states
@@ -44,11 +45,10 @@ class DriftField:
             raise ValueError("dt must be positive")
 
 
-def tracking_drift(model: SystemModel, policy: TrackingPolicy) -> DriftField:
+def tracking_drift(policy: TrackingPolicy) -> DriftField:
     """Drift of the closed-loop tracked system: (f(x, u_fb(t, x)) - x) / dt."""
+    model = policy.model
     dt = model.step_period
-    if dt <= 0:
-        raise ValueError("model step period must be positive")
 
     def rate(t: int, x: Array) -> Array:
         u = feedback_control(policy, t, x)
@@ -89,7 +89,7 @@ def action_functional(field: DriftField, sample: PathSample, epsilon: float) -> 
 
 @dataclass(frozen=True)
 class ExitEstimate:
-    """Monte Carlo estimate of leaving the delta-tube by a given step."""
+    """Monte Carlo estimate of leaving the delta-tube at any step of the horizon."""
 
     delta: float
     epsilon: float
@@ -113,7 +113,6 @@ class ExitEstimate:
 
 def estimate_exit_probability(
     policy: TrackingPolicy,
-    model: SystemModel,
     delta: float,
     epsilon: float,
     n_runs: int = 1000,
@@ -131,7 +130,7 @@ def estimate_exit_probability(
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     seeds = [derive_seed(seed, _CTX_EXIT, j) for j in range(n_runs)]
-    states = rollout_states(policy, model, epsilon, CLOSED_LOOP, seeds)
+    states = rollout_states(policy, epsilon, CLOSED_LOOP, seeds)
     dev = np.linalg.norm(states - policy.nominal.states, axis=2)
     exits = int(np.count_nonzero(dev.max(axis=1) > delta))
     p_hat = exits / n_runs

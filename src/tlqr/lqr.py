@@ -104,8 +104,9 @@ class TrackingPolicy:
     """Nominal trajectory plus time-varying feedback gains.
 
     ``closed_loop[t]`` stores A_t - B_t L_t; ``riccati`` has K+1 entries with
-    the terminal weight last. The model reference provides the execution-time
-    control clamp.
+    the terminal weight last. ``model`` is the plant the policy was designed
+    for and runs on: it supplies the execution-time control clamp and the
+    transition map of every rollout.
     """
 
     nominal: NominalTrajectory
@@ -120,6 +121,12 @@ class TrackingPolicy:
             raise ValueError("gains and closed_loop must have one entry per control step")
         if self.riccati.shape[0] != k + 1:
             raise ValueError("riccati must have K+1 entries")
+        n, m = self.model.state_dim, self.model.control_dim
+        if (self.nominal.state_dim, self.nominal.control_dim) != (n, m):
+            raise ValueError(
+                f"policy dimensions (n={self.nominal.state_dim}, m={self.nominal.control_dim}) "
+                f"do not match the model (n={n}, m={m})"
+            )
 
     @property
     def horizon(self) -> int:

@@ -6,9 +6,12 @@ generator, seeded by a counter-style mix of (master seed, grid index, run
 index, mode), so results are bit-reproducible and do not depend on how runs
 are grouped.
 
-Monte Carlo studies go through one batched kernel, :func:`rollout_states`,
-which steps all runs of a batch together with one array operation per time
-index. The scalar :func:`rollout` stays as its oracle.
+Rollouts and sweeps run a :class:`~tlqr.lqr.TrackingPolicy` on the plant it
+carries (``policy.model``), which clamps the feedback controls and steps the
+state. Monte Carlo studies go through one batched kernel,
+:func:`rollout_states`, which steps all runs of a batch together with one
+array operation per time index. The scalar :func:`rollout` stays as its
+oracle.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import Array, NoiseModel, NominalTrajectory, SystemModel
+from .dynamics import Array, NoiseModel, NominalTrajectory
 from .lqr import TrackingPolicy, feedback_control
 
 CLOSED_LOOP = "closed_loop"
@@ -52,13 +55,7 @@ class Rollout:
     noises: Array
 
 
-def rollout(
-    policy: TrackingPolicy,
-    model: SystemModel,
-    epsilon: float,
-    mode: str,
-    seed: int,
-) -> Rollout:
+def rollout(policy: TrackingPolicy, epsilon: float, mode: str, seed: int) -> Rollout:
     """Execute the policy for its full horizon under sampled process noise.
 
     Closed loop applies the clamped feedback law each step; open loop applies
@@ -66,8 +63,7 @@ def rollout(
     """
     if mode not in _MODE_TAGS:
         raise ValueError(f"unknown mode '{mode}'")
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    model = policy.model
     k = policy.horizon
     noise = NoiseModel(epsilon, noise_scale(policy.nominal.controls), model.state_dim)
     rng = np.random.default_rng(seed)
@@ -87,11 +83,7 @@ def rollout(
 
 
 def rollout_states(
-    policy: TrackingPolicy,
-    model: SystemModel,
-    epsilon: float,
-    mode: str,
-    seeds: Sequence[int],
+    policy: TrackingPolicy, epsilon: float, mode: str, seeds: Sequence[int]
 ) -> Array:
     """States (N, K+1, n) of N runs executed together, one per seed.
 
@@ -103,19 +95,12 @@ def rollout_states(
     """
     if mode not in _MODE_TAGS:
         raise ValueError(f"unknown mode '{mode}'")
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
-    nominal = policy.nominal
+    model, nominal = policy.model, policy.nominal
     k, n = policy.horizon, model.state_dim
-    if (nominal.state_dim, nominal.control_dim) != (n, model.control_dim):
-        raise ValueError(
-            f"policy dimensions (n={nominal.state_dim}, m={nominal.control_dim}) do not "
-            f"match the model (n={n}, m={model.control_dim})"
-        )
+    noise = NoiseModel(epsilon, noise_scale(nominal.controls), n)
     if mode == OPEN_LOOP:
         for u in nominal.controls:
             model.validate_control(u)
-    noise = NoiseModel(epsilon, noise_scale(nominal.controls), n)
     noises = np.empty((len(seeds), k, n))
     for j, seed in enumerate(seeds):
         noises[j] = noise.sample(np.random.default_rng(seed), k)
@@ -209,7 +194,6 @@ def decay_rate_ratio(result: SweepResult, eps_min: float = 0.02) -> float:
 
 def _mode_stats(
     policy: TrackingPolicy,
-    model: SystemModel,
     epsilon: float,
     grid_index: int,
     mode: str,
@@ -220,14 +204,13 @@ def _mode_stats(
         derive_seed(master_seed, _CTX_SWEEP, grid_index, _MODE_TAGS[mode], j)
         for j in range(n_runs)
     ]
-    vals = nmse_values(policy.nominal, rollout_states(policy, model, epsilon, mode, seeds))
+    vals = nmse_values(policy.nominal, rollout_states(policy, epsilon, mode, seeds))
     sd = float(vals.std(ddof=1)) if n_runs > 1 else 0.0
     return float(vals.mean()), sd
 
 
 def sweep_epsilon(
     policy: TrackingPolicy,
-    model: SystemModel,
     grid: Sequence[float],
     n_runs: int,
     master_seed: int,
@@ -255,7 +238,7 @@ def sweep_epsilon(
         stats = {CLOSED_LOOP: (np.nan, np.nan), OPEN_LOOP: (np.nan, np.nan)}
         for mode in modes:
             try:
-                stats[mode] = _mode_stats(policy, model, eps, i, mode, n_runs, master_seed)
+                stats[mode] = _mode_stats(policy, eps, i, mode, n_runs, master_seed)
             except Exception as exc:
                 raise RuntimeError(f"sweep failed at epsilon={eps:.6g} ({mode})") from exc
         rows.append(

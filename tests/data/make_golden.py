@@ -28,7 +28,6 @@ def main() -> None:
     exits = [
         estimate_exit_probability(
             planned.policy,
-            planned.model,
             config.ldp.delta,
             eps,
             n_runs=EXIT_RUNS,

@@ -166,7 +166,7 @@ def test_criterion_8_exit_rate_signature(car_experiment):
     p_hats = [e.p_hat for e in estimates]
     from tlqr.large_deviations import PathSample, action_functional, tracking_drift
 
-    drift = tracking_drift(planned.model, planned.policy)
+    drift = tracking_drift(planned.policy)
     nominal_action = action_functional(
         drift, PathSample(path=planned.policy.nominal.states, dt=drift.dt), epsilon=0.05
     )

@@ -160,6 +160,19 @@ def test_verify_writes_report(config_path, tmp_path):
     assert report["suites"][0]["suite"] == "riccati"
 
 
+def test_verify_zero_controls_fails_variance_check(tmp_path, capsys):
+    # With the goal at the start every planned control is zero, so the noise
+    # scale and the closed-form cost-error variance are zero.
+    data = small_config_dict()
+    data["x_g"] = data["x0"]
+    path = tmp_path / "stay.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["verify", "--config", str(path), "--suite", "costerror"]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL costerror.variance_vs_closed_form_rel: value=nan" in out
+    assert "CHECKS FAILED" in out
+
+
 def test_output_path_collision_exit3(config_path, tmp_path, capsys):
     blocker = tmp_path / "not_a_dir"
     blocker.write_text("occupied", encoding="utf-8")

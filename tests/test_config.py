@@ -16,6 +16,14 @@ def test_default_config_round_trips():
     assert config_hash(again) == config_hash(config)
 
 
+def test_omitted_optional_keys_take_dataclass_defaults():
+    data = default_config().to_dict()
+    del data["model"]["integrator"]
+    del data["planner"]["tolerance"]
+    del data["planner"]["max_iters"]
+    assert parse_config(data) == default_config()
+
+
 def test_canonical_json_is_key_order_independent():
     config = default_config()
     data = config.to_dict()

@@ -57,7 +57,7 @@ def test_closed_loop_matrices_conventions(car_experiment):
     # the policy stores exactly the builder's output for its own linearization
     planned, _ = car_experiment
     policy = planned.policy
-    lin_sys = linearize_along(planned.model, policy.nominal)
+    lin_sys = linearize_along(policy.model, policy.nominal)
     np.testing.assert_array_equal(policy.closed_loop, closed_loop_matrices(lin_sys, policy.gains))
 
 
@@ -141,11 +141,12 @@ def test_first_index_convention_is_inert():
 
 def test_linearize_cost_effort_only(car_experiment):
     planned, _ = car_experiment
+    policy = planned.policy
     cost = goal_tracking_cost(
-        planned.model, planned.config.x_g, effort_weight=0.3, goal_weight=0.0, bound_weight=0.0
+        policy.model, planned.config.x_g, effort_weight=0.3, goal_weight=0.0, bound_weight=0.0
     )
-    lin = linearize_cost(cost, planned.trajectory)
-    np.testing.assert_allclose(lin.cu, 2 * 0.3 * planned.trajectory.controls, atol=1e-15)
+    lin = linearize_cost(cost, policy.nominal)
+    np.testing.assert_allclose(lin.cu, 2 * 0.3 * policy.nominal.controls, atol=1e-15)
     assert np.all(lin.cx == 0.0)
 
 
@@ -163,11 +164,11 @@ def test_linearize_cost_terminal_gradient_zero_at_goal():
 
 def test_linearize_cost_matches_finite_differences(car_experiment):
     planned, _ = car_experiment
-    lin = linearize_cost(planned.cost_spec, planned.trajectory)
+    lin = linearize_cost(planned.cost_spec, planned.policy.nominal)
     cost = planned.cost_spec
     h = 1e-6
     for t in (0, 5, 19):
-        x, u = planned.trajectory.states[t], planned.trajectory.controls[t]
+        x, u = planned.policy.nominal.states[t], planned.policy.nominal.controls[t]
         fd_u = np.array(
             [
                 (cost.stage(t, x, u + h * e) - cost.stage(t, x, u - h * e)) / (2 * h)
@@ -175,7 +176,7 @@ def test_linearize_cost_matches_finite_differences(car_experiment):
             ]
         )
         assert np.linalg.norm(lin.cu[t] - fd_u) <= 1e-6 * max(np.linalg.norm(fd_u), 1.0)
-    x_k = planned.trajectory.states[-1]
+    x_k = planned.policy.nominal.states[-1]
     fd_x = np.array(
         [
             (cost.terminal(x_k + h * e) - cost.terminal(x_k - h * e)) / (2 * h)
@@ -279,13 +280,13 @@ def test_statistics_sample_floor():
 def test_first_order_prediction_gap_superlinear(car_experiment):
     """The gap between true and first-order deviations shrinks faster than eps."""
     planned, _ = car_experiment
-    policy, model = planned.policy, planned.model
+    policy = planned.policy
     eps_grid = np.array([0.01, 0.02, 0.04, 0.08])
     gaps = []
     for i, eps in enumerate(eps_grid):
         worst = []
         for j in range(100):
-            run = rollout(policy, model, eps, CLOSED_LOOP, derive_seed(777, i, j))
+            run = rollout(policy, eps, CLOSED_LOOP, derive_seed(777, i, j))
             true_dev = run.states - policy.nominal.states
             predicted = linear_deviations(policy.closed_loop, policy.gains, run.noises).states
             worst.append(np.linalg.norm(true_dev - predicted, axis=1).max())

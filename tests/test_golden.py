@@ -38,7 +38,6 @@ def test_exit_estimates_match_golden(car_experiment):
     for i, ref in enumerate(GOLDEN["exits"]):
         est = estimate_exit_probability(
             planned.policy,
-            planned.model,
             ref["delta"],
             ref["epsilon"],
             n_runs=GOLDEN["exit_runs"],

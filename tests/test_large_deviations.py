@@ -26,14 +26,14 @@ def make_estimate(eps, p):
 
 def test_nominal_path_has_zero_action(car_experiment):
     planned, _ = car_experiment
-    drift = tracking_drift(planned.model, planned.policy)
+    drift = tracking_drift(planned.policy)
     sample = PathSample(path=planned.policy.nominal.states, dt=drift.dt)
     assert action_functional(drift, sample, epsilon=0.07) == 0.0
 
 
 def test_nominal_is_fixed_path_of_drift(car_experiment):
     planned, _ = car_experiment
-    drift = tracking_drift(planned.model, planned.policy)
+    drift = tracking_drift(planned.policy)
     nominal = planned.policy.nominal.states
     for t in range(planned.policy.horizon):
         step = nominal[t] + drift.dt * drift.rate(t, nominal[t])
@@ -83,7 +83,7 @@ def test_action_refinement_stability():
 def test_exit_probability_zero_noise(car_experiment):
     planned, _ = car_experiment
     est = estimate_exit_probability(
-        planned.policy, planned.model, delta=1e-9, epsilon=0.0, n_runs=10, seed=1
+        planned.policy, delta=1e-9, epsilon=0.0, n_runs=10, seed=1
     )
     assert est.p_hat == 0.0
 
@@ -91,7 +91,7 @@ def test_exit_probability_zero_noise(car_experiment):
 def test_exit_probability_infinite_tube(car_experiment):
     planned, _ = car_experiment
     est = estimate_exit_probability(
-        planned.policy, planned.model, delta=np.inf, epsilon=0.3, n_runs=20, seed=2
+        planned.policy, delta=np.inf, epsilon=0.3, n_runs=20, seed=2
     )
     assert est.p_hat == 0.0
     assert est.wilson_high > 0.0  # zero exits still carry a valid upper bound
@@ -100,18 +100,18 @@ def test_exit_probability_infinite_tube(car_experiment):
 def test_exit_monotone_in_delta_same_seed(car_experiment):
     planned, _ = car_experiment
     kwargs = dict(epsilon=0.06, n_runs=200, seed=5)
-    small = estimate_exit_probability(planned.policy, planned.model, delta=0.2, **kwargs)
-    large = estimate_exit_probability(planned.policy, planned.model, delta=0.35, **kwargs)
+    small = estimate_exit_probability(planned.policy, delta=0.2, **kwargs)
+    large = estimate_exit_probability(planned.policy, delta=0.35, **kwargs)
     assert large.n_exits <= small.n_exits  # nested events, identical trajectories
 
 
 def test_exit_monotone_in_epsilon(car_experiment):
     planned, _ = car_experiment
     lo = estimate_exit_probability(
-        planned.policy, planned.model, delta=0.3, epsilon=0.05, n_runs=500, seed=9
+        planned.policy, delta=0.3, epsilon=0.05, n_runs=500, seed=9
     )
     hi = estimate_exit_probability(
-        planned.policy, planned.model, delta=0.3, epsilon=0.15, n_runs=500, seed=9
+        planned.policy, delta=0.3, epsilon=0.15, n_runs=500, seed=9
     )
     assert lo.p_hat <= hi.p_hat
 
@@ -119,7 +119,7 @@ def test_exit_monotone_in_epsilon(car_experiment):
 def test_wilson_interval_brackets_estimate(car_experiment):
     planned, _ = car_experiment
     est = estimate_exit_probability(
-        planned.policy, planned.model, delta=0.3, epsilon=0.05, n_runs=300, seed=4
+        planned.policy, delta=0.3, epsilon=0.05, n_runs=300, seed=4
     )
     assert 0.0 <= est.wilson_low <= est.p_hat <= est.wilson_high <= 1.0
 
@@ -147,8 +147,8 @@ def test_fit_rate_insufficient_data():
 def test_estimate_validation(car_experiment):
     planned, _ = car_experiment
     with pytest.raises(ValueError):
-        estimate_exit_probability(planned.policy, planned.model, delta=0.0, epsilon=0.1)
+        estimate_exit_probability(planned.policy, delta=0.0, epsilon=0.1)
     with pytest.raises(ValueError):
         estimate_exit_probability(
-            planned.policy, planned.model, delta=0.3, epsilon=0.1, n_runs=0
+            planned.policy, delta=0.3, epsilon=0.1, n_runs=0
         )

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -107,11 +109,17 @@ def test_policy_invariants(car_experiment):
         assert np.linalg.norm(p - p.T) <= 1e-10
         assert np.linalg.eigvalsh(p).min() >= -1e-10
     np.testing.assert_array_equal(policy.riccati[k], np.eye(3))
-    sys = linearize_along(planned.model, policy.nominal)
+    sys = linearize_along(policy.model, policy.nominal)
     for t in range(k):
         np.testing.assert_allclose(
             policy.closed_loop[t], sys.a[t] - sys.b[t] @ policy.gains[t], atol=1e-12
         )
+
+
+def test_policy_rejects_model_of_other_dimensions(car_experiment):
+    planned, _ = car_experiment
+    with pytest.raises(ValueError, match="do not match the model"):
+        dataclasses.replace(planned.policy, model=LinearSystem(a=np.eye(2), b=np.eye(2)))
 
 
 def test_feedback_on_nominal_returns_nominal_control(car_experiment):
@@ -143,13 +151,13 @@ def test_feedback_clamps_to_car_bounds(car_experiment):
     planned, _ = car_experiment
     policy = planned.policy
     u = feedback_control(policy, 0, policy.nominal.states[0] + np.array([5.0, -5.0, 1.0]))
-    assert abs(u[0]) <= planned.model.v_max
-    assert abs(u[1]) < planned.model.phi_max
+    assert abs(u[0]) <= planned.policy.model.v_max
+    assert abs(u[1]) < planned.policy.model.phi_max
 
 
 def test_closed_loop_error_contracts_after_startup(car_experiment):
     planned, _ = car_experiment
-    policy, model = planned.policy, planned.model
+    policy, model = planned.policy, planned.policy.model
     direction = np.array([1.0, 1.0, 1.0]) / np.sqrt(3)
     x = policy.nominal.states[0] + 0.05 * direction
     errs = [0.05]
@@ -170,8 +178,9 @@ def test_weights_validation():
 
 def test_design_policy_round_trip(car_experiment):
     planned, _ = car_experiment
+    policy = planned.policy
     rebuilt = design_tracking_policy(
-        planned.model, planned.trajectory, LqrWeights.constant(np.ones(3), np.ones(2), 20)
+        policy.model, policy.nominal, LqrWeights.constant(np.ones(3), np.ones(2), 20)
     )
     np.testing.assert_array_equal(rebuilt.gains, planned.policy.gains)
     np.testing.assert_array_equal(rebuilt.riccati, planned.policy.riccati)

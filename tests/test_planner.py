@@ -126,14 +126,14 @@ def test_cost_history_monotone(car_experiment):
 
 def test_returned_trajectory_refeasible(car_experiment):
     planned, _ = car_experiment
-    traj = planned.trajectory
-    rerolled = planned.model.rollout_nominal(traj.states[0], traj.controls)
+    traj = planned.policy.nominal
+    rerolled = planned.policy.model.rollout_nominal(traj.states[0], traj.controls)
     np.testing.assert_allclose(rerolled.states, traj.states, rtol=0, atol=1e-12)
 
 
 def test_stored_cost_matches_recompute(car_experiment):
     planned, _ = car_experiment
-    traj = planned.trajectory
+    traj = planned.policy.nominal
     recomputed = nominal_cost(planned.cost_spec, traj.states, traj.controls)
     assert planned.report.final_cost == pytest.approx(recomputed, rel=1e-10)
 

@@ -19,21 +19,21 @@ from tlqr import (
 
 def test_zero_noise_closed_loop_tracks_nominal(car_experiment):
     planned, _ = car_experiment
-    run = rollout(planned.policy, planned.model, 0.0, CLOSED_LOOP, seed=1)
+    run = rollout(planned.policy, 0.0, CLOSED_LOOP, seed=1)
     np.testing.assert_allclose(run.states, planned.policy.nominal.states, atol=1e-12)
 
 
 def test_zero_noise_open_equals_closed(car_experiment):
     planned, _ = car_experiment
-    closed = rollout(planned.policy, planned.model, 0.0, CLOSED_LOOP, seed=1)
-    opened = rollout(planned.policy, planned.model, 0.0, OPEN_LOOP, seed=1)
+    closed = rollout(planned.policy, 0.0, CLOSED_LOOP, seed=1)
+    opened = rollout(planned.policy, 0.0, OPEN_LOOP, seed=1)
     np.testing.assert_array_equal(closed.states, opened.states)
 
 
 def test_same_seed_bit_identical(car_experiment):
     planned, _ = car_experiment
-    a = rollout(planned.policy, planned.model, 0.08, CLOSED_LOOP, seed=12345)
-    b = rollout(planned.policy, planned.model, 0.08, CLOSED_LOOP, seed=12345)
+    a = rollout(planned.policy, 0.08, CLOSED_LOOP, seed=12345)
+    b = rollout(planned.policy, 0.08, CLOSED_LOOP, seed=12345)
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.controls, b.controls)
     assert np.array_equal(a.noises, b.noises)
@@ -41,9 +41,9 @@ def test_same_seed_bit_identical(car_experiment):
 
 def test_applied_controls_respect_bounds(car_experiment):
     planned, _ = car_experiment
-    run = rollout(planned.policy, planned.model, 0.3, CLOSED_LOOP, seed=5)
-    assert np.all(np.abs(run.controls[:, 0]) <= planned.model.v_max)
-    assert np.all(np.abs(run.controls[:, 1]) < planned.model.phi_max)
+    run = rollout(planned.policy, 0.3, CLOSED_LOOP, seed=5)
+    assert np.all(np.abs(run.controls[:, 0]) <= planned.policy.model.v_max)
+    assert np.all(np.abs(run.controls[:, 1]) < planned.policy.model.phi_max)
 
 
 def test_noise_scale_examples():
@@ -57,8 +57,8 @@ def test_noise_scale_examples():
 
 def test_nmse_examples(car_experiment):
     planned, _ = car_experiment
-    exact = planned.trajectory.states[None]
-    assert nmse_values(planned.trajectory, exact).mean() == 0.0
+    exact = planned.policy.nominal.states[None]
+    assert nmse_values(planned.policy.nominal, exact).mean() == 0.0
 
     planned_stack = NominalTrajectory(
         states=np.array([[1.0], [1.0]]), controls=np.zeros((1, 1))
@@ -75,28 +75,28 @@ def test_nmse_zero_norm_nominal_rejected():
 
 def test_nmse_rejects_mismatched_state_array(car_experiment):
     planned, _ = car_experiment
-    states = planned.trajectory.states
+    states = planned.policy.nominal.states
     for bad in (states[None, :-1], states[None, :, :2], states):
         with pytest.raises(ValueError, match="horizon"):
-            nmse_values(planned.trajectory, bad)
+            nmse_values(planned.policy.nominal, bad)
 
 
 def test_sweep_grid_validation(car_experiment):
     planned, _ = car_experiment
     with pytest.raises(ValueError):
-        sweep_epsilon(planned.policy, planned.model, [0.0, 0.1], 2, 1)
+        sweep_epsilon(planned.policy, [0.0, 0.1], 2, 1)
     with pytest.raises(ValueError):
-        sweep_epsilon(planned.policy, planned.model, [0.2, 0.1], 2, 1)
+        sweep_epsilon(planned.policy, [0.2, 0.1], 2, 1)
     with pytest.raises(ValueError):
-        sweep_epsilon(planned.policy, planned.model, [0.1, 0.2], 0, 1)
+        sweep_epsilon(planned.policy, [0.1, 0.2], 0, 1)
     with pytest.raises(ValueError):
-        sweep_epsilon(planned.policy, planned.model, [0.1], 1, 1, modes=("sideways",))
+        sweep_epsilon(planned.policy, [0.1], 1, 1, modes=("sideways",))
 
 
 def test_sweep_single_mode_leaves_nan(car_experiment):
     planned, _ = car_experiment
     result = sweep_epsilon(
-        planned.policy, planned.model, [0.05], 5, 7, modes=(CLOSED_LOOP,)
+        planned.policy, [0.05], 5, 7, modes=(CLOSED_LOOP,)
     )
     row = result.rows[0]
     assert np.isfinite(row.avg_nmse_closed)
@@ -105,18 +105,23 @@ def test_sweep_single_mode_leaves_nan(car_experiment):
 
 def test_sweep_rows_strictly_increasing_epsilon(car_experiment):
     planned, _ = car_experiment
-    result = sweep_epsilon(planned.policy, planned.model, [0.02, 0.05, 0.11], 3, 9)
+    result = sweep_epsilon(planned.policy, [0.02, 0.05, 0.11], 3, 9)
     eps = result.epsilons()
     assert np.all(np.diff(eps) > 0)
 
 
+def _out_of_bounds_open_loop_policy(planned):
+    controls = planned.policy.nominal.controls.copy()
+    controls[4, 0] = 2.0 * planned.policy.model.v_max
+    nominal = NominalTrajectory(states=planned.policy.nominal.states, controls=controls)
+    return dataclasses.replace(planned.policy, nominal=nominal)
+
+
 def test_sweep_failure_names_offending_epsilon(car_experiment):
     planned, _ = car_experiment
-    from tlqr import LinearSystem
-
-    mismatched = LinearSystem(a=np.eye(2), b=np.eye(2))  # wrong state dimension
+    policy = _out_of_bounds_open_loop_policy(planned)
     with pytest.raises(RuntimeError, match="epsilon=0.05"):
-        sweep_epsilon(planned.policy, mismatched, [0.05], 2, 1)
+        sweep_epsilon(policy, [0.05], 2, 1, modes=(OPEN_LOOP,))
 
 
 def test_derive_seed_is_stable_and_tag_sensitive():
@@ -133,10 +138,10 @@ def _seeds(n):
 def test_rollout_states_open_loop_bitwise_equals_rollout(car_experiment, epsilon):
     planned, _ = car_experiment
     seeds = _seeds(300)
-    batch = rollout_states(planned.policy, planned.model, epsilon, OPEN_LOOP, seeds)
+    batch = rollout_states(planned.policy, epsilon, OPEN_LOOP, seeds)
     assert batch.shape == (300, planned.policy.horizon + 1, 3)
     for j, seed in enumerate(seeds):
-        run = rollout(planned.policy, planned.model, epsilon, OPEN_LOOP, seed)
+        run = rollout(planned.policy, epsilon, OPEN_LOOP, seed)
         assert np.array_equal(batch[j], run.states)
 
 
@@ -147,15 +152,15 @@ def test_rollout_states_closed_loop_matches_rollout(car_experiment, epsilon):
     # regime (eps above about 0.129).
     planned, _ = car_experiment
     seeds = _seeds(300)
-    batch = rollout_states(planned.policy, planned.model, epsilon, CLOSED_LOOP, seeds)
+    batch = rollout_states(planned.policy, epsilon, CLOSED_LOOP, seeds)
     for j, seed in enumerate(seeds):
-        run = rollout(planned.policy, planned.model, epsilon, CLOSED_LOOP, seed)
+        run = rollout(planned.policy, epsilon, CLOSED_LOOP, seed)
         np.testing.assert_allclose(batch[j], run.states, rtol=1e-9, atol=0)
 
 
 def test_rollout_states_zero_noise_closed_loop_is_nominal(car_experiment):
     planned, _ = car_experiment
-    batch = rollout_states(planned.policy, planned.model, 0.0, CLOSED_LOOP, _seeds(5))
+    batch = rollout_states(planned.policy, 0.0, CLOSED_LOOP, _seeds(5))
     for states in batch:
         assert np.array_equal(states, planned.policy.nominal.states)
 
@@ -164,29 +169,26 @@ def test_rollout_states_zero_noise_closed_loop_is_nominal(car_experiment):
 def test_rollout_states_run_independent_of_batch_position(car_experiment, mode):
     planned, _ = car_experiment
     seeds = _seeds(100)
-    batch = rollout_states(planned.policy, planned.model, 0.08, mode, seeds)
-    reversed_batch = rollout_states(planned.policy, planned.model, 0.08, mode, seeds[::-1])
+    batch = rollout_states(planned.policy, 0.08, mode, seeds)
+    reversed_batch = rollout_states(planned.policy, 0.08, mode, seeds[::-1])
     assert np.array_equal(reversed_batch[::-1], batch)
     for j, seed in enumerate(seeds):
-        alone = rollout_states(planned.policy, planned.model, 0.08, mode, [seed])
+        alone = rollout_states(planned.policy, 0.08, mode, [seed])
         assert np.array_equal(alone[0], batch[j])
 
 
 def test_rollout_states_rejects_bad_arguments(car_experiment):
     planned, _ = car_experiment
     with pytest.raises(ValueError, match="nonnegative"):
-        rollout_states(planned.policy, planned.model, -0.01, CLOSED_LOOP, [1])
+        rollout_states(planned.policy, -0.01, CLOSED_LOOP, [1])
     with pytest.raises(ValueError, match="unknown mode"):
-        rollout_states(planned.policy, planned.model, 0.05, "sideways", [1])
+        rollout_states(planned.policy, 0.05, "sideways", [1])
 
 
 def test_rollout_states_open_loop_rejects_out_of_bounds_nominal(car_experiment):
     planned, _ = car_experiment
-    controls = planned.policy.nominal.controls.copy()
-    controls[4, 0] = 2.0 * planned.model.v_max
-    nominal = NominalTrajectory(states=planned.policy.nominal.states, controls=controls)
-    policy = dataclasses.replace(planned.policy, nominal=nominal)
+    policy = _out_of_bounds_open_loop_policy(planned)
     with pytest.raises(BoundViolation):
-        rollout_states(policy, planned.model, 0.05, OPEN_LOOP, [1, 2])
+        rollout_states(policy, 0.05, OPEN_LOOP, [1, 2])
     with pytest.raises(BoundViolation):
-        rollout(policy, planned.model, 0.05, OPEN_LOOP, 1)
+        rollout(policy, 0.05, OPEN_LOOP, 1)
