@@ -33,7 +33,6 @@ from .exceptions import (
 )
 from .experiments import (
     PlannedExperiment,
-    build_cost_spec,
     build_model,
     plan_experiment,
     run_exit_study,
@@ -61,7 +60,7 @@ from .lqr import (
 )
 from .planner import (
     CostLinearization,
-    CostSpec,
+    GoalCost,
     PlannerReport,
     adjoint_sweep,
     cost_gradient,

@@ -25,35 +25,25 @@ from .config import (
 )
 from .exceptions import ConfigError, NumericalFailure
 from .experiments import PlannedExperiment, plan_experiment, run_exit_study, run_sweep
-from .simulate import CLOSED_LOOP, OPEN_LOOP, SweepResult
+from .simulate import CLOSED_LOOP, OPEN_LOOP
 from .verify import SUITE_NAMES, run_suites
 
 _MODE_CHOICES = {"both": (CLOSED_LOOP, OPEN_LOOP), "closed": (CLOSED_LOOP,), "open": (OPEN_LOOP,)}
 
 
-def _fmt(value: float) -> str:
-    """Float to text with 12 significant digits; NaN prints as 'nan'."""
-    return f"{value:.12g}"
+def _json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
-def _write_json(path: str, obj) -> None:
-    _write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
-
-
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+def _csv(header: list[str], rows: list[list]) -> str:
+    """CSV text; floats get 12 significant digits and NaN prints as 'nan'."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    _write_text(path, "\n".join(lines) + "\n")
+        lines.append(",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
 
 
-def write_trajectory_csv(path: str, planned: PlannedExperiment) -> None:
-    traj = planned.policy.nominal
+def _trajectory_csv(traj) -> str:
     rows = []
     for t in range(traj.horizon + 1):
         x, y, theta = traj.states[t]
@@ -62,38 +52,36 @@ def write_trajectory_csv(path: str, planned: PlannedExperiment) -> None:
         else:
             v, phi = float("nan"), float("nan")
         rows.append([t, float(x), float(y), float(theta), float(v), float(phi)])
-    _write_csv(path, ["t", "x", "y", "theta", "v", "phi"], rows)
+    return _csv(["t", "x", "y", "theta", "v", "phi"], rows)
 
 
-def write_matrix_stack_csv(path: str, prefix: str, stack) -> None:
+def _matrix_stack_csv(prefix: str, stack) -> str:
     """One row per t of a (K, r, c) stack, columns {prefix}_{i}_{j} in row-major order."""
     r, c = stack.shape[1:]
     header = ["t"] + [f"{prefix}_{i}_{j}" for i in range(r) for j in range(c)]
-    rows = [[t] + [float(v) for v in stack[t].ravel()] for t in range(len(stack))]
-    _write_csv(path, header, rows)
+    return _csv(header, [[t] + [float(v) for v in stack[t].ravel()] for t in range(len(stack))])
 
 
-def write_sweep_csv(path: str, result: SweepResult) -> None:
-    header = ["epsilon", "avg_nmse_closed_pct", "avg_nmse_open_pct", "sd_closed", "sd_open", "n_runs"]
-    rows = [
-        [r.epsilon, r.avg_nmse_closed, r.avg_nmse_open, r.sd_closed, r.sd_open, r.n_runs]
-        for r in result.rows
-    ]
-    _write_csv(path, header, rows)
+def _write_outputs(outdir: str, config: ExperimentConfig, files: dict[str, str]) -> None:
+    """Write each {file name: text} entry into outdir, then manifest.json listing them all."""
+    os.makedirs(outdir, exist_ok=True)
+    manifest = {
+        "config_hash": config_hash(config),
+        "tool_version": __version__,
+        "created_utc": datetime.now(timezone.utc).isoformat(),
+        "master_seed": config.master_seed,
+        "nmse_norm": "stacked_euclidean",
+        "outputs": sorted([*files, "manifest.json"]),
+    }
+    for name, text in [*files.items(), ("manifest.json", _json(manifest))]:
+        with open(os.path.join(outdir, name), "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
 
 
-def write_ldp_csv(path: str, estimates) -> None:
-    header = ["epsilon", "delta", "n_runs", "n_exits", "p_hat", "wilson_lo", "wilson_hi"]
-    rows = [
-        [e.epsilon, e.delta, e.n_runs, e.n_exits, e.p_hat, e.wilson_low, e.wilson_high]
-        for e in estimates
-    ]
-    _write_csv(path, header, rows)
-
-
-def _plan_report_dict(planned: PlannedExperiment) -> dict:
+def _write_planned_outputs(outdir: str, planned: PlannedExperiment, files: dict[str, str]) -> int:
+    """Write a planning command's files and plan_report.json; 2 if the plan did not converge."""
     r = planned.report
-    return {
+    plan_report = {
         "config_hash": config_hash(planned.config),
         "tool_version": __version__,
         "converged": r.converged,
@@ -105,18 +93,8 @@ def _plan_report_dict(planned: PlannedExperiment) -> dict:
         "max_bound_violation": r.max_bound_violation,
         "cost_history": list(r.cost_history),
     }
-
-
-def _write_manifest(outdir: str, config: ExperimentConfig, outputs: list[str]) -> None:
-    manifest = {
-        "config_hash": config_hash(config),
-        "tool_version": __version__,
-        "created_utc": datetime.now(timezone.utc).isoformat(),
-        "master_seed": config.master_seed,
-        "nmse_norm": "stacked_euclidean",
-        "outputs": sorted(outputs),
-    }
-    _write_json(os.path.join(outdir, "manifest.json"), manifest)
+    _write_outputs(outdir, planned.config, {**files, "plan_report.json": _json(plan_report)})
+    return 0 if r.converged else 2
 
 
 def _load(args) -> ExperimentConfig:
@@ -140,57 +118,45 @@ def _load(args) -> ExperimentConfig:
 
 
 def cmd_plan(args) -> int:
-    config = _load(args)
-    planned = plan_experiment(config)
-    os.makedirs(args.out, exist_ok=True)
-    outputs = ["trajectory.csv", "gains.csv", "riccati.csv", "plan_report.json"]
-    write_trajectory_csv(os.path.join(args.out, "trajectory.csv"), planned)
-    write_matrix_stack_csv(os.path.join(args.out, "gains.csv"), "l", planned.policy.gains)
-    write_matrix_stack_csv(os.path.join(args.out, "riccati.csv"), "p", planned.policy.riccati)
-    _write_json(os.path.join(args.out, "plan_report.json"), _plan_report_dict(planned))
-    _write_manifest(args.out, config, outputs + ["manifest.json"])
-    return 0 if planned.report.converged else 2
+    planned = plan_experiment(_load(args))
+    policy = planned.policy
+    files = {
+        "trajectory.csv": _trajectory_csv(policy.nominal),
+        "gains.csv": _matrix_stack_csv("l", policy.gains),
+        "riccati.csv": _matrix_stack_csv("p", policy.riccati),
+    }
+    return _write_planned_outputs(args.out, planned, files)
 
 
 def cmd_sweep(args) -> int:
-    config = _load(args)
-    planned = plan_experiment(config)
-    grid = None
-    if args.full_grid:
-        grid = epsilon_grid(*FULL_GRID)
+    planned = plan_experiment(_load(args))
+    grid = epsilon_grid(*FULL_GRID) if args.full_grid else None
     result = run_sweep(planned, modes=_MODE_CHOICES[args.mode], grid=grid)
-    os.makedirs(args.out, exist_ok=True)
-    outputs = ["sweep.csv", "plan_report.json"]
-    write_sweep_csv(os.path.join(args.out, "sweep.csv"), result)
-    _write_json(os.path.join(args.out, "plan_report.json"), _plan_report_dict(planned))
-    _write_manifest(args.out, config, outputs + ["manifest.json"])
-    return 0 if planned.report.converged else 2
+    header = ["epsilon", "avg_nmse_closed_pct", "avg_nmse_open_pct", "sd_closed", "sd_open", "n_runs"]
+    rows = [
+        [r.epsilon, r.avg_nmse_closed, r.avg_nmse_open, r.sd_closed, r.sd_open, r.n_runs]
+        for r in result.rows
+    ]
+    return _write_planned_outputs(args.out, planned, {"sweep.csv": _csv(header, rows)})
 
 
 def cmd_ldp(args) -> int:
-    config = _load(args)
-    planned = plan_experiment(config)
+    planned = plan_experiment(_load(args))
     estimates, fit = run_exit_study(planned)
-    os.makedirs(args.out, exist_ok=True)
-    outputs = ["ldp.csv", "ratefit.json", "plan_report.json"]
-    write_ldp_csv(os.path.join(args.out, "ldp.csv"), estimates)
-    _write_json(
-        os.path.join(args.out, "ratefit.json"),
-        {"fit": fit.as_dict() if fit is not None else None, "delta": config.ldp.delta},
-    )
-    _write_json(os.path.join(args.out, "plan_report.json"), _plan_report_dict(planned))
-    _write_manifest(args.out, config, outputs + ["manifest.json"])
-    return 0 if planned.report.converged else 2
+    header = ["epsilon", "delta", "n_runs", "n_exits", "p_hat", "wilson_lo", "wilson_hi"]
+    rows = [
+        [e.epsilon, e.delta, e.n_runs, e.n_exits, e.p_hat, e.wilson_low, e.wilson_high]
+        for e in estimates
+    ]
+    fit_dict = fit.as_dict() if fit is not None else None
+    files = {
+        "ldp.csv": _csv(header, rows),
+        "ratefit.json": _json({"fit": fit_dict, "delta": planned.config.ldp.delta}),
+    }
+    return _write_planned_outputs(args.out, planned, files)
 
 
 def cmd_verify(args) -> int:
-    if args.suite != "all" and args.suite not in SUITE_NAMES:
-        print(
-            f"error: unknown suite '{args.suite}' "
-            f"(choose from {', '.join(SUITE_NAMES + ('all',))})",
-            file=sys.stderr,
-        )
-        return 1
     config = _load(args)
     reports = run_suites(config, args.suite)
     for report in reports:
@@ -202,11 +168,8 @@ def cmd_verify(args) -> int:
             )
     all_passed = all(r.passed for r in reports)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        _write_json(
-            os.path.join(args.out, "verify_report.json"),
-            {"passed": all_passed, "suites": [r.as_dict() for r in reports]},
-        )
+        verify_report = {"passed": all_passed, "suites": [r.as_dict() for r in reports]}
+        _write_outputs(args.out, config, {"verify_report.json": _json(verify_report)})
     print(f"verify: {'all checks passed' if all_passed else 'CHECKS FAILED'}")
     return 0 if all_passed else 2
 

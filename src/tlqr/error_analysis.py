@@ -27,7 +27,7 @@ import numpy as np
 from ._stats import excess_kurtosis, skewness
 from .dynamics import Array
 from .lqr import TrackingPolicy
-from .planner import CostLinearization, CostSpec, adjoint_sweep, linearize_cost
+from .planner import CostLinearization, GoalCost, adjoint_sweep, linearize_cost
 from .simulate import noise_scale
 
 
@@ -113,7 +113,7 @@ class CostErrorStats:
 
 def cost_error_statistics(
     policy: TrackingPolicy,
-    cost_spec: CostSpec,
+    cost: GoalCost,
     epsilon: float,
     n_samples: int,
     seed: int,
@@ -129,7 +129,7 @@ def cost_error_statistics(
         raise ValueError("n_samples must be >= 100")
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
-    lin = linearize_cost(cost_spec, policy.nominal)
+    lin = linearize_cost(cost, policy.nominal)
     v = cost_error_sensitivities(lin, policy.closed_loop, policy.gains)
     sigma = epsilon * noise_scale(policy.nominal.controls)
 
@@ -141,7 +141,7 @@ def cost_error_statistics(
         samples = noises @ v.ravel()
 
     mean = float(samples.mean())
-    sd = float(samples.std(ddof=1)) if n_samples > 1 else 0.0
+    sd = float(samples.std(ddof=1))
     z = 0.0 if sd == 0.0 else mean / (sd / np.sqrt(n_samples))
     return CostErrorStats(
         n=n_samples,

@@ -6,16 +6,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig, epsilon_grid
-from .dynamics import KinematicCar, SystemModel
+from .dynamics import KinematicCar
 from .exceptions import InsufficientData
 from .large_deviations import ExitEstimate, RateFit, estimate_exit_probability, fit_rate
 from .lqr import LqrWeights, TrackingPolicy, design_tracking_policy
-from .planner import CostSpec, PlannerReport, goal_tracking_cost, optimize_nominal
-from .simulate import SweepResult, derive_seed, sweep_epsilon
-
-# Seed context for the exit-probability study (sweep and rollout contexts
-# live in simulate).
-_CTX_LDP = 3
+from .planner import GoalCost, PlannerReport, goal_tracking_cost, optimize_nominal
+from .simulate import _CTX_LDP, CLOSED_LOOP, OPEN_LOOP, SweepResult, derive_seed, sweep_epsilon
 
 
 def build_model(config: ExperimentConfig) -> KinematicCar:
@@ -29,27 +25,17 @@ def build_model(config: ExperimentConfig) -> KinematicCar:
     )
 
 
-def build_cost_spec(config: ExperimentConfig, model: SystemModel) -> CostSpec:
-    p = config.planner
-    return goal_tracking_cost(
-        model,
-        np.asarray(config.x_g),
-        effort_weight=p.r_u,
-        goal_weight=p.r_g,
-        bound_weight=p.r_b,
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class PlannedExperiment:
-    """Everything derived from one config: cost, planner report and policy.
+    """Everything derived from one config: goal cost, planner report and policy.
 
-    The policy carries the model (``policy.model``) and the planned nominal
-    (``policy.nominal``).
+    ``cost`` is the goal cost the nominal minimizes; the cost-error analysis
+    linearizes it along the nominal. The policy carries the model
+    (``policy.model``) and the planned nominal (``policy.nominal``).
     """
 
     config: ExperimentConfig
-    cost_spec: CostSpec
+    cost: GoalCost
     report: PlannerReport
     policy: TrackingPolicy
 
@@ -57,23 +43,26 @@ class PlannedExperiment:
 def plan_experiment(config: ExperimentConfig) -> PlannedExperiment:
     """Optimize the nominal trajectory and synthesize the tracking policy."""
     model = build_model(config)
-    cost_spec = build_cost_spec(config, model)
+    p = config.planner
+    cost = goal_tracking_cost(
+        model, config.x_g, effort_weight=p.r_u, goal_weight=p.r_g, bound_weight=p.r_b
+    )
     trajectory, report = optimize_nominal(
         model,
-        cost_spec,
+        cost,
         np.asarray(config.x0),
         horizon=config.horizon,
-        tolerance=config.planner.tolerance,
-        max_iters=config.planner.max_iters,
+        tolerance=p.tolerance,
+        max_iters=p.max_iters,
     )
     weights = LqrWeights.constant(config.lqr.wx, config.lqr.wu, config.horizon)
     policy = design_tracking_policy(model, trajectory, weights)
-    return PlannedExperiment(config=config, cost_spec=cost_spec, report=report, policy=policy)
+    return PlannedExperiment(config=config, cost=cost, report=report, policy=policy)
 
 
 def run_sweep(
     planned: PlannedExperiment,
-    modes=("closed_loop", "open_loop"),
+    modes=(CLOSED_LOOP, OPEN_LOOP),
     grid=None,
 ) -> SweepResult:
     """NMSE sweep over the configured (or overridden) epsilon grid."""

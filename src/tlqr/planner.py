@@ -1,21 +1,22 @@
 """Open-loop trajectory optimization by direct single shooting.
 
 The decision variables are the stacked controls u_0..u_{K-1}; the objective
-is the deterministic rollout cost
+is the deterministic rollout cost of one :class:`GoalCost`
 
-    J(u) = sum_t c_t(x_t, u_t) + c_K(x_K),   x_{t+1} = f(x_t, u_t),
+    J(u) = sum_t c(u_t) + c_K(x_K),   x_{t+1} = f(x_t, u_t),
 
-with goal attraction and control bounds handled as smooth penalties inside
-the cost. Each trial point is rolled out once; the accepted point's states
-feed its gradient, the backward ``adjoint_sweep`` over the rollout Jacobians.
-The cost-error analysis runs the same sweep on the closed-loop matrices. The
-search direction comes from a limited-memory quasi-Newton update with a
+where the stage term c holds the control effort and a smooth penalty on the
+control bounds, and the terminal term c_K the goal attraction. Each trial
+point is rolled out once; the accepted point's states feed its gradient, the
+backward ``adjoint_sweep`` over the rollout Jacobians. The cost-error
+analysis runs the same sweep on the closed-loop matrices. The search
+direction comes from a limited-memory quasi-Newton update with a
 backtracking Armijo line search.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -28,23 +29,48 @@ CURVATURE_SKIP = 1e-10
 STEP_FLOOR = 1e-12
 # Curvature pairs kept by the limited-memory update.
 MEMORY = 10
+# Terminal weight on the heading (third) state component; the others weigh 1.
+HEADING_WEIGHT = 0.5
 
 
-@dataclass(frozen=True)
-class CostSpec:
-    """Stage and terminal cost with analytic gradients.
+@dataclass(frozen=True, eq=False)
+class GoalCost:
+    """Quadratic effort + hinge bound penalty per stage, quadratic goal penalty at the end.
 
-    ``stage(t, x, u)`` and ``terminal(x)`` return nonnegative scalars; the
-    gradient callables return arrays of matching dimension. ``goal``, when
-    set, is the target state the planner reports its terminal errors against.
+    ``stage(u)`` is effort_weight |u|^2 + bound_weight sum_i max(0, |u_i| - b_i)^2
+    against the symmetric control bounds b (None: no bound term), a C^1
+    function of u. ``terminal(x)`` is goal_weight (x - goal)' diag(w) (x - goal)
+    with w = ``terminal_weights``. The planner reports its terminal errors
+    against ``goal``.
     """
 
-    stage: Callable[[int, Array, Array], float]
-    terminal: Callable[[Array], float]
-    stage_grad_x: Callable[[int, Array, Array], Array]
-    stage_grad_u: Callable[[int, Array, Array], Array]
-    terminal_grad: Callable[[Array], Array]
-    goal: Optional[Array] = None
+    goal: Array
+    effort_weight: float
+    goal_weight: float
+    bound_weight: float
+    bounds: Optional[Array]
+    terminal_weights: Array
+
+    def stage(self, u: Array) -> float:
+        value = self.effort_weight * float(u @ u)
+        if self.bounds is not None and self.bound_weight > 0:
+            hinge = np.maximum(0.0, np.abs(u) - self.bounds)
+            value += self.bound_weight * float(hinge @ hinge)
+        return value
+
+    def stage_grad(self, u: Array) -> Array:
+        grad = 2.0 * self.effort_weight * u
+        if self.bounds is not None and self.bound_weight > 0:
+            hinge = np.maximum(0.0, np.abs(u) - self.bounds)
+            grad = grad + 2.0 * self.bound_weight * hinge * np.sign(u)
+        return grad
+
+    def terminal(self, x: Array) -> float:
+        d = x - self.goal
+        return self.goal_weight * float(d @ (self.terminal_weights * d))
+
+    def terminal_grad(self, x: Array) -> Array:
+        return 2.0 * self.goal_weight * self.terminal_weights * (x - self.goal)
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,19 +86,15 @@ class CostLinearization:
         return len(self.cx)
 
 
-def linearize_cost(cost_spec: CostSpec, nominal: NominalTrajectory) -> CostLinearization:
-    """Stage and terminal cost gradients evaluated at the trajectory points."""
-    k = nominal.horizon
-    cx = np.empty((k, nominal.state_dim))
-    cu = np.empty((k, nominal.control_dim))
-    for t in range(k):
-        x, u = nominal.states[t], nominal.controls[t]
-        cx[t] = cost_spec.stage_grad_x(t, x, u)
-        cu[t] = cost_spec.stage_grad_u(t, x, u)
+def linearize_cost(cost: GoalCost, nominal: NominalTrajectory) -> CostLinearization:
+    """Stage and terminal cost gradients evaluated at the trajectory points.
+
+    The stage cost does not depend on the state, so ``cx`` is zero.
+    """
     return CostLinearization(
-        cx=cx,
-        cu=cu,
-        cx_terminal=np.asarray(cost_spec.terminal_grad(nominal.states[k]), dtype=float),
+        cx=np.zeros((nominal.horizon, nominal.state_dim)),
+        cu=np.array([cost.stage_grad(u) for u in nominal.controls]),
+        cx_terminal=cost.terminal_grad(nominal.states[-1]),
     )
 
 
@@ -113,54 +135,24 @@ def goal_tracking_cost(
     effort_weight: float = 0.1,
     goal_weight: float = 100.0,
     bound_weight: float = 100.0,
-    heading_weight: float = 0.5,
-) -> CostSpec:
-    """Quadratic effort + quadratic goal penalty + hinge bound penalty.
+) -> GoalCost:
+    """The goal cost toward ``x_g`` under the model's control bounds.
 
-    The terminal weight matrix is diag(1, ..., 1, heading_weight) with the
-    reduced weight on the third (heading) component for planar models; the
-    bound penalty is sum_i max(0, |u_i| - b_i)^2 against the model's
-    symmetric control bounds, a C^1 function of u.
+    The terminal weights are all 1 except HEADING_WEIGHT on the third
+    (heading) component of planar models.
     """
     if min(effort_weight, goal_weight, bound_weight) < 0:
         raise ValueError("cost weights must be nonnegative")
-    x_g = np.asarray(x_g, dtype=float)
     w_diag = np.ones(model.state_dim)
     if model.state_dim >= 3:
-        w_diag[2] = heading_weight
-    bounds = model.control_bounds()
-
-    def stage(t: int, x: Array, u: Array) -> float:
-        value = effort_weight * float(u @ u)
-        if bounds is not None and bound_weight > 0:
-            hinge = np.maximum(0.0, np.abs(u) - bounds)
-            value += bound_weight * float(hinge @ hinge)
-        return value
-
-    def stage_grad_u(t: int, x: Array, u: Array) -> Array:
-        grad = 2.0 * effort_weight * u
-        if bounds is not None and bound_weight > 0:
-            hinge = np.maximum(0.0, np.abs(u) - bounds)
-            grad = grad + 2.0 * bound_weight * hinge * np.sign(u)
-        return grad
-
-    def stage_grad_x(t: int, x: Array, u: Array) -> Array:
-        return np.zeros(model.state_dim)
-
-    def terminal(x: Array) -> float:
-        d = x - x_g
-        return goal_weight * float(d @ (w_diag * d))
-
-    def terminal_grad(x: Array) -> Array:
-        return 2.0 * goal_weight * w_diag * (x - x_g)
-
-    return CostSpec(
-        stage=stage,
-        terminal=terminal,
-        stage_grad_x=stage_grad_x,
-        stage_grad_u=stage_grad_u,
-        terminal_grad=terminal_grad,
-        goal=x_g,
+        w_diag[2] = HEADING_WEIGHT
+    return GoalCost(
+        goal=np.asarray(x_g, dtype=float),
+        effort_weight=effort_weight,
+        goal_weight=goal_weight,
+        bound_weight=bound_weight,
+        bounds=model.control_bounds(),
+        terminal_weights=w_diag,
     )
 
 
@@ -173,22 +165,22 @@ def _rollout_raw(model: SystemModel, x0: Array, controls: Array) -> Array:
     return states
 
 
-def nominal_cost(cost_spec: CostSpec, states: Array, controls: Array) -> float:
+def nominal_cost(cost: GoalCost, states: Array, controls: Array) -> float:
     """Cost of a rollout, states (K+1, n) under controls (K, m), penalties included."""
     controls = np.asarray(controls, dtype=float)
     if controls.ndim != 2 or len(controls) < 1 or len(states) != len(controls) + 1:
         raise ValueError("expected nonempty (K, n_u) controls and K+1 states")
-    total = sum(cost_spec.stage(t, states[t], u) for t, u in enumerate(controls))
-    return float(total + cost_spec.terminal(states[-1]))
+    total = sum(cost.stage(u) for u in controls)
+    return float(total + cost.terminal(states[-1]))
 
 
-def cost_gradient(model: SystemModel, cost_spec: CostSpec, states: Array, controls: Array) -> Array:
+def cost_gradient(model: SystemModel, cost: GoalCost, states: Array, controls: Array) -> Array:
     """Gradient of nominal_cost with respect to each control along a rollout.
 
     lam = adjoint_sweep(dc_K/dx, dc_t/dx, A_t) and g_t = dc_t/du + B_t^T lam_{t+1}.
     """
     traj = NominalTrajectory(states=states, controls=controls)
-    lin = linearize_cost(cost_spec, traj)
+    lin = linearize_cost(cost, traj)
     jacobians = [model.transition_jacobians(x, u) for x, u in zip(traj.states, traj.controls)]
     lam = adjoint_sweep(lin.cx_terminal, lin.cx, np.array([a for a, _ in jacobians]))
     return np.array([lin.cu[t] + b.T @ lam[t + 1] for t, (_, b) in enumerate(jacobians)])
@@ -216,45 +208,38 @@ def _wrap_angle(a: float) -> float:
 
 def optimize_nominal(
     model: SystemModel,
-    cost_spec: CostSpec,
+    cost: GoalCost,
     x0: Array,
-    horizon: int | None = None,
-    init_controls: Array | None = None,
+    horizon: int,
     tolerance: float = 1e-6,
     max_iters: int = 500,
 ) -> tuple[NominalTrajectory, PlannerReport]:
     """Minimize the nominal rollout cost over the control sequence.
 
-    Accepted iterates have nonincreasing cost. Termination: gradient norm
-    below ``tolerance`` or line-search step collapse (both reported as
-    converged), else the iteration cap (converged=False, best iterate
-    returned). The returned controls are projected onto the model bounds,
-    so the stored trajectory re-rolls through the checked dynamics.
+    The search starts from zero controls, and accepted iterates have
+    nonincreasing cost. Termination: gradient norm below ``tolerance`` or
+    line-search step collapse (both reported as converged), else the
+    iteration cap (converged=False, best iterate returned). The returned
+    controls are projected onto the model bounds, so the stored trajectory
+    re-rolls through the checked dynamics.
     """
     x0 = np.asarray(x0, dtype=float)
-    if init_controls is None:
-        if horizon is None:
-            raise ValueError("provide horizon or init_controls")
-        init_controls = np.zeros((horizon, model.control_dim))
-    init_controls = np.asarray(init_controls, dtype=float)
-    if horizon is not None and len(init_controls) != horizon:
-        raise ValueError("init_controls length does not match horizon")
-    if len(init_controls) < 1:
+    if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    k, n_u = init_controls.shape
+    k, n_u = horizon, model.control_dim
 
     def value(z: Array) -> tuple[float, Array]:
         controls = z.reshape(k, n_u)
         states = _rollout_raw(model, x0, controls)
-        j = nominal_cost(cost_spec, states, controls)
+        j = nominal_cost(cost, states, controls)
         if not np.isfinite(j):
             raise NumericalFailure(f"cost is not finite ({j})", iterate=controls)
         return j, states
 
     def grad(z: Array, states: Array) -> Array:
-        return cost_gradient(model, cost_spec, states, z.reshape(k, n_u)).ravel()
+        return cost_gradient(model, cost, states, z.reshape(k, n_u)).ravel()
 
-    z = init_controls.ravel().copy()
+    z = np.zeros(k * n_u)
     j, states = value(z)
     g = grad(z, states)
     history = [j]
@@ -311,15 +296,11 @@ def optimize_nominal(
         controls = model.clamp_control(controls)
 
     trajectory = model.rollout_nominal(x0, controls)
-    final_cost = nominal_cost(cost_spec, trajectory.states, trajectory.controls)
+    final_cost = nominal_cost(cost, trajectory.states, trajectory.controls)
 
-    pos_err = np.nan
-    head_err = np.nan
-    if cost_spec.goal is not None:
-        diff = trajectory.states[-1] - cost_spec.goal
-        pos_err = float(np.linalg.norm(diff[: min(2, len(diff))]))
-        if len(diff) >= 3:
-            head_err = abs(_wrap_angle(float(diff[2])))
+    diff = trajectory.states[-1] - cost.goal
+    pos_err = float(np.linalg.norm(diff[: min(2, len(diff))]))
+    head_err = abs(_wrap_angle(float(diff[2]))) if len(diff) >= 3 else np.nan
 
     report = PlannerReport(
         iterations=iterations,

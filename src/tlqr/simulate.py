@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import Array, NoiseModel, NominalTrajectory
+from .exceptions import NumericalFailure
 from .lqr import TrackingPolicy, feedback_control
 
 CLOSED_LOOP = "closed_loop"
@@ -28,8 +29,11 @@ OPEN_LOOP = "open_loop"
 _MODE_TAGS = {CLOSED_LOOP: 0, OPEN_LOOP: 1}
 
 # Context tags keep seed streams of different experiments disjoint.
-_CTX_SWEEP = 1
-_CTX_EXIT = 2
+_CTX_SWEEP = 1  # NMSE sweep runs
+_CTX_EXIT = 2  # runs of one exit-probability estimate
+_CTX_LDP = 3  # one estimate per point of the exit study's epsilon grid
+_CTX_COST_ERROR = 4  # cost-error samples of the costerror suite
+_CTX_RECONSTRUCTION = 5  # noise draws of its sensitivity-form reconstruction check
 
 
 def derive_seed(master_seed: int, *tags: int) -> int:
@@ -220,7 +224,8 @@ def sweep_epsilon(
 
     Each (grid point, mode) pair is one batch of ``n_runs`` runs through
     :func:`rollout_states`; per-run seeds are derived from (master_seed,
-    grid index, run index, mode).
+    grid index, run index, mode). A planned trajectory of zero norm leaves
+    the NMSE undefined and raises :class:`NumericalFailure` before any run.
     """
     grid = np.asarray(grid, dtype=float)
     if len(grid) == 0 or np.any(grid <= 0):
@@ -232,6 +237,8 @@ def sweep_epsilon(
     for mode in modes:
         if mode not in _MODE_TAGS:
             raise ValueError(f"unknown mode '{mode}'")
+    if float(np.sum(policy.nominal.states**2)) == 0.0:
+        raise NumericalFailure("planned trajectory has zero norm, so its NMSE is undefined")
 
     rows = []
     for i, eps in enumerate(grid):

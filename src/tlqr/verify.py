@@ -29,11 +29,12 @@ from .error_analysis import (
     first_order_cost_error,
     linear_deviations,
 )
+from .exceptions import ConfigError
 from .experiments import PlannedExperiment, plan_experiment, run_exit_study
 from .large_deviations import ExitEstimate, PathSample, action_functional, fit_rate, tracking_drift
 from .lqr import LqrWeights, LtvSystem, closed_loop_matrices, riccati_backward
 from .planner import CostLinearization, linearize_cost
-from .simulate import derive_seed, noise_scale
+from .simulate import _CTX_COST_ERROR, _CTX_RECONSTRUCTION, derive_seed, noise_scale
 
 SUITE_NAMES = ("propagation", "costerror", "riccati", "ldp")
 
@@ -251,12 +252,12 @@ def riccati_suite(n_instances: int = 100, seed: int = 1002) -> SuiteReport:
 def cost_error_suite(
     planned: PlannedExperiment, epsilon: float = 0.05, n_samples: int = 100_000
 ) -> SuiteReport:
-    policy, cost_spec = planned.policy, planned.cost_spec
-    lin = linearize_cost(cost_spec, policy.nominal)
+    policy, seed = planned.policy, planned.config.master_seed
+    lin = linearize_cost(planned.cost, policy.nominal)
     v = cost_error_sensitivities(lin, policy.closed_loop, policy.gains)
 
     # Direct evaluation through the deviation histories vs the sensitivity form.
-    rng = np.random.default_rng(derive_seed(planned.config.master_seed, 5))
+    rng = np.random.default_rng(derive_seed(seed, _CTX_RECONSTRUCTION))
     sigma = epsilon * noise_scale(policy.nominal.controls)
     max_rel = 0.0
     for _ in range(100):
@@ -268,7 +269,7 @@ def cost_error_suite(
         max_rel = max(max_rel, abs(rebuilt - direct) / max(abs(direct), 1e-12))
 
     stats = cost_error_statistics(
-        policy, cost_spec, epsilon, n_samples, derive_seed(planned.config.master_seed, 4)
+        policy, planned.cost, epsilon, n_samples, derive_seed(seed, _CTX_COST_ERROR)
     )
     # All-zero planned controls give sigma = 0 and no closed form to compare
     # against; NaN then fails the check instead of dividing by zero.
@@ -325,7 +326,8 @@ def ldp_suite(planned: PlannedExperiment) -> SuiteReport:
 def run_suites(config, which: str) -> list[SuiteReport]:
     """Run one named suite or all of them for a given configuration."""
     if which != "all" and which not in SUITE_NAMES:
-        raise ValueError(f"unknown suite '{which}' (choose from {SUITE_NAMES + ('all',)})")
+        choices = ", ".join(SUITE_NAMES + ("all",))
+        raise ConfigError("--suite", f"unknown suite '{which}' (choose from {choices})")
     names = SUITE_NAMES if which == "all" else (which,)
     planned = None
     if {"costerror", "ldp"} & set(names):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import tlqr
 from tlqr import default_config, derive_seed, estimate_exit_probability, plan_experiment, run_sweep
-from tlqr.experiments import _CTX_LDP
+from tlqr.simulate import _CTX_LDP
 
 # Exit study on the configured epsilon grid with fewer runs per point than
 # the configured 2000, so the test stays fast.

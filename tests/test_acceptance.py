@@ -21,7 +21,7 @@ from tlqr import (
 from tlqr._stats import linear_fit, spearman
 from tlqr.cli import main
 from tlqr.config import default_config
-from tlqr.simulate import decay_rate_ratio, derive_seed
+from tlqr.simulate import _CTX_COST_ERROR, _CTX_RECONSTRUCTION, decay_rate_ratio, derive_seed
 from tlqr.verify import (
     propagation_errors,
     riccati_fixture_errors,
@@ -65,10 +65,11 @@ def test_criterion_3_cost_error_zero_mean_gaussian(car_experiment):
     planned, _ = car_experiment
     t0 = time.perf_counter()
     policy = planned.policy
-    lin = linearize_cost(planned.cost_spec, policy.nominal)
+    lin = linearize_cost(planned.cost, policy.nominal)
     v = cost_error_sensitivities(lin, policy.closed_loop, policy.gains)
     sigma = 0.05 * float(np.linalg.norm(policy.nominal.controls, axis=1).max())
-    rng = np.random.default_rng(derive_seed(planned.config.master_seed, 5))
+    seed = planned.config.master_seed
+    rng = np.random.default_rng(derive_seed(seed, _CTX_RECONSTRUCTION))
     max_rel = 0.0
     for _ in range(100):
         noises = sigma * rng.standard_normal((policy.horizon, 3))
@@ -77,7 +78,7 @@ def test_criterion_3_cost_error_zero_mean_gaussian(car_experiment):
         max_rel = max(max_rel, abs(float(np.sum(v * noises)) - direct) / max(abs(direct), 1e-12))
 
     stats = cost_error_statistics(
-        policy, planned.cost_spec, 0.05, 100_000, derive_seed(planned.config.master_seed, 4)
+        policy, planned.cost, 0.05, 100_000, derive_seed(seed, _CTX_COST_ERROR)
     )
     seconds = time.perf_counter() - t0
     mean_ok = abs(stats.mean) <= 4 * stats.sd / np.sqrt(stats.n)

@@ -130,6 +130,17 @@ def test_sweep_full_grid_flag(tmp_path):
     assert len(lines) == 151  # header + the fine 150-point grid
 
 
+def test_sweep_zero_norm_nominal_exits_two(tmp_path, capsys):
+    # With x0 = x_g = 0 every planned state is zero, so the NMSE has no denominator.
+    path = tmp_path / "origin.json"
+    data = small_config_dict(x0=[0.0, 0.0, 0.0], x_g=[0.0, 0.0, 0.0])
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "zero norm" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_ldp_outputs(config_path, tmp_path):
     out = tmp_path / "out"
     assert main(["ldp", "--config", config_path, "--out", str(out)]) == 0
@@ -158,6 +169,16 @@ def test_verify_writes_report(config_path, tmp_path):
     report = json.loads((out / "verify_report.json").read_text())
     assert report["passed"] is True
     assert report["suites"][0]["suite"] == "riccati"
+
+
+@pytest.mark.parametrize(
+    "command", [["plan"], ["sweep"], ["ldp"], ["verify", "--suite", "riccati"]]
+)
+def test_manifest_lists_exactly_the_files_written(config_path, tmp_path, command):
+    out = tmp_path / "out"
+    assert main(command + ["--config", config_path, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest["outputs"]) == sorted(p.name for p in out.iterdir())
 
 
 def test_verify_zero_controls_fails_variance_check(tmp_path, capsys):

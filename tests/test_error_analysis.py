@@ -164,16 +164,13 @@ def test_linearize_cost_terminal_gradient_zero_at_goal():
 
 def test_linearize_cost_matches_finite_differences(car_experiment):
     planned, _ = car_experiment
-    lin = linearize_cost(planned.cost_spec, planned.policy.nominal)
-    cost = planned.cost_spec
+    lin = linearize_cost(planned.cost, planned.policy.nominal)
+    cost = planned.cost
     h = 1e-6
     for t in (0, 5, 19):
-        x, u = planned.policy.nominal.states[t], planned.policy.nominal.controls[t]
+        u = planned.policy.nominal.controls[t]
         fd_u = np.array(
-            [
-                (cost.stage(t, x, u + h * e) - cost.stage(t, x, u - h * e)) / (2 * h)
-                for e in np.eye(2)
-            ]
+            [(cost.stage(u + h * e) - cost.stage(u - h * e)) / (2 * h) for e in np.eye(2)]
         )
         assert np.linalg.norm(lin.cu[t] - fd_u) <= 1e-6 * max(np.linalg.norm(fd_u), 1.0)
     x_k = planned.policy.nominal.states[-1]
@@ -241,7 +238,7 @@ def test_sensitivities_match_coefficient_oracle():
 def test_cost_error_is_odd_and_additive_in_noise(car_experiment):
     planned, _ = car_experiment
     policy = planned.policy
-    lin = linearize_cost(planned.cost_spec, policy.nominal)
+    lin = linearize_cost(planned.cost, policy.nominal)
     v = cost_error_sensitivities(lin, policy.closed_loop, policy.gains)
 
     def evaluate(noises):
@@ -258,15 +255,15 @@ def test_cost_error_is_odd_and_additive_in_noise(car_experiment):
 
 def test_statistics_zero_epsilon_degenerate(car_experiment):
     planned, _ = car_experiment
-    stats = cost_error_statistics(planned.policy, planned.cost_spec, 0.0, 500, seed=3)
+    stats = cost_error_statistics(planned.policy, planned.cost, 0.0, 500, seed=3)
     assert stats.mean == 0.0 and stats.sd == 0.0 and stats.z == 0.0
 
 
 def test_statistics_mean_and_variance(car_experiment):
     planned, _ = car_experiment
-    stats = cost_error_statistics(planned.policy, planned.cost_spec, 0.05, 20000, seed=21)
+    stats = cost_error_statistics(planned.policy, planned.cost, 0.05, 20000, seed=21)
     assert abs(stats.mean) <= 4 * stats.sd / np.sqrt(stats.n)
-    lin = linearize_cost(planned.cost_spec, planned.policy.nominal)
+    lin = linearize_cost(planned.cost, planned.policy.nominal)
     v = cost_error_sensitivities(lin, planned.policy.closed_loop, planned.policy.gains)
     sigma = 0.05 * np.linalg.norm(planned.policy.nominal.controls, axis=1).max()
     assert stats.sd**2 == pytest.approx(sigma**2 * np.sum(v * v), rel=0.05)

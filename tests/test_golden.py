@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from tlqr import derive_seed, estimate_exit_probability
-from tlqr.experiments import _CTX_LDP
+from tlqr.simulate import _CTX_LDP
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden.json").read_text(encoding="utf-8"))
 REL_TOL = 1e-9

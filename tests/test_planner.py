@@ -10,7 +10,6 @@ from tlqr import (
     nominal_cost,
     optimize_nominal,
 )
-from tlqr.planner import CostSpec
 
 CAR = KinematicCar()
 X0 = np.array([-1.5, 0.5, 0.0])
@@ -25,11 +24,11 @@ def raw_states(model, x0, controls):
     return np.array(states)
 
 
-def cost_of(model, cost_spec, x0, controls):
-    return nominal_cost(cost_spec, raw_states(model, x0, controls), controls)
+def cost_of(model, cost, x0, controls):
+    return nominal_cost(cost, raw_states(model, x0, controls), controls)
 
 
-def fd_gradient(model, cost_spec, x0, controls, h=1e-5):
+def fd_gradient(model, cost, x0, controls, h=1e-5):
     grad = np.empty_like(controls)
     for t in range(controls.shape[0]):
         for i in range(controls.shape[1]):
@@ -38,7 +37,7 @@ def fd_gradient(model, cost_spec, x0, controls, h=1e-5):
             down = controls.copy()
             down[t, i] -= h
             grad[t, i] = (
-                cost_of(model, cost_spec, x0, up) - cost_of(model, cost_spec, x0, down)
+                cost_of(model, cost, x0, up) - cost_of(model, cost, x0, down)
             ) / (2 * h)
     return grad
 
@@ -49,9 +48,7 @@ def test_cost_zero_at_goal_with_zero_controls():
 
 
 def test_cost_hand_value_goal_penalty():
-    cost = goal_tracking_cost(
-        CAR, X_GOAL, effort_weight=0.0, goal_weight=1.0, bound_weight=0.0, heading_weight=1.0
-    )
+    cost = goal_tracking_cost(CAR, X_GOAL, effort_weight=0.0, goal_weight=1.0, bound_weight=0.0)
     assert cost_of(CAR, cost, X0, np.zeros((20, 2))) == pytest.approx(1.25, abs=1e-12)
 
 
@@ -134,7 +131,7 @@ def test_returned_trajectory_refeasible(car_experiment):
 def test_stored_cost_matches_recompute(car_experiment):
     planned, _ = car_experiment
     traj = planned.policy.nominal
-    recomputed = nominal_cost(planned.cost_spec, traj.states, traj.controls)
+    recomputed = nominal_cost(planned.cost, traj.states, traj.controls)
     assert planned.report.final_cost == pytest.approx(recomputed, rel=1e-10)
 
 
@@ -181,24 +178,13 @@ def test_non_convergence_returns_best_iterate():
 
 
 def test_nan_cost_raises_numerical_failure():
-    def bad_stage(t, x, u):
-        return np.nan
-
-    cost = CostSpec(
-        stage=bad_stage,
-        terminal=lambda x: 0.0,
-        stage_grad_x=lambda t, x, u: np.zeros(3),
-        stage_grad_u=lambda t, x, u: np.zeros(2),
-        terminal_grad=lambda x: np.zeros(3),
-    )
+    cost = goal_tracking_cost(CAR, [np.nan, 0.0, 0.0])
     with pytest.raises(NumericalFailure) as exc:
         optimize_nominal(CAR, cost, X0, horizon=4)
     assert exc.value.iterate is not None
 
 
-def test_init_controls_validation():
+def test_horizon_validation():
     cost = goal_tracking_cost(CAR, X_GOAL)
-    with pytest.raises(ValueError):
-        optimize_nominal(CAR, cost, X0, horizon=5, init_controls=np.zeros((4, 2)))
-    with pytest.raises(ValueError):
-        optimize_nominal(CAR, cost, X0)
+    with pytest.raises(ValueError, match="horizon"):
+        optimize_nominal(CAR, cost, X0, horizon=0)
