@@ -18,7 +18,6 @@ from .config import (
 from .dynamics import KinematicCar, LinearSystem, NoiseModel, NominalTrajectory, SystemModel
 from .error_analysis import (
     CostErrorStats,
-    Deviations,
     cost_error_sensitivities,
     cost_error_statistics,
     first_order_cost_error,
@@ -41,7 +40,6 @@ from .experiments import (
 from .large_deviations import (
     DriftField,
     ExitEstimate,
-    PathSample,
     RateFit,
     action_functional,
     estimate_exit_probability,
@@ -73,9 +71,7 @@ from .simulate import (
     CLOSED_LOOP,
     OPEN_LOOP,
     Rollout,
-    SweepResult,
     SweepRow,
-    decay_rate_ratio,
     derive_seed,
     nmse_values,
     noise_scale,

@@ -7,14 +7,14 @@ import numpy as np
 Z95 = 1.959963984540054
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval (95%, two-sided) for a binomial proportion."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     p = successes / trials
-    denom = 1.0 + z * z / trials
-    center = (p + z * z / (2 * trials)) / denom
-    half = z * np.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials)) / denom
+    denom = 1.0 + Z95 * Z95 / trials
+    center = (p + Z95 * Z95 / (2 * trials)) / denom
+    half = Z95 * np.sqrt(p * (1 - p) / trials + Z95 * Z95 / (4 * trials * trials)) / denom
     return max(0.0, center - half), min(1.0, center + half)
 
 
@@ -58,31 +58,3 @@ def linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     ss_tot = float(np.sum((y - ym) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return slope, intercept, r2
-
-
-def _ranks(x: np.ndarray) -> np.ndarray:
-    """Average ranks (1-based), ties shared."""
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(len(x), dtype=float)
-    sx = x[order]
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
-
-
-def spearman(x: np.ndarray, y: np.ndarray) -> float:
-    """Spearman rank correlation coefficient."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    rx, ry = _ranks(x), _ranks(y)
-    rx -= rx.mean()
-    ry -= ry.mean()
-    denom = np.sqrt(np.sum(rx * rx) * np.sum(ry * ry))
-    if denom == 0.0:
-        return 0.0
-    return float(np.sum(rx * ry) / denom)

@@ -131,11 +131,10 @@ def cmd_plan(args) -> int:
 def cmd_sweep(args) -> int:
     planned = plan_experiment(_load(args))
     grid = epsilon_grid(*FULL_GRID) if args.full_grid else None
-    result = run_sweep(planned, modes=_MODE_CHOICES[args.mode], grid=grid)
     header = ["epsilon", "avg_nmse_closed_pct", "avg_nmse_open_pct", "sd_closed", "sd_open", "n_runs"]
     rows = [
         [r.epsilon, r.avg_nmse_closed, r.avg_nmse_open, r.sd_closed, r.sd_open, r.n_runs]
-        for r in result.rows
+        for r in run_sweep(planned, modes=_MODE_CHOICES[args.mode], grid=grid)
     ]
     return _write_planned_outputs(args.out, planned, {"sweep.csv": _csv(header, rows)})
 

@@ -252,6 +252,8 @@ def load_config(path: str) -> ExperimentConfig:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError("<json>", f"line {exc.lineno}, column {exc.colno}: {exc.msg}")
+        except UnicodeDecodeError as exc:
+            raise ConfigError("<json>", f"not UTF-8: {exc.reason} at byte {exc.start}")
     return parse_config(data)
 
 

@@ -25,28 +25,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._stats import excess_kurtosis, skewness
-from .dynamics import Array
+from .dynamics import Array, NoiseModel
 from .lqr import TrackingPolicy
 from .planner import CostLinearization, GoalCost, adjoint_sweep, linearize_cost
 from .simulate import noise_scale
 
 
-@dataclass(frozen=True, eq=False)
-class Deviations:
-    """Deviation histories from a nominal: states (K+1, n), controls (K, m)."""
-
-    states: Array
-    controls: Array
-
-    def __post_init__(self):
-        if len(self.states) != len(self.controls) + 1:
-            raise ValueError("expected K+1 state deviations for K control deviations")
-
-
-def linear_deviations(closed_loop: Array, gains: Array, noises: Array) -> Deviations:
+def linear_deviations(closed_loop: Array, gains: Array, noises: Array) -> tuple[Array, Array]:
     """First-order deviation history from a complete noise sequence.
 
     xdev_0 = 0, xdev_{t+1} = D_t xdev_t + w_t and udev_t = -L_t xdev_t.
+    Returns the (K+1, n) state and (K, m) control deviations.
     """
     d = np.asarray(closed_loop, dtype=float)
     gains = np.asarray(gains, dtype=float)
@@ -58,17 +47,17 @@ def linear_deviations(closed_loop: Array, gains: Array, noises: Array) -> Deviat
     for t in range(k):
         states[t + 1] = d[t] @ states[t] + noises[t]
     controls = -np.einsum("tmn,tn->tm", gains, states[:k])
-    return Deviations(states=states, controls=controls)
+    return states, controls
 
 
-def first_order_cost_error(lin: CostLinearization, deviations: Deviations) -> float:
+def first_order_cost_error(lin: CostLinearization, states: Array, controls: Array) -> float:
     """Linear part of the cost deviation: sum_t (cx_t xdev_t + cu_t udev_t) + terminal."""
     k = lin.horizon
-    if len(deviations.controls) != k:
+    if len(states) != k + 1 or len(controls) != k:
         raise ValueError("deviation horizon does not match the cost linearization")
-    total = float(np.einsum("tn,tn->", lin.cx, deviations.states[:k]))
-    total += float(np.einsum("tm,tm->", lin.cu, deviations.controls))
-    total += float(lin.cx_terminal @ deviations.states[k])
+    total = float(np.einsum("tn,tn->", lin.cx, states[:k]))
+    total += float(np.einsum("tm,tm->", lin.cu, controls))
+    total += float(lin.cx_terminal @ states[k])
     return total
 
 
@@ -127,18 +116,10 @@ def cost_error_statistics(
     """
     if n_samples < 100:
         raise ValueError("n_samples must be >= 100")
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
     lin = linearize_cost(cost, policy.nominal)
     v = cost_error_sensitivities(lin, policy.closed_loop, policy.gains)
-    sigma = epsilon * noise_scale(policy.nominal.controls)
-
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    if sigma == 0.0:
-        samples = np.zeros(n_samples)
-    else:
-        noises = sigma * rng.standard_normal((n_samples, v.size))
-        samples = noises @ v.ravel()
+    noise = NoiseModel(epsilon, noise_scale(policy.nominal.controls), v.size)
+    samples = noise.sample(np.random.default_rng(seed), n_samples) @ v.ravel()
 
     mean = float(samples.mean())
     sd = float(samples.std(ddof=1))

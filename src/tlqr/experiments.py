@@ -11,7 +11,7 @@ from .exceptions import InsufficientData
 from .large_deviations import ExitEstimate, RateFit, estimate_exit_probability, fit_rate
 from .lqr import LqrWeights, TrackingPolicy, design_tracking_policy
 from .planner import GoalCost, PlannerReport, goal_tracking_cost, optimize_nominal
-from .simulate import _CTX_LDP, CLOSED_LOOP, OPEN_LOOP, SweepResult, derive_seed, sweep_epsilon
+from .simulate import _CTX_LDP, CLOSED_LOOP, OPEN_LOOP, SweepRow, derive_seed, sweep_epsilon
 
 
 def build_model(config: ExperimentConfig) -> KinematicCar:
@@ -64,8 +64,8 @@ def run_sweep(
     planned: PlannedExperiment,
     modes=(CLOSED_LOOP, OPEN_LOOP),
     grid=None,
-) -> SweepResult:
-    """NMSE sweep over the configured (or overridden) epsilon grid."""
+) -> tuple[SweepRow, ...]:
+    """NMSE sweep rows over the configured (or overridden) epsilon grid."""
     cfg = planned.config.sweep
     if grid is None:
         grid = epsilon_grid(cfg.eps_start, cfg.eps_step, cfg.eps_end)

@@ -16,7 +16,7 @@ nominal decay like exp(-rate / eps^2) as the noise level drops;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,13 +32,11 @@ class DriftField:
     """Per-step drift rate of a (possibly time-varying) discrete system.
 
     ``rate(t, x)`` returns the state increment per unit time at step t on
-    a grid of period ``dt``; ``horizon``, when set, is the number of steps
-    the rate is defined for.
+    a grid of period ``dt``.
     """
 
     rate: Callable[[int, Array], Array]
     dt: float
-    horizon: Optional[int] = None
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -46,7 +44,11 @@ class DriftField:
 
 
 def tracking_drift(policy: TrackingPolicy) -> DriftField:
-    """Drift of the closed-loop tracked system: (f(x, u_fb(t, x)) - x) / dt."""
+    """Drift of the closed-loop tracked system: (f(x, u_fb(t, x)) - x) / dt.
+
+    The rate is defined for the policy's steps t < K; later steps raise
+    ``ValueError`` from :func:`~tlqr.lqr.feedback_control`.
+    """
     model = policy.model
     dt = model.step_period
 
@@ -54,35 +56,23 @@ def tracking_drift(policy: TrackingPolicy) -> DriftField:
         u = feedback_control(policy, t, x)
         return (model.step(x, u) - x) / dt
 
-    return DriftField(rate=rate, dt=dt, horizon=policy.horizon)
+    return DriftField(rate=rate, dt=dt)
 
 
-@dataclass(frozen=True, eq=False)
-class PathSample:
-    """A state path on the step grid; path[0] is the declared initial state."""
+def action_functional(field: DriftField, path: Array, epsilon: float) -> float:
+    """Discrete action of a path: dt / (2 eps^2) * sum |dphi/dt - rate|^2.
 
-    path: Array
-    dt: float
-
-    def __post_init__(self):
-        path = np.atleast_2d(np.asarray(self.path, dtype=float))
-        if len(path) < 2:
-            raise ValueError("path needs at least two points")
-        object.__setattr__(self, "path", path)
-
-
-def action_functional(field: DriftField, sample: PathSample, epsilon: float) -> float:
-    """Discrete action of a path: dt / (2 eps^2) * sum |dphi/dt - rate|^2."""
+    ``path`` is a (T+1, n) array of states on the drift's grid (period
+    ``field.dt``); path[0] is the declared initial state.
+    """
+    path = np.atleast_2d(np.asarray(path, dtype=float))
+    if len(path) < 2:
+        raise ValueError("path needs at least two points")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if sample.dt != field.dt:
-        raise ValueError("path and drift use different step periods")
-    steps = len(sample.path) - 1
-    if field.horizon is not None and steps > field.horizon:
-        raise ValueError("path is longer than the drift horizon")
     total = 0.0
-    for t in range(steps):
-        resid = (sample.path[t + 1] - sample.path[t]) / field.dt - field.rate(t, sample.path[t])
+    for t in range(len(path) - 1):
+        resid = (path[t + 1] - path[t]) / field.dt - field.rate(t, path[t])
         total += float(resid @ resid)
     return total * field.dt / (2.0 * epsilon**2)
 

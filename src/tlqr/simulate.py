@@ -156,46 +156,6 @@ class SweepRow:
     n_runs: int
 
 
-@dataclass(frozen=True, eq=False)
-class SweepResult:
-    rows: tuple[SweepRow, ...]
-
-    def __post_init__(self):
-        eps = [r.epsilon for r in self.rows]
-        if any(b <= a for a, b in zip(eps, eps[1:])):
-            raise ValueError("rows must have strictly increasing epsilon")
-
-    def epsilons(self) -> Array:
-        return np.array([r.epsilon for r in self.rows])
-
-    def closed(self) -> Array:
-        return np.array([r.avg_nmse_closed for r in self.rows])
-
-
-def decay_rate_ratio(result: SweepResult, eps_min: float = 0.02) -> float:
-    """Relative convergence rate of the open-loop error curve vs closed loop.
-
-    Both NMSE curves decay to zero with the same leading power of epsilon,
-    so any slope of log NMSE against a function of epsilon is identical for
-    the two modes; what distinguishes them is the multiplicative offset of
-    the fitted decay curves. This returns that offset, estimated as the
-    geometric mean of the per-epsilon closed/open NMSE ratios over rows with
-    epsilon >= eps_min. Values below 1 mean the open-loop error approaches
-    zero more slowly by that factor.
-    """
-    ratios = [
-        r.avg_nmse_closed / r.avg_nmse_open
-        for r in result.rows
-        if r.epsilon >= eps_min
-        and np.isfinite(r.avg_nmse_closed)
-        and np.isfinite(r.avg_nmse_open)
-        and r.avg_nmse_open > 0
-    ]
-    if not ratios:
-        raise ValueError("no usable rows for the decay-rate ratio")
-    return float(np.exp(np.mean(np.log(ratios))))
-
-
 def _mode_stats(
     policy: TrackingPolicy,
     epsilon: float,
@@ -219,13 +179,15 @@ def sweep_epsilon(
     n_runs: int,
     master_seed: int,
     modes: Sequence[str] = (CLOSED_LOOP, OPEN_LOOP),
-) -> SweepResult:
+) -> tuple[SweepRow, ...]:
     """Average NMSE per epsilon for closed- and/or open-loop execution.
 
-    Each (grid point, mode) pair is one batch of ``n_runs`` runs through
-    :func:`rollout_states`; per-run seeds are derived from (master_seed,
-    grid index, run index, mode). A planned trajectory of zero norm leaves
-    the NMSE undefined and raises :class:`NumericalFailure` before any run.
+    Returns one :class:`SweepRow` per grid point, in grid order, which the
+    grid check makes strictly increasing in epsilon. Each (grid point, mode)
+    pair is one batch of ``n_runs`` runs through :func:`rollout_states`;
+    per-run seeds are derived from (master_seed, grid index, run index,
+    mode). A planned trajectory of zero norm leaves the NMSE undefined and
+    raises :class:`NumericalFailure` before any run.
     """
     grid = np.asarray(grid, dtype=float)
     if len(grid) == 0 or np.any(grid <= 0):
@@ -258,4 +220,4 @@ def sweep_epsilon(
                 n_runs=n_runs,
             )
         )
-    return SweepResult(rows=tuple(rows))
+    return tuple(rows)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Array
+from .dynamics import Array, NoiseModel
 from .error_analysis import (
     cost_error_sensitivities,
     cost_error_statistics,
@@ -31,12 +31,16 @@ from .error_analysis import (
 )
 from .exceptions import ConfigError
 from .experiments import PlannedExperiment, plan_experiment, run_exit_study
-from .large_deviations import ExitEstimate, PathSample, action_functional, fit_rate, tracking_drift
+from .large_deviations import ExitEstimate, action_functional, fit_rate, tracking_drift
 from .lqr import LqrWeights, LtvSystem, closed_loop_matrices, riccati_backward
 from .planner import CostLinearization, linearize_cost
 from .simulate import _CTX_COST_ERROR, _CTX_RECONSTRUCTION, derive_seed, noise_scale
 
 SUITE_NAMES = ("propagation", "costerror", "riccati", "ldp")
+
+# Noise level and sample count of the costerror suite.
+COST_ERROR_EPSILON = 0.05
+COST_ERROR_SAMPLES = 100_000
 
 
 @dataclass(frozen=True)
@@ -167,12 +171,12 @@ def propagation_errors(n_instances: int = 1000, seed: int = 1001) -> dict:
         d = closed_loop_matrices(sys, gains)
         k, n_x = sys.horizon, sys.state_dim
         noises = rng.uniform(-1.0, 1.0, size=(k, n_x))
-        deviations = linear_deviations(d, gains, noises)
+        states, controls = linear_deviations(d, gains, noises)
         maps = _noise_maps(d)
-        gap = np.linalg.norm(_state_sums(maps, noises)[1:] - deviations.states[1:], axis=1)
-        denom = np.maximum(np.linalg.norm(deviations.states[1:], axis=1), 1e-12)
+        gap = np.linalg.norm(_state_sums(maps, noises)[1:] - states[1:], axis=1)
+        denom = np.maximum(np.linalg.norm(states[1:], axis=1), 1e-12)
         max_state_rel = max(max_state_rel, float((gap / denom).max()))
-        resid = _control_sums(maps, gains, noises) - deviations.controls
+        resid = _control_sums(maps, gains, noises) - controls
         max_identity_abs = max(max_identity_abs, float(np.abs(resid).max()))
         lin = CostLinearization(
             cx=rng.uniform(-1.0, 1.0, size=(k, n_x)),
@@ -180,7 +184,7 @@ def propagation_errors(n_instances: int = 1000, seed: int = 1001) -> dict:
             cx_terminal=rng.uniform(-1.0, 1.0, size=n_x),
         )
         v = cost_error_sensitivities(lin, d, gains)
-        direct_value = first_order_cost_error(lin, deviations)
+        direct_value = first_order_cost_error(lin, states, controls)
         rebuilt = float(np.sum(v * noises))
         denom = max(abs(direct_value), 1e-12)
         max_reconstruction_rel = max(max_reconstruction_rel, abs(rebuilt - direct_value) / denom)
@@ -249,31 +253,29 @@ def riccati_suite(n_instances: int = 100, seed: int = 1002) -> SuiteReport:
     return SuiteReport(suite="riccati", checks=checks)
 
 
-def cost_error_suite(
-    planned: PlannedExperiment, epsilon: float = 0.05, n_samples: int = 100_000
-) -> SuiteReport:
+def cost_error_suite(planned: PlannedExperiment) -> SuiteReport:
     policy, seed = planned.policy, planned.config.master_seed
     lin = linearize_cost(planned.cost, policy.nominal)
     v = cost_error_sensitivities(lin, policy.closed_loop, policy.gains)
+    noise = NoiseModel(COST_ERROR_EPSILON, noise_scale(policy.nominal.controls), v.shape[1])
 
     # Direct evaluation through the deviation histories vs the sensitivity form.
     rng = np.random.default_rng(derive_seed(seed, _CTX_RECONSTRUCTION))
-    sigma = epsilon * noise_scale(policy.nominal.controls)
     max_rel = 0.0
     for _ in range(100):
-        noises = sigma * rng.standard_normal(v.shape)
+        noises = noise.sample(rng, len(v))
         direct = first_order_cost_error(
-            lin, linear_deviations(policy.closed_loop, policy.gains, noises)
+            lin, *linear_deviations(policy.closed_loop, policy.gains, noises)
         )
         rebuilt = float(np.sum(v * noises))
         max_rel = max(max_rel, abs(rebuilt - direct) / max(abs(direct), 1e-12))
 
     stats = cost_error_statistics(
-        policy, planned.cost, epsilon, n_samples, derive_seed(seed, _CTX_COST_ERROR)
+        policy, planned.cost, noise.epsilon, COST_ERROR_SAMPLES, derive_seed(seed, _CTX_COST_ERROR)
     )
     # All-zero planned controls give sigma = 0 and no closed form to compare
     # against; NaN then fails the check instead of dividing by zero.
-    closed_form = sigma**2 * float(np.sum(v * v))
+    closed_form = noise.sigma**2 * float(np.sum(v * v))
     var_ratio_err = abs(stats.sd**2 / closed_form - 1.0) if closed_form > 0 else float("nan")
     checks = (
         Check("coefficient_reconstruction_rel", max_rel, 1e-9, "<="),
@@ -306,9 +308,7 @@ def synthetic_rate_recovery(a: float = 0.02) -> tuple[float, float]:
 def ldp_suite(planned: PlannedExperiment) -> SuiteReport:
     slope_err, r2_err = synthetic_rate_recovery()
     drift = tracking_drift(planned.policy)
-    nominal_action = action_functional(
-        drift, PathSample(path=planned.policy.nominal.states, dt=drift.dt), epsilon=0.1
-    )
+    nominal_action = action_functional(drift, planned.policy.nominal.states, epsilon=0.1)
     estimates, fit = run_exit_study(planned)
     p_hats = [e.p_hat for e in estimates]
     checks = (

@@ -15,8 +15,8 @@ def car_experiment():
 
 @pytest.fixture(scope="session")
 def desk_sweep(car_experiment):
-    """Full desk-grid sweep (15 epsilons x 100 runs), with its wall time."""
+    """Full desk-grid sweep rows (15 epsilons x 100 runs), with its wall time."""
     planned, _ = car_experiment
     t0 = time.perf_counter()
-    result = run_sweep(planned)
-    return result, time.perf_counter() - t0
+    rows = run_sweep(planned)
+    return rows, time.perf_counter() - t0

@@ -24,7 +24,6 @@ EXIT_RUNS = 300
 def main() -> None:
     config = default_config()
     planned = plan_experiment(config)
-    sweep = run_sweep(planned)
     exits = [
         estimate_exit_probability(
             planned.policy,
@@ -38,7 +37,7 @@ def main() -> None:
     golden = {
         "tool_version": tlqr.__version__,
         "master_seed": config.master_seed,
-        "sweep": [row.__dict__ for row in sweep.rows],
+        "sweep": [row.__dict__ for row in run_sweep(planned)],
         "exit_runs": EXIT_RUNS,
         "exits": [e.as_dict() for e in exits],
     }

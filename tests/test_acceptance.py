@@ -18,16 +18,68 @@ from tlqr import (
     linearize_cost,
     run_exit_study,
 )
-from tlqr._stats import linear_fit, spearman
+from tlqr._stats import linear_fit
 from tlqr.cli import main
 from tlqr.config import default_config
-from tlqr.simulate import _CTX_COST_ERROR, _CTX_RECONSTRUCTION, decay_rate_ratio, derive_seed
+from tlqr.simulate import _CTX_COST_ERROR, _CTX_RECONSTRUCTION, derive_seed
 from tlqr.verify import (
     propagation_errors,
     riccati_fixture_errors,
     synthetic_rate_recovery,
     value_identity_error,
 )
+
+
+def _ranks(x: np.ndarray) -> np.ndarray:
+    """Average ranks (1-based), ties shared."""
+    order = np.argsort(x, kind="stable")
+    ranks = np.empty(len(x), dtype=float)
+    sx = x[order]
+    i = 0
+    while i < len(x):
+        j = i
+        while j + 1 < len(x) and sx[j + 1] == sx[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def spearman(x: np.ndarray, y: np.ndarray) -> float:
+    """Spearman rank correlation coefficient."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    rx, ry = _ranks(x), _ranks(y)
+    rx -= rx.mean()
+    ry -= ry.mean()
+    denom = np.sqrt(np.sum(rx * rx) * np.sum(ry * ry))
+    if denom == 0.0:
+        return 0.0
+    return float(np.sum(rx * ry) / denom)
+
+
+def decay_rate_ratio(rows, eps_min: float = 0.02) -> float:
+    """Relative convergence rate of the open-loop error curve vs closed loop.
+
+    Both NMSE curves decay to zero with the same leading power of epsilon,
+    so any slope of log NMSE against a function of epsilon is identical for
+    the two modes; what distinguishes them is the multiplicative offset of
+    the fitted decay curves. This returns that offset, estimated as the
+    geometric mean of the per-epsilon closed/open NMSE ratios over rows with
+    epsilon >= eps_min. Values below 1 mean the open-loop error approaches
+    zero more slowly by that factor.
+    """
+    ratios = [
+        r.avg_nmse_closed / r.avg_nmse_open
+        for r in rows
+        if r.epsilon >= eps_min
+        and np.isfinite(r.avg_nmse_closed)
+        and np.isfinite(r.avg_nmse_open)
+        and r.avg_nmse_open > 0
+    ]
+    if not ratios:
+        raise ValueError("no usable rows for the decay-rate ratio")
+    return float(np.exp(np.mean(np.log(ratios))))
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -73,8 +125,8 @@ def test_criterion_3_cost_error_zero_mean_gaussian(car_experiment):
     max_rel = 0.0
     for _ in range(100):
         noises = sigma * rng.standard_normal((policy.horizon, 3))
-        deviations = linear_deviations(policy.closed_loop, policy.gains, noises)
-        direct = first_order_cost_error(lin, deviations)
+        states, controls = linear_deviations(policy.closed_loop, policy.gains, noises)
+        direct = first_order_cost_error(lin, states, controls)
         max_rel = max(max_rel, abs(float(np.sum(v * noises)) - direct) / max(abs(direct), 1e-12))
 
     stats = cost_error_statistics(
@@ -127,8 +179,9 @@ def test_criterion_5_reference_planning(car_experiment):
 
 
 def test_criterion_6_nmse_decay_trend(desk_sweep):
-    result, seconds = desk_sweep
-    eps, closed = result.epsilons(), result.closed()
+    rows, seconds = desk_sweep
+    eps = np.array([r.epsilon for r in rows])
+    closed = np.array([r.avg_nmse_closed for r in rows])
     rho = spearman(eps, closed)
     mask = eps <= 0.1 + 1e-12
     slope, _, _ = linear_fit(np.log(eps[mask]), np.log(closed[mask]))
@@ -147,11 +200,9 @@ def test_criterion_6_nmse_decay_trend(desk_sweep):
 
 
 def test_criterion_7_closed_vs_open_ordering(desk_sweep):
-    result, _ = desk_sweep
-    ordered = all(
-        r.avg_nmse_closed <= r.avg_nmse_open for r in result.rows if r.epsilon >= 0.02
-    )
-    ratio = decay_rate_ratio(result, eps_min=0.02)
+    rows, _ = desk_sweep
+    ordered = all(r.avg_nmse_closed <= r.avg_nmse_open for r in rows if r.epsilon >= 0.02)
+    ratio = decay_rate_ratio(rows, eps_min=0.02)
     ok = ordered and ratio <= 0.8
     report(
         "7 closed-loop dominates open-loop",
@@ -165,12 +216,10 @@ def test_criterion_8_exit_rate_signature(car_experiment):
     slope_err, r2_err = synthetic_rate_recovery(a=0.02)
     estimates, fit = run_exit_study(planned)
     p_hats = [e.p_hat for e in estimates]
-    from tlqr.large_deviations import PathSample, action_functional, tracking_drift
+    from tlqr.large_deviations import action_functional, tracking_drift
 
     drift = tracking_drift(planned.policy)
-    nominal_action = action_functional(
-        drift, PathSample(path=planned.policy.nominal.states, dt=drift.dt), epsilon=0.05
-    )
+    nominal_action = action_functional(drift, planned.policy.nominal.states, epsilon=0.05)
     ok = (
         slope_err <= 1e-10
         and r2_err <= 1e-10

@@ -70,6 +70,17 @@ def test_plan_rejects_non_finite_config_number(tmp_path, capsys):
     assert "x0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command", [["plan"], ["sweep"], ["ldp"], ["verify", "--suite", "riccati"]]
+)
+def test_non_utf8_config_is_a_config_error(tmp_path, capsys, command):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff" + json.dumps(small_config_dict()).encode("utf-8"))
+    assert main(command + ["--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "UTF-8" in err and len(err.splitlines()) == 1
+
+
 def test_plan_byte_identical_across_runs(config_path, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["plan", "--config", config_path, "--out", str(out1)]) == 0

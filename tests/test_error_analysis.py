@@ -15,7 +15,6 @@ from tlqr import (
     riccati_backward,
     rollout,
 )
-from tlqr.error_analysis import Deviations
 from tlqr.planner import CostLinearization
 from tlqr.simulate import derive_seed
 from tlqr._stats import linear_fit
@@ -85,7 +84,7 @@ def test_state_error_scalar_hand_value():
     noises = np.array([[1.0], [1.0]])
     out = _state_sums(_noise_maps(d), noises)
     assert out[2, 0] == pytest.approx(1.5, abs=1e-15)
-    assert linear_deviations(d, np.zeros((2, 1, 1)), noises).states[2, 0] == pytest.approx(
+    assert linear_deviations(d, np.zeros((2, 1, 1)), noises)[0][2, 0] == pytest.approx(
         1.5, abs=1e-15
     )
     np.testing.assert_array_equal(_state_sums(_noise_maps(d), np.zeros((2, 1))), np.zeros((3, 1)))
@@ -97,7 +96,7 @@ def test_control_error_scalar_hand_value():
     noises = np.array([[1.0], [1.0], [1.0]])
     out = _control_sums(_noise_maps(d), gains, noises)
     assert out[2, 0] == pytest.approx(-0.75, abs=1e-15)
-    assert linear_deviations(d, gains, noises).controls[2, 0] == pytest.approx(-0.75, abs=1e-15)
+    assert linear_deviations(d, gains, noises)[1][2, 0] == pytest.approx(-0.75, abs=1e-15)
 
 
 def test_error_length_validation():
@@ -110,6 +109,10 @@ def test_error_length_validation():
     lin = CostLinearization(cx=np.zeros((3, 1)), cu=np.zeros((3, 1)), cx_terminal=np.zeros(1))
     with pytest.raises(ValueError):
         cost_error_sensitivities(lin, d, gains)
+    with pytest.raises(ValueError):
+        first_order_cost_error(lin, np.zeros((3, 1)), np.zeros((3, 1)))
+    with pytest.raises(ValueError):
+        first_order_cost_error(lin, np.zeros((5, 1)), np.zeros((3, 1)))
 
 
 def test_nonrecursive_matches_recursive_and_feedback_identity():
@@ -131,7 +134,7 @@ def test_first_index_convention_is_inert():
     np.testing.assert_array_equal(maps, maps_junk)
     np.testing.assert_array_equal(_state_sums(maps, noises), _state_sums(maps_junk, noises))
     np.testing.assert_array_equal(
-        linear_deviations(d, gains, noises).states, linear_deviations(d_junk, gains, noises).states
+        linear_deviations(d, gains, noises)[0], linear_deviations(d_junk, gains, noises)[0]
     )
     lin = random_cost_linearization(rng, sys.horizon, sys.state_dim, sys.control_dim)
     np.testing.assert_array_equal(
@@ -189,13 +192,11 @@ def test_first_order_cost_error_zero_and_linear():
         cu=np.array([[1.0], [2.0]]),
         cx_terminal=np.array([3.0, -1.0]),
     )
-    zero = Deviations(states=np.zeros((3, 2)), controls=np.zeros((2, 1)))
-    assert first_order_cost_error(lin, zero) == 0.0
+    assert first_order_cost_error(lin, np.zeros((3, 2)), np.zeros((2, 1))) == 0.0
     rng = np.random.default_rng(1)
-    dev = Deviations(states=rng.standard_normal((3, 2)), controls=rng.standard_normal((2, 1)))
-    scaled = Deviations(states=3.5 * dev.states, controls=3.5 * dev.controls)
-    assert first_order_cost_error(lin, scaled) == pytest.approx(
-        3.5 * first_order_cost_error(lin, dev), rel=1e-12
+    states, controls = rng.standard_normal((3, 2)), rng.standard_normal((2, 1))
+    assert first_order_cost_error(lin, 3.5 * states, 3.5 * controls) == pytest.approx(
+        3.5 * first_order_cost_error(lin, states, controls), rel=1e-12
     )
 
 
@@ -285,7 +286,7 @@ def test_first_order_prediction_gap_superlinear(car_experiment):
         for j in range(100):
             run = rollout(policy, eps, CLOSED_LOOP, derive_seed(777, i, j))
             true_dev = run.states - policy.nominal.states
-            predicted = linear_deviations(policy.closed_loop, policy.gains, run.noises).states
+            predicted, _ = linear_deviations(policy.closed_loop, policy.gains, run.noises)
             worst.append(np.linalg.norm(true_dev - predicted, axis=1).max())
         gaps.append(np.mean(worst))
     slope, _, _ = linear_fit(np.log(eps_grid), np.log(gaps))

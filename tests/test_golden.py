@@ -20,11 +20,11 @@ CLOSED_EPS_MAX = 0.1
 
 
 def test_sweep_matches_golden(desk_sweep, car_experiment):
-    result, _ = desk_sweep
+    rows, _ = desk_sweep
     planned, _ = car_experiment
     assert planned.config.master_seed == GOLDEN["master_seed"]
-    assert len(result.rows) == len(GOLDEN["sweep"])
-    for row, ref in zip(result.rows, GOLDEN["sweep"]):
+    assert len(rows) == len(GOLDEN["sweep"])
+    for row, ref in zip(rows, GOLDEN["sweep"]):
         assert row.epsilon == ref["epsilon"] and row.n_runs == ref["n_runs"]
         assert row.avg_nmse_open == pytest.approx(ref["avg_nmse_open"], rel=REL_TOL)
         assert row.sd_open == pytest.approx(ref["sd_open"], rel=REL_TOL)

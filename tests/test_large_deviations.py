@@ -4,7 +4,6 @@ import pytest
 from tlqr import (
     DriftField,
     InsufficientData,
-    PathSample,
     action_functional,
     estimate_exit_probability,
     fit_rate,
@@ -27,8 +26,7 @@ def make_estimate(eps, p):
 def test_nominal_path_has_zero_action(car_experiment):
     planned, _ = car_experiment
     drift = tracking_drift(planned.policy)
-    sample = PathSample(path=planned.policy.nominal.states, dt=drift.dt)
-    assert action_functional(drift, sample, epsilon=0.07) == 0.0
+    assert action_functional(drift, planned.policy.nominal.states, epsilon=0.07) == 0.0
 
 
 def test_nominal_is_fixed_path_of_drift(car_experiment):
@@ -44,28 +42,30 @@ def test_straight_line_action_closed_form():
     # zero drift, unit-speed straight line over one second, eps = 1 -> 1/2
     steps, dt = 10, 0.1
     path = (np.arange(steps + 1) * dt).reshape(-1, 1)
-    action = action_functional(zero_drift(dt=dt), PathSample(path=path, dt=dt), epsilon=1.0)
+    action = action_functional(zero_drift(dt=dt), path, epsilon=1.0)
     assert action == pytest.approx(0.5, abs=1e-12)
 
 
 def test_action_epsilon_scaling():
     path = np.linspace(0.0, 1.0, 8).reshape(-1, 1)
-    sample = PathSample(path=path, dt=1.0 / 7)
     field = zero_drift(dt=1.0 / 7)
-    s1 = action_functional(field, sample, epsilon=0.2)
-    s2 = action_functional(field, sample, epsilon=0.1)
+    s1 = action_functional(field, path, epsilon=0.2)
+    s2 = action_functional(field, path, epsilon=0.1)
     assert s2 == pytest.approx(4.0 * s1, rel=1e-12)
 
 
-def test_action_validation():
+def test_action_validation(car_experiment):
     field = zero_drift()
-    sample = PathSample(path=np.zeros((3, 1)), dt=0.1)
     with pytest.raises(ValueError):
-        action_functional(field, sample, epsilon=0.0)
+        action_functional(field, np.zeros((3, 1)), epsilon=0.0)
     with pytest.raises(ValueError):
-        action_functional(field, PathSample(path=np.zeros((3, 1)), dt=0.2), epsilon=1.0)
+        action_functional(field, np.zeros((1, 1)), epsilon=1.0)
+    # The tracking drift is defined for K steps, so a path of K+2 states fails.
+    planned, _ = car_experiment
+    nominal = planned.policy.nominal.states
+    too_long = np.vstack([nominal, nominal[-1:]])
     with pytest.raises(ValueError):
-        PathSample(path=np.zeros((1, 1)), dt=0.1)
+        action_functional(tracking_drift(planned.policy), too_long, epsilon=1.0)
 
 
 def test_action_refinement_stability():
@@ -74,7 +74,7 @@ def test_action_refinement_stability():
         dt = 1.0 / n
         field = DriftField(rate=lambda t, x: -0.3 * x, dt=dt)
         path = (1.0 + np.arange(n + 1) * dt).reshape(-1, 1)
-        return action_functional(field, PathSample(path=path, dt=dt), epsilon=1.0)
+        return action_functional(field, path, epsilon=1.0)
 
     coarse, fine = action_on_grid(64), action_on_grid(128)
     assert abs(coarse - fine) / fine <= 0.01

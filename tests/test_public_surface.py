@@ -18,10 +18,6 @@ SOURCES = sorted(p for p in Path(tlqr.__file__).parent.glob("*.py") if p.name !=
 ALLOWED = {
     "simulate.rollout": "oracle of rollout_states",
     "dynamics.LinearSystem": "test model",
-    "simulate.decay_rate_ratio": "acceptance criteria 6-8 use it",
-    "simulate.SweepResult.epsilons": "acceptance criteria 6-8 use it",
-    "simulate.SweepResult.closed": "acceptance criteria 6-8 use it",
-    "_stats.spearman": "acceptance criteria 6-8 use it",
     "simulate.Rollout.noises": "oracle output that tests compare",
 }
 

@@ -95,19 +95,16 @@ def test_sweep_grid_validation(car_experiment):
 
 def test_sweep_single_mode_leaves_nan(car_experiment):
     planned, _ = car_experiment
-    result = sweep_epsilon(
-        planned.policy, [0.05], 5, 7, modes=(CLOSED_LOOP,)
-    )
-    row = result.rows[0]
+    (row,) = sweep_epsilon(planned.policy, [0.05], 5, 7, modes=(CLOSED_LOOP,))
     assert np.isfinite(row.avg_nmse_closed)
     assert np.isnan(row.avg_nmse_open) and np.isnan(row.sd_open)
 
 
 def test_sweep_rows_strictly_increasing_epsilon(car_experiment):
     planned, _ = car_experiment
-    result = sweep_epsilon(planned.policy, [0.02, 0.05, 0.11], 3, 9)
-    eps = result.epsilons()
-    assert np.all(np.diff(eps) > 0)
+    rows = sweep_epsilon(planned.policy, [0.02, 0.05, 0.11], 3, 9)
+    eps = np.array([r.epsilon for r in rows])
+    assert len(eps) == 3 and np.all(np.diff(eps) > 0)
 
 
 def _out_of_bounds_open_loop_policy(planned):
