@@ -38,13 +38,11 @@ from .experiments import (
     run_sweep,
 )
 from .large_deviations import (
-    DriftField,
     ExitEstimate,
     RateFit,
     action_functional,
     estimate_exit_probability,
     fit_rate,
-    tracking_drift,
 )
 from .lqr import (
     LqrWeights,
@@ -70,12 +68,10 @@ from .planner import (
 from .simulate import (
     CLOSED_LOOP,
     OPEN_LOOP,
-    Rollout,
     SweepRow,
     derive_seed,
     nmse_values,
     noise_scale,
-    rollout,
     rollout_states,
     sweep_epsilon,
 )

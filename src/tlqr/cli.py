@@ -80,21 +80,13 @@ def _write_outputs(outdir: str, config: ExperimentConfig, files: dict[str, str])
 
 def _write_planned_outputs(outdir: str, planned: PlannedExperiment, files: dict[str, str]) -> int:
     """Write a planning command's files and plan_report.json; 2 if the plan did not converge."""
-    r = planned.report
     plan_report = {
+        **dataclasses.asdict(planned.report),
         "config_hash": config_hash(planned.config),
         "tool_version": __version__,
-        "converged": r.converged,
-        "iterations": r.iterations,
-        "final_cost": r.final_cost,
-        "gradient_norm": r.gradient_norm,
-        "terminal_position_error": r.terminal_position_error,
-        "terminal_heading_error": r.terminal_heading_error,
-        "max_bound_violation": r.max_bound_violation,
-        "cost_history": list(r.cost_history),
     }
     _write_outputs(outdir, planned.config, {**files, "plan_report.json": _json(plan_report)})
-    return 0 if r.converged else 2
+    return 0 if planned.report.converged else 2
 
 
 def _load(args) -> ExperimentConfig:
@@ -147,7 +139,7 @@ def cmd_ldp(args) -> int:
         [e.epsilon, e.delta, e.n_runs, e.n_exits, e.p_hat, e.wilson_low, e.wilson_high]
         for e in estimates
     ]
-    fit_dict = fit.as_dict() if fit is not None else None
+    fit_dict = dataclasses.asdict(fit) if fit is not None else None
     files = {
         "ldp.csv": _csv(header, rows),
         "ratefit.json": _json({"fit": fit_dict, "delta": planned.config.ldp.delta}),

@@ -14,9 +14,9 @@ backward ``adjoint_sweep`` over the cost linearization (``linearize_cost``):
 
     mu_K = cx_K,  mu_t = cx_t - L_t^T cu_t + D_t^T mu_{t+1},  v_s = mu_{s+1}.
 
-The paper's non-recursive forms (the noise maps D_t ... D_{s+1}, the explicit
-deviation sums and the per-(s, t) cost coefficients) are kept in ``verify``
-as oracles for these recursions.
+The paper's non-recursive forms are oracles for these recursions: the
+noise maps D_t ... D_{s+1} and the explicit deviation sums in ``verify``,
+the per-(s, t) cost coefficients in the tests.
 """
 from __future__ import annotations
 
@@ -87,17 +87,6 @@ class CostErrorStats:
     skewness: float
     kurtosis: float
     epsilon: float
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "mean": self.mean,
-            "sd": self.sd,
-            "z": self.z,
-            "skewness": self.skewness,
-            "kurtosis": self.kurtosis,
-            "epsilon": self.epsilon,
-        }
 
 
 def cost_error_statistics(

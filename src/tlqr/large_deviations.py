@@ -1,80 +1,53 @@
 """Small-noise exit statistics for the feedback-compensated system.
 
-The Freidlin-Wentzell action functional penalizes a path's velocity
-deviation from the drift,
+The tracked closed loop steps x_{t+1} = f(x_t, u_fb(t, x_t)) + w_t, with
+f = ``policy.model.transition``, u_fb the clamped tracking law
+(:func:`~tlqr.lqr.feedback_control`) and w_t ~ N(0, sigma^2 I),
+sigma = eps * ``noise_scale(u_nom)`` as in the sweep and the exit study.
+The Freidlin-Wentzell action of a path is the noise energy it needs,
 
-    S(phi) = 1 / (2 eps^2) * integral |phi_dot - b(t, phi)|^2 dt,
+    S(x) = sum_t |x_{t+1} - f(x_t, u_fb(t, x_t))|^2 / (2 sigma^2),
 
-discretized here as a left-endpoint Riemann sum on the controller's step
-grid. For the tracked system the drift is the feedback-compensated one-step
-map converted to a rate, so the nominal trajectory has exactly zero action.
-Both the drift and the exit study run the policy on the plant it carries
-(``policy.model``). Exit probabilities from a radius-delta tube around the
-nominal decay like exp(-rate / eps^2) as the noise level drops;
-``fit_rate`` checks that signature by regressing log p on 1 / eps^2.
+so the nominal trajectory has exactly zero action and a path the batched
+kernel sampled has action sum_t |w_t|^2 / (2 sigma^2). Exit probabilities
+from a radius-delta tube around the nominal decay like exp(-rate / eps^2)
+as the noise level drops; ``fit_rate`` checks that signature by regressing
+log p on 1 / eps^2.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ._stats import linear_fit, wilson_interval
-from .dynamics import Array
+from .dynamics import Array, NoiseModel
 from .exceptions import InsufficientData
 from .lqr import TrackingPolicy, feedback_control
-from .simulate import _CTX_EXIT, CLOSED_LOOP, derive_seed, rollout_states
+from .simulate import _CTX_EXIT, CLOSED_LOOP, derive_seed, noise_scale, rollout_states
 
 
-@dataclass(frozen=True, eq=False)
-class DriftField:
-    """Per-step drift rate of a (possibly time-varying) discrete system.
+def action_functional(policy: TrackingPolicy, path: Array, epsilon: float) -> float:
+    """Noise energy of a path under the tracked closed loop, on the noise model's scale.
 
-    ``rate(t, x)`` returns the state increment per unit time at step t on
-    a grid of period ``dt``.
-    """
-
-    rate: Callable[[int, Array], Array]
-    dt: float
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-
-
-def tracking_drift(policy: TrackingPolicy) -> DriftField:
-    """Drift of the closed-loop tracked system: (f(x, u_fb(t, x)) - x) / dt.
-
-    The rate is defined for the policy's steps t < K; later steps raise
-    ``ValueError`` from :func:`~tlqr.lqr.feedback_control`.
-    """
-    model = policy.model
-    dt = model.step_period
-
-    def rate(t: int, x: Array) -> Array:
-        u = feedback_control(policy, t, x)
-        return (model.step(x, u) - x) / dt
-
-    return DriftField(rate=rate, dt=dt)
-
-
-def action_functional(field: DriftField, path: Array, epsilon: float) -> float:
-    """Discrete action of a path: dt / (2 eps^2) * sum |dphi/dt - rate|^2.
-
-    ``path`` is a (T+1, n) array of states on the drift's grid (period
-    ``field.dt``); path[0] is the declared initial state.
+    ``path`` is a (T+1, n) array of states with 1 <= T <= K; path[0] is the
+    declared initial state. A path with all residuals zero has action 0
+    even when sigma is 0 (all planned controls zero); any other path then
+    has action +inf.
     """
     path = np.atleast_2d(np.asarray(path, dtype=float))
     if len(path) < 2:
         raise ValueError("path needs at least two points")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    total = 0.0
-    for t in range(len(path) - 1):
-        resid = (path[t + 1] - path[t]) / field.dt - field.rate(t, path[t])
-        total += float(resid @ resid)
-    return total * field.dt / (2.0 * epsilon**2)
+    controls = np.array([feedback_control(policy, t, x) for t, x in enumerate(path[:-1])])
+    resid = path[1:] - policy.model.transition(path[:-1], controls)
+    energy = float(np.sum(resid * resid))
+    if energy == 0.0:
+        return 0.0
+    variance = NoiseModel(epsilon, noise_scale(policy.nominal.controls), path.shape[1]).sigma ** 2
+    return energy / (2.0 * variance) if variance > 0.0 else float("inf")
 
 
 @dataclass(frozen=True)
@@ -88,17 +61,6 @@ class ExitEstimate:
     p_hat: float
     wilson_low: float
     wilson_high: float
-
-    def as_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "epsilon": self.epsilon,
-            "n_runs": self.n_runs,
-            "n_exits": self.n_exits,
-            "p_hat": self.p_hat,
-            "wilson_low": self.wilson_low,
-            "wilson_high": self.wilson_high,
-        }
 
 
 def estimate_exit_probability(
@@ -144,14 +106,6 @@ class RateFit:
     intercept: float
     r_squared: float
     n_used: int
-
-    def as_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-            "n_used": self.n_used,
-        }
 
 
 def fit_rate(estimates: Sequence[ExitEstimate]) -> RateFit:

@@ -188,9 +188,19 @@ def design_tracking_policy(
 
 
 def feedback_control(policy: TrackingPolicy, t: int, x: Array) -> Array:
-    """Tracking control u_nom_t - L_t (x - x_nom_t), clamped to model bounds."""
+    """Tracking control u_nom_t - L_t (x - x_nom_t), clamped to model bounds.
+
+    Takes one state (n,) and returns (m,), or a batch (N, n) and returns
+    (N, m); row i of a batch result equals the single-state result for row i.
+    """
     if not 0 <= t <= policy.horizon - 1:
         raise ValueError(f"time index {t} outside [0, {policy.horizon - 1}]")
     x = np.asarray(x, dtype=float)
-    u = policy.nominal.controls[t] - policy.gains[t] @ (x - policy.nominal.states[t])
+    n = policy.model.state_dim
+    if x.ndim not in (1, 2) or x.shape[-1] != n:
+        raise ValueError(f"state has shape {x.shape}, expected ({n},) or (N, {n})")
+    # Elementwise product and sum, not a matrix product: BLAS picks kernels
+    # by batch size, which would make a run's rounding depend on its batch.
+    dev = (x - policy.nominal.states[t])[..., None, :]
+    u = policy.nominal.controls[t] - np.sum(policy.gains[t] * dev, axis=-1)
     return policy.model.clamp_control(u)

@@ -6,12 +6,13 @@ generator, seeded by a counter-style mix of (master seed, grid index, run
 index, mode), so results are bit-reproducible and do not depend on how runs
 are grouped.
 
-Rollouts and sweeps run a :class:`~tlqr.lqr.TrackingPolicy` on the plant it
-carries (``policy.model``), which clamps the feedback controls and steps the
-state. Monte Carlo studies go through one batched kernel,
+Every Monte Carlo study goes through one batched kernel,
 :func:`rollout_states`, which steps all runs of a batch together with one
-array operation per time index. The scalar :func:`rollout` stays as its
-oracle.
+array operation per time index. It runs a :class:`~tlqr.lqr.TrackingPolicy`
+on the plant it carries (``policy.model``): closed loop applies the clamped
+tracking law :func:`~tlqr.lqr.feedback_control` to the whole batch, so a
+run's states do not depend on its batch and match a scalar per-run loop over
+the same law bit for bit.
 """
 from __future__ import annotations
 
@@ -50,52 +51,15 @@ def noise_scale(controls: Array) -> float:
     return float(np.linalg.norm(controls, axis=1).max())
 
 
-@dataclass(frozen=True, eq=False)
-class Rollout:
-    """One stochastic execution: stored controls are the applied (post-clamp) ones."""
-
-    states: Array
-    controls: Array
-    noises: Array
-
-
-def rollout(policy: TrackingPolicy, epsilon: float, mode: str, seed: int) -> Rollout:
-    """Execute the policy for its full horizon under sampled process noise.
-
-    Closed loop applies the clamped feedback law each step; open loop applies
-    the planned control sequence regardless of state.
-    """
-    if mode not in _MODE_TAGS:
-        raise ValueError(f"unknown mode '{mode}'")
-    model = policy.model
-    k = policy.horizon
-    noise = NoiseModel(epsilon, noise_scale(policy.nominal.controls), model.state_dim)
-    rng = np.random.default_rng(seed)
-    noises = noise.sample(rng, k)
-
-    states = np.empty((k + 1, model.state_dim))
-    controls = np.empty((k, model.control_dim))
-    states[0] = policy.nominal.states[0]
-    for t in range(k):
-        if mode == CLOSED_LOOP:
-            u = feedback_control(policy, t, states[t])
-        else:
-            u = policy.nominal.controls[t]
-        controls[t] = u
-        states[t + 1] = model.step(states[t], u) + noises[t]
-    return Rollout(states=states, controls=controls, noises=noises)
-
-
 def rollout_states(
     policy: TrackingPolicy, epsilon: float, mode: str, seeds: Sequence[int]
 ) -> Array:
     """States (N, K+1, n) of N runs executed together, one per seed.
 
-    Run j draws its noise exactly as ``rollout(..., seed=seeds[j])`` does,
-    so its states match the scalar path: bit for bit in open loop, and up to
-    round-off of the batched feedback product in closed loop. Closed loop
-    applies the clamped feedback law; open loop applies the planned
-    controls, which are bound-checked once per batch.
+    Run j draws its (K, n) noise from ``default_rng(seeds[j])`` through
+    :class:`~tlqr.dynamics.NoiseModel`. Closed loop applies the clamped
+    feedback law; open loop applies the planned controls, which are
+    bound-checked once per batch.
     """
     if mode not in _MODE_TAGS:
         raise ValueError(f"unknown mode '{mode}'")
@@ -114,13 +78,7 @@ def rollout_states(
     for t in range(k):
         x = states[:, t]
         if mode == CLOSED_LOOP:
-            # Elementwise product and sum, not a matrix product: BLAS picks
-            # kernels by batch size, which would make a run's rounding depend
-            # on its batch.
-            u = model.clamp_control(
-                nominal.controls[t]
-                - np.sum(policy.gains[t] * (x - nominal.states[t])[:, None, :], axis=2)
-            )
+            u = feedback_control(policy, t, x)
         else:
             u = np.broadcast_to(nominal.controls[t], (len(seeds), model.control_dim))
         states[:, t + 1] = model.transition(x, u) + noises[:, t]

@@ -18,7 +18,7 @@ to its bound, so a report is reviewable without rerunning. Suites:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .error_analysis import (
 )
 from .exceptions import ConfigError
 from .experiments import PlannedExperiment, plan_experiment, run_exit_study
-from .large_deviations import ExitEstimate, action_functional, fit_rate, tracking_drift
+from .large_deviations import ExitEstimate, action_functional, fit_rate
 from .lqr import LqrWeights, LtvSystem, closed_loop_matrices, riccati_backward
 from .planner import CostLinearization, linearize_cost
 from .simulate import _CTX_COST_ERROR, _CTX_RECONSTRUCTION, derive_seed, noise_scale
@@ -135,22 +135,6 @@ def _control_sums(maps: Array, gains: Array, noises: Array) -> Array:
     controls = np.zeros((len(noises), gains.shape[1]))
     controls[1:] = -np.einsum("tmi,stij,sj->tm", gains[1:], maps[:, :-1], noises)
     return controls
-
-
-def _coefficient_sums(lin: CostLinearization, maps: Array, gains: Array) -> Array:
-    """Oracle: v_s = sum_t w_{s,t}, the paper's per-(noise, cost term) coefficients.
-
-    For a stage term t <= K-1, w_{s,t} = cx_t M - cu_t L_t M with
-    M = M(s, t-1); the terminal term contributes cx_K M(s, K-1).
-    """
-    k = lin.horizon
-    v = np.zeros((k, maps.shape[-1]))
-    for s in range(k):
-        for t in range(s + 1, k):
-            m = maps[s, t - 1]
-            v[s] += lin.cx[t] @ m - lin.cu[t] @ (gains[t] @ m)
-        v[s] += lin.cx_terminal @ maps[s, k - 1]
-    return v
 
 
 def propagation_errors(n_instances: int = 1000, seed: int = 1001) -> dict:
@@ -284,7 +268,7 @@ def cost_error_suite(planned: PlannedExperiment) -> SuiteReport:
         Check("excess_kurtosis_abs", abs(stats.kurtosis), 0.2, "<="),
         Check("variance_vs_closed_form_rel", var_ratio_err, 0.05, "<="),
     )
-    return SuiteReport(suite="costerror", checks=checks, details=stats.as_dict())
+    return SuiteReport(suite="costerror", checks=checks, details=asdict(stats))
 
 
 def synthetic_rate_recovery(a: float = 0.02) -> tuple[float, float]:
@@ -307,8 +291,7 @@ def synthetic_rate_recovery(a: float = 0.02) -> tuple[float, float]:
 
 def ldp_suite(planned: PlannedExperiment) -> SuiteReport:
     slope_err, r2_err = synthetic_rate_recovery()
-    drift = tracking_drift(planned.policy)
-    nominal_action = action_functional(drift, planned.policy.nominal.states, epsilon=0.1)
+    nominal_action = action_functional(planned.policy, planned.policy.nominal.states, epsilon=0.1)
     estimates, fit = run_exit_study(planned)
     p_hats = [e.p_hat for e in estimates]
     checks = (

@@ -9,6 +9,7 @@ The committed file holds the values of the scalar per-run engine (tlqr
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -39,7 +40,7 @@ def main() -> None:
         "master_seed": config.master_seed,
         "sweep": [row.__dict__ for row in run_sweep(planned)],
         "exit_runs": EXIT_RUNS,
-        "exits": [e.as_dict() for e in exits],
+        "exits": [dataclasses.asdict(e) for e in exits],
     }
     path = Path(__file__).with_name("golden.json")
     path.write_text(json.dumps(golden, indent=1) + "\n", encoding="utf-8")

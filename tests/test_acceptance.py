@@ -216,10 +216,9 @@ def test_criterion_8_exit_rate_signature(car_experiment):
     slope_err, r2_err = synthetic_rate_recovery(a=0.02)
     estimates, fit = run_exit_study(planned)
     p_hats = [e.p_hat for e in estimates]
-    from tlqr.large_deviations import action_functional, tracking_drift
+    from tlqr.large_deviations import action_functional
 
-    drift = tracking_drift(planned.policy)
-    nominal_action = action_functional(drift, planned.policy.nominal.states, epsilon=0.05)
+    nominal_action = action_functional(planned.policy, planned.policy.nominal.states, epsilon=0.05)
     ok = (
         slope_err <= 1e-10
         and r2_err <= 1e-10

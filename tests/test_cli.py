@@ -205,6 +205,19 @@ def test_verify_zero_controls_fails_variance_check(tmp_path, capsys):
     assert "CHECKS FAILED" in out
 
 
+def test_verify_ldp_zero_controls_keeps_zero_nominal_action(tmp_path, capsys):
+    # With x0 = x_g = 0 every planned control is zero, so the action's noise
+    # scale is zero; the nominal path still has action 0 and the empty exit
+    # study fails its checks.
+    path = tmp_path / "origin.json"
+    data = small_config_dict(x0=[0.0, 0.0, 0.0], x_g=[0.0, 0.0, 0.0])
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["verify", "--config", str(path), "--suite", "ldp"]) == 2
+    out = capsys.readouterr().out
+    assert "PASS ldp.nominal_path_action: value=0 <= bound=0" in out
+    assert "CHECKS FAILED" in out
+
+
 def test_output_path_collision_exit3(config_path, tmp_path, capsys):
     blocker = tmp_path / "not_a_dir"
     blocker.write_text("occupied", encoding="utf-8")

@@ -6,6 +6,7 @@ closed-loop runs may differ at round-off level, which the divergent
 closed-loop regime above eps ~0.129 (steering clamp saturated near pi/2)
 amplifies chaotically, so closed-loop columns are compared up to eps = 0.1.
 """
+import dataclasses
 import json
 from pathlib import Path
 
@@ -43,4 +44,4 @@ def test_exit_estimates_match_golden(car_experiment):
             n_runs=GOLDEN["exit_runs"],
             seed=derive_seed(GOLDEN["master_seed"], _CTX_LDP, i),
         )
-        assert est.as_dict() == ref
+        assert dataclasses.asdict(est) == ref

@@ -2,18 +2,21 @@ import numpy as np
 import pytest
 
 from tlqr import (
-    DriftField,
+    CLOSED_LOOP,
     InsufficientData,
+    LinearSystem,
+    NoiseModel,
+    NominalTrajectory,
+    TrackingPolicy,
     action_functional,
+    derive_seed,
     estimate_exit_probability,
+    feedback_control,
     fit_rate,
-    tracking_drift,
+    noise_scale,
+    rollout_states,
 )
 from tlqr.large_deviations import ExitEstimate
-
-
-def zero_drift(dim=1, dt=0.1):
-    return DriftField(rate=lambda t, x: np.zeros(dim), dt=dt)
 
 
 def make_estimate(eps, p):
@@ -23,61 +26,86 @@ def make_estimate(eps, p):
     )
 
 
+def scalar_policy(controls):
+    """x_{t+1} = x_t + u_t with gain 0.5, tracking the nominal the controls drive from 0."""
+    controls = np.asarray(controls, dtype=float).reshape(-1, 1)
+    states = np.concatenate([[0.0], np.cumsum(controls)]).reshape(-1, 1)
+    k = len(controls)
+    return TrackingPolicy(
+        nominal=NominalTrajectory(states=states, controls=controls),
+        gains=np.full((k, 1, 1), 0.5),
+        riccati=np.ones((k + 1, 1, 1)),
+        closed_loop=np.full((k, 1, 1), 0.5),
+        model=LinearSystem(a=[[1.0]], b=[[1.0]]),
+    )
+
+
 def test_nominal_path_has_zero_action(car_experiment):
     planned, _ = car_experiment
-    drift = tracking_drift(planned.policy)
-    assert action_functional(drift, planned.policy.nominal.states, epsilon=0.07) == 0.0
+    assert action_functional(planned.policy, planned.policy.nominal.states, epsilon=0.07) == 0.0
 
 
 def test_nominal_is_fixed_path_of_drift(car_experiment):
     planned, _ = car_experiment
-    drift = tracking_drift(planned.policy)
-    nominal = planned.policy.nominal.states
-    for t in range(planned.policy.horizon):
-        step = nominal[t] + drift.dt * drift.rate(t, nominal[t])
+    policy = planned.policy
+    nominal = policy.nominal.states
+    for t in range(policy.horizon):
+        step = policy.model.transition(nominal[t], feedback_control(policy, t, nominal[t]))
         np.testing.assert_allclose(step, nominal[t + 1], atol=1e-12)
 
 
-def test_straight_line_action_closed_form():
-    # zero drift, unit-speed straight line over one second, eps = 1 -> 1/2
-    steps, dt = 10, 0.1
-    path = (np.arange(steps + 1) * dt).reshape(-1, 1)
-    action = action_functional(zero_drift(dt=dt), path, epsilon=1.0)
-    assert action == pytest.approx(0.5, abs=1e-12)
+def test_action_scalar_hand_value():
+    # Nominal 0, 1, 2 under u = 1, 1 (sigma = eps). The path 0, 1.5, 2 leaves
+    # residuals 0.5 and 2 - (1.5 + 0.75) = -0.25: energy 0.3125, and at
+    # eps = 0.5 the action is 0.3125 / (2 * 0.25).
+    policy = scalar_policy([1.0, 1.0])
+    path = np.array([[0.0], [1.5], [2.0]])
+    assert action_functional(policy, path, epsilon=0.5) == 0.625
 
 
-def test_action_epsilon_scaling():
-    path = np.linspace(0.0, 1.0, 8).reshape(-1, 1)
-    field = zero_drift(dt=1.0 / 7)
-    s1 = action_functional(field, path, epsilon=0.2)
-    s2 = action_functional(field, path, epsilon=0.1)
-    assert s2 == pytest.approx(4.0 * s1, rel=1e-12)
+@pytest.mark.parametrize("epsilon", [0.01, 0.05, 0.1])
+def test_action_is_noise_energy_of_kernel_paths(car_experiment, epsilon):
+    planned, _ = car_experiment
+    policy = planned.policy
+    seeds = [derive_seed(42, j) for j in range(50)]
+    paths = rollout_states(policy, epsilon, CLOSED_LOOP, seeds)
+    noise = NoiseModel(epsilon, noise_scale(policy.nominal.controls), 3)
+    for path, seed in zip(paths, seeds):
+        w = noise.sample(np.random.default_rng(seed), policy.horizon)
+        energy = float(np.sum(w * w)) / (2.0 * noise.sigma**2)
+        assert action_functional(policy, path, epsilon) == pytest.approx(energy, rel=1e-12)
+
+
+def test_action_epsilon_scaling(car_experiment):
+    planned, _ = car_experiment
+    policy = planned.policy
+    path = rollout_states(policy, 0.05, CLOSED_LOOP, [derive_seed(42, 0)])[0]
+    s1 = action_functional(policy, path, epsilon=0.2)
+    # Halving epsilon scales sigma^2 by exactly 1/4, a power of two.
+    assert action_functional(policy, path, epsilon=0.1) == 4.0 * s1
+    assert action_functional(policy, path, epsilon=0.05) == 16.0 * s1
+
+
+def test_action_zero_noise_scale():
+    # All planned controls zero: sigma = 0 at every epsilon.
+    policy = scalar_policy([0.0, 0.0])
+    assert action_functional(policy, np.zeros((3, 1)), epsilon=0.1) == 0.0
+    assert action_functional(policy, np.array([[0.0], [1.0], [0.5]]), epsilon=0.1) == np.inf
 
 
 def test_action_validation(car_experiment):
-    field = zero_drift()
-    with pytest.raises(ValueError):
-        action_functional(field, np.zeros((3, 1)), epsilon=0.0)
-    with pytest.raises(ValueError):
-        action_functional(field, np.zeros((1, 1)), epsilon=1.0)
-    # The tracking drift is defined for K steps, so a path of K+2 states fails.
     planned, _ = car_experiment
     nominal = planned.policy.nominal.states
+    with pytest.raises(ValueError):
+        action_functional(planned.policy, nominal, epsilon=0.0)
+    with pytest.raises(ValueError):
+        action_functional(planned.policy, nominal, epsilon=-0.1)
+    with pytest.raises(ValueError):
+        action_functional(planned.policy, nominal[:1], epsilon=1.0)
+    # The tracking law is defined for K steps, so a path of K+2 states fails.
     too_long = np.vstack([nominal, nominal[-1:]])
     with pytest.raises(ValueError):
-        action_functional(tracking_drift(planned.policy), too_long, epsilon=1.0)
-
-
-def test_action_refinement_stability():
-    # linear drift, linear path: halving the grid moves the sum by <= 1%
-    def action_on_grid(n):
-        dt = 1.0 / n
-        field = DriftField(rate=lambda t, x: -0.3 * x, dt=dt)
-        path = (1.0 + np.arange(n + 1) * dt).reshape(-1, 1)
-        return action_functional(field, path, epsilon=1.0)
-
-    coarse, fine = action_on_grid(64), action_on_grid(128)
-    assert abs(coarse - fine) / fine <= 0.01
+        action_functional(planned.policy, too_long, epsilon=1.0)
 
 
 def test_exit_probability_zero_noise(car_experiment):

@@ -147,6 +147,24 @@ def test_feedback_time_index_validated():
         feedback_control(policy, -1, np.array([0.0]))
 
 
+def test_feedback_batch_rows_equal_single_states(car_experiment):
+    policy = car_experiment[0].policy
+    rng = np.random.default_rng(8)
+    for t in (0, 9, policy.horizon - 1):
+        batch = policy.nominal.states[t] + rng.normal(scale=0.5, size=(40, 3))
+        controls = feedback_control(policy, t, batch)
+        assert controls.shape == (40, 2)
+        for x, u in zip(batch, controls):
+            assert np.array_equal(feedback_control(policy, t, x), u)
+
+
+def test_feedback_state_shape_validated(car_experiment):
+    policy = car_experiment[0].policy
+    for bad in (np.zeros(2), np.zeros((4, 2)), np.zeros((2, 2, 3)), np.float64(0.0)):
+        with pytest.raises(ValueError, match="state has shape"):
+            feedback_control(policy, 0, bad)
+
+
 def test_feedback_clamps_to_car_bounds(car_experiment):
     planned, _ = car_experiment
     policy = planned.policy

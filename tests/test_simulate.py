@@ -7,14 +7,54 @@ from tlqr import (
     CLOSED_LOOP,
     OPEN_LOOP,
     BoundViolation,
+    NoiseModel,
     NominalTrajectory,
+    TrackingPolicy,
     derive_seed,
+    feedback_control,
     nmse_values,
     noise_scale,
-    rollout,
     rollout_states,
     sweep_epsilon,
 )
+from tlqr.config import FULL_GRID, epsilon_grid
+from tlqr.simulate import _CTX_SWEEP
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class Rollout:
+    """One stochastic execution: stored controls are the applied (post-clamp) ones."""
+
+    states: np.ndarray
+    controls: np.ndarray
+    noises: np.ndarray
+
+
+def rollout(policy: TrackingPolicy, epsilon: float, mode: str, seed: int) -> Rollout:
+    """Reference for ``rollout_states``: one run, stepped one state at a time.
+
+    Closed loop applies the clamped feedback law each step; open loop applies
+    the planned control sequence regardless of state. Every step goes
+    through the bound-checked ``model.step``.
+    """
+    if mode not in (CLOSED_LOOP, OPEN_LOOP):
+        raise ValueError(f"unknown mode '{mode}'")
+    model = policy.model
+    k = policy.horizon
+    noise = NoiseModel(epsilon, noise_scale(policy.nominal.controls), model.state_dim)
+    noises = noise.sample(np.random.default_rng(seed), k)
+
+    states = np.empty((k + 1, model.state_dim))
+    controls = np.empty((k, model.control_dim))
+    states[0] = policy.nominal.states[0]
+    for t in range(k):
+        if mode == CLOSED_LOOP:
+            u = feedback_control(policy, t, states[t])
+        else:
+            u = policy.nominal.controls[t]
+        controls[t] = u
+        states[t + 1] = model.step(states[t], u) + noises[t]
+    return Rollout(states=states, controls=controls, noises=noises)
 
 
 def test_zero_noise_closed_loop_tracks_nominal(car_experiment):
@@ -142,17 +182,21 @@ def test_rollout_states_open_loop_bitwise_equals_rollout(car_experiment, epsilon
         assert np.array_equal(batch[j], run.states)
 
 
-@pytest.mark.parametrize("epsilon", [0.01, 0.06, 0.1])
+@pytest.mark.parametrize("epsilon", [0.01, 0.06, 0.1, 0.147])
 def test_rollout_states_closed_loop_matches_rollout(car_experiment, epsilon):
-    # The batched feedback product may round differently from the per-run
-    # one; the difference stays at round-off level below the divergent
-    # regime (eps above about 0.129).
+    # Both paths apply the one feedback_control, so they agree bit for bit.
+    # The seeds include the full-grid sweep's closed-loop runs at epsilon; at
+    # 0.147 one of them clamps the steering next to pi/2 and |theta| blows up.
     planned, _ = car_experiment
-    seeds = _seeds(300)
+    row = list(epsilon_grid(*FULL_GRID)).index(epsilon)
+    sweep_seeds = [
+        derive_seed(planned.config.master_seed, _CTX_SWEEP, row, 0, j) for j in range(100)
+    ]
+    seeds = _seeds(300) + sweep_seeds
     batch = rollout_states(planned.policy, epsilon, CLOSED_LOOP, seeds)
     for j, seed in enumerate(seeds):
         run = rollout(planned.policy, epsilon, CLOSED_LOOP, seed)
-        np.testing.assert_allclose(batch[j], run.states, rtol=1e-9, atol=0)
+        assert np.array_equal(batch[j], run.states)
 
 
 def test_rollout_states_zero_noise_closed_loop_is_nominal(car_experiment):
