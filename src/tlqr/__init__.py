@@ -70,6 +70,7 @@ from .simulate import (
     OPEN_LOOP,
     SweepRow,
     derive_seed,
+    derive_seeds,
     nmse_values,
     noise_scale,
     rollout_states,

@@ -295,15 +295,16 @@ class NoiseModel:
 
     The per-component standard deviation is epsilon * base_sigma, where
     base_sigma is the largest control norm of a reference control sequence.
-    epsilon = 0 yields exactly zero noise vectors.
+    epsilon = 0 yields exactly zero noise vectors. A batched kernel may pass
+    one epsilon per run to get one ``sigma`` per run; ``sample`` needs one.
     """
 
-    epsilon: float
+    epsilon: float | Array
     base_sigma: float
     dim: int
 
     def __post_init__(self):
-        if self.epsilon < 0:
+        if np.any(np.asarray(self.epsilon) < 0):
             raise ValueError("epsilon must be nonnegative")
         if self.base_sigma < 0:
             raise ValueError("base_sigma must be nonnegative")

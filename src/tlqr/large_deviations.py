@@ -25,7 +25,7 @@ from ._stats import linear_fit, wilson_interval
 from .dynamics import Array, NoiseModel
 from .exceptions import InsufficientData
 from .lqr import TrackingPolicy, feedback_control
-from .simulate import _CTX_EXIT, CLOSED_LOOP, derive_seed, noise_scale, rollout_states
+from .simulate import _CTX_EXIT, CLOSED_LOOP, derive_seeds, noise_scale, rollout_states
 
 
 def action_functional(policy: TrackingPolicy, path: Array, epsilon: float) -> float:
@@ -81,7 +81,7 @@ def estimate_exit_probability(
         raise ValueError("delta must be positive")
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    seeds = [derive_seed(seed, _CTX_EXIT, j) for j in range(n_runs)]
+    seeds = derive_seeds(seed, (_CTX_EXIT,), n_runs)
     states = rollout_states(policy, epsilon, CLOSED_LOOP, seeds)
     dev = np.linalg.norm(states - policy.nominal.states, axis=2)
     exits = int(np.count_nonzero(dev.max(axis=1) > delta))

@@ -1,10 +1,9 @@
 """Stochastic closed-loop / open-loop execution and NMSE sweep experiments.
 
 Noise enters additively with per-component standard deviation
-epsilon * max_t |u_nom_t|_2. Every run draws its noise from its own
-generator, seeded by a counter-style mix of (master seed, grid index, run
-index, mode), so results are bit-reproducible and do not depend on how runs
-are grouped.
+epsilon * max_t |u_nom_t|_2. Every run draws its noise from its own stream,
+seeded by a counter-style mix of (master seed, grid index, run index, mode),
+so results are bit-reproducible and do not depend on how runs are grouped.
 
 Every Monte Carlo study goes through one batched kernel,
 :func:`rollout_states`, which steps all runs of a batch together with one
@@ -12,17 +11,26 @@ array operation per time index. It runs a :class:`~tlqr.lqr.TrackingPolicy`
 on the plant it carries (``policy.model``): closed loop applies the clamped
 tracking law :func:`~tlqr.lqr.feedback_control` to the whole batch, so a
 run's states do not depend on its batch and match a scalar per-run loop over
-the same law bit for bit.
+the same law bit for bit. A batch holds whole sweep rows, up to
+``_RUNS_PER_CALL`` runs, and each run may carry its own epsilon.
+
+Seeding builds no ``SeedSequence`` or ``Generator`` per run:
+:func:`derive_seeds` runs numpy's ``SeedSequence`` hash on uint32 columns,
+one entry per run, and the kernel loads each run's PCG64 state into one
+reused generator. Run j's stream is bit-identical to
+``default_rng(seeds[j])``; :func:`derive_seed` and ``default_rng`` stay as
+the oracle (``tests/test_simulate.py``).
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .dynamics import Array, NoiseModel, NominalTrajectory
-from .exceptions import NumericalFailure
+from .exceptions import BoundViolation, NumericalFailure
 from .lqr import TrackingPolicy, feedback_control
 
 CLOSED_LOOP = "closed_loop"
@@ -36,11 +44,138 @@ _CTX_LDP = 3  # one estimate per point of the exit study's epsilon grid
 _CTX_COST_ERROR = 4  # cost-error samples of the costerror suite
 _CTX_RECONSTRUCTION = 5  # noise draws of its sensitivity-form reconstruction check
 
+# Runs per kernel call in a sweep; whole epsilon rows only, so a row larger
+# than this is one call of its own. It bounds the batch arrays, not results.
+_RUNS_PER_CALL = 500
+
+# numpy's SeedSequence (after O'Neill's seed_seq_fe): a pool of four uint32
+# words, two multiplicative hash constants and a mixing step. Both constants
+# advance the same way whatever the data, so they advance as Python ints.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# PCG64's 128-bit LCG multiplier (set_seed steps the generator twice).
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
 
 def derive_seed(master_seed: int, *tags: int) -> int:
     """Deterministic 64-bit sub-seed from a master seed and integer tags."""
     ss = np.random.SeedSequence((master_seed,) + tags)
     return int(ss.generate_state(1, np.uint64)[0])
+
+
+def _uint32_words(value: int) -> list[int]:
+    """numpy's int-to-uint32 rule: little-endian words, one word for 0."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _seed_state(entropy: list[Array], n_words: int) -> list[Array]:
+    """``SeedSequence(entropy[:, j]).generate_state(n_words, uint64)`` per column j.
+
+    ``entropy`` holds equal-length uint32 arrays, one per entropy word. An
+    entry shorter than the pool hashes as if padded with zero words.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value: Array) -> Array:
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x: Array, y: Array) -> Array:
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> 16)
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const = _INIT_B
+    halves = []
+    for i in range(2 * n_words):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        halves.append((value ^ (value >> 16)).astype(np.uint64))
+    return [halves[2 * i] | (halves[2 * i + 1] << 32) for i in range(n_words)]
+
+
+def derive_seeds(master_seed: int, tags: Sequence[int], n: int) -> Array:
+    """``[derive_seed(master_seed, *tags, j) for j in range(n)]`` as an (n,) uint64 array.
+
+    Bit for bit, without a ``SeedSequence`` per run. Run indices must fit one
+    32-bit word, so n <= 2**32.
+    """
+    if not 0 <= n <= 2**32:
+        raise ValueError("n must lie in [0, 2**32]")
+    prefix = [w for value in (master_seed, *tags) for w in _uint32_words(value)]
+    runs = np.arange(n, dtype=np.uint32)
+    entropy = [np.full(n, w, dtype=np.uint32) for w in prefix] + [runs]
+    return _seed_state(entropy, 1)[0]
+
+
+def _seed_array(seeds: Sequence[int]) -> Array:
+    """Seeds as a 1-D uint64 array; a seed outside [0, 2**64) raises ``ValueError``."""
+    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64:
+        if seeds.ndim != 1:
+            raise ValueError("seeds must be one-dimensional")
+        return seeds
+    values = [operator.index(s) for s in seeds]
+    if not all(0 <= s < 2**64 for s in values):
+        raise ValueError("seeds must lie in [0, 2**64)")
+    return np.array(values, dtype=np.uint64)
+
+
+def _pcg64_states(seeds: Array) -> Iterator[tuple[int, int]]:
+    """(state, inc) of ``PCG64(seed)`` for each uint64 seed.
+
+    A seed's SeedSequence entropy is its low word, then its high word unless
+    that is zero; a zero high word hashes as the pool's zero padding, so
+    one pass serves both. PCG64's set_seed then steps the LCG twice.
+    """
+    lo = (seeds & _MASK32).astype(np.uint32)
+    hi = (seeds >> 32).astype(np.uint32)
+    s_hi, s_lo, i_hi, i_lo = _seed_state([lo, hi], 4)
+    # One run's Python ints at a time; lists of whole batches raise peak memory.
+    for j in range(len(seeds)):
+        inc = ((i_hi.item(j) << 64 | i_lo.item(j)) << 1 | 1) & _MASK128
+        yield ((inc + (s_hi.item(j) << 64 | s_lo.item(j))) * _PCG64_MULT + inc) & _MASK128, inc
+
+
+def _standard_normals(seeds: Array, out: Array) -> None:
+    """Fill each out[j] with the first standard normals ``default_rng(seeds[j])`` draws.
+
+    One generator is reused: each run's PCG64 state is loaded into it, so
+    no ``SeedSequence`` or ``Generator`` is built per run.
+    """
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    for j, (state, inc) in enumerate(_pcg64_states(seeds)):
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        rng.standard_normal(out=out[j])
 
 
 def noise_scale(controls: Array) -> float:
@@ -52,28 +187,36 @@ def noise_scale(controls: Array) -> float:
 
 
 def rollout_states(
-    policy: TrackingPolicy, epsilon: float, mode: str, seeds: Sequence[int]
+    policy: TrackingPolicy, epsilon: float | Array, mode: str, seeds: Sequence[int]
 ) -> Array:
     """States (N, K+1, n) of N runs executed together, one per seed.
 
-    Run j draws its (K, n) noise from ``default_rng(seeds[j])`` through
-    :class:`~tlqr.dynamics.NoiseModel`. Closed loop applies the clamped
-    feedback law; open loop applies the planned controls, which are
-    bound-checked once per batch.
+    ``epsilon`` is one value for all runs or one per run. Run j's noise is
+    sigma_j * z_j with sigma_j = epsilon_j * ``noise_scale(u_nom)`` (through
+    :class:`~tlqr.dynamics.NoiseModel`) and z_j the (K, n) standard normals
+    of a stream bit-identical to ``default_rng(seeds[j])``; seeds must lie in
+    [0, 2**64). Closed loop applies the clamped feedback law; open loop
+    applies the planned controls, which are bound-checked once per call.
     """
     if mode not in _MODE_TAGS:
         raise ValueError(f"unknown mode '{mode}'")
     model, nominal = policy.model, policy.nominal
     k, n = policy.horizon, model.state_dim
-    noise = NoiseModel(epsilon, noise_scale(nominal.controls), n)
+    seeds = _seed_array(seeds)
+    epsilon = np.broadcast_to(np.asarray(epsilon, dtype=float), seeds.shape)
+    sigma = NoiseModel(epsilon, noise_scale(nominal.controls), n).sigma
     if mode == OPEN_LOOP:
         for u in nominal.controls:
             model.validate_control(u)
-    noises = np.empty((len(seeds), k, n))
-    for j, seed in enumerate(seeds):
-        noises[j] = noise.sample(np.random.default_rng(seed), k)
 
+    # Each run's standard normals are drawn straight into its future states
+    # and scaled one step at a time: scaling them all at once would allocate
+    # numpy's broadcast buffers, about as large as a 500-run batch.
     states = np.empty((len(seeds), k + 1, n))
+    _standard_normals(seeds, states[:, 1:])
+    states[sigma == 0.0, 1:] = 0.0  # NoiseModel.sample's exact zeros, not -0.0
+    scale = sigma[:, None]
+
     states[:, 0] = nominal.states[0]
     for t in range(k):
         x = states[:, t]
@@ -81,16 +224,17 @@ def rollout_states(
             u = feedback_control(policy, t, x)
         else:
             u = np.broadcast_to(nominal.controls[t], (len(seeds), model.control_dim))
-        states[:, t + 1] = model.transition(x, u) + noises[:, t]
+        states[:, t + 1] = model.transition(x, u) + scale * states[:, t + 1]
     return states
 
 
 def nmse_values(planned: NominalTrajectory, states: Array) -> Array:
     """Per-run normalized mean squared error, in percent.
 
-    ``states`` is an (N, K+1, n) array as returned by :func:`rollout_states`.
-    Both trajectories are stacked into single vectors (initial state
-    included); the value is |planned - run|^2 / |planned|^2 * 100.
+    ``states`` is an (N, K+1, n) array as returned by :func:`rollout_states`;
+    it is read, never written. Both trajectories are stacked into single
+    vectors (initial state included); the value is
+    |planned - run|^2 / |planned|^2 * 100.
     """
     denom = float(np.sum(planned.states**2))
     if denom == 0.0:
@@ -99,7 +243,8 @@ def nmse_values(planned: NominalTrajectory, states: Array) -> Array:
     if states.ndim != 3 or states.shape[1:] != planned.states.shape:
         raise ValueError("run horizon does not match the planned trajectory")
     diff = states - planned.states
-    return np.sum(diff.reshape(len(states), -1) ** 2, axis=1) / denom * 100.0
+    np.square(diff, out=diff)
+    return np.sum(diff.reshape(len(states), -1), axis=1) / denom * 100.0
 
 
 @dataclass(frozen=True)
@@ -114,23 +259,6 @@ class SweepRow:
     n_runs: int
 
 
-def _mode_stats(
-    policy: TrackingPolicy,
-    epsilon: float,
-    grid_index: int,
-    mode: str,
-    n_runs: int,
-    master_seed: int,
-) -> tuple[float, float]:
-    seeds = [
-        derive_seed(master_seed, _CTX_SWEEP, grid_index, _MODE_TAGS[mode], j)
-        for j in range(n_runs)
-    ]
-    vals = nmse_values(policy.nominal, rollout_states(policy, epsilon, mode, seeds))
-    sd = float(vals.std(ddof=1)) if n_runs > 1 else 0.0
-    return float(vals.mean()), sd
-
-
 def sweep_epsilon(
     policy: TrackingPolicy,
     grid: Sequence[float],
@@ -141,11 +269,14 @@ def sweep_epsilon(
     """Average NMSE per epsilon for closed- and/or open-loop execution.
 
     Returns one :class:`SweepRow` per grid point, in grid order, which the
-    grid check makes strictly increasing in epsilon. Each (grid point, mode)
-    pair is one batch of ``n_runs`` runs through :func:`rollout_states`;
-    per-run seeds are derived from (master_seed, grid index, run index,
-    mode). A planned trajectory of zero norm leaves the NMSE undefined and
-    raises :class:`NumericalFailure` before any run.
+    grid check makes strictly increasing in epsilon. Per mode, whole rows of
+    ``n_runs`` runs share :func:`rollout_states` calls of up to
+    ``_RUNS_PER_CALL`` runs; per-run seeds are derived from (master_seed,
+    grid index, run index, mode), so the rows do not depend on the packing.
+    A planned trajectory of zero norm leaves the NMSE undefined and raises
+    :class:`NumericalFailure`, and an open-loop nominal out of the control
+    bounds raises ``RuntimeError`` naming the first epsilon, both before any
+    run.
     """
     grid = np.asarray(grid, dtype=float)
     if len(grid) == 0 or np.any(grid <= 0):
@@ -160,22 +291,36 @@ def sweep_epsilon(
     if float(np.sum(policy.nominal.states**2)) == 0.0:
         raise NumericalFailure("planned trajectory has zero norm, so its NMSE is undefined")
 
-    rows = []
-    for i, eps in enumerate(grid):
-        stats = {CLOSED_LOOP: (np.nan, np.nan), OPEN_LOOP: (np.nan, np.nan)}
-        for mode in modes:
+    if OPEN_LOOP in modes:
+        try:
+            for u in policy.nominal.controls:
+                policy.model.validate_control(u)
+        except BoundViolation as exc:
+            raise RuntimeError(f"sweep failed at epsilon={grid[0]:.6g} ({OPEN_LOOP})") from exc
+
+    stats = {m: np.full((len(grid), 2), np.nan) for m in (CLOSED_LOOP, OPEN_LOOP)}
+    rows_per_call = max(1, _RUNS_PER_CALL // n_runs)
+    for mode in modes:
+        for first in range(0, len(grid), rows_per_call):
+            rows = range(first, min(first + rows_per_call, len(grid)))
+            tags = [(_CTX_SWEEP, i, _MODE_TAGS[mode]) for i in rows]
+            seeds = np.concatenate([derive_seeds(master_seed, t, n_runs) for t in tags])
             try:
-                stats[mode] = _mode_stats(policy, eps, i, mode, n_runs, master_seed)
+                states = rollout_states(policy, np.repeat(grid[rows], n_runs), mode, seeds)
+                vals = nmse_values(policy.nominal, states)
             except Exception as exc:
-                raise RuntimeError(f"sweep failed at epsilon={eps:.6g} ({mode})") from exc
-        rows.append(
-            SweepRow(
-                epsilon=float(eps),
-                avg_nmse_closed=stats[CLOSED_LOOP][0],
-                avg_nmse_open=stats[OPEN_LOOP][0],
-                sd_closed=stats[CLOSED_LOOP][1],
-                sd_open=stats[OPEN_LOOP][1],
-                n_runs=n_runs,
-            )
+                span = f"{grid[first]:.6g}" + (f"..{grid[rows[-1]]:.6g}" if len(rows) > 1 else "")
+                raise RuntimeError(f"sweep failed at epsilon={span} ({mode})") from exc
+            for i, v in zip(rows, vals.reshape(-1, n_runs)):
+                stats[mode][i] = v.mean(), v.std(ddof=1) if n_runs > 1 else 0.0
+    return tuple(
+        SweepRow(
+            epsilon=float(eps),
+            avg_nmse_closed=float(stats[CLOSED_LOOP][i, 0]),
+            avg_nmse_open=float(stats[OPEN_LOOP][i, 0]),
+            sd_closed=float(stats[CLOSED_LOOP][i, 1]),
+            sd_open=float(stats[OPEN_LOOP][i, 1]),
+            n_runs=n_runs,
         )
-    return tuple(rows)
+        for i, eps in enumerate(grid)
+    )

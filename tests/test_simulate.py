@@ -11,14 +11,17 @@ from tlqr import (
     NominalTrajectory,
     TrackingPolicy,
     derive_seed,
+    derive_seeds,
+    estimate_exit_probability,
     feedback_control,
     nmse_values,
     noise_scale,
     rollout_states,
     sweep_epsilon,
 )
+from tlqr import simulate
 from tlqr.config import FULL_GRID, epsilon_grid
-from tlqr.simulate import _CTX_SWEEP
+from tlqr.simulate import _CTX_SWEEP, _standard_normals
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -233,3 +236,133 @@ def test_rollout_states_open_loop_rejects_out_of_bounds_nominal(car_experiment):
         rollout_states(policy, 0.05, OPEN_LOOP, [1, 2])
     with pytest.raises(BoundViolation):
         rollout(policy, 0.05, OPEN_LOOP, 1)
+
+
+# -- batched seeding: derive_seeds and the reused generator against their oracle --
+
+
+@pytest.mark.parametrize(
+    "master_seed, tags",
+    [
+        (0, ()),
+        (20260810, (_CTX_SWEEP, 7, 1)),
+        (2**32 - 1, (2,)),
+        (2**32, (2,)),
+        (2**40 + 3, (_CTX_SWEEP, 149, 0)),
+        (2**64 - 1, (2,)),
+        (5, (2**32, 9)),
+        (5, (2**63 + 1, 2**32 - 1, 0)),
+        (11, (1, 2, 3, 4, 5, 6)),
+    ],
+)
+def test_derive_seeds_equals_derive_seed(master_seed, tags):
+    got = derive_seeds(master_seed, tags, 300)
+    assert got.dtype == np.uint64 and got.shape == (300,)
+    assert got.tolist() == [derive_seed(master_seed, *tags, j) for j in range(300)]
+
+
+def test_derive_seeds_rejects_negative_values():
+    for master_seed, tags in ((-1, ()), (3, (-2,))):
+        with pytest.raises(ValueError):
+            derive_seed(master_seed, *tags)
+        with pytest.raises(ValueError):
+            derive_seeds(master_seed, tags, 4)
+    assert derive_seeds(3, (1,), 0).shape == (0,)
+
+
+def test_reused_generator_streams_equal_default_rng():
+    # 0 through 2**32 - 1 seed SeedSequence with one word, 2**32 and up with two.
+    edge = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
+    seeds = np.array(edge + derive_seeds(2**33 + 5, (_CTX_SWEEP,), 500).tolist(), dtype=np.uint64)
+    out = np.empty((len(seeds), 20, 3))
+    _standard_normals(seeds, out)
+    for draws, seed in zip(out, seeds.tolist()):
+        assert np.array_equal(draws, np.random.default_rng(seed).standard_normal((20, 3)))
+
+
+def test_rollout_states_seeds_outside_64_bits_raise(car_experiment):
+    planned, _ = car_experiment
+    for seeds in ([-1], [2**64], [3, -5]):
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            rollout_states(planned.policy, 0.05, CLOSED_LOOP, seeds)
+    # A seed list that numpy would coerce to float64 keeps every bit.
+    top = [2**64 - 1, 1]
+    batch = rollout_states(planned.policy, 0.05, CLOSED_LOOP, top)
+    for states, seed in zip(batch, top):
+        assert np.array_equal(states, rollout(planned.policy, 0.05, CLOSED_LOOP, seed).states)
+
+
+# -- one kernel call per run budget --
+
+
+@pytest.mark.parametrize("mode", [CLOSED_LOOP, OPEN_LOOP])
+def test_per_run_epsilon_equals_per_epsilon_calls(car_experiment, mode):
+    planned, _ = car_experiment
+    eps = [0.01, 0.06, 0.147]
+    seeds = _seeds(120)
+    run_eps = np.repeat(eps, 40)
+    batch = rollout_states(planned.policy, run_eps, mode, seeds)
+    for i, e in enumerate(eps):
+        rows = slice(40 * i, 40 * (i + 1))
+        assert np.array_equal(batch[rows], rollout_states(planned.policy, e, mode, seeds[rows]))
+
+
+def test_rollout_states_per_run_epsilon_validation(car_experiment):
+    planned, _ = car_experiment
+    with pytest.raises(ValueError, match="nonnegative"):
+        rollout_states(planned.policy, [0.05, -0.01], CLOSED_LOOP, [1, 2])
+    with pytest.raises(ValueError):
+        rollout_states(planned.policy, [0.05, 0.06, 0.07], CLOSED_LOOP, [1, 2])
+
+
+def test_sweep_rows_independent_of_runs_per_call(car_experiment, monkeypatch):
+    planned, _ = car_experiment
+    grid, n_runs = [0.02, 0.05, 0.09, 0.11], 30
+
+    def sweep():
+        rows = sweep_epsilon(planned.policy, grid, n_runs, 13)
+        return np.array([dataclasses.astuple(r) for r in rows])
+
+    default = sweep()
+    for budget in (n_runs, len(grid) * n_runs, 1):
+        monkeypatch.setattr(simulate, "_RUNS_PER_CALL", budget)
+        assert np.array_equal(sweep(), default)
+
+
+def test_nmse_values_leaves_its_arguments_unchanged(car_experiment):
+    planned, _ = car_experiment
+    nominal = planned.policy.nominal
+    before = nominal.states.copy()
+    states = rollout_states(planned.policy, 0.05, CLOSED_LOOP, _seeds(10))
+    kept = states.copy()
+    nmse_values(nominal, states)
+    assert np.array_equal(states, kept)
+    assert np.array_equal(nominal.states, before)
+
+
+def test_monte_carlo_builds_no_seed_sequence_per_run(car_experiment, monkeypatch):
+    # Per-run seeding would construct these through np.random once per run.
+    planned, _ = car_experiment
+    counts = {}
+
+    def counted(name):
+        original = getattr(np.random, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("SeedSequence", "default_rng", "Generator", "PCG64"):
+        monkeypatch.setattr(np.random, name, counted(name))
+
+    def constructions(n_runs):
+        counts.clear()
+        sweep_epsilon(planned.policy, [0.02, 0.05, 0.08], n_runs, 3)
+        estimate_exit_probability(planned.policy, 0.3, 0.05, 3 * n_runs, seed=3)
+        return dict(counts)
+
+    small = constructions(50)
+    assert small.get("SeedSequence", 0) == 0 and small.get("default_rng", 0) == 0
+    assert constructions(100) == small
