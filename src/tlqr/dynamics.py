@@ -85,7 +85,21 @@ class SystemModel(ABC):
 
     @abstractmethod
     def transition_jacobians(self, x: Array, u: Array) -> tuple[Array, Array]:
-        """Jacobians (d f/d x, d f/d u) without control-bound enforcement."""
+        """Jacobians (d f/d x, d f/d u) without control-bound enforcement.
+
+        Takes one state (n,) and control (m,) and returns (n, n) and (n, m),
+        or a batch of N states (N, n) and controls (N, m) and returns the
+        stacks (N, n, n) and (N, n, m); row i of a batch result equals the
+        single-pair result for row i, bit for bit.
+        """
+
+    def open_loop_states(self, x0: Array, controls: Array) -> Array:
+        """States (K+1, n) of x0 driven by controls (K, m) through the unchecked transition."""
+        states = np.empty((len(controls) + 1, self.state_dim))
+        states[0] = x0
+        for t, u in enumerate(controls):
+            states[t + 1] = self.transition(states[t], u)
+        return states
 
     # -- bound handling; identity for unconstrained models.
 
@@ -97,7 +111,10 @@ class SystemModel(ABC):
         return np.asarray(u, dtype=float)
 
     def validate_control(self, u: Array) -> None:
-        """Raise :class:`BoundViolation` for out-of-bounds controls."""
+        """Raise :class:`BoundViolation` for out-of-bounds controls, (m,) or (N, m).
+
+        A batch reports its first offending row.
+        """
 
     def control_bounds(self) -> Array | None:
         """Per-component symmetric bound magnitudes, or None if unbounded."""
@@ -106,22 +123,21 @@ class SystemModel(ABC):
     # -- checked public surface.
 
     def _check_dims(self, x: Array, u: Array) -> tuple[Array, Array]:
+        """x (n,) with u (m,), or x (N, n) with u (N, m), as float arrays."""
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        if x.shape != (self.state_dim,):
-            raise ValueError(f"state has shape {x.shape}, expected ({self.state_dim},)")
-        if u.shape != (self.control_dim,):
-            raise ValueError(f"control has shape {u.shape}, expected ({self.control_dim},)")
+        n, m = self.state_dim, self.control_dim
+        if x.ndim not in (1, 2) or x.shape[-1] != n:
+            raise ValueError(f"state has shape {x.shape}, expected ({n},) or (N, {n})")
+        if u.shape != x.shape[:-1] + (m,):
+            raise ValueError(f"control has shape {u.shape}, expected {x.shape[:-1] + (m,)}")
         return x, u
 
-    def step(self, x: Array, u: Array) -> Array:
-        """One noise-free transition; validates dimensions and bounds."""
-        x, u = self._check_dims(x, u)
-        self.validate_control(u)
-        return self.transition(x, u)
-
     def jacobians(self, x: Array, u: Array) -> tuple[Array, Array]:
-        """Jacobians (d f/d x, d f/d u); validates dimensions and the smooth domain."""
+        """Jacobians of one pair or a batch, shaped as :meth:`transition_jacobians` returns them.
+
+        Validates the dimensions and, on every row, the smooth domain.
+        """
         x, u = self._check_dims(x, u)
         self._check_smooth_domain(u)
         return self.transition_jacobians(x, u)
@@ -132,17 +148,15 @@ class SystemModel(ABC):
     def rollout_nominal(self, x0: Array, controls: Array) -> NominalTrajectory:
         """Propagate x0 through the given control sequence.
 
-        Returns K+1 states for K controls; each step goes through the
-        bound-checked :meth:`step`.
+        Returns K+1 states for K controls. The dimensions and the bounds of
+        every control are checked before :meth:`open_loop_states` runs.
         """
         controls = np.asarray(controls, dtype=float)
         if controls.ndim != 2 or len(controls) == 0:
             raise ValueError("controls must be a nonempty (K, n_u) array")
-        states = np.empty((len(controls) + 1, self.state_dim))
-        states[0] = np.asarray(x0, dtype=float)
-        for t, u in enumerate(controls):
-            states[t + 1] = self.step(states[t], u)
-        return NominalTrajectory(states=states, controls=controls)
+        x0, _ = self._check_dims(x0, controls[0])
+        self.validate_control(controls)
+        return NominalTrajectory(states=self.open_loop_states(x0, controls), controls=controls)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,14 +198,22 @@ class KinematicCar(SystemModel):
         ).T
 
     def _drift_jacobians(self, x: Array, u: Array) -> tuple[Array, Array]:
-        v, phi = u
-        theta = x[2]
-        ct, st = np.cos(theta), np.sin(theta)
-        jx = np.array([[0.0, 0.0, -v * st], [0.0, 0.0, v * ct], [0.0, 0.0, 0.0]])
-        sec2 = 1.0 / np.cos(phi) ** 2
-        ju = np.array(
-            [[ct, 0.0], [st, 0.0], [np.tan(phi) / self.wheelbase, v * sec2 / self.wheelbase]]
-        )
+        """Drift Jacobian stacks (N, 3, 3) and (N, 3, 2) at states (N, 3) and controls (N, 2)."""
+        v, phi = u.T
+        ct, st = np.cos(x[:, 2]), np.sin(x[:, 2])
+        jx = np.zeros((len(x), 3, 3))
+        jx[:, 0, 2] = -v * st
+        jx[:, 1, 2] = v * ct
+        # cos^2 through C pow() on Python floats, as a float64 scalar's ** 2
+        # takes it: the pinned reference run was computed that way. An array's
+        # ** 2 multiplies instead, which differs in the last bit for about 1 in
+        # 1,000 angles, and the planner's iterates amplify such bits.
+        sec2 = 1.0 / np.array([c**2 for c in np.cos(phi).tolist()])
+        ju = np.zeros((len(x), 3, 2))
+        ju[:, 0, 0] = ct
+        ju[:, 1, 0] = st
+        ju[:, 2, 0] = np.tan(phi) / self.wheelbase
+        ju[:, 2, 1] = v * sec2 / self.wheelbase
         return jx, ju
 
     def transition(self, x: Array, u: Array) -> Array:
@@ -206,9 +228,30 @@ class KinematicCar(SystemModel):
         k4 = self._drift(x + dt * k3, u)
         return x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
+    def open_loop_states(self, x0: Array, controls: Array) -> Array:
+        if self.integrator != "euler":
+            return super().open_loop_states(x0, controls)
+        # An Euler step adds dt * drift, and the drift depends on the heading
+        # alone, so each column is a running sum of its increments. Summed left
+        # to right, it equals the step-by-step loop bit for bit.
+        v, phi = np.asarray(controls, dtype=float).T
+        dt = self.step_period
+        states = np.empty((len(v) + 1, 3))
+        states[0] = x0
+        states[1:, 2] = dt * (v / self.wheelbase * np.tan(phi))
+        np.add.accumulate(states[:, 2], out=states[:, 2])
+        theta = states[:-1, 2]
+        states[1:, 0] = dt * (v * np.cos(theta))
+        states[1:, 1] = dt * (v * np.sin(theta))
+        np.add.accumulate(states[:, :2], axis=0, out=states[:, :2])
+        return states
+
     def transition_jacobians(self, x: Array, u: Array) -> tuple[Array, Array]:
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
+        if x.ndim == 1:
+            a, b = self.transition_jacobians(x[None], u[None])
+            return a[0], b[0]
         dt = self.step_period
         eye = np.eye(3)
         if self.integrator == "euler":
@@ -244,19 +287,24 @@ class KinematicCar(SystemModel):
         ).T
 
     def validate_control(self, u: Array) -> None:
-        if abs(u[0]) > self.v_max:
-            raise BoundViolation("v", float(u[0]), self.v_max)
-        if abs(u[1]) >= self.phi_max:
-            raise BoundViolation("phi", float(u[1]), self.phi_max)
+        u = np.atleast_2d(u)
+        bad = (np.abs(u[:, 0]) > self.v_max) | (np.abs(u[:, 1]) >= self.phi_max)
+        if np.any(bad):
+            v, phi = u[np.argmax(bad)]
+            if abs(v) > self.v_max:
+                raise BoundViolation("v", float(v), self.v_max)
+            raise BoundViolation("phi", float(phi), self.phi_max)
 
     def control_bounds(self) -> Array:
         return np.array([self.v_max, self.phi_max])
 
     def _check_smooth_domain(self, u: Array) -> None:
-        if abs(u[1]) >= self.phi_max:
+        phi = np.atleast_1d(u[..., 1])
+        singular = phi[np.abs(phi) >= self.phi_max]
+        if len(singular):
             raise DomainError(
                 f"heading-rate map is singular at |phi| >= phi_max ({self.phi_max:.6g}); "
-                f"got phi = {u[1]:.6g}"
+                f"got phi = {singular[0]:.6g}"
             )
 
 
@@ -286,7 +334,8 @@ class LinearSystem(SystemModel):
         return (self.a @ x.T).T + (self.b @ u.T).T
 
     def transition_jacobians(self, x: Array, u: Array) -> tuple[Array, Array]:
-        return self.a.copy(), self.b.copy()
+        reps = np.shape(x)[:-1] + (1, 1)
+        return np.tile(self.a, reps), np.tile(self.b, reps)
 
 
 @dataclass(frozen=True)

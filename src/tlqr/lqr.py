@@ -135,11 +135,7 @@ class TrackingPolicy:
 
 def linearize_along(model: SystemModel, nominal: NominalTrajectory) -> LtvSystem:
     """Jacobians of the transition map at every nominal (state, control) pair."""
-    k = nominal.horizon
-    a = np.empty((k, model.state_dim, model.state_dim))
-    b = np.empty((k, model.state_dim, model.control_dim))
-    for t in range(k):
-        a[t], b[t] = model.jacobians(nominal.states[t], nominal.controls[t])
+    a, b = model.jacobians(nominal.states[:-1], nominal.controls)
     return LtvSystem(a=a, b=b)
 
 

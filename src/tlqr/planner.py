@@ -33,6 +33,15 @@ MEMORY = 10
 HEADING_WEIGHT = 0.5
 
 
+def _squared_norms(u: Array) -> float | Array:
+    """|u|^2 of a vector (m,), or of each row of a matrix (K, m).
+
+    A batched matrix product rounds each row as ``u @ u`` does; an
+    elementwise square and sum rounds differently on about one row in six.
+    """
+    return np.matmul(u[..., None, :], u[..., :, None])[..., 0, 0]
+
+
 @dataclass(frozen=True, eq=False)
 class GoalCost:
     """Quadratic effort + hinge bound penalty per stage, quadratic goal penalty at the end.
@@ -51,14 +60,16 @@ class GoalCost:
     bounds: Optional[Array]
     terminal_weights: Array
 
-    def stage(self, u: Array) -> float:
-        value = self.effort_weight * float(u @ u)
+    def stage(self, u: Array) -> float | Array:
+        """Stage cost of one control (m,), or the (K,) row costs of a batch (K, m)."""
+        value = self.effort_weight * _squared_norms(u)
         if self.bounds is not None and self.bound_weight > 0:
             hinge = np.maximum(0.0, np.abs(u) - self.bounds)
-            value += self.bound_weight * float(hinge @ hinge)
+            value = value + self.bound_weight * _squared_norms(hinge)
         return value
 
     def stage_grad(self, u: Array) -> Array:
+        """Gradient (m,) of the stage cost at one control, or (K, m) at each row of a batch."""
         grad = 2.0 * self.effort_weight * u
         if self.bounds is not None and self.bound_weight > 0:
             hinge = np.maximum(0.0, np.abs(u) - self.bounds)
@@ -89,11 +100,13 @@ class CostLinearization:
 def linearize_cost(cost: GoalCost, nominal: NominalTrajectory) -> CostLinearization:
     """Stage and terminal cost gradients evaluated at the trajectory points.
 
-    The stage cost does not depend on the state, so ``cx`` is zero.
+    The stage cost does not depend on the state, so ``cx`` is zero. ``cu``
+    is C-ordered whatever the layout of the controls: the reductions that
+    read it (``einsum`` in the cost-error analysis) sum in memory order.
     """
     return CostLinearization(
         cx=np.zeros((nominal.horizon, nominal.state_dim)),
-        cu=np.array([cost.stage_grad(u) for u in nominal.controls]),
+        cu=np.ascontiguousarray(cost.stage_grad(nominal.controls)),
         cx_terminal=cost.terminal_grad(nominal.states[-1]),
     )
 
@@ -156,34 +169,33 @@ def goal_tracking_cost(
     )
 
 
-def _rollout_raw(model: SystemModel, x0: Array, controls: Array) -> Array:
-    """Rollout through the unchecked transition (penalty evaluation path)."""
-    states = np.empty((len(controls) + 1, model.state_dim))
-    states[0] = x0
-    for t, u in enumerate(controls):
-        states[t + 1] = model.transition(states[t], u)
-    return states
+def _check_rollout(states: Array, controls: Array) -> tuple[Array, Array]:
+    states = np.asarray(states, dtype=float)
+    controls = np.asarray(controls, dtype=float)
+    if controls.ndim != 2 or len(controls) < 1 or len(states) != len(controls) + 1:
+        raise ValueError("expected nonempty (K, n_u) controls and K+1 states")
+    return states, controls
 
 
 def nominal_cost(cost: GoalCost, states: Array, controls: Array) -> float:
     """Cost of a rollout, states (K+1, n) under controls (K, m), penalties included."""
-    controls = np.asarray(controls, dtype=float)
-    if controls.ndim != 2 or len(controls) < 1 or len(states) != len(controls) + 1:
-        raise ValueError("expected nonempty (K, n_u) controls and K+1 states")
-    total = sum(cost.stage(u) for u in controls)
+    states, controls = _check_rollout(states, controls)
+    # Python floats summed left to right, as a stage-by-stage loop adds them.
+    total = sum(cost.stage(controls).tolist())
     return float(total + cost.terminal(states[-1]))
 
 
 def cost_gradient(model: SystemModel, cost: GoalCost, states: Array, controls: Array) -> Array:
     """Gradient of nominal_cost with respect to each control along a rollout.
 
-    lam = adjoint_sweep(dc_K/dx, dc_t/dx, A_t) and g_t = dc_t/du + B_t^T lam_{t+1}.
+    lam = adjoint_sweep(dc_K/dx, dc_t/dx, A_t) and g_t = dc_t/du + B_t^T lam_{t+1},
+    with all (A_t, B_t) from one batched Jacobian call. The stage cost does
+    not depend on the state, so dc_t/dx is zero.
     """
-    traj = NominalTrajectory(states=states, controls=controls)
-    lin = linearize_cost(cost, traj)
-    jacobians = [model.transition_jacobians(x, u) for x, u in zip(traj.states, traj.controls)]
-    lam = adjoint_sweep(lin.cx_terminal, lin.cx, np.array([a for a, _ in jacobians]))
-    return np.array([lin.cu[t] + b.T @ lam[t + 1] for t, (_, b) in enumerate(jacobians)])
+    states, controls = _check_rollout(states, controls)
+    a, b = model.transition_jacobians(states[:-1], controls)
+    lam = adjoint_sweep(cost.terminal_grad(states[-1]), np.zeros(states[:-1].shape), a)
+    return cost.stage_grad(controls) + np.matmul(lam[1:, None, :], b)[:, 0, :]
 
 
 def _two_loop_direction(grad, s_list, y_list, rho_list):
@@ -230,7 +242,7 @@ def optimize_nominal(
 
     def value(z: Array) -> tuple[float, Array]:
         controls = z.reshape(k, n_u)
-        states = _rollout_raw(model, x0, controls)
+        states = model.open_loop_states(x0, controls)
         j = nominal_cost(cost, states, controls)
         if not np.isfinite(j):
             raise NumericalFailure(f"cost is not finite ({j})", iterate=controls)

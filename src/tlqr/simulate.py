@@ -206,8 +206,7 @@ def rollout_states(
     epsilon = np.broadcast_to(np.asarray(epsilon, dtype=float), seeds.shape)
     sigma = NoiseModel(epsilon, noise_scale(nominal.controls), n).sigma
     if mode == OPEN_LOOP:
-        for u in nominal.controls:
-            model.validate_control(u)
+        model.validate_control(nominal.controls)
 
     # Each run's standard normals are drawn straight into its future states
     # and scaled one step at a time: scaling them all at once would allocate
@@ -293,8 +292,7 @@ def sweep_epsilon(
 
     if OPEN_LOOP in modes:
         try:
-            for u in policy.nominal.controls:
-                policy.model.validate_control(u)
+            policy.model.validate_control(policy.nominal.controls)
         except BoundViolation as exc:
             raise RuntimeError(f"sweep failed at epsilon={grid[0]:.6g} ({OPEN_LOOP})") from exc
 

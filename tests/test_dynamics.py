@@ -5,6 +5,69 @@ from tlqr import BoundViolation, DomainError, KinematicCar, LinearSystem, NoiseM
 
 CAR = KinematicCar(wheelbase=0.5, step_period=0.7, v_max=0.6, phi_max=np.pi / 2)
 X0 = np.array([-1.5, 0.5, 0.0])
+EVERY_MODEL = pytest.mark.parametrize(
+    "model",
+    [
+        CAR,
+        KinematicCar(wheelbase=0.5, step_period=0.7, integrator="rk4"),
+        LinearSystem(a=[[0.9, 0.2], [-0.1, 1.0]], b=[[0.0], [0.5]]),
+    ],
+    ids=["car-euler", "car-rk4", "linear"],
+)
+
+
+def step(model, x, u):
+    """One checked transition: the second state of a one-step rollout."""
+    return model.rollout_nominal(x, np.asarray(u, dtype=float)[None]).states[1]
+
+
+def per_pair_jacobians(model, x, u):
+    """Reference for batched ``transition_jacobians``: one (state, control) pair at a time.
+
+    The car's formulas work on float64 scalars and 2-d matrix products: the
+    arithmetic the pinned reference numbers were computed with.
+    """
+    if isinstance(model, LinearSystem):
+        return model.a.copy(), model.b.copy()
+    wheelbase, dt, eye = model.wheelbase, model.step_period, np.eye(3)
+
+    def drift(x):
+        v, phi = u
+        return np.array([v * np.cos(x[2]), v * np.sin(x[2]), v / wheelbase * np.tan(phi)])
+
+    def drift_jacobians(x):
+        v, phi = u
+        ct, st = np.cos(x[2]), np.sin(x[2])
+        jx = np.array([[0.0, 0.0, -v * st], [0.0, 0.0, v * ct], [0.0, 0.0, 0.0]])
+        sec2 = 1.0 / np.cos(phi) ** 2
+        ju = np.array([[ct, 0.0], [st, 0.0], [np.tan(phi) / wheelbase, v * sec2 / wheelbase]])
+        return jx, ju
+
+    j1x, j1u = drift_jacobians(x)
+    if model.integrator == "euler":
+        return eye + dt * j1x, dt * j1u
+    x2 = x + 0.5 * dt * drift(x)
+    dx2, du2 = drift_jacobians(x2)
+    j2x = dx2 @ (eye + 0.5 * dt * j1x)
+    j2u = dx2 @ (0.5 * dt * j1u) + du2
+    x3 = x + 0.5 * dt * drift(x2)
+    dx3, du3 = drift_jacobians(x3)
+    j3x = dx3 @ (eye + 0.5 * dt * j2x)
+    j3u = dx3 @ (0.5 * dt * j2u) + du3
+    dx4, du4 = drift_jacobians(x + dt * drift(x3))
+    j4x = dx4 @ (eye + dt * j3x)
+    j4u = dx4 @ (dt * j3u) + du4
+    a = eye + dt / 6.0 * (j1x + 2 * j2x + 2 * j3x + j4x)
+    b = dt / 6.0 * (j1u + 2 * j2u + 2 * j3u + j4u)
+    return a, b
+
+
+def pow_sensitive_angles(rng, draws=20_000):
+    """Steering angles whose cos^2 differs between a float64 scalar's C pow() and an array's square."""
+    phi = rng.uniform(-1.5, 1.5, size=draws)
+    c = np.cos(phi)
+    scalar = np.array([ci**2 for ci in c])  # np.float64 ** 2
+    return phi[scalar != c**2]
 
 
 def fd_jacobians(model, x, u, h=1e-5):
@@ -24,18 +87,18 @@ def fd_jacobians(model, x, u, h=1e-5):
 
 
 def test_euler_step_straight():
-    out = CAR.step(X0, np.array([0.6, 0.0]))
+    out = step(CAR, X0, np.array([0.6, 0.0]))
     np.testing.assert_allclose(out, [-1.08, 0.5, 0.0], atol=1e-12)
 
 
 def test_euler_step_turning():
-    out = CAR.step(X0, np.array([0.6, np.pi / 4]))
+    out = step(CAR, X0, np.array([0.6, np.pi / 4]))
     np.testing.assert_allclose(out, [-1.08, 0.5, 0.84], atol=1e-12)
 
 
 def test_step_deterministic():
     u = np.array([0.3, 0.2])
-    assert np.array_equal(CAR.step(X0, u), CAR.step(X0, u))
+    assert np.array_equal(step(CAR, X0, u), step(CAR, X0, u))
 
 
 def test_jacobian_state_hand_value():
@@ -48,15 +111,7 @@ def test_jacobian_control_hand_value():
     np.testing.assert_allclose(b, [[0.7, 0], [0, 0], [0, 0.84]], atol=1e-12)
 
 
-@pytest.mark.parametrize(
-    "model",
-    [
-        CAR,
-        KinematicCar(wheelbase=0.5, step_period=0.7, integrator="rk4"),
-        LinearSystem(a=[[0.9, 0.2], [-0.1, 1.0]], b=[[0.0], [0.5]]),
-    ],
-    ids=["car-euler", "car-rk4", "linear"],
-)
+@EVERY_MODEL
 def test_jacobians_match_finite_differences(model):
     rng = np.random.default_rng(7)
     for _ in range(100):
@@ -73,13 +128,38 @@ def test_jacobians_match_finite_differences(model):
         assert np.linalg.norm(b - b_fd) <= 1e-6 * max(np.linalg.norm(b), 1.0)
 
 
+@EVERY_MODEL
+def test_batched_jacobians_equal_per_pair_formulas(model):
+    rng = np.random.default_rng(17)
+    n = 200
+    x = rng.uniform(-4, 4, size=(n, model.state_dim))
+    u = rng.uniform(-1, 1, size=(n, model.control_dim))
+    if isinstance(model, KinematicCar):
+        tricky = pow_sensitive_angles(rng)
+        assert len(tricky) >= 5
+        near_singular = np.pi / 2 - rng.uniform(0.0, 1e-3, size=20)
+        phi = np.concatenate([tricky, -tricky, near_singular, -near_singular])
+        u[: len(phi), 1] = phi
+        u[:, 0] *= model.v_max
+    a, b = model.transition_jacobians(x, u)
+    assert a.shape == (n, model.state_dim, model.state_dim)
+    assert b.shape == (n, model.state_dim, model.control_dim)
+    for i in range(n):
+        a_ref, b_ref = per_pair_jacobians(model, x[i], u[i])
+        assert np.array_equal(a[i], a_ref) and np.array_equal(b[i], b_ref)
+        a_one, b_one = model.transition_jacobians(x[i], u[i])
+        assert np.array_equal(a_one, a_ref) and np.array_equal(b_one, b_ref)
+    checked = model.jacobians(x, u)
+    assert np.array_equal(checked[0], a) and np.array_equal(checked[1], b)
+
+
 def test_zero_step_period_degenerate():
     frozen = KinematicCar(wheelbase=0.5, step_period=0.0)
     u = np.array([0.3, 0.4])
     a, b = frozen.jacobians(X0, u)
     np.testing.assert_array_equal(a, np.eye(3))
     np.testing.assert_array_equal(b, np.zeros((3, 2)))
-    np.testing.assert_array_equal(frozen.step(X0, u), X0)
+    np.testing.assert_array_equal(step(frozen, X0, u), X0)
 
 
 def test_rollout_zero_controls_constant():
@@ -106,30 +186,42 @@ def test_rollout_empty_controls_rejected():
 
 def test_dimension_mismatch_errors():
     with pytest.raises(ValueError):
-        CAR.step(np.zeros(2), np.zeros(2))
+        step(CAR, np.zeros(2), np.zeros(2))
     with pytest.raises(ValueError):
-        CAR.step(X0, np.zeros(3))
+        step(CAR, X0, np.zeros(3))
     with pytest.raises(ValueError):
         CAR.jacobians(np.zeros(2), np.zeros(2))
     with pytest.raises(ValueError):
         CAR.jacobians(X0, np.zeros(3))
+    with pytest.raises(ValueError):
+        CAR.jacobians(np.zeros((4, 3)), np.zeros((3, 2)))
+    with pytest.raises(ValueError):
+        CAR.jacobians(np.zeros((4, 3)), np.zeros(2))
 
 
 def test_speed_bound_violation_names_component():
     with pytest.raises(BoundViolation) as exc:
-        CAR.step(X0, np.array([0.61, 0.0]))
+        step(CAR, X0, np.array([0.61, 0.0]))
     assert exc.value.component == "v"
 
 
 def test_steering_bound_violation_names_component():
     with pytest.raises(BoundViolation) as exc:
-        CAR.step(X0, np.array([0.1, np.pi / 2]))
+        step(CAR, X0, np.array([0.1, np.pi / 2]))
     assert exc.value.component == "phi"
+    # A sequence reports its first offending row.
+    with pytest.raises(BoundViolation) as exc:
+        CAR.rollout_nominal(X0, [[0.1, 0.0], [0.1, -2.0], [0.9, 0.0]])
+    assert (exc.value.component, exc.value.value) == ("phi", -2.0)
 
 
 def test_jacobian_domain_error_at_singularity():
     with pytest.raises(DomainError):
         CAR.jacobians(X0, np.array([0.1, CAR.phi_max]))
+    u = np.tile([0.1, 0.2], (5, 1))
+    u[3, 1] = -CAR.phi_max
+    with pytest.raises(DomainError, match="phi = -1.5708"):
+        CAR.jacobians(np.tile(X0, (5, 1)), u)
 
 
 def test_clamp_control():
@@ -145,15 +237,7 @@ def test_clamp_control():
         assert np.array_equal(clamped[i], CAR.clamp_control(batch[i]))
 
 
-@pytest.mark.parametrize(
-    "model",
-    [
-        CAR,
-        KinematicCar(wheelbase=0.5, step_period=0.7, integrator="rk4"),
-        LinearSystem(a=[[0.9, 0.2], [-0.1, 1.0]], b=[[0.0], [0.5]]),
-    ],
-    ids=["car-euler", "car-rk4", "linear"],
-)
+@EVERY_MODEL
 def test_transition_batch_rows_equal_single_calls(model):
     rng = np.random.default_rng(11)
     x = rng.standard_normal((7, model.state_dim))
@@ -169,9 +253,9 @@ def test_rk4_closer_to_fine_reference_than_euler():
     fine = KinematicCar(wheelbase=0.5, step_period=0.7 / 256)
     x = X0.copy()
     for _ in range(256):
-        x = fine.step(x, u)
-    euler = CAR.step(X0, u)
-    rk4 = KinematicCar(wheelbase=0.5, step_period=0.7, integrator="rk4").step(X0, u)
+        x = step(fine, x, u)
+    euler = step(CAR, X0, u)
+    rk4 = step(KinematicCar(wheelbase=0.5, step_period=0.7, integrator="rk4"), X0, u)
     assert np.linalg.norm(rk4 - x) < np.linalg.norm(euler - x)
 
 

@@ -45,7 +45,7 @@ def test_linearize_constant_nominal():
 
 def test_linearize_matches_dynamics_hand_values():
     u = np.array([0.6, 0.0])
-    traj = NominalTrajectory(states=np.vstack([X0, CAR.step(X0, u)]), controls=u[None, :])
+    traj = CAR.rollout_nominal(X0, u[None, :])
     sys = linearize_along(CAR, traj)
     np.testing.assert_allclose(sys.a[0], [[1, 0, 0], [0, 1, 0.42], [0, 0, 1]], atol=1e-12)
     np.testing.assert_allclose(sys.b[0], [[0.7, 0], [0, 0], [0, 0.84]], atol=1e-12)
@@ -180,7 +180,7 @@ def test_closed_loop_error_contracts_after_startup(car_experiment):
     x = policy.nominal.states[0] + 0.05 * direction
     errs = [0.05]
     for t in range(policy.horizon):
-        x = model.step(x, feedback_control(policy, t, x))
+        x = model.transition(x, feedback_control(policy, t, x))
         errs.append(np.linalg.norm(x - policy.nominal.states[t + 1]))
     assert all(b <= a + 1e-12 for a, b in zip(errs[3:], errs[4:]))
 

@@ -1,3 +1,6 @@
+import hashlib
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -6,10 +9,13 @@ from tlqr import (
     LinearSystem,
     NumericalFailure,
     cost_gradient,
+    default_config,
     goal_tracking_cost,
     nominal_cost,
     optimize_nominal,
+    plan_experiment,
 )
+from tlqr import planner
 
 CAR = KinematicCar()
 X0 = np.array([-1.5, 0.5, 0.0])
@@ -77,6 +83,41 @@ def test_gradient_matches_finite_differences():
         assert np.linalg.norm(grad - fd) <= 1e-5 * max(np.linalg.norm(fd), 1.0)
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        CAR,
+        KinematicCar(wheelbase=0.5, step_period=0.7, integrator="rk4"),
+        LinearSystem(a=[[0.9, 0.2], [-0.1, 1.0]], b=[[0.0], [0.5]]),
+    ],
+    ids=["car-euler", "car-rk4", "linear"],
+)
+def test_open_loop_states_equal_stepwise_loop(model):
+    rng = np.random.default_rng(23)
+    for k in (1, 2, 7, 40):
+        x0 = rng.uniform(-3, 3, size=model.state_dim)
+        controls = rng.uniform(-1.2, 1.2, size=(k, model.control_dim))
+        assert np.array_equal(model.open_loop_states(x0, controls), raw_states(model, x0, controls))
+
+
+@pytest.mark.parametrize("model", [CAR, LinearSystem(a=np.eye(2), b=np.eye(2))], ids=["car", "linear"])
+def test_batched_stage_terms_equal_per_row_calls(model):
+    rng = np.random.default_rng(29)
+    cost = goal_tracking_cost(model, np.zeros(model.state_dim))
+    controls = rng.uniform(-2.0, 2.0, size=(500, 2))  # about half the rows out of bounds
+    values = cost.stage(controls)
+    grads = cost.stage_grad(controls)
+    assert values.shape == (500,) and grads.shape == (500, 2)
+    for u, value, grad in zip(controls, values, grads):
+        assert value == cost.stage(u)
+        expected = cost.effort_weight * float(u @ u)
+        if cost.bounds is not None:
+            hinge = np.maximum(0.0, np.abs(u) - cost.bounds)
+            expected += cost.bound_weight * float(hinge @ hinge)
+        assert value == expected
+        assert np.array_equal(grad, cost.stage_grad(u))
+
+
 def test_gradient_effort_only_closed_form():
     cost = goal_tracking_cost(CAR, X_GOAL, effort_weight=0.25, goal_weight=0.0, bound_weight=0.0)
     controls = np.tile([0.2, -0.3], (6, 1))
@@ -113,6 +154,40 @@ def test_reference_run_pinned(car_experiment):
     assert len(report.cost_history) == 491
     assert report.final_cost == 0.16028221323927846
     assert report.gradient_norm == 6.269212198836642e-07
+    digest = hashlib.sha256(np.array(report.cost_history).tobytes()).hexdigest()
+    assert digest == "b5ffbf6f9f3958f3a18bef8c11384c64cfcc83182dd453b39842213f59acc73f"
+
+
+def test_reference_plan_makes_no_per_step_calls(monkeypatch):
+    """Each gradient is one Jacobian call and no rollout steps the Euler car.
+
+    The planner calls ``nominal_cost`` and ``cost_gradient`` through the
+    module, so wrappers set on it, as by an outside tracer, see every
+    evaluation.
+    """
+    counts = Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("nominal_cost", "cost_gradient"):
+        count(planner, name)
+    for name in ("transition", "transition_jacobians"):
+        count(KinematicCar, name)
+    planned = plan_experiment(default_config())
+    assert planned.report.iterations == 490
+    # Costs: 570 trial points and the final nominal. Gradients: the start,
+    # 490 accepted steps and the returned best point.
+    assert (counts["nominal_cost"], counts["cost_gradient"]) == (571, 492)
+    # One more Jacobian call linearizes the final nominal for the gains.
+    assert counts["transition_jacobians"] == counts["cost_gradient"] + 1
+    assert counts["transition"] == 0
 
 
 def test_cost_history_monotone(car_experiment):

@@ -37,8 +37,8 @@ def rollout(policy: TrackingPolicy, epsilon: float, mode: str, seed: int) -> Rol
     """Reference for ``rollout_states``: one run, stepped one state at a time.
 
     Closed loop applies the clamped feedback law each step; open loop applies
-    the planned control sequence regardless of state. Every step goes
-    through the bound-checked ``model.step``.
+    the planned control sequence regardless of state. Every step checks the
+    control bounds before its transition.
     """
     if mode not in (CLOSED_LOOP, OPEN_LOOP):
         raise ValueError(f"unknown mode '{mode}'")
@@ -56,7 +56,8 @@ def rollout(policy: TrackingPolicy, epsilon: float, mode: str, seed: int) -> Rol
         else:
             u = policy.nominal.controls[t]
         controls[t] = u
-        states[t + 1] = model.step(states[t], u) + noises[t]
+        model.validate_control(u)
+        states[t + 1] = model.transition(states[t], u) + noises[t]
     return Rollout(states=states, controls=controls, noises=noises)
 
 
