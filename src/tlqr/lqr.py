@@ -29,7 +29,12 @@ from .exceptions import NumericalFailure
 
 @dataclass(frozen=True, eq=False)
 class LtvSystem:
-    """Time-indexed linearization: A stacked (K, n, n), B stacked (K, n, m)."""
+    """Time-indexed linearization: A stacked (K, n, n), B stacked (K, n, m).
+
+    A leading batch axis, A (N, K, n, n) with B (N, K, n, m), holds N
+    systems of one shape; ``riccati_backward`` and ``closed_loop_matrices``
+    then return one row per system, bit-identical to the single-system call.
+    """
 
     a: Array
     b: Array
@@ -37,24 +42,24 @@ class LtvSystem:
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
         b = np.asarray(self.b, dtype=float)
-        if a.ndim != 3 or a.shape[1] != a.shape[2]:
-            raise ValueError("A must be a (K, n, n) stack of square matrices")
-        if b.ndim != 3 or b.shape[0] != a.shape[0] or b.shape[1] != a.shape[1]:
-            raise ValueError("B must be a (K, n, m) stack aligned with A")
+        if a.ndim not in (3, 4) or a.shape[-2] != a.shape[-1]:
+            raise ValueError("A must be a (K, n, n) or (N, K, n, n) stack of square matrices")
+        if b.ndim != a.ndim or b.shape[:-1] != a.shape[:-1]:
+            raise ValueError("B must be a (K, n, m) or (N, K, n, m) stack aligned with A")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
     @property
     def horizon(self) -> int:
-        return self.a.shape[0]
+        return self.a.shape[-3]
 
     @property
     def state_dim(self) -> int:
-        return self.a.shape[1]
+        return self.a.shape[-1]
 
     @property
     def control_dim(self) -> int:
-        return self.b.shape[2]
+        return self.b.shape[-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,35 +145,43 @@ def linearize_along(model: SystemModel, nominal: NominalTrajectory) -> LtvSystem
 
 
 def riccati_backward(sys: LtvSystem, weights: LqrWeights) -> tuple[Array, Array]:
-    """Backward Riccati recursion; returns (gains (K, m, n), riccati (K+1, n, n))."""
+    """Backward Riccati recursion; returns (gains (K, m, n), riccati (K+1, n, n)).
+
+    A batched system (N, K, ...) shares the weights and gets (N, K, m, n)
+    gains and (N, K+1, n, n) Riccati matrices.
+    """
     if weights.horizon != sys.horizon:
         raise ValueError("weights horizon does not match the LTV system")
     k, n, m = sys.horizon, sys.state_dim, sys.control_dim
-    gains = np.empty((k, m, n))
-    riccati = np.empty((k + 1, n, n))
-    riccati[k] = 0.5 * (weights.wx[k] + weights.wx[k].T)
+    batch = sys.a.shape[:-3]
+    gains = np.empty(batch + (k, m, n))
+    riccati = np.empty(batch + (k + 1, n, n))
+    riccati[..., k, :, :] = 0.5 * (weights.wx[k] + weights.wx[k].T)
     for t in range(k - 1, -1, -1):
-        a, b = sys.a[t], sys.b[t]
-        p_next = riccati[t + 1]
-        gram = weights.wu[t] + b.T @ p_next @ b
+        a, b = sys.a[..., t, :, :], sys.b[..., t, :, :]
+        b_t = np.swapaxes(b, -1, -2)
+        p_next = riccati[..., t + 1, :, :]
+        gram = weights.wu[t] + b_t @ p_next @ b
         try:
-            gains[t] = np.linalg.solve(gram, b.T @ p_next @ a)
+            gain = np.linalg.solve(gram, b_t @ p_next @ a)
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure(f"singular gain system at step {t}") from exc
-        p = weights.wx[t] + a.T @ p_next @ (a - b @ gains[t])
-        riccati[t] = 0.5 * (p + p.T)
+        gains[..., t, :, :] = gain
+        p = weights.wx[t] + np.swapaxes(a, -1, -2) @ p_next @ (a - b @ gain)
+        riccati[..., t, :, :] = 0.5 * (p + np.swapaxes(p, -1, -2))
     return gains, riccati
 
 
 def closed_loop_matrices(sys: LtvSystem, gains: Array) -> Array:
-    """Closed-loop matrices D_t = A_t - B_t L_t for t = 0 .. K-1, shape (K, n, n)."""
+    """Closed-loop matrices D_t = A_t - B_t L_t for t = 0 .. K-1, shape (K, n, n).
+
+    A batched system takes (N, K, m, n) gains and returns (N, K, n, n).
+    """
     gains = np.asarray(gains, dtype=float)
-    if gains.shape != (sys.horizon, sys.control_dim, sys.state_dim):
-        raise ValueError(
-            f"gains have shape {gains.shape}, expected "
-            f"({sys.horizon}, {sys.control_dim}, {sys.state_dim})"
-        )
-    return sys.a - np.einsum("tnm,tmk->tnk", sys.b, gains)
+    expected = sys.a.shape[:-3] + (sys.horizon, sys.control_dim, sys.state_dim)
+    if gains.shape != expected:
+        raise ValueError(f"gains have shape {gains.shape}, expected {expected}")
+    return sys.a - np.einsum("...tnm,...tmk->...tnk", sys.b, gains)
 
 
 def design_tracking_policy(

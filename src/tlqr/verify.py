@@ -3,10 +3,10 @@
 Each suite runs a set of named checks and reports the measured value next
 to its bound, so a report is reviewable without rerunning. Suites:
 
-* ``propagation``: on random LTV instances, the paper's non-recursive
-  deviation sums (oracles built here from dense noise maps) against the
-  O(K) recursion of ``error_analysis.linear_deviations``, the explicit
-  control sum against the feedback identity udev = -L xdev, and the
+* ``propagation``: on random LTV instances, batched by shape, the paper's
+  non-recursive deviation sums (oracles built here from dense noise maps)
+  against the O(K) recursion of ``error_analysis.linear_deviations``, the
+  explicit control sum against the feedback identity udev = -L xdev, and the
   adjoint sensitivity form sum_s v_s . w_s of the first-order cost error
   against its evaluation on the deviation history.
 * ``costerror``: the same reconstruction plus zero-mean / Gaussianity
@@ -95,45 +95,56 @@ class SuiteReport:
         return out
 
 
-def random_ltv_instance(
+def _random_ltv_arrays(
     rng: np.random.Generator, max_nx: int = 4, max_nu: int = 2, max_k: int = 20
-) -> tuple[LtvSystem, LqrWeights]:
-    """Random LTV system (entries uniform in [-1, 1]) with identity weights."""
+) -> tuple[Array, Array]:
+    """A (K, n, n) and B (K, n, m) of a random shape, entries uniform in [-1, 1]."""
     n_x = int(rng.integers(1, max_nx + 1))
     n_u = int(rng.integers(1, max_nu + 1))
     k = int(rng.integers(2, max_k + 1))
     a = rng.uniform(-1.0, 1.0, size=(k, n_x, n_x))
     b = rng.uniform(-1.0, 1.0, size=(k, n_x, n_u))
-    weights = LqrWeights.constant(np.ones(n_x), np.ones(n_u), k)
-    return LtvSystem(a=a, b=b), weights
+    return a, b
+
+
+def random_ltv_instance(
+    rng: np.random.Generator, max_nx: int = 4, max_nu: int = 2, max_k: int = 20
+) -> tuple[LtvSystem, LqrWeights]:
+    """Random LTV system (entries uniform in [-1, 1]) with identity weights."""
+    sys = LtvSystem(*_random_ltv_arrays(rng, max_nx, max_nu, max_k))
+    weights = LqrWeights.constant(np.ones(sys.state_dim), np.ones(sys.control_dim), sys.horizon)
+    return sys, weights
 
 
 def _noise_maps(d: Array) -> Array:
     """Oracle: dense noise maps M[s, t] = D_t ... D_{s+1}, shape (K, K, n, n).
 
     M[s, t] carries the noise injected at step s to the deviation at step
-    t + 1; it is the identity for t = s and zero for t < s.
+    t + 1; it is the identity for t = s and zero for t < s. A leading batch
+    axis on d gives one table per instance, (N, K, K, n, n).
     """
-    k, n = d.shape[0], d.shape[1]
-    maps = np.zeros((k, k, n, n))
-    for s in range(k):
-        maps[s, s] = np.eye(n)
-        for t in range(s + 1, k):
-            maps[s, t] = d[t] @ maps[s, t - 1]
+    k, n = d.shape[-3], d.shape[-1]
+    maps = np.zeros(d.shape[:-3] + (k, k, n, n))
+    diagonal = np.arange(k)
+    maps[..., diagonal, diagonal, :, :] = np.eye(n)
+    for t in range(1, k):
+        maps[..., :t, t, :, :] = d[..., t, None, :, :] @ maps[..., :t, t - 1, :, :]
     return maps
 
 
 def _state_sums(maps: Array, noises: Array) -> Array:
     """Oracle: xdev_{t+1} = sum_{s <= t} M(s, t) w_s, as a (K+1, n) history."""
-    states = np.zeros((len(noises) + 1, noises.shape[1]))
-    states[1:] = np.einsum("stij,sj->ti", maps, noises)
+    states = np.zeros(noises.shape[:-2] + (noises.shape[-2] + 1, noises.shape[-1]))
+    states[..., 1:, :] = np.einsum("...stij,...sj->...ti", maps, noises)
     return states
 
 
 def _control_sums(maps: Array, gains: Array, noises: Array) -> Array:
     """Oracle: udev_{t+1} = -sum_{s <= t} L_{t+1} M(s, t) w_s, as a (K, m) history."""
-    controls = np.zeros((len(noises), gains.shape[1]))
-    controls[1:] = -np.einsum("tmi,stij,sj->tm", gains[1:], maps[:, :-1], noises)
+    controls = np.zeros(noises.shape[:-1] + (gains.shape[-2],))
+    controls[..., 1:, :] = -np.einsum(
+        "...tmi,...stij,...sj->...tm", gains[..., 1:, :, :], maps[..., :, :-1, :, :], noises
+    )
     return controls
 
 
@@ -144,34 +155,49 @@ def propagation_errors(n_instances: int = 1000, seed: int = 1001) -> dict:
     the recursion, max entrywise error of the explicit control sum against
     udev = -L xdev, and max relative error of the sensitivity-form
     cost-error reconstruction.
+
+    Every instance is drawn first, in one fixed order; instances of one
+    (n_x, n_u, K) shape then share one batched Riccati, deviation and
+    noise-map pass. Each row equals its single-instance computation bit for
+    bit, and the maxima do not depend on order.
     """
     rng = np.random.default_rng(seed)
+    groups: dict[tuple[int, int, int], list] = {}
+    for _ in range(n_instances):
+        a, b = _random_ltv_arrays(rng)
+        k, n_x, n_u = b.shape
+        noises = rng.uniform(-1.0, 1.0, size=(k, n_x))
+        lin = CostLinearization(
+            cx=rng.uniform(-1.0, 1.0, size=(k, n_x)),
+            cu=rng.uniform(-1.0, 1.0, size=(k, n_u)),
+            cx_terminal=rng.uniform(-1.0, 1.0, size=n_x),
+        )
+        groups.setdefault((n_x, n_u, k), []).append((a, b, noises, lin))
+
     max_state_rel = 0.0
     max_identity_abs = 0.0
     max_reconstruction_rel = 0.0
-    for _ in range(n_instances):
-        sys, weights = random_ltv_instance(rng)
-        gains, _ = riccati_backward(sys, weights)
+    for (n_x, n_u, k), members in groups.items():
+        a, b, noises, lins = zip(*members)
+        sys = LtvSystem(a=np.stack(a), b=np.stack(b))
+        noises = np.stack(noises)
+        gains, _ = riccati_backward(sys, LqrWeights.constant(np.ones(n_x), np.ones(n_u), k))
         d = closed_loop_matrices(sys, gains)
-        k, n_x = sys.horizon, sys.state_dim
-        noises = rng.uniform(-1.0, 1.0, size=(k, n_x))
         states, controls = linear_deviations(d, gains, noises)
         maps = _noise_maps(d)
-        gap = np.linalg.norm(_state_sums(maps, noises)[1:] - states[1:], axis=1)
-        denom = np.maximum(np.linalg.norm(states[1:], axis=1), 1e-12)
+        gap = np.linalg.norm(_state_sums(maps, noises)[:, 1:] - states[:, 1:], axis=-1)
+        denom = np.maximum(np.linalg.norm(states[:, 1:], axis=-1), 1e-12)
         max_state_rel = max(max_state_rel, float((gap / denom).max()))
         resid = _control_sums(maps, gains, noises) - controls
         max_identity_abs = max(max_identity_abs, float(np.abs(resid).max()))
-        lin = CostLinearization(
-            cx=rng.uniform(-1.0, 1.0, size=(k, n_x)),
-            cu=rng.uniform(-1.0, 1.0, size=(k, sys.control_dim)),
-            cx_terminal=rng.uniform(-1.0, 1.0, size=n_x),
-        )
-        v = cost_error_sensitivities(lin, d, gains)
-        direct_value = first_order_cost_error(lin, states, controls)
-        rebuilt = float(np.sum(v * noises))
-        denom = max(abs(direct_value), 1e-12)
-        max_reconstruction_rel = max(max_reconstruction_rel, abs(rebuilt - direct_value) / denom)
+        for i, lin in enumerate(lins):
+            v = cost_error_sensitivities(lin, d[i], gains[i])
+            direct_value = first_order_cost_error(lin, states[i], controls[i])
+            rebuilt = float(np.sum(v * noises[i]))
+            denom = max(abs(direct_value), 1e-12)
+            max_reconstruction_rel = max(
+                max_reconstruction_rel, abs(rebuilt - direct_value) / denom
+            )
     return {
         "max_state_rel": max_state_rel,
         "max_identity_abs": max_identity_abs,

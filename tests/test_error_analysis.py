@@ -1,8 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import tlqr.error_analysis as error_analysis
+import tlqr.verify as verify
 from tlqr import (
     CLOSED_LOOP,
+    LqrWeights,
     LtvSystem,
     NoiseModel,
     closed_loop_matrices,
@@ -19,7 +24,7 @@ from tlqr import (
 )
 from tlqr.planner import CostLinearization
 from tlqr.simulate import derive_seed
-from tlqr._stats import linear_fit
+from tlqr._stats import excess_kurtosis, linear_fit, skewness
 from tlqr.verify import (
     _control_sums,
     _noise_maps,
@@ -137,6 +142,86 @@ def test_nonrecursive_matches_recursive_and_feedback_identity():
     assert errors["max_state_rel"] <= 1e-9
     assert errors["max_identity_abs"] <= 1e-12
     assert errors["max_reconstruction_rel"] <= 1e-9
+
+
+def _per_instance_propagation_errors(n_instances, seed):
+    """Reference: the propagation oracle one instance at a time, in draw order."""
+    rng = np.random.default_rng(seed)
+    max_state_rel = 0.0
+    max_identity_abs = 0.0
+    max_reconstruction_rel = 0.0
+    for _ in range(n_instances):
+        sys, weights = random_ltv_instance(rng)
+        gains, _ = riccati_backward(sys, weights)
+        d = closed_loop_matrices(sys, gains)
+        k, n_x = sys.horizon, sys.state_dim
+        noises = rng.uniform(-1.0, 1.0, size=(k, n_x))
+        states, controls = linear_deviations(d, gains, noises)
+        maps = _noise_maps(d)
+        gap = np.linalg.norm(_state_sums(maps, noises)[1:] - states[1:], axis=1)
+        denom = np.maximum(np.linalg.norm(states[1:], axis=1), 1e-12)
+        max_state_rel = max(max_state_rel, float((gap / denom).max()))
+        resid = _control_sums(maps, gains, noises) - controls
+        max_identity_abs = max(max_identity_abs, float(np.abs(resid).max()))
+        lin = random_cost_linearization(rng, k, n_x, sys.control_dim)
+        v = cost_error_sensitivities(lin, d, gains)
+        direct_value = first_order_cost_error(lin, states, controls)
+        rebuilt = float(np.sum(v * noises))
+        denom = max(abs(direct_value), 1e-12)
+        max_reconstruction_rel = max(max_reconstruction_rel, abs(rebuilt - direct_value) / denom)
+    return {
+        "max_state_rel": max_state_rel,
+        "max_identity_abs": max_identity_abs,
+        "max_reconstruction_rel": max_reconstruction_rel,
+    }
+
+
+@pytest.mark.parametrize("n_instances, seed", [(1000, 1001), (200, 99), (300, 7)])
+def test_shape_batched_propagation_equals_per_instance_reference(n_instances, seed):
+    assert propagation_errors(n_instances, seed) == _per_instance_propagation_errors(
+        n_instances, seed
+    )
+
+
+def test_propagation_makes_one_riccati_call_per_shape(monkeypatch):
+    shapes, sizes = [], []
+    original = verify.riccati_backward
+
+    def counted(sys, weights):
+        shapes.append((sys.state_dim, sys.control_dim, sys.horizon))
+        sizes.append(sys.a.shape[0])
+        return original(sys, weights)
+
+    monkeypatch.setattr(verify, "riccati_backward", counted)
+    propagation_errors(n_instances=300, seed=7)
+    assert len(set(shapes)) == len(shapes) < 300
+    assert sum(sizes) == 300
+
+
+@pytest.mark.parametrize("n_x, n_u, k", [(1, 1, 2), (1, 2, 5), (2, 2, 2), (3, 1, 7), (4, 2, 20)])
+def test_batched_deviations_and_oracles_match_per_instance_rows(n_x, n_u, k):
+    rng = np.random.default_rng(n_x * 100 + n_u * 10 + k)
+    a = rng.uniform(-1, 1, size=(6, k, n_x, n_x))
+    b = rng.uniform(-1, 1, size=(6, k, n_x, n_u))
+    noises = rng.uniform(-1, 1, size=(6, k, n_x))
+    weights = LqrWeights.constant(np.ones(n_x), np.ones(n_u), k)
+    sys = LtvSystem(a=a, b=b)
+    gains, _ = riccati_backward(sys, weights)
+    d = closed_loop_matrices(sys, gains)
+    states, controls = linear_deviations(d, gains, noises)
+    maps = _noise_maps(d)
+    state_sums = _state_sums(maps, noises)
+    control_sums = _control_sums(maps, gains, noises)
+    for i in range(len(a)):
+        one_states, one_controls = linear_deviations(d[i], gains[i], noises[i])
+        np.testing.assert_array_equal(states[i], one_states)
+        np.testing.assert_array_equal(controls[i], one_controls)
+        one_maps = _noise_maps(d[i])
+        np.testing.assert_array_equal(maps[i], one_maps)
+        np.testing.assert_array_equal(state_sums[i], _state_sums(one_maps, noises[i]))
+        np.testing.assert_array_equal(
+            control_sums[i], _control_sums(one_maps, gains[i], noises[i])
+        )
 
 
 def test_first_index_convention_is_inert():
@@ -285,6 +370,42 @@ def test_statistics_mean_and_variance(car_experiment):
     v = cost_error_sensitivities(lin, planned.policy.closed_loop, planned.policy.gains)
     sigma = 0.05 * np.linalg.norm(planned.policy.nominal.controls, axis=1).max()
     assert stats.sd**2 == pytest.approx(sigma**2 * np.sum(v * v), rel=0.05)
+
+
+def _one_shot_statistics(policy, cost, epsilon, n_samples, seed):
+    """Reference: every cost-error sample from a single (n_samples, K n) draw."""
+    lin = linearize_cost(cost, policy.nominal)
+    v = cost_error_sensitivities(lin, policy.closed_loop, policy.gains)
+    noise = NoiseModel(epsilon, noise_scale(policy.nominal.controls), v.size)
+    samples = noise.sample(np.random.default_rng(seed), n_samples) @ v.ravel()
+    mean, sd = float(samples.mean()), float(samples.std(ddof=1))
+    return error_analysis.CostErrorStats(
+        n=n_samples,
+        mean=mean,
+        sd=sd,
+        z=float(mean / (sd / np.sqrt(n_samples))),
+        skewness=skewness(samples),
+        kurtosis=excess_kurtosis(samples),
+        epsilon=epsilon,
+    )
+
+
+@pytest.mark.parametrize("n_samples", [100_000, 20_000])
+def test_chunked_statistics_equal_one_shot_draw(car_experiment, monkeypatch, n_samples):
+    planned, _ = car_experiment
+    drawn = []
+    original = NoiseModel.sample
+
+    def recorded(self, rng, length):
+        drawn.append(length)
+        return original(self, rng, length)
+
+    monkeypatch.setattr(NoiseModel, "sample", recorded)
+    seed = derive_seed(planned.config.master_seed, 4)
+    stats = cost_error_statistics(planned.policy, planned.cost, 0.05, n_samples, seed)
+    assert max(drawn) == error_analysis.COST_ERROR_BLOCK and sum(drawn) == n_samples
+    reference = _one_shot_statistics(planned.policy, planned.cost, 0.05, n_samples, seed)
+    assert dataclasses.astuple(stats) == dataclasses.astuple(reference)
 
 
 def test_statistics_sample_floor():

@@ -10,6 +10,7 @@ from tlqr import (
     LtvSystem,
     NominalTrajectory,
     TrackingPolicy,
+    closed_loop_matrices,
     design_tracking_policy,
     feedback_control,
     linearize_along,
@@ -79,6 +80,34 @@ def test_riccati_zero_state_weight_gives_zero():
     weights = LqrWeights(wx=np.zeros((k + 1, n, n)), wu=np.tile(np.eye(1), (k, 1, 1)))
     gains, riccati = riccati_backward(sys, weights)
     assert np.all(gains == 0.0) and np.all(riccati == 0.0)
+
+
+@pytest.mark.parametrize("n, m, k", [(1, 1, 2), (1, 2, 6), (2, 2, 2), (3, 1, 9), (4, 2, 20)])
+def test_batched_riccati_and_closed_loop_match_per_instance_rows(n, m, k):
+    rng = np.random.default_rng(n * 100 + m * 10 + k)
+    sys = LtvSystem(a=rng.uniform(-1, 1, (5, k, n, n)), b=rng.uniform(-1, 1, (5, k, n, m)))
+    assert (sys.horizon, sys.state_dim, sys.control_dim) == (k, n, m)
+    weights = LqrWeights.constant(np.ones(n), np.ones(m), k)
+    gains, riccati = riccati_backward(sys, weights)
+    d = closed_loop_matrices(sys, gains)
+    assert gains.shape == (5, k, m, n) and riccati.shape == (5, k + 1, n, n)
+    for i in range(5):
+        one = LtvSystem(a=sys.a[i], b=sys.b[i])
+        one_gains, one_riccati = riccati_backward(one, weights)
+        np.testing.assert_array_equal(gains[i], one_gains)
+        np.testing.assert_array_equal(riccati[i], one_riccati)
+        np.testing.assert_array_equal(d[i], closed_loop_matrices(one, one_gains))
+    with pytest.raises(ValueError):
+        closed_loop_matrices(sys, gains[0])
+
+
+def test_ltv_system_batch_shapes_validated():
+    with pytest.raises(ValueError):
+        LtvSystem(a=np.zeros((2, 3, 1, 1)), b=np.zeros((3, 3, 1, 1)))  # batch sizes differ
+    with pytest.raises(ValueError):
+        LtvSystem(a=np.zeros((2, 3, 1, 1)), b=np.zeros((3, 1, 1)))  # batch axis on A only
+    with pytest.raises(ValueError):
+        LtvSystem(a=np.zeros((1, 2, 3, 1, 1)), b=np.zeros((1, 2, 3, 1, 1)))  # two batch axes
 
 
 def test_value_identity_on_random_instances():
