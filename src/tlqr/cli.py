@@ -90,17 +90,7 @@ def _write_planned_outputs(outdir: str, planned: PlannedExperiment, files: dict[
 
 
 def _load(args) -> ExperimentConfig:
-    """Config from --config (or the bundled default) with the --seed override.
-
-    Also rejects a non-integer ``TLQR_THREADS``. The thread count itself has
-    no effect: every Monte Carlo study runs through one batched kernel.
-    """
-    env = os.environ.get("TLQR_THREADS", "")
-    if args.threads is None and env:
-        try:
-            int(env)
-        except ValueError:
-            raise ConfigError("TLQR_THREADS", f"not an integer: '{env}'")
+    """Config from --config (or the bundled default) with the --seed override."""
     config = load_config(args.config) if args.config else default_config()
     if args.seed is not None:
         if not 0 <= args.seed < 2**64:
@@ -177,9 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, out_required=True):
         p.add_argument("--config", help="experiment config JSON (bundled default if omitted)")
         p.add_argument("--seed", type=int, help="override the config master seed")
-        p.add_argument(
-            "--threads", type=int, help="accepted for compatibility; no effect (or TLQR_THREADS)"
-        )
         if out_required:
             p.add_argument("--out", required=True, help="output directory")
 

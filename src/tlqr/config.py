@@ -17,6 +17,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .exceptions import ConfigError
+from .simulate import MAX_RUNS
 
 # Fine sweep grid: 0.001 .. 0.1501 in steps of 0.001.
 FULL_GRID = (0.001, 0.001, 0.1501)
@@ -230,8 +231,8 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError("sweep.eps_step", "must be > 0")
     if sweep.eps_end < sweep.eps_start:
         raise ConfigError("sweep.eps_end", "must be >= eps_start")
-    if sweep.n_runs < 1:
-        raise ConfigError("sweep.n_runs", "must be >= 1")
+    if not 1 <= sweep.n_runs <= MAX_RUNS:
+        raise ConfigError("sweep.n_runs", f"must lie in [1, {MAX_RUNS}]")
 
     ldp = cfg.ldp
     if ldp.delta <= 0:
@@ -240,8 +241,8 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError("ldp.eps_grid", "entries must be > 0")
     if any(b <= a for a, b in zip(ldp.eps_grid, ldp.eps_grid[1:])):
         raise ConfigError("ldp.eps_grid", "entries must be strictly increasing")
-    if ldp.n_runs < 1:
-        raise ConfigError("ldp.n_runs", "must be >= 1")
+    if not 1 <= ldp.n_runs <= MAX_RUNS:
+        raise ConfigError("ldp.n_runs", f"must lie in [1, {MAX_RUNS}]")
     return cfg
 
 

@@ -30,7 +30,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .dynamics import Array, NoiseModel, NominalTrajectory
-from .exceptions import BoundViolation, NumericalFailure
+from .exceptions import NumericalFailure
 from .lqr import TrackingPolicy, feedback_control
 
 CLOSED_LOOP = "closed_loop"
@@ -47,6 +47,9 @@ _CTX_RECONSTRUCTION = 5  # noise draws of its sensitivity-form reconstruction ch
 # Runs per kernel call in a sweep; whole epsilon rows only, so a row larger
 # than this is one call of its own. It bounds the batch arrays, not results.
 _RUNS_PER_CALL = 500
+
+# Most runs one derive_seeds call can number: run indices fill one uint32 word.
+MAX_RUNS = 2**32
 
 # numpy's SeedSequence (after O'Neill's seed_seq_fe): a pool of four uint32
 # words, two multiplicative hash constants and a mixing step. Both constants
@@ -122,10 +125,10 @@ def derive_seeds(master_seed: int, tags: Sequence[int], n: int) -> Array:
     """``[derive_seed(master_seed, *tags, j) for j in range(n)]`` as an (n,) uint64 array.
 
     Bit for bit, without a ``SeedSequence`` per run. Run indices must fit one
-    32-bit word, so n <= 2**32.
+    32-bit word, so n <= ``MAX_RUNS``.
     """
-    if not 0 <= n <= 2**32:
-        raise ValueError("n must lie in [0, 2**32]")
+    if not 0 <= n <= MAX_RUNS:
+        raise ValueError(f"n must lie in [0, {MAX_RUNS}]")
     prefix = [w for value in (master_seed, *tags) for w in _uint32_words(value)]
     runs = np.arange(n, dtype=np.uint32)
     entropy = [np.full(n, w, dtype=np.uint32) for w in prefix] + [runs]
@@ -273,9 +276,9 @@ def sweep_epsilon(
     ``_RUNS_PER_CALL`` runs; per-run seeds are derived from (master_seed,
     grid index, run index, mode), so the rows do not depend on the packing.
     A planned trajectory of zero norm leaves the NMSE undefined and raises
-    :class:`NumericalFailure`, and an open-loop nominal out of the control
-    bounds raises ``RuntimeError`` naming the first epsilon, both before any
-    run.
+    :class:`NumericalFailure`, and with ``OPEN_LOOP`` among the modes a
+    nominal control sequence out of the model's bounds raises
+    :class:`~tlqr.exceptions.BoundViolation`, both before any run.
     """
     grid = np.asarray(grid, dtype=float)
     if len(grid) == 0 or np.any(grid <= 0):
@@ -291,10 +294,7 @@ def sweep_epsilon(
         raise NumericalFailure("planned trajectory has zero norm, so its NMSE is undefined")
 
     if OPEN_LOOP in modes:
-        try:
-            policy.model.validate_control(policy.nominal.controls)
-        except BoundViolation as exc:
-            raise RuntimeError(f"sweep failed at epsilon={grid[0]:.6g} ({OPEN_LOOP})") from exc
+        policy.model.validate_control(policy.nominal.controls)
 
     stats = {m: np.full((len(grid), 2), np.nan) for m in (CLOSED_LOOP, OPEN_LOOP)}
     rows_per_call = max(1, _RUNS_PER_CALL // n_runs)
@@ -303,12 +303,8 @@ def sweep_epsilon(
             rows = range(first, min(first + rows_per_call, len(grid)))
             tags = [(_CTX_SWEEP, i, _MODE_TAGS[mode]) for i in rows]
             seeds = np.concatenate([derive_seeds(master_seed, t, n_runs) for t in tags])
-            try:
-                states = rollout_states(policy, np.repeat(grid[rows], n_runs), mode, seeds)
-                vals = nmse_values(policy.nominal, states)
-            except Exception as exc:
-                span = f"{grid[first]:.6g}" + (f"..{grid[rows[-1]]:.6g}" if len(rows) > 1 else "")
-                raise RuntimeError(f"sweep failed at epsilon={span} ({mode})") from exc
+            states = rollout_states(policy, np.repeat(grid[rows], n_runs), mode, seeds)
+            vals = nmse_values(policy.nominal, states)
             for i, v in zip(rows, vals.reshape(-1, n_runs)):
                 stats[mode][i] = v.mean(), v.std(ddof=1) if n_runs > 1 else 0.0
     return tuple(

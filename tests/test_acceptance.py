@@ -254,9 +254,9 @@ def test_criterion_9_artifact_determinism(tmp_path):
     codes = [
         main(["plan", "--config", str(config_path), "--out", str(tmp_path / "p1")]),
         main(["plan", "--config", str(config_path), "--out", str(tmp_path / "p2")]),
-        main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "s1"), "--threads", "1"]),
-        main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "s2"), "--threads", "4"]),
-        main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "s3"), "--threads", "1"]),
+        main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "s1")]),
+        main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "s2")]),
+        main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "s3")]),
     ]
     plan_same = artifacts(tmp_path / "p1") == artifacts(tmp_path / "p2")
     sweep_same = (
@@ -267,5 +267,5 @@ def test_criterion_9_artifact_determinism(tmp_path):
         "9 byte-identical artifacts",
         ok,
         f"exit codes {codes}, plan identical: {plan_same}, "
-        f"sweep identical across runs and thread counts: {sweep_same}",
+        f"sweep identical across runs: {sweep_same}",
     )

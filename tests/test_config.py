@@ -7,6 +7,7 @@ import pytest
 
 from tlqr import ConfigError, config_hash, default_config, epsilon_grid, parse_config
 from tlqr.config import FULL_GRID, canonical_json, load_config
+from tlqr.simulate import MAX_RUNS
 
 
 def test_default_config_round_trips():
@@ -80,6 +81,8 @@ def test_zero_horizon_names_field():
         ("lqr", "wx", [1.0, math.nan, 1.0], "lqr.wx"),
         ("ldp", "eps_grid", [0.03, -math.inf], "ldp.eps_grid"),
         pytest.param("model", "v_max", 10**400, "model.v_max", id="model-v_max-int_overflow"),
+        pytest.param("sweep", "n_runs", MAX_RUNS + 1, "sweep.n_runs", id="sweep-n_runs-above_max"),
+        pytest.param("ldp", "n_runs", 2**33, "ldp.n_runs", id="ldp-n_runs-2**33"),
     ],
 )
 def test_out_of_domain_fields_rejected(section, key, value, field):

@@ -158,11 +158,19 @@ def _out_of_bounds_open_loop_policy(planned):
     return dataclasses.replace(planned.policy, nominal=nominal)
 
 
-def test_sweep_failure_names_offending_epsilon(car_experiment):
+def test_sweep_out_of_bounds_open_loop_raises_before_any_run(car_experiment, monkeypatch):
     planned, _ = car_experiment
     policy = _out_of_bounds_open_loop_policy(planned)
-    with pytest.raises(RuntimeError, match="epsilon=0.05"):
-        sweep_epsilon(policy, [0.05], 2, 1, modes=(OPEN_LOOP,))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return rollout_states(*args)
+
+    monkeypatch.setattr(simulate, "rollout_states", counted)
+    with pytest.raises(BoundViolation):
+        sweep_epsilon(policy, [0.05, 0.1], 2, 1, modes=(CLOSED_LOOP, OPEN_LOOP))
+    assert calls == []
 
 
 def test_derive_seed_is_stable_and_tag_sensitive():
