@@ -61,15 +61,28 @@ def linear_deviations(closed_loop: Array, gains: Array, noises: Array) -> tuple[
     return states, controls
 
 
-def first_order_cost_error(lin: CostLinearization, states: Array, controls: Array) -> float:
-    """Linear part of the cost deviation: sum_t (cx_t xdev_t + cu_t udev_t) + terminal."""
-    k = lin.horizon
-    if len(states) != k + 1 or len(controls) != k:
+def first_order_cost_error(
+    lin: CostLinearization, states: Array, controls: Array
+) -> float | Array:
+    """Linear part of the cost deviation: sum_t (cx_t xdev_t + cu_t udev_t) + terminal.
+
+    Takes (K+1, n) states and (K, m) controls and returns a float. With a
+    leading batch axis, (N, K+1, n) and (N, K, m), it returns an (N,) array,
+    row i bit-identical to the call on instance i; ``lin`` then holds one
+    linearization per instance, (N, K, ...), or one shared by all.
+    """
+    states = np.asarray(states, dtype=float)
+    controls = np.asarray(controls, dtype=float)
+    k = lin.cx.shape[-2]
+    if states.shape[-2] != k + 1 or controls.shape[-2] != k:
         raise ValueError("deviation horizon does not match the cost linearization")
-    total = float(np.einsum("tn,tn->", lin.cx, states[:k]))
-    total += float(np.einsum("tm,tm->", lin.cu, controls))
-    total += float(lin.cx_terminal @ states[k])
-    return total
+    stage = np.einsum("...tn,...tn->...", lin.cx, states[..., :k, :])
+    effort = np.einsum("...tm,...tm->...", lin.cu, controls)
+    # A matmul of one row by one column is a dot per instance; a batched
+    # einsum would sum the terminal product in another order.
+    terminal = (lin.cx_terminal[..., None, :] @ states[..., k, :, None])[..., 0, 0]
+    total = stage + effort + terminal
+    return float(total) if total.ndim == 0 else total
 
 
 def cost_error_sensitivities(lin: CostLinearization, closed_loop: Array, gains: Array) -> Array:

@@ -17,9 +17,10 @@ the same law bit for bit. A batch holds whole sweep rows, up to
 Seeding builds no ``SeedSequence`` or ``Generator`` per run:
 :func:`derive_seeds` runs numpy's ``SeedSequence`` hash on uint32 columns,
 one entry per run, and the kernel loads each run's PCG64 state into one
-reused generator. Run j's stream is bit-identical to
-``default_rng(seeds[j])``; :func:`derive_seed` and ``default_rng`` stay as
-the oracle (``tests/test_simulate.py``).
+reused generator. A sweep hashes the seeds of every row in a kernel call in
+one pass, with the row index as one more column. Run j's stream is
+bit-identical to ``default_rng(seeds[j])``; :func:`derive_seed` and
+``default_rng`` stay as the oracle (``tests/test_simulate.py``).
 """
 from __future__ import annotations
 
@@ -62,6 +63,10 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 # PCG64's 128-bit LCG multiplier (set_seed steps the generator twice).
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
+# Runs whose state words become Python ints at once. A list per word column
+# is faster than an item() call per run and word, but lists for a whole
+# 2,000-run batch raise verify's peak memory by about 0.5 MB.
+_STATE_BLOCK = 256
 
 
 def derive_seed(master_seed: int, *tags: int) -> int:
@@ -135,6 +140,24 @@ def derive_seeds(master_seed: int, tags: Sequence[int], n: int) -> Array:
     return _seed_state(entropy, 1)[0]
 
 
+def _sweep_seeds(master_seed: int, rows: range, n_runs: int, mode: str) -> Array:
+    """Seeds of sweep rows in one mode, from one hash pass.
+
+    Equals the ``derive_seeds(master_seed, (_CTX_SWEEP, i, mode tag),
+    n_runs)`` of each row i in ``rows``, concatenated: the row index and the
+    mode tag are uint32 entropy columns, like the run index.
+    """
+    size = len(rows) * n_runs
+
+    def fill(*values: int) -> list[Array]:
+        return [np.full(size, w, dtype=np.uint32) for v in values for w in _uint32_words(v)]
+
+    row_index = np.repeat(np.arange(rows.start, rows.stop, dtype=np.uint32), n_runs)
+    run_index = np.tile(np.arange(n_runs, dtype=np.uint32), len(rows))
+    entropy = fill(master_seed, _CTX_SWEEP) + [row_index] + fill(_MODE_TAGS[mode]) + [run_index]
+    return _seed_state(entropy, 1)[0]
+
+
 def _seed_array(seeds: Sequence[int]) -> Array:
     """Seeds as a 1-D uint64 array; a seed outside [0, 2**64) raises ``ValueError``."""
     if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64:
@@ -156,28 +179,28 @@ def _pcg64_states(seeds: Array) -> Iterator[tuple[int, int]]:
     """
     lo = (seeds & _MASK32).astype(np.uint32)
     hi = (seeds >> 32).astype(np.uint32)
-    s_hi, s_lo, i_hi, i_lo = _seed_state([lo, hi], 4)
-    # One run's Python ints at a time; lists of whole batches raise peak memory.
-    for j in range(len(seeds)):
-        inc = ((i_hi.item(j) << 64 | i_lo.item(j)) << 1 | 1) & _MASK128
-        yield ((inc + (s_hi.item(j) << 64 | s_lo.item(j))) * _PCG64_MULT + inc) & _MASK128, inc
+    columns = _seed_state([lo, hi], 4)
+    for start in range(0, len(seeds), _STATE_BLOCK):
+        words = (column[start : start + _STATE_BLOCK].tolist() for column in columns)
+        for s_hi, s_lo, i_hi, i_lo in zip(*words):
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+            yield ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128, inc
 
 
 def _standard_normals(seeds: Array, out: Array) -> None:
     """Fill each out[j] with the first standard normals ``default_rng(seeds[j])`` draws.
 
     One generator is reused: each run's PCG64 state is loaded into it, so
-    no ``SeedSequence`` or ``Generator`` is built per run.
+    no ``SeedSequence`` or ``Generator`` is built per run, and one state
+    dict is refilled for every run.
     """
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
+    words = {"state": 0, "inc": 0}
+    full_state = {"bit_generator": "PCG64", "state": words, "has_uint32": 0, "uinteger": 0}
     for j, (state, inc) in enumerate(_pcg64_states(seeds)):
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        words["state"], words["inc"] = state, inc
+        bit_generator.state = full_state
         rng.standard_normal(out=out[j])
 
 
@@ -285,8 +308,8 @@ def sweep_epsilon(
         raise ValueError("epsilon grid must be nonempty and strictly positive")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("epsilon grid must be strictly increasing")
-    if n_runs < 1:
-        raise ValueError("n_runs must be >= 1")
+    if not 1 <= n_runs <= MAX_RUNS:
+        raise ValueError(f"n_runs must lie in [1, {MAX_RUNS}]")
     for mode in modes:
         if mode not in _MODE_TAGS:
             raise ValueError(f"unknown mode '{mode}'")
@@ -301,8 +324,7 @@ def sweep_epsilon(
     for mode in modes:
         for first in range(0, len(grid), rows_per_call):
             rows = range(first, min(first + rows_per_call, len(grid)))
-            tags = [(_CTX_SWEEP, i, _MODE_TAGS[mode]) for i in rows]
-            seeds = np.concatenate([derive_seeds(master_seed, t, n_runs) for t in tags])
+            seeds = _sweep_seeds(master_seed, rows, n_runs, mode)
             states = rollout_states(policy, np.repeat(grid[rows], n_runs), mode, seeds)
             vals = nmse_values(policy.nominal, states)
             for i, v in zip(rows, vals.reshape(-1, n_runs)):

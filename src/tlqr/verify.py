@@ -3,22 +3,33 @@
 Each suite runs a set of named checks and reports the measured value next
 to its bound, so a report is reviewable without rerunning. Suites:
 
-* ``propagation``: on random LTV instances, batched by shape, the paper's
-  non-recursive deviation sums (oracles built here from dense noise maps)
-  against the O(K) recursion of ``error_analysis.linear_deviations``, the
-  explicit control sum against the feedback identity udev = -L xdev, and the
-  adjoint sensitivity form sum_s v_s . w_s of the first-order cost error
-  against its evaluation on the deviation history.
-* ``costerror``: the same reconstruction plus zero-mean / Gaussianity
-  statistics of the first-order cost error on the configured car policy,
-  and its sample variance against the closed form sigma^2 sum_s |v_s|^2.
+* ``propagation``: on random LTV instances, the paper's non-recursive
+  deviation sums (oracles built here from dense noise maps) against the
+  O(K) recursion of ``error_analysis.linear_deviations``, the explicit
+  control sum against the feedback identity udev = -L xdev, and the adjoint
+  sensitivity form sum_s v_s . w_s of the first-order cost error against
+  its evaluation on the deviation history.
+* ``costerror``: the same reconstruction on 100 noise sequences drawn as
+  one batch, plus zero-mean / Gaussianity statistics of the first-order
+  cost error on the configured car policy, and its sample variance against
+  the closed form sigma^2 sum_s |v_s|^2.
 * ``riccati``: the scalar hand fixture and the LQR value identity.
 * ``ldp``: exit-rate regression signature plus exact synthetic recovery and
   the zero action of the nominal path.
+
+The random instances of the propagation and riccati suites are batched by
+(n_x, n_u) family: every instance of a family shares one Riccati sweep,
+front-padded with zeros to the family's longest horizon
+(``_padded_riccati``). All of them use identity weights, the same at every
+step, so an instance of horizon k finds its own gains and Riccati matrices
+in the last k steps of the padded sweep, bit for bit. Every other batched
+pass runs on one exact (n_x, n_u, K) shape, and every reported value is
+the one a loop over single instances gives.
 """
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -41,6 +52,8 @@ SUITE_NAMES = ("propagation", "costerror", "riccati", "ldp")
 # Noise level and sample count of the costerror suite.
 COST_ERROR_EPSILON = 0.05
 COST_ERROR_SAMPLES = 100_000
+# Noise sequences of the costerror suite's sensitivity-form reconstruction.
+_RECONSTRUCTION_DRAWS = 100
 
 
 @dataclass(frozen=True)
@@ -148,6 +161,36 @@ def _control_sums(maps: Array, gains: Array, noises: Array) -> Array:
     return controls
 
 
+def _padded_riccati(a: Sequence[Array], b: Sequence[Array]) -> tuple[Array, Array]:
+    """One Riccati sweep for LTV systems of one (n_x, n_u) family and any horizons.
+
+    Each (A, B) is front-padded with zeros to the family's longest horizon
+    K_max, and all share identity weights. Returns the padded gains
+    (N, K_max, m, n) and Riccati matrices (N, K_max+1, n, n); a system of
+    horizon k finds its own results in ``[i, K_max - k:]``, bit for bit.
+    Padding is exact because the weights are the same at every step: the
+    last k steps of the padded recursion start from the same terminal
+    weight and run that system's own steps, and each stacked matmul and
+    solve acts row by row. A padded step has B = 0, so its gain system is
+    W_u = I and never singular.
+    """
+    k_max = max(len(a_i) for a_i in a)
+    n_x, n_u = b[0].shape[1:]
+    a_pad = np.zeros((len(a), k_max, n_x, n_x))
+    b_pad = np.zeros((len(b), k_max, n_x, n_u))
+    for i, (a_i, b_i) in enumerate(zip(a, b)):
+        a_pad[i, k_max - len(a_i) :] = a_i
+        b_pad[i, k_max - len(b_i) :] = b_i
+    weights = LqrWeights.constant(np.ones(n_x), np.ones(n_u), k_max)
+    return riccati_backward(LtvSystem(a=a_pad, b=b_pad), weights)
+
+
+def _max_reconstruction_rel(v: Array, noises: Array, direct: Array) -> float:
+    """Max over a batch of |sum_s v_s . w_s - direct| / |direct| (denominator >= 1e-12)."""
+    rebuilt = np.sum((v * noises).reshape(len(noises), -1), axis=1)
+    return float((np.abs(rebuilt - direct) / np.maximum(np.abs(direct), 1e-12)).max())
+
+
 def propagation_errors(n_instances: int = 1000, seed: int = 1001) -> dict:
     """Worst-case discrepancies over random LTV instances.
 
@@ -156,47 +199,58 @@ def propagation_errors(n_instances: int = 1000, seed: int = 1001) -> dict:
     udev = -L xdev, and max relative error of the sensitivity-form
     cost-error reconstruction.
 
-    Every instance is drawn first, in one fixed order; instances of one
-    (n_x, n_u, K) shape then share one batched Riccati, deviation and
-    noise-map pass. Each row equals its single-instance computation bit for
-    bit, and the maxima do not depend on order.
+    Every instance is drawn first, in one fixed order. All instances of one
+    (n_x, n_u) family share one Riccati sweep, front-padded to the family's
+    longest horizon (``_padded_riccati``). The rest runs once per exact
+    (n_x, n_u, K) shape: closed-loop matrices, deviations, noise maps, the
+    oracle sums and the cost errors; padding these would change the length
+    of their sums. Only the sensitivities run one instance at a time. Each
+    row equals its single-instance computation bit for bit, and the maxima
+    do not depend on order.
     """
     rng = np.random.default_rng(seed)
-    groups: dict[tuple[int, int, int], list] = {}
+    families: dict[tuple[int, int], dict[int, list]] = {}
     for _ in range(n_instances):
         a, b = _random_ltv_arrays(rng)
         k, n_x, n_u = b.shape
         noises = rng.uniform(-1.0, 1.0, size=(k, n_x))
-        lin = CostLinearization(
-            cx=rng.uniform(-1.0, 1.0, size=(k, n_x)),
-            cu=rng.uniform(-1.0, 1.0, size=(k, n_u)),
-            cx_terminal=rng.uniform(-1.0, 1.0, size=n_x),
-        )
-        groups.setdefault((n_x, n_u, k), []).append((a, b, noises, lin))
+        cx = rng.uniform(-1.0, 1.0, size=(k, n_x))
+        cu = rng.uniform(-1.0, 1.0, size=(k, n_u))
+        cx_terminal = rng.uniform(-1.0, 1.0, size=n_x)
+        shapes = families.setdefault((n_x, n_u), {})
+        shapes.setdefault(k, []).append((a, b, noises, cx, cu, cx_terminal))
 
     max_state_rel = 0.0
     max_identity_abs = 0.0
     max_reconstruction_rel = 0.0
-    for (n_x, n_u, k), members in groups.items():
-        a, b, noises, lins = zip(*members)
-        sys = LtvSystem(a=np.stack(a), b=np.stack(b))
-        noises = np.stack(noises)
-        gains, _ = riccati_backward(sys, LqrWeights.constant(np.ones(n_x), np.ones(n_u), k))
-        d = closed_loop_matrices(sys, gains)
-        states, controls = linear_deviations(d, gains, noises)
-        maps = _noise_maps(d)
-        gap = np.linalg.norm(_state_sums(maps, noises)[:, 1:] - states[:, 1:], axis=-1)
-        denom = np.maximum(np.linalg.norm(states[:, 1:], axis=-1), 1e-12)
-        max_state_rel = max(max_state_rel, float((gap / denom).max()))
-        resid = _control_sums(maps, gains, noises) - controls
-        max_identity_abs = max(max_identity_abs, float(np.abs(resid).max()))
-        for i, lin in enumerate(lins):
-            v = cost_error_sensitivities(lin, d[i], gains[i])
-            direct_value = first_order_cost_error(lin, states[i], controls[i])
-            rebuilt = float(np.sum(v * noises[i]))
-            denom = max(abs(direct_value), 1e-12)
+    for shapes in families.values():
+        members = [m for group in shapes.values() for m in group]
+        padded_gains, _ = _padded_riccati([m[0] for m in members], [m[1] for m in members])
+        k_max, first = padded_gains.shape[1], 0
+        for k, group in shapes.items():
+            a, b, noises, cx, cu, cx_terminal = (np.stack(x) for x in zip(*group))
+            # A contiguous copy, laid out like an unpadded sweep's gains: the
+            # einsum passes below sum in memory order.
+            gains = np.ascontiguousarray(padded_gains[first : first + len(group), k_max - k :])
+            first += len(group)
+            d = closed_loop_matrices(LtvSystem(a=a, b=b), gains)
+            states, controls = linear_deviations(d, gains, noises)
+            maps = _noise_maps(d)
+            gap = np.linalg.norm(_state_sums(maps, noises)[:, 1:] - states[:, 1:], axis=-1)
+            denom = np.maximum(np.linalg.norm(states[:, 1:], axis=-1), 1e-12)
+            max_state_rel = max(max_state_rel, float((gap / denom).max()))
+            resid = _control_sums(maps, gains, noises) - controls
+            max_identity_abs = max(max_identity_abs, float(np.abs(resid).max()))
+            lin = CostLinearization(cx=cx, cu=cu, cx_terminal=cx_terminal)
+            v = np.stack(
+                [
+                    cost_error_sensitivities(CostLinearization(*row), d[i], gains[i])
+                    for i, row in enumerate(zip(cx, cu, cx_terminal))
+                ]
+            )
+            direct = first_order_cost_error(lin, states, controls)
             max_reconstruction_rel = max(
-                max_reconstruction_rel, abs(rebuilt - direct_value) / denom
+                max_reconstruction_rel, _max_reconstruction_rel(v, noises, direct)
             )
     return {
         "max_state_rel": max_state_rel,
@@ -240,16 +294,27 @@ def simulated_quadratic_cost(
 
 
 def value_identity_error(n_instances: int = 100, seed: int = 1002) -> float:
-    """Max relative gap between x0' P_0 x0 and the simulated quadratic cost."""
+    """Max relative gap between x0' P_0 x0 and the simulated quadratic cost.
+
+    Each (n_x, n_u) family of the drawn instances shares one front-padded
+    Riccati sweep (``_padded_riccati``); an instance of horizon k reads its
+    gains and P_0 from index K_max - k on, bit for bit those of its own sweep.
+    """
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    families: dict[tuple[int, int], list] = {}
     for _ in range(n_instances):
         sys, weights = random_ltv_instance(rng)
-        gains, riccati = riccati_backward(sys, weights)
         x0 = rng.uniform(-1.0, 1.0, size=sys.state_dim)
-        predicted = float(x0 @ riccati[0] @ x0)
-        simulated = simulated_quadratic_cost(sys, weights, gains, x0)
-        worst = max(worst, abs(predicted - simulated) / max(abs(simulated), 1e-12))
+        families.setdefault((sys.state_dim, sys.control_dim), []).append((sys, weights, x0))
+    worst = 0.0
+    for members in families.values():
+        gains, riccati = _padded_riccati([m[0].a for m in members], [m[0].b for m in members])
+        k_max = gains.shape[1]
+        for i, (sys, weights, x0) in enumerate(members):
+            first = k_max - sys.horizon
+            predicted = float(x0 @ riccati[i, first] @ x0)
+            simulated = simulated_quadratic_cost(sys, weights, gains[i, first:], x0)
+            worst = max(worst, abs(predicted - simulated) / max(abs(simulated), 1e-12))
     return worst
 
 
@@ -269,16 +334,18 @@ def cost_error_suite(planned: PlannedExperiment) -> SuiteReport:
     v = cost_error_sensitivities(lin, policy.closed_loop, policy.gains)
     noise = NoiseModel(COST_ERROR_EPSILON, noise_scale(policy.nominal.controls), v.shape[1])
 
-    # Direct evaluation through the deviation histories vs the sensitivity form.
+    # Direct evaluation through the deviation histories vs the sensitivity
+    # form, on _RECONSTRUCTION_DRAWS noise sequences taken from one draw: a
+    # generator yields the same numbers in one draw as in successive ones.
     rng = np.random.default_rng(derive_seed(seed, _CTX_RECONSTRUCTION))
-    max_rel = 0.0
-    for _ in range(100):
-        noises = noise.sample(rng, len(v))
-        direct = first_order_cost_error(
-            lin, *linear_deviations(policy.closed_loop, policy.gains, noises)
-        )
-        rebuilt = float(np.sum(v * noises))
-        max_rel = max(max_rel, abs(rebuilt - direct) / max(abs(direct), 1e-12))
+    batch = (_RECONSTRUCTION_DRAWS,)
+    noises = noise.sample(rng, _RECONSTRUCTION_DRAWS * len(v)).reshape(batch + v.shape)
+    states, controls = linear_deviations(
+        np.broadcast_to(policy.closed_loop, batch + policy.closed_loop.shape),
+        np.broadcast_to(policy.gains, batch + policy.gains.shape),
+        noises,
+    )
+    max_rel = _max_reconstruction_rel(v, noises, first_order_cost_error(lin, states, controls))
 
     stats = cost_error_statistics(
         policy, planned.cost, noise.epsilon, COST_ERROR_SAMPLES, derive_seed(seed, _CTX_COST_ERROR)

@@ -23,7 +23,7 @@ from tlqr import (
     rollout_states,
 )
 from tlqr.planner import CostLinearization
-from tlqr.simulate import derive_seed
+from tlqr.simulate import _CTX_RECONSTRUCTION, derive_seed
 from tlqr._stats import excess_kurtosis, linear_fit, skewness
 from tlqr.verify import (
     _control_sums,
@@ -183,18 +183,18 @@ def test_shape_batched_propagation_equals_per_instance_reference(n_instances, se
     )
 
 
-def test_propagation_makes_one_riccati_call_per_shape(monkeypatch):
-    shapes, sizes = [], []
+def test_propagation_makes_one_riccati_call_per_family(monkeypatch):
+    families, sizes = [], []
     original = verify.riccati_backward
 
     def counted(sys, weights):
-        shapes.append((sys.state_dim, sys.control_dim, sys.horizon))
+        families.append((sys.state_dim, sys.control_dim))
         sizes.append(sys.a.shape[0])
         return original(sys, weights)
 
     monkeypatch.setattr(verify, "riccati_backward", counted)
     propagation_errors(n_instances=300, seed=7)
-    assert len(set(shapes)) == len(shapes) < 300
+    assert len(set(families)) == len(families) <= 8
     assert sum(sizes) == 300
 
 
@@ -354,6 +354,60 @@ def test_cost_error_is_odd_and_additive_in_noise(car_experiment):
     scale = max(abs(j1), abs(j2))
     assert abs(evaluate(-w1) + j1) <= 1e-12 * scale
     assert evaluate(w1 + w2) == pytest.approx(j1 + j2, abs=1e-10 * scale)
+
+
+def _looped_reconstruction_rel(planned):
+    """Reference: the costerror suite's reconstruction, one (K, n) draw at a time."""
+    policy = planned.policy
+    lin = linearize_cost(planned.cost, policy.nominal)
+    v = cost_error_sensitivities(lin, policy.closed_loop, policy.gains)
+    noise = NoiseModel(0.05, noise_scale(policy.nominal.controls), v.shape[1])
+    rng = np.random.default_rng(derive_seed(planned.config.master_seed, _CTX_RECONSTRUCTION))
+    max_rel = 0.0
+    for _ in range(100):
+        noises = noise.sample(rng, len(v))
+        direct = first_order_cost_error(
+            lin, *linear_deviations(policy.closed_loop, policy.gains, noises)
+        )
+        rebuilt = float(np.sum(v * noises))
+        max_rel = max(max_rel, abs(rebuilt - direct) / max(abs(direct), 1e-12))
+    return max_rel
+
+
+def test_costerror_reconstruction_is_one_draw_equal_to_the_loop(car_experiment, monkeypatch):
+    planned, _ = car_experiment
+    calls = []
+    original = verify.linear_deviations
+
+    def counted(closed_loop, gains, noises):
+        calls.append(noises.shape)
+        return original(closed_loop, gains, noises)
+
+    monkeypatch.setattr(verify, "linear_deviations", counted)
+    report = verify.cost_error_suite(planned)
+    assert calls == [(100, planned.policy.horizon, 3)]
+    check = report.checks[0]
+    assert check.name == "coefficient_reconstruction_rel"
+    assert check.value == _looped_reconstruction_rel(planned)
+
+
+def test_batched_first_order_cost_error_rows_equal_single_calls():
+    rng = np.random.default_rng(44)
+    lins = [random_cost_linearization(rng, 9, 3, 2) for _ in range(5)]
+    states, controls = rng.uniform(-1, 1, size=(5, 10, 3)), rng.uniform(-1, 1, size=(5, 9, 2))
+    stacked = CostLinearization(
+        cx=np.stack([lin.cx for lin in lins]),
+        cu=np.stack([lin.cu for lin in lins]),
+        cx_terminal=np.stack([lin.cx_terminal for lin in lins]),
+    )
+    batched = first_order_cost_error(stacked, states, controls)
+    shared = first_order_cost_error(lins[0], states, controls)
+    assert batched.shape == shared.shape == (5,)
+    for i, lin in enumerate(lins):
+        assert batched[i] == first_order_cost_error(lin, states[i], controls[i])
+        assert shared[i] == first_order_cost_error(lins[0], states[i], controls[i])
+    with pytest.raises(ValueError):
+        first_order_cost_error(stacked, states[:, :9], controls)
 
 
 def test_statistics_zero_epsilon_degenerate(car_experiment):

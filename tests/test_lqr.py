@@ -16,7 +16,13 @@ from tlqr import (
     linearize_along,
     riccati_backward,
 )
-from tlqr.verify import random_ltv_instance, simulated_quadratic_cost, value_identity_error
+import tlqr.verify as verify
+from tlqr.verify import (
+    _padded_riccati,
+    random_ltv_instance,
+    simulated_quadratic_cost,
+    value_identity_error,
+)
 
 CAR = KinematicCar()
 X0 = np.array([-1.5, 0.5, 0.0])
@@ -112,6 +118,55 @@ def test_ltv_system_batch_shapes_validated():
 
 def test_value_identity_on_random_instances():
     assert value_identity_error(n_instances=100, seed=1002) <= 1e-8
+
+
+def _per_instance_value_identity_error(n_instances, seed):
+    """Reference: one unpadded Riccati sweep per instance, in draw order."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_instances):
+        sys, weights = random_ltv_instance(rng)
+        gains, riccati = riccati_backward(sys, weights)
+        x0 = rng.uniform(-1.0, 1.0, size=sys.state_dim)
+        predicted = float(x0 @ riccati[0] @ x0)
+        simulated = simulated_quadratic_cost(sys, weights, gains, x0)
+        worst = max(worst, abs(predicted - simulated) / max(abs(simulated), 1e-12))
+    return worst
+
+
+@pytest.mark.parametrize("seed", [1002, 5, 77])
+def test_family_padded_value_identity_equals_per_instance_reference(seed):
+    assert value_identity_error(100, seed) == _per_instance_value_identity_error(100, seed)
+
+
+def test_value_identity_makes_one_riccati_call_per_family(monkeypatch):
+    families, sizes = [], []
+    original = verify.riccati_backward
+
+    def counted(sys, weights):
+        families.append((sys.state_dim, sys.control_dim))
+        sizes.append(sys.a.shape[0])
+        return original(sys, weights)
+
+    monkeypatch.setattr(verify, "riccati_backward", counted)
+    value_identity_error(n_instances=100, seed=1002)
+    assert len(set(families)) == len(families) <= 8
+    assert sum(sizes) == 100
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (3, 2)])
+def test_padded_riccati_rows_equal_unpadded_sweeps(n, m):
+    rng = np.random.default_rng(10 * n + m)
+    horizons = [2, 20, 7, 2, 1, 20]
+    a = [rng.uniform(-1, 1, size=(k, n, n)) for k in horizons]
+    b = [rng.uniform(-1, 1, size=(k, n, m)) for k in horizons]
+    gains, riccati = _padded_riccati(a, b)
+    assert gains.shape == (len(horizons), 20, m, n) and riccati.shape[1] == 21
+    for i, k in enumerate(horizons):
+        weights = LqrWeights.constant(np.ones(n), np.ones(m), k)
+        one_gains, one_riccati = riccati_backward(LtvSystem(a=a[i], b=b[i]), weights)
+        np.testing.assert_array_equal(gains[i, 20 - k :], one_gains)
+        np.testing.assert_array_equal(riccati[i, 20 - k :], one_riccati)
 
 
 def test_gain_perturbation_never_beats_optimum():

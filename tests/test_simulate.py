@@ -133,6 +133,8 @@ def test_sweep_grid_validation(car_experiment):
         sweep_epsilon(planned.policy, [0.2, 0.1], 2, 1)
     with pytest.raises(ValueError):
         sweep_epsilon(planned.policy, [0.1, 0.2], 0, 1)
+    with pytest.raises(ValueError, match="n_runs"):
+        sweep_epsilon(planned.policy, [0.1, 0.2], simulate.MAX_RUNS + 1, 1)
     with pytest.raises(ValueError):
         sweep_epsilon(planned.policy, [0.1], 1, 1, modes=("sideways",))
 
@@ -336,6 +338,28 @@ def test_sweep_rows_independent_of_runs_per_call(car_experiment, monkeypatch):
     for budget in (n_runs, len(grid) * n_runs, 1):
         monkeypatch.setattr(simulate, "_RUNS_PER_CALL", budget)
         assert np.array_equal(sweep(), default)
+
+
+@pytest.mark.parametrize("master_seed", [13, 2**32, 2**40 + 3, 2**64 - 1])
+def test_sweep_seeds_equal_per_row_derive_seeds(car_experiment, monkeypatch, master_seed):
+    planned, _ = car_experiment
+    grid, n_runs = [0.02, 0.05, 0.09, 0.11, 0.12], 7
+    monkeypatch.setattr(simulate, "_RUNS_PER_CALL", 2 * n_runs)
+    calls = []
+    original = simulate.rollout_states
+
+    def recorded(policy, epsilon, mode, seeds):
+        calls.append((mode, seeds.tolist()))
+        return original(policy, epsilon, mode, seeds)
+
+    monkeypatch.setattr(simulate, "rollout_states", recorded)
+    sweep_epsilon(planned.policy, grid, n_runs, master_seed)
+    expected = []
+    for mode, tag in ((CLOSED_LOOP, 0), (OPEN_LOOP, 1)):
+        for rows in ([0, 1], [2, 3], [4]):
+            per_row = [derive_seeds(master_seed, (_CTX_SWEEP, i, tag), n_runs) for i in rows]
+            expected.append((mode, np.concatenate(per_row).tolist()))
+    assert calls == expected
 
 
 def test_nmse_values_leaves_its_arguments_unchanged(car_experiment):
