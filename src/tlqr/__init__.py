@@ -15,7 +15,7 @@ from .config import (
     load_config,
     parse_config,
 )
-from .dynamics import KinematicCar, LinearSystem, NoiseModel, NominalTrajectory, SystemModel
+from .dynamics import KinematicCar, LinearSystem, NominalTrajectory, SystemModel
 from .error_analysis import (
     CostErrorStats,
     cost_error_sensitivities,
@@ -73,6 +73,7 @@ from .simulate import (
     derive_seeds,
     nmse_values,
     noise_scale,
+    noise_sigma,
     rollout_states,
     sweep_epsilon,
 )

@@ -1,7 +1,8 @@
 """Command-line entry point: plan / sweep / ldp / verify.
 
-Exit codes: 0 success, 1 configuration or usage error, 2 non-convergence or
-failed verification (artifacts still written), 3 I/O failure. All artifact
+Exit codes: 0 success, 1 configuration or usage error (a configured size
+that does not fit in memory included), 2 non-convergence or failed
+verification (artifacts still written), 3 I/O failure. All artifact
 files are byte-reproducible from (config, master seed, tool version); only
 the run manifest carries timestamps.
 """
@@ -206,6 +207,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 1
     except NumericalFailure as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,6 +22,11 @@ from .simulate import MAX_RUNS
 # Fine sweep grid: 0.001 .. 0.1501 in steps of 0.001.
 FULL_GRID = (0.001, 0.001, 0.1501)
 
+# Longest horizon whose arrays numpy can describe: a Monte Carlo batch of
+# MAX_RUNS runs holds (MAX_RUNS, K+1, 3) float64 states, and numpy refuses
+# an array of more than intp-max bytes with a ValueError, not a MemoryError.
+MAX_HORIZON = np.iinfo(np.intp).max // (MAX_RUNS * 3 * 8) - 1
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -200,8 +205,8 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError("x0", f"expected {n_x} entries, got {len(cfg.x0)}")
     if len(cfg.x_g) != n_x:
         raise ConfigError("x_g", f"expected {n_x} entries, got {len(cfg.x_g)}")
-    if cfg.horizon < 1:
-        raise ConfigError("horizon", "must be >= 1")
+    if not 1 <= cfg.horizon <= MAX_HORIZON:
+        raise ConfigError("horizon", f"must lie in [1, {MAX_HORIZON}]")
     if not 0 <= cfg.master_seed < 2**64:
         raise ConfigError("master_seed", "must fit in 64 bits")
 
@@ -231,6 +236,9 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError("sweep.eps_step", "must be > 0")
     if sweep.eps_end < sweep.eps_start:
         raise ConfigError("sweep.eps_end", "must be >= eps_start")
+    # The sweep numbers its grid points in one uint32 seed word, as it does runs.
+    if (sweep.eps_end - sweep.eps_start) / sweep.eps_step + 1e-9 >= MAX_RUNS:
+        raise ConfigError("sweep.eps_step", f"the grid must have at most {MAX_RUNS} points")
     if not 1 <= sweep.n_runs <= MAX_RUNS:
         raise ConfigError("sweep.n_runs", f"must lie in [1, {MAX_RUNS}]")
 

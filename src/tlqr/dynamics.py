@@ -1,8 +1,8 @@
 """Discrete-time nonlinear system models with Jacobian access.
 
 A model owns a deterministic transition map ``x_{t+1} = f(x_t, u_t)`` on a
-fixed step period, exposes its Jacobians with respect to state and control,
-and describes additive process noise ``x_{t+1} = f(x_t, u_t) + w_t``.
+fixed step period and exposes its Jacobians with respect to state and
+control.
 
 The built-in :class:`KinematicCar` discretizes the planar car kinematics
 
@@ -336,36 +336,3 @@ class LinearSystem(SystemModel):
     def transition_jacobians(self, x: Array, u: Array) -> tuple[Array, Array]:
         reps = np.shape(x)[:-1] + (1, 1)
         return np.tile(self.a, reps), np.tile(self.b, reps)
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Isotropic additive Gaussian state noise.
-
-    The per-component standard deviation is epsilon * base_sigma, where
-    base_sigma is the largest control norm of a reference control sequence.
-    epsilon = 0 yields exactly zero noise vectors. A batched kernel may pass
-    one epsilon per run to get one ``sigma`` per run; ``sample`` needs one.
-    """
-
-    epsilon: float | Array
-    base_sigma: float
-    dim: int
-
-    def __post_init__(self):
-        if np.any(np.asarray(self.epsilon) < 0):
-            raise ValueError("epsilon must be nonnegative")
-        if self.base_sigma < 0:
-            raise ValueError("base_sigma must be nonnegative")
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-
-    @property
-    def sigma(self) -> float:
-        return self.epsilon * self.base_sigma
-
-    def sample(self, rng: np.random.Generator, length: int) -> Array:
-        """Draw a (length, dim) noise sequence."""
-        if self.sigma == 0.0:
-            return np.zeros((length, self.dim))
-        return self.sigma * rng.standard_normal((length, self.dim))

@@ -10,9 +10,13 @@ cost deviation from the nominal cost is linear in the noise,
 sum_s v_s . w_s, with one sensitivity vector per noise step. It therefore
 has exactly zero mean for zero-mean noise and is Gaussian for Gaussian
 noise. ``cost_error_sensitivities`` computes every v_s with the planner's
-backward ``adjoint_sweep`` over the cost linearization (``linearize_cost``):
+backward ``adjoint_sweep`` over a cost linearization:
 
     mu_K = cx_K,  mu_t = cx_t - L_t^T cu_t + D_t^T mu_{t+1},  v_s = mu_{s+1}.
+
+``cost_error_statistics`` samples the moments of sum_s v_s . w_s from given
+sensitivities and a given noise sigma. Everything here is array math: the
+caller linearizes the cost and picks the noise level.
 
 The paper's non-recursive forms are oracles for these recursions: the
 noise maps D_t ... D_{s+1} and the explicit deviation sums in ``verify``,
@@ -25,10 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._stats import excess_kurtosis, skewness
-from .dynamics import Array, NoiseModel
-from .lqr import TrackingPolicy
-from .planner import CostLinearization, GoalCost, adjoint_sweep, linearize_cost
-from .simulate import noise_scale
+from .dynamics import Array
+from .planner import CostLinearization, adjoint_sweep
 
 # Rows of noise drawn and reduced at a time by ``cost_error_statistics``.
 # The blocks come from one generator in order, so they hold exactly the
@@ -110,32 +112,23 @@ class CostErrorStats:
     z: float
     skewness: float
     kurtosis: float
-    epsilon: float
 
 
-def cost_error_statistics(
-    policy: TrackingPolicy,
-    cost: GoalCost,
-    epsilon: float,
-    n_samples: int,
-    seed: int,
-) -> CostErrorStats:
-    """Sample the first-order cost error under isotropic Gaussian noise.
+def cost_error_statistics(v: Array, sigma: float, n_samples: int, seed: int) -> CostErrorStats:
+    """Sample the first-order cost error sum_s v_s . w_s with w_s ~ N(0, sigma^2 I).
 
-    The per-component noise standard deviation is epsilon times the largest
-    nominal control norm. Each sample evaluates the exact linear-in-noise
-    form of the cost error, so the population mean is identically zero; the
-    reported z-score and moment statistics quantify the sampling evidence.
+    ``v`` holds the (K, n) sensitivities of ``cost_error_sensitivities``.
+    Each sample evaluates the exact linear-in-noise form of the cost error,
+    so the population mean is identically zero; the reported z-score and
+    moment statistics quantify the sampling evidence.
     """
     if n_samples < 100:
         raise ValueError("n_samples must be >= 100")
-    lin = linearize_cost(cost, policy.nominal)
-    v = cost_error_sensitivities(lin, policy.closed_loop, policy.gains)
-    noise = NoiseModel(epsilon, noise_scale(policy.nominal.controls), v.size)
+    v = np.asarray(v, dtype=float).ravel()
     rng = np.random.default_rng(seed)
     samples = np.concatenate(
         [
-            noise.sample(rng, min(COST_ERROR_BLOCK, n_samples - start)) @ v.ravel()
+            sigma * rng.standard_normal((min(COST_ERROR_BLOCK, n_samples - start), v.size)) @ v
             for start in range(0, n_samples, COST_ERROR_BLOCK)
         ]
     )
@@ -150,5 +143,4 @@ def cost_error_statistics(
         z=float(z),
         skewness=skewness(samples),
         kurtosis=excess_kurtosis(samples),
-        epsilon=epsilon,
     )

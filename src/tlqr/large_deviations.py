@@ -2,9 +2,10 @@
 
 The tracked closed loop steps x_{t+1} = f(x_t, u_fb(t, x_t)) + w_t, with
 f = ``policy.model.transition``, u_fb the clamped tracking law
-(:func:`~tlqr.lqr.feedback_control`) and w_t ~ N(0, sigma^2 I),
-sigma = eps * ``noise_scale(u_nom)`` as in the sweep and the exit study.
-The Freidlin-Wentzell action of a path is the noise energy it needs,
+(:func:`~tlqr.lqr.feedback_control`) and w_t ~ N(0, sigma^2 I), sigma from
+:func:`~tlqr.simulate.noise_sigma`, the one noise rule of the sweep and the
+exit study. The Freidlin-Wentzell action of a path is the noise energy it
+needs,
 
     S(x) = sum_t |x_{t+1} - f(x_t, u_fb(t, x_t))|^2 / (2 sigma^2),
 
@@ -22,19 +23,24 @@ from typing import Sequence
 import numpy as np
 
 from ._stats import linear_fit, wilson_interval
-from .dynamics import Array, NoiseModel
+from .dynamics import Array
 from .exceptions import InsufficientData
 from .lqr import TrackingPolicy, feedback_control
-from .simulate import _CTX_EXIT, CLOSED_LOOP, derive_seeds, noise_scale, rollout_states
+from .simulate import _CTX_EXIT, CLOSED_LOOP, derive_seeds, noise_sigma, rollout_states
 
 
 def action_functional(policy: TrackingPolicy, path: Array, epsilon: float) -> float:
-    """Noise energy of a path under the tracked closed loop, on the noise model's scale.
+    """Noise energy of a path under the tracked closed loop, on ``noise_sigma``'s scale.
 
     ``path`` is a (T+1, n) array of states with 1 <= T <= K; path[0] is the
     declared initial state. A path with all residuals zero has action 0
     even when sigma is 0 (all planned controls zero); any other path then
     has action +inf.
+
+    The residual form is trustworthy only on paths of moderate size. On a
+    path that blew up at the singular steering clamp (|theta| ~ 3e15),
+    x_{t+1} - f(x_t, u) cancels catastrophically: one such closed-loop run
+    gave an action 10.5% above the noise energy it was drawn with.
     """
     path = np.atleast_2d(np.asarray(path, dtype=float))
     if len(path) < 2:
@@ -46,7 +52,7 @@ def action_functional(policy: TrackingPolicy, path: Array, epsilon: float) -> fl
     energy = float(np.sum(resid * resid))
     if energy == 0.0:
         return 0.0
-    variance = NoiseModel(epsilon, noise_scale(policy.nominal.controls), path.shape[1]).sigma ** 2
+    variance = noise_sigma(policy, epsilon) ** 2
     return energy / (2.0 * variance) if variance > 0.0 else float("inf")
 
 

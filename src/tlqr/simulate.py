@@ -1,9 +1,9 @@
 """Stochastic closed-loop / open-loop execution and NMSE sweep experiments.
 
-Noise enters additively with per-component standard deviation
-epsilon * max_t |u_nom_t|_2. Every run draws its noise from its own stream,
-seeded by a counter-style mix of (master seed, grid index, run index, mode),
-so results are bit-reproducible and do not depend on how runs are grouped.
+This module owns the noise rule: run j's noise is sigma_j * z_j, with
+sigma_j = epsilon_j * max_t |u_nom_t|_2 (:func:`noise_sigma`) and z_j the
+standard normals of the stream seeded by (master seed, tags..., j), so
+results are bit-reproducible and do not depend on how runs are grouped.
 
 Every Monte Carlo study goes through one batched kernel,
 :func:`rollout_states`, which steps all runs of a batch together with one
@@ -14,13 +14,13 @@ run's states do not depend on its batch and match a scalar per-run loop over
 the same law bit for bit. A batch holds whole sweep rows, up to
 ``_RUNS_PER_CALL`` runs, and each run may carry its own epsilon.
 
-Seeding builds no ``SeedSequence`` or ``Generator`` per run:
-:func:`derive_seeds` runs numpy's ``SeedSequence`` hash on uint32 columns,
-one entry per run, and the kernel loads each run's PCG64 state into one
-reused generator. A sweep hashes the seeds of every row in a kernel call in
-one pass, with the row index as one more column. Run j's stream is
-bit-identical to ``default_rng(seeds[j])``; :func:`derive_seed` and
-``default_rng`` stay as the oracle (``tests/test_simulate.py``).
+Seeding builds no ``SeedSequence`` or ``Generator`` per run: one front end,
+``_hash_seeds``, runs numpy's ``SeedSequence`` hash on uint32 columns, one
+entry per run, for :func:`derive_seeds` and for a sweep's kernel call, whose
+row index is one more column. The kernel loads each run's PCG64 state into
+one reused generator. Run j's stream is bit-identical to
+``default_rng(seeds[j])``; :func:`derive_seed` and ``default_rng`` stay as
+the oracle (``tests/test_simulate.py``).
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .dynamics import Array, NoiseModel, NominalTrajectory
+from .dynamics import Array, NominalTrajectory
 from .exceptions import NumericalFailure
 from .lqr import TrackingPolicy, feedback_control
 
@@ -126,6 +126,23 @@ def _seed_state(entropy: list[Array], n_words: int) -> list[Array]:
     return [halves[2 * i] | (halves[2 * i + 1] << 32) for i in range(n_words)]
 
 
+def _hash_seeds(*values: int | Array) -> Array:
+    """``derive_seed(*row)`` for each row of the given entropy columns, as a uint64 array.
+
+    An int is shared by all rows and hashes as numpy's uint32 words of it; a
+    uint32 array is one column, one entry per row. At least one value must be
+    an array.
+    """
+    size = next(len(v) for v in values if isinstance(v, np.ndarray))
+    entropy = []
+    for value in values:
+        if isinstance(value, np.ndarray):
+            entropy.append(value)
+        else:
+            entropy.extend(np.full(size, w, dtype=np.uint32) for w in _uint32_words(value))
+    return _seed_state(entropy, 1)[0]
+
+
 def derive_seeds(master_seed: int, tags: Sequence[int], n: int) -> Array:
     """``[derive_seed(master_seed, *tags, j) for j in range(n)]`` as an (n,) uint64 array.
 
@@ -134,28 +151,7 @@ def derive_seeds(master_seed: int, tags: Sequence[int], n: int) -> Array:
     """
     if not 0 <= n <= MAX_RUNS:
         raise ValueError(f"n must lie in [0, {MAX_RUNS}]")
-    prefix = [w for value in (master_seed, *tags) for w in _uint32_words(value)]
-    runs = np.arange(n, dtype=np.uint32)
-    entropy = [np.full(n, w, dtype=np.uint32) for w in prefix] + [runs]
-    return _seed_state(entropy, 1)[0]
-
-
-def _sweep_seeds(master_seed: int, rows: range, n_runs: int, mode: str) -> Array:
-    """Seeds of sweep rows in one mode, from one hash pass.
-
-    Equals the ``derive_seeds(master_seed, (_CTX_SWEEP, i, mode tag),
-    n_runs)`` of each row i in ``rows``, concatenated: the row index and the
-    mode tag are uint32 entropy columns, like the run index.
-    """
-    size = len(rows) * n_runs
-
-    def fill(*values: int) -> list[Array]:
-        return [np.full(size, w, dtype=np.uint32) for v in values for w in _uint32_words(v)]
-
-    row_index = np.repeat(np.arange(rows.start, rows.stop, dtype=np.uint32), n_runs)
-    run_index = np.tile(np.arange(n_runs, dtype=np.uint32), len(rows))
-    entropy = fill(master_seed, _CTX_SWEEP) + [row_index] + fill(_MODE_TAGS[mode]) + [run_index]
-    return _seed_state(entropy, 1)[0]
+    return _hash_seeds(master_seed, *tags, np.arange(n, dtype=np.uint32))
 
 
 def _seed_array(seeds: Sequence[int]) -> Array:
@@ -212,25 +208,30 @@ def noise_scale(controls: Array) -> float:
     return float(np.linalg.norm(controls, axis=1).max())
 
 
+def noise_sigma(policy: TrackingPolicy, epsilon: float | Array) -> float | Array:
+    """Noise standard deviation epsilon * ``noise_scale(u_nom)``, for one epsilon or one per run."""
+    if np.any(np.asarray(epsilon) < 0):
+        raise ValueError("epsilon must be nonnegative")
+    return epsilon * noise_scale(policy.nominal.controls)
+
+
 def rollout_states(
     policy: TrackingPolicy, epsilon: float | Array, mode: str, seeds: Sequence[int]
 ) -> Array:
     """States (N, K+1, n) of N runs executed together, one per seed.
 
     ``epsilon`` is one value for all runs or one per run. Run j's noise is
-    sigma_j * z_j with sigma_j = epsilon_j * ``noise_scale(u_nom)`` (through
-    :class:`~tlqr.dynamics.NoiseModel`) and z_j the (K, n) standard normals
-    of a stream bit-identical to ``default_rng(seeds[j])``; seeds must lie in
-    [0, 2**64). Closed loop applies the clamped feedback law; open loop
-    applies the planned controls, which are bound-checked once per call.
+    sigma_j * z_j with sigma_j from :func:`noise_sigma` and z_j the (K, n)
+    standard normals of a stream bit-identical to ``default_rng(seeds[j])``;
+    seeds must lie in [0, 2**64). Closed loop applies the clamped feedback
+    law; open loop applies the planned controls, bound-checked once per call.
     """
     if mode not in _MODE_TAGS:
         raise ValueError(f"unknown mode '{mode}'")
     model, nominal = policy.model, policy.nominal
     k, n = policy.horizon, model.state_dim
     seeds = _seed_array(seeds)
-    epsilon = np.broadcast_to(np.asarray(epsilon, dtype=float), seeds.shape)
-    sigma = NoiseModel(epsilon, noise_scale(nominal.controls), n).sigma
+    sigma = noise_sigma(policy, np.broadcast_to(np.asarray(epsilon, dtype=float), seeds.shape))
     if mode == OPEN_LOOP:
         model.validate_control(nominal.controls)
 
@@ -239,7 +240,7 @@ def rollout_states(
     # numpy's broadcast buffers, about as large as a 500-run batch.
     states = np.empty((len(seeds), k + 1, n))
     _standard_normals(seeds, states[:, 1:])
-    states[sigma == 0.0, 1:] = 0.0  # NoiseModel.sample's exact zeros, not -0.0
+    states[sigma == 0.0, 1:] = 0.0  # exact zeros at sigma = 0, not the -0.0 of 0 * z
     scale = sigma[:, None]
 
     states[:, 0] = nominal.states[0]
@@ -324,7 +325,9 @@ def sweep_epsilon(
     for mode in modes:
         for first in range(0, len(grid), rows_per_call):
             rows = range(first, min(first + rows_per_call, len(grid)))
-            seeds = _sweep_seeds(master_seed, rows, n_runs, mode)
+            row_index = np.repeat(np.arange(rows.start, rows.stop, dtype=np.uint32), n_runs)
+            run_index = np.tile(np.arange(n_runs, dtype=np.uint32), len(rows))
+            seeds = _hash_seeds(master_seed, _CTX_SWEEP, row_index, _MODE_TAGS[mode], run_index)
             states = rollout_states(policy, np.repeat(grid[rows], n_runs), mode, seeds)
             vals = nmse_values(policy.nominal, states)
             for i, v in zip(rows, vals.reshape(-1, n_runs)):

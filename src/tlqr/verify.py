@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import Array, NoiseModel
+from .dynamics import Array
 from .error_analysis import (
     cost_error_sensitivities,
     cost_error_statistics,
@@ -45,7 +45,7 @@ from .experiments import PlannedExperiment, plan_experiment, run_exit_study
 from .large_deviations import ExitEstimate, action_functional, fit_rate
 from .lqr import LqrWeights, LtvSystem, closed_loop_matrices, riccati_backward
 from .planner import CostLinearization, linearize_cost
-from .simulate import _CTX_COST_ERROR, _CTX_RECONSTRUCTION, derive_seed, noise_scale
+from .simulate import _CTX_COST_ERROR, _CTX_RECONSTRUCTION, derive_seed, noise_sigma
 
 SUITE_NAMES = ("propagation", "costerror", "riccati", "ldp")
 
@@ -118,15 +118,6 @@ def _random_ltv_arrays(
     a = rng.uniform(-1.0, 1.0, size=(k, n_x, n_x))
     b = rng.uniform(-1.0, 1.0, size=(k, n_x, n_u))
     return a, b
-
-
-def random_ltv_instance(
-    rng: np.random.Generator, max_nx: int = 4, max_nu: int = 2, max_k: int = 20
-) -> tuple[LtvSystem, LqrWeights]:
-    """Random LTV system (entries uniform in [-1, 1]) with identity weights."""
-    sys = LtvSystem(*_random_ltv_arrays(rng, max_nx, max_nu, max_k))
-    weights = LqrWeights.constant(np.ones(sys.state_dim), np.ones(sys.control_dim), sys.horizon)
-    return sys, weights
 
 
 def _noise_maps(d: Array) -> Array:
@@ -299,18 +290,21 @@ def value_identity_error(n_instances: int = 100, seed: int = 1002) -> float:
     Each (n_x, n_u) family of the drawn instances shares one front-padded
     Riccati sweep (``_padded_riccati``); an instance of horizon k reads its
     gains and P_0 from index K_max - k on, bit for bit those of its own sweep.
+    The family also shares one identity ``LqrWeights`` of horizon K_max,
+    whose first k + 1 entries are each instance's own weights.
     """
     rng = np.random.default_rng(seed)
     families: dict[tuple[int, int], list] = {}
     for _ in range(n_instances):
-        sys, weights = random_ltv_instance(rng)
+        sys = LtvSystem(*_random_ltv_arrays(rng))
         x0 = rng.uniform(-1.0, 1.0, size=sys.state_dim)
-        families.setdefault((sys.state_dim, sys.control_dim), []).append((sys, weights, x0))
+        families.setdefault((sys.state_dim, sys.control_dim), []).append((sys, x0))
     worst = 0.0
-    for members in families.values():
+    for (n_x, n_u), members in families.items():
         gains, riccati = _padded_riccati([m[0].a for m in members], [m[0].b for m in members])
         k_max = gains.shape[1]
-        for i, (sys, weights, x0) in enumerate(members):
+        weights = LqrWeights.constant(np.ones(n_x), np.ones(n_u), k_max)
+        for i, (sys, x0) in enumerate(members):
             first = k_max - sys.horizon
             predicted = float(x0 @ riccati[i, first] @ x0)
             simulated = simulated_quadratic_cost(sys, weights, gains[i, first:], x0)
@@ -332,14 +326,14 @@ def cost_error_suite(planned: PlannedExperiment) -> SuiteReport:
     policy, seed = planned.policy, planned.config.master_seed
     lin = linearize_cost(planned.cost, policy.nominal)
     v = cost_error_sensitivities(lin, policy.closed_loop, policy.gains)
-    noise = NoiseModel(COST_ERROR_EPSILON, noise_scale(policy.nominal.controls), v.shape[1])
+    sigma = noise_sigma(policy, COST_ERROR_EPSILON)
 
     # Direct evaluation through the deviation histories vs the sensitivity
     # form, on _RECONSTRUCTION_DRAWS noise sequences taken from one draw: a
     # generator yields the same numbers in one draw as in successive ones.
     rng = np.random.default_rng(derive_seed(seed, _CTX_RECONSTRUCTION))
     batch = (_RECONSTRUCTION_DRAWS,)
-    noises = noise.sample(rng, _RECONSTRUCTION_DRAWS * len(v)).reshape(batch + v.shape)
+    noises = sigma * rng.standard_normal(batch + v.shape)
     states, controls = linear_deviations(
         np.broadcast_to(policy.closed_loop, batch + policy.closed_loop.shape),
         np.broadcast_to(policy.gains, batch + policy.gains.shape),
@@ -347,12 +341,10 @@ def cost_error_suite(planned: PlannedExperiment) -> SuiteReport:
     )
     max_rel = _max_reconstruction_rel(v, noises, first_order_cost_error(lin, states, controls))
 
-    stats = cost_error_statistics(
-        policy, planned.cost, noise.epsilon, COST_ERROR_SAMPLES, derive_seed(seed, _CTX_COST_ERROR)
-    )
+    stats = cost_error_statistics(v, sigma, COST_ERROR_SAMPLES, derive_seed(seed, _CTX_COST_ERROR))
     # All-zero planned controls give sigma = 0 and no closed form to compare
     # against; NaN then fails the check instead of dividing by zero.
-    closed_form = noise.sigma**2 * float(np.sum(v * v))
+    closed_form = sigma**2 * float(np.sum(v * v))
     var_ratio_err = abs(stats.sd**2 / closed_form - 1.0) if closed_form > 0 else float("nan")
     checks = (
         Check("coefficient_reconstruction_rel", max_rel, 1e-9, "<="),
@@ -361,7 +353,8 @@ def cost_error_suite(planned: PlannedExperiment) -> SuiteReport:
         Check("excess_kurtosis_abs", abs(stats.kurtosis), 0.2, "<="),
         Check("variance_vs_closed_form_rel", var_ratio_err, 0.05, "<="),
     )
-    return SuiteReport(suite="costerror", checks=checks, details=asdict(stats))
+    details = {**asdict(stats), "epsilon": COST_ERROR_EPSILON}
+    return SuiteReport(suite="costerror", checks=checks, details=details)
 
 
 def synthetic_rate_recovery(a: float = 0.02) -> tuple[float, float]:

@@ -1,8 +1,17 @@
 import time
 
+import numpy as np
 import pytest
 
-from tlqr import default_config, plan_experiment, run_sweep
+from tlqr import LqrWeights, LtvSystem, default_config, plan_experiment, run_sweep
+from tlqr.verify import _random_ltv_arrays
+
+
+def random_ltv_instance(rng, max_nx=4, max_nu=2, max_k=20):
+    """Random LTV system (entries uniform in [-1, 1], as verify draws them) with identity weights."""
+    sys = LtvSystem(*_random_ltv_arrays(rng, max_nx, max_nu, max_k))
+    weights = LqrWeights.constant(np.ones(sys.state_dim), np.ones(sys.control_dim), sys.horizon)
+    return sys, weights
 
 
 @pytest.fixture(scope="session")

@@ -3,13 +3,27 @@
 Hypothesis runs derandomized and without an example database, so a run
 explores the same examples every time.
 """
+import copy
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlqr import LqrWeights, LtvSystem, derive_seeds, first_order_cost_error, riccati_backward
+from tlqr import (
+    ConfigError,
+    ExperimentConfig,
+    LqrWeights,
+    LtvSystem,
+    default_config,
+    derive_seed,
+    first_order_cost_error,
+    parse_config,
+    riccati_backward,
+    rollout_states,
+)
 from tlqr.planner import CostLinearization
-from tlqr.simulate import _CTX_SWEEP, _MODE_TAGS, _sweep_seeds
+from tlqr.simulate import _CTX_SWEEP, _MODE_TAGS, _hash_seeds
 from tlqr.verify import _padded_riccati
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -74,7 +88,97 @@ def test_batched_first_order_cost_error_rows_equal_single_calls(n, k, n_x, n_u, 
     n_runs=st.integers(1, 40),
     mode=st.sampled_from(sorted(_MODE_TAGS)),
 )
-def test_sweep_seeds_equal_derive_seeds(master_seed, first, n_rows, n_runs, mode):
-    rows = range(first, first + n_rows)
-    expected = [derive_seeds(master_seed, (_CTX_SWEEP, i, _MODE_TAGS[mode]), n_runs) for i in rows]
-    assert np.array_equal(_sweep_seeds(master_seed, rows, n_runs, mode), np.concatenate(expected))
+def test_hash_seeds_row_and_run_columns_equal_derive_seed(master_seed, first, n_rows, n_runs, mode):
+    row_index = np.repeat(np.arange(first, first + n_rows, dtype=np.uint32), n_runs)
+    run_index = np.tile(np.arange(n_runs, dtype=np.uint32), n_rows)
+    tag = _MODE_TAGS[mode]
+    seeds = _hash_seeds(master_seed, _CTX_SWEEP, row_index, tag, run_index)
+    expected = [
+        derive_seed(master_seed, _CTX_SWEEP, i, tag, j)
+        for i in range(first, first + n_rows)
+        for j in range(n_runs)
+    ]
+    assert seeds.dtype == np.uint64 and seeds.tolist() == expected
+
+
+@st.composite
+def run_batches(draw):
+    """(seeds, epsilons, permutation) of one kernel batch."""
+    n = draw(st.integers(1, 8))
+    seeds = draw(st.lists(st.integers(0, 2**64 - 1), min_size=n, max_size=n))
+    epsilons = draw(st.lists(st.floats(0.0, 0.15), min_size=n, max_size=n))
+    return seeds, epsilons, draw(st.permutations(range(n)))
+
+
+@PROPERTY
+@given(batch=run_batches(), mode=st.sampled_from(sorted(_MODE_TAGS)))
+def test_kernel_rows_follow_their_run_not_the_batch(car_experiment, batch, mode):
+    planned, _ = car_experiment
+    seeds, epsilons, order = batch
+    states = rollout_states(planned.policy, epsilons, mode, seeds)
+    permuted = rollout_states(
+        planned.policy, [epsilons[i] for i in order], mode, [seeds[i] for i in order]
+    )
+    # Bytes, so that signed zeros and any NaN compare bit for bit too.
+    assert permuted.tobytes() == states[order].tobytes()
+    alone = rollout_states(planned.policy, epsilons[:1], mode, seeds[:1])
+    assert alone.tobytes() == states[:1].tobytes()
+
+
+def _config_paths(value, path=()):
+    """Every (key path) of a config dict, nested objects and list entries included."""
+    yield path
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _config_paths(item, path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _config_paths(item, path + (i,))
+
+
+_DEFAULT = default_config().to_dict()
+_PATHS = list(_config_paths(_DEFAULT))[1:]
+_BAD_VALUES = st.one_of(
+    st.sampled_from(
+        [None, True, "", "car", [], {}, [1.0], {"a": 1}, math.nan, math.inf, -math.inf]
+        + [-1, -1.0, 0, 0.0, 2**31, 2**32, 2**63, 2**64, 10**30, 10**400, -(10**400)]
+    ),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def mutated_configs(draw):
+    """The default config as a JSON dict, with a few keys replaced, removed or added."""
+    data = copy.deepcopy(_DEFAULT)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(_PATHS))
+        parent = data
+        try:
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]]
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier mutation removed or replaced this path
+        action = draw(st.sampled_from(["replace", "replace", "remove", "add"]))
+        if action == "replace":
+            parent[path[-1]] = draw(_BAD_VALUES)
+        elif action == "remove" and isinstance(parent, dict):
+            del parent[path[-1]]
+        elif isinstance(parent, dict):
+            parent[draw(st.text(max_size=5))] = draw(_BAD_VALUES)
+        else:
+            parent.append(draw(_BAD_VALUES))
+    return data
+
+
+@settings(PROPERTY, max_examples=200)
+@given(data=mutated_configs())
+def test_parse_config_raises_only_config_error(data):
+    try:
+        config = parse_config(data)
+    except ConfigError:
+        return
+    assert isinstance(config, ExperimentConfig)

@@ -5,8 +5,9 @@ from pathlib import Path
 import pytest
 
 import tlqr
+from tlqr import cli
 from tlqr.cli import main
-from tlqr.config import canonical_json, default_config, parse_config
+from tlqr.config import MAX_HORIZON, canonical_json, default_config, parse_config
 
 
 def small_config_dict(**overrides):
@@ -240,6 +241,29 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert main(["sweep", "--help"]) == 0
     capsys.readouterr()
+
+
+def test_plan_rejects_horizon_numpy_cannot_describe(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(small_config_dict(horizon=10**30)), encoding="utf-8")
+    assert main(["plan", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: config field 'horizon': must lie in [1, {MAX_HORIZON}]\n"
+
+
+@pytest.mark.parametrize(
+    "command, stage",
+    [(["plan"], "plan_experiment"), (["sweep"], "run_sweep"), (["ldp"], "run_exit_study")],
+)
+def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, command, stage):
+    # A configured size too large for memory, without allocating it.
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 16.0 GiB for an array")
+
+    monkeypatch.setattr(cli, stage, exhausted)
+    assert main(command + ["--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 16.0 GiB for an array\n"
 
 
 def test_usage_error_exits_one(tmp_path, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tlqr import ConfigError, config_hash, default_config, epsilon_grid, parse_config
-from tlqr.config import FULL_GRID, canonical_json, load_config
+from tlqr.config import FULL_GRID, MAX_HORIZON, canonical_json, load_config
 from tlqr.simulate import MAX_RUNS
 
 
@@ -99,6 +99,29 @@ def test_missing_key_rejected():
     with pytest.raises(ConfigError) as exc:
         parse_config(data)
     assert exc.value.field == "sweep.n_runs"
+
+
+@pytest.mark.parametrize("horizon", [MAX_HORIZON + 1, 2**63, 10**30])
+def test_horizon_numpy_cannot_describe_names_the_bound(horizon):
+    data = default_config().to_dict()
+    data["horizon"] = horizon
+    with pytest.raises(ConfigError, match=f"\\[1, {MAX_HORIZON}\\]") as exc:
+        parse_config(data)
+    assert exc.value.field == "horizon"
+    data["horizon"] = MAX_HORIZON
+    assert parse_config(data).horizon == MAX_HORIZON
+    # A batch of MAX_RUNS runs at the bound still fits numpy's array size limit.
+    assert MAX_RUNS * (MAX_HORIZON + 1) * 3 * 8 <= np.iinfo(np.intp).max
+    assert MAX_RUNS * (MAX_HORIZON + 2) * 3 * 8 > np.iinfo(np.intp).max
+
+
+@pytest.mark.parametrize("eps_step", [1e-300, 5e-324, 0.14 / (2 * MAX_RUNS)])
+def test_sweep_grid_beyond_one_seed_word_rejected(eps_step):
+    data = default_config().to_dict()
+    data["sweep"].update(eps_start=0.01, eps_end=0.15, eps_step=eps_step)
+    with pytest.raises(ConfigError) as exc:
+        parse_config(data)
+    assert exc.value.field == "sweep.eps_step"
 
 
 def test_wrong_type_rejected():

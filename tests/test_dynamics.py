@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tlqr import BoundViolation, DomainError, KinematicCar, LinearSystem, NoiseModel
+from tlqr import BoundViolation, DomainError, KinematicCar, LinearSystem
 
 CAR = KinematicCar(wheelbase=0.5, step_period=0.7, v_max=0.6, phi_max=np.pi / 2)
 X0 = np.array([-1.5, 0.5, 0.0])
@@ -257,20 +257,6 @@ def test_rk4_closer_to_fine_reference_than_euler():
     euler = step(CAR, X0, u)
     rk4 = step(KinematicCar(wheelbase=0.5, step_period=0.7, integrator="rk4"), X0, u)
     assert np.linalg.norm(rk4 - x) < np.linalg.norm(euler - x)
-
-
-def test_noise_model_zero_epsilon_exact_zero():
-    noise = NoiseModel(epsilon=0.0, base_sigma=0.9, dim=3)
-    rng = np.random.default_rng(0)
-    assert np.all(noise.sample(rng, 50) == 0.0)
-
-
-def test_noise_model_zero_mean():
-    noise = NoiseModel(epsilon=0.05, base_sigma=0.9, dim=3)
-    rng = np.random.default_rng(11)
-    n = 20000
-    samples = noise.sample(rng, n)
-    assert np.linalg.norm(samples.mean(axis=0)) <= 5 * noise.sigma * np.sqrt(3 / n)
 
 
 def test_invalid_model_parameters():

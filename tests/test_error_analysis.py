@@ -9,7 +9,6 @@ from tlqr import (
     CLOSED_LOOP,
     LqrWeights,
     LtvSystem,
-    NoiseModel,
     closed_loop_matrices,
     cost_error_sensitivities,
     cost_error_statistics,
@@ -18,20 +17,15 @@ from tlqr import (
     linear_deviations,
     linearize_along,
     linearize_cost,
-    noise_scale,
+    noise_sigma,
     riccati_backward,
     rollout_states,
 )
 from tlqr.planner import CostLinearization
 from tlqr.simulate import _CTX_RECONSTRUCTION, derive_seed
 from tlqr._stats import excess_kurtosis, linear_fit, skewness
-from tlqr.verify import (
-    _control_sums,
-    _noise_maps,
-    _state_sums,
-    propagation_errors,
-    random_ltv_instance,
-)
+from tlqr.verify import _control_sums, _noise_maps, _state_sums, propagation_errors
+from conftest import random_ltv_instance
 
 
 def _coefficient_sums(lin: CostLinearization, maps, gains):
@@ -361,11 +355,11 @@ def _looped_reconstruction_rel(planned):
     policy = planned.policy
     lin = linearize_cost(planned.cost, policy.nominal)
     v = cost_error_sensitivities(lin, policy.closed_loop, policy.gains)
-    noise = NoiseModel(0.05, noise_scale(policy.nominal.controls), v.shape[1])
+    sigma = noise_sigma(policy, 0.05)
     rng = np.random.default_rng(derive_seed(planned.config.master_seed, _CTX_RECONSTRUCTION))
     max_rel = 0.0
     for _ in range(100):
-        noises = noise.sample(rng, len(v))
+        noises = sigma * rng.standard_normal(v.shape)
         direct = first_order_cost_error(
             lin, *linear_deviations(policy.closed_loop, policy.gains, noises)
         )
@@ -410,28 +404,31 @@ def test_batched_first_order_cost_error_rows_equal_single_calls():
         first_order_cost_error(stacked, states[:, :9], controls)
 
 
+def _car_sensitivities(planned):
+    policy = planned.policy
+    lin = linearize_cost(planned.cost, policy.nominal)
+    return cost_error_sensitivities(lin, policy.closed_loop, policy.gains)
+
+
 def test_statistics_zero_epsilon_degenerate(car_experiment):
     planned, _ = car_experiment
-    stats = cost_error_statistics(planned.policy, planned.cost, 0.0, 500, seed=3)
+    sigma = noise_sigma(planned.policy, 0.0)
+    stats = cost_error_statistics(_car_sensitivities(planned), sigma, 500, seed=3)
     assert stats.mean == 0.0 and stats.sd == 0.0 and stats.z == 0.0
 
 
 def test_statistics_mean_and_variance(car_experiment):
     planned, _ = car_experiment
-    stats = cost_error_statistics(planned.policy, planned.cost, 0.05, 20000, seed=21)
-    assert abs(stats.mean) <= 4 * stats.sd / np.sqrt(stats.n)
-    lin = linearize_cost(planned.cost, planned.policy.nominal)
-    v = cost_error_sensitivities(lin, planned.policy.closed_loop, planned.policy.gains)
+    v = _car_sensitivities(planned)
     sigma = 0.05 * np.linalg.norm(planned.policy.nominal.controls, axis=1).max()
+    stats = cost_error_statistics(v, sigma, 20000, seed=21)
+    assert abs(stats.mean) <= 4 * stats.sd / np.sqrt(stats.n)
     assert stats.sd**2 == pytest.approx(sigma**2 * np.sum(v * v), rel=0.05)
 
 
-def _one_shot_statistics(policy, cost, epsilon, n_samples, seed):
+def _one_shot_statistics(v, sigma, n_samples, rng):
     """Reference: every cost-error sample from a single (n_samples, K n) draw."""
-    lin = linearize_cost(cost, policy.nominal)
-    v = cost_error_sensitivities(lin, policy.closed_loop, policy.gains)
-    noise = NoiseModel(epsilon, noise_scale(policy.nominal.controls), v.size)
-    samples = noise.sample(np.random.default_rng(seed), n_samples) @ v.ravel()
+    samples = sigma * rng.standard_normal((n_samples, v.size)) @ v.ravel()
     mean, sd = float(samples.mean()), float(samples.std(ddof=1))
     return error_analysis.CostErrorStats(
         n=n_samples,
@@ -440,31 +437,39 @@ def _one_shot_statistics(policy, cost, epsilon, n_samples, seed):
         z=float(mean / (sd / np.sqrt(n_samples))),
         skewness=skewness(samples),
         kurtosis=excess_kurtosis(samples),
-        epsilon=epsilon,
     )
 
 
 @pytest.mark.parametrize("n_samples", [100_000, 20_000])
 def test_chunked_statistics_equal_one_shot_draw(car_experiment, monkeypatch, n_samples):
     planned, _ = car_experiment
+    v = _car_sensitivities(planned)
+    sigma = noise_sigma(planned.policy, 0.05)
     drawn = []
-    original = NoiseModel.sample
+    default_rng = np.random.default_rng
 
-    def recorded(self, rng, length):
-        drawn.append(length)
-        return original(self, rng, length)
+    class Recorded:
+        """A generator that records the shape of every standard-normal draw."""
 
-    monkeypatch.setattr(NoiseModel, "sample", recorded)
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def standard_normal(self, shape):
+            drawn.append(shape)
+            return self.rng.standard_normal(shape)
+
+    monkeypatch.setattr(error_analysis.np.random, "default_rng", Recorded)
     seed = derive_seed(planned.config.master_seed, 4)
-    stats = cost_error_statistics(planned.policy, planned.cost, 0.05, n_samples, seed)
-    assert max(drawn) == error_analysis.COST_ERROR_BLOCK and sum(drawn) == n_samples
-    reference = _one_shot_statistics(planned.policy, planned.cost, 0.05, n_samples, seed)
+    stats = cost_error_statistics(v, sigma, n_samples, seed)
+    rows = [shape[0] for shape in drawn]
+    assert max(rows) == error_analysis.COST_ERROR_BLOCK and sum(rows) == n_samples
+    reference = _one_shot_statistics(v, sigma, n_samples, default_rng(seed))
     assert dataclasses.astuple(stats) == dataclasses.astuple(reference)
 
 
 def test_statistics_sample_floor():
     with pytest.raises(ValueError):
-        cost_error_statistics(None, None, 0.05, 99, seed=0)
+        cost_error_statistics(np.ones((20, 3)), 0.05, 99, seed=0)
 
 
 def test_first_order_prediction_gap_superlinear(car_experiment):
@@ -475,11 +480,11 @@ def test_first_order_prediction_gap_superlinear(car_experiment):
     gaps = []
     for i, eps in enumerate(eps_grid):
         seeds = [derive_seed(777, i, j) for j in range(100)]
-        noise = NoiseModel(eps, noise_scale(policy.nominal.controls), 3)
+        sigma = noise_sigma(policy, eps)
         worst = []
         for states, seed in zip(rollout_states(policy, eps, CLOSED_LOOP, seeds), seeds):
             # The kernel draws run j's noise exactly like this.
-            noises = noise.sample(np.random.default_rng(seed), policy.horizon)
+            noises = sigma * np.random.default_rng(seed).standard_normal((policy.horizon, 3))
             true_dev = states - policy.nominal.states
             predicted, _ = linear_deviations(policy.closed_loop, policy.gains, noises)
             worst.append(np.linalg.norm(true_dev - predicted, axis=1).max())

@@ -5,7 +5,6 @@ from tlqr import (
     CLOSED_LOOP,
     InsufficientData,
     LinearSystem,
-    NoiseModel,
     NominalTrajectory,
     TrackingPolicy,
     action_functional,
@@ -13,7 +12,7 @@ from tlqr import (
     estimate_exit_probability,
     feedback_control,
     fit_rate,
-    noise_scale,
+    noise_sigma,
     rollout_states,
 )
 from tlqr.large_deviations import ExitEstimate
@@ -69,10 +68,10 @@ def test_action_is_noise_energy_of_kernel_paths(car_experiment, epsilon):
     policy = planned.policy
     seeds = [derive_seed(42, j) for j in range(50)]
     paths = rollout_states(policy, epsilon, CLOSED_LOOP, seeds)
-    noise = NoiseModel(epsilon, noise_scale(policy.nominal.controls), 3)
+    sigma = noise_sigma(policy, epsilon)
     for path, seed in zip(paths, seeds):
-        w = noise.sample(np.random.default_rng(seed), policy.horizon)
-        energy = float(np.sum(w * w)) / (2.0 * noise.sigma**2)
+        w = sigma * np.random.default_rng(seed).standard_normal((policy.horizon, 3))
+        energy = float(np.sum(w * w)) / (2.0 * sigma**2)
         assert action_functional(policy, path, epsilon) == pytest.approx(energy, rel=1e-12)
 
 

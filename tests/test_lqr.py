@@ -17,12 +17,8 @@ from tlqr import (
     riccati_backward,
 )
 import tlqr.verify as verify
-from tlqr.verify import (
-    _padded_riccati,
-    random_ltv_instance,
-    simulated_quadratic_cost,
-    value_identity_error,
-)
+from conftest import random_ltv_instance
+from tlqr.verify import _padded_riccati, simulated_quadratic_cost, value_identity_error
 
 CAR = KinematicCar()
 X0 = np.array([-1.5, 0.5, 0.0])

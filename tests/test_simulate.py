@@ -7,7 +7,7 @@ from tlqr import (
     CLOSED_LOOP,
     OPEN_LOOP,
     BoundViolation,
-    NoiseModel,
+    LinearSystem,
     NominalTrajectory,
     TrackingPolicy,
     derive_seed,
@@ -16,6 +16,7 @@ from tlqr import (
     feedback_control,
     nmse_values,
     noise_scale,
+    noise_sigma,
     rollout_states,
     sweep_epsilon,
 )
@@ -44,8 +45,11 @@ def rollout(policy: TrackingPolicy, epsilon: float, mode: str, seed: int) -> Rol
         raise ValueError(f"unknown mode '{mode}'")
     model = policy.model
     k = policy.horizon
-    noise = NoiseModel(epsilon, noise_scale(policy.nominal.controls), model.state_dim)
-    noises = noise.sample(np.random.default_rng(seed), k)
+    sigma = noise_sigma(policy, epsilon)
+    if sigma == 0.0:
+        noises = np.zeros((k, model.state_dim))  # the kernel's exact zeros
+    else:
+        noises = sigma * np.random.default_rng(seed).standard_normal((k, model.state_dim))
 
     states = np.empty((k + 1, model.state_dim))
     controls = np.empty((k, model.control_dim))
@@ -97,6 +101,47 @@ def test_noise_scale_examples():
     assert noise_scale(3.0 * controls) == pytest.approx(3.0 * noise_scale(controls))
     with pytest.raises(ValueError):
         noise_scale(np.zeros((0, 2)))
+
+
+def test_noise_sigma_rejects_negative_epsilon(car_experiment):
+    planned, _ = car_experiment
+    for epsilon in (-0.01, np.array([0.05, -1e-300])):
+        with pytest.raises(ValueError, match="nonnegative"):
+            noise_sigma(planned.policy, epsilon)
+
+
+def test_noise_sigma_gives_one_sigma_per_run(car_experiment):
+    planned, _ = car_experiment
+    base = noise_scale(planned.policy.nominal.controls)
+    epsilon = np.array([0.0, 0.01, 0.05, 0.147])
+    sigma = noise_sigma(planned.policy, epsilon)
+    assert sigma.shape == (4,)
+    assert np.array_equal(sigma, epsilon * base)
+    assert noise_sigma(planned.policy, 0.05) == 0.05 * base
+
+
+class _NegativeZeroPlant(LinearSystem):
+    """Every transition lands on -0.0, so a -0.0 noise term would stay visible."""
+
+    def transition(self, x, u):
+        return np.full(np.shape(x), -0.0)
+
+
+def test_zero_epsilon_rows_get_exact_zero_noise():
+    k = 12
+    policy = TrackingPolicy(
+        nominal=NominalTrajectory(states=np.zeros((k + 1, 1)), controls=np.ones((k, 1))),
+        gains=np.zeros((k, 1, 1)),
+        riccati=np.ones((k + 1, 1, 1)),
+        closed_loop=np.ones((k, 1, 1)),
+        model=_NegativeZeroPlant(a=[[1.0]], b=[[1.0]]),
+    )
+    for mode in (CLOSED_LOOP, OPEN_LOOP):
+        states = rollout_states(policy, [0.0, 0.1, 0.0], mode, [1, 2, 3])
+        # 0.0 * z is -0.0 for every negative z; the kernel adds +0.0 instead.
+        assert np.all(states[[0, 2], 1:] == 0.0)
+        assert not np.any(np.signbit(states[[0, 2], 1:]))
+        assert np.all(states[1, 1:] != 0.0)
 
 
 def test_nmse_examples(car_experiment):
