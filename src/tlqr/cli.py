@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 configuration or usage error (a configured size
 that does not fit in memory included), 2 non-convergence or failed
-verification (artifacts still written), 3 I/O failure. All artifact
-files are byte-reproducible from (config, master seed, tool version); only
-the run manifest carries timestamps.
+verification (artifacts still written) or a numerical failure such as a
+Riccati recursion that is not finite (nothing written), 3 I/O failure.
+All artifact files are byte-reproducible from (config, master seed, tool
+version); only the run manifest carries timestamps.
 """
 from __future__ import annotations
 

@@ -55,7 +55,7 @@ def plan_experiment(config: ExperimentConfig) -> PlannedExperiment:
         tolerance=p.tolerance,
         max_iters=p.max_iters,
     )
-    weights = LqrWeights.constant(config.lqr.wx, config.lqr.wu, config.horizon)
+    weights = LqrWeights(config.lqr.wx, config.lqr.wu)
     policy = design_tracking_policy(model, trajectory, weights)
     return PlannedExperiment(config=config, cost=cost, report=report, policy=policy)
 

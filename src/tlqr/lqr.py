@@ -3,12 +3,13 @@
 Linearizing the dynamics at each nominal point gives an LTV system
 (A_t, B_t); the backward Riccati recursion
 
-    P_K = Wx_K
-    L_t = (Wu_t + B_t^T P_{t+1} B_t)^{-1} B_t^T P_{t+1} A_t
-    P_t = Wx_t + A_t^T P_{t+1} (A_t - B_t L_t)
+    P_K = Wx
+    L_t = (Wu + B_t^T P_{t+1} B_t)^{-1} B_t^T P_{t+1} A_t
+    P_t = Wx + A_t^T P_{t+1} (A_t - B_t L_t)
 
-yields gains for the tracking law u_t = u_nom_t - L_t (x_t - x_nom_t).
-P is symmetrized after every step to suppress asymmetric round-off. The
+with the constant diagonal weights Wx = diag(wx) and Wu = diag(wu), yields
+gains for the tracking law u_t = u_nom_t - L_t (x_t - x_nom_t). P is
+symmetrized after every step to suppress asymmetric round-off. The
 value identity x0^T P_0 x0 = accumulated quadratic cost under the gains
 holds for the noise-free LTV error dynamics.
 
@@ -64,10 +65,11 @@ class LtvSystem:
 
 @dataclass(frozen=True, eq=False)
 class LqrWeights:
-    """Quadratic tracking weights: wx has K+1 entries (terminal last), wu has K.
+    """Diagonals of the tracking weights Wx (n,) and Wu (m,).
 
-    Every wu must be symmetric positive definite so the gain inverse exists;
-    wx entries must be symmetric positive semidefinite.
+    The same weights apply at every step, the terminal step included. wx
+    entries must be >= 0 and wu entries > 0, so every gain system
+    Wu + B^T P B is positive definite.
     """
 
     wx: Array
@@ -76,32 +78,17 @@ class LqrWeights:
     def __post_init__(self):
         wx = np.asarray(self.wx, dtype=float)
         wu = np.asarray(self.wu, dtype=float)
-        if wx.ndim != 3 or wu.ndim != 3:
-            raise ValueError("wx and wu must be stacks of matrices")
-        if wx.shape[0] != wu.shape[0] + 1:
-            raise ValueError("wx needs exactly one more entry than wu (terminal weight)")
-        for name, stack in (("wx", wx), ("wu", wu)):
-            if not np.allclose(stack, np.swapaxes(stack, 1, 2), atol=1e-12):
-                raise ValueError(f"{name} entries must be symmetric")
-        if np.linalg.eigvalsh(wu).min() <= 0.0:
-            raise ValueError("wu entries must be positive definite")
-        if np.linalg.eigvalsh(wx).min() < -1e-12:
-            raise ValueError("wx entries must be positive semidefinite")
+        for name, w in (("wx", wx), ("wu", wu)):
+            if w.ndim != 1 or w.size == 0:
+                raise ValueError(f"{name} must be a non-empty vector of diagonal entries")
+            if not np.isfinite(w).all():
+                raise ValueError(f"{name} entries must be finite")
+        if (wx < 0.0).any():
+            raise ValueError("wx entries must be >= 0")
+        if (wu <= 0.0).any():
+            raise ValueError("wu entries must be > 0")
         object.__setattr__(self, "wx", wx)
         object.__setattr__(self, "wu", wu)
-
-    @classmethod
-    def constant(cls, wx_diag: Array, wu_diag: Array, horizon: int) -> "LqrWeights":
-        """Time-invariant diagonal weights over the given horizon."""
-        if horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        wx = np.tile(np.diag(np.asarray(wx_diag, dtype=float)), (horizon + 1, 1, 1))
-        wu = np.tile(np.diag(np.asarray(wu_diag, dtype=float)), (horizon, 1, 1))
-        return cls(wx=wx, wu=wu)
-
-    @property
-    def horizon(self) -> int:
-        return self.wu.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,27 +135,38 @@ def riccati_backward(sys: LtvSystem, weights: LqrWeights) -> tuple[Array, Array]
     """Backward Riccati recursion; returns (gains (K, m, n), riccati (K+1, n, n)).
 
     A batched system (N, K, ...) shares the weights and gets (N, K, m, n)
-    gains and (N, K+1, n, n) Riccati matrices.
+    gains and (N, K+1, n, n) Riccati matrices. A P or gain that is not
+    finite, as when huge weights overflow, raises ``NumericalFailure`` naming
+    the first such step of the recursion.
     """
-    if weights.horizon != sys.horizon:
-        raise ValueError("weights horizon does not match the LTV system")
     k, n, m = sys.horizon, sys.state_dim, sys.control_dim
+    if weights.wx.shape != (n,) or weights.wu.shape != (m,):
+        raise ValueError(f"weights must have the LTV system's n={n} and m={m} entries")
+    wx, wu = np.diag(weights.wx), np.diag(weights.wu)
     batch = sys.a.shape[:-3]
     gains = np.empty(batch + (k, m, n))
     riccati = np.empty(batch + (k + 1, n, n))
-    riccati[..., k, :, :] = 0.5 * (weights.wx[k] + weights.wx[k].T)
-    for t in range(k - 1, -1, -1):
-        a, b = sys.a[..., t, :, :], sys.b[..., t, :, :]
-        b_t = np.swapaxes(b, -1, -2)
-        p_next = riccati[..., t + 1, :, :]
-        gram = weights.wu[t] + b_t @ p_next @ b
-        try:
-            gain = np.linalg.solve(gram, b_t @ p_next @ a)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailure(f"singular gain system at step {t}") from exc
-        gains[..., t, :, :] = gain
-        p = weights.wx[t] + np.swapaxes(a, -1, -2) @ p_next @ (a - b @ gain)
-        riccati[..., t, :, :] = 0.5 * (p + np.swapaxes(p, -1, -2))
+    riccati[..., k, :, :] = wx
+    # An overflow shows up as a non-finite entry, reported below as a failure.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(k - 1, -1, -1):
+            a, b = sys.a[..., t, :, :], sys.b[..., t, :, :]
+            b_t = np.swapaxes(b, -1, -2)
+            p_next = riccati[..., t + 1, :, :]
+            gram = wu + b_t @ p_next @ b
+            try:
+                gain = np.linalg.solve(gram, b_t @ p_next @ a)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalFailure(f"singular gain system at step {t}") from exc
+            gains[..., t, :, :] = gain
+            p = wx + np.swapaxes(a, -1, -2) @ p_next @ (a - b @ gain)
+            riccati[..., t, :, :] = 0.5 * (p + np.swapaxes(p, -1, -2))
+    finite = np.isfinite(gains).all(axis=(-2, -1)) & np.isfinite(riccati[..., :k, :, :]).all(
+        axis=(-2, -1)
+    )
+    if not finite.all():
+        t = np.nonzero(~finite)[-1].max()  # the recursion runs backward from step K-1
+        raise NumericalFailure(f"Riccati recursion is not finite at step {t}")
     return gains, riccati
 
 

@@ -20,11 +20,11 @@ to its bound, so a report is reviewable without rerunning. Suites:
 The random instances of the propagation and riccati suites are batched by
 (n_x, n_u) family: every instance of a family shares one Riccati sweep,
 front-padded with zeros to the family's longest horizon
-(``_padded_riccati``). All of them use identity weights, the same at every
-step, so an instance of horizon k finds its own gains and Riccati matrices
-in the last k steps of the padded sweep, bit for bit. Every other batched
-pass runs on one exact (n_x, n_u, K) shape, and every reported value is
-the one a loop over single instances gives.
+(``_padded_riccati``). All of them use identity weights, so an instance of
+horizon k finds its own gains and Riccati matrices in the last k steps of
+the padded sweep, bit for bit. Every other batched pass runs on one exact
+(n_x, n_u, K) shape, and every reported value is the one a loop over
+single instances gives.
 """
 from __future__ import annotations
 
@@ -158,9 +158,8 @@ def _padded_riccati(a: Sequence[Array], b: Sequence[Array]) -> tuple[Array, Arra
     Each (A, B) is front-padded with zeros to the family's longest horizon
     K_max, and all share identity weights. Returns the padded gains
     (N, K_max, m, n) and Riccati matrices (N, K_max+1, n, n); a system of
-    horizon k finds its own results in ``[i, K_max - k:]``, bit for bit.
-    Padding is exact because the weights are the same at every step: the
-    last k steps of the padded recursion start from the same terminal
+    horizon k finds its own results in ``[i, K_max - k:]``, bit for bit:
+    the last k steps of the padded recursion start from the same terminal
     weight and run that system's own steps, and each stacked matmul and
     solve acts row by row. A padded step has B = 0, so its gain system is
     W_u = I and never singular.
@@ -172,7 +171,7 @@ def _padded_riccati(a: Sequence[Array], b: Sequence[Array]) -> tuple[Array, Arra
     for i, (a_i, b_i) in enumerate(zip(a, b)):
         a_pad[i, k_max - len(a_i) :] = a_i
         b_pad[i, k_max - len(b_i) :] = b_i
-    weights = LqrWeights.constant(np.ones(n_x), np.ones(n_u), k_max)
+    weights = LqrWeights(np.ones(n_x), np.ones(n_u))
     return riccati_backward(LtvSystem(a=a_pad, b=b_pad), weights)
 
 
@@ -263,7 +262,7 @@ def propagation_suite(n_instances: int = 1000, seed: int = 1001) -> SuiteReport:
 def riccati_fixture_errors() -> tuple[float, float]:
     """Scalar A=B=Wx=Wu=1, K=2; exact values P=(1.6, 1.5, 1), L=(0.6, 0.5)."""
     sys = LtvSystem(a=np.ones((2, 1, 1)), b=np.ones((2, 1, 1)))
-    weights = LqrWeights.constant([1.0], [1.0], 2)
+    weights = LqrWeights([1.0], [1.0])
     gains, riccati = riccati_backward(sys, weights)
     p_err = float(np.abs(riccati.ravel() - np.array([1.6, 1.5, 1.0])).max())
     l_err = float(np.abs(gains.ravel() - np.array([0.6, 0.5])).max())
@@ -274,13 +273,14 @@ def simulated_quadratic_cost(
     sys: LtvSystem, weights: LqrWeights, gains: Array, x0: Array
 ) -> float:
     """Accumulated tracking cost of the noise-free LTV error dynamics."""
+    wx, wu = np.diag(weights.wx), np.diag(weights.wu)
     x = np.asarray(x0, dtype=float)
     total = 0.0
     for t in range(sys.horizon):
         u = -gains[t] @ x
-        total += float(x @ weights.wx[t] @ x + u @ weights.wu[t] @ u)
+        total += float(x @ wx @ x + u @ wu @ u)
         x = sys.a[t] @ x + sys.b[t] @ u
-    total += float(x @ weights.wx[sys.horizon] @ x)
+    total += float(x @ wx @ x)
     return total
 
 
@@ -290,8 +290,6 @@ def value_identity_error(n_instances: int = 100, seed: int = 1002) -> float:
     Each (n_x, n_u) family of the drawn instances shares one front-padded
     Riccati sweep (``_padded_riccati``); an instance of horizon k reads its
     gains and P_0 from index K_max - k on, bit for bit those of its own sweep.
-    The family also shares one identity ``LqrWeights`` of horizon K_max,
-    whose first k + 1 entries are each instance's own weights.
     """
     rng = np.random.default_rng(seed)
     families: dict[tuple[int, int], list] = {}
@@ -303,7 +301,7 @@ def value_identity_error(n_instances: int = 100, seed: int = 1002) -> float:
     for (n_x, n_u), members in families.items():
         gains, riccati = _padded_riccati([m[0].a for m in members], [m[0].b for m in members])
         k_max = gains.shape[1]
-        weights = LqrWeights.constant(np.ones(n_x), np.ones(n_u), k_max)
+        weights = LqrWeights(np.ones(n_x), np.ones(n_u))
         for i, (sys, x0) in enumerate(members):
             first = k_max - sys.horizon
             predicted = float(x0 @ riccati[i, first] @ x0)

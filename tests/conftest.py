@@ -10,7 +10,7 @@ from tlqr.verify import _random_ltv_arrays
 def random_ltv_instance(rng, max_nx=4, max_nu=2, max_k=20):
     """Random LTV system (entries uniform in [-1, 1], as verify draws them) with identity weights."""
     sys = LtvSystem(*_random_ltv_arrays(rng, max_nx, max_nu, max_k))
-    weights = LqrWeights.constant(np.ones(sys.state_dim), np.ones(sys.control_dim), sys.horizon)
+    weights = LqrWeights(np.ones(sys.state_dim), np.ones(sys.control_dim))
     return sys, weights
 
 

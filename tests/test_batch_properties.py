@@ -15,14 +15,16 @@ from tlqr import (
     ExperimentConfig,
     LqrWeights,
     LtvSystem,
+    closed_loop_matrices,
     default_config,
     derive_seed,
     first_order_cost_error,
+    linear_deviations,
     parse_config,
     riccati_backward,
     rollout_states,
 )
-from tlqr.planner import CostLinearization
+from tlqr.planner import CostLinearization, adjoint_sweep
 from tlqr.simulate import _CTX_SWEEP, _MODE_TAGS, _hash_seeds
 from tlqr.verify import _padded_riccati
 
@@ -48,10 +50,60 @@ def test_padded_riccati_rows_equal_single_sweeps(n_x, n_u, horizons, seed):
     k_max = max(horizons)
     assert gains.shape == (len(horizons), k_max, n_u, n_x)
     for i, k in enumerate(horizons):
-        weights = LqrWeights.constant(np.ones(n_x), np.ones(n_u), k)
+        weights = LqrWeights(np.ones(n_x), np.ones(n_u))
         one_gains, one_riccati = riccati_backward(LtvSystem(a=a[i], b=b[i]), weights)
         assert np.array_equal(gains[i, k_max - k :], one_gains)
         assert np.array_equal(riccati[i, k_max - k :], one_riccati)
+
+
+@PROPERTY
+@given(n=st.integers(1, 6), k=st.integers(1, 24), n_x=dims, n_u=dims, seed=generator_seeds)
+def test_batched_riccati_closed_loop_and_deviation_rows_equal_single_calls(n, k, n_x, n_u, seed):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-1, 1)
+    sys = LtvSystem(
+        a=scale * rng.uniform(-1, 1, size=(n, k, n_x, n_x)),
+        b=rng.uniform(-1, 1, size=(n, k, n_x, n_u)),
+    )
+    weights = LqrWeights(rng.uniform(0, 2, size=n_x), rng.uniform(0.1, 2, size=n_u))
+    noises = rng.standard_normal((n, k, n_x))
+    gains, riccati = riccati_backward(sys, weights)
+    d = closed_loop_matrices(sys, gains)
+    states, controls = linear_deviations(d, gains, noises)
+    assert states.shape == (n, k + 1, n_x) and controls.shape == (n, k, n_u)
+    for i in range(n):
+        one = LtvSystem(a=sys.a[i], b=sys.b[i])
+        one_gains, one_riccati = riccati_backward(one, weights)
+        one_d = closed_loop_matrices(one, one_gains)
+        one_states, one_controls = linear_deviations(one_d, one_gains, noises[i])
+        assert gains[i].tobytes() == one_gains.tobytes()
+        assert riccati[i].tobytes() == one_riccati.tobytes()
+        assert d[i].tobytes() == one_d.tobytes()
+        assert states[i].tobytes() == one_states.tobytes()
+        assert controls[i].tobytes() == one_controls.tobytes()
+
+
+@PROPERTY
+@given(k=st.integers(1, 24), n=dims, seed=generator_seeds)
+def test_adjoint_sweep_equals_explicit_sums(k, n, seed):
+    rng = np.random.default_rng(seed)
+    maps = rng.uniform(-1, 1, size=(k, n, n))
+    forcing = rng.uniform(-1, 1, size=(k, n))
+    terminal = rng.uniform(-1, 1, size=n)
+    lam = adjoint_sweep(terminal, forcing, maps)
+    assert lam.shape == (k + 1, n) and lam[k].tobytes() == terminal.tobytes()
+    for t in range(k):
+        # lam_t = sum_{s >= t} (maps_{s-1} ... maps_t)^T forcing_s, plus the
+        # terminal term; ``bound`` sums the same terms in absolute value.
+        expected, bound = np.zeros(n), np.zeros(n)
+        prod, abs_prod = np.eye(n), np.eye(n)
+        for s in range(t, k):
+            expected += prod.T @ forcing[s]
+            bound += abs_prod.T @ np.abs(forcing[s])
+            prod, abs_prod = maps[s] @ prod, np.abs(maps[s]) @ abs_prod
+        expected += prod.T @ terminal
+        bound += abs_prod.T @ np.abs(terminal)
+        assert np.all(np.abs(lam[t] - expected) <= 1e-12 * bound)
 
 
 @PROPERTY

@@ -251,6 +251,20 @@ def test_plan_rejects_horizon_numpy_cannot_describe(tmp_path, capsys):
     assert err == f"error: config field 'horizon': must lie in [1, {MAX_HORIZON}]\n"
 
 
+@pytest.mark.parametrize("command", ["plan", "sweep", "ldp"])
+def test_riccati_overflow_exits_two_before_writing(tmp_path, capsys, command):
+    # Finite weights that pass parse_config but overflow the Riccati recursion.
+    data = small_config_dict()
+    data["lqr"]["wx"] = [1e308, 1e308, 1e308]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    out = tmp_path / "o"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: Riccati recursion is not finite at step 19\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize(
     "command, stage",
     [(["plan"], "plan_experiment"), (["sweep"], "run_sweep"), (["ldp"], "run_exit_study")],

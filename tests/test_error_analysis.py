@@ -198,7 +198,7 @@ def test_batched_deviations_and_oracles_match_per_instance_rows(n_x, n_u, k):
     a = rng.uniform(-1, 1, size=(6, k, n_x, n_x))
     b = rng.uniform(-1, 1, size=(6, k, n_x, n_u))
     noises = rng.uniform(-1, 1, size=(6, k, n_x))
-    weights = LqrWeights.constant(np.ones(n_x), np.ones(n_u), k)
+    weights = LqrWeights(np.ones(n_x), np.ones(n_u))
     sys = LtvSystem(a=a, b=b)
     gains, _ = riccati_backward(sys, weights)
     d = closed_loop_matrices(sys, gains)

@@ -9,6 +9,7 @@ from tlqr import (
     LqrWeights,
     LtvSystem,
     NominalTrajectory,
+    NumericalFailure,
     TrackingPolicy,
     closed_loop_matrices,
     design_tracking_policy,
@@ -56,7 +57,7 @@ def test_linearize_matches_dynamics_hand_values():
 
 def test_riccati_scalar_hand_fixture():
     sys = LtvSystem(a=np.ones((2, 1, 1)), b=np.ones((2, 1, 1)))
-    gains, riccati = riccati_backward(sys, LqrWeights.constant([1.0], [1.0], 2))
+    gains, riccati = riccati_backward(sys, LqrWeights([1.0], [1.0]))
     np.testing.assert_allclose(riccati.ravel(), [1.6, 1.5, 1.0], atol=1e-12)
     np.testing.assert_allclose(gains.ravel(), [0.6, 0.5], atol=1e-12)
 
@@ -66,7 +67,7 @@ def test_riccati_no_actuation_reduces_to_open_loop():
     k, n = 6, 3
     a = rng.uniform(-1, 1, size=(k, n, n))
     sys = LtvSystem(a=a, b=np.zeros((k, n, 1)))
-    gains, riccati = riccati_backward(sys, LqrWeights.constant(np.ones(n), [1.0], k))
+    gains, riccati = riccati_backward(sys, LqrWeights(np.ones(n), [1.0]))
     assert np.all(gains == 0.0)
     expected = np.eye(n)
     for t in range(k - 1, -1, -1):  # oracle: P_t = Wx + A^T P_{t+1} A
@@ -79,8 +80,7 @@ def test_riccati_zero_state_weight_gives_zero():
     k, n = 4, 2
     rng = np.random.default_rng(8)
     sys = LtvSystem(a=rng.uniform(-1, 1, (k, n, n)), b=rng.uniform(-1, 1, (k, n, 1)))
-    weights = LqrWeights(wx=np.zeros((k + 1, n, n)), wu=np.tile(np.eye(1), (k, 1, 1)))
-    gains, riccati = riccati_backward(sys, weights)
+    gains, riccati = riccati_backward(sys, LqrWeights(np.zeros(n), [1.0]))
     assert np.all(gains == 0.0) and np.all(riccati == 0.0)
 
 
@@ -89,7 +89,7 @@ def test_batched_riccati_and_closed_loop_match_per_instance_rows(n, m, k):
     rng = np.random.default_rng(n * 100 + m * 10 + k)
     sys = LtvSystem(a=rng.uniform(-1, 1, (5, k, n, n)), b=rng.uniform(-1, 1, (5, k, n, m)))
     assert (sys.horizon, sys.state_dim, sys.control_dim) == (k, n, m)
-    weights = LqrWeights.constant(np.ones(n), np.ones(m), k)
+    weights = LqrWeights(np.ones(n), np.ones(m))
     gains, riccati = riccati_backward(sys, weights)
     d = closed_loop_matrices(sys, gains)
     assert gains.shape == (5, k, m, n) and riccati.shape == (5, k + 1, n, n)
@@ -159,7 +159,7 @@ def test_padded_riccati_rows_equal_unpadded_sweeps(n, m):
     gains, riccati = _padded_riccati(a, b)
     assert gains.shape == (len(horizons), 20, m, n) and riccati.shape[1] == 21
     for i, k in enumerate(horizons):
-        weights = LqrWeights.constant(np.ones(n), np.ones(m), k)
+        weights = LqrWeights(np.ones(n), np.ones(m))
         one_gains, one_riccati = riccati_backward(LtvSystem(a=a[i], b=b[i]), weights)
         np.testing.assert_array_equal(gains[i, 20 - k :], one_gains)
         np.testing.assert_array_equal(riccati[i, 20 - k :], one_riccati)
@@ -266,19 +266,62 @@ def test_closed_loop_error_contracts_after_startup(car_experiment):
 
 
 def test_weights_validation():
-    with pytest.raises(ValueError):
-        LqrWeights.constant([1.0, 1.0], [0.0], 3)  # singular control weight
-    with pytest.raises(ValueError):
-        LqrWeights.constant([-1.0, 1.0], [1.0], 3)  # indefinite state weight
-    with pytest.raises(ValueError):
-        LqrWeights(wx=np.zeros((3, 2, 2)), wu=np.zeros((3, 1, 1)))  # length mismatch
+    cases = [
+        ([1.0, 1.0], [0.0], "wu entries must be > 0"),  # singular control weight
+        ([1.0, 1.0], [-1.0], "wu entries must be > 0"),
+        ([-1.0, 1.0], [1.0], "wx entries must be >= 0"),  # indefinite state weight
+        ([1.0, np.nan], [1.0], "wx entries must be finite"),
+        ([1.0, 1.0], [np.nan], "wu entries must be finite"),
+        ([np.inf, 1.0], [1.0], "wx entries must be finite"),
+        ([1.0, -np.inf], [1.0], "wx entries must be finite"),
+        ([1.0, 1.0], [np.inf], "wu entries must be finite"),
+        ([1.0, 1.0], [-np.inf], "wu entries must be finite"),
+        ([], [1.0], "wx must be a non-empty vector"),
+        ([1.0], [], "wu must be a non-empty vector"),
+        (np.eye(2), [1.0], "wx must be a non-empty vector"),
+        ([1.0, 1.0], [[1.0]], "wu must be a non-empty vector"),
+        (1.0, [1.0], "wx must be a non-empty vector"),
+    ]
+    for wx, wu, message in cases:
+        with pytest.raises(ValueError, match=message):
+            LqrWeights(wx, wu)
+
+
+@pytest.mark.parametrize("wx, wu", [(np.ones(3), np.ones(1)), (np.ones(2), np.ones(2))])
+def test_riccati_rejects_weights_of_other_dimensions(wx, wu):
+    sys = LtvSystem(a=np.ones((4, 2, 2)), b=np.ones((4, 2, 1)))
+    with pytest.raises(ValueError, match="the LTV system's n=2 and m=1 entries"):
+        riccati_backward(sys, LqrWeights(wx, wu))
+
+
+def test_riccati_terminal_weight_is_the_diagonal():
+    # Bit for bit the symmetrized terminal weight 0.5 (W + W^T) of a weight
+    # matrix W, for any weight whose double does not overflow.
+    wx = np.array([3.0, 5e-324, 0.0, 8.9e307])
+    sys = LtvSystem(a=np.zeros((2, 4, 4)), b=np.zeros((2, 4, 1)))
+    _, riccati = riccati_backward(sys, LqrWeights(wx, [1.0]))
+    w = np.diag(wx)
+    assert riccati[2].tobytes() == w.tobytes() == (0.5 * (w + w.T)).tobytes()
+
+
+def test_riccati_overflow_names_the_first_step(car_experiment):
+    policy = car_experiment[0].policy
+    sys = linearize_along(policy.model, policy.nominal)
+    with pytest.raises(NumericalFailure, match="Riccati recursion is not finite at step 19"):
+        riccati_backward(sys, LqrWeights(np.full(3, 1e308), np.ones(2)))
+    k = 7
+    a = np.zeros((2, k, 1, 1))
+    a[1, 3] = 1e200  # only row 1 overflows, at step 3: P_3 = 1 + 1e400
+    sys = LtvSystem(a=a, b=np.zeros((2, k, 1, 1)))
+    with pytest.raises(NumericalFailure, match="not finite at step 3$"):
+        riccati_backward(sys, LqrWeights([1.0], [1.0]))
 
 
 def test_design_policy_round_trip(car_experiment):
     planned, _ = car_experiment
     policy = planned.policy
     rebuilt = design_tracking_policy(
-        policy.model, policy.nominal, LqrWeights.constant(np.ones(3), np.ones(2), 20)
+        policy.model, policy.nominal, LqrWeights(np.ones(3), np.ones(2))
     )
     np.testing.assert_array_equal(rebuilt.gains, planned.policy.gains)
     np.testing.assert_array_equal(rebuilt.riccati, planned.policy.riccati)
