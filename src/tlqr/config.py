@@ -197,8 +197,10 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError("model.v_max", "must be > 0")
     if not 0 < model.phi_max <= math.pi / 2:
         raise ConfigError("model.phi_max", "must lie in (0, pi/2]")
-    if model.integrator not in ("euler", "rk4"):
-        raise ConfigError("model.integrator", f"unknown integrator '{model.integrator}'")
+    if model.integrator != "euler":
+        raise ConfigError(
+            "model.integrator", f"unknown integrator '{model.integrator}' (supported: euler)"
+        )
 
     n_x, n_u = 3, 2  # car dimensions
     if len(cfg.x0) != n_x:

@@ -8,9 +8,8 @@ The built-in :class:`KinematicCar` discretizes the planar car kinematics
 
     x' = v cos(theta),  y' = v sin(theta),  theta' = (v / L) tan(phi)
 
-with an explicit Euler step by default (RK4 is available as an opt-in
-integrator for robustness studies; the Euler map keeps the Jacobians
-hand-checkable: A = I + dt * J_x, B = dt * J_u).
+with an explicit Euler step, which keeps the Jacobians hand-checkable:
+A = I + dt * J_x, B = dt * J_u.
 """
 from __future__ import annotations
 
@@ -69,7 +68,6 @@ class SystemModel(ABC):
 
     state_dim: int
     control_dim: int
-    step_period: float
 
     # -- raw evaluation (no bound checks); used by penalty-method planners
     # that must evaluate candidate controls outside the admissible box.
@@ -172,7 +170,6 @@ class KinematicCar(SystemModel):
     step_period: float = 0.7
     v_max: float = 0.6
     phi_max: float = np.pi / 2
-    integrator: str = "euler"
 
     state_dim: int = field(default=3, init=False, repr=False)
     control_dim: int = field(default=2, init=False, repr=False)
@@ -186,51 +183,19 @@ class KinematicCar(SystemModel):
             raise ValueError("v_max must be positive")
         if not 0 < self.phi_max <= np.pi / 2:
             raise ValueError("phi_max must lie in (0, pi/2]")
-        if self.integrator not in ("euler", "rk4"):
-            raise ValueError(f"unknown integrator '{self.integrator}'")
-
-    def _drift(self, x: Array, u: Array) -> Array:
-        # Transposed unpacking serves (n,) and (N, n) alike.
-        v, phi = u.T
-        theta = x.T[2]
-        return np.array(
-            [v * np.cos(theta), v * np.sin(theta), v / self.wheelbase * np.tan(phi)]
-        ).T
-
-    def _drift_jacobians(self, x: Array, u: Array) -> tuple[Array, Array]:
-        """Drift Jacobian stacks (N, 3, 3) and (N, 3, 2) at states (N, 3) and controls (N, 2)."""
-        v, phi = u.T
-        ct, st = np.cos(x[:, 2]), np.sin(x[:, 2])
-        jx = np.zeros((len(x), 3, 3))
-        jx[:, 0, 2] = -v * st
-        jx[:, 1, 2] = v * ct
-        # cos^2 through C pow() on Python floats, as a float64 scalar's ** 2
-        # takes it: the pinned reference run was computed that way. An array's
-        # ** 2 multiplies instead, which differs in the last bit for about 1 in
-        # 1,000 angles, and the planner's iterates amplify such bits.
-        sec2 = 1.0 / np.array([c**2 for c in np.cos(phi).tolist()])
-        ju = np.zeros((len(x), 3, 2))
-        ju[:, 0, 0] = ct
-        ju[:, 1, 0] = st
-        ju[:, 2, 0] = np.tan(phi) / self.wheelbase
-        ju[:, 2, 1] = v * sec2 / self.wheelbase
-        return jx, ju
 
     def transition(self, x: Array, u: Array) -> Array:
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        dt = self.step_period
-        if self.integrator == "euler":
-            return x + dt * self._drift(x, u)
-        k1 = self._drift(x, u)
-        k2 = self._drift(x + 0.5 * dt * k1, u)
-        k3 = self._drift(x + 0.5 * dt * k2, u)
-        k4 = self._drift(x + dt * k3, u)
-        return x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        # Transposed unpacking serves (n,) and (N, n) alike.
+        v, phi = u.T
+        theta = x.T[2]
+        drift = np.array(
+            [v * np.cos(theta), v * np.sin(theta), v / self.wheelbase * np.tan(phi)]
+        ).T
+        return x + self.step_period * drift
 
     def open_loop_states(self, x0: Array, controls: Array) -> Array:
-        if self.integrator != "euler":
-            return super().open_loop_states(x0, controls)
         # An Euler step adds dt * drift, and the drift depends on the heading
         # alone, so each column is a running sum of its increments. Summed left
         # to right, it equals the step-by-step loop bit for bit.
@@ -252,31 +217,23 @@ class KinematicCar(SystemModel):
         if x.ndim == 1:
             a, b = self.transition_jacobians(x[None], u[None])
             return a[0], b[0]
+        v, phi = u.T
+        ct, st = np.cos(x[:, 2]), np.sin(x[:, 2])
+        jx = np.zeros((len(x), 3, 3))
+        jx[:, 0, 2] = -v * st
+        jx[:, 1, 2] = v * ct
+        # cos^2 through C pow() on Python floats, as a float64 scalar's ** 2
+        # takes it: the pinned reference run was computed that way. An array's
+        # ** 2 multiplies instead, which differs in the last bit for about 1 in
+        # 1,000 angles, and the planner's iterates amplify such bits.
+        sec2 = 1.0 / np.array([c**2 for c in np.cos(phi).tolist()])
+        ju = np.zeros((len(x), 3, 2))
+        ju[:, 0, 0] = ct
+        ju[:, 1, 0] = st
+        ju[:, 2, 0] = np.tan(phi) / self.wheelbase
+        ju[:, 2, 1] = v * sec2 / self.wheelbase
         dt = self.step_period
-        eye = np.eye(3)
-        if self.integrator == "euler":
-            jx, ju = self._drift_jacobians(x, u)
-            return eye + dt * jx, dt * ju
-        # RK4: chain the stage Jacobians through the stage states.
-        k1 = self._drift(x, u)
-        j1x, j1u = self._drift_jacobians(x, u)
-        x2 = x + 0.5 * dt * k1
-        k2 = self._drift(x2, u)
-        dx2, du2 = self._drift_jacobians(x2, u)
-        j2x = dx2 @ (eye + 0.5 * dt * j1x)
-        j2u = dx2 @ (0.5 * dt * j1u) + du2
-        x3 = x + 0.5 * dt * k2
-        k3 = self._drift(x3, u)
-        dx3, du3 = self._drift_jacobians(x3, u)
-        j3x = dx3 @ (eye + 0.5 * dt * j2x)
-        j3u = dx3 @ (0.5 * dt * j2u) + du3
-        x4 = x + dt * k3
-        dx4, du4 = self._drift_jacobians(x4, u)
-        j4x = dx4 @ (eye + dt * j3x)
-        j4u = dx4 @ (dt * j3u) + du4
-        a = eye + dt / 6.0 * (j1x + 2 * j2x + 2 * j3x + j4x)
-        b = dt / 6.0 * (j1u + 2 * j2u + 2 * j3u + j4u)
-        return a, b
+        return np.eye(3) + dt * jx, dt * ju
 
     def clamp_control(self, u: Array) -> Array:
         v, phi = np.asarray(u, dtype=float).T
@@ -314,7 +271,6 @@ class LinearSystem(SystemModel):
 
     a: Array
     b: Array
-    step_period: float = 1.0
 
     def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.a, dtype=float))

@@ -21,7 +21,6 @@ def build_model(config: ExperimentConfig) -> KinematicCar:
         step_period=m.dt,
         v_max=m.v_max,
         phi_max=m.phi_max,
-        integrator=m.integrator,
     )
 
 

@@ -249,57 +249,62 @@ def optimize_nominal(
         return j, states
 
     def grad(z: Array, states: Array) -> Array:
-        return cost_gradient(model, cost, states, z.reshape(k, n_u)).ravel()
+        g = cost_gradient(model, cost, states, z.reshape(k, n_u)).ravel()
+        if not np.all(np.isfinite(g)):
+            raise NumericalFailure("cost gradient is not finite", iterate=z.reshape(k, n_u))
+        return g
 
-    z = np.zeros(k * n_u)
-    j, states = value(z)
-    g = grad(z, states)
-    history = [j]
-    best_z, best_j, best_states = z.copy(), j, states
-    s_list: list[Array] = []
-    y_list: list[Array] = []
-    rho_list: list[float] = []
-    iterations = 0
-    converged = float(np.linalg.norm(g)) <= tolerance
+    # An overflow shows up as a non-finite cost or gradient, reported as a failure.
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = np.zeros(k * n_u)
+        j, states = value(z)
+        g = grad(z, states)
+        history = [j]
+        best_z, best_j, best_states = z.copy(), j, states
+        s_list: list[Array] = []
+        y_list: list[Array] = []
+        rho_list: list[float] = []
+        iterations = 0
+        converged = float(np.linalg.norm(g)) <= tolerance
 
-    while not converged and iterations < max_iters:
-        d = _two_loop_direction(g, s_list, y_list, rho_list)
-        slope = d @ g
-        if slope >= 0.0:  # degraded curvature memory; fall back to steepest descent
-            s_list, y_list, rho_list = [], [], []
-            d = -g
+        while not converged and iterations < max_iters:
+            d = _two_loop_direction(g, s_list, y_list, rho_list)
             slope = d @ g
-        alpha = 1.0
-        z_new = z + alpha * d
-        j_new, states = value(z_new)
-        while j_new > j + ARMIJO_C1 * alpha * slope:
-            alpha *= 0.5
-            if alpha < STEP_FLOOR:
-                break
+            if slope >= 0.0:  # degraded curvature memory; fall back to steepest descent
+                s_list, y_list, rho_list = [], [], []
+                d = -g
+                slope = d @ g
+            alpha = 1.0
             z_new = z + alpha * d
             j_new, states = value(z_new)
-        if alpha < STEP_FLOOR:
-            converged = True  # step-size collapse at the resolution limit
-            break
-        g_new = grad(z_new, states)
-        s, y = z_new - z, g_new - g
-        sy = s @ y
-        if sy > CURVATURE_SKIP * np.linalg.norm(s) * np.linalg.norm(y):
-            s_list.append(s)
-            y_list.append(y)
-            rho_list.append(1.0 / sy)
-            if len(s_list) > MEMORY:
-                del s_list[0], y_list[0], rho_list[0]
-        z, j, g = z_new, j_new, g_new
-        history.append(j)
-        if j < best_j:
-            best_z, best_j, best_states = z.copy(), j, states
-        iterations += 1
-        if float(np.linalg.norm(g)) <= tolerance:
-            converged = True
+            while j_new > j + ARMIJO_C1 * alpha * slope:
+                alpha *= 0.5
+                if alpha < STEP_FLOOR:
+                    break
+                z_new = z + alpha * d
+                j_new, states = value(z_new)
+            if alpha < STEP_FLOOR:
+                converged = True  # step-size collapse at the resolution limit
+                break
+            g_new = grad(z_new, states)
+            s, y = z_new - z, g_new - g
+            sy = s @ y
+            if sy > CURVATURE_SKIP * np.linalg.norm(s) * np.linalg.norm(y):
+                s_list.append(s)
+                y_list.append(y)
+                rho_list.append(1.0 / sy)
+                if len(s_list) > MEMORY:
+                    del s_list[0], y_list[0], rho_list[0]
+            z, j, g = z_new, j_new, g_new
+            history.append(j)
+            if j < best_j:
+                best_z, best_j, best_states = z.copy(), j, states
+            iterations += 1
+            if float(np.linalg.norm(g)) <= tolerance:
+                converged = True
 
-    controls = best_z.reshape(k, n_u)
-    gradient_norm = float(np.linalg.norm(grad(best_z, best_states)))
+        controls = best_z.reshape(k, n_u)
+        gradient_norm = float(np.linalg.norm(grad(best_z, best_states)))
 
     bounds = model.control_bounds()
     max_violation = 0.0

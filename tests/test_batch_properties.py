@@ -18,6 +18,7 @@ from tlqr import (
     closed_loop_matrices,
     default_config,
     derive_seed,
+    feedback_control,
     first_order_cost_error,
     linear_deviations,
     parse_config,
@@ -175,6 +176,44 @@ def test_kernel_rows_follow_their_run_not_the_batch(car_experiment, batch, mode)
     assert permuted.tobytes() == states[order].tobytes()
     alone = rollout_states(planned.policy, epsilons[:1], mode, seeds[:1])
     assert alone.tobytes() == states[:1].tobytes()
+
+
+@st.composite
+def clamping_states(draw, policy):
+    """(t, states) of one batch: deviations from the nominal far enough to clamp.
+
+    Some rows are random directions on a log scale up to 1e3; the others are
+    aimed so that the unclamped steering lands within a few ulps of +-pi/2.
+    """
+    t = draw(st.integers(0, policy.horizon - 1))
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(generator_seeds))
+    x_nom, u_nom, gain = policy.nominal.states[t], policy.nominal.controls[t], policy.gains[t]
+    states = np.empty((n, 3))
+    for i in range(n):
+        direction = rng.standard_normal(3)
+        if draw(st.booleans()):
+            scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+        else:
+            ulps = draw(st.integers(-3, 3)) * np.spacing(np.pi / 2)
+            target = draw(st.sampled_from([1.0, -1.0])) * (np.pi / 2 + ulps)
+            scale = (u_nom[1] - target) / (gain[1] @ direction)
+        states[i] = x_nom + scale * direction
+    return t, states
+
+
+@PROPERTY
+@given(data=st.data())
+def test_clamped_feedback_rows_equal_single_calls(car_experiment, data):
+    policy = car_experiment[0].policy
+    car = policy.model
+    t, states = data.draw(clamping_states(policy))
+    controls = feedback_control(policy, t, states)
+    assert controls.shape == (len(states), 2)
+    for i, x in enumerate(states):
+        assert controls[i].tobytes() == feedback_control(policy, t, x).tobytes()
+    assert np.all(np.abs(controls[:, 0]) <= car.v_max)
+    assert np.all(np.abs(controls[:, 1]) < car.phi_max)
 
 
 def _config_paths(value, path=()):

@@ -265,6 +265,32 @@ def test_riccati_overflow_exits_two_before_writing(tmp_path, capsys, command):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("weight", ["r_u", "r_g"])
+def test_huge_planner_weight_exits_two_without_warnings(tmp_path, capsys, weight):
+    # A finite weight that passes parse_config but overflows the planner's
+    # gradient. Warnings are errors here, so a numpy RuntimeWarning fails the test.
+    data = small_config_dict()
+    data["planner"][weight] = 1e308
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["plan", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: cost gradient is not finite\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_plan_rejects_unsupported_integrator(tmp_path, capsys):
+    data = small_config_dict()
+    data["model"]["integrator"] = "rk4"
+    path = tmp_path / "rk4.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["plan", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "error: config field 'model.integrator': unknown integrator 'rk4' (supported: euler)\n"
+    )
+
+
 @pytest.mark.parametrize(
     "command, stage",
     [(["plan"], "plan_experiment"), (["sweep"], "run_sweep"), (["ldp"], "run_exit_study")],

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,12 @@ def test_omitted_optional_keys_take_dataclass_defaults():
     del data["planner"]["tolerance"]
     del data["planner"]["max_iters"]
     assert parse_config(data) == default_config()
+
+
+def test_committed_config_is_the_default():
+    committed = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "car.json"))
+    assert committed == default_config()
+    assert config_hash(committed) == config_hash(default_config())
 
 
 def test_canonical_json_is_key_order_independent():
@@ -83,6 +90,7 @@ def test_zero_horizon_names_field():
         pytest.param("model", "v_max", 10**400, "model.v_max", id="model-v_max-int_overflow"),
         pytest.param("sweep", "n_runs", MAX_RUNS + 1, "sweep.n_runs", id="sweep-n_runs-above_max"),
         pytest.param("ldp", "n_runs", 2**33, "ldp.n_runs", id="ldp-n_runs-2**33"),
+        ("model", "integrator", "rk4", "model.integrator"),
     ],
 )
 def test_out_of_domain_fields_rejected(section, key, value, field):

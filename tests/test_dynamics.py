@@ -9,10 +9,9 @@ EVERY_MODEL = pytest.mark.parametrize(
     "model",
     [
         CAR,
-        KinematicCar(wheelbase=0.5, step_period=0.7, integrator="rk4"),
         LinearSystem(a=[[0.9, 0.2], [-0.1, 1.0]], b=[[0.0], [0.5]]),
     ],
-    ids=["car-euler", "car-rk4", "linear"],
+    ids=["car-euler", "linear"],
 )
 
 
@@ -29,37 +28,13 @@ def per_pair_jacobians(model, x, u):
     """
     if isinstance(model, LinearSystem):
         return model.a.copy(), model.b.copy()
-    wheelbase, dt, eye = model.wheelbase, model.step_period, np.eye(3)
-
-    def drift(x):
-        v, phi = u
-        return np.array([v * np.cos(x[2]), v * np.sin(x[2]), v / wheelbase * np.tan(phi)])
-
-    def drift_jacobians(x):
-        v, phi = u
-        ct, st = np.cos(x[2]), np.sin(x[2])
-        jx = np.array([[0.0, 0.0, -v * st], [0.0, 0.0, v * ct], [0.0, 0.0, 0.0]])
-        sec2 = 1.0 / np.cos(phi) ** 2
-        ju = np.array([[ct, 0.0], [st, 0.0], [np.tan(phi) / wheelbase, v * sec2 / wheelbase]])
-        return jx, ju
-
-    j1x, j1u = drift_jacobians(x)
-    if model.integrator == "euler":
-        return eye + dt * j1x, dt * j1u
-    x2 = x + 0.5 * dt * drift(x)
-    dx2, du2 = drift_jacobians(x2)
-    j2x = dx2 @ (eye + 0.5 * dt * j1x)
-    j2u = dx2 @ (0.5 * dt * j1u) + du2
-    x3 = x + 0.5 * dt * drift(x2)
-    dx3, du3 = drift_jacobians(x3)
-    j3x = dx3 @ (eye + 0.5 * dt * j2x)
-    j3u = dx3 @ (0.5 * dt * j2u) + du3
-    dx4, du4 = drift_jacobians(x + dt * drift(x3))
-    j4x = dx4 @ (eye + dt * j3x)
-    j4u = dx4 @ (dt * j3u) + du4
-    a = eye + dt / 6.0 * (j1x + 2 * j2x + 2 * j3x + j4x)
-    b = dt / 6.0 * (j1u + 2 * j2u + 2 * j3u + j4u)
-    return a, b
+    wheelbase, dt = model.wheelbase, model.step_period
+    v, phi = u
+    ct, st = np.cos(x[2]), np.sin(x[2])
+    jx = np.array([[0.0, 0.0, -v * st], [0.0, 0.0, v * ct], [0.0, 0.0, 0.0]])
+    sec2 = 1.0 / np.cos(phi) ** 2
+    ju = np.array([[ct, 0.0], [st, 0.0], [np.tan(phi) / wheelbase, v * sec2 / wheelbase]])
+    return np.eye(3) + dt * jx, dt * ju
 
 
 def pow_sensitive_angles(rng, draws=20_000):
@@ -248,21 +223,8 @@ def test_transition_batch_rows_equal_single_calls(model):
         assert np.array_equal(batch[i], model.transition(x[i], u[i]))
 
 
-def test_rk4_closer_to_fine_reference_than_euler():
-    u = np.array([0.5, 0.6])
-    fine = KinematicCar(wheelbase=0.5, step_period=0.7 / 256)
-    x = X0.copy()
-    for _ in range(256):
-        x = step(fine, x, u)
-    euler = step(CAR, X0, u)
-    rk4 = step(KinematicCar(wheelbase=0.5, step_period=0.7, integrator="rk4"), X0, u)
-    assert np.linalg.norm(rk4 - x) < np.linalg.norm(euler - x)
-
-
 def test_invalid_model_parameters():
     with pytest.raises(ValueError):
         KinematicCar(wheelbase=0.0)
     with pytest.raises(ValueError):
         KinematicCar(phi_max=2.0)
-    with pytest.raises(ValueError):
-        KinematicCar(integrator="heun")

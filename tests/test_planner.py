@@ -87,10 +87,9 @@ def test_gradient_matches_finite_differences():
     "model",
     [
         CAR,
-        KinematicCar(wheelbase=0.5, step_period=0.7, integrator="rk4"),
         LinearSystem(a=[[0.9, 0.2], [-0.1, 1.0]], b=[[0.0], [0.5]]),
     ],
-    ids=["car-euler", "car-rk4", "linear"],
+    ids=["car-euler", "linear"],
 )
 def test_open_loop_states_equal_stepwise_loop(model):
     rng = np.random.default_rng(23)
