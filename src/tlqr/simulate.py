@@ -7,11 +7,15 @@ results are bit-reproducible and do not depend on how runs are grouped.
 
 Every Monte Carlo study goes through one batched kernel,
 :func:`rollout_states`, which steps all runs of a batch together with one
-array operation per time index. It runs a :class:`~tlqr.lqr.TrackingPolicy`
-on the plant it carries (``policy.model``): closed loop applies the clamped
-tracking law :func:`~tlqr.lqr.feedback_control` to the whole batch, so a
-run's states do not depend on its batch and match a scalar per-run loop over
-the same law bit for bit. A batch holds whole sweep rows, up to
+array operation per time index. It steps the batch in (time, component,
+run) storage, so every step reads and writes contiguous rows of runs, and
+copies the result into the C-ordered (N, K+1, n) array it returns; the
+working copy is its one batch array besides the result. It runs a
+:class:`~tlqr.lqr.TrackingPolicy` on the plant it carries
+(``policy.model``): closed loop applies the clamped tracking law
+:func:`~tlqr.lqr.feedback_control` to the whole batch, so a run's states
+do not depend on its batch or the storage order and match a scalar per-run
+loop over the same law bit for bit. A batch holds whole sweep rows, up to
 ``_RUNS_PER_CALL`` runs, and each run may carry its own epsilon.
 
 Seeding builds no ``SeedSequence`` or ``Generator`` per run: one front end,
@@ -46,7 +50,8 @@ _CTX_COST_ERROR = 4  # cost-error samples of the costerror suite
 _CTX_RECONSTRUCTION = 5  # noise draws of its sensitivity-form reconstruction check
 
 # Runs per kernel call in a sweep; whole epsilon rows only, so a row larger
-# than this is one call of its own. It bounds the batch arrays, not results.
+# than this is one call of its own. It bounds the kernel's two batch arrays
+# (the returned states and their column-major working copy), not results.
 _RUNS_PER_CALL = 500
 
 # Most runs one derive_seeds call can number: run indices fill one uint32 word.
@@ -218,7 +223,7 @@ def noise_sigma(policy: TrackingPolicy, epsilon: float | Array) -> float | Array
 def rollout_states(
     policy: TrackingPolicy, epsilon: float | Array, mode: str, seeds: Sequence[int]
 ) -> Array:
-    """States (N, K+1, n) of N runs executed together, one per seed.
+    """C-contiguous states (N, K+1, n) of N runs executed together, one per seed.
 
     ``epsilon`` is one value for all runs or one per run. Run j's noise is
     sigma_j * z_j with sigma_j from :func:`noise_sigma` and z_j the (K, n)
@@ -235,22 +240,23 @@ def rollout_states(
     if mode == OPEN_LOOP:
         model.validate_control(nominal.controls)
 
-    # Each run's standard normals are drawn straight into its future states
-    # and scaled one step at a time: scaling them all at once would allocate
-    # numpy's broadcast buffers, about as large as a 500-run batch.
+    # Each run's standard normals are drawn straight into its future states,
+    # then scaled once into ``cols``, the (time, component, run) working copy
+    # whose steps read and write contiguous rows of runs. ``states`` takes
+    # the result back in C order, the order nmse_values sums each run in.
     states = np.empty((len(seeds), k + 1, n))
     _standard_normals(seeds, states[:, 1:])
     states[sigma == 0.0, 1:] = 0.0  # exact zeros at sigma = 0, not the -0.0 of 0 * z
-    scale = sigma[:, None]
+    cols = np.empty((k + 1, n, len(seeds)))
+    np.multiply(states[:, 1:].transpose(1, 2, 0), sigma, out=cols[1:])
 
-    states[:, 0] = nominal.states[0]
+    cols[0] = nominal.states[0][:, None]
+    planned = np.broadcast_to(nominal.controls[:, None], (k, len(seeds), model.control_dim))
     for t in range(k):
-        x = states[:, t]
-        if mode == CLOSED_LOOP:
-            u = feedback_control(policy, t, x)
-        else:
-            u = np.broadcast_to(nominal.controls[t], (len(seeds), model.control_dim))
-        states[:, t + 1] = model.transition(x, u) + scale * states[:, t + 1]
+        x = cols[t].T
+        u = feedback_control(policy, t, x) if mode == CLOSED_LOOP else planned[t]
+        np.add(model.transition(x, u).T, cols[t + 1], out=cols[t + 1])
+    states[:] = cols.transpose(2, 0, 1)
     return states
 
 

@@ -156,8 +156,12 @@ def test_hash_seeds_row_and_run_columns_equal_derive_seed(master_seed, first, n_
 
 @st.composite
 def run_batches(draw):
-    """(seeds, epsilons, permutation) of one kernel batch."""
-    n = draw(st.integers(1, 8))
+    """(seeds, epsilons, permutation) of one kernel batch.
+
+    Up to 40 runs: the kernel steps each batch along contiguous rows of runs,
+    so rows reach numpy's 8-wide AVX-512 main loops as well as their tails.
+    """
+    n = draw(st.integers(1, 40))
     seeds = draw(st.lists(st.integers(0, 2**64 - 1), min_size=n, max_size=n))
     epsilons = draw(st.lists(st.floats(0.0, 0.15), min_size=n, max_size=n))
     return seeds, epsilons, draw(st.permutations(range(n)))

@@ -418,6 +418,21 @@ def test_nmse_values_leaves_its_arguments_unchanged(car_experiment):
     assert np.array_equal(nominal.states, before)
 
 
+@pytest.mark.parametrize("mode", [CLOSED_LOOP, OPEN_LOOP])
+def test_rollout_states_leaves_its_arguments_unchanged(car_experiment, mode):
+    planned, _ = car_experiment
+    policy = planned.policy
+    arguments = (policy.nominal.states, policy.nominal.controls, policy.gains)
+    epsilon = np.linspace(0.0, 0.15, 12)
+    seeds = np.array(_seeds(12), dtype=np.uint64)
+    before = [a.tobytes() for a in arguments + (epsilon, seeds)]
+    states = rollout_states(policy, epsilon, mode, seeds)
+    # nmse_values sums each run's entries in memory order, so the layout is part of the result.
+    assert states.shape == (12, policy.horizon + 1, policy.model.state_dim)
+    assert states.flags.c_contiguous
+    assert [a.tobytes() for a in arguments + (epsilon, seeds)] == before
+
+
 def test_monte_carlo_builds_no_seed_sequence_per_run(car_experiment, monkeypatch):
     # Per-run seeding would construct these through np.random once per run.
     planned, _ = car_experiment
