@@ -81,14 +81,25 @@ def _write_outputs(outdir: str, config: ExperimentConfig, files: dict[str, str])
 
 
 def _write_planned_outputs(outdir: str, planned: PlannedExperiment, files: dict[str, str]) -> int:
-    """Write a planning command's files and plan_report.json; 2 if the plan did not converge."""
+    """Write a planning command's files and plan_report.json.
+
+    Returns 2, after one stderr line, if the plan did not converge.
+    """
     plan_report = {
         **dataclasses.asdict(planned.report),
         "config_hash": config_hash(planned.config),
         "tool_version": __version__,
     }
     _write_outputs(outdir, planned.config, {**files, "plan_report.json": _json(plan_report)})
-    return 0 if planned.report.converged else 2
+    report, tolerance = planned.report, planned.config.planner.tolerance
+    if report.converged:
+        return 0
+    print(
+        f"error: planner did not converge in {report.iterations} iterations "
+        f"(gradient norm {report.gradient_norm:.6g}, tolerance {tolerance:.6g})",
+        file=sys.stderr,
+    )
+    return 2
 
 
 def _load(args) -> ExperimentConfig:

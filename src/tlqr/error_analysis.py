@@ -14,6 +14,10 @@ backward ``adjoint_sweep`` over a cost linearization:
 
     mu_K = cx_K,  mu_t = cx_t - L_t^T cu_t + D_t^T mu_{t+1},  v_s = mu_{s+1}.
 
+The deviation recursion, the cost error and the sensitivities each take
+one instance or a batch of one (K, n, m) shape, row i bit-identical to the
+call on instance i.
+
 ``cost_error_statistics`` samples the moments of sum_s v_s . w_s from given
 sensitivities and a given noise sigma. Everything here is array math: the
 caller linearizes the cost and picks the noise level.
@@ -91,15 +95,17 @@ def cost_error_sensitivities(lin: CostLinearization, closed_loop: Array, gains: 
     """Per-noise sensitivities v (K, n): the first-order cost error is sum_s v_s . w_s.
 
     v_s = mu_{s+1} of ``adjoint_sweep`` with forcing cx_t - L_t^T cu_t and
-    maps D_t. Stage 0 never enters, since xdev_0 = 0.
+    maps D_t. Stage 0 never enters, since xdev_0 = 0. With a leading batch
+    axis on ``lin``, the closed-loop matrices and the gains, (N, K, ...), it
+    returns (N, K, n), row i bit-identical to the call on instance i.
     """
     d = np.asarray(closed_loop, dtype=float)
     gains = np.asarray(gains, dtype=float)
     k = lin.horizon
-    if d.shape[0] != k or gains.shape[0] != k:
+    if d.shape[-3] != k or gains.shape[-3] != k:
         raise ValueError("closed-loop and gain horizons do not match the cost linearization")
-    forcing = lin.cx - (np.swapaxes(gains, 1, 2) @ lin.cu[..., None])[..., 0]
-    return adjoint_sweep(lin.cx_terminal, forcing, d)[1:]
+    forcing = lin.cx - (np.swapaxes(gains, -1, -2) @ lin.cu[..., None])[..., 0]
+    return adjoint_sweep(lin.cx_terminal, forcing, d)[..., 1:, :]
 
 
 @dataclass(frozen=True)

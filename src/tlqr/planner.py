@@ -15,6 +15,7 @@ backtracking Armijo line search.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -94,7 +95,7 @@ class CostLinearization:
 
     @property
     def horizon(self) -> int:
-        return len(self.cx)
+        return self.cx.shape[-2]
 
 
 def linearize_cost(cost: GoalCost, nominal: NominalTrajectory) -> CostLinearization:
@@ -111,16 +112,27 @@ def linearize_cost(cost: GoalCost, nominal: NominalTrajectory) -> CostLinearizat
     )
 
 
-def adjoint_sweep(terminal: Array, forcing: Array, maps: Array) -> Array:
+def adjoint_sweep(terminal: Array, forcing: Optional[Array], maps: Array) -> Array:
     """Backward vector recursion lam_K = terminal, lam_t = forcing_t + maps_t^T lam_{t+1}.
 
-    Returns the (K+1, n) history lam_0..lam_K for K forcing rows and maps.
+    Takes the (n,) terminal, K forcing rows (K, n) and K maps (K, n, n), and
+    returns the (K+1, n) history lam_0..lam_K; ``forcing=None`` is zero
+    forcing. With a leading batch axis on every input, (N, n), (N, K, n) and
+    (N, K, n, n), it returns (N, K+1, n), row i bit-identical to the call on
+    instance i. Each step is a matmul with one output column, the BLAS gemv
+    of an unbatched matrix-vector product; an elementwise sum or an einsum
+    would round differently.
     """
-    k = len(forcing)
-    lam = np.empty((k + 1, len(terminal)))
-    lam[k] = terminal
+    maps = np.asarray(maps, dtype=float)
+    terminal = np.asarray(terminal, dtype=float)
+    k = maps.shape[-3]
+    lam = np.empty(terminal.shape[:-1] + (k + 1, terminal.shape[-1]))
+    lam[..., k, :] = terminal
+    maps_t = np.swapaxes(maps, -1, -2)
     for t in range(k - 1, -1, -1):
-        lam[t] = forcing[t] + maps[t].T @ lam[t + 1]
+        np.matmul(maps_t[..., t, :, :], lam[..., t + 1, :, None], out=lam[..., t, :, None])
+        if forcing is not None:
+            lam[..., t, :] += forcing[..., t, :]
     return lam
 
 
@@ -188,14 +200,19 @@ def nominal_cost(cost: GoalCost, states: Array, controls: Array) -> float:
 def cost_gradient(model: SystemModel, cost: GoalCost, states: Array, controls: Array) -> Array:
     """Gradient of nominal_cost with respect to each control along a rollout.
 
-    lam = adjoint_sweep(dc_K/dx, dc_t/dx, A_t) and g_t = dc_t/du + B_t^T lam_{t+1},
+    lam = adjoint_sweep(dc_K/dx, None, A_t) and g_t = dc_t/du + B_t^T lam_{t+1},
     with all (A_t, B_t) from one batched Jacobian call. The stage cost does
-    not depend on the state, so dc_t/dx is zero.
+    not depend on the state, so the sweep has no forcing.
     """
     states, controls = _check_rollout(states, controls)
     a, b = model.transition_jacobians(states[:-1], controls)
-    lam = adjoint_sweep(cost.terminal_grad(states[-1]), np.zeros(states[:-1].shape), a)
+    lam = adjoint_sweep(cost.terminal_grad(states[-1]), None, a)
     return cost.stage_grad(controls) + np.matmul(lam[1:, None, :], b)[:, 0, :]
+
+
+def _norm(x: Array) -> float:
+    """Euclidean norm of a 1-D float vector, the value ``np.linalg.norm`` returns."""
+    return math.sqrt(x.dot(x))
 
 
 def _two_loop_direction(grad, s_list, y_list, rho_list):
@@ -250,7 +267,7 @@ def optimize_nominal(
 
     def grad(z: Array, states: Array) -> Array:
         g = cost_gradient(model, cost, states, z.reshape(k, n_u)).ravel()
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NumericalFailure("cost gradient is not finite", iterate=z.reshape(k, n_u))
         return g
 
@@ -265,7 +282,7 @@ def optimize_nominal(
         y_list: list[Array] = []
         rho_list: list[float] = []
         iterations = 0
-        converged = float(np.linalg.norm(g)) <= tolerance
+        converged = _norm(g) <= tolerance
 
         while not converged and iterations < max_iters:
             d = _two_loop_direction(g, s_list, y_list, rho_list)
@@ -289,7 +306,7 @@ def optimize_nominal(
             g_new = grad(z_new, states)
             s, y = z_new - z, g_new - g
             sy = s @ y
-            if sy > CURVATURE_SKIP * np.linalg.norm(s) * np.linalg.norm(y):
+            if sy > CURVATURE_SKIP * _norm(s) * _norm(y):
                 s_list.append(s)
                 y_list.append(y)
                 rho_list.append(1.0 / sy)
@@ -300,11 +317,11 @@ def optimize_nominal(
             if j < best_j:
                 best_z, best_j, best_states = z.copy(), j, states
             iterations += 1
-            if float(np.linalg.norm(g)) <= tolerance:
+            if _norm(g) <= tolerance:
                 converged = True
 
         controls = best_z.reshape(k, n_u)
-        gradient_norm = float(np.linalg.norm(grad(best_z, best_states)))
+        gradient_norm = _norm(grad(best_z, best_states))
 
     bounds = model.control_bounds()
     max_violation = 0.0

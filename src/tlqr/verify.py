@@ -193,10 +193,10 @@ def propagation_errors(n_instances: int = 1000, seed: int = 1001) -> dict:
     (n_x, n_u) family share one Riccati sweep, front-padded to the family's
     longest horizon (``_padded_riccati``). The rest runs once per exact
     (n_x, n_u, K) shape: closed-loop matrices, deviations, noise maps, the
-    oracle sums and the cost errors; padding these would change the length
-    of their sums. Only the sensitivities run one instance at a time. Each
-    row equals its single-instance computation bit for bit, and the maxima
-    do not depend on order.
+    oracle sums, the cost-error sensitivities and the cost errors; padding
+    these would change the length of their sums. Each row equals its
+    single-instance computation bit for bit, and the maxima do not depend
+    on order.
     """
     rng = np.random.default_rng(seed)
     families: dict[tuple[int, int], dict[int, list]] = {}
@@ -232,12 +232,7 @@ def propagation_errors(n_instances: int = 1000, seed: int = 1001) -> dict:
             resid = _control_sums(maps, gains, noises) - controls
             max_identity_abs = max(max_identity_abs, float(np.abs(resid).max()))
             lin = CostLinearization(cx=cx, cu=cu, cx_terminal=cx_terminal)
-            v = np.stack(
-                [
-                    cost_error_sensitivities(CostLinearization(*row), d[i], gains[i])
-                    for i, row in enumerate(zip(cx, cu, cx_terminal))
-                ]
-            )
+            v = cost_error_sensitivities(lin, d, gains)
             direct = first_order_cost_error(lin, states, controls)
             max_reconstruction_rel = max(
                 max_reconstruction_rel, _max_reconstruction_rel(v, noises, direct)

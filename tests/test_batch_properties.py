@@ -16,8 +16,10 @@ from tlqr import (
     LqrWeights,
     LtvSystem,
     closed_loop_matrices,
+    cost_error_sensitivities,
     default_config,
     derive_seed,
+    derive_seeds,
     feedback_control,
     first_order_cost_error,
     linear_deviations,
@@ -84,27 +86,72 @@ def test_batched_riccati_closed_loop_and_deviation_rows_equal_single_calls(n, k,
         assert controls[i].tobytes() == one_controls.tobytes()
 
 
+def _adjoint_loop(terminal, forcing, maps):
+    """The sweep as a loop of 2-D by 1-D products, one instance only.
+
+    This is the rounding the pinned reference run and the artifact digests
+    were recorded with.
+    """
+    k = len(maps)
+    lam = np.empty((k + 1, len(terminal)))
+    lam[k] = terminal
+    for t in range(k - 1, -1, -1):
+        lam[t] = forcing[t] + maps[t].T @ lam[t + 1]
+    return lam
+
+
 @PROPERTY
-@given(k=st.integers(1, 24), n=dims, seed=generator_seeds)
-def test_adjoint_sweep_equals_explicit_sums(k, n, seed):
+@given(n_batch=st.integers(1, 8), k=st.integers(1, 24), n=dims, seed=generator_seeds)
+def test_adjoint_sweep_equals_explicit_sums(n_batch, k, n, seed):
     rng = np.random.default_rng(seed)
-    maps = rng.uniform(-1, 1, size=(k, n, n))
-    forcing = rng.uniform(-1, 1, size=(k, n))
-    terminal = rng.uniform(-1, 1, size=n)
-    lam = adjoint_sweep(terminal, forcing, maps)
-    assert lam.shape == (k + 1, n) and lam[k].tobytes() == terminal.tobytes()
-    for t in range(k):
-        # lam_t = sum_{s >= t} (maps_{s-1} ... maps_t)^T forcing_s, plus the
-        # terminal term; ``bound`` sums the same terms in absolute value.
-        expected, bound = np.zeros(n), np.zeros(n)
-        prod, abs_prod = np.eye(n), np.eye(n)
-        for s in range(t, k):
-            expected += prod.T @ forcing[s]
-            bound += abs_prod.T @ np.abs(forcing[s])
-            prod, abs_prod = maps[s] @ prod, np.abs(maps[s]) @ abs_prod
-        expected += prod.T @ terminal
-        bound += abs_prod.T @ np.abs(terminal)
-        assert np.all(np.abs(lam[t] - expected) <= 1e-12 * bound)
+    maps = rng.uniform(-1, 1, size=(n_batch, k, n, n))
+    forcing = rng.uniform(-1, 1, size=(n_batch, k, n))
+    terminal = rng.uniform(-1, 1, size=(n_batch, n))
+    batch = adjoint_sweep(terminal, forcing, maps)
+    unforced = adjoint_sweep(terminal, None, maps)
+    assert batch.shape == unforced.shape == (n_batch, k + 1, n)
+    for i in range(n_batch):
+        lam = adjoint_sweep(terminal[i], forcing[i], maps[i])
+        assert batch[i].tobytes() == lam.tobytes()
+        assert lam.tobytes() == _adjoint_loop(terminal[i], forcing[i], maps[i]).tobytes()
+        assert lam[k].tobytes() == terminal[i].tobytes()
+        free = adjoint_sweep(terminal[i], None, maps[i])
+        assert unforced[i].tobytes() == free.tobytes()
+        # By value: zero forcing turns a -0.0 into 0.0, None leaves it.
+        assert np.array_equal(free, adjoint_sweep(terminal[i], np.zeros((k, n)), maps[i]))
+        for t in range(k):
+            # lam_t = sum_{s >= t} (maps_{s-1} ... maps_t)^T forcing_s, plus the
+            # terminal term; ``bound`` sums the same terms in absolute value.
+            expected, bound = np.zeros(n), np.zeros(n)
+            prod, abs_prod = np.eye(n), np.eye(n)
+            for s in range(t, k):
+                expected += prod.T @ forcing[i, s]
+                bound += abs_prod.T @ np.abs(forcing[i, s])
+                prod, abs_prod = maps[i, s] @ prod, np.abs(maps[i, s]) @ abs_prod
+            expected += prod.T @ terminal[i]
+            bound += abs_prod.T @ np.abs(terminal[i])
+            assert np.all(np.abs(lam[t] - expected) <= 1e-12 * bound)
+
+
+@PROPERTY
+@given(n=st.integers(1, 8), k=st.integers(1, 24), n_x=dims, n_u=dims, seed=generator_seeds)
+def test_batched_cost_error_sensitivity_rows_equal_single_calls(n, k, n_x, n_u, seed):
+    rng = np.random.default_rng(seed)
+    sys = LtvSystem(
+        a=rng.uniform(-1, 1, size=(n, k, n_x, n_x)), b=rng.uniform(-1, 1, size=(n, k, n_x, n_u))
+    )
+    gains, _ = riccati_backward(sys, LqrWeights(np.ones(n_x), np.ones(n_u)))
+    d = closed_loop_matrices(sys, gains)
+    lin = CostLinearization(
+        cx=rng.uniform(-1, 1, size=(n, k, n_x)),
+        cu=rng.uniform(-1, 1, size=(n, k, n_u)),
+        cx_terminal=rng.uniform(-1, 1, size=(n, n_x)),
+    )
+    v = cost_error_sensitivities(lin, d, gains)
+    assert v.shape == (n, k, n_x)
+    for i in range(n):
+        row = CostLinearization(lin.cx[i], lin.cu[i], lin.cx_terminal[i])
+        assert v[i].tobytes() == cost_error_sensitivities(row, d[i], gains[i]).tobytes()
 
 
 @PROPERTY
@@ -152,6 +199,19 @@ def test_hash_seeds_row_and_run_columns_equal_derive_seed(master_seed, first, n_
         for j in range(n_runs)
     ]
     assert seeds.dtype == np.uint64 and seeds.tolist() == expected
+
+
+@PROPERTY
+@given(
+    master_seed=st.integers(0, 2**64 - 1),
+    tags=st.lists(st.integers(0, 2**64 - 1), min_size=4, max_size=8),
+    n_runs=st.integers(1, 20),
+)
+def test_derive_seeds_on_tag_tuples_longer_than_the_pool(master_seed, tags, n_runs):
+    # Master seed, tags and run index make at least six entropy words, more
+    # than the four-word pool: the words past the pool mix in one by one.
+    seeds = derive_seeds(master_seed, tags, n_runs)
+    assert seeds.tolist() == [derive_seed(master_seed, *tags, j) for j in range(n_runs)]
 
 
 @st.composite

@@ -265,6 +265,31 @@ def test_riccati_overflow_exits_two_before_writing(tmp_path, capsys, command):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command", ["plan", "sweep", "ldp"])
+def test_non_convergence_prints_one_line_and_writes_artifacts(tmp_path, capsys, command):
+    # Steering capped at 0.1 rad leaves the planner short of the tolerance
+    # after max_iters iterations.
+    data = small_config_dict()
+    data["model"]["phi_max"] = 0.1
+    data["planner"]["max_iters"] = 40
+    path = tmp_path / "narrow.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    out = tmp_path / "o"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        r"error: planner did not converge in 40 iterations "
+        r"\(gradient norm \S+, tolerance 1e-06\)\n",
+        err,
+    )
+    report = json.loads((out / "plan_report.json").read_text())
+    assert report["converged"] is False and report["iterations"] == 40
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "plan_report.json" in manifest["outputs"]
+    for name in manifest["outputs"]:
+        assert (out / name).exists()
+
+
 @pytest.mark.parametrize("weight", ["r_u", "r_g"])
 def test_huge_planner_weight_exits_two_without_warnings(tmp_path, capsys, weight):
     # A finite weight that passes parse_config but overflows the planner's

@@ -179,17 +179,30 @@ def test_shape_batched_propagation_equals_per_instance_reference(n_instances, se
 
 def test_propagation_makes_one_riccati_call_per_family(monkeypatch):
     families, sizes = [], []
-    original = verify.riccati_backward
+    groups, group_sizes = [], []
+    original_riccati = verify.riccati_backward
+    original_sensitivities = verify.cost_error_sensitivities
 
-    def counted(sys, weights):
+    def counted_riccati(sys, weights):
         families.append((sys.state_dim, sys.control_dim))
         sizes.append(sys.a.shape[0])
-        return original(sys, weights)
+        return original_riccati(sys, weights)
 
-    monkeypatch.setattr(verify, "riccati_backward", counted)
+    def counted_sensitivities(lin, closed_loop, gains):
+        n, k, n_u, n_x = gains.shape
+        groups.append((n_x, n_u, k))
+        group_sizes.append(n)
+        return original_sensitivities(lin, closed_loop, gains)
+
+    monkeypatch.setattr(verify, "riccati_backward", counted_riccati)
+    monkeypatch.setattr(verify, "cost_error_sensitivities", counted_sensitivities)
     propagation_errors(n_instances=300, seed=7)
     assert len(set(families)) == len(families) <= 8
     assert sum(sizes) == 300
+    # One sensitivity sweep per (n_x, n_u, K) shape, together covering every instance.
+    assert len(set(groups)) == len(groups)
+    assert {g[:2] for g in groups} == set(families)
+    assert sum(group_sizes) == 300
 
 
 @pytest.mark.parametrize("n_x, n_u, k", [(1, 1, 2), (1, 2, 5), (2, 2, 2), (3, 1, 7), (4, 2, 20)])

@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlqr import (
     KinematicCar,
@@ -81,6 +83,24 @@ def test_gradient_matches_finite_differences():
         grad = cost_gradient(CAR, cost, raw_states(CAR, x0, controls), controls)
         fd = fd_gradient(CAR, cost, x0, controls)
         assert np.linalg.norm(grad - fd) <= 1e-5 * max(np.linalg.norm(fd), 1.0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(k=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_gradient_matches_central_differences_in_the_smooth_domain(k, seed):
+    # Random goals, starts and controls with |phi| <= 1.2, well below pi/2.
+    # Speeds reach past v_max, so the bound penalty enters, but stay 1e-3
+    # off its kink, where central differences are not second-order accurate.
+    rng = np.random.default_rng(seed)
+    cost = goal_tracking_cost(CAR, rng.uniform(-2, 2, size=3))
+    v = rng.uniform(-1.0, 1.0, size=k)
+    near_kink = np.abs(np.abs(v) - CAR.v_max) < 1e-3
+    v[near_kink] += 2e-3 * np.sign(v[near_kink])
+    controls = np.column_stack([v, rng.uniform(-1.2, 1.2, size=k)])
+    x0 = rng.uniform(-1, 1, size=3)
+    grad = cost_gradient(CAR, cost, raw_states(CAR, x0, controls), controls)
+    fd = fd_gradient(CAR, cost, x0, controls)
+    assert np.linalg.norm(grad - fd) <= 1e-5 * max(np.linalg.norm(fd), 1.0)
 
 
 @pytest.mark.parametrize(
