@@ -18,19 +18,21 @@ do not depend on its batch or the storage order and match a scalar per-run
 loop over the same law bit for bit. A batch holds whole sweep rows, up to
 ``_RUNS_PER_CALL`` runs, and each run may carry its own epsilon.
 
-Seeding builds no ``SeedSequence`` or ``Generator`` per run: one front end,
-``_hash_seeds``, runs numpy's ``SeedSequence`` hash on uint32 columns, one
-entry per run, for :func:`derive_seeds` and for a sweep's kernel call, whose
-row index is one more column. The kernel loads each run's PCG64 state into
-one reused generator. Run j's stream is bit-identical to
-``default_rng(seeds[j])``; :func:`derive_seed` and ``default_rng`` stay as
-the oracle (``tests/test_simulate.py``).
+Seeding builds no ``SeedSequence`` per run: one front end, ``_hash_seeds``,
+runs numpy's ``SeedSequence`` hash on uint32 columns, one entry per run, for
+:func:`derive_seeds` and for a sweep's kernel call, whose row index is one
+more column. The kernel hashes each run's seed once more into its four
+PCG64 seed words and builds one ``PCG64`` and one ``Generator`` per run on
+them, so numpy's own PCG64 seeding runs in C. Run j's stream is
+bit-identical to ``default_rng(seeds[j])``; :func:`derive_seed` and
+``default_rng`` stay as the oracle (``tests/test_simulate.py``).
 """
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -65,13 +67,6 @@ _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-# PCG64's 128-bit LCG multiplier (set_seed steps the generator twice).
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-# Runs whose state words become Python ints at once. A list per word column
-# is faster than an item() call per run and word, but lists for a whole
-# 2,000-run batch raise verify's peak memory by about 0.5 MB.
-_STATE_BLOCK = 256
 
 
 def derive_seed(master_seed: int, *tags: int) -> int:
@@ -171,38 +166,45 @@ def _seed_array(seeds: Sequence[int]) -> Array:
     return np.array(values, dtype=np.uint64)
 
 
-def _pcg64_states(seeds: Array) -> Iterator[tuple[int, int]]:
-    """(state, inc) of ``PCG64(seed)`` for each uint64 seed.
+@functools.cache
+def _seed_words_type() -> type:
+    """The ``ISeedSequence`` that hands ``PCG64`` one run's four seed words.
 
-    A seed's SeedSequence entropy is its low word, then its high word unless
-    that is zero; a zero high word hashes as the pool's zero padding, so
-    one pass serves both. PCG64's set_seed then steps the LCG twice.
+    PCG64 reads what ``generate_state(4, np.uint64)`` returns through its data
+    pointer, so the words are a contiguous (4,) uint64 row; any other request
+    raises ``ValueError``. Built on first use: commands that draw no noise
+    never load ``numpy.random``.
     """
-    lo = (seeds & _MASK32).astype(np.uint32)
-    hi = (seeds >> 32).astype(np.uint32)
-    columns = _seed_state([lo, hi], 4)
-    for start in range(0, len(seeds), _STATE_BLOCK):
-        words = (column[start : start + _STATE_BLOCK].tolist() for column in columns)
-        for s_hi, s_lo, i_hi, i_lo in zip(*words):
-            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-            yield ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128, inc
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: Array) -> None:
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> Array:
+            if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
+                raise ValueError("seed words answer generate_state(4, np.uint64) only")
+            return self.words
+
+    return SeedWords
 
 
 def _standard_normals(seeds: Array, out: Array) -> None:
     """Fill each out[j] with the first standard normals ``default_rng(seeds[j])`` draws.
 
-    One generator is reused: each run's PCG64 state is loaded into it, so
-    no ``SeedSequence`` or ``Generator`` is built per run, and one state
-    dict is refilled for every run.
+    A seed's SeedSequence entropy is its low word, then its high word unless
+    that is zero; a zero high word hashes as the pool's zero padding, so one
+    hash pass gives every run's four PCG64 seed words. Each run's ``PCG64``
+    seeds itself from its row of words, so no ``SeedSequence`` is built per
+    run.
     """
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    words = {"state": 0, "inc": 0}
-    full_state = {"bit_generator": "PCG64", "state": words, "has_uint32": 0, "uinteger": 0}
-    for j, (state, inc) in enumerate(_pcg64_states(seeds)):
-        words["state"], words["inc"] = state, inc
-        bit_generator.state = full_state
-        rng.standard_normal(out=out[j])
+    seed_words = _seed_words_type()
+    pcg64, generator = np.random.PCG64, np.random.Generator
+    lo = (seeds & _MASK32).astype(np.uint32)
+    hi = (seeds >> 32).astype(np.uint32)
+    words = np.stack(_seed_state([lo, hi], 4), axis=1)
+    for row, draws in zip(words, out):
+        generator(pcg64(seed_words(row))).standard_normal(out=draws)
 
 
 def noise_scale(controls: Array) -> float:

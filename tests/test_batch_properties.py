@@ -7,7 +7,7 @@ import copy
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tlqr import (
@@ -28,7 +28,7 @@ from tlqr import (
     rollout_states,
 )
 from tlqr.planner import CostLinearization, adjoint_sweep
-from tlqr.simulate import _CTX_SWEEP, _MODE_TAGS, _hash_seeds
+from tlqr.simulate import _CTX_SWEEP, _MODE_TAGS, _hash_seeds, _standard_normals
 from tlqr.verify import _padded_riccati
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -212,6 +212,30 @@ def test_derive_seeds_on_tag_tuples_longer_than_the_pool(master_seed, tags, n_ru
     # than the four-word pool: the words past the pool mix in one by one.
     seeds = derive_seeds(master_seed, tags, n_runs)
     assert seeds.tolist() == [derive_seed(master_seed, *tags, j) for j in range(n_runs)]
+
+
+EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+@PROPERTY
+@given(
+    # Seeds below 2**32 have a zero high word, which hashes as pool padding.
+    seeds=st.lists(
+        st.one_of(
+            st.sampled_from(EDGE_SEEDS), st.integers(0, 2**32 - 1), st.integers(0, 2**64 - 1)
+        ),
+        max_size=40,
+    ),
+    shape=st.sampled_from([(1, 1), (7, 3), (20, 4), (33, 2)]),
+)
+@example(seeds=EDGE_SEEDS, shape=(20, 4))
+def test_standard_normals_rows_equal_default_rng(seeds, shape):
+    # Filled as the kernel fills it: into the future states of each run.
+    states = np.full((len(seeds), shape[0] + 1, shape[1]), np.nan)
+    _standard_normals(np.array(seeds, dtype=np.uint64), states[:, 1:])
+    assert np.isnan(states[:, 0]).all()
+    for draws, seed in zip(states[:, 1:], seeds):
+        assert draws.tobytes() == np.random.default_rng(seed).standard_normal(shape).tobytes()
 
 
 @st.composite

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,6 +48,21 @@ def test_plan_writes_artifacts_and_exits_zero(config_path, tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     for name in manifest["outputs"]:
         assert (out / name).exists()
+
+
+def test_plan_never_loads_numpy_random(config_path, tmp_path):
+    # Importing numpy.random costs about 9 ms and 2 MB, and plan draws no noise.
+    argv = ["plan", "--config", config_path, "--out", str(tmp_path / "out")]
+    script = (
+        "import sys, tlqr, tlqr.cli\n"
+        f"assert tlqr.cli.main({argv!r}) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(tlqr.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.splitlines()[-1] == "False"
 
 
 def test_plan_rejects_zero_horizon(tmp_path, capsys):

@@ -22,7 +22,7 @@ from tlqr import (
 )
 from tlqr import simulate
 from tlqr.config import FULL_GRID, epsilon_grid
-from tlqr.simulate import _CTX_SWEEP, _standard_normals
+from tlqr.simulate import _CTX_SWEEP, _seed_words_type, _standard_normals
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -294,7 +294,7 @@ def test_rollout_states_open_loop_rejects_out_of_bounds_nominal(car_experiment):
         rollout(policy, 0.05, OPEN_LOOP, 1)
 
 
-# -- batched seeding: derive_seeds and the reused generator against their oracle --
+# -- batched seeding: derive_seeds and the per-run draw against their oracle --
 
 
 @pytest.mark.parametrize(
@@ -326,7 +326,7 @@ def test_derive_seeds_rejects_negative_values():
     assert derive_seeds(3, (1,), 0).shape == (0,)
 
 
-def test_reused_generator_streams_equal_default_rng():
+def test_standard_normals_streams_equal_default_rng():
     # 0 through 2**32 - 1 seed SeedSequence with one word, 2**32 and up with two.
     edge = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
     seeds = np.array(edge + derive_seeds(2**33 + 5, (_CTX_SWEEP,), 500).tolist(), dtype=np.uint64)
@@ -334,6 +334,16 @@ def test_reused_generator_streams_equal_default_rng():
     _standard_normals(seeds, out)
     for draws, seed in zip(out, seeds.tolist()):
         assert np.array_equal(draws, np.random.default_rng(seed).standard_normal((20, 3)))
+
+
+def test_seed_words_answer_only_pcg64s_request():
+    # PCG64 reads the data pointer of the (4,) uint64 array it is handed.
+    row = np.arange(4, dtype=np.uint64)
+    words = _seed_words_type()(row)
+    assert words.generate_state(4, np.uint64) is row
+    for request in ((4, np.uint32), (2, np.uint64), (8, np.uint64), (4,)):
+        with pytest.raises(ValueError):
+            words.generate_state(*request)
 
 
 def test_rollout_states_seeds_outside_64_bits_raise(car_experiment):
@@ -434,7 +444,8 @@ def test_rollout_states_leaves_its_arguments_unchanged(car_experiment, mode):
 
 
 def test_monte_carlo_builds_no_seed_sequence_per_run(car_experiment, monkeypatch):
-    # Per-run seeding would construct these through np.random once per run.
+    # The seed hash runs on arrays, and numpy's PCG64 seeds itself from each
+    # run's hashed words: one PCG64 and one Generator per run, nothing else.
     planned, _ = car_experiment
     counts = {}
 
@@ -450,12 +461,10 @@ def test_monte_carlo_builds_no_seed_sequence_per_run(car_experiment, monkeypatch
     for name in ("SeedSequence", "default_rng", "Generator", "PCG64"):
         monkeypatch.setattr(np.random, name, counted(name))
 
-    def constructions(n_runs):
-        counts.clear()
-        sweep_epsilon(planned.policy, [0.02, 0.05, 0.08], n_runs, 3)
-        estimate_exit_probability(planned.policy, 0.3, 0.05, 3 * n_runs, seed=3)
-        return dict(counts)
-
-    small = constructions(50)
-    assert small.get("SeedSequence", 0) == 0 and small.get("default_rng", 0) == 0
-    assert constructions(100) == small
+    grid, n_runs = [0.02, 0.05, 0.08], 50
+    sweep_epsilon(planned.policy, grid, n_runs, 3)
+    runs = len(grid) * n_runs * 2
+    assert counts == {"PCG64": runs, "Generator": runs}
+    counts.clear()
+    estimate_exit_probability(planned.policy, 0.3, 0.05, 3 * n_runs, seed=3)
+    assert counts == {"PCG64": 3 * n_runs, "Generator": 3 * n_runs}
