@@ -20,6 +20,7 @@ from . import __version__
 from .config import (
     FULL_GRID,
     ExperimentConfig,
+    check_master_seed,
     config_hash,
     default_config,
     epsilon_grid,
@@ -106,8 +107,7 @@ def _load(args) -> ExperimentConfig:
     """Config from --config (or the bundled default) with the --seed override."""
     config = load_config(args.config) if args.config else default_config()
     if args.seed is not None:
-        if not 0 <= args.seed < 2**64:
-            raise ConfigError("--seed", "must fit in 64 bits")
+        check_master_seed(args.seed, "--seed")
         config = dataclasses.replace(config, master_seed=args.seed)
     return config
 

@@ -180,6 +180,15 @@ def _read(cls, d: dict, prefix: str):
     return cls(**values)
 
 
+def check_master_seed(seed: int, field: str = "master_seed") -> None:
+    """Raise :class:`ConfigError` naming ``field`` unless the master seed is a u64, 0 <= seed < 2**64.
+
+    The one range check for the config's ``master_seed`` and the CLI's ``--seed``.
+    """
+    if not 0 <= seed < 2**64:
+        raise ConfigError(field, f"must lie in [0, 2**64 - 1], got {seed}")
+
+
 def parse_config(data: dict) -> ExperimentConfig:
     """Validate a plain dict against the schema; raise ConfigError on issues."""
     if not isinstance(data, dict):
@@ -209,8 +218,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError("x_g", f"expected {n_x} entries, got {len(cfg.x_g)}")
     if not 1 <= cfg.horizon <= MAX_HORIZON:
         raise ConfigError("horizon", f"must lie in [1, {MAX_HORIZON}]")
-    if not 0 <= cfg.master_seed < 2**64:
-        raise ConfigError("master_seed", "must fit in 64 bits")
+    check_master_seed(cfg.master_seed)
 
     planner = cfg.planner
     for field_name in ("r_u", "r_g", "r_b"):

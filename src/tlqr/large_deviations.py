@@ -26,7 +26,18 @@ from ._stats import linear_fit, wilson_interval
 from .dynamics import Array
 from .exceptions import InsufficientData
 from .lqr import TrackingPolicy, feedback_control
-from .simulate import _CTX_EXIT, CLOSED_LOOP, derive_seeds, noise_sigma, rollout_states
+from .simulate import (
+    _CTX_EXIT,
+    CLOSED_LOOP,
+    _seed_words,
+    _seeded_states,
+    derive_seeds,
+    noise_sigma,
+)
+
+# Most runs of one estimate stepped in one kernel call; it bounds the
+# estimate's batch arrays. The configured 2,000-run estimates are one call.
+_RUNS_PER_CALL = 2000
 
 
 def action_functional(policy: TrackingPolicy, path: Array, epsilon: float) -> float:
@@ -79,18 +90,22 @@ def estimate_exit_probability(
     """Fraction of closed-loop runs whose deviation ever exceeds delta.
 
     A run exits when max_{s <= K} |x_s - x_nom_s| > delta
-    (Euclidean norm on the full state). All runs step together through
-    :func:`~tlqr.simulate.rollout_states`. Per-run seeds derive from the given
-    seed, so estimates with the same seed share trajectories exactly.
+    (Euclidean norm on the full state). Runs step together through
+    :func:`~tlqr.simulate.rollout_states`, up to ``_RUNS_PER_CALL`` at a
+    time. Per-run seeds derive from the given seed, so estimates with the
+    same seed share trajectories exactly.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    seeds = derive_seeds(seed, (_CTX_EXIT,), n_runs)
-    states = rollout_states(policy, epsilon, CLOSED_LOOP, seeds)
-    dev = np.linalg.norm(states - policy.nominal.states, axis=2)
-    exits = int(np.count_nonzero(dev.max(axis=1) > delta))
+    exits = 0
+    for first in range(0, n_runs, _RUNS_PER_CALL):
+        count = min(_RUNS_PER_CALL, n_runs - first)
+        words = _seed_words(derive_seeds(seed, (_CTX_EXIT,), count, first))
+        states = _seeded_states(policy, epsilon, CLOSED_LOOP, words)
+        dev = np.linalg.norm(states - policy.nominal.states, axis=2)
+        exits += int(np.count_nonzero(dev.max(axis=1) > delta))
     p_hat = exits / n_runs
     low, high = wilson_interval(exits, n_runs)
     return ExitEstimate(

@@ -5,27 +5,32 @@ sigma_j = epsilon_j * max_t |u_nom_t|_2 (:func:`noise_sigma`) and z_j the
 standard normals of the stream seeded by (master seed, tags..., j), so
 results are bit-reproducible and do not depend on how runs are grouped.
 
-Every Monte Carlo study goes through one batched kernel,
-:func:`rollout_states`, which steps all runs of a batch together with one
-array operation per time index. It steps the batch in (time, component,
-run) storage, so every step reads and writes contiguous rows of runs, and
-copies the result into the C-ordered (N, K+1, n) array it returns; the
-working copy is its one batch array besides the result. It runs a
+Every Monte Carlo study draws its normals, then steps them through one
+batched kernel, :func:`rollout_states`. The kernel takes a caller-owned
+C-contiguous (N, K+1, n) states buffer whose future rows hold the normals
+and steps it in place, so there is no separate noise array; callers may
+feed it any normals (zeros, impulses, shifted or shared draws). It steps
+the batch in (time, component, run) storage, so every step reads and
+writes contiguous rows of runs, and copies the result back into the
+buffer; the working copy is its one batch array. It runs a
 :class:`~tlqr.lqr.TrackingPolicy` on the plant it carries
 (``policy.model``): closed loop applies the clamped tracking law
 :func:`~tlqr.lqr.feedback_control` to the whole batch, so a run's states
 do not depend on its batch or the storage order and match a scalar per-run
-loop over the same law bit for bit. A batch holds whole sweep rows, up to
+loop over the same law bit for bit. A sweep batch holds whole rows, up to
 ``_RUNS_PER_CALL`` runs, and each run may carry its own epsilon.
 
-Seeding builds no ``SeedSequence`` per run: one front end, ``_hash_seeds``,
-runs numpy's ``SeedSequence`` hash on uint32 columns, one entry per run, for
-:func:`derive_seeds` and for a sweep's kernel call, whose row index is one
-more column. The kernel hashes each run's seed once more into its four
-PCG64 seed words and builds one ``PCG64`` and one ``Generator`` per run on
-them, so numpy's own PCG64 seeding runs in C. Run j's stream is
-bit-identical to ``default_rng(seeds[j])``; :func:`derive_seed` and
-``default_rng`` stay as the oracle (``tests/test_simulate.py``).
+Seeding builds no ``SeedSequence`` per run. Two in-place hash passes run
+numpy's ``SeedSequence`` hash on uint32 entropy columns: ``_hash_seeds``
+gives each run's 64-bit seed (:func:`derive_seeds` and the sweep, whose
+row index is one more column), and ``_seed_words`` hashes those seeds into
+their four PCG64 seed words. A sweep hashes the seeds of several kernel
+calls, up to ``_RUNS_PER_HASH`` runs, in one pair of passes. The draw,
+``_standard_normals``, then builds one ``PCG64`` and one ``Generator``
+per run on its row of words, so numpy's own PCG64 seeding runs in C. Run
+j's stream is bit-identical to ``default_rng(seeds[j])``;
+:func:`derive_seed` and ``default_rng`` stay as the oracle
+(``tests/test_simulate.py``).
 """
 from __future__ import annotations
 
@@ -53,8 +58,15 @@ _CTX_RECONSTRUCTION = 5  # noise draws of its sensitivity-form reconstruction ch
 
 # Runs per kernel call in a sweep; whole epsilon rows only, so a row larger
 # than this is one call of its own. It bounds the kernel's two batch arrays
-# (the returned states and their column-major working copy), not results.
+# (the states buffer and its column-major working copy), not results.
 _RUNS_PER_CALL = 500
+
+# Runs whose seeds and seed words one pair of hash passes derives in a sweep:
+# whole kernel calls, at least one. Each pass costs about 150 small array
+# operations whatever its size, and the group's (runs, 4) words stay alive
+# while its calls run: repeated sweeps peaked as high at 2,500 runs as at
+# one hash per call, and higher from 5,000 runs on.
+_RUNS_PER_HASH = 2500
 
 # Most runs one derive_seeds call can number: run indices fill one uint32 word.
 MAX_RUNS = 2**32
@@ -87,71 +99,93 @@ def _uint32_words(value: int) -> list[int]:
     return words
 
 
-def _seed_state(entropy: list[Array], n_words: int) -> list[Array]:
-    """``SeedSequence(entropy[:, j]).generate_state(n_words, uint64)`` per column j.
+def _seed_state(entropy: list[Array], n_words: int) -> Array:
+    """``SeedSequence(entry).generate_state(n_words, uint64)`` for each entry of the entropy columns.
 
-    ``entropy`` holds equal-length uint32 arrays, one per entropy word. An
-    entry shorter than the pool hashes as if padded with zero words.
+    ``entropy`` holds uint32 arrays, one per entropy word, that broadcast
+    together: a (1,) array is shared by all entries, and a (rows, 1) and a
+    (runs,) column make a (rows, runs) grid of entries. Returns their
+    broadcast shape plus a last axis of ``n_words`` uint64 words. An entry
+    shorter than the pool hashes as if padded with zero words. Every step
+    runs in place on the pool and three scratch arrays of the entries' shape.
     """
+    shape = np.broadcast_shapes(*(e.shape for e in entropy))
+    pool = np.empty((_POOL_SIZE,) + shape, dtype=np.uint32)
+    value, shifted = np.empty((2,) + shape, dtype=np.uint32)
     hash_const = _INIT_A
 
-    def hashmix(value: Array) -> Array:
+    def hashmix(src: Array, out: Array) -> None:
         nonlocal hash_const
-        value = value ^ hash_const
+        np.bitwise_xor(src, hash_const, out=out)
         hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const
-        return value ^ (value >> 16)
+        out *= hash_const
+        np.right_shift(out, 16, out=shifted)
+        out ^= shifted
 
-    def mix(x: Array, y: Array) -> Array:
-        result = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return result ^ (result >> 16)
+    def mix(x: Array, y: Array) -> None:  # x = mix(x, y); y is scratch
+        x *= _MIX_MULT_L
+        y *= _MIX_MULT_R
+        x -= y
+        np.right_shift(x, 16, out=shifted)
+        x ^= shifted
 
-    zero = np.zeros_like(entropy[0])
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    zero = np.zeros(1, dtype=np.uint32)
+    for i in range(_POOL_SIZE):
+        hashmix(entropy[i] if i < len(entropy) else zero, pool[i])
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+                hashmix(pool[src], value)
+                mix(pool[dst], value)
     for word in entropy[_POOL_SIZE:]:
         for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
+            hashmix(word, value)
+            mix(pool[dst], value)
 
+    # Output word w is the hashed pool word 2w, then 2w + 1 in its high half.
     hash_const = _INIT_B
-    halves = []
+    words = np.empty(shape + (n_words,), dtype=np.uint64)
+    high = np.empty(shape, dtype=np.uint64)
     for i in range(2 * n_words):
-        value = pool[i % _POOL_SIZE] ^ hash_const
+        np.bitwise_xor(pool[i % _POOL_SIZE], hash_const, out=value)
         hash_const = hash_const * _MULT_B & _MASK32
-        value = value * hash_const
-        halves.append((value ^ (value >> 16)).astype(np.uint64))
-    return [halves[2 * i] | (halves[2 * i + 1] << 32) for i in range(n_words)]
+        value *= hash_const
+        np.right_shift(value, 16, out=shifted)
+        value ^= shifted
+        if i % 2 == 0:
+            words[..., i // 2] = value
+        else:
+            high[...] = value
+            high <<= 32
+            words[..., i // 2] |= high
+    return words
 
 
 def _hash_seeds(*values: int | Array) -> Array:
-    """``derive_seed(*row)`` for each row of the given entropy columns, as a uint64 array.
+    """``derive_seed(*entry)`` for each entry of the given entropy columns, as a uint64 array.
 
-    An int is shared by all rows and hashes as numpy's uint32 words of it; a
-    uint32 array is one column, one entry per row. At least one value must be
-    an array.
+    An int is shared by all entries and hashes as numpy's uint32 words of
+    it; a uint32 array is one column. The columns broadcast together, at
+    least one of them an array, and the result has their broadcast shape.
     """
-    size = next(len(v) for v in values if isinstance(v, np.ndarray))
     entropy = []
     for value in values:
         if isinstance(value, np.ndarray):
             entropy.append(value)
         else:
-            entropy.extend(np.full(size, w, dtype=np.uint32) for w in _uint32_words(value))
-    return _seed_state(entropy, 1)[0]
+            entropy.extend(np.full(1, w, dtype=np.uint32) for w in _uint32_words(value))
+    return _seed_state(entropy, 1)[..., 0]
 
 
-def derive_seeds(master_seed: int, tags: Sequence[int], n: int) -> Array:
-    """``[derive_seed(master_seed, *tags, j) for j in range(n)]`` as an (n,) uint64 array.
+def derive_seeds(master_seed: int, tags: Sequence[int], n: int, first: int = 0) -> Array:
+    """``[derive_seed(master_seed, *tags, j) for j in range(first, first + n)]`` as a uint64 array.
 
     Bit for bit, without a ``SeedSequence`` per run. Run indices must fit one
-    32-bit word, so n <= ``MAX_RUNS``.
+    32-bit word, so first + n <= ``MAX_RUNS``.
     """
-    if not 0 <= n <= MAX_RUNS:
-        raise ValueError(f"n must lie in [0, {MAX_RUNS}]")
-    return _hash_seeds(master_seed, *tags, np.arange(n, dtype=np.uint32))
+    if not (0 <= first and 0 <= n and first + n <= MAX_RUNS):
+        raise ValueError(f"first + n must lie in [0, {MAX_RUNS}]")
+    return _hash_seeds(master_seed, *tags, np.arange(first, first + n, dtype=np.uint32))
 
 
 def _seed_array(seeds: Sequence[int]) -> Array:
@@ -166,12 +200,23 @@ def _seed_array(seeds: Sequence[int]) -> Array:
     return np.array(values, dtype=np.uint64)
 
 
+def _seed_words(seeds: Sequence[int]) -> Array:
+    """(N, 4) uint64 array whose row j is the PCG64 seed words of ``default_rng(seeds[j])``.
+
+    A seed's SeedSequence entropy is its low word, then its high word unless
+    that is zero; a zero high word hashes as the pool's zero padding, so one
+    hash pass serves every seed.
+    """
+    seeds = _seed_array(seeds)
+    return _seed_state([seeds.astype(np.uint32), (seeds >> 32).astype(np.uint32)], 4)
+
+
 @functools.cache
 def _seed_words_type() -> type:
-    """The ``ISeedSequence`` that hands ``PCG64`` one run's four seed words.
+    """The ``ISeedSequence`` that hands each new ``PCG64`` the next row of seed words.
 
     PCG64 reads what ``generate_state(4, np.uint64)`` returns through its data
-    pointer, so the words are a contiguous (4,) uint64 row; any other request
+    pointer, so each row is a contiguous (4,) uint64 array; any other request
     raises ``ValueError``. Built on first use: commands that draw no noise
     never load ``numpy.random``.
     """
@@ -179,32 +224,31 @@ def _seed_words_type() -> type:
 
     class SeedWords(ISeedSequence):
         def __init__(self, words: Array) -> None:
-            self.words = words
+            self.rows = iter(words)
 
         def generate_state(self, n_words: int, dtype=np.uint32) -> Array:
             if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
                 raise ValueError("seed words answer generate_state(4, np.uint64) only")
-            return self.words
+            return next(self.rows)
 
     return SeedWords
 
 
-def _standard_normals(seeds: Array, out: Array) -> None:
-    """Fill each out[j] with the first standard normals ``default_rng(seeds[j])`` draws.
+def _standard_normals(words: Array, out: Array) -> None:
+    """Fill each out[j] with the first standard normals of the PCG64 stream seeded by words[j].
 
-    A seed's SeedSequence entropy is its low word, then its high word unless
-    that is zero; a zero high word hashes as the pool's zero padding, so one
-    hash pass gives every run's four PCG64 seed words. Each run's ``PCG64``
-    seeds itself from its row of words, so no ``SeedSequence`` is built per
-    run.
+    ``words`` is a C-contiguous (N, 4) uint64 array, so with
+    ``words = _seed_words(seeds)`` out[j] holds what ``default_rng(seeds[j])``
+    draws first. One ``SeedWords`` hands every run's ``PCG64`` its row in
+    turn, so the loop builds one ``PCG64`` and one ``Generator`` per run and
+    nothing else.
     """
-    seed_words = _seed_words_type()
+    if words.dtype != np.uint64 or words.shape != (len(out), 4) or not words.flags.c_contiguous:
+        raise ValueError("words must be a C-contiguous (N, 4) uint64 array")
+    seed_words = _seed_words_type()(words)
     pcg64, generator = np.random.PCG64, np.random.Generator
-    lo = (seeds & _MASK32).astype(np.uint32)
-    hi = (seeds >> 32).astype(np.uint32)
-    words = np.stack(_seed_state([lo, hi], 4), axis=1)
-    for row, draws in zip(words, out):
-        generator(pcg64(seed_words(row))).standard_normal(out=draws)
+    for draws in out:
+        generator(pcg64(seed_words)).standard_normal(out=draws)
 
 
 def noise_scale(controls: Array) -> float:
@@ -223,42 +267,57 @@ def noise_sigma(policy: TrackingPolicy, epsilon: float | Array) -> float | Array
 
 
 def rollout_states(
-    policy: TrackingPolicy, epsilon: float | Array, mode: str, seeds: Sequence[int]
-) -> Array:
-    """C-contiguous states (N, K+1, n) of N runs executed together, one per seed.
+    policy: TrackingPolicy, epsilon: float | Array, mode: str, states: Array
+) -> None:
+    """Step N runs together, in place in the C-contiguous (N, K+1, n) float64 ``states``.
 
-    ``epsilon`` is one value for all runs or one per run. Run j's noise is
-    sigma_j * z_j with sigma_j from :func:`noise_sigma` and z_j the (K, n)
-    standard normals of a stream bit-identical to ``default_rng(seeds[j])``;
-    seeds must lie in [0, 2**64). Closed loop applies the clamped feedback
+    On entry ``states[j, 1:]`` holds run j's (K, n) standard normals z_j and
+    ``states[j, 0]`` is ignored; on return ``states[j]`` is run j's
+    trajectory from the nominal initial state, with noise sigma_j * z_j
+    added after each transition. sigma_j comes from :func:`noise_sigma`, and
+    a run with sigma_j = 0 gets exact +0.0 noise. ``epsilon`` is one value
+    for all runs or one per run. Closed loop applies the clamped feedback
     law; open loop applies the planned controls, bound-checked once per call.
     """
     if mode not in _MODE_TAGS:
         raise ValueError(f"unknown mode '{mode}'")
     model, nominal = policy.model, policy.nominal
     k, n = policy.horizon, model.state_dim
-    seeds = _seed_array(seeds)
-    sigma = noise_sigma(policy, np.broadcast_to(np.asarray(epsilon, dtype=float), seeds.shape))
+    if states.shape[1:] != (k + 1, n) or states.dtype != float or not states.flags.c_contiguous:
+        raise ValueError(f"states must be a C-contiguous float64 (N, {k + 1}, {n}) array")
+    n_runs = len(states)
+    sigma = noise_sigma(policy, np.broadcast_to(np.asarray(epsilon, dtype=float), (n_runs,)))
     if mode == OPEN_LOOP:
         model.validate_control(nominal.controls)
 
-    # Each run's standard normals are drawn straight into its future states,
-    # then scaled once into ``cols``, the (time, component, run) working copy
-    # whose steps read and write contiguous rows of runs. ``states`` takes
-    # the result back in C order, the order nmse_values sums each run in.
-    states = np.empty((len(seeds), k + 1, n))
-    _standard_normals(seeds, states[:, 1:])
+    # The normals are scaled once into ``cols``, the (time, component, run)
+    # working copy whose steps read and write contiguous rows of runs.
+    # ``states`` takes the result back in C order, the order nmse_values
+    # sums each run in.
     states[sigma == 0.0, 1:] = 0.0  # exact zeros at sigma = 0, not the -0.0 of 0 * z
-    cols = np.empty((k + 1, n, len(seeds)))
+    cols = np.empty((k + 1, n, n_runs))
     np.multiply(states[:, 1:].transpose(1, 2, 0), sigma, out=cols[1:])
 
     cols[0] = nominal.states[0][:, None]
-    planned = np.broadcast_to(nominal.controls[:, None], (k, len(seeds), model.control_dim))
+    planned = np.broadcast_to(nominal.controls[:, None], (k, n_runs, model.control_dim))
     for t in range(k):
         x = cols[t].T
         u = feedback_control(policy, t, x) if mode == CLOSED_LOOP else planned[t]
         np.add(model.transition(x, u).T, cols[t + 1], out=cols[t + 1])
     states[:] = cols.transpose(2, 0, 1)
+
+
+def _seeded_states(
+    policy: TrackingPolicy, epsilon: float | Array, mode: str, words: Array
+) -> Array:
+    """States (N, K+1, n) of the runs seeded by the rows of ``words``: draw, then step.
+
+    ``words`` comes from :func:`_seed_words`. The normals are drawn straight
+    into the future states, so there is no separate noise array.
+    """
+    states = np.empty((len(words), policy.horizon + 1, policy.model.state_dim))
+    _standard_normals(words, states[:, 1:])
+    rollout_states(policy, epsilon, mode, states)
     return states
 
 
@@ -305,8 +364,9 @@ def sweep_epsilon(
     Returns one :class:`SweepRow` per grid point, in grid order, which the
     grid check makes strictly increasing in epsilon. Per mode, whole rows of
     ``n_runs`` runs share :func:`rollout_states` calls of up to
-    ``_RUNS_PER_CALL`` runs; per-run seeds are derived from (master_seed,
-    grid index, run index, mode), so the rows do not depend on the packing.
+    ``_RUNS_PER_CALL`` runs, and the seeds of up to ``_RUNS_PER_HASH`` runs
+    are hashed together; per-run seeds are derived from (master_seed, grid
+    index, run index, mode), so the rows do not depend on the packing.
     A planned trajectory of zero norm leaves the NMSE undefined and raises
     :class:`NumericalFailure`, and with ``OPEN_LOOP`` among the modes a
     nominal control sequence out of the model's bounds raises
@@ -330,16 +390,21 @@ def sweep_epsilon(
 
     stats = {m: np.full((len(grid), 2), np.nan) for m in (CLOSED_LOOP, OPEN_LOOP)}
     rows_per_call = max(1, _RUNS_PER_CALL // n_runs)
+    rows_per_hash = rows_per_call * max(1, _RUNS_PER_HASH // (rows_per_call * n_runs))
     for mode in modes:
-        for first in range(0, len(grid), rows_per_call):
-            rows = range(first, min(first + rows_per_call, len(grid)))
-            row_index = np.repeat(np.arange(rows.start, rows.stop, dtype=np.uint32), n_runs)
-            run_index = np.tile(np.arange(n_runs, dtype=np.uint32), len(rows))
+        for first in range(0, len(grid), rows_per_hash):
+            last = min(first + rows_per_hash, len(grid))
+            row_index = np.arange(first, last, dtype=np.uint32)[:, None]
+            run_index = np.arange(n_runs, dtype=np.uint32)
             seeds = _hash_seeds(master_seed, _CTX_SWEEP, row_index, _MODE_TAGS[mode], run_index)
-            states = rollout_states(policy, np.repeat(grid[rows], n_runs), mode, seeds)
-            vals = nmse_values(policy.nominal, states)
-            for i, v in zip(rows, vals.reshape(-1, n_runs)):
-                stats[mode][i] = v.mean(), v.std(ddof=1) if n_runs > 1 else 0.0
+            words = _seed_words(seeds.ravel())
+            for start in range(first, last, rows_per_call):
+                rows = range(start, min(start + rows_per_call, last))
+                call_words = words[(rows.start - first) * n_runs : (rows.stop - first) * n_runs]
+                states = _seeded_states(policy, np.repeat(grid[rows], n_runs), mode, call_words)
+                vals = nmse_values(policy.nominal, states)
+                for i, v in zip(rows, vals.reshape(-1, n_runs)):
+                    stats[mode][i] = v.mean(), v.std(ddof=1) if n_runs > 1 else 0.0
     return tuple(
         SweepRow(
             epsilon=float(eps),

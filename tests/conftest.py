@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from tlqr import LqrWeights, LtvSystem, default_config, plan_experiment, run_sweep
+from tlqr.simulate import _seed_words, _seeded_states
 from tlqr.verify import _random_ltv_arrays
+
+
+def seeded_states(policy, epsilon, mode, seeds):
+    """Kernel states of the runs seeded by ``seeds``, drawn and stepped as the sweep does."""
+    return _seeded_states(policy, epsilon, mode, _seed_words(seeds))
 
 
 def random_ltv_instance(rng, max_nx=4, max_nu=2, max_k=20):

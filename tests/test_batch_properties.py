@@ -3,11 +3,16 @@
 Hypothesis runs derandomized and without an example database, so a run
 explores the same examples every time.
 """
+import contextlib
 import copy
+import io
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from tlqr import (
@@ -27,8 +32,10 @@ from tlqr import (
     riccati_backward,
     rollout_states,
 )
+from conftest import seeded_states
+from tlqr.cli import main
 from tlqr.planner import CostLinearization, adjoint_sweep
-from tlqr.simulate import _CTX_SWEEP, _MODE_TAGS, _hash_seeds, _standard_normals
+from tlqr.simulate import _CTX_SWEEP, _MODE_TAGS, _hash_seeds, _seed_words, _standard_normals
 from tlqr.verify import _padded_riccati
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -189,16 +196,20 @@ def test_batched_first_order_cost_error_rows_equal_single_calls(n, k, n_x, n_u, 
     mode=st.sampled_from(sorted(_MODE_TAGS)),
 )
 def test_hash_seeds_row_and_run_columns_equal_derive_seed(master_seed, first, n_rows, n_runs, mode):
-    row_index = np.repeat(np.arange(first, first + n_rows, dtype=np.uint32), n_runs)
-    run_index = np.tile(np.arange(n_runs, dtype=np.uint32), n_rows)
+    # The sweep's (rows, 1) and (runs,) columns hash as their broadcast grid.
+    row_index = np.arange(first, first + n_rows, dtype=np.uint32)[:, None]
+    run_index = np.arange(n_runs, dtype=np.uint32)
     tag = _MODE_TAGS[mode]
-    seeds = _hash_seeds(master_seed, _CTX_SWEEP, row_index, tag, run_index)
+    grid = _hash_seeds(master_seed, _CTX_SWEEP, row_index, tag, run_index)
     expected = [
-        derive_seed(master_seed, _CTX_SWEEP, i, tag, j)
+        [derive_seed(master_seed, _CTX_SWEEP, i, tag, j) for j in range(n_runs)]
         for i in range(first, first + n_rows)
-        for j in range(n_runs)
     ]
-    assert seeds.dtype == np.uint64 and seeds.tolist() == expected
+    assert grid.dtype == np.uint64 and grid.tolist() == expected
+    flat = _hash_seeds(
+        master_seed, _CTX_SWEEP, np.repeat(row_index, n_runs), tag, np.tile(run_index, n_rows)
+    )
+    assert flat.tolist() == grid.ravel().tolist()
 
 
 @PROPERTY
@@ -232,7 +243,7 @@ EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1]
 def test_standard_normals_rows_equal_default_rng(seeds, shape):
     # Filled as the kernel fills it: into the future states of each run.
     states = np.full((len(seeds), shape[0] + 1, shape[1]), np.nan)
-    _standard_normals(np.array(seeds, dtype=np.uint64), states[:, 1:])
+    _standard_normals(_seed_words(np.array(seeds, dtype=np.uint64)), states[:, 1:])
     assert np.isnan(states[:, 0]).all()
     for draws, seed in zip(states[:, 1:], seeds):
         assert draws.tobytes() == np.random.default_rng(seed).standard_normal(shape).tobytes()
@@ -256,14 +267,32 @@ def run_batches(draw):
 def test_kernel_rows_follow_their_run_not_the_batch(car_experiment, batch, mode):
     planned, _ = car_experiment
     seeds, epsilons, order = batch
-    states = rollout_states(planned.policy, epsilons, mode, seeds)
-    permuted = rollout_states(
+    states = seeded_states(planned.policy, epsilons, mode, seeds)
+    permuted = seeded_states(
         planned.policy, [epsilons[i] for i in order], mode, [seeds[i] for i in order]
     )
     # Bytes, so that signed zeros and any NaN compare bit for bit too.
     assert permuted.tobytes() == states[order].tobytes()
-    alone = rollout_states(planned.policy, epsilons[:1], mode, seeds[:1])
+    alone = seeded_states(planned.policy, epsilons[:1], mode, seeds[:1])
     assert alone.tobytes() == states[:1].tobytes()
+
+
+@PROPERTY
+@given(batch=run_batches(), mode=st.sampled_from(sorted(_MODE_TAGS)))
+def test_kernel_rows_given_their_normals_equal_the_seeded_path(car_experiment, batch, mode):
+    policy = car_experiment[0].policy
+    seeds, epsilons, order = batch
+    normals = np.array(
+        [np.random.default_rng(s).standard_normal((policy.horizon, 3)) for s in seeds]
+    )
+    states = np.full((len(seeds), policy.horizon + 1, 3), np.nan)
+    states[:, 1:] = normals
+    assert rollout_states(policy, epsilons, mode, states) is None  # steps in place
+    assert states.tobytes() == seeded_states(policy, epsilons, mode, seeds).tobytes()
+    permuted = np.full_like(states, np.nan)
+    permuted[:, 1:] = normals[order]
+    rollout_states(policy, [epsilons[i] for i in order], mode, permuted)
+    assert permuted.tobytes() == states[order].tobytes()
 
 
 @st.composite
@@ -361,3 +390,51 @@ def test_parse_config_raises_only_config_error(data):
     except ConfigError:
         return
     assert isinstance(config, ExperimentConfig)
+
+
+def _cheap(data: dict) -> bool:
+    """Whether a config the CLI accepts runs in well under a second."""
+    try:
+        config = parse_config(data)
+    except ConfigError:
+        return True  # rejected before any work
+    sweep, ldp = config.sweep, config.ldp
+    grid_points = (sweep.eps_end - sweep.eps_start) / sweep.eps_step + 1
+    return (
+        config.horizon <= 60
+        and config.planner.max_iters <= 1000
+        and grid_points * sweep.n_runs <= 5000
+        and len(ldp.eps_grid) * ldp.n_runs <= 20000
+    )
+
+
+# No shrinking: it would rerun whole CLI commands hundreds of times on a failure.
+@settings(PROPERTY, max_examples=60, phases=[Phase.explicit, Phase.generate])
+@given(
+    data=mutated_configs(),
+    command=st.sampled_from(["plan", "sweep", "ldp"]),
+    seed=st.one_of(st.none(), st.sampled_from([-1, 0, 2**64 - 1, 2**64]), st.integers()),
+)
+@example(data=_DEFAULT, command="sweep", seed=2**64 - 1)
+@example(data=_DEFAULT, command="ldp", seed=None)
+@example(data=_DEFAULT, command="plan", seed=2**64)
+@example(data={**_DEFAULT, "planner": {**_DEFAULT["planner"], "max_iters": 3}}, command="sweep", seed=0)
+def test_cli_on_mutated_configs_exits_with_a_documented_code(data, command, seed):
+    assume(_cheap(data))
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        argv = [command, "--config", str(path), "--out", str(Path(tmp) / "out")]
+        if seed is not None:
+            argv += ["--seed", str(seed)]
+        # An exception escaping main would print a traceback; here it fails the test.
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2)
+    assert sum(line.startswith("error:") for line in lines) <= 1
+    assert not any("Traceback" in line for line in lines)
+    assert (code == 0) == (lines == [])
+    if seed is not None and not 0 <= seed < 2**64:
+        assert code == 1

@@ -100,6 +100,33 @@ def test_non_utf8_config_is_a_config_error(tmp_path, capsys, command):
     assert err.startswith("error:") and "UTF-8" in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_its_range_is_one_error_line(config_path, tmp_path, capsys, seed):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(small_config_dict(master_seed=seed)), encoding="utf-8")
+    out = str(tmp_path / "o")
+    for argv, field in (
+        (["--config", config_path, "--seed", str(seed)], "--seed"),
+        (["--config", str(path)], "master_seed"),
+    ):
+        assert main(["sweep", *argv, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: config field '{field}': must lie in [0, 2**64 - 1], got {seed}\n"
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_seed_range_edges_run(config_path, tmp_path, seed):
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(small_config_dict(master_seed=seed)), encoding="utf-8")
+    runs = {"flag": ["--config", config_path, "--seed", str(seed)], "file": ["--config", str(path)]}
+    for name, argv in runs.items():
+        assert main(["sweep", *argv, "--out", str(tmp_path / name)]) == 0
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert manifest["master_seed"] == seed
+    assert read_artifacts(tmp_path / "flag") == read_artifacts(tmp_path / "file")
+
+
 def test_plan_byte_identical_across_runs(config_path, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["plan", "--config", config_path, "--out", str(out1)]) == 0

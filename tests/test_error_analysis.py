@@ -19,13 +19,12 @@ from tlqr import (
     linearize_cost,
     noise_sigma,
     riccati_backward,
-    rollout_states,
 )
 from tlqr.planner import CostLinearization
 from tlqr.simulate import _CTX_RECONSTRUCTION, derive_seed
 from tlqr._stats import excess_kurtosis, linear_fit, skewness
 from tlqr.verify import _control_sums, _noise_maps, _state_sums, propagation_errors
-from conftest import random_ltv_instance
+from conftest import random_ltv_instance, seeded_states
 
 
 def _coefficient_sums(lin: CostLinearization, maps, gains):
@@ -495,7 +494,7 @@ def test_first_order_prediction_gap_superlinear(car_experiment):
         seeds = [derive_seed(777, i, j) for j in range(100)]
         sigma = noise_sigma(policy, eps)
         worst = []
-        for states, seed in zip(rollout_states(policy, eps, CLOSED_LOOP, seeds), seeds):
+        for states, seed in zip(seeded_states(policy, eps, CLOSED_LOOP, seeds), seeds):
             # The kernel draws run j's noise exactly like this.
             noises = sigma * np.random.default_rng(seed).standard_normal((policy.horizon, 3))
             true_dev = states - policy.nominal.states

@@ -1,6 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import tlqr.large_deviations as large_deviations
+from conftest import seeded_states
 from tlqr import (
     CLOSED_LOOP,
     InsufficientData,
@@ -13,7 +17,6 @@ from tlqr import (
     feedback_control,
     fit_rate,
     noise_sigma,
-    rollout_states,
 )
 from tlqr.large_deviations import ExitEstimate
 
@@ -67,7 +70,7 @@ def test_action_is_noise_energy_of_kernel_paths(car_experiment, epsilon):
     planned, _ = car_experiment
     policy = planned.policy
     seeds = [derive_seed(42, j) for j in range(50)]
-    paths = rollout_states(policy, epsilon, CLOSED_LOOP, seeds)
+    paths = seeded_states(policy, epsilon, CLOSED_LOOP, seeds)
     sigma = noise_sigma(policy, epsilon)
     for path, seed in zip(paths, seeds):
         w = sigma * np.random.default_rng(seed).standard_normal((policy.horizon, 3))
@@ -78,7 +81,7 @@ def test_action_is_noise_energy_of_kernel_paths(car_experiment, epsilon):
 def test_action_epsilon_scaling(car_experiment):
     planned, _ = car_experiment
     policy = planned.policy
-    path = rollout_states(policy, 0.05, CLOSED_LOOP, [derive_seed(42, 0)])[0]
+    path = seeded_states(policy, 0.05, CLOSED_LOOP, [derive_seed(42, 0)])[0]
     s1 = action_functional(policy, path, epsilon=0.2)
     # Halving epsilon scales sigma^2 by exactly 1/4, a power of two.
     assert action_functional(policy, path, epsilon=0.1) == 4.0 * s1
@@ -141,6 +144,18 @@ def test_exit_monotone_in_epsilon(car_experiment):
         planned.policy, delta=0.3, epsilon=0.15, n_runs=500, seed=9
     )
     assert lo.p_hat <= hi.p_hat
+
+
+@pytest.mark.parametrize("cap", [1, 7, 119])
+def test_chunked_estimate_equals_one_call(car_experiment, monkeypatch, cap):
+    # Runs keep their seeds whatever the chunking, so the exits add up exactly.
+    planned, _ = car_experiment
+    kwargs = dict(delta=0.25, epsilon=0.06, n_runs=120, seed=17)
+    one_call = estimate_exit_probability(planned.policy, **kwargs)
+    assert 0 < one_call.n_exits < one_call.n_runs
+    monkeypatch.setattr(large_deviations, "_RUNS_PER_CALL", cap)
+    chunked = estimate_exit_probability(planned.policy, **kwargs)
+    assert dataclasses.astuple(chunked) == dataclasses.astuple(one_call)
 
 
 def test_wilson_interval_brackets_estimate(car_experiment):

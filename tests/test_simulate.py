@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -8,10 +9,12 @@ from tlqr import (
     OPEN_LOOP,
     BoundViolation,
     LinearSystem,
+    LqrWeights,
     NominalTrajectory,
     TrackingPolicy,
     derive_seed,
     derive_seeds,
+    design_tracking_policy,
     estimate_exit_probability,
     feedback_control,
     nmse_values,
@@ -20,9 +23,10 @@ from tlqr import (
     rollout_states,
     sweep_epsilon,
 )
+from conftest import seeded_states
 from tlqr import simulate
 from tlqr.config import FULL_GRID, epsilon_grid
-from tlqr.simulate import _CTX_SWEEP, _seed_words_type, _standard_normals
+from tlqr.simulate import _CTX_SWEEP, _seed_words, _seed_words_type, _standard_normals
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -137,7 +141,7 @@ def test_zero_epsilon_rows_get_exact_zero_noise():
         model=_NegativeZeroPlant(a=[[1.0]], b=[[1.0]]),
     )
     for mode in (CLOSED_LOOP, OPEN_LOOP):
-        states = rollout_states(policy, [0.0, 0.1, 0.0], mode, [1, 2, 3])
+        states = seeded_states(policy, [0.0, 0.1, 0.0], mode, [1, 2, 3])
         # 0.0 * z is -0.0 for every negative z; the kernel adds +0.0 instead.
         assert np.all(states[[0, 2], 1:] == 0.0)
         assert not np.any(np.signbit(states[[0, 2], 1:]))
@@ -234,7 +238,7 @@ def _seeds(n):
 def test_rollout_states_open_loop_bitwise_equals_rollout(car_experiment, epsilon):
     planned, _ = car_experiment
     seeds = _seeds(300)
-    batch = rollout_states(planned.policy, epsilon, OPEN_LOOP, seeds)
+    batch = seeded_states(planned.policy, epsilon, OPEN_LOOP, seeds)
     assert batch.shape == (300, planned.policy.horizon + 1, 3)
     for j, seed in enumerate(seeds):
         run = rollout(planned.policy, epsilon, OPEN_LOOP, seed)
@@ -252,7 +256,7 @@ def test_rollout_states_closed_loop_matches_rollout(car_experiment, epsilon):
         derive_seed(planned.config.master_seed, _CTX_SWEEP, row, 0, j) for j in range(100)
     ]
     seeds = _seeds(300) + sweep_seeds
-    batch = rollout_states(planned.policy, epsilon, CLOSED_LOOP, seeds)
+    batch = seeded_states(planned.policy, epsilon, CLOSED_LOOP, seeds)
     for j, seed in enumerate(seeds):
         run = rollout(planned.policy, epsilon, CLOSED_LOOP, seed)
         assert np.array_equal(batch[j], run.states)
@@ -260,7 +264,7 @@ def test_rollout_states_closed_loop_matches_rollout(car_experiment, epsilon):
 
 def test_rollout_states_zero_noise_closed_loop_is_nominal(car_experiment):
     planned, _ = car_experiment
-    batch = rollout_states(planned.policy, 0.0, CLOSED_LOOP, _seeds(5))
+    batch = seeded_states(planned.policy, 0.0, CLOSED_LOOP, _seeds(5))
     for states in batch:
         assert np.array_equal(states, planned.policy.nominal.states)
 
@@ -269,29 +273,109 @@ def test_rollout_states_zero_noise_closed_loop_is_nominal(car_experiment):
 def test_rollout_states_run_independent_of_batch_position(car_experiment, mode):
     planned, _ = car_experiment
     seeds = _seeds(100)
-    batch = rollout_states(planned.policy, 0.08, mode, seeds)
-    reversed_batch = rollout_states(planned.policy, 0.08, mode, seeds[::-1])
+    batch = seeded_states(planned.policy, 0.08, mode, seeds)
+    reversed_batch = seeded_states(planned.policy, 0.08, mode, seeds[::-1])
     assert np.array_equal(reversed_batch[::-1], batch)
     for j, seed in enumerate(seeds):
-        alone = rollout_states(planned.policy, 0.08, mode, [seed])
+        alone = seeded_states(planned.policy, 0.08, mode, [seed])
         assert np.array_equal(alone[0], batch[j])
 
 
 def test_rollout_states_rejects_bad_arguments(car_experiment):
     planned, _ = car_experiment
+    k = planned.policy.horizon
     with pytest.raises(ValueError, match="nonnegative"):
-        rollout_states(planned.policy, -0.01, CLOSED_LOOP, [1])
+        rollout_states(planned.policy, -0.01, CLOSED_LOOP, np.zeros((1, k + 1, 3)))
     with pytest.raises(ValueError, match="unknown mode"):
-        rollout_states(planned.policy, 0.05, "sideways", [1])
+        rollout_states(planned.policy, 0.05, "sideways", np.zeros((1, k + 1, 3)))
+    # The buffer's memory order is the order nmse_values sums a run in.
+    for bad in (
+        np.zeros((2, k, 3)),
+        np.zeros((2, k + 1, 2)),
+        np.zeros((2, k + 1, 3), dtype=np.float32),
+        np.zeros((2, k + 1, 3), order="F"),
+        np.zeros((2, k + 1, 6))[:, :, ::2],
+    ):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            rollout_states(planned.policy, 0.05, CLOSED_LOOP, bad)
 
 
 def test_rollout_states_open_loop_rejects_out_of_bounds_nominal(car_experiment):
     planned, _ = car_experiment
     policy = _out_of_bounds_open_loop_policy(planned)
     with pytest.raises(BoundViolation):
-        rollout_states(policy, 0.05, OPEN_LOOP, [1, 2])
+        seeded_states(policy, 0.05, OPEN_LOOP, [1, 2])
     with pytest.raises(BoundViolation):
         rollout(policy, 0.05, OPEN_LOOP, 1)
+
+
+# -- the kernel steps the normals it is given --
+
+
+def _kernel_rows(policy, epsilon, mode, normals):
+    """Kernel states for hand-made (N, K, n) standard normals."""
+    states = np.empty((len(normals), policy.horizon + 1, policy.model.state_dim))
+    states[:, 1:] = normals
+    rollout_states(policy, epsilon, mode, states)
+    return states
+
+
+@pytest.mark.parametrize("mode", [CLOSED_LOOP, OPEN_LOOP])
+def test_zero_normals_give_the_nominal_rows_at_any_epsilon(car_experiment, mode):
+    policy = car_experiment[0].policy
+    per_run = [0.0, 1e-300, 0.01, 0.15, 10.0]
+    zeros = np.zeros((len(per_run), policy.horizon, 3))
+    for epsilon in (per_run, 0.07, 10.0):
+        for row in _kernel_rows(policy, epsilon, mode, zeros):
+            assert np.array_equal(row, policy.nominal.states)
+
+
+def _linear_policy():
+    """A two-state linear plant tracking a planned control sequence with LQR gains."""
+    model = LinearSystem(a=[[0.9, 0.2], [-0.1, 1.0]], b=[[0.0], [0.5]])
+    nominal = model.rollout_nominal([1.0, -0.5], np.sin(np.arange(8.0))[:, None])
+    return design_tracking_policy(model, nominal, LqrWeights(np.ones(2), np.ones(1)))
+
+
+def _deviation_maps(policy, mode):
+    """D_t with x_{t+1} - x_nom_{t+1} = D_t (x_t - x_nom_t) + w_t on the linear plant."""
+    if mode == CLOSED_LOOP:
+        return policy.closed_loop  # A - B L_t: the law applies u_nom - L_t (x - x_nom)
+    return np.broadcast_to(policy.model.a, policy.closed_loop.shape)
+
+
+@pytest.mark.parametrize("mode", [CLOSED_LOOP, OPEN_LOOP])
+def test_single_impulse_rows_equal_the_linear_closed_form(mode):
+    policy = _linear_policy()
+    k, epsilon = policy.horizon, 0.3
+    sigma, maps = noise_sigma(policy, epsilon), _deviation_maps(policy, mode)
+    pulses = list(itertools.product(range(k), range(2)))
+    impulses = np.zeros((len(pulses), k, 2))
+    for j, (s, i) in enumerate(pulses):
+        impulses[j, s, i] = 1.0
+    rows = _kernel_rows(policy, epsilon, mode, impulses)
+    for row, (s, i) in zip(rows, pulses):
+        # Zero until the pulse, sigma e_i right after it, then D_{t-1} ... D_{s+1} sigma e_i.
+        expected = np.zeros((k + 1, 2))
+        expected[s + 1, i] = sigma
+        for t in range(s + 1, k):
+            expected[t + 1] = maps[t] @ expected[t]
+        np.testing.assert_allclose(row - policy.nominal.states, expected, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("mode", [CLOSED_LOOP, OPEN_LOOP])
+def test_shifted_draw_adds_the_shift_response(mode):
+    policy = _linear_policy()
+    k, epsilon = policy.horizon, 0.3
+    sigma, maps = noise_sigma(policy, epsilon), _deviation_maps(policy, mode)
+    normals = np.random.default_rng(5).standard_normal((30, k, 2))
+    shift = np.array([0.7, -1.3])
+    response = np.zeros((k + 1, 2))  # of the constant noise sigma * shift
+    for t in range(k):
+        response[t + 1] = maps[t] @ response[t] + sigma * shift
+    rows = _kernel_rows(policy, epsilon, mode, normals)
+    shifted = _kernel_rows(policy, epsilon, mode, normals + shift)
+    np.testing.assert_allclose(shifted - rows, np.broadcast_to(response, rows.shape), atol=1e-14)
 
 
 # -- batched seeding: derive_seeds and the per-run draw against their oracle --
@@ -317,6 +401,17 @@ def test_derive_seeds_equals_derive_seed(master_seed, tags):
     assert got.tolist() == [derive_seed(master_seed, *tags, j) for j in range(300)]
 
 
+def test_derive_seeds_from_a_first_run_index():
+    tags = (_CTX_SWEEP, 3)
+    for first in (0, 1, 2**31, 2**32 - 40):
+        got = derive_seeds(2**40 + 3, tags, 40, first)
+        assert got.tolist() == [derive_seed(2**40 + 3, *tags, j) for j in range(first, first + 40)]
+    assert derive_seeds(7, tags, 0, 2**32).shape == (0,)
+    for n, first in ((41, 2**32 - 40), (1, 2**32), (3, -1), (-1, 3)):
+        with pytest.raises(ValueError, match="first \\+ n"):
+            derive_seeds(7, tags, n, first)
+
+
 def test_derive_seeds_rejects_negative_values():
     for master_seed, tags in ((-1, ()), (3, (-2,))):
         with pytest.raises(ValueError):
@@ -331,29 +426,41 @@ def test_standard_normals_streams_equal_default_rng():
     edge = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
     seeds = np.array(edge + derive_seeds(2**33 + 5, (_CTX_SWEEP,), 500).tolist(), dtype=np.uint64)
     out = np.empty((len(seeds), 20, 3))
-    _standard_normals(seeds, out)
+    _standard_normals(_seed_words(seeds), out)
     for draws, seed in zip(out, seeds.tolist()):
         assert np.array_equal(draws, np.random.default_rng(seed).standard_normal((20, 3)))
 
 
 def test_seed_words_answer_only_pcg64s_request():
     # PCG64 reads the data pointer of the (4,) uint64 array it is handed.
-    row = np.arange(4, dtype=np.uint64)
-    words = _seed_words_type()(row)
-    assert words.generate_state(4, np.uint64) is row
+    rows = np.arange(12, dtype=np.uint64).reshape(3, 4)
+    words = _seed_words_type()(rows)
     for request in ((4, np.uint32), (2, np.uint64), (8, np.uint64), (4,)):
         with pytest.raises(ValueError):
             words.generate_state(*request)
+    # A refused request hands out no row: each PCG64 gets the next one in turn.
+    for row in rows:
+        given = words.generate_state(4, np.uint64)
+        assert np.shares_memory(given, rows) and given.flags.c_contiguous
+        assert given.tolist() == row.tolist()
+
+
+def test_standard_normals_refuse_words_pcg64_would_misread():
+    words = _seed_words([1, 2, 3])
+    out = np.empty((3, 20, 3))
+    for bad in (words[:2], words[:, :3], words.astype(np.int64), np.asfortranarray(words)):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _standard_normals(bad, out)
 
 
 def test_rollout_states_seeds_outside_64_bits_raise(car_experiment):
     planned, _ = car_experiment
     for seeds in ([-1], [2**64], [3, -5]):
         with pytest.raises(ValueError, match="2\\*\\*64"):
-            rollout_states(planned.policy, 0.05, CLOSED_LOOP, seeds)
+            seeded_states(planned.policy, 0.05, CLOSED_LOOP, seeds)
     # A seed list that numpy would coerce to float64 keeps every bit.
     top = [2**64 - 1, 1]
-    batch = rollout_states(planned.policy, 0.05, CLOSED_LOOP, top)
+    batch = seeded_states(planned.policy, 0.05, CLOSED_LOOP, top)
     for states, seed in zip(batch, top):
         assert np.array_equal(states, rollout(planned.policy, 0.05, CLOSED_LOOP, seed).states)
 
@@ -367,18 +474,18 @@ def test_per_run_epsilon_equals_per_epsilon_calls(car_experiment, mode):
     eps = [0.01, 0.06, 0.147]
     seeds = _seeds(120)
     run_eps = np.repeat(eps, 40)
-    batch = rollout_states(planned.policy, run_eps, mode, seeds)
+    batch = seeded_states(planned.policy, run_eps, mode, seeds)
     for i, e in enumerate(eps):
         rows = slice(40 * i, 40 * (i + 1))
-        assert np.array_equal(batch[rows], rollout_states(planned.policy, e, mode, seeds[rows]))
+        assert np.array_equal(batch[rows], seeded_states(planned.policy, e, mode, seeds[rows]))
 
 
 def test_rollout_states_per_run_epsilon_validation(car_experiment):
     planned, _ = car_experiment
     with pytest.raises(ValueError, match="nonnegative"):
-        rollout_states(planned.policy, [0.05, -0.01], CLOSED_LOOP, [1, 2])
+        seeded_states(planned.policy, [0.05, -0.01], CLOSED_LOOP, [1, 2])
     with pytest.raises(ValueError):
-        rollout_states(planned.policy, [0.05, 0.06, 0.07], CLOSED_LOOP, [1, 2])
+        seeded_states(planned.policy, [0.05, 0.06, 0.07], CLOSED_LOOP, [1, 2])
 
 
 def test_sweep_rows_independent_of_runs_per_call(car_experiment, monkeypatch):
@@ -392,28 +499,32 @@ def test_sweep_rows_independent_of_runs_per_call(car_experiment, monkeypatch):
     default = sweep()
     for budget in (n_runs, len(grid) * n_runs, 1):
         monkeypatch.setattr(simulate, "_RUNS_PER_CALL", budget)
-        assert np.array_equal(sweep(), default)
+        for hash_budget in (1, 2 * n_runs + 1, 3 * n_runs, 10**6):
+            monkeypatch.setattr(simulate, "_RUNS_PER_HASH", hash_budget)
+            assert np.array_equal(sweep(), default)
 
 
 @pytest.mark.parametrize("master_seed", [13, 2**32, 2**40 + 3, 2**64 - 1])
 def test_sweep_seeds_equal_per_row_derive_seeds(car_experiment, monkeypatch, master_seed):
     planned, _ = car_experiment
     grid, n_runs = [0.02, 0.05, 0.09, 0.11, 0.12], 7
-    monkeypatch.setattr(simulate, "_RUNS_PER_CALL", 2 * n_runs)
+    # Kernel calls of one row each; one hash pass covers two calls' seeds.
+    monkeypatch.setattr(simulate, "_RUNS_PER_CALL", n_runs)
+    monkeypatch.setattr(simulate, "_RUNS_PER_HASH", 2 * n_runs)
     calls = []
-    original = simulate.rollout_states
+    original = simulate._seed_words
 
-    def recorded(policy, epsilon, mode, seeds):
-        calls.append((mode, seeds.tolist()))
-        return original(policy, epsilon, mode, seeds)
+    def recorded(seeds):
+        calls.append(seeds.tolist())
+        return original(seeds)
 
-    monkeypatch.setattr(simulate, "rollout_states", recorded)
+    monkeypatch.setattr(simulate, "_seed_words", recorded)
     sweep_epsilon(planned.policy, grid, n_runs, master_seed)
     expected = []
-    for mode, tag in ((CLOSED_LOOP, 0), (OPEN_LOOP, 1)):
+    for tag in (0, 1):  # closed loop, then open loop
         for rows in ([0, 1], [2, 3], [4]):
             per_row = [derive_seeds(master_seed, (_CTX_SWEEP, i, tag), n_runs) for i in rows]
-            expected.append((mode, np.concatenate(per_row).tolist()))
+            expected.append(np.concatenate(per_row).tolist())
     assert calls == expected
 
 
@@ -421,7 +532,7 @@ def test_nmse_values_leaves_its_arguments_unchanged(car_experiment):
     planned, _ = car_experiment
     nominal = planned.policy.nominal
     before = nominal.states.copy()
-    states = rollout_states(planned.policy, 0.05, CLOSED_LOOP, _seeds(10))
+    states = seeded_states(planned.policy, 0.05, CLOSED_LOOP, _seeds(10))
     kept = states.copy()
     nmse_values(nominal, states)
     assert np.array_equal(states, kept)
@@ -435,12 +546,13 @@ def test_rollout_states_leaves_its_arguments_unchanged(car_experiment, mode):
     arguments = (policy.nominal.states, policy.nominal.controls, policy.gains)
     epsilon = np.linspace(0.0, 0.15, 12)
     seeds = np.array(_seeds(12), dtype=np.uint64)
-    before = [a.tobytes() for a in arguments + (epsilon, seeds)]
-    states = rollout_states(policy, epsilon, mode, seeds)
+    words = _seed_words(seeds)
+    before = [a.tobytes() for a in arguments + (epsilon, seeds, words)]
+    states = simulate._seeded_states(policy, epsilon, mode, words)
     # nmse_values sums each run's entries in memory order, so the layout is part of the result.
     assert states.shape == (12, policy.horizon + 1, policy.model.state_dim)
     assert states.flags.c_contiguous
-    assert [a.tobytes() for a in arguments + (epsilon, seeds)] == before
+    assert [a.tobytes() for a in arguments + (epsilon, seeds, words)] == before
 
 
 def test_monte_carlo_builds_no_seed_sequence_per_run(car_experiment, monkeypatch):
