@@ -5,7 +5,8 @@ that does not fit in memory included), 2 non-convergence or failed
 verification (artifacts still written) or a numerical failure such as a
 Riccati recursion that is not finite (nothing written), 3 I/O failure.
 All artifact files are byte-reproducible from (config, master seed, tool
-version); only the run manifest carries timestamps.
+version); only the run manifest carries timestamps and the run's stats
+(wall seconds per stage, planner iterations and milliseconds per iteration).
 """
 from __future__ import annotations
 
@@ -27,7 +28,13 @@ from .config import (
     load_config,
 )
 from .exceptions import ConfigError, NumericalFailure
-from .experiments import PlannedExperiment, plan_experiment, run_exit_study, run_sweep
+from .experiments import (
+    PlannedExperiment,
+    RunStats,
+    plan_experiment,
+    run_exit_study,
+    run_sweep,
+)
 from .simulate import CLOSED_LOOP, OPEN_LOOP
 from .verify import SUITE_NAMES, run_suites
 
@@ -65,9 +72,23 @@ def _matrix_stack_csv(prefix: str, stack) -> str:
     return _csv(header, [[t] + [float(v) for v in stack[t].ravel()] for t in range(len(stack))])
 
 
-def _write_outputs(outdir: str, config: ExperimentConfig, files: dict[str, str]) -> None:
-    """Write each {file name: text} entry into outdir, then manifest.json listing them all."""
-    os.makedirs(outdir, exist_ok=True)
+def _write_outputs(
+    outdir: str, config: ExperimentConfig, files: dict[str, str], stats: RunStats
+) -> None:
+    """Write each {file name: text} entry into outdir, then manifest.json listing them all.
+
+    The data files' writing counts in the "write" stage of ``stats``, which
+    the manifest then records.
+    """
+
+    def write(name: str, text: str) -> None:
+        with open(os.path.join(outdir, name), "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+
+    with stats.stage("write"):
+        os.makedirs(outdir, exist_ok=True)
+        for name, text in files.items():
+            write(name, text)
     manifest = {
         "config_hash": config_hash(config),
         "tool_version": __version__,
@@ -75,13 +96,14 @@ def _write_outputs(outdir: str, config: ExperimentConfig, files: dict[str, str])
         "master_seed": config.master_seed,
         "nmse_norm": "stacked_euclidean",
         "outputs": sorted([*files, "manifest.json"]),
+        "stats": stats.as_dict(),
     }
-    for name, text in [*files.items(), ("manifest.json", _json(manifest))]:
-        with open(os.path.join(outdir, name), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    write("manifest.json", _json(manifest))
 
 
-def _write_planned_outputs(outdir: str, planned: PlannedExperiment, files: dict[str, str]) -> int:
+def _write_planned_outputs(
+    outdir: str, planned: PlannedExperiment, files: dict[str, str], stats: RunStats
+) -> int:
     """Write a planning command's files and plan_report.json.
 
     Returns 2, after one stderr line, if the plan did not converge.
@@ -91,7 +113,7 @@ def _write_planned_outputs(outdir: str, planned: PlannedExperiment, files: dict[
         "config_hash": config_hash(planned.config),
         "tool_version": __version__,
     }
-    _write_outputs(outdir, planned.config, {**files, "plan_report.json": _json(plan_report)})
+    _write_outputs(outdir, planned.config, {**files, "plan_report.json": _json(plan_report)}, stats)
     report, tolerance = planned.report, planned.config.planner.tolerance
     if report.converged:
         return 0
@@ -113,30 +135,36 @@ def _load(args) -> ExperimentConfig:
 
 
 def cmd_plan(args) -> int:
-    planned = plan_experiment(_load(args))
+    stats = RunStats()
+    planned = plan_experiment(_load(args), stats)
     policy = planned.policy
     files = {
         "trajectory.csv": _trajectory_csv(policy.nominal),
         "gains.csv": _matrix_stack_csv("l", policy.gains),
         "riccati.csv": _matrix_stack_csv("p", policy.riccati),
     }
-    return _write_planned_outputs(args.out, planned, files)
+    return _write_planned_outputs(args.out, planned, files, stats)
 
 
 def cmd_sweep(args) -> int:
-    planned = plan_experiment(_load(args))
+    stats = RunStats()
+    planned = plan_experiment(_load(args), stats)
     grid = epsilon_grid(*FULL_GRID) if args.full_grid else None
+    with stats.stage("sweep"):
+        sweep_rows = run_sweep(planned, modes=_MODE_CHOICES[args.mode], grid=grid)
     header = ["epsilon", "avg_nmse_closed_pct", "avg_nmse_open_pct", "sd_closed", "sd_open", "n_runs"]
     rows = [
         [r.epsilon, r.avg_nmse_closed, r.avg_nmse_open, r.sd_closed, r.sd_open, r.n_runs]
-        for r in run_sweep(planned, modes=_MODE_CHOICES[args.mode], grid=grid)
+        for r in sweep_rows
     ]
-    return _write_planned_outputs(args.out, planned, {"sweep.csv": _csv(header, rows)})
+    return _write_planned_outputs(args.out, planned, {"sweep.csv": _csv(header, rows)}, stats)
 
 
 def cmd_ldp(args) -> int:
-    planned = plan_experiment(_load(args))
-    estimates, fit = run_exit_study(planned)
+    stats = RunStats()
+    planned = plan_experiment(_load(args), stats)
+    with stats.stage("ldp"):
+        estimates, fit = run_exit_study(planned)
     header = ["epsilon", "delta", "n_runs", "n_exits", "p_hat", "wilson_lo", "wilson_hi"]
     rows = [
         [e.epsilon, e.delta, e.n_runs, e.n_exits, e.p_hat, e.wilson_low, e.wilson_high]
@@ -147,12 +175,13 @@ def cmd_ldp(args) -> int:
         "ldp.csv": _csv(header, rows),
         "ratefit.json": _json({"fit": fit_dict, "delta": planned.config.ldp.delta}),
     }
-    return _write_planned_outputs(args.out, planned, files)
+    return _write_planned_outputs(args.out, planned, files, stats)
 
 
 def cmd_verify(args) -> int:
     config = _load(args)
-    reports = run_suites(config, args.suite)
+    stats = RunStats()
+    reports = run_suites(config, args.suite, stats)
     for report in reports:
         for check in report.checks:
             status = "PASS" if check.passed else "FAIL"
@@ -163,7 +192,7 @@ def cmd_verify(args) -> int:
     all_passed = all(r.passed for r in reports)
     if args.out:
         verify_report = {"passed": all_passed, "suites": [r.as_dict() for r in reports]}
-        _write_outputs(args.out, config, {"verify_report.json": _json(verify_report)})
+        _write_outputs(args.out, config, {"verify_report.json": _json(verify_report)}, stats)
     print(f"verify: {'all checks passed' if all_passed else 'CHECKS FAILED'}")
     return 0 if all_passed else 2
 

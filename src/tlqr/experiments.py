@@ -1,7 +1,10 @@
 """Wiring from experiment configurations to planned policies and studies."""
 from __future__ import annotations
 
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -39,23 +42,66 @@ class PlannedExperiment:
     policy: TrackingPolicy
 
 
-def plan_experiment(config: ExperimentConfig) -> PlannedExperiment:
-    """Optimize the nominal trajectory and synthesize the tracking policy."""
-    model = build_model(config)
-    p = config.planner
-    cost = goal_tracking_cost(
-        model, config.x_g, effort_weight=p.r_u, goal_weight=p.r_g, bound_weight=p.r_b
-    )
-    trajectory, report = optimize_nominal(
-        model,
-        cost,
-        np.asarray(config.x0),
-        horizon=config.horizon,
-        tolerance=p.tolerance,
-        max_iters=p.max_iters,
-    )
-    weights = LqrWeights(config.lqr.wx, config.lqr.wu)
-    policy = design_tracking_policy(model, trajectory, weights)
+class RunStats:
+    """Where one run's time went: wall seconds per stage, and the planner's work.
+
+    Stage seconds add up when a stage is entered again. ``as_dict`` is the
+    ``stats`` entry of the run manifest, the one output that depends on the
+    clock.
+    """
+
+    def __init__(self) -> None:
+        self.stage_seconds: dict[str, float] = {}
+        self.planner_iterations: int | None = None
+        self.planner_seconds = 0.0
+
+    @contextmanager
+    def stage(self, name: str) -> Iterator[None]:
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            elapsed = time.perf_counter() - start
+            self.stage_seconds[name] = self.stage_seconds.get(name, 0.0) + elapsed
+
+    def as_dict(self) -> dict:
+        out: dict = {"stage_s": dict(self.stage_seconds)}
+        iterations = self.planner_iterations
+        if iterations is not None:
+            out["planner"] = {
+                "iterations": iterations,
+                "seconds": self.planner_seconds,
+                "ms_per_iter": 1e3 * self.planner_seconds / iterations if iterations else 0.0,
+            }
+        return out
+
+
+def plan_experiment(config: ExperimentConfig, stats: RunStats | None = None) -> PlannedExperiment:
+    """Optimize the nominal trajectory and synthesize the tracking policy.
+
+    With ``stats``, records the "plan" stage and the planner's iterations and
+    wall seconds.
+    """
+    stats = RunStats() if stats is None else stats
+    with stats.stage("plan"):
+        model = build_model(config)
+        p = config.planner
+        cost = goal_tracking_cost(
+            model, config.x_g, effort_weight=p.r_u, goal_weight=p.r_g, bound_weight=p.r_b
+        )
+        start = time.perf_counter()
+        trajectory, report = optimize_nominal(
+            model,
+            cost,
+            np.asarray(config.x0),
+            horizon=config.horizon,
+            tolerance=p.tolerance,
+            max_iters=p.max_iters,
+        )
+        stats.planner_seconds = time.perf_counter() - start
+        stats.planner_iterations = report.iterations
+        weights = LqrWeights(config.lqr.wx, config.lqr.wu)
+        policy = design_tracking_policy(model, trajectory, weights)
     return PlannedExperiment(config=config, cost=cost, report=report, policy=policy)
 
 

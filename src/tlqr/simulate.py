@@ -17,8 +17,9 @@ buffer; the working copy is its one batch array. It runs a
 (``policy.model``): closed loop applies the clamped tracking law
 :func:`~tlqr.lqr.feedback_control` to the whole batch, so a run's states
 do not depend on its batch or the storage order and match a scalar per-run
-loop over the same law bit for bit. A sweep batch holds whole rows, up to
-``_RUNS_PER_CALL`` runs, and each run may carry its own epsilon.
+loop over the same law bit for bit. A sweep batch holds up to
+``_RUNS_PER_CALL`` runs, whole rows when they fit, and each run may carry
+its own epsilon.
 
 Seeding builds no ``SeedSequence`` per run. Two in-place hash passes run
 numpy's ``SeedSequence`` hash on uint32 entropy columns: ``_hash_seeds``
@@ -56,9 +57,9 @@ _CTX_LDP = 3  # one estimate per point of the exit study's epsilon grid
 _CTX_COST_ERROR = 4  # cost-error samples of the costerror suite
 _CTX_RECONSTRUCTION = 5  # noise draws of its sensitivity-form reconstruction check
 
-# Runs per kernel call in a sweep; whole epsilon rows only, so a row larger
-# than this is one call of its own. It bounds the kernel's two batch arrays
-# (the states buffer and its column-major working copy), not results.
+# Runs per kernel call in a sweep: whole epsilon rows when they fit, else
+# full calls that cut a row. It bounds the kernel's two batch arrays (the
+# states buffer and its column-major working copy) whatever ``n_runs`` is.
 _RUNS_PER_CALL = 500
 
 # Runs whose seeds and seed words one pair of hash passes derives in a sweep:
@@ -362,11 +363,13 @@ def sweep_epsilon(
     """Average NMSE per epsilon for closed- and/or open-loop execution.
 
     Returns one :class:`SweepRow` per grid point, in grid order, which the
-    grid check makes strictly increasing in epsilon. Per mode, whole rows of
-    ``n_runs`` runs share :func:`rollout_states` calls of up to
-    ``_RUNS_PER_CALL`` runs, and the seeds of up to ``_RUNS_PER_HASH`` runs
-    are hashed together; per-run seeds are derived from (master_seed, grid
-    index, run index, mode), so the rows do not depend on the packing.
+    grid check makes strictly increasing in epsilon. Per mode, the runs share
+    :func:`rollout_states` calls of up to ``_RUNS_PER_CALL`` runs (whole rows
+    of ``n_runs`` runs when they fit, else calls that cut a row), and the
+    seeds of up to ``_RUNS_PER_HASH`` runs are hashed together; per-run seeds
+    are derived from (master_seed, grid index, run index, mode), and a row's
+    values are gathered into one array before its mean and standard
+    deviation, so the rows do not depend on the packing.
     A planned trajectory of zero norm leaves the NMSE undefined and raises
     :class:`NumericalFailure`, and with ``OPEN_LOOP`` among the modes a
     nominal control sequence out of the model's bounds raises
@@ -389,22 +392,36 @@ def sweep_epsilon(
         policy.model.validate_control(policy.nominal.controls)
 
     stats = {m: np.full((len(grid), 2), np.nan) for m in (CLOSED_LOOP, OPEN_LOOP)}
-    rows_per_call = max(1, _RUNS_PER_CALL // n_runs)
-    rows_per_hash = rows_per_call * max(1, _RUNS_PER_HASH // (rows_per_call * n_runs))
+    # A mode's runs in (row, run) order, cut into calls of whole rows or, for
+    # rows larger than a call, into full calls that may span two rows.
+    if n_runs > _RUNS_PER_CALL:
+        call_runs = _RUNS_PER_CALL
+    else:
+        call_runs = n_runs * (_RUNS_PER_CALL // n_runs)
+    hash_runs = call_runs * max(1, _RUNS_PER_HASH // call_runs)
+    total = len(grid) * n_runs
+    row_vals = np.empty(n_runs)
     for mode in modes:
-        for first in range(0, len(grid), rows_per_hash):
-            last = min(first + rows_per_hash, len(grid))
-            row_index = np.arange(first, last, dtype=np.uint32)[:, None]
-            run_index = np.arange(n_runs, dtype=np.uint32)
-            seeds = _hash_seeds(master_seed, _CTX_SWEEP, row_index, _MODE_TAGS[mode], run_index)
-            words = _seed_words(seeds.ravel())
-            for start in range(first, last, rows_per_call):
-                rows = range(start, min(start + rows_per_call, last))
-                call_words = words[(rows.start - first) * n_runs : (rows.stop - first) * n_runs]
-                states = _seeded_states(policy, np.repeat(grid[rows], n_runs), mode, call_words)
+        for first in range(0, total, hash_runs):
+            count = min(hash_runs, total - first)
+            first_row, first_run = divmod(first, n_runs)
+            local = first_run + np.arange(count)
+            rows, runs = first_row + local // n_runs, local % n_runs
+            seeds = _hash_seeds(
+                master_seed, _CTX_SWEEP, rows.astype(np.uint32), _MODE_TAGS[mode], runs.astype(np.uint32)
+            )
+            words = _seed_words(seeds)
+            for start in range(first, first + count, call_runs):
+                stop = min(start + call_runs, first + count)
+                call = slice(start - first, stop - first)
+                states = _seeded_states(policy, grid[rows[call]], mode, words[call])
                 vals = nmse_values(policy.nominal, states)
-                for i, v in zip(rows, vals.reshape(-1, n_runs)):
-                    stats[mode][i] = v.mean(), v.std(ddof=1) if n_runs > 1 else 0.0
+                # Gather each row's values in one array; reduce it once its last run is in.
+                for i in range(start // n_runs, (stop - 1) // n_runs + 1):
+                    lo, hi = max(start, i * n_runs), min(stop, (i + 1) * n_runs)
+                    row_vals[lo - i * n_runs : hi - i * n_runs] = vals[lo - start : hi - start]
+                    if hi == (i + 1) * n_runs:
+                        stats[mode][i] = row_vals.mean(), row_vals.std(ddof=1) if n_runs > 1 else 0.0
     return tuple(
         SweepRow(
             epsilon=float(eps),

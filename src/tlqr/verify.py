@@ -41,7 +41,7 @@ from .error_analysis import (
     linear_deviations,
 )
 from .exceptions import ConfigError
-from .experiments import PlannedExperiment, plan_experiment, run_exit_study
+from .experiments import PlannedExperiment, RunStats, plan_experiment, run_exit_study
 from .large_deviations import ExitEstimate, action_functional, fit_rate
 from .lqr import LqrWeights, LtvSystem, closed_loop_matrices, riccati_backward
 from .planner import CostLinearization, linearize_cost
@@ -385,23 +385,29 @@ def ldp_suite(planned: PlannedExperiment) -> SuiteReport:
     return SuiteReport(suite="ldp", checks=checks)
 
 
-def run_suites(config, which: str) -> list[SuiteReport]:
-    """Run one named suite or all of them for a given configuration."""
+def run_suites(config, which: str, stats: RunStats | None = None) -> list[SuiteReport]:
+    """Run one named suite or all of them for a given configuration.
+
+    With ``stats``, records the plan (when a suite needs one) and one stage
+    per suite.
+    """
     if which != "all" and which not in SUITE_NAMES:
         choices = ", ".join(SUITE_NAMES + ("all",))
         raise ConfigError("--suite", f"unknown suite '{which}' (choose from {choices})")
+    stats = RunStats() if stats is None else stats
     names = SUITE_NAMES if which == "all" else (which,)
     planned = None
     if {"costerror", "ldp"} & set(names):
-        planned = plan_experiment(config)
+        planned = plan_experiment(config, stats)
     reports = []
     for name in names:
-        if name == "propagation":
-            reports.append(propagation_suite())
-        elif name == "riccati":
-            reports.append(riccati_suite())
-        elif name == "costerror":
-            reports.append(cost_error_suite(planned))
-        elif name == "ldp":
-            reports.append(ldp_suite(planned))
+        with stats.stage(name):
+            if name == "propagation":
+                reports.append(propagation_suite())
+            elif name == "riccati":
+                reports.append(riccati_suite())
+            elif name == "costerror":
+                reports.append(cost_error_suite(planned))
+            elif name == "ldp":
+                reports.append(ldp_suite(planned))
     return reports

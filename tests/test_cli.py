@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -243,6 +244,35 @@ def test_manifest_lists_exactly_the_files_written(config_path, tmp_path, command
     assert main(command + ["--config", config_path, "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert sorted(manifest["outputs"]) == sorted(p.name for p in out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command, stages",
+    [
+        (["plan"], {"plan", "write"}),
+        (["sweep"], {"plan", "sweep", "write"}),
+        (["ldp"], {"plan", "ldp", "write"}),
+        (["verify", "--suite", "ldp"], {"plan", "ldp", "write"}),
+        (["verify", "--suite", "riccati"], {"riccati", "write"}),
+    ],
+)
+def test_manifest_records_stage_seconds_and_planner_work(config_path, tmp_path, command, stages):
+    out = tmp_path / "out"
+    assert main(command + ["--config", config_path, "--out", str(out)]) == 0
+    stats = json.loads((out / "manifest.json").read_text())["stats"]
+    assert set(stats["stage_s"]) == stages
+    values = list(stats["stage_s"].values())
+    if "plan" in stages:
+        planner = stats["planner"]
+        assert set(planner) == {"iterations", "seconds", "ms_per_iter"}
+        assert isinstance(planner["iterations"], int)
+        if command[0] != "verify":
+            report = json.loads((out / "plan_report.json").read_text())
+            assert planner["iterations"] == report["iterations"]
+        values += planner.values()
+    else:
+        assert "planner" not in stats
+    assert all(math.isfinite(v) and v >= 0 for v in values)
 
 
 def test_verify_zero_controls_fails_variance_check(tmp_path, capsys):

@@ -504,6 +504,25 @@ def test_sweep_rows_independent_of_runs_per_call(car_experiment, monkeypatch):
             assert np.array_equal(sweep(), default)
 
 
+def test_sweep_cuts_rows_larger_than_a_kernel_call(car_experiment, monkeypatch):
+    """No kernel call takes more than ``_RUNS_PER_CALL`` runs, so memory does not grow with n_runs."""
+    planned, _ = car_experiment
+    grid, n_runs, budget = [0.02, 0.05, 0.09], 37, 16
+    whole_rows = sweep_epsilon(planned.policy, grid, n_runs, 13)
+    sizes = []
+    original = simulate.rollout_states
+
+    def recorded(policy, epsilon, mode, states):
+        sizes.append(len(states))
+        return original(policy, epsilon, mode, states)
+
+    monkeypatch.setattr(simulate, "rollout_states", recorded)
+    monkeypatch.setattr(simulate, "_RUNS_PER_CALL", budget)
+    assert sweep_epsilon(planned.policy, grid, n_runs, 13) == whole_rows
+    assert max(sizes) == budget
+    assert sum(sizes) == 2 * len(grid) * n_runs
+
+
 @pytest.mark.parametrize("master_seed", [13, 2**32, 2**40 + 3, 2**64 - 1])
 def test_sweep_seeds_equal_per_row_derive_seeds(car_experiment, monkeypatch, master_seed):
     planned, _ = car_experiment
