@@ -15,7 +15,7 @@ from .config import (
     load_config,
     parse_config,
 )
-from .dynamics import KinematicCar, LinearSystem, NominalTrajectory, SystemModel
+from .dynamics import KinematicCar, NominalTrajectory
 from .error_analysis import (
     CostErrorStats,
     cost_error_sensitivities,

@@ -13,7 +13,6 @@ A = I + dt * J_x, B = dt * J_u.
 """
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,107 +58,15 @@ class NominalTrajectory:
         return self.controls.shape[1]
 
 
-class SystemModel(ABC):
-    """Deterministic discrete-time transition map with Jacobian access.
-
-    All operations are pure functions of their arguments; instances are
-    immutable and safe to share across threads.
-    """
-
-    state_dim: int
-    control_dim: int
-
-    # -- raw evaluation (no bound checks); used by penalty-method planners
-    # that must evaluate candidate controls outside the admissible box.
-
-    @abstractmethod
-    def transition(self, x: Array, u: Array) -> Array:
-        """The map f(x, u) without control-bound enforcement.
-
-        Takes one state (n,) and control (m,) and returns (n,), or a batch of
-        N states (N, n) and controls (N, m) and returns (N, n); row i of a
-        batch result equals the single-state result for row i.
-        """
-
-    @abstractmethod
-    def transition_jacobians(self, x: Array, u: Array) -> tuple[Array, Array]:
-        """Jacobians (d f/d x, d f/d u) without control-bound enforcement.
-
-        Takes one state (n,) and control (m,) and returns (n, n) and (n, m),
-        or a batch of N states (N, n) and controls (N, m) and returns the
-        stacks (N, n, n) and (N, n, m); row i of a batch result equals the
-        single-pair result for row i, bit for bit.
-        """
-
-    def open_loop_states(self, x0: Array, controls: Array) -> Array:
-        """States (K+1, n) of x0 driven by controls (K, m) through the unchecked transition."""
-        states = np.empty((len(controls) + 1, self.state_dim))
-        states[0] = x0
-        for t, u in enumerate(controls):
-            states[t + 1] = self.transition(states[t], u)
-        return states
-
-    # -- bound handling; identity for unconstrained models.
-
-    def clamp_control(self, u: Array) -> Array:
-        """Project a control (m,) or a batch (N, m) onto the admissible set.
-
-        Identity by default.
-        """
-        return np.asarray(u, dtype=float)
-
-    def validate_control(self, u: Array) -> None:
-        """Raise :class:`BoundViolation` for out-of-bounds controls, (m,) or (N, m).
-
-        A batch reports its first offending row.
-        """
-
-    def control_bounds(self) -> Array | None:
-        """Per-component symmetric bound magnitudes, or None if unbounded."""
-        return None
-
-    # -- checked public surface.
-
-    def _check_dims(self, x: Array, u: Array) -> tuple[Array, Array]:
-        """x (n,) with u (m,), or x (N, n) with u (N, m), as float arrays."""
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        n, m = self.state_dim, self.control_dim
-        if x.ndim not in (1, 2) or x.shape[-1] != n:
-            raise ValueError(f"state has shape {x.shape}, expected ({n},) or (N, {n})")
-        if u.shape != x.shape[:-1] + (m,):
-            raise ValueError(f"control has shape {u.shape}, expected {x.shape[:-1] + (m,)}")
-        return x, u
-
-    def jacobians(self, x: Array, u: Array) -> tuple[Array, Array]:
-        """Jacobians of one pair or a batch, shaped as :meth:`transition_jacobians` returns them.
-
-        Validates the dimensions and, on every row, the smooth domain.
-        """
-        x, u = self._check_dims(x, u)
-        self._check_smooth_domain(u)
-        return self.transition_jacobians(x, u)
-
-    def _check_smooth_domain(self, u: Array) -> None:
-        """Raise :class:`DomainError` at singular points (none by default)."""
-
-    def rollout_nominal(self, x0: Array, controls: Array) -> NominalTrajectory:
-        """Propagate x0 through the given control sequence.
-
-        Returns K+1 states for K controls. The dimensions and the bounds of
-        every control are checked before :meth:`open_loop_states` runs.
-        """
-        controls = np.asarray(controls, dtype=float)
-        if controls.ndim != 2 or len(controls) == 0:
-            raise ValueError("controls must be a nonempty (K, n_u) array")
-        x0, _ = self._check_dims(x0, controls[0])
-        self.validate_control(controls)
-        return NominalTrajectory(states=self.open_loop_states(x0, controls), controls=controls)
-
-
 @dataclass(frozen=True, eq=False)
-class KinematicCar(SystemModel):
+class KinematicCar:
     """Car-like robot: state (x, y, theta), control (v, phi).
+
+    All methods are pure functions, and instances are immutable. The maps
+    take one state (n,) with a control (m,), or a batch (N, n) with (N, m);
+    row i of a batch result equals the single-pair result, bit for bit.
+    ``transition``, ``transition_jacobians`` and ``open_loop_states`` skip
+    the bound checks, as the planner's penalty method needs.
 
     Controls are bounded by |v| <= v_max and |phi| < phi_max; the heading
     rate tan(phi)/L is singular at |phi| = phi_max when phi_max = pi/2.
@@ -175,12 +82,13 @@ class KinematicCar(SystemModel):
     control_dim: int = field(default=2, init=False, repr=False)
 
     def __post_init__(self):
-        if self.wheelbase <= 0:
-            raise ValueError("wheelbase must be positive")
-        if self.step_period < 0:
-            raise ValueError("step_period must be nonnegative")
-        if self.v_max <= 0:
-            raise ValueError("v_max must be positive")
+        # Negated comparisons, so that NaN fails too.
+        if not 0 < self.wheelbase < np.inf:
+            raise ValueError("wheelbase must be positive and finite")
+        if not 0 <= self.step_period < np.inf:
+            raise ValueError("step_period must be nonnegative and finite")
+        if not 0 < self.v_max < np.inf:
+            raise ValueError("v_max must be positive and finite")
         if not 0 < self.phi_max <= np.pi / 2:
             raise ValueError("phi_max must lie in (0, pi/2]")
 
@@ -244,6 +152,7 @@ class KinematicCar(SystemModel):
         ).T
 
     def validate_control(self, u: Array) -> None:
+        """Raise :class:`BoundViolation` on (m,) or (N, m); a batch reports its first bad row."""
         u = np.atleast_2d(u)
         bad = (np.abs(u[:, 0]) > self.v_max) | (np.abs(u[:, 1]) >= self.phi_max)
         if np.any(bad):
@@ -255,7 +164,20 @@ class KinematicCar(SystemModel):
     def control_bounds(self) -> Array:
         return np.array([self.v_max, self.phi_max])
 
-    def _check_smooth_domain(self, u: Array) -> None:
+    def _check_dims(self, x: Array, u: Array) -> tuple[Array, Array]:
+        """x (n,) with u (m,), or x (N, n) with u (N, m), as float arrays."""
+        x = np.asarray(x, dtype=float)
+        u = np.asarray(u, dtype=float)
+        n, m = self.state_dim, self.control_dim
+        if x.ndim not in (1, 2) or x.shape[-1] != n:
+            raise ValueError(f"state has shape {x.shape}, expected ({n},) or (N, {n})")
+        if u.shape != x.shape[:-1] + (m,):
+            raise ValueError(f"control has shape {u.shape}, expected {x.shape[:-1] + (m,)}")
+        return x, u
+
+    def jacobians(self, x: Array, u: Array) -> tuple[Array, Array]:
+        """:meth:`transition_jacobians` after checking the dimensions and the smooth domain."""
+        x, u = self._check_dims(x, u)
         phi = np.atleast_1d(u[..., 1])
         singular = phi[np.abs(phi) >= self.phi_max]
         if len(singular):
@@ -263,32 +185,17 @@ class KinematicCar(SystemModel):
                 f"heading-rate map is singular at |phi| >= phi_max ({self.phi_max:.6g}); "
                 f"got phi = {singular[0]:.6g}"
             )
+        return self.transition_jacobians(x, u)
 
+    def rollout_nominal(self, x0: Array, controls: Array) -> NominalTrajectory:
+        """Propagate x0 through the given control sequence.
 
-@dataclass(frozen=True, eq=False)
-class LinearSystem(SystemModel):
-    """Unconstrained linear model x_{t+1} = A x_t + B u_t, mainly for tests."""
-
-    a: Array
-    b: Array
-
-    def __post_init__(self):
-        a = np.atleast_2d(np.asarray(self.a, dtype=float))
-        b = np.atleast_2d(np.asarray(self.b, dtype=float))
-        if a.shape[0] != a.shape[1]:
-            raise ValueError("A must be square")
-        if b.shape[0] != a.shape[0]:
-            raise ValueError("B row count must match A")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "state_dim", a.shape[0])
-        object.__setattr__(self, "control_dim", b.shape[1])
-
-    def transition(self, x: Array, u: Array) -> Array:
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        return (self.a @ x.T).T + (self.b @ u.T).T
-
-    def transition_jacobians(self, x: Array, u: Array) -> tuple[Array, Array]:
-        reps = np.shape(x)[:-1] + (1, 1)
-        return np.tile(self.a, reps), np.tile(self.b, reps)
+        Returns K+1 states for K controls. The dimensions and the bounds of
+        every control are checked before :meth:`open_loop_states` runs.
+        """
+        controls = np.asarray(controls, dtype=float)
+        if controls.ndim != 2 or len(controls) == 0:
+            raise ValueError("controls must be a nonempty (K, n_u) array")
+        x0, _ = self._check_dims(x0, controls[0])
+        self.validate_control(controls)
+        return NominalTrajectory(states=self.open_loop_states(x0, controls), controls=controls)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Array, NominalTrajectory, SystemModel
+from .dynamics import Array, KinematicCar, NominalTrajectory
 from .exceptions import NumericalFailure
 
 
@@ -105,7 +105,7 @@ class TrackingPolicy:
     gains: Array
     riccati: Array
     closed_loop: Array
-    model: SystemModel
+    model: KinematicCar
 
     def __post_init__(self):
         k = self.nominal.horizon
@@ -125,7 +125,7 @@ class TrackingPolicy:
         return self.nominal.horizon
 
 
-def linearize_along(model: SystemModel, nominal: NominalTrajectory) -> LtvSystem:
+def linearize_along(model: KinematicCar, nominal: NominalTrajectory) -> LtvSystem:
     """Jacobians of the transition map at every nominal (state, control) pair."""
     a, b = model.jacobians(nominal.states[:-1], nominal.controls)
     return LtvSystem(a=a, b=b)
@@ -183,7 +183,7 @@ def closed_loop_matrices(sys: LtvSystem, gains: Array) -> Array:
 
 
 def design_tracking_policy(
-    model: SystemModel, nominal: NominalTrajectory, weights: LqrWeights
+    model: KinematicCar, nominal: NominalTrajectory, weights: LqrWeights
 ) -> TrackingPolicy:
     """Linearize along the nominal and synthesize the tracking gains."""
     sys = linearize_along(model, nominal)

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import Array, NominalTrajectory, SystemModel
+from .dynamics import Array, KinematicCar, NominalTrajectory
 from .exceptions import NumericalFailure
 
 ARMIJO_C1 = 1e-4
@@ -48,8 +48,8 @@ class GoalCost:
     """Quadratic effort + hinge bound penalty per stage, quadratic goal penalty at the end.
 
     ``stage(u)`` is effort_weight |u|^2 + bound_weight sum_i max(0, |u_i| - b_i)^2
-    against the symmetric control bounds b (None: no bound term), a C^1
-    function of u. ``terminal(x)`` is goal_weight (x - goal)' diag(w) (x - goal)
+    against the symmetric control bounds b, a C^1 function of u.
+    ``terminal(x)`` is goal_weight (x - goal)' diag(w) (x - goal)
     with w = ``terminal_weights``. The planner reports its terminal errors
     against ``goal``.
     """
@@ -58,13 +58,13 @@ class GoalCost:
     effort_weight: float
     goal_weight: float
     bound_weight: float
-    bounds: Optional[Array]
+    bounds: Array
     terminal_weights: Array
 
     def stage(self, u: Array) -> float | Array:
         """Stage cost of one control (m,), or the (K,) row costs of a batch (K, m)."""
         value = self.effort_weight * _squared_norms(u)
-        if self.bounds is not None and self.bound_weight > 0:
+        if self.bound_weight > 0:
             hinge = np.maximum(0.0, np.abs(u) - self.bounds)
             value = value + self.bound_weight * _squared_norms(hinge)
         return value
@@ -72,7 +72,7 @@ class GoalCost:
     def stage_grad(self, u: Array) -> Array:
         """Gradient (m,) of the stage cost at one control, or (K, m) at each row of a batch."""
         grad = 2.0 * self.effort_weight * u
-        if self.bounds is not None and self.bound_weight > 0:
+        if self.bound_weight > 0:
             hinge = np.maximum(0.0, np.abs(u) - self.bounds)
             grad = grad + 2.0 * self.bound_weight * hinge * np.sign(u)
         return grad
@@ -164,7 +164,7 @@ class PlannerReport:
 
 
 def goal_tracking_cost(
-    model: SystemModel,
+    model: KinematicCar,
     x_g: Array,
     effort_weight: float = 0.1,
     goal_weight: float = 100.0,
@@ -206,7 +206,7 @@ def nominal_cost(cost: GoalCost, states: Array, controls: Array) -> float:
     return float(total + cost.terminal(states[-1]))
 
 
-def cost_gradient(model: SystemModel, cost: GoalCost, states: Array, controls: Array) -> Array:
+def cost_gradient(model: KinematicCar, cost: GoalCost, states: Array, controls: Array) -> Array:
     """Gradient of nominal_cost with respect to each control along a rollout.
 
     lam = adjoint_sweep(dc_K/dx, None, A_t) and g_t = dc_t/du + B_t^T lam_{t+1},
@@ -245,7 +245,7 @@ def _wrap_angle(a: float) -> float:
 
 
 def optimize_nominal(
-    model: SystemModel,
+    model: KinematicCar,
     cost: GoalCost,
     x0: Array,
     horizon: int,
@@ -264,6 +264,8 @@ def optimize_nominal(
     x0 = np.asarray(x0, dtype=float)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    if x0.shape != (model.state_dim,):
+        raise ValueError(f"initial state has shape {x0.shape}, expected ({model.state_dim},)")
     k, n_u = horizon, model.control_dim
 
     def value(z: Array) -> tuple[float, Array]:
@@ -332,11 +334,8 @@ def optimize_nominal(
         controls = best_z.reshape(k, n_u)
         gradient_norm = _norm(grad(best_z, best_states))
 
-    bounds = model.control_bounds()
-    max_violation = 0.0
-    if bounds is not None:
-        max_violation = float(np.max(np.maximum(0.0, np.abs(controls) - bounds)))
-        controls = model.clamp_control(controls)
+    max_violation = float(np.max(np.maximum(0.0, np.abs(controls) - model.control_bounds())))
+    controls = model.clamp_control(controls)
 
     trajectory = model.rollout_nominal(x0, controls)
     final_cost = nominal_cost(cost, trajectory.states, trajectory.controls)

@@ -1,11 +1,57 @@
 import time
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from tlqr import LqrWeights, LtvSystem, default_config, plan_experiment, run_sweep
+from tlqr import LqrWeights, LtvSystem, NominalTrajectory, default_config, plan_experiment, run_sweep
 from tlqr.simulate import _seed_words, _seeded_states
 from tlqr.verify import _random_ltv_arrays
+
+
+@dataclass(frozen=True, eq=False)
+class LinearSystem:
+    """Unbounded plant x_{t+1} = A x_t + B u_t with the car's surface (``test_plant_interface``)."""
+
+    a: np.ndarray
+    b: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "a", np.atleast_2d(np.asarray(self.a, dtype=float)))
+        object.__setattr__(self, "b", np.atleast_2d(np.asarray(self.b, dtype=float)))
+        object.__setattr__(self, "state_dim", self.a.shape[0])
+        object.__setattr__(self, "control_dim", self.b.shape[1])
+
+    def transition(self, x, u):
+        x = np.asarray(x, dtype=float)
+        u = np.asarray(u, dtype=float)
+        return (self.a @ x.T).T + (self.b @ u.T).T
+
+    def transition_jacobians(self, x, u):
+        reps = np.shape(x)[:-1] + (1, 1)
+        return np.tile(self.a, reps), np.tile(self.b, reps)
+
+    jacobians = transition_jacobians
+
+    def open_loop_states(self, x0, controls):
+        states = np.empty((len(controls) + 1, self.state_dim))
+        states[0] = x0
+        for t, u in enumerate(controls):
+            states[t + 1] = self.transition(states[t], u)
+        return states
+
+    def rollout_nominal(self, x0, controls):
+        controls = np.asarray(controls, dtype=float)
+        return NominalTrajectory(states=self.open_loop_states(x0, controls), controls=controls)
+
+    def clamp_control(self, u):
+        return np.asarray(u, dtype=float)
+
+    def validate_control(self, u):
+        pass
+
+    def control_bounds(self):
+        return np.full(self.control_dim, np.inf)
 
 
 def seeded_states(policy, epsilon, mode, seeds):

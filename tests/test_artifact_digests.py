@@ -3,15 +3,16 @@
 The recorded digests cover ``plan``, ``sweep --full-grid --mode both``,
 ``ldp`` and ``verify --suite all --out`` (``tests/data/make_digests.py``).
 They hold for one tool version: a release that changes numbers on purpose
-bumps the version and rewrites the file, and until then this test skips.
-A numpy upgrade that moves bits fails here, by design.
+bumps the version and rewrites the file in the same change, so a version
+that differs from the recorded one fails here, as a skip would switch the
+byte gate off unnoticed. A numpy upgrade that moves bits fails here, by
+design.
 """
 import importlib.util
 import json
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 import tlqr
 
@@ -24,8 +25,9 @@ RECORDED = json.loads(make_digests.PATH.read_text(encoding="utf-8"))
 
 
 def test_master_seed_artifacts_match_recorded_digests():
-    if tlqr.__version__ != RECORDED["tool_version"]:
-        pytest.skip(f"digests recorded for tlqr {RECORDED['tool_version']}, not {tlqr.__version__}")
+    assert tlqr.__version__ == RECORDED["tool_version"], (
+        f"digests recorded for tlqr {RECORDED['tool_version']}, not {tlqr.__version__}"
+    )
     seed = RECORDED["master_seed"]
     diff = make_digests.differences(
         RECORDED["seeds"][str(seed)], make_digests.artifact_digests(seed)

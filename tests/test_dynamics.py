@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from tlqr import BoundViolation, DomainError, KinematicCar, LinearSystem
+from conftest import LinearSystem
+from tlqr import BoundViolation, DomainError, KinematicCar
 
 CAR = KinematicCar(wheelbase=0.5, step_period=0.7, v_max=0.6, phi_max=np.pi / 2)
 X0 = np.array([-1.5, 0.5, 0.0])
@@ -224,7 +225,8 @@ def test_transition_batch_rows_equal_single_calls(model):
 
 
 def test_invalid_model_parameters():
-    with pytest.raises(ValueError):
-        KinematicCar(wheelbase=0.0)
-    with pytest.raises(ValueError):
-        KinematicCar(phi_max=2.0)
+    bad = [("wheelbase", 0.0), ("phi_max", 2.0), ("phi_max", np.nan)]
+    bad += [(name, x) for name in ("wheelbase", "step_period", "v_max") for x in (np.nan, np.inf)]
+    for name, value in bad:
+        with pytest.raises(ValueError):
+            KinematicCar(**{name: value})

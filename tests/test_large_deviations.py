@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 import tlqr.large_deviations as large_deviations
-from conftest import seeded_states
+from conftest import LinearSystem, seeded_states
 from tlqr import (
     CLOSED_LOOP,
     InsufficientData,
-    LinearSystem,
     NominalTrajectory,
     TrackingPolicy,
     action_functional,

@@ -5,7 +5,6 @@ import pytest
 
 from tlqr import (
     KinematicCar,
-    LinearSystem,
     LqrWeights,
     LtvSystem,
     NominalTrajectory,
@@ -18,7 +17,7 @@ from tlqr import (
     riccati_backward,
 )
 import tlqr.verify as verify
-from conftest import random_ltv_instance
+from conftest import LinearSystem, random_ltv_instance
 from tlqr.verify import _padded_riccati, simulated_quadratic_cost, value_identity_error
 
 CAR = KinematicCar()

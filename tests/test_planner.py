@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import LinearSystem
 from tlqr import (
     KinematicCar,
-    LinearSystem,
     NumericalFailure,
     cost_gradient,
     default_config,
@@ -348,3 +348,13 @@ def test_horizon_validation():
     cost = goal_tracking_cost(CAR, X_GOAL)
     with pytest.raises(ValueError, match="horizon"):
         optimize_nominal(CAR, cost, X0, horizon=0)
+
+
+@pytest.mark.parametrize("x0", [[-1.5], [[-1.5, 0.5, 0.0]]], ids=["scalar", "row"])
+def test_initial_state_checked_before_the_search(monkeypatch, x0):
+    cost = goal_tracking_cost(CAR, X_GOAL)
+    calls = []
+    monkeypatch.setattr(planner, "nominal_cost", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=r"initial state has shape .*, expected \(3,\)"):
+        optimize_nominal(CAR, cost, x0, horizon=20)
+    assert calls == []

@@ -9,19 +9,22 @@ field as an attribute read. A class whose instances the package passes to
 from an annotation of its name, or from the return annotation of the call
 that assigned it. The match is by name, not by type, so a method or field
 is covered by any attribute of the same name.
+
+With no plant base class in the package, ``test_plant_interface`` keeps the
+tests' linear plant honest: it has every attribute that the modules taking
+a plant read off it, as the car does.
 """
 import ast
 from collections import defaultdict
 from pathlib import Path
 
 import tlqr
+from conftest import LinearSystem
 
 SOURCES = sorted(p for p in Path(tlqr.__file__).parent.glob("*.py") if p.name != "__init__.py")
-
-# Names kept without a caller in the package, each with its reason.
-ALLOWED = {
-    "dynamics.LinearSystem": "test model",
-}
+# The modules that take a plant as ``model`` (in config and experiments that
+# name is a ModelConfig).
+PLANT_USERS = ("large_deviations", "lqr", "planner", "simulate")
 
 
 def _public(name: str) -> bool:
@@ -124,7 +127,20 @@ def unreferenced_names() -> list[str]:
 
 def test_every_public_name_has_a_caller():
     unreferenced = unreferenced_names()
-    missing = [name for name in unreferenced if name not in ALLOWED]
-    assert missing == [], f"public names with no caller in the package: {missing}"
-    stale = sorted(set(ALLOWED) - set(unreferenced))
-    assert stale == [], f"allowlisted names that now have a caller or are gone: {stale}"
+    assert unreferenced == [], f"public names with no caller in the package: {unreferenced}"
+
+
+def test_plant_interface():
+    """Both plants have every attribute the plant users read off ``model`` or ``<x>.model``."""
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in SOURCES if p.stem in PLANT_USERS]
+    used = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and _last_name(node.value) == "model"
+    }
+    # An empty set (the plant renamed away from ``model``) would pass vacuously.
+    assert {"jacobians", "open_loop_states", "transition", "validate_control"} <= used
+    for plant in (tlqr.KinematicCar(), LinearSystem(a=[[1.0]], b=[[1.0]])):
+        missing = sorted(name for name in used if not hasattr(plant, name))
+        assert missing == [], f"{type(plant).__name__} lacks {missing}"

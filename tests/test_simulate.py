@@ -8,7 +8,6 @@ from tlqr import (
     CLOSED_LOOP,
     OPEN_LOOP,
     BoundViolation,
-    LinearSystem,
     LqrWeights,
     NominalTrajectory,
     TrackingPolicy,
@@ -23,7 +22,7 @@ from tlqr import (
     rollout_states,
     sweep_epsilon,
 )
-from conftest import seeded_states
+from conftest import LinearSystem, seeded_states
 from tlqr import simulate
 from tlqr.config import FULL_GRID, epsilon_grid
 from tlqr.simulate import _CTX_SWEEP, _seed_words, _seed_words_type, _standard_normals
