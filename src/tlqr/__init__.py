@@ -70,7 +70,6 @@ from .simulate import (
     OPEN_LOOP,
     SweepRow,
     derive_seed,
-    derive_seeds,
     nmse_values,
     noise_scale,
     noise_sigma,

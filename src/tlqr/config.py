@@ -22,9 +22,10 @@ from .simulate import MAX_RUNS
 # Fine sweep grid: 0.001 .. 0.1501 in steps of 0.001.
 FULL_GRID = (0.001, 0.001, 0.1501)
 
-# Longest horizon whose arrays numpy can describe: a Monte Carlo batch of
-# MAX_RUNS runs holds (MAX_RUNS, K+1, 3) float64 states, and numpy refuses
-# an array of more than intp-max bytes with a ValueError, not a MemoryError.
+# Longest horizon, a conservative cap: (MAX_RUNS, K+1, 3) float64 states
+# would still fit numpy's intp-max bytes. No batch holds MAX_RUNS runs (the
+# Monte Carlo driver steps at most a few thousand per kernel call), but the
+# cap keeps every per-call array far inside what numpy can describe.
 MAX_HORIZON = np.iinfo(np.intp).max // (MAX_RUNS * 3 * 8) - 1
 
 

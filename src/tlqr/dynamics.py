@@ -154,10 +154,11 @@ class KinematicCar:
     def validate_control(self, u: Array) -> None:
         """Raise :class:`BoundViolation` on (m,) or (N, m); a batch reports its first bad row."""
         u = np.atleast_2d(u)
-        bad = (np.abs(u[:, 0]) > self.v_max) | (np.abs(u[:, 1]) >= self.phi_max)
+        # Negated comparisons, so that NaN fails too.
+        bad = ~(np.abs(u[:, 0]) <= self.v_max) | ~(np.abs(u[:, 1]) < self.phi_max)
         if np.any(bad):
             v, phi = u[np.argmax(bad)]
-            if abs(v) > self.v_max:
+            if not abs(v) <= self.v_max:
                 raise BoundViolation("v", float(v), self.v_max)
             raise BoundViolation("phi", float(phi), self.phi_max)
 

@@ -26,14 +26,7 @@ from ._stats import linear_fit, wilson_interval
 from .dynamics import Array
 from .exceptions import InsufficientData
 from .lqr import TrackingPolicy, feedback_control
-from .simulate import (
-    _CTX_EXIT,
-    CLOSED_LOOP,
-    _seed_words,
-    _seeded_states,
-    derive_seeds,
-    noise_sigma,
-)
+from .simulate import _CTX_EXIT, CLOSED_LOOP, noise_sigma, seeded_runs
 
 # Most runs of one estimate stepped in one kernel call; it bounds the
 # estimate's batch arrays. The configured 2,000-run estimates are one call.
@@ -56,7 +49,7 @@ def action_functional(policy: TrackingPolicy, path: Array, epsilon: float) -> fl
     path = np.atleast_2d(np.asarray(path, dtype=float))
     if len(path) < 2:
         raise ValueError("path needs at least two points")
-    if epsilon <= 0:
+    if not epsilon > 0:  # negated, so that NaN fails too
         raise ValueError("epsilon must be positive")
     controls = np.array([feedback_control(policy, t, x) for t, x in enumerate(path[:-1])])
     resid = path[1:] - policy.model.transition(path[:-1], controls)
@@ -90,20 +83,16 @@ def estimate_exit_probability(
     """Fraction of closed-loop runs whose deviation ever exceeds delta.
 
     A run exits when max_{s <= K} |x_s - x_nom_s| > delta
-    (Euclidean norm on the full state). Runs step together through
-    :func:`~tlqr.simulate.rollout_states`, up to ``_RUNS_PER_CALL`` at a
-    time. Per-run seeds derive from the given seed, so estimates with the
+    (Euclidean norm on the full state). Runs go through
+    :func:`~tlqr.simulate.seeded_runs`, up to ``_RUNS_PER_CALL`` per kernel
+    call. Per-run seeds derive from the given seed, so estimates with the
     same seed share trajectories exactly.
     """
-    if delta <= 0:
+    if not delta > 0:  # negated, so that NaN fails too
         raise ValueError("delta must be positive")
-    if n_runs < 1:
-        raise ValueError("n_runs must be >= 1")
     exits = 0
-    for first in range(0, n_runs, _RUNS_PER_CALL):
-        count = min(_RUNS_PER_CALL, n_runs - first)
-        words = _seed_words(derive_seeds(seed, (_CTX_EXIT,), count, first))
-        states = _seeded_states(policy, epsilon, CLOSED_LOOP, words)
+    key = (seed, _CTX_EXIT)
+    for _, states in seeded_runs(policy, CLOSED_LOOP, [epsilon], n_runs, key, _RUNS_PER_CALL):
         dev = np.linalg.norm(states - policy.nominal.states, axis=2)
         exits += int(np.count_nonzero(dev.max(axis=1) > delta))
     p_hat = exits / n_runs

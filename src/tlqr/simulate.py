@@ -5,8 +5,10 @@ sigma_j = epsilon_j * max_t |u_nom_t|_2 (:func:`noise_sigma`) and z_j the
 standard normals of the stream seeded by (master seed, tags..., j), so
 results are bit-reproducible and do not depend on how runs are grouped.
 
-Every Monte Carlo study draws its normals, then steps them through one
-batched kernel, :func:`rollout_states`. The kernel takes a caller-owned
+Every Monte Carlo study runs through one driver, :func:`seeded_runs`: it
+seeds the study's runs, draws their normals and steps them through one
+batched kernel, :func:`rollout_states`, yielding the states of each kernel
+call for the caller to reduce. The kernel takes a caller-owned
 C-contiguous (N, K+1, n) states buffer whose future rows hold the normals
 and steps it in place, so there is no separate noise array; callers may
 feed it any normals (zeros, impulses, shifted or shared draws). It steps
@@ -17,28 +19,27 @@ buffer; the working copy is its one batch array. It runs a
 (``policy.model``): closed loop applies the clamped tracking law
 :func:`~tlqr.lqr.feedback_control` to the whole batch, so a run's states
 do not depend on its batch or the storage order and match a scalar per-run
-loop over the same law bit for bit. A sweep batch holds up to
-``_RUNS_PER_CALL`` runs, whole rows when they fit, and each run may carry
-its own epsilon.
+loop over the same law bit for bit. A driver call holds up to the
+caller's call size of runs, whole rows when they fit, and each run may
+carry its own epsilon.
 
 Seeding builds no ``SeedSequence`` per run. Two in-place hash passes run
 numpy's ``SeedSequence`` hash on uint32 entropy columns: ``_hash_seeds``
-gives each run's 64-bit seed (:func:`derive_seeds` and the sweep, whose
-row index is one more column), and ``_seed_words`` hashes those seeds into
-their four PCG64 seed words. A sweep hashes the seeds of several kernel
-calls, up to ``_RUNS_PER_HASH`` runs, in one pair of passes. The draw,
-``_standard_normals``, then builds one ``PCG64`` and one ``Generator``
-per run on its row of words, so numpy's own PCG64 seeding runs in C. Run
-j's stream is bit-identical to ``default_rng(seeds[j])``;
-:func:`derive_seed` and ``default_rng`` stay as the oracle
-(``tests/test_simulate.py``).
+gives each run's 64-bit seed from the study's key and the run index, and
+``_seed_words`` hashes those seeds into their four PCG64 seed words. The
+driver hashes the seeds of several kernel calls, up to ``_RUNS_PER_HASH``
+runs, in one pair of passes. The draw, ``_standard_normals``, then builds
+one ``PCG64`` and one ``Generator`` per run on its row of words, so
+numpy's own PCG64 seeding runs in C. Run j's stream is bit-identical to
+``default_rng(seeds[j])``; :func:`derive_seed` and ``default_rng`` stay as
+the oracle (``tests/test_simulate.py``).
 """
 from __future__ import annotations
 
 import functools
 import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -57,19 +58,19 @@ _CTX_LDP = 3  # one estimate per point of the exit study's epsilon grid
 _CTX_COST_ERROR = 4  # cost-error samples of the costerror suite
 _CTX_RECONSTRUCTION = 5  # noise draws of its sensitivity-form reconstruction check
 
-# Runs per kernel call in a sweep: whole epsilon rows when they fit, else
-# full calls that cut a row. It bounds the kernel's two batch arrays (the
-# states buffer and its column-major working copy) whatever ``n_runs`` is.
+# Runs per kernel call in a sweep. It bounds the kernel's two batch arrays
+# (the states buffer and its column-major working copy) whatever ``n_runs``
+# is; larger calls raised the full-grid sweep's peak memory.
 _RUNS_PER_CALL = 500
 
-# Runs whose seeds and seed words one pair of hash passes derives in a sweep:
-# whole kernel calls, at least one. Each pass costs about 150 small array
-# operations whatever its size, and the group's (runs, 4) words stay alive
-# while its calls run: repeated sweeps peaked as high at 2,500 runs as at
-# one hash per call, and higher from 5,000 runs on.
+# Runs whose seeds and seed words one pair of hash passes derives in
+# seeded_runs: whole kernel calls, at least one. Each pass costs about 150
+# small array operations whatever its size, and the group's (runs, 4) words
+# stay alive while its calls run: repeated sweeps peaked as high at 2,500
+# runs as at one hash per call, and higher from 5,000 runs on.
 _RUNS_PER_HASH = 2500
 
-# Most runs one derive_seeds call can number: run indices fill one uint32 word.
+# Most runs per row of seeded_runs: run indices fill one uint32 word.
 MAX_RUNS = 2**32
 
 # numpy's SeedSequence (after O'Neill's seed_seq_fe): a pool of four uint32
@@ -178,37 +179,14 @@ def _hash_seeds(*values: int | Array) -> Array:
     return _seed_state(entropy, 1)[..., 0]
 
 
-def derive_seeds(master_seed: int, tags: Sequence[int], n: int, first: int = 0) -> Array:
-    """``[derive_seed(master_seed, *tags, j) for j in range(first, first + n)]`` as a uint64 array.
-
-    Bit for bit, without a ``SeedSequence`` per run. Run indices must fit one
-    32-bit word, so first + n <= ``MAX_RUNS``.
-    """
-    if not (0 <= first and 0 <= n and first + n <= MAX_RUNS):
-        raise ValueError(f"first + n must lie in [0, {MAX_RUNS}]")
-    return _hash_seeds(master_seed, *tags, np.arange(first, first + n, dtype=np.uint32))
-
-
-def _seed_array(seeds: Sequence[int]) -> Array:
-    """Seeds as a 1-D uint64 array; a seed outside [0, 2**64) raises ``ValueError``."""
-    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64:
-        if seeds.ndim != 1:
-            raise ValueError("seeds must be one-dimensional")
-        return seeds
-    values = [operator.index(s) for s in seeds]
-    if not all(0 <= s < 2**64 for s in values):
-        raise ValueError("seeds must lie in [0, 2**64)")
-    return np.array(values, dtype=np.uint64)
-
-
-def _seed_words(seeds: Sequence[int]) -> Array:
+def _seed_words(seeds: Array) -> Array:
     """(N, 4) uint64 array whose row j is the PCG64 seed words of ``default_rng(seeds[j])``.
 
-    A seed's SeedSequence entropy is its low word, then its high word unless
-    that is zero; a zero high word hashes as the pool's zero padding, so one
-    hash pass serves every seed.
+    ``seeds`` is a 1-D uint64 array, as :func:`_hash_seeds` returns. A seed's
+    SeedSequence entropy is its low word, then its high word unless that is
+    zero; a zero high word hashes as the pool's zero padding, so one hash
+    pass serves every seed.
     """
-    seeds = _seed_array(seeds)
     return _seed_state([seeds.astype(np.uint32), (seeds >> 32).astype(np.uint32)], 4)
 
 
@@ -262,7 +240,7 @@ def noise_scale(controls: Array) -> float:
 
 def noise_sigma(policy: TrackingPolicy, epsilon: float | Array) -> float | Array:
     """Noise standard deviation epsilon * ``noise_scale(u_nom)``, for one epsilon or one per run."""
-    if np.any(np.asarray(epsilon) < 0):
+    if not np.all(np.asarray(epsilon) >= 0):  # negated, so that NaN fails too
         raise ValueError("epsilon must be nonnegative")
     return epsilon * noise_scale(policy.nominal.controls)
 
@@ -308,18 +286,45 @@ def rollout_states(
     states[:] = cols.transpose(2, 0, 1)
 
 
-def _seeded_states(
-    policy: TrackingPolicy, epsilon: float | Array, mode: str, words: Array
-) -> Array:
-    """States (N, K+1, n) of the runs seeded by the rows of ``words``: draw, then step.
+def seeded_runs(
+    policy: TrackingPolicy,
+    mode: str,
+    epsilons: Sequence[float],
+    n_runs: int,
+    key: Sequence[int | Array],
+    call_runs: int,
+) -> Iterator[tuple[int, Array]]:
+    """Seed, draw and step ``n_runs`` runs per row; yield (first run index, states) per kernel call.
 
-    ``words`` comes from :func:`_seed_words`. The normals are drawn straight
-    into the future states, so there is no separate noise array.
+    Row i has epsilon ``epsilons[i]``, and its run j draws the normals of
+    ``default_rng(derive_seed(*key_i, j))``, where ``key_i`` takes entry i
+    of each uint32 array in ``key`` and each int as it is. Runs are numbered
+    row by row, i * n_runs + j, and reach the caller in that order in
+    :func:`rollout_states` calls of whole rows when they fit in
+    ``call_runs``, else of ``call_runs`` runs that may cut a row. The seeds
+    of up to ``_RUNS_PER_HASH`` runs, whole calls, are hashed together.
+    ``n_runs`` outside [1, ``MAX_RUNS``] raises ``ValueError`` before any run.
     """
-    states = np.empty((len(words), policy.horizon + 1, policy.model.state_dim))
-    _standard_normals(words, states[:, 1:])
-    rollout_states(policy, epsilon, mode, states)
-    return states
+    if not 1 <= n_runs <= MAX_RUNS:
+        raise ValueError(f"n_runs must lie in [1, {MAX_RUNS}]")
+    epsilons = np.asarray(epsilons, dtype=float)
+    if n_runs <= call_runs:
+        call_runs = n_runs * (call_runs // n_runs)
+    hash_runs = call_runs * max(1, _RUNS_PER_HASH // call_runs)
+    total = len(epsilons) * n_runs
+    for first in range(0, total, hash_runs):
+        count = min(hash_runs, total - first)
+        first_row, first_run = divmod(first, n_runs)
+        local = first_run + np.arange(count)
+        rows, runs = first_row + local // n_runs, local % n_runs
+        columns = [v[rows] if isinstance(v, np.ndarray) else v for v in key]
+        words = _seed_words(_hash_seeds(*columns, runs.astype(np.uint32)))
+        for start in range(0, count, call_runs):
+            stop = min(start + call_runs, count)
+            states = np.empty((stop - start, policy.horizon + 1, policy.model.state_dim))
+            _standard_normals(words[start:stop], states[:, 1:])
+            rollout_states(policy, epsilons[rows[start:stop]], mode, states)
+            yield first + start, states
 
 
 def nmse_values(planned: NominalTrajectory, states: Array) -> Array:
@@ -363,25 +368,22 @@ def sweep_epsilon(
     """Average NMSE per epsilon for closed- and/or open-loop execution.
 
     Returns one :class:`SweepRow` per grid point, in grid order, which the
-    grid check makes strictly increasing in epsilon. Per mode, the runs share
-    :func:`rollout_states` calls of up to ``_RUNS_PER_CALL`` runs (whole rows
-    of ``n_runs`` runs when they fit, else calls that cut a row), and the
-    seeds of up to ``_RUNS_PER_HASH`` runs are hashed together; per-run seeds
-    are derived from (master_seed, grid index, run index, mode), and a row's
-    values are gathered into one array before its mean and standard
-    deviation, so the rows do not depend on the packing.
+    grid check makes strictly increasing in epsilon. Per mode, the runs go
+    through :func:`seeded_runs` in kernel calls of up to ``_RUNS_PER_CALL``
+    runs; per-run seeds are derived from (master_seed, grid index, mode,
+    run index), and a row's values are gathered into one array before its
+    mean and standard deviation, so the rows do not depend on the packing.
     A planned trajectory of zero norm leaves the NMSE undefined and raises
     :class:`NumericalFailure`, and with ``OPEN_LOOP`` among the modes a
     nominal control sequence out of the model's bounds raises
     :class:`~tlqr.exceptions.BoundViolation`, both before any run.
     """
     grid = np.asarray(grid, dtype=float)
-    if len(grid) == 0 or np.any(grid <= 0):
+    # Negated comparisons, so that NaN fails too.
+    if len(grid) == 0 or not np.all(grid > 0):
         raise ValueError("epsilon grid must be nonempty and strictly positive")
-    if np.any(np.diff(grid) <= 0):
+    if not np.all(np.diff(grid) > 0):
         raise ValueError("epsilon grid must be strictly increasing")
-    if not 1 <= n_runs <= MAX_RUNS:
-        raise ValueError(f"n_runs must lie in [1, {MAX_RUNS}]")
     for mode in modes:
         if mode not in _MODE_TAGS:
             raise ValueError(f"unknown mode '{mode}'")
@@ -392,36 +394,20 @@ def sweep_epsilon(
         policy.model.validate_control(policy.nominal.controls)
 
     stats = {m: np.full((len(grid), 2), np.nan) for m in (CLOSED_LOOP, OPEN_LOOP)}
-    # A mode's runs in (row, run) order, cut into calls of whole rows or, for
-    # rows larger than a call, into full calls that may span two rows.
-    if n_runs > _RUNS_PER_CALL:
-        call_runs = _RUNS_PER_CALL
-    else:
-        call_runs = n_runs * (_RUNS_PER_CALL // n_runs)
-    hash_runs = call_runs * max(1, _RUNS_PER_HASH // call_runs)
-    total = len(grid) * n_runs
-    row_vals = np.empty(n_runs)
+    row_ids = np.arange(len(grid), dtype=np.uint32)
     for mode in modes:
-        for first in range(0, total, hash_runs):
-            count = min(hash_runs, total - first)
-            first_row, first_run = divmod(first, n_runs)
-            local = first_run + np.arange(count)
-            rows, runs = first_row + local // n_runs, local % n_runs
-            seeds = _hash_seeds(
-                master_seed, _CTX_SWEEP, rows.astype(np.uint32), _MODE_TAGS[mode], runs.astype(np.uint32)
-            )
-            words = _seed_words(seeds)
-            for start in range(first, first + count, call_runs):
-                stop = min(start + call_runs, first + count)
-                call = slice(start - first, stop - first)
-                states = _seeded_states(policy, grid[rows[call]], mode, words[call])
-                vals = nmse_values(policy.nominal, states)
-                # Gather each row's values in one array; reduce it once its last run is in.
-                for i in range(start // n_runs, (stop - 1) // n_runs + 1):
-                    lo, hi = max(start, i * n_runs), min(stop, (i + 1) * n_runs)
-                    row_vals[lo - i * n_runs : hi - i * n_runs] = vals[lo - start : hi - start]
-                    if hi == (i + 1) * n_runs:
-                        stats[mode][i] = row_vals.mean(), row_vals.std(ddof=1) if n_runs > 1 else 0.0
+        key = (master_seed, _CTX_SWEEP, row_ids, _MODE_TAGS[mode])
+        for start, states in seeded_runs(policy, mode, grid, n_runs, key, _RUNS_PER_CALL):
+            vals = nmse_values(policy.nominal, states)
+            stop = start + len(vals)
+            # Gather each row's values in one array; reduce it once its last run is in.
+            for i in range(start // n_runs, (stop - 1) // n_runs + 1):
+                lo, hi = max(start, i * n_runs), min(stop, (i + 1) * n_runs)
+                if lo == i * n_runs:
+                    row_vals = np.empty(n_runs)
+                row_vals[lo - i * n_runs : hi - i * n_runs] = vals[lo - start : hi - start]
+                if hi == (i + 1) * n_runs:
+                    stats[mode][i] = row_vals.mean(), row_vals.std(ddof=1) if n_runs > 1 else 0.0
     return tuple(
         SweepRow(
             epsilon=float(eps),

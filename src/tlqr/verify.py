@@ -63,7 +63,7 @@ class Check:
     name: str
     value: float
     bound: float
-    op: str  # one of "<=", ">=", "<", ">"
+    op: str  # one of "<=", ">=", "<"
 
     @property
     def passed(self) -> bool:
@@ -73,8 +73,6 @@ class Check:
             return self.value >= self.bound
         if self.op == "<":
             return self.value < self.bound
-        if self.op == ">":
-            return self.value > self.bound
         raise ValueError(f"unknown comparator '{self.op}'")
 
     def as_dict(self) -> dict:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tlqr import LqrWeights, LtvSystem, NominalTrajectory, default_config, plan_experiment, run_sweep
-from tlqr.simulate import _seed_words, _seeded_states
+from tlqr.simulate import _seed_words, _standard_normals, rollout_states
 from tlqr.verify import _random_ltv_arrays
 
 
@@ -55,8 +55,11 @@ class LinearSystem:
 
 
 def seeded_states(policy, epsilon, mode, seeds):
-    """Kernel states of the runs seeded by ``seeds``, drawn and stepped as the sweep does."""
-    return _seeded_states(policy, epsilon, mode, _seed_words(seeds))
+    """Kernel states of the runs seeded by ``seeds``, drawn and stepped as ``seeded_runs`` does."""
+    states = np.empty((len(seeds), policy.horizon + 1, policy.model.state_dim))
+    _standard_normals(_seed_words(np.array(seeds, dtype=np.uint64)), states[:, 1:])
+    rollout_states(policy, epsilon, mode, states)
+    return states
 
 
 def random_ltv_instance(rng, max_nx=4, max_nu=2, max_k=20):

@@ -24,7 +24,6 @@ from tlqr import (
     cost_error_sensitivities,
     default_config,
     derive_seed,
-    derive_seeds,
     feedback_control,
     first_order_cost_error,
     linear_deviations,
@@ -221,7 +220,7 @@ def test_hash_seeds_row_and_run_columns_equal_derive_seed(master_seed, first, n_
 def test_derive_seeds_on_tag_tuples_longer_than_the_pool(master_seed, tags, n_runs):
     # Master seed, tags and run index make at least six entropy words, more
     # than the four-word pool: the words past the pool mix in one by one.
-    seeds = derive_seeds(master_seed, tags, n_runs)
+    seeds = _hash_seeds(master_seed, *tags, np.arange(n_runs, dtype=np.uint32))
     assert seeds.tolist() == [derive_seed(master_seed, *tags, j) for j in range(n_runs)]
 
 

@@ -118,7 +118,7 @@ def test_horizon_numpy_cannot_describe_names_the_bound(horizon):
     assert exc.value.field == "horizon"
     data["horizon"] = MAX_HORIZON
     assert parse_config(data).horizon == MAX_HORIZON
-    # A batch of MAX_RUNS runs at the bound still fits numpy's array size limit.
+    # The cap: states of MAX_RUNS runs at the bound still fit numpy's array size limit.
     assert MAX_RUNS * (MAX_HORIZON + 1) * 3 * 8 <= np.iinfo(np.intp).max
     assert MAX_RUNS * (MAX_HORIZON + 2) * 3 * 8 > np.iinfo(np.intp).max
 

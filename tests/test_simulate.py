@@ -11,8 +11,8 @@ from tlqr import (
     LqrWeights,
     NominalTrajectory,
     TrackingPolicy,
+    action_functional,
     derive_seed,
-    derive_seeds,
     design_tracking_policy,
     estimate_exit_probability,
     feedback_control,
@@ -25,7 +25,14 @@ from tlqr import (
 from conftest import LinearSystem, seeded_states
 from tlqr import simulate
 from tlqr.config import FULL_GRID, epsilon_grid
-from tlqr.simulate import _CTX_SWEEP, _seed_words, _seed_words_type, _standard_normals
+from tlqr.simulate import (
+    _CTX_SWEEP,
+    _hash_seeds,
+    _seed_words,
+    _seed_words_type,
+    _standard_normals,
+    seeded_runs,
+)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -377,7 +384,7 @@ def test_shifted_draw_adds_the_shift_response(mode):
     np.testing.assert_allclose(shifted - rows, np.broadcast_to(response, rows.shape), atol=1e-14)
 
 
-# -- batched seeding: derive_seeds and the per-run draw against their oracle --
+# -- batched seeding: _hash_seeds and the per-run draw against their oracle --
 
 
 @pytest.mark.parametrize(
@@ -395,20 +402,17 @@ def test_shifted_draw_adds_the_shift_response(mode):
     ],
 )
 def test_derive_seeds_equals_derive_seed(master_seed, tags):
-    got = derive_seeds(master_seed, tags, 300)
+    got = _hash_seeds(master_seed, *tags, np.arange(300, dtype=np.uint32))
     assert got.dtype == np.uint64 and got.shape == (300,)
     assert got.tolist() == [derive_seed(master_seed, *tags, j) for j in range(300)]
 
 
 def test_derive_seeds_from_a_first_run_index():
+    # A hash pass of seeded_runs may start inside a row, up to the last uint32 run index.
     tags = (_CTX_SWEEP, 3)
     for first in (0, 1, 2**31, 2**32 - 40):
-        got = derive_seeds(2**40 + 3, tags, 40, first)
+        got = _hash_seeds(2**40 + 3, *tags, np.arange(first, first + 40, dtype=np.uint32))
         assert got.tolist() == [derive_seed(2**40 + 3, *tags, j) for j in range(first, first + 40)]
-    assert derive_seeds(7, tags, 0, 2**32).shape == (0,)
-    for n, first in ((41, 2**32 - 40), (1, 2**32), (3, -1), (-1, 3)):
-        with pytest.raises(ValueError, match="first \\+ n"):
-            derive_seeds(7, tags, n, first)
 
 
 def test_derive_seeds_rejects_negative_values():
@@ -416,14 +420,15 @@ def test_derive_seeds_rejects_negative_values():
         with pytest.raises(ValueError):
             derive_seed(master_seed, *tags)
         with pytest.raises(ValueError):
-            derive_seeds(master_seed, tags, 4)
-    assert derive_seeds(3, (1,), 0).shape == (0,)
+            _hash_seeds(master_seed, *tags, np.arange(4, dtype=np.uint32))
+    assert _hash_seeds(3, 1, np.arange(0, dtype=np.uint32)).shape == (0,)
 
 
 def test_standard_normals_streams_equal_default_rng():
     # 0 through 2**32 - 1 seed SeedSequence with one word, 2**32 and up with two.
     edge = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
-    seeds = np.array(edge + derive_seeds(2**33 + 5, (_CTX_SWEEP,), 500).tolist(), dtype=np.uint64)
+    hashed = _hash_seeds(2**33 + 5, _CTX_SWEEP, np.arange(500, dtype=np.uint32))
+    seeds = np.array(edge + hashed.tolist(), dtype=np.uint64)
     out = np.empty((len(seeds), 20, 3))
     _standard_normals(_seed_words(seeds), out)
     for draws, seed in zip(out, seeds.tolist()):
@@ -445,18 +450,15 @@ def test_seed_words_answer_only_pcg64s_request():
 
 
 def test_standard_normals_refuse_words_pcg64_would_misread():
-    words = _seed_words([1, 2, 3])
+    words = _seed_words(np.array([1, 2, 3], dtype=np.uint64))
     out = np.empty((3, 20, 3))
     for bad in (words[:2], words[:, :3], words.astype(np.int64), np.asfortranarray(words)):
         with pytest.raises(ValueError, match="C-contiguous"):
             _standard_normals(bad, out)
 
 
-def test_rollout_states_seeds_outside_64_bits_raise(car_experiment):
+def test_rollout_states_top_64_bit_seed_keeps_every_bit(car_experiment):
     planned, _ = car_experiment
-    for seeds in ([-1], [2**64], [3, -5]):
-        with pytest.raises(ValueError, match="2\\*\\*64"):
-            seeded_states(planned.policy, 0.05, CLOSED_LOOP, seeds)
     # A seed list that numpy would coerce to float64 keeps every bit.
     top = [2**64 - 1, 1]
     batch = seeded_states(planned.policy, 0.05, CLOSED_LOOP, top)
@@ -541,9 +543,78 @@ def test_sweep_seeds_equal_per_row_derive_seeds(car_experiment, monkeypatch, mas
     expected = []
     for tag in (0, 1):  # closed loop, then open loop
         for rows in ([0, 1], [2, 3], [4]):
-            per_row = [derive_seeds(master_seed, (_CTX_SWEEP, i, tag), n_runs) for i in rows]
+            runs = np.arange(n_runs, dtype=np.uint32)
+            per_row = [_hash_seeds(master_seed, _CTX_SWEEP, i, tag, runs) for i in rows]
             expected.append(np.concatenate(per_row).tolist())
     assert calls == expected
+
+
+@pytest.mark.parametrize("call_runs, sizes", [(5, [5, 5, 5, 5, 1]), (15, [14, 7])])
+@pytest.mark.parametrize("mode", [CLOSED_LOOP, OPEN_LOOP])
+def test_seeded_runs_equal_per_run_default_rng(car_experiment, monkeypatch, mode, call_runs, sizes):
+    # Rows of 7 runs: calls of 5 cut rows and share a hash pass of 10 runs;
+    # calls of 15 take two whole rows.
+    planned, _ = car_experiment
+    policy = planned.policy
+    k, n = policy.horizon, policy.model.state_dim
+    eps, n_runs = [0.02, 0.07, 0.12], 7
+    row_ids = np.array([4, 0, 2**32 - 1], dtype=np.uint32)
+    key = (2**40 + 3, 9, row_ids, 2**33)
+    monkeypatch.setattr(simulate, "_RUNS_PER_HASH", 10)
+    calls = list(seeded_runs(policy, mode, eps, n_runs, key, call_runs))
+    assert [first for first, _ in calls] == np.cumsum([0] + sizes[:-1]).tolist()
+    assert [len(states) for _, states in calls] == sizes
+    expected = np.empty((len(eps), n_runs, k + 1, n))
+    for i, row in enumerate(expected):
+        for j, run in enumerate(row):
+            seed = derive_seed(2**40 + 3, 9, int(row_ids[i]), 2**33, j)
+            run[1:] = np.random.default_rng(seed).standard_normal((k, n))
+        rollout_states(policy, eps[i], mode, row)
+    got = np.concatenate([states for _, states in calls])
+    assert got.tobytes() == expected.reshape(got.shape).tobytes()
+
+
+def test_seeded_runs_check_n_runs_before_any_run(car_experiment, monkeypatch):
+    planned, _ = car_experiment
+    steps = []
+    monkeypatch.setattr(simulate, "rollout_states", lambda *args: steps.append(args))
+    for n_runs in (0, simulate.MAX_RUNS + 1):
+        with pytest.raises(ValueError, match="n_runs"):
+            next(seeded_runs(planned.policy, CLOSED_LOOP, [0.05], n_runs, (3, 2), 500))
+    assert steps == []
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: p.model.validate_control([np.nan, 0.0]),
+        lambda p: p.model.validate_control([0.0, np.nan]),
+        lambda p: p.model.rollout_nominal(p.nominal.states[0], np.full_like(p.nominal.controls, np.nan)),
+        lambda p: noise_sigma(p, np.nan),
+        lambda p: noise_sigma(p, np.array([0.05, np.nan])),
+        lambda p: estimate_exit_probability(p, np.nan, 0.05, 10),
+        lambda p: estimate_exit_probability(p, 0.3, np.nan, 10),
+        lambda p: sweep_epsilon(p, [0.01, np.nan], 2, 1),
+        lambda p: sweep_epsilon(p, [np.nan], 2, 1),
+        lambda p: action_functional(p, p.nominal.states, np.nan),
+    ],
+    ids=[
+        "validate_control-v",
+        "validate_control-phi",
+        "rollout_nominal",
+        "noise_sigma",
+        "noise_sigma-per-run",
+        "exit-delta",
+        "exit-epsilon",
+        "sweep-grid",
+        "sweep-grid-single",
+        "action_functional",
+    ],
+)
+def test_nan_fails_the_range_checks(car_experiment, call):
+    planned, _ = car_experiment
+    with pytest.raises(ValueError):
+        call(planned.policy)
 
 
 def test_nmse_values_leaves_its_arguments_unchanged(car_experiment):
@@ -563,14 +634,13 @@ def test_rollout_states_leaves_its_arguments_unchanged(car_experiment, mode):
     policy = planned.policy
     arguments = (policy.nominal.states, policy.nominal.controls, policy.gains)
     epsilon = np.linspace(0.0, 0.15, 12)
-    seeds = np.array(_seeds(12), dtype=np.uint64)
-    words = _seed_words(seeds)
-    before = [a.tobytes() for a in arguments + (epsilon, seeds, words)]
-    states = simulate._seeded_states(policy, epsilon, mode, words)
+    key = (99, np.arange(12, dtype=np.uint32))
+    before = [a.tobytes() for a in arguments + (epsilon, key[1])]
+    ((first, states),) = seeded_runs(policy, mode, epsilon, 1, key, 500)
     # nmse_values sums each run's entries in memory order, so the layout is part of the result.
-    assert states.shape == (12, policy.horizon + 1, policy.model.state_dim)
+    assert first == 0 and states.shape == (12, policy.horizon + 1, policy.model.state_dim)
     assert states.flags.c_contiguous
-    assert [a.tobytes() for a in arguments + (epsilon, seeds, words)] == before
+    assert [a.tobytes() for a in arguments + (epsilon, key[1])] == before
 
 
 def test_monte_carlo_builds_no_seed_sequence_per_run(car_experiment, monkeypatch):

@@ -1,4 +1,6 @@
-from tlqr.verify import cost_error_suite, ldp_suite, propagation_suite, riccati_suite
+import pytest
+
+from tlqr.verify import Check, cost_error_suite, ldp_suite, propagation_suite, riccati_suite
 
 # The printed check names, in order, are part of the `tlqr verify` output
 # contract: scripts that read the report match on them.
@@ -36,3 +38,10 @@ def test_check_names_in_printed_order_and_all_pass(car_experiment):
     assert [name for name, _ in checks] == CHECK_NAMES
     failed = [(name, c.value, c.op, c.bound) for name, c in checks if not c.passed]
     assert failed == []
+
+
+def test_check_comparators_and_unknown_ops():
+    assert [Check("c", 1.0, 1.0, op).passed for op in ("<=", ">=", "<")] == [True, True, False]
+    for op in (">", "=="):
+        with pytest.raises(ValueError, match="comparator"):
+            Check("c", 1.0, 1.0, op).passed
