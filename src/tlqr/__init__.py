@@ -27,7 +27,6 @@ from .exceptions import (
     BoundViolation,
     ConfigError,
     DomainError,
-    InsufficientData,
     NumericalFailure,
 )
 from .experiments import (
@@ -42,6 +41,7 @@ from .large_deviations import (
     RateFit,
     action_functional,
     estimate_exit_probability,
+    exit_study,
     fit_rate,
 )
 from .lqr import (

@@ -3,8 +3,8 @@
 The file format is a single UTF-8 JSON object mirroring
 :class:`ExperimentConfig`. The config dataclasses are the schema: their
 fields name the keys, and a field with a default names an optional key that
-takes that default. Unknown keys are errors rather than warnings so typos
-cannot silently fall back to defaults.
+takes that default. Unknown and duplicate keys are errors rather than
+warnings so typos cannot silently fall back to defaults or to a later value.
 """
 from __future__ import annotations
 
@@ -94,8 +94,15 @@ def epsilon_grid(start: float, step: float, end: float) -> np.ndarray:
         raise ValueError("grid step must be > 0")
     if end < start:
         raise ValueError("grid end must be >= start")
-    count = int(math.floor((end - start) / step + 1e-9)) + 1
-    return np.round(start + step * np.arange(count), 12)
+    return _grid_points(start, step, np.arange(_grid_size(start, step, end)))
+
+
+def _grid_size(start: float, step: float, end: float) -> int:
+    return int(math.floor((end - start) / step + 1e-9)) + 1
+
+
+def _grid_points(start: float, step: float, index: np.ndarray) -> np.ndarray:
+    return np.round(start + step * index, 12)
 
 
 def _expect_keys(d: dict, known: set[str], required: list[str], prefix: str) -> None:
@@ -250,6 +257,19 @@ def parse_config(data: dict) -> ExperimentConfig:
     # The sweep numbers its grid points in one uint32 seed word, as it does runs.
     if (sweep.eps_end - sweep.eps_start) / sweep.eps_step + 1e-9 >= MAX_RUNS:
         raise ConfigError("sweep.eps_step", f"the grid must have at most {MAX_RUNS} points")
+    # The sweep needs its rounded grid positive, finite and strictly increasing.
+    # The ends are checked exactly. Neighbours stay apart when the step exceeds
+    # the rounding quantum 1e-12 plus a few ulps of the last point (the grid
+    # formula's float error); a step in that margin is rejected even if they differ.
+    size = _grid_size(sweep.eps_start, sweep.eps_step, sweep.eps_end)
+    with np.errstate(over="ignore"):
+        first, last = _grid_points(sweep.eps_start, sweep.eps_step, np.array([0, size - 1]))
+    if not 0 < first < math.inf:
+        raise ConfigError("sweep.eps_start", f"rounds to {first} at 12 decimals")
+    if not last < math.inf:
+        raise ConfigError("sweep.eps_end", f"the last grid point rounds to {last} at 12 decimals")
+    if size > 1 and not sweep.eps_step > 1e-12 + 8 * np.spacing(last):
+        raise ConfigError("sweep.eps_step", "too small to keep grid points apart at 12 decimals")
     if not 1 <= sweep.n_runs <= MAX_RUNS:
         raise ConfigError("sweep.n_runs", f"must lie in [1, {MAX_RUNS}]")
 
@@ -265,11 +285,20 @@ def parse_config(data: dict) -> ExperimentConfig:
     return cfg
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ConfigError(key, "duplicate key")
+        out[key] = value
+    return out
+
+
 def load_config(path: str) -> ExperimentConfig:
     """Read and validate a JSON config file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ConfigError("<json>", f"line {exc.lineno}, column {exc.colno}: {exc.msg}")
         except UnicodeDecodeError as exc:

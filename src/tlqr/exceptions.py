@@ -31,10 +31,6 @@ class NumericalFailure(RuntimeError):
         super().__init__(message)
 
 
-class InsufficientData(ValueError):
-    """Not enough usable data points for a fit."""
-
-
 class ConfigError(ValueError):
     """Invalid experiment configuration; ``field`` names the bad entry."""
 

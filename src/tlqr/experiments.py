@@ -1,4 +1,5 @@
-"""Wiring from experiment configurations to planned policies and studies."""
+"""Wiring from experiment configurations to planned policies and studies; each study
+seeds its own runs (``simulate.sweep_epsilon``, ``large_deviations.exit_study``)."""
 from __future__ import annotations
 
 import time
@@ -10,11 +11,10 @@ import numpy as np
 
 from .config import ExperimentConfig, epsilon_grid
 from .dynamics import KinematicCar
-from .exceptions import InsufficientData
-from .large_deviations import ExitEstimate, RateFit, estimate_exit_probability, fit_rate
+from .large_deviations import ExitEstimate, RateFit, exit_study
 from .lqr import LqrWeights, TrackingPolicy, design_tracking_policy
 from .planner import GoalCost, PlannerReport, goal_tracking_cost, optimize_nominal
-from .simulate import _CTX_LDP, CLOSED_LOOP, OPEN_LOOP, SweepRow, derive_seed, sweep_epsilon
+from .simulate import CLOSED_LOOP, OPEN_LOOP, SweepRow, sweep_epsilon
 
 
 def build_model(config: ExperimentConfig) -> KinematicCar:
@@ -126,25 +126,11 @@ def run_sweep(
 def run_exit_study(
     planned: PlannedExperiment,
 ) -> tuple[list[ExitEstimate], RateFit | None]:
-    """Exit-probability estimates over the configured grid plus the rate fit.
+    """Exit-probability estimates over the configured grid plus their rate fit.
 
     Returns (estimates, fit); fit is None when fewer than three estimates
     fall strictly inside (0, 1).
     """
     cfg = planned.config.ldp
-    estimates = [
-        estimate_exit_probability(
-            planned.policy,
-            cfg.delta,
-            eps,
-            n_runs=cfg.n_runs,
-            seed=derive_seed(planned.config.master_seed, _CTX_LDP, i),
-        )
-        for i, eps in enumerate(cfg.eps_grid)
-    ]
-    try:
-        fit = fit_rate(estimates)
-    except InsufficientData:
-        fit = None
-    return estimates, fit
+    return exit_study(planned.policy, cfg.delta, cfg.eps_grid, cfg.n_runs, planned.config.master_seed)
 

@@ -13,7 +13,8 @@ so the nominal trajectory has exactly zero action and a path the batched
 kernel sampled has action sum_t |w_t|^2 / (2 sigma^2). Exit probabilities
 from a radius-delta tube around the nominal decay like exp(-rate / eps^2)
 as the noise level drops; ``fit_rate`` checks that signature by regressing
-log p on 1 / eps^2.
+log p on 1 / eps^2. ``exit_study`` is the whole study: it seeds one
+estimate per noise level from the master seed and fits their rate.
 """
 from __future__ import annotations
 
@@ -24,9 +25,8 @@ import numpy as np
 
 from ._stats import linear_fit, wilson_interval
 from .dynamics import Array
-from .exceptions import InsufficientData
 from .lqr import TrackingPolicy, feedback_control
-from .simulate import _CTX_EXIT, CLOSED_LOOP, noise_sigma, seeded_runs
+from .simulate import _CTX_EXIT, _CTX_LDP, CLOSED_LOOP, derive_seed, noise_sigma, seeded_runs
 
 # Most runs of one estimate stepped in one kernel call; it bounds the
 # estimate's batch arrays. The configured 2,000-run estimates are one call.
@@ -118,19 +118,31 @@ class RateFit:
     n_used: int
 
 
-def fit_rate(estimates: Sequence[ExitEstimate]) -> RateFit:
-    """Check the exponential decay signature of the exit probabilities.
+def fit_rate(epsilons: Sequence[float], p_hats: Sequence[float]) -> RateFit | None:
+    """Check the exponential decay signature of exit probabilities p_hats over epsilons.
 
-    Only estimates with 0 < p_hat < 1 are usable; fewer than three raise
-    :class:`InsufficientData`. A negative slope magnitude approximates the
-    minimal action over exiting paths.
+    Only pairs with 0 < p_hat < 1 are usable; with fewer than three the fit
+    is None. Lists of unequal length raise ``ValueError``. A negative slope
+    magnitude approximates the minimal action over exiting paths.
     """
-    usable = [e for e in estimates if 0.0 < e.p_hat < 1.0]
+    usable = [(eps, p) for eps, p in zip(epsilons, p_hats, strict=True) if 0.0 < p < 1.0]
     if len(usable) < 3:
-        raise InsufficientData(
-            f"need >= 3 estimates with 0 < p_hat < 1, have {len(usable)}"
-        )
-    x = np.array([1.0 / e.epsilon**2 for e in usable])
-    y = np.array([np.log(e.p_hat) for e in usable])
+        return None
+    x = np.array([1.0 / eps**2 for eps, _ in usable])
+    y = np.array([np.log(p) for _, p in usable])
     slope, intercept, r2 = linear_fit(x, y)
     return RateFit(slope=slope, intercept=intercept, r_squared=r2, n_used=len(usable))
+
+
+def exit_study(
+    policy: TrackingPolicy, delta: float, epsilons: Sequence[float], n_runs: int, master_seed: int
+) -> tuple[list[ExitEstimate], RateFit | None]:
+    """One exit estimate per noise level, in order, and the rate fit of their p_hat.
+
+    Estimate i draws its runs from seed ``derive_seed(master_seed, _CTX_LDP, i)``.
+    """
+    estimates = [
+        estimate_exit_probability(policy, delta, eps, n_runs, derive_seed(master_seed, _CTX_LDP, i))
+        for i, eps in enumerate(epsilons)
+    ]
+    return estimates, fit_rate(epsilons, [e.p_hat for e in estimates])

@@ -42,7 +42,7 @@ from .error_analysis import (
 )
 from .exceptions import ConfigError
 from .experiments import PlannedExperiment, RunStats, plan_experiment, run_exit_study
-from .large_deviations import ExitEstimate, action_functional, fit_rate
+from .large_deviations import action_functional, fit_rate
 from .lqr import LqrWeights, LtvSystem, closed_loop_matrices, riccati_backward
 from .planner import CostLinearization, linearize_cost
 from .simulate import _CTX_COST_ERROR, _CTX_RECONSTRUCTION, derive_seed, noise_sigma
@@ -350,19 +350,8 @@ def cost_error_suite(planned: PlannedExperiment) -> SuiteReport:
 
 def synthetic_rate_recovery(a: float = 0.02) -> tuple[float, float]:
     """Fit error on exact p(eps) = exp(-a / eps^2) data."""
-    estimates = [
-        ExitEstimate(
-            delta=1.0,
-            epsilon=eps,
-            n_runs=1,
-            n_exits=0,
-            p_hat=float(np.exp(-a / eps**2)),
-            wilson_low=0.0,
-            wilson_high=1.0,
-        )
-        for eps in (0.05, 0.1, 0.15)
-    ]
-    fit = fit_rate(estimates)
+    epsilons = (0.05, 0.1, 0.15)
+    fit = fit_rate(epsilons, [float(np.exp(-a / eps**2)) for eps in epsilons])
     return abs(fit.slope + a), abs(fit.r_squared - 1.0)
 
 

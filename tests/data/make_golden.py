@@ -14,8 +14,7 @@ import json
 from pathlib import Path
 
 import tlqr
-from tlqr import default_config, derive_seed, estimate_exit_probability, plan_experiment, run_sweep
-from tlqr.simulate import _CTX_LDP
+from tlqr import default_config, exit_study, plan_experiment, run_sweep
 
 # Exit study on the configured epsilon grid with fewer runs per point than
 # the configured 2000, so the test stays fast.
@@ -25,16 +24,9 @@ EXIT_RUNS = 300
 def main() -> None:
     config = default_config()
     planned = plan_experiment(config)
-    exits = [
-        estimate_exit_probability(
-            planned.policy,
-            config.ldp.delta,
-            eps,
-            n_runs=EXIT_RUNS,
-            seed=derive_seed(config.master_seed, _CTX_LDP, i),
-        )
-        for i, eps in enumerate(config.ldp.eps_grid)
-    ]
+    exits, _ = exit_study(
+        planned.policy, config.ldp.delta, config.ldp.eps_grid, EXIT_RUNS, config.master_seed
+    )
     golden = {
         "tool_version": tlqr.__version__,
         "master_seed": config.master_seed,

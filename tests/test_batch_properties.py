@@ -24,6 +24,7 @@ from tlqr import (
     cost_error_sensitivities,
     default_config,
     derive_seed,
+    epsilon_grid,
     feedback_control,
     first_order_cost_error,
     linear_deviations,
@@ -217,7 +218,7 @@ def test_hash_seeds_row_and_run_columns_equal_derive_seed(master_seed, first, n_
     tags=st.lists(st.integers(0, 2**64 - 1), min_size=4, max_size=8),
     n_runs=st.integers(1, 20),
 )
-def test_derive_seeds_on_tag_tuples_longer_than_the_pool(master_seed, tags, n_runs):
+def test_hash_seeds_on_tag_tuples_longer_than_the_pool(master_seed, tags, n_runs):
     # Master seed, tags and run index make at least six entropy words, more
     # than the four-word pool: the words past the pool mix in one by one.
     seeds = _hash_seeds(master_seed, *tags, np.arange(n_runs, dtype=np.uint32))
@@ -389,6 +390,31 @@ def test_parse_config_raises_only_config_error(data):
     except ConfigError:
         return
     assert isinstance(config, ExperimentConfig)
+
+
+@PROPERTY
+@given(
+    mantissa=st.floats(1.0, 10.0),
+    exponent=st.integers(-14, 8),
+    quanta=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+    ulps=st.floats(0.0, 40.0),
+    size=st.integers(2, 200),
+)
+def test_accepted_sweep_grids_stay_strictly_increasing_when_rounded(
+    mantissa, exponent, quanta, ulps, size
+):
+    # Steps near both limits of the 12-decimal rounding: its quantum, and the
+    # float spacing of the grid's points.
+    start = mantissa * 10.0**exponent
+    step = quanta * 1e-12 + ulps * float(np.spacing(start))
+    data = copy.deepcopy(_DEFAULT)
+    data["sweep"].update(eps_start=start, eps_step=step, eps_end=start + step * (size - 1))
+    try:
+        sweep = parse_config(data).sweep
+    except ConfigError:
+        return
+    grid = epsilon_grid(sweep.eps_start, sweep.eps_step, sweep.eps_end)
+    assert grid[0] > 0 and np.isfinite(grid[-1]) and np.all(np.diff(grid) > 0)
 
 
 def _cheap(data: dict) -> bool:

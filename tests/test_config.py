@@ -132,6 +132,47 @@ def test_sweep_grid_beyond_one_seed_word_rejected(eps_step):
     assert exc.value.field == "sweep.eps_step"
 
 
+@pytest.mark.parametrize(
+    "sweep,field",
+    [
+        pytest.param(
+            dict(eps_start=0.01, eps_step=1e-13, eps_end=0.010000000001),
+            "sweep.eps_step",
+            id="points_merge",
+        ),
+        pytest.param(dict(eps_start=1e-13), "sweep.eps_start", id="start_rounds_to_zero"),
+        pytest.param(
+            dict(eps_start=0.01, eps_step=1e299, eps_end=1e300),
+            "sweep.eps_end",
+            id="rounding_overflows",
+        ),
+    ],
+)
+def test_sweep_grid_that_rounding_breaks_rejected(sweep, field):
+    # epsilon_grid rounds to 12 decimals; these grids would pass planning and then fail the sweep.
+    data = default_config().to_dict()
+    data["sweep"].update(sweep)
+    with pytest.raises(ConfigError) as exc:
+        parse_config(data)
+    assert exc.value.field == field
+
+
+@pytest.mark.parametrize("section", [None, "planner"])
+def test_duplicate_json_key_rejected(tmp_path, section):
+    # A later duplicate wins in plain json.load: horizon 5, and r_u 0.1 over 0.5.
+    single = canonical_json(default_config())
+    if section is None:
+        text = single.replace('"horizon":20', '"horizon":20,"horizon":5')
+    else:
+        text = single.replace('"planner":{', '"planner":{"r_u":0.5,')
+    assert text != single
+    path = tmp_path / "config.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError) as exc:
+        load_config(str(path))
+    assert exc.value.field == ("horizon" if section is None else "r_u")
+
+
 def test_wrong_type_rejected():
     data = default_config().to_dict()
     data["horizon"] = 2.5

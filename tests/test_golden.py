@@ -12,8 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from tlqr import derive_seed, estimate_exit_probability
-from tlqr.simulate import _CTX_LDP
+from tlqr import exit_study
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden.json").read_text(encoding="utf-8"))
 REL_TOL = 1e-9
@@ -36,12 +35,12 @@ def test_sweep_matches_golden(desk_sweep, car_experiment):
 
 def test_exit_estimates_match_golden(car_experiment):
     planned, _ = car_experiment
-    for i, ref in enumerate(GOLDEN["exits"]):
-        est = estimate_exit_probability(
-            planned.policy,
-            ref["delta"],
-            ref["epsilon"],
-            n_runs=GOLDEN["exit_runs"],
-            seed=derive_seed(GOLDEN["master_seed"], _CTX_LDP, i),
-        )
-        assert dataclasses.asdict(est) == ref
+    refs = GOLDEN["exits"]
+    estimates, _ = exit_study(
+        planned.policy,
+        refs[0]["delta"],
+        [ref["epsilon"] for ref in refs],
+        GOLDEN["exit_runs"],
+        GOLDEN["master_seed"],
+    )
+    assert [dataclasses.asdict(est) for est in estimates] == refs

@@ -7,24 +7,17 @@ import tlqr.large_deviations as large_deviations
 from conftest import LinearSystem, seeded_states
 from tlqr import (
     CLOSED_LOOP,
-    InsufficientData,
     NominalTrajectory,
     TrackingPolicy,
     action_functional,
     derive_seed,
     estimate_exit_probability,
+    exit_study,
     feedback_control,
     fit_rate,
     noise_sigma,
 )
-from tlqr.large_deviations import ExitEstimate
-
-
-def make_estimate(eps, p):
-    return ExitEstimate(
-        delta=0.3, epsilon=eps, n_runs=100, n_exits=int(p * 100), p_hat=p,
-        wilson_low=0.0, wilson_high=1.0,
-    )
+from tlqr.simulate import _CTX_LDP
 
 
 def scalar_policy(controls):
@@ -167,22 +160,45 @@ def test_wilson_interval_brackets_estimate(car_experiment):
 
 def test_fit_rate_recovers_synthetic_exponent():
     a = 0.02
-    ests = [make_estimate(eps, float(np.exp(-a / eps**2))) for eps in (0.05, 0.1, 0.15)]
-    fit = fit_rate(ests)
+    epsilons = (0.05, 0.1, 0.15)
+    fit = fit_rate(epsilons, [float(np.exp(-a / eps**2)) for eps in epsilons])
     assert fit.slope == pytest.approx(-a, abs=1e-10)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-10)
 
 
 def test_fit_rate_flat_data():
-    ests = [make_estimate(eps, 0.5) for eps in (0.05, 0.1, 0.15)]
-    fit = fit_rate(ests)
+    fit = fit_rate((0.05, 0.1, 0.15), (0.5, 0.5, 0.5))
     assert fit.slope == pytest.approx(0.0, abs=1e-15)
 
 
 def test_fit_rate_insufficient_data():
-    ests = [make_estimate(0.05, 0.0), make_estimate(0.1, 1.0), make_estimate(0.15, 0.4)]
-    with pytest.raises(InsufficientData):
-        fit_rate(ests)
+    assert fit_rate((0.05, 0.1, 0.15), (0.0, 1.0, 0.4)) is None
+
+
+def test_fit_rate_rejects_unequal_lengths():
+    with pytest.raises(ValueError):
+        fit_rate((0.05, 0.1, 0.15), (0.2, 0.3))
+    with pytest.raises(ValueError):
+        fit_rate((0.05, 0.1), (0.2, 0.3, 0.4))
+
+
+@pytest.mark.parametrize(
+    "delta,epsilons,fitted",
+    [(0.25, (0.04, 0.05, 0.06, 0.07), True), (0.3, (0.01, 0.02, 0.07), False)],
+)
+def test_exit_study_equals_per_estimate_oracle(car_experiment, delta, epsilons, fitted):
+    planned, _ = car_experiment
+    master_seed = 2**40 + 7
+    estimates, fit = exit_study(planned.policy, delta, epsilons, 150, master_seed)
+    oracle = [
+        estimate_exit_probability(
+            planned.policy, delta, eps, 150, derive_seed(master_seed, _CTX_LDP, i)
+        )
+        for i, eps in enumerate(epsilons)
+    ]
+    assert estimates == oracle
+    assert fit == fit_rate(epsilons, [e.p_hat for e in oracle])
+    assert (fit is not None) == fitted
 
 
 def test_estimate_validation(car_experiment):

@@ -401,13 +401,13 @@ def test_shifted_draw_adds_the_shift_response(mode):
         (11, (1, 2, 3, 4, 5, 6)),
     ],
 )
-def test_derive_seeds_equals_derive_seed(master_seed, tags):
+def test_hash_seeds_equals_derive_seed(master_seed, tags):
     got = _hash_seeds(master_seed, *tags, np.arange(300, dtype=np.uint32))
     assert got.dtype == np.uint64 and got.shape == (300,)
     assert got.tolist() == [derive_seed(master_seed, *tags, j) for j in range(300)]
 
 
-def test_derive_seeds_from_a_first_run_index():
+def test_hash_seeds_from_a_first_run_index():
     # A hash pass of seeded_runs may start inside a row, up to the last uint32 run index.
     tags = (_CTX_SWEEP, 3)
     for first in (0, 1, 2**31, 2**32 - 40):
@@ -415,7 +415,7 @@ def test_derive_seeds_from_a_first_run_index():
         assert got.tolist() == [derive_seed(2**40 + 3, *tags, j) for j in range(first, first + 40)]
 
 
-def test_derive_seeds_rejects_negative_values():
+def test_hash_seeds_rejects_negative_values():
     for master_seed, tags in ((-1, ()), (3, (-2,))):
         with pytest.raises(ValueError):
             derive_seed(master_seed, *tags)
