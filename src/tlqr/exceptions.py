@@ -21,14 +21,7 @@ class DomainError(ValueError):
 
 
 class NumericalFailure(RuntimeError):
-    """A numerical routine produced NaN/Inf or hit a singular system.
-
-    ``iterate`` carries the offending optimizer state when available.
-    """
-
-    def __init__(self, message: str, iterate=None):
-        self.iterate = iterate
-        super().__init__(message)
+    """A numerical routine produced NaN/Inf or hit a singular system."""
 
 
 class ConfigError(ValueError):

@@ -28,11 +28,6 @@ from .dynamics import Array
 from .lqr import TrackingPolicy, feedback_control
 from .simulate import _CTX_EXIT, _CTX_LDP, CLOSED_LOOP, derive_seed, noise_sigma, seeded_runs
 
-# Most runs of one estimate stepped in one kernel call; it bounds the
-# estimate's batch arrays. The configured 2,000-run estimates are one call.
-_RUNS_PER_CALL = 2000
-
-
 def action_functional(policy: TrackingPolicy, path: Array, epsilon: float) -> float:
     """Noise energy of a path under the tracked closed loop, on ``noise_sigma``'s scale.
 
@@ -83,18 +78,19 @@ def estimate_exit_probability(
     """Fraction of closed-loop runs whose deviation ever exceeds delta.
 
     A run exits when max_{s <= K} |x_s - x_nom_s| > delta
-    (Euclidean norm on the full state). Runs go through
-    :func:`~tlqr.simulate.seeded_runs`, up to ``_RUNS_PER_CALL`` per kernel
-    call. Per-run seeds derive from the given seed, so estimates with the
-    same seed share trajectories exactly.
+    (Euclidean norm on the full state), or when its deviation is NaN, as it
+    is when the noise is so large that the run overflows. Runs go through
+    :func:`~tlqr.simulate.seeded_runs`. Per-run seeds derive from the given
+    seed, so estimates with the same seed share trajectories exactly.
     """
     if not delta > 0:  # negated, so that NaN fails too
         raise ValueError("delta must be positive")
     exits = 0
     key = (seed, _CTX_EXIT)
-    for _, states in seeded_runs(policy, CLOSED_LOOP, [epsilon], n_runs, key, _RUNS_PER_CALL):
-        dev = np.linalg.norm(states - policy.nominal.states, axis=2)
-        exits += int(np.count_nonzero(dev.max(axis=1) > delta))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, states in seeded_runs(policy, CLOSED_LOOP, [epsilon], n_runs, key):
+            dev = np.linalg.norm(states - policy.nominal.states, axis=2)
+            exits += int(np.count_nonzero(~(dev.max(axis=1) <= delta)))  # NaN exits
     p_hat = exits / n_runs
     low, high = wilson_interval(exits, n_runs)
     return ExitEstimate(

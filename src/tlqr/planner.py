@@ -273,13 +273,13 @@ def optimize_nominal(
         states = model.open_loop_states(x0, controls)
         j = nominal_cost(cost, states, controls)
         if not math.isfinite(j):
-            raise NumericalFailure(f"cost is not finite ({j})", iterate=controls)
+            raise NumericalFailure(f"cost is not finite ({j})")
         return j, states
 
     def grad(z: Array, states: Array) -> Array:
         g = cost_gradient(model, cost, states, z.reshape(k, n_u)).ravel()
         if not np.isfinite(g).all():
-            raise NumericalFailure("cost gradient is not finite", iterate=z.reshape(k, n_u))
+            raise NumericalFailure("cost gradient is not finite")
         return g
 
     # An overflow shows up as a non-finite cost or gradient, reported as a failure.

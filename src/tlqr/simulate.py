@@ -7,32 +7,30 @@ results are bit-reproducible and do not depend on how runs are grouped.
 
 Every Monte Carlo study runs through one driver, :func:`seeded_runs`: it
 seeds the study's runs, draws their normals and steps them through one
-batched kernel, :func:`rollout_states`, yielding the states of each kernel
-call for the caller to reduce. The kernel takes a caller-owned
-C-contiguous (N, K+1, n) states buffer whose future rows hold the normals
-and steps it in place, so there is no separate noise array; callers may
-feed it any normals (zeros, impulses, shifted or shared draws). It steps
-the batch in (time, component, run) storage, so every step reads and
-writes contiguous rows of runs, and copies the result back into the
-buffer; the working copy is its one batch array. It runs a
-:class:`~tlqr.lqr.TrackingPolicy` on the plant it carries
+batched kernel, :func:`rollout_states`, in calls of ``_RUNS_PER_CALL``
+runs, yielding the states of each call for the caller to reduce. The
+kernel takes a caller-owned C-contiguous (N, K+1, n) states buffer whose
+future rows hold the normals and steps it in place, so there is no
+separate noise array; callers may feed it any normals (zeros, impulses,
+shifted or shared draws). It steps the batch in (time, component, run)
+storage, so every step reads and writes contiguous rows of runs, and
+copies the result back into the buffer; the working copy is its one batch
+array. It runs a :class:`~tlqr.lqr.TrackingPolicy` on the plant it carries
 (``policy.model``): closed loop applies the clamped tracking law
 :func:`~tlqr.lqr.feedback_control` to the whole batch, so a run's states
 do not depend on its batch or the storage order and match a scalar per-run
-loop over the same law bit for bit. A driver call holds up to the
-caller's call size of runs, whole rows when they fit, and each run may
-carry its own epsilon.
+loop over the same law bit for bit. A call may cut a row of runs anywhere,
+and each run may carry its own epsilon.
 
 Seeding builds no ``SeedSequence`` per run. Two in-place hash passes run
 numpy's ``SeedSequence`` hash on uint32 entropy columns: ``_hash_seeds``
 gives each run's 64-bit seed from the study's key and the run index, and
-``_seed_words`` hashes those seeds into their four PCG64 seed words. The
-driver hashes the seeds of several kernel calls, up to ``_RUNS_PER_HASH``
-runs, in one pair of passes. The draw, ``_standard_normals``, then builds
-one ``PCG64`` and one ``Generator`` per run on its row of words, so
-numpy's own PCG64 seeding runs in C. Run j's stream is bit-identical to
-``default_rng(seeds[j])``; :func:`derive_seed` and ``default_rng`` stay as
-the oracle (``tests/test_simulate.py``).
+``_seed_words`` hashes those seeds into their four PCG64 seed words; the
+driver runs one pair of passes per kernel call. The draw,
+``_standard_normals``, then builds one ``PCG64`` and one ``Generator`` per
+run on its row of words, so numpy's own PCG64 seeding runs in C. Run j's
+stream is bit-identical to ``default_rng(seeds[j])``; :func:`derive_seed`
+and ``default_rng`` stay as the oracle (``tests/test_simulate.py``).
 """
 from __future__ import annotations
 
@@ -58,17 +56,13 @@ _CTX_LDP = 3  # one estimate per point of the exit study's epsilon grid
 _CTX_COST_ERROR = 4  # cost-error samples of the costerror suite
 _CTX_RECONSTRUCTION = 5  # noise draws of its sensitivity-form reconstruction check
 
-# Runs per kernel call in a sweep. It bounds the kernel's two batch arrays
-# (the states buffer and its column-major working copy) whatever ``n_runs``
-# is; larger calls raised the full-grid sweep's peak memory.
-_RUNS_PER_CALL = 500
-
-# Runs whose seeds and seed words one pair of hash passes derives in
-# seeded_runs: whole kernel calls, at least one. Each pass costs about 150
-# small array operations whatever its size, and the group's (runs, 4) words
-# stay alive while its calls run: repeated sweeps peaked as high at 2,500
-# runs as at one hash per call, and higher from 5,000 runs on.
-_RUNS_PER_HASH = 2500
+# Runs per kernel call of every Monte Carlo study. It bounds the call's
+# arrays (its seed words, the states buffer and the kernel's column-major
+# working copy) whatever ``n_runs`` is. Each call also runs one pair of seed
+# hash passes of about 150 small array operations whatever its size: on the
+# full-grid sweep, calls of 500 runs were 8% slower than 1,000, and calls of
+# 2,000 raised its peak memory by 5%.
+_RUNS_PER_CALL = 1000
 
 # Most runs per row of seeded_runs: run indices fill one uint32 word.
 MAX_RUNS = 2**32
@@ -292,7 +286,6 @@ def seeded_runs(
     epsilons: Sequence[float],
     n_runs: int,
     key: Sequence[int | Array],
-    call_runs: int,
 ) -> Iterator[tuple[int, Array]]:
     """Seed, draw and step ``n_runs`` runs per row; yield (first run index, states) per kernel call.
 
@@ -300,31 +293,21 @@ def seeded_runs(
     ``default_rng(derive_seed(*key_i, j))``, where ``key_i`` takes entry i
     of each uint32 array in ``key`` and each int as it is. Runs are numbered
     row by row, i * n_runs + j, and reach the caller in that order in
-    :func:`rollout_states` calls of whole rows when they fit in
-    ``call_runs``, else of ``call_runs`` runs that may cut a row. The seeds
-    of up to ``_RUNS_PER_HASH`` runs, whole calls, are hashed together.
-    ``n_runs`` outside [1, ``MAX_RUNS``] raises ``ValueError`` before any run.
+    :func:`rollout_states` calls of ``_RUNS_PER_CALL`` runs, the last one
+    shorter; a call may cut a row. ``n_runs`` outside [1, ``MAX_RUNS``]
+    raises ``ValueError`` before any run.
     """
     if not 1 <= n_runs <= MAX_RUNS:
         raise ValueError(f"n_runs must lie in [1, {MAX_RUNS}]")
     epsilons = np.asarray(epsilons, dtype=float)
-    if n_runs <= call_runs:
-        call_runs = n_runs * (call_runs // n_runs)
-    hash_runs = call_runs * max(1, _RUNS_PER_HASH // call_runs)
     total = len(epsilons) * n_runs
-    for first in range(0, total, hash_runs):
-        count = min(hash_runs, total - first)
-        first_row, first_run = divmod(first, n_runs)
-        local = first_run + np.arange(count)
-        rows, runs = first_row + local // n_runs, local % n_runs
+    for first in range(0, total, _RUNS_PER_CALL):
+        rows, runs = np.divmod(np.arange(first, min(first + _RUNS_PER_CALL, total)), n_runs)
         columns = [v[rows] if isinstance(v, np.ndarray) else v for v in key]
-        words = _seed_words(_hash_seeds(*columns, runs.astype(np.uint32)))
-        for start in range(0, count, call_runs):
-            stop = min(start + call_runs, count)
-            states = np.empty((stop - start, policy.horizon + 1, policy.model.state_dim))
-            _standard_normals(words[start:stop], states[:, 1:])
-            rollout_states(policy, epsilons[rows[start:stop]], mode, states)
-            yield first + start, states
+        states = np.empty((len(rows), policy.horizon + 1, policy.model.state_dim))
+        _standard_normals(_seed_words(_hash_seeds(*columns, runs.astype(np.uint32))), states[:, 1:])
+        rollout_states(policy, epsilons[rows], mode, states)
+        yield first, states
 
 
 def nmse_values(planned: NominalTrajectory, states: Array) -> Array:
@@ -369,14 +352,16 @@ def sweep_epsilon(
 
     Returns one :class:`SweepRow` per grid point, in grid order, which the
     grid check makes strictly increasing in epsilon. Per mode, the runs go
-    through :func:`seeded_runs` in kernel calls of up to ``_RUNS_PER_CALL``
-    runs; per-run seeds are derived from (master_seed, grid index, mode,
-    run index), and a row's values are gathered into one array before its
-    mean and standard deviation, so the rows do not depend on the packing.
-    A planned trajectory of zero norm leaves the NMSE undefined and raises
-    :class:`NumericalFailure`, and with ``OPEN_LOOP`` among the modes a
-    nominal control sequence out of the model's bounds raises
-    :class:`~tlqr.exceptions.BoundViolation`, both before any run.
+    through :func:`seeded_runs`; per-run seeds are derived from
+    (master_seed, grid index, mode, run index), and a row's values are
+    gathered into one array before its mean and standard deviation, so the
+    rows do not depend on the packing. A planned trajectory of zero norm
+    leaves the NMSE undefined and raises :class:`NumericalFailure`, and with
+    ``OPEN_LOOP`` among the modes a nominal control sequence out of the
+    model's bounds raises :class:`~tlqr.exceptions.BoundViolation`, both
+    before any run. A row whose mean or standard deviation is not finite
+    (noise so large that the runs overflow) raises :class:`NumericalFailure`
+    naming its epsilon and mode.
     """
     grid = np.asarray(grid, dtype=float)
     # Negated comparisons, so that NaN fails too.
@@ -395,19 +380,27 @@ def sweep_epsilon(
 
     stats = {m: np.full((len(grid), 2), np.nan) for m in (CLOSED_LOOP, OPEN_LOOP)}
     row_ids = np.arange(len(grid), dtype=np.uint32)
-    for mode in modes:
-        key = (master_seed, _CTX_SWEEP, row_ids, _MODE_TAGS[mode])
-        for start, states in seeded_runs(policy, mode, grid, n_runs, key, _RUNS_PER_CALL):
-            vals = nmse_values(policy.nominal, states)
-            stop = start + len(vals)
-            # Gather each row's values in one array; reduce it once its last run is in.
-            for i in range(start // n_runs, (stop - 1) // n_runs + 1):
-                lo, hi = max(start, i * n_runs), min(stop, (i + 1) * n_runs)
-                if lo == i * n_runs:
-                    row_vals = np.empty(n_runs)
-                row_vals[lo - i * n_runs : hi - i * n_runs] = vals[lo - start : hi - start]
-                if hi == (i + 1) * n_runs:
-                    stats[mode][i] = row_vals.mean(), row_vals.std(ddof=1) if n_runs > 1 else 0.0
+    # Overflow and NaN surface as a row that is not finite, raised below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for mode in modes:
+            key = (master_seed, _CTX_SWEEP, row_ids, _MODE_TAGS[mode])
+            for start, states in seeded_runs(policy, mode, grid, n_runs, key):
+                vals = nmse_values(policy.nominal, states)
+                stop = start + len(vals)
+                # Gather each row's values in one array; reduce it once its last run is in.
+                for i in range(start // n_runs, (stop - 1) // n_runs + 1):
+                    lo, hi = max(start, i * n_runs), min(stop, (i + 1) * n_runs)
+                    if lo == i * n_runs:
+                        row_vals = np.empty(n_runs)
+                    row_vals[lo - i * n_runs : hi - i * n_runs] = vals[lo - start : hi - start]
+                    if hi == (i + 1) * n_runs:
+                        row = row_vals.mean(), row_vals.std(ddof=1) if n_runs > 1 else 0.0
+                        if not np.all(np.isfinite(row)):
+                            raise NumericalFailure(
+                                f"{mode} NMSE at epsilon {grid[i]:.12g} is not finite "
+                                f"(mean {row[0]:.6g}, sd {row[1]:.6g})"
+                            )
+                        stats[mode][i] = row
     return tuple(
         SweepRow(
             epsilon=float(eps),

@@ -195,6 +195,21 @@ def test_sweep_zero_norm_nominal_exits_two(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("epsilon", [1e150, 1e296])
+def test_overflowed_sweep_row_exits_two_before_writing(tmp_path, capsys, epsilon):
+    # A grid parse_config accepts, at which the runs overflow the NMSE.
+    data = small_config_dict()
+    data["sweep"] = {"eps_start": epsilon, "eps_step": 0.01, "eps_end": epsilon, "n_runs": 3}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: closed_loop NMSE at epsilon {epsilon:.12g} is not finite")
+    assert len(err.splitlines()) == 1
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_ldp_outputs(config_path, tmp_path):
     out = tmp_path / "out"
     assert main(["ldp", "--config", config_path, "--out", str(out)]) == 0

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-import tlqr.large_deviations as large_deviations
+import tlqr.simulate as simulate
 from conftest import LinearSystem, seeded_states
 from tlqr import (
     CLOSED_LOOP,
@@ -145,9 +145,18 @@ def test_chunked_estimate_equals_one_call(car_experiment, monkeypatch, cap):
     kwargs = dict(delta=0.25, epsilon=0.06, n_runs=120, seed=17)
     one_call = estimate_exit_probability(planned.policy, **kwargs)
     assert 0 < one_call.n_exits < one_call.n_runs
-    monkeypatch.setattr(large_deviations, "_RUNS_PER_CALL", cap)
+    monkeypatch.setattr(simulate, "_RUNS_PER_CALL", cap)
     chunked = estimate_exit_probability(planned.policy, **kwargs)
     assert dataclasses.astuple(chunked) == dataclasses.astuple(one_call)
+
+
+def test_overflowed_runs_exit_without_warnings(car_experiment):
+    # At epsilon 1.7e308 the noise overflows and every run's deviation is NaN;
+    # warnings are errors here, so a numpy RuntimeWarning fails the test.
+    planned, _ = car_experiment
+    est = estimate_exit_probability(planned.policy, delta=0.3, epsilon=1.7e308, n_runs=50, seed=5)
+    assert est.n_exits == est.n_runs == 50
+    assert est.p_hat == 1.0
 
 
 def test_wilson_interval_brackets_estimate(car_experiment):

@@ -339,9 +339,8 @@ def test_non_convergence_returns_best_iterate():
 
 def test_nan_cost_raises_numerical_failure():
     cost = goal_tracking_cost(CAR, [np.nan, 0.0, 0.0])
-    with pytest.raises(NumericalFailure) as exc:
+    with pytest.raises(NumericalFailure, match="cost is not finite"):
         optimize_nominal(CAR, cost, X0, horizon=4)
-    assert exc.value.iterate is not None
 
 
 def test_horizon_validation():

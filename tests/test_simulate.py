@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from tlqr import (
     BoundViolation,
     LqrWeights,
     NominalTrajectory,
+    NumericalFailure,
     TrackingPolicy,
     action_functional,
     derive_seed,
@@ -25,6 +27,7 @@ from tlqr import (
 from conftest import LinearSystem, seeded_states
 from tlqr import simulate
 from tlqr.config import FULL_GRID, epsilon_grid
+from tlqr.experiments import run_sweep
 from tlqr.simulate import (
     _CTX_SWEEP,
     _hash_seeds,
@@ -206,6 +209,17 @@ def test_sweep_rows_strictly_increasing_epsilon(car_experiment):
     rows = sweep_epsilon(planned.policy, [0.02, 0.05, 0.11], 3, 9)
     eps = np.array([r.epsilon for r in rows])
     assert len(eps) == 3 and np.all(np.diff(eps) > 0)
+
+
+@pytest.mark.parametrize("epsilon", [1e150, 1e296])
+@pytest.mark.parametrize("mode", [CLOSED_LOOP, OPEN_LOOP])
+def test_overflowed_sweep_row_raises_numerical_failure(car_experiment, mode, epsilon):
+    # At 1e296 the NMSE overflows to inf and its sd is NaN; at 1e150 the mean
+    # stays finite (about 1e303) but the sd overflows. Warnings are errors here.
+    planned, _ = car_experiment
+    message = f"{mode} NMSE at epsilon {epsilon:.12g} is not finite"
+    with pytest.raises(NumericalFailure, match=re.escape(message)):
+        sweep_epsilon(planned.policy, [epsilon], 3, 20260810, modes=(mode,))
 
 
 def _out_of_bounds_open_loop_policy(planned):
@@ -498,11 +512,9 @@ def test_sweep_rows_independent_of_runs_per_call(car_experiment, monkeypatch):
         return np.array([dataclasses.astuple(r) for r in rows])
 
     default = sweep()
-    for budget in (n_runs, len(grid) * n_runs, 1):
+    for budget in (1, n_runs, 2 * n_runs + 1, 3 * n_runs, len(grid) * n_runs, 10**6):
         monkeypatch.setattr(simulate, "_RUNS_PER_CALL", budget)
-        for hash_budget in (1, 2 * n_runs + 1, 3 * n_runs, 10**6):
-            monkeypatch.setattr(simulate, "_RUNS_PER_HASH", hash_budget)
-            assert np.array_equal(sweep(), default)
+        assert np.array_equal(sweep(), default)
 
 
 def test_sweep_cuts_rows_larger_than_a_kernel_call(car_experiment, monkeypatch):
@@ -524,13 +536,41 @@ def test_sweep_cuts_rows_larger_than_a_kernel_call(car_experiment, monkeypatch):
     assert sum(sizes) == 2 * len(grid) * n_runs
 
 
+def test_full_grid_sweep_runs_fixed_calls_with_one_hash_pair_each(car_experiment, monkeypatch):
+    # --full-grid --mode both: 150 points of 100 runs per mode, so 15 calls of 1,000 runs.
+    planned, _ = car_experiment
+    calls, passes = [], {"_hash_seeds": 0, "_seed_words": 0}
+
+    def counted(name):
+        original = getattr(simulate, name)
+
+        def wrapper(*args):
+            passes[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    original = simulate.rollout_states
+
+    def recorded(policy, epsilon, mode, states):
+        calls.append((mode, len(states)))
+        return original(policy, epsilon, mode, states)
+
+    for name in passes:
+        monkeypatch.setattr(simulate, name, counted(name))
+    monkeypatch.setattr(simulate, "rollout_states", recorded)
+    rows = run_sweep(planned, grid=epsilon_grid(*FULL_GRID))
+    assert len(rows) == 150 and {r.n_runs for r in rows} == {100}
+    assert calls == [(CLOSED_LOOP, 1000)] * 15 + [(OPEN_LOOP, 1000)] * 15
+    assert passes == {"_hash_seeds": 30, "_seed_words": 30}
+
+
 @pytest.mark.parametrize("master_seed", [13, 2**32, 2**40 + 3, 2**64 - 1])
 def test_sweep_seeds_equal_per_row_derive_seeds(car_experiment, monkeypatch, master_seed):
     planned, _ = car_experiment
-    grid, n_runs = [0.02, 0.05, 0.09, 0.11, 0.12], 7
-    # Kernel calls of one row each; one hash pass covers two calls' seeds.
-    monkeypatch.setattr(simulate, "_RUNS_PER_CALL", n_runs)
-    monkeypatch.setattr(simulate, "_RUNS_PER_HASH", 2 * n_runs)
+    grid, n_runs, call_size = [0.02, 0.05, 0.09, 0.11, 0.12], 7, 10
+    # Kernel calls of 10 runs cut rows of 7; each call hashes its own seeds.
+    monkeypatch.setattr(simulate, "_RUNS_PER_CALL", call_size)
     calls = []
     original = simulate._seed_words
 
@@ -540,28 +580,32 @@ def test_sweep_seeds_equal_per_row_derive_seeds(car_experiment, monkeypatch, mas
 
     monkeypatch.setattr(simulate, "_seed_words", recorded)
     sweep_epsilon(planned.policy, grid, n_runs, master_seed)
+    pairs = [(i, j) for i in range(len(grid)) for j in range(n_runs)]
     expected = []
     for tag in (0, 1):  # closed loop, then open loop
-        for rows in ([0, 1], [2, 3], [4]):
-            runs = np.arange(n_runs, dtype=np.uint32)
-            per_row = [_hash_seeds(master_seed, _CTX_SWEEP, i, tag, runs) for i in rows]
+        for first in range(0, len(pairs), call_size):
+            call = pairs[first : first + call_size]
+            per_row = []
+            for i in sorted({row for row, _ in call}):
+                runs = np.array([j for row, j in call if row == i], dtype=np.uint32)
+                per_row.append(_hash_seeds(master_seed, _CTX_SWEEP, i, tag, runs))
             expected.append(np.concatenate(per_row).tolist())
+    assert [len(c) for c in expected] == [10, 10, 10, 5] * 2
     assert calls == expected
 
 
-@pytest.mark.parametrize("call_runs, sizes", [(5, [5, 5, 5, 5, 1]), (15, [14, 7])])
+@pytest.mark.parametrize("call_size, sizes", [(5, [5, 5, 5, 5, 1]), (15, [15, 6])])
 @pytest.mark.parametrize("mode", [CLOSED_LOOP, OPEN_LOOP])
-def test_seeded_runs_equal_per_run_default_rng(car_experiment, monkeypatch, mode, call_runs, sizes):
-    # Rows of 7 runs: calls of 5 cut rows and share a hash pass of 10 runs;
-    # calls of 15 take two whole rows.
+def test_seeded_runs_equal_per_run_default_rng(car_experiment, monkeypatch, mode, call_size, sizes):
+    # Rows of 7 runs: calls of 5 and of 15 both cut rows, and the last call is shorter.
     planned, _ = car_experiment
     policy = planned.policy
     k, n = policy.horizon, policy.model.state_dim
     eps, n_runs = [0.02, 0.07, 0.12], 7
     row_ids = np.array([4, 0, 2**32 - 1], dtype=np.uint32)
     key = (2**40 + 3, 9, row_ids, 2**33)
-    monkeypatch.setattr(simulate, "_RUNS_PER_HASH", 10)
-    calls = list(seeded_runs(policy, mode, eps, n_runs, key, call_runs))
+    monkeypatch.setattr(simulate, "_RUNS_PER_CALL", call_size)
+    calls = list(seeded_runs(policy, mode, eps, n_runs, key))
     assert [first for first, _ in calls] == np.cumsum([0] + sizes[:-1]).tolist()
     assert [len(states) for _, states in calls] == sizes
     expected = np.empty((len(eps), n_runs, k + 1, n))
@@ -580,7 +624,7 @@ def test_seeded_runs_check_n_runs_before_any_run(car_experiment, monkeypatch):
     monkeypatch.setattr(simulate, "rollout_states", lambda *args: steps.append(args))
     for n_runs in (0, simulate.MAX_RUNS + 1):
         with pytest.raises(ValueError, match="n_runs"):
-            next(seeded_runs(planned.policy, CLOSED_LOOP, [0.05], n_runs, (3, 2), 500))
+            next(seeded_runs(planned.policy, CLOSED_LOOP, [0.05], n_runs, (3, 2)))
     assert steps == []
 
 
@@ -636,7 +680,7 @@ def test_rollout_states_leaves_its_arguments_unchanged(car_experiment, mode):
     epsilon = np.linspace(0.0, 0.15, 12)
     key = (99, np.arange(12, dtype=np.uint32))
     before = [a.tobytes() for a in arguments + (epsilon, key[1])]
-    ((first, states),) = seeded_runs(policy, mode, epsilon, 1, key, 500)
+    ((first, states),) = seeded_runs(policy, mode, epsilon, 1, key)
     # nmse_values sums each run's entries in memory order, so the layout is part of the result.
     assert first == 0 and states.shape == (12, policy.horizon + 1, policy.model.state_dim)
     assert states.flags.c_contiguous
