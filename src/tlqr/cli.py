@@ -42,7 +42,11 @@ _MODE_CHOICES = {"both": (CLOSED_LOOP, OPEN_LOOP), "closed": (CLOSED_LOOP,), "op
 
 
 def _json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Strict JSON text: a float that is not finite raises NumericalFailure, not NaN."""
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericalFailure(f"an artifact value is not finite ({exc})") from None
 
 
 def _csv(header: list[str], rows: list[list]) -> str:

@@ -17,10 +17,12 @@ from typing import get_type_hints
 import numpy as np
 
 from .exceptions import ConfigError
-from .simulate import MAX_RUNS
 
 # Fine sweep grid: 0.001 .. 0.1501 in steps of 0.001.
 FULL_GRID = (0.001, 0.001, 0.1501)
+
+# Most runs per row of a Monte Carlo study: a run index fills one uint32 seed word.
+MAX_RUNS = 2**32
 
 # Longest horizon, a conservative cap: (MAX_RUNS, K+1, 3) float64 states
 # would still fit numpy's intp-max bytes. No batch holds MAX_RUNS runs (the

@@ -41,6 +41,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .config import MAX_RUNS
 from .dynamics import Array, NominalTrajectory
 from .exceptions import NumericalFailure
 from .lqr import TrackingPolicy, feedback_control
@@ -63,9 +64,6 @@ _CTX_RECONSTRUCTION = 5  # noise draws of its sensitivity-form reconstruction ch
 # full-grid sweep, calls of 500 runs were 8% slower than 1,000, and calls of
 # 2,000 raised its peak memory by 5%.
 _RUNS_PER_CALL = 1000
-
-# Most runs per row of seeded_runs: run indices fill one uint32 word.
-MAX_RUNS = 2**32
 
 # numpy's SeedSequence (after O'Neill's seed_seq_fe): a pool of four uint32
 # words, two multiplicative hash constants and a mixing step. Both constants

@@ -28,6 +28,7 @@ single instances gives.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -76,9 +77,10 @@ class Check:
         raise ValueError(f"unknown comparator '{self.op}'")
 
     def as_dict(self) -> dict:
+        """The check as JSON values: a value that is not finite, such as NaN, is null."""
         return {
             "name": self.name,
-            "value": self.value,
+            "value": self.value if math.isfinite(self.value) else None,
             "bound": self.bound,
             "op": self.op,
             "passed": self.passed,

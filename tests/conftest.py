@@ -4,7 +4,10 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from tlqr import LqrWeights, LtvSystem, NominalTrajectory, default_config, plan_experiment, run_sweep
+from tlqr.config import default_config
+from tlqr.dynamics import NominalTrajectory
+from tlqr.experiments import plan_experiment, run_sweep
+from tlqr.lqr import LqrWeights, LtvSystem
 from tlqr.simulate import _seed_words, _standard_normals, rollout_states
 from tlqr.verify import _random_ltv_arrays
 

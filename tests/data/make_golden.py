@@ -14,7 +14,9 @@ import json
 from pathlib import Path
 
 import tlqr
-from tlqr import default_config, exit_study, plan_experiment, run_sweep
+from tlqr.config import default_config
+from tlqr.experiments import plan_experiment, run_sweep
+from tlqr.large_deviations import exit_study
 
 # Exit study on the configured epsilon grid with fewer runs per point than
 # the configured 2000, so the test stays fast.

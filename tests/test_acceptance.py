@@ -10,17 +10,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tlqr import (
+from tlqr._stats import linear_fit
+from tlqr.cli import main
+from tlqr.config import default_config
+from tlqr.error_analysis import (
     cost_error_sensitivities,
     cost_error_statistics,
     first_order_cost_error,
     linear_deviations,
-    linearize_cost,
-    run_exit_study,
 )
-from tlqr._stats import linear_fit
-from tlqr.cli import main
-from tlqr.config import default_config
+from tlqr.experiments import run_exit_study
+from tlqr.planner import linearize_cost
 from tlqr.simulate import _CTX_COST_ERROR, _CTX_RECONSTRUCTION, derive_seed
 from tlqr.verify import (
     propagation_errors,

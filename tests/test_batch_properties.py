@@ -15,27 +15,22 @@ import numpy as np
 from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
-from tlqr import (
-    ConfigError,
-    ExperimentConfig,
-    LqrWeights,
-    LtvSystem,
-    closed_loop_matrices,
-    cost_error_sensitivities,
-    default_config,
-    derive_seed,
-    epsilon_grid,
-    feedback_control,
-    first_order_cost_error,
-    linear_deviations,
-    parse_config,
-    riccati_backward,
-    rollout_states,
-)
 from conftest import seeded_states
 from tlqr.cli import main
+from tlqr.config import ExperimentConfig, default_config, epsilon_grid, parse_config
+from tlqr.error_analysis import cost_error_sensitivities, first_order_cost_error, linear_deviations
+from tlqr.exceptions import ConfigError
+from tlqr.lqr import LqrWeights, LtvSystem, closed_loop_matrices, feedback_control, riccati_backward
 from tlqr.planner import CostLinearization, adjoint_sweep
-from tlqr.simulate import _CTX_SWEEP, _MODE_TAGS, _hash_seeds, _seed_words, _standard_normals
+from tlqr.simulate import (
+    _CTX_SWEEP,
+    _MODE_TAGS,
+    _hash_seeds,
+    _seed_words,
+    _standard_normals,
+    derive_seed,
+    rollout_states,
+)
 from tlqr.verify import _padded_riccati
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)

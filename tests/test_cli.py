@@ -12,6 +12,7 @@ import tlqr
 from tlqr import cli
 from tlqr.cli import main
 from tlqr.config import MAX_HORIZON, canonical_json, default_config, parse_config
+from tlqr.large_deviations import RateFit
 
 
 def small_config_dict(**overrides):
@@ -64,6 +65,29 @@ def test_plan_never_loads_numpy_random(config_path, tmp_path):
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.splitlines()[-1] == "False"
+
+
+def test_package_import_loads_only_what_it_needs():
+    # Each name is imported from its defining module; the package and the
+    # config schema load nothing they do not use.
+    script = (
+        "import json, sys\n"
+        "import tlqr\n"
+        "package = sorted(m for m in sys.modules if m.startswith('tlqr.'))\n"
+        "public = sorted(n for n in vars(tlqr) if not n.startswith('_'))\n"
+        "import tlqr.config\n"
+        "config = sorted(m for m in sys.modules if m.startswith('tlqr.'))\n"
+        "print(json.dumps([package, public, config, tlqr.__version__]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(tlqr.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    package, public, config, version = json.loads(result.stdout)
+    assert package == []
+    assert public == []
+    assert config == ["tlqr.config", "tlqr.exceptions"]
+    assert version == tlqr.__version__
 
 
 def test_plan_rejects_zero_horizon(tmp_path, capsys):
@@ -261,6 +285,18 @@ def test_manifest_lists_exactly_the_files_written(config_path, tmp_path, command
     assert sorted(manifest["outputs"]) == sorted(p.name for p in out.iterdir())
 
 
+def test_reused_out_directory_manifest_lists_only_this_run(config_path, tmp_path):
+    out = tmp_path / "out"
+    assert main(["plan", "--config", config_path, "--out", str(out)]) == 0
+    assert main(["sweep", "--config", config_path, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == ["manifest.json", "plan_report.json", "sweep.csv"]
+    # The plan's own files stay, unlisted, and its manifest is replaced.
+    plan_only = {"trajectory.csv", "gains.csv", "riccati.csv"}
+    assert {p.name for p in out.iterdir()} == plan_only | set(manifest["outputs"])
+    assert set(manifest["stats"]["stage_s"]) == {"plan", "sweep", "write"}
+
+
 @pytest.mark.parametrize(
     "command, stages",
     [
@@ -297,10 +333,33 @@ def test_verify_zero_controls_fails_variance_check(tmp_path, capsys):
     data["x_g"] = data["x0"]
     path = tmp_path / "stay.json"
     path.write_text(json.dumps(data), encoding="utf-8")
-    assert main(["verify", "--config", str(path), "--suite", "costerror"]) == 2
+    out_dir = tmp_path / "out"
+    argv = ["verify", "--config", str(path), "--suite", "costerror", "--out", str(out_dir)]
+    assert main(argv) == 2
     out = capsys.readouterr().out
     assert "FAIL costerror.variance_vs_closed_form_rel: value=nan" in out
     assert "CHECKS FAILED" in out
+
+    # The report is strict JSON: the NaN value is null, and the check fails.
+    def reject(token):
+        raise ValueError(f"verify_report.json holds {token}")
+
+    text = (out_dir / "verify_report.json").read_text(encoding="utf-8")
+    (suite,) = json.loads(text, parse_constant=reject)["suites"]
+    check = next(c for c in suite["checks"] if c["name"] == "variance_vs_closed_form_rel")
+    assert check["value"] is None and check["passed"] is False
+
+
+def test_non_finite_json_value_exits_two_before_writing(config_path, tmp_path, capsys, monkeypatch):
+    def infinite_fit(planned):
+        return [], RateFit(slope=math.inf, intercept=0.0, r_squared=1.0, n_used=3)
+
+    monkeypatch.setattr(cli, "run_exit_study", infinite_fit)
+    out = tmp_path / "out"
+    assert main(["ldp", "--config", config_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: an artifact value is not finite") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_verify_ldp_zero_controls_keeps_zero_nominal_action(tmp_path, capsys):

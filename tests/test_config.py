@@ -6,9 +6,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tlqr import ConfigError, config_hash, default_config, epsilon_grid, parse_config
-from tlqr.config import FULL_GRID, MAX_HORIZON, canonical_json, load_config
-from tlqr.simulate import MAX_RUNS
+from tlqr.config import (
+    FULL_GRID,
+    MAX_HORIZON,
+    MAX_RUNS,
+    canonical_json,
+    config_hash,
+    default_config,
+    epsilon_grid,
+    load_config,
+    parse_config,
+)
+from tlqr.exceptions import ConfigError
 
 
 def test_default_config_round_trips():

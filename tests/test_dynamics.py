@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import LinearSystem
-from tlqr import BoundViolation, DomainError, KinematicCar
+from tlqr.dynamics import KinematicCar
+from tlqr.exceptions import BoundViolation, DomainError
 
 CAR = KinematicCar(wheelbase=0.5, step_period=0.7, v_max=0.6, phi_max=np.pi / 2)
 X0 = np.array([-1.5, 0.5, 0.0])

@@ -5,26 +5,18 @@ import pytest
 
 import tlqr.error_analysis as error_analysis
 import tlqr.verify as verify
-from tlqr import (
-    CLOSED_LOOP,
-    LqrWeights,
-    LtvSystem,
-    closed_loop_matrices,
+from conftest import random_ltv_instance, seeded_states
+from tlqr._stats import excess_kurtosis, linear_fit, skewness
+from tlqr.error_analysis import (
     cost_error_sensitivities,
     cost_error_statistics,
     first_order_cost_error,
-    goal_tracking_cost,
     linear_deviations,
-    linearize_along,
-    linearize_cost,
-    noise_sigma,
-    riccati_backward,
 )
-from tlqr.planner import CostLinearization
-from tlqr.simulate import _CTX_RECONSTRUCTION, derive_seed
-from tlqr._stats import excess_kurtosis, linear_fit, skewness
+from tlqr.lqr import LqrWeights, LtvSystem, closed_loop_matrices, linearize_along, riccati_backward
+from tlqr.planner import CostLinearization, goal_tracking_cost, linearize_cost
+from tlqr.simulate import CLOSED_LOOP, _CTX_RECONSTRUCTION, derive_seed, noise_sigma
 from tlqr.verify import _control_sums, _noise_maps, _state_sums, propagation_errors
-from conftest import random_ltv_instance, seeded_states
 
 
 def _coefficient_sums(lin: CostLinearization, maps, gains):
@@ -262,7 +254,7 @@ def test_linearize_cost_effort_only(car_experiment):
 
 
 def test_linearize_cost_terminal_gradient_zero_at_goal():
-    from tlqr import KinematicCar, NominalTrajectory
+    from tlqr.dynamics import KinematicCar, NominalTrajectory
 
     car = KinematicCar()
     goal = np.array([0.2, 0.1, 0.0])

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from tlqr import exit_study
+from tlqr.large_deviations import exit_study
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden.json").read_text(encoding="utf-8"))
 REL_TOL = 1e-9

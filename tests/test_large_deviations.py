@@ -5,19 +5,10 @@ import pytest
 
 import tlqr.simulate as simulate
 from conftest import LinearSystem, seeded_states
-from tlqr import (
-    CLOSED_LOOP,
-    NominalTrajectory,
-    TrackingPolicy,
-    action_functional,
-    derive_seed,
-    estimate_exit_probability,
-    exit_study,
-    feedback_control,
-    fit_rate,
-    noise_sigma,
-)
-from tlqr.simulate import _CTX_LDP
+from tlqr.dynamics import NominalTrajectory
+from tlqr.large_deviations import action_functional, estimate_exit_probability, exit_study, fit_rate
+from tlqr.lqr import TrackingPolicy, feedback_control
+from tlqr.simulate import CLOSED_LOOP, _CTX_LDP, derive_seed, noise_sigma
 
 
 def scalar_policy(controls):

@@ -3,12 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from tlqr import (
-    KinematicCar,
+import tlqr.verify as verify
+from conftest import LinearSystem, random_ltv_instance
+from tlqr.dynamics import KinematicCar, NominalTrajectory
+from tlqr.exceptions import NumericalFailure
+from tlqr.lqr import (
     LqrWeights,
     LtvSystem,
-    NominalTrajectory,
-    NumericalFailure,
     TrackingPolicy,
     closed_loop_matrices,
     design_tracking_policy,
@@ -16,8 +17,6 @@ from tlqr import (
     linearize_along,
     riccati_backward,
 )
-import tlqr.verify as verify
-from conftest import LinearSystem, random_ltv_instance
 from tlqr.verify import _padded_riccati, simulated_quadratic_cost, value_identity_error
 
 CAR = KinematicCar()

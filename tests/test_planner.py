@@ -8,18 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import LinearSystem
-from tlqr import (
-    KinematicCar,
-    NumericalFailure,
+from tlqr import planner
+from tlqr.config import default_config
+from tlqr.dynamics import KinematicCar
+from tlqr.exceptions import NumericalFailure
+from tlqr.experiments import plan_experiment
+from tlqr.planner import (
+    adjoint_sweep,
     cost_gradient,
-    default_config,
     goal_tracking_cost,
     nominal_cost,
     optimize_nominal,
-    plan_experiment,
 )
-from tlqr import planner
-from tlqr.planner import adjoint_sweep
 
 CAR = KinematicCar()
 X0 = np.array([-1.5, 0.5, 0.0])

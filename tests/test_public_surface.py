@@ -1,10 +1,10 @@
 """Every function, public class, method and field of the package has a caller in it.
 
-A name counts as used when some module of ``tlqr`` other than the package
-``__init__`` (which only re-exports) refers to it outside its own
-definition: a top-level function (public or private) or a public class by
-name or as a module attribute, a method as an attribute, an annotated class
-field as an attribute read. A class whose instances the package passes to
+A name counts as used when some module of ``tlqr`` (the package
+``__init__``, which holds only ``__version__``, aside) refers to it outside
+its own definition: a top-level function (public or private) or a public
+class by name or as a module attribute, a method as an attribute, an
+annotated class field as an attribute read. A class whose instances the package passes to
 ``dataclasses.asdict`` has every field read; the instance's class comes
 from an annotation of its name, or from the return annotation of the call
 that assigned it. The match is by name, not by type, so a method or field
@@ -18,7 +18,7 @@ import ast
 from collections import defaultdict
 from pathlib import Path
 
-import tlqr
+import tlqr.dynamics
 from conftest import LinearSystem
 
 SOURCES = sorted(p for p in Path(tlqr.__file__).parent.glob("*.py") if p.name != "__init__.py")
@@ -141,6 +141,6 @@ def test_plant_interface():
     }
     # An empty set (the plant renamed away from ``model``) would pass vacuously.
     assert {"jacobians", "open_loop_states", "transition", "validate_control"} <= used
-    for plant in (tlqr.KinematicCar(), LinearSystem(a=[[1.0]], b=[[1.0]])):
+    for plant in (tlqr.dynamics.KinematicCar(), LinearSystem(a=[[1.0]], b=[[1.0]])):
         missing = sorted(name for name in used if not hasattr(plant, name))
         assert missing == [], f"{type(plant).__name__} lacks {missing}"

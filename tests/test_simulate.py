@@ -5,36 +5,29 @@ import re
 import numpy as np
 import pytest
 
-from tlqr import (
-    CLOSED_LOOP,
-    OPEN_LOOP,
-    BoundViolation,
-    LqrWeights,
-    NominalTrajectory,
-    NumericalFailure,
-    TrackingPolicy,
-    action_functional,
-    derive_seed,
-    design_tracking_policy,
-    estimate_exit_probability,
-    feedback_control,
-    nmse_values,
-    noise_scale,
-    noise_sigma,
-    rollout_states,
-    sweep_epsilon,
-)
 from conftest import LinearSystem, seeded_states
 from tlqr import simulate
 from tlqr.config import FULL_GRID, epsilon_grid
+from tlqr.dynamics import NominalTrajectory
+from tlqr.exceptions import BoundViolation, NumericalFailure
 from tlqr.experiments import run_sweep
+from tlqr.large_deviations import action_functional, estimate_exit_probability
+from tlqr.lqr import LqrWeights, TrackingPolicy, design_tracking_policy, feedback_control
 from tlqr.simulate import (
+    CLOSED_LOOP,
+    OPEN_LOOP,
     _CTX_SWEEP,
     _hash_seeds,
     _seed_words,
     _seed_words_type,
     _standard_normals,
+    derive_seed,
+    nmse_values,
+    noise_scale,
+    noise_sigma,
+    rollout_states,
     seeded_runs,
+    sweep_epsilon,
 )
 
 
