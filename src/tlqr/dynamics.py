@@ -13,6 +13,7 @@ A = I + dt * J_x, B = dt * J_u.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,9 +63,13 @@ class NominalTrajectory:
 class KinematicCar:
     """Car-like robot: state (x, y, theta), control (v, phi).
 
-    All methods are pure functions, and instances are immutable. The maps
-    take one state (n,) with a control (m,), or a batch (N, n) with (N, m);
-    row i of a batch result equals the single-pair result, bit for bit.
+    Instances are immutable. The maps take one state (n,) with a control
+    (m,), or a batch (N, n) with (N, m); row i of a batch result equals the
+    single-pair result, bit for bit. ``step_rows`` and ``clamp_rows`` are
+    the one implementation of the Euler step and the clamp, on component
+    rows (one row per component, a column per state), writing into buffers
+    the caller owns; ``transition`` and ``clamp_control`` run them on one
+    state's (n, 1) rows or a batch's transposed rows.
     ``transition``, ``transition_jacobians`` and ``open_loop_states`` skip
     the bound checks, as the planner's penalty method needs.
 
@@ -94,14 +99,29 @@ class KinematicCar:
 
     def transition(self, x: Array, u: Array) -> Array:
         x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        # Transposed unpacking serves (n,) and (N, n) alike.
-        v, phi = u.T
-        theta = x.T[2]
-        drift = np.array(
-            [v * np.cos(theta), v * np.sin(theta), v / self.wheelbase * np.tan(phi)]
-        ).T
-        return x + self.step_period * drift
+        rows = np.atleast_2d(x).T
+        u_rows = np.atleast_2d(np.asarray(u, dtype=float)).T
+        return self.step_rows(rows, u_rows, np.empty(rows.shape)).T.reshape(x.shape)
+
+    def step_rows(self, x: Array, u: Array, out: Array) -> Array:
+        """Write the Euler step x + dt * f(x, u) into ``out`` and return it, on component rows.
+
+        ``x`` is (3, N) and ``u`` (2, N) or (2, 1), one row per component;
+        ``out`` is (3, N), must not overlap either and serves as scratch. Each
+        entry takes the operations of the drift in the same order, so it is
+        bit for bit the entry of a per-state step.
+        """
+        v, phi = u
+        np.divide(v, self.wheelbase, out=out[0])
+        np.tan(phi, out=out[2])
+        out[2] *= out[0]
+        np.cos(x[2], out=out[0])
+        out[0] *= v
+        np.sin(x[2], out=out[1])
+        out[1] *= v
+        out *= self.step_period
+        out += x
+        return out
 
     def open_loop_states(self, x0: Array, controls: Array) -> Array:
         # An Euler step adds dt * drift, and the drift depends on the heading
@@ -144,12 +164,18 @@ class KinematicCar:
         return np.eye(3) + dt * jx, dt * ju
 
     def clamp_control(self, u: Array) -> Array:
-        v, phi = np.asarray(u, dtype=float).T
+        u = np.array(u, dtype=float)
+        self.clamp_rows(np.atleast_2d(u).T)
+        return u
+
+    def clamp_rows(self, u: Array) -> Array:
+        """Clamp the control rows (2, N) in place to the bounds and return them."""
+        v, phi = u
+        np.clip(v, -self.v_max, self.v_max, out=v)
         # Strict bound: the largest representable angle below phi_max.
-        phi_lim = np.nextafter(self.phi_max, 0.0)
-        return np.array(
-            [np.clip(v, -self.v_max, self.v_max), np.clip(phi, -phi_lim, phi_lim)]
-        ).T
+        phi_lim = math.nextafter(self.phi_max, 0.0)
+        np.clip(phi, -phi_lim, phi_lim, out=phi)
+        return u
 
     def validate_control(self, u: Array) -> None:
         """Raise :class:`BoundViolation` on (m,) or (N, m); a batch reports its first bad row."""

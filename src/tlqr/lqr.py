@@ -199,6 +199,8 @@ def feedback_control(policy: TrackingPolicy, t: int, x: Array) -> Array:
 
     Takes one state (n,) and returns (m,), or a batch (N, n) and returns
     (N, m); row i of a batch result equals the single-state result for row i.
+    It runs :func:`feedback_rows` on the state's (n, 1) or the batch's
+    transposed (n, N) rows.
     """
     if not 0 <= t <= policy.horizon - 1:
         raise ValueError(f"time index {t} outside [0, {policy.horizon - 1}]")
@@ -206,8 +208,22 @@ def feedback_control(policy: TrackingPolicy, t: int, x: Array) -> Array:
     n = policy.model.state_dim
     if x.ndim not in (1, 2) or x.shape[-1] != n:
         raise ValueError(f"state has shape {x.shape}, expected ({n},) or (N, {n})")
-    # Elementwise product and sum, not a matrix product: BLAS picks kernels
-    # by batch size, which would make a run's rounding depend on its batch.
-    dev = (x - policy.nominal.states[t])[..., None, :]
-    u = policy.nominal.controls[t] - np.sum(policy.gains[t] * dev, axis=-1)
-    return policy.model.clamp_control(u)
+    rows = np.atleast_2d(x).T
+    m = policy.model.control_dim
+    out = feedback_rows(policy, t, rows, np.empty((m, rows.shape[1])))
+    return out.T.reshape(x.shape[:-1] + (m,))
+
+
+def feedback_rows(policy: TrackingPolicy, t: int, x: Array, out: Array) -> Array:
+    """Write the clamped tracking control at step t into ``out`` and return it, on component rows.
+
+    ``x`` is (n, N) and ``out`` (m, N), one row per component. No checks:
+    ``t`` and the shapes are the caller's to get right.
+    """
+    # Elementwise products summed by np.sum over the state axis, not a matrix
+    # product: BLAS picks kernels by batch size, which would make a run's
+    # rounding depend on its batch.
+    dev = x - policy.nominal.states[t][:, None]
+    np.sum(policy.gains[t][:, :, None] * dev, axis=1, out=out)
+    np.subtract(policy.nominal.controls[t][:, None], out, out=out)
+    return policy.model.clamp_rows(out)

@@ -14,13 +14,16 @@ future rows hold the normals and steps it in place, so there is no
 separate noise array; callers may feed it any normals (zeros, impulses,
 shifted or shared draws). It steps the batch in (time, component, run)
 storage, so every step reads and writes contiguous rows of runs, and
-copies the result back into the buffer; the working copy is its one batch
-array. It runs a :class:`~tlqr.lqr.TrackingPolicy` on the plant it carries
-(``policy.model``): closed loop applies the clamped tracking law
-:func:`~tlqr.lqr.feedback_control` to the whole batch, so a run's states
-do not depend on its batch or the storage order and match a scalar per-run
-loop over the same law bit for bit. A call may cut a row of runs anywhere,
-and each run may carry its own epsilon.
+copies the result back into the buffer. It runs a
+:class:`~tlqr.lqr.TrackingPolicy` on the plant it carries
+(``policy.model``) through the row forms of the per-step maps: closed loop
+applies the clamped tracking law :func:`~tlqr.lqr.feedback_rows`, and every
+step the plant's Euler step ``step_rows``, each on the call's preallocated
+(n, N) and (m, N) work rows. The per-state maps ``feedback_control`` and
+``transition`` run the same row forms on one state's (n, 1) rows, so a
+run's states do not depend on its batch or the storage order and match a
+scalar per-run loop over them bit for bit. A call may cut a row of runs
+anywhere, and each run may carry its own epsilon.
 
 Seeding builds no ``SeedSequence`` per run. Two in-place hash passes run
 numpy's ``SeedSequence`` hash on uint32 entropy columns: ``_hash_seeds``
@@ -44,7 +47,7 @@ import numpy as np
 from .config import MAX_RUNS
 from .dynamics import Array, NominalTrajectory
 from .exceptions import NumericalFailure
-from .lqr import TrackingPolicy, feedback_control
+from .lqr import TrackingPolicy, feedback_rows
 
 CLOSED_LOOP = "closed_loop"
 OPEN_LOOP = "open_loop"
@@ -249,6 +252,9 @@ def rollout_states(
     a run with sigma_j = 0 gets exact +0.0 noise. ``epsilon`` is one value
     for all runs or one per run. Closed loop applies the clamped feedback
     law; open loop applies the planned controls, bound-checked once per call.
+    Each step runs the row forms :func:`~tlqr.lqr.feedback_rows` and the
+    plant's ``step_rows`` on work rows allocated once per call, and matches
+    the tests' scalar ``rollout`` oracle row by row, bit for bit.
     """
     if mode not in _MODE_TAGS:
         raise ValueError(f"unknown mode '{mode}'")
@@ -270,11 +276,15 @@ def rollout_states(
     np.multiply(states[:, 1:].transpose(1, 2, 0), sigma, out=cols[1:])
 
     cols[0] = nominal.states[0][:, None]
-    planned = np.broadcast_to(nominal.controls[:, None], (k, n_runs, model.control_dim))
+    step = np.empty((n, n_runs))
+    controls = np.empty((model.control_dim, n_runs))
     for t in range(k):
-        x = cols[t].T
-        u = feedback_control(policy, t, x) if mode == CLOSED_LOOP else planned[t]
-        np.add(model.transition(x, u).T, cols[t + 1], out=cols[t + 1])
+        if mode == CLOSED_LOOP:
+            feedback_rows(policy, t, cols[t], controls)
+        else:
+            controls[:] = nominal.controls[t][:, None]
+        # f(x, u) in its own rows, then added to the noise already in row t + 1.
+        cols[t + 1] += model.step_rows(cols[t], controls, step)
     states[:] = cols.transpose(2, 0, 1)
 
 
@@ -351,9 +361,11 @@ def sweep_epsilon(
     Returns one :class:`SweepRow` per grid point, in grid order, which the
     grid check makes strictly increasing in epsilon. Per mode, the runs go
     through :func:`seeded_runs`; per-run seeds are derived from
-    (master_seed, grid index, mode, run index), and a row's values are
-    gathered into one array before its mean and standard deviation, so the
-    rows do not depend on the packing. A planned trajectory of zero norm
+    (master_seed, grid index, mode, run index). A row's values are gathered
+    into one contiguous line before its mean and standard deviation (the
+    complete rows of a kernel call reduce as one block, one line per row, and
+    a row that a call cuts waits for the rest of its values), so the rows do
+    not depend on the packing. A planned trajectory of zero norm
     leaves the NMSE undefined and raises :class:`NumericalFailure`, and with
     ``OPEN_LOOP`` among the modes a nominal control sequence out of the
     model's bounds raises :class:`~tlqr.exceptions.BoundViolation`, both
@@ -382,23 +394,26 @@ def sweep_epsilon(
     with np.errstate(over="ignore", invalid="ignore"):
         for mode in modes:
             key = (master_seed, _CTX_SWEEP, row_ids, _MODE_TAGS[mode])
+            # ``cut`` holds the values of the row that the previous call cut, so
+            # ``vals`` starts at the start of row start // n_runs. Its complete
+            # rows reduce as one block, a contiguous line per row, which rounds
+            # as each row's own array would.
+            cut = np.empty(0)
             for start, states in seeded_runs(policy, mode, grid, n_runs, key):
-                vals = nmse_values(policy.nominal, states)
-                stop = start + len(vals)
-                # Gather each row's values in one array; reduce it once its last run is in.
-                for i in range(start // n_runs, (stop - 1) // n_runs + 1):
-                    lo, hi = max(start, i * n_runs), min(stop, (i + 1) * n_runs)
-                    if lo == i * n_runs:
-                        row_vals = np.empty(n_runs)
-                    row_vals[lo - i * n_runs : hi - i * n_runs] = vals[lo - start : hi - start]
-                    if hi == (i + 1) * n_runs:
-                        row = row_vals.mean(), row_vals.std(ddof=1) if n_runs > 1 else 0.0
-                        if not np.all(np.isfinite(row)):
-                            raise NumericalFailure(
-                                f"{mode} NMSE at epsilon {grid[i]:.12g} is not finite "
-                                f"(mean {row[0]:.6g}, sd {row[1]:.6g})"
-                            )
-                        stats[mode][i] = row
+                vals = np.concatenate((cut, nmse_values(policy.nominal, states)))
+                first, whole = start // n_runs, len(vals) // n_runs
+                cut = vals[whole * n_runs :]
+                block = vals[: whole * n_runs].reshape(whole, n_runs)
+                rows = stats[mode][first : first + whole]
+                rows[:, 0] = block.mean(axis=1)
+                rows[:, 1] = block.std(axis=1, ddof=1) if n_runs > 1 else 0.0
+                bad = ~np.isfinite(rows).all(axis=1)
+                if bad.any():
+                    i = np.argmax(bad)
+                    raise NumericalFailure(
+                        f"{mode} NMSE at epsilon {grid[first + i]:.12g} is not finite "
+                        f"(mean {rows[i, 0]:.6g}, sd {rows[i, 1]:.6g})"
+                    )
     return tuple(
         SweepRow(
             epsilon=float(eps),

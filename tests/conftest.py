@@ -30,6 +30,11 @@ class LinearSystem:
         u = np.asarray(u, dtype=float)
         return (self.a @ x.T).T + (self.b @ u.T).T
 
+    def step_rows(self, x, u, out):
+        np.matmul(self.a, x, out=out)
+        out += self.b @ u
+        return out
+
     def transition_jacobians(self, x, u):
         reps = np.shape(x)[:-1] + (1, 1)
         return np.tile(self.a, reps), np.tile(self.b, reps)
@@ -49,6 +54,9 @@ class LinearSystem:
 
     def clamp_control(self, u):
         return np.asarray(u, dtype=float)
+
+    def clamp_rows(self, u):
+        return u
 
     def validate_control(self, u):
         pass

@@ -20,7 +20,14 @@ from tlqr.cli import main
 from tlqr.config import ExperimentConfig, default_config, epsilon_grid, parse_config
 from tlqr.error_analysis import cost_error_sensitivities, first_order_cost_error, linear_deviations
 from tlqr.exceptions import ConfigError
-from tlqr.lqr import LqrWeights, LtvSystem, closed_loop_matrices, feedback_control, riccati_backward
+from tlqr.lqr import (
+    LqrWeights,
+    LtvSystem,
+    closed_loop_matrices,
+    feedback_control,
+    feedback_rows,
+    riccati_backward,
+)
 from tlqr.planner import CostLinearization, adjoint_sweep
 from tlqr.simulate import (
     _CTX_SWEEP,
@@ -326,6 +333,15 @@ def test_clamped_feedback_rows_equal_single_calls(car_experiment, data):
         assert controls[i].tobytes() == feedback_control(policy, t, x).tobytes()
     assert np.all(np.abs(controls[:, 0]) <= car.v_max)
     assert np.all(np.abs(controls[:, 1]) < car.phi_max)
+    # The row form on C-ordered and on transposed rows, and the law as an
+    # elementwise product summed by np.sum over the state axis.
+    dev = (states - policy.nominal.states[t])[:, None, :]
+    law = policy.nominal.controls[t] - np.sum(policy.gains[t] * dev, axis=-1)
+    assert controls.tobytes() == car.clamp_control(law).tobytes()
+    for rows in (np.ascontiguousarray(states.T), states.T):
+        out = np.full((2, len(states)), np.nan)
+        assert feedback_rows(policy, t, rows, out) is out
+        assert out.T.tobytes() == controls.tobytes()
 
 
 def _config_paths(value, path=()):

@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 import tlqr
-from tlqr import cli
+from tlqr import cli, experiments
 from tlqr.cli import main
 from tlqr.config import MAX_HORIZON, canonical_json, default_config, parse_config
+from tlqr.experiments import RunStats
 from tlqr.large_deviations import RateFit
 
 
@@ -324,6 +325,20 @@ def test_manifest_records_stage_seconds_and_planner_work(config_path, tmp_path, 
     else:
         assert "planner" not in stats
     assert all(math.isfinite(v) and v >= 0 for v in values)
+
+
+def test_run_stats_add_re_entered_stages_and_divide_planner_seconds(monkeypatch):
+    clock = iter([1.0, 3.5, 10.0, 10.25])
+    monkeypatch.setattr(experiments.time, "perf_counter", lambda: next(clock))
+    stats = RunStats()
+    for _ in range(2):
+        with stats.stage("sweep"):
+            pass
+    stats.planner_iterations, stats.planner_seconds = 8, 0.5
+    planner = {"iterations": 8, "seconds": 0.5, "ms_per_iter": 62.5}  # 1e3 * 0.5 / 8
+    assert stats.as_dict() == {"stage_s": {"sweep": 2.75}, "planner": planner}
+    stats.planner_iterations = 0
+    assert stats.as_dict()["planner"]["ms_per_iter"] == 0.0
 
 
 def test_verify_zero_controls_fails_variance_check(tmp_path, capsys):

@@ -225,8 +225,69 @@ def test_transition_batch_rows_equal_single_calls(model):
         assert np.array_equal(batch[i], model.transition(x[i], u[i]))
 
 
+def _parent_transition(car, x, u):
+    """The Euler step as a stacked drift per state: the arithmetic of the pinned numbers."""
+    v, phi = u.T
+    theta = x.T[2]
+    drift = np.array([v * np.cos(theta), v * np.sin(theta), v / car.wheelbase * np.tan(phi)]).T
+    return x + car.step_period * drift
+
+
+def _parent_clamp(car, u):
+    v, phi = u.T
+    phi_lim = np.nextafter(car.phi_max, 0.0)
+    return np.array([np.clip(v, -car.v_max, car.v_max), np.clip(phi, -phi_lim, phi_lim)]).T
+
+
+def _row_form_inputs():
+    """States and controls inside and beyond the bounds, up to the singular steering limit."""
+    rng = np.random.default_rng(17)
+    x = rng.uniform(-4.0, 4.0, (41, 3))
+    u = rng.uniform(-1.0, 1.0, (41, 2)) * [1.2, 1.8]
+    half_pi = np.pi / 2
+    u[:6, 1] = [half_pi, -half_pi, np.nextafter(half_pi, 0.0), 2.0, -0.0, 0.0]
+    u[6:9, 0] = [0.6, -0.6, -0.0]
+    return x, u
+
+
+# A wheelbase and step period that are not powers of two, so that every
+# change in the order of the drift's operations shows in some entry.
+ROW_FORM_CARS = pytest.mark.parametrize(
+    "car", [CAR, KinematicCar(wheelbase=0.37, step_period=0.3, v_max=0.8, phi_max=1.2)]
+)
+
+
+@ROW_FORM_CARS
+def test_step_rows_equal_the_stacked_drift_in_every_layout(car):
+    x, u = _row_form_inputs()
+    expected = _parent_transition(car, x, u)
+    for i in range(len(x)):
+        assert car.transition(x[i], u[i]).tobytes() == expected[i].tobytes()
+    assert car.transition(x, u).tobytes() == expected.tobytes()
+    for rows, u_rows in ((np.ascontiguousarray(x.T), np.ascontiguousarray(u.T)), (x.T, u.T)):
+        out = np.full(rows.shape, np.nan)
+        assert car.step_rows(rows, u_rows, out) is out
+        assert out.T.tobytes() == expected.tobytes()
+    # One control column for every state.
+    one = car.step_rows(x.T, u[0][:, None], np.empty((3, len(x))))
+    assert one.T.tobytes() == _parent_transition(car, x, np.tile(u[0], (len(x), 1))).tobytes()
+
+
+@ROW_FORM_CARS
+def test_clamp_rows_equal_the_parent_clamp_in_every_layout(car):
+    _, u = _row_form_inputs()
+    u[9] = [np.nan, np.inf]
+    expected = _parent_clamp(car, u)
+    for i in range(len(u)):
+        assert car.clamp_control(u[i]).tobytes() == expected[i].tobytes()
+    assert car.clamp_control(u).tobytes() == expected.tobytes()
+    for rows in (np.ascontiguousarray(u.T), u.copy().T):
+        assert car.clamp_rows(rows) is rows  # in place
+        assert rows.T.tobytes() == expected.tobytes()
+
+
 def test_invalid_model_parameters():
-    bad = [("wheelbase", 0.0), ("phi_max", 2.0), ("phi_max", np.nan)]
+    bad = [("wheelbase", 0.0), ("phi_max", 0.0), ("phi_max", 2.0), ("phi_max", np.nan)]
     bad += [(name, x) for name in ("wheelbase", "step_period", "v_max") for x in (np.nan, np.inf)]
     for name, value in bad:
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import LinearSystem
-from tlqr import planner
+from tlqr import cli, planner
 from tlqr.config import default_config
 from tlqr.dynamics import KinematicCar
 from tlqr.exceptions import NumericalFailure
@@ -335,6 +335,27 @@ def test_non_convergence_returns_best_iterate():
     assert len(report.cost_history) == 2
     assert report.final_cost <= report.cost_history[0]
     assert report.final_cost == nominal_cost(cost, traj.states, traj.controls)
+
+
+def test_step_collapse_far_from_the_tolerance_is_not_convergence(monkeypatch, tmp_path, capsys):
+    # A steering Jacobian entry divided once more by cos(phi) (1/cos^3) makes
+    # the gradient disagree with the cost, and the line search collapses.
+    original = KinematicCar.transition_jacobians
+
+    def wrong_jacobians(self, x, u):
+        a, b = original(self, x, u)
+        b[..., 2, 1] /= np.cos(np.asarray(u)[..., 1])
+        return a, b
+
+    monkeypatch.setattr(KinematicCar, "transition_jacobians", wrong_jacobians)
+    config = default_config()
+    report = plan_experiment(config).report
+    assert not report.converged
+    assert report.iterations < config.planner.max_iters  # ended by the collapse
+    assert report.gradient_norm > planner.COLLAPSE_GRADIENT_FACTOR * config.planner.tolerance
+    assert cli.main(["plan", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: planner did not converge in ") and err.count("\n") == 1
 
 
 def test_nan_cost_raises_numerical_failure():

@@ -140,7 +140,9 @@ def test_plant_interface():
         if isinstance(node, ast.Attribute) and _last_name(node.value) == "model"
     }
     # An empty set (the plant renamed away from ``model``) would pass vacuously.
-    assert {"jacobians", "open_loop_states", "transition", "validate_control"} <= used
+    assert {
+        "clamp_rows", "jacobians", "open_loop_states", "step_rows", "transition", "validate_control"
+    } <= used
     for plant in (tlqr.dynamics.KinematicCar(), LinearSystem(a=[[1.0]], b=[[1.0]])):
         missing = sorted(name for name in used if not hasattr(plant, name))
         assert missing == [], f"{type(plant).__name__} lacks {missing}"

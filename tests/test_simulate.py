@@ -4,10 +4,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import LinearSystem, seeded_states
 from tlqr import simulate
-from tlqr.config import FULL_GRID, epsilon_grid
+from tlqr.config import FULL_GRID, MAX_RUNS, epsilon_grid
 from tlqr.dynamics import NominalTrajectory
 from tlqr.exceptions import BoundViolation, NumericalFailure
 from tlqr.experiments import run_sweep
@@ -17,6 +19,7 @@ from tlqr.simulate import (
     CLOSED_LOOP,
     OPEN_LOOP,
     _CTX_SWEEP,
+    _MODE_TAGS,
     _hash_seeds,
     _seed_words,
     _seed_words_type,
@@ -132,6 +135,10 @@ class _NegativeZeroPlant(LinearSystem):
     def transition(self, x, u):
         return np.full(np.shape(x), -0.0)
 
+    def step_rows(self, x, u, out):
+        out[:] = -0.0
+        return out
+
 
 def test_zero_epsilon_rows_get_exact_zero_noise():
     k = 12
@@ -185,7 +192,7 @@ def test_sweep_grid_validation(car_experiment):
     with pytest.raises(ValueError):
         sweep_epsilon(planned.policy, [0.1, 0.2], 0, 1)
     with pytest.raises(ValueError, match="n_runs"):
-        sweep_epsilon(planned.policy, [0.1, 0.2], simulate.MAX_RUNS + 1, 1)
+        sweep_epsilon(planned.policy, [0.1, 0.2], MAX_RUNS + 1, 1)
     with pytest.raises(ValueError):
         sweep_epsilon(planned.policy, [0.1], 1, 1, modes=("sideways",))
 
@@ -213,6 +220,32 @@ def test_overflowed_sweep_row_raises_numerical_failure(car_experiment, mode, eps
     message = f"{mode} NMSE at epsilon {epsilon:.12g} is not finite"
     with pytest.raises(NumericalFailure, match=re.escape(message)):
         sweep_epsilon(planned.policy, [epsilon], 3, 20260810, modes=(mode,))
+
+
+def test_sweep_block_names_its_first_row_that_is_not_finite(car_experiment):
+    # One kernel call holds all three rows; the later two overflow.
+    planned, _ = car_experiment
+    message = f"{CLOSED_LOOP} NMSE at epsilon {1e150:.12g} is not finite"
+    with pytest.raises(NumericalFailure, match=re.escape(message)):
+        sweep_epsilon(planned.policy, [0.05, 1e150, 1e296], 3, 20260810, modes=(CLOSED_LOOP,))
+
+
+@pytest.mark.parametrize("n_runs", [1, 7, 999, 1001, 2500])
+def test_sweep_rows_equal_each_rows_own_reduction(car_experiment, n_runs):
+    # Calls of 1,000 runs cut rows of 7, 999, 1,001 and 2,500 runs; each row's
+    # mean and sd must be those of the row's own array of values.
+    policy = car_experiment[0].policy
+    grid, master_seed = [0.02, 0.09, 0.13], 31
+    rows = sweep_epsilon(policy, grid, n_runs, master_seed)
+    for mode in (CLOSED_LOOP, OPEN_LOOP):
+        key = (master_seed, _CTX_SWEEP, np.arange(len(grid), dtype=np.uint32), _MODE_TAGS[mode])
+        calls = seeded_runs(policy, mode, grid, n_runs, key)
+        vals = np.concatenate([nmse_values(policy.nominal, states) for _, states in calls])
+        tag = "closed" if mode == CLOSED_LOOP else "open"
+        for i, row in enumerate(rows):
+            own = vals[i * n_runs : (i + 1) * n_runs].copy()
+            sd = own.std(ddof=1) if n_runs > 1 else 0.0
+            assert (getattr(row, f"avg_nmse_{tag}"), getattr(row, f"sd_{tag}")) == (own.mean(), sd)
 
 
 def _out_of_bounds_open_loop_policy(planned):
@@ -273,6 +306,36 @@ def test_rollout_states_closed_loop_matches_rollout(car_experiment, epsilon):
     for j, seed in enumerate(seeds):
         run = rollout(planned.policy, epsilon, CLOSED_LOOP, seed)
         assert np.array_equal(batch[j], run.states)
+
+
+# log10 ranges of per-run epsilon: no clamp, velocity clamps, the singular
+# steering clamp next to pi/2 (from about 0.11), and an NMSE that overflows;
+# a fifth of the runs have epsilon 0.
+_EPSILON_DECADES = np.array([(-4.0, -2.3), (-2.0, -1.0), (-0.96, 0.5), (150.0, 296.0)])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=8)
+@given(n_runs=st.sampled_from([1, 7]), seed=st.integers(0, 2**32 - 1))
+@pytest.mark.parametrize("mode", [CLOSED_LOOP, OPEN_LOOP])
+def test_kernel_rows_equal_the_scalar_rollout(car_experiment, mode, n_runs, seed):
+    _check_kernel_rows_against_rollout(car_experiment[0].policy, mode, n_runs, seed)
+
+
+@pytest.mark.parametrize("mode", [CLOSED_LOOP, OPEN_LOOP])
+def test_kernel_rows_of_a_full_call_equal_the_scalar_rollout(car_experiment, mode):
+    _check_kernel_rows_against_rollout(car_experiment[0].policy, mode, 1000, 2026)
+
+
+def _check_kernel_rows_against_rollout(policy, mode, n_runs, seed):
+    rng = np.random.default_rng(seed)
+    regime = rng.integers(len(_EPSILON_DECADES) + 1, size=n_runs)
+    lo, hi = _EPSILON_DECADES[np.minimum(regime, len(_EPSILON_DECADES) - 1)].T
+    epsilons = np.where(regime < len(_EPSILON_DECADES), 10.0 ** rng.uniform(lo, hi), 0.0)
+    seeds = rng.integers(0, 2**63, size=n_runs).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = seeded_states(policy, epsilons, mode, seeds)
+        for row, epsilon, seed in zip(batch, epsilons, seeds):
+            assert row.tobytes() == rollout(policy, epsilon, mode, seed).states.tobytes()
 
 
 def test_rollout_states_zero_noise_closed_loop_is_nominal(car_experiment):
@@ -615,7 +678,7 @@ def test_seeded_runs_check_n_runs_before_any_run(car_experiment, monkeypatch):
     planned, _ = car_experiment
     steps = []
     monkeypatch.setattr(simulate, "rollout_states", lambda *args: steps.append(args))
-    for n_runs in (0, simulate.MAX_RUNS + 1):
+    for n_runs in (0, MAX_RUNS + 1):
         with pytest.raises(ValueError, match="n_runs"):
             next(seeded_runs(planned.policy, CLOSED_LOOP, [0.05], n_runs, (3, 2)))
     assert steps == []
