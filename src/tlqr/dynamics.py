@@ -1,6 +1,6 @@
 """Discrete-time nonlinear system models with Jacobian access.
 
-A model owns a deterministic transition map ``x_{t+1} = f(x_t, u_t)`` on a
+A model owns a deterministic step map ``x_{t+1} = f(x_t, u_t)`` on a
 fixed step period and exposes its Jacobians with respect to state and
 control.
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import BoundViolation, DomainError
+from .exceptions import BoundViolation
 
 Array = np.ndarray
 
@@ -63,15 +63,13 @@ class NominalTrajectory:
 class KinematicCar:
     """Car-like robot: state (x, y, theta), control (v, phi).
 
-    Instances are immutable. The maps take one state (n,) with a control
-    (m,), or a batch (N, n) with (N, m); row i of a batch result equals the
-    single-pair result, bit for bit. ``step_rows`` and ``clamp_rows`` are
-    the one implementation of the Euler step and the clamp, on component
-    rows (one row per component, a column per state), writing into buffers
-    the caller owns; ``transition`` and ``clamp_control`` run them on one
-    state's (n, 1) rows or a batch's transposed rows.
-    ``transition``, ``transition_jacobians`` and ``open_loop_states`` skip
-    the bound checks, as the planner's penalty method needs.
+    Instances are immutable. ``step_rows`` and ``clamp_rows`` are the one
+    implementation of the Euler step and the clamp, on component rows (one
+    row per component, a column per state), writing into buffers the caller
+    owns; ``transition_jacobians`` takes a batch of (state, control) pairs.
+    ``step_rows``, ``transition_jacobians`` and ``open_loop_states`` skip
+    the bound checks, as the planner's penalty method needs;
+    ``rollout_nominal`` checks them.
 
     Controls are bounded by |v| <= v_max and |phi| < phi_max; the heading
     rate tan(phi)/L is singular at |phi| = phi_max when phi_max = pi/2.
@@ -96,12 +94,6 @@ class KinematicCar:
             raise ValueError("v_max must be positive and finite")
         if not 0 < self.phi_max <= np.pi / 2:
             raise ValueError("phi_max must lie in (0, pi/2]")
-
-    def transition(self, x: Array, u: Array) -> Array:
-        x = np.asarray(x, dtype=float)
-        rows = np.atleast_2d(x).T
-        u_rows = np.atleast_2d(np.asarray(u, dtype=float)).T
-        return self.step_rows(rows, u_rows, np.empty(rows.shape)).T.reshape(x.shape)
 
     def step_rows(self, x: Array, u: Array, out: Array) -> Array:
         """Write the Euler step x + dt * f(x, u) into ``out`` and return it, on component rows.
@@ -140,12 +132,9 @@ class KinematicCar:
         return states
 
     def transition_jacobians(self, x: Array, u: Array) -> tuple[Array, Array]:
+        """Jacobians A (N, 3, 3) and B (N, 3, 2) of the Euler step at x (N, 3) and u (N, 2)."""
         x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        if x.ndim == 1:
-            a, b = self.transition_jacobians(x[None], u[None])
-            return a[0], b[0]
-        v, phi = u.T
+        v, phi = np.asarray(u, dtype=float).T
         ct, st = np.cos(x[:, 2]), np.sin(x[:, 2])
         jx = np.zeros((len(x), 3, 3))
         jx[:, 0, 2] = -v * st
@@ -162,11 +151,6 @@ class KinematicCar:
         ju[:, 2, 1] = v * sec2 / self.wheelbase
         dt = self.step_period
         return np.eye(3) + dt * jx, dt * ju
-
-    def clamp_control(self, u: Array) -> Array:
-        u = np.array(u, dtype=float)
-        self.clamp_rows(np.atleast_2d(u).T)
-        return u
 
     def clamp_rows(self, u: Array) -> Array:
         """Clamp the control rows (2, N) in place to the bounds and return them."""
@@ -191,38 +175,17 @@ class KinematicCar:
     def control_bounds(self) -> Array:
         return np.array([self.v_max, self.phi_max])
 
-    def _check_dims(self, x: Array, u: Array) -> tuple[Array, Array]:
-        """x (n,) with u (m,), or x (N, n) with u (N, m), as float arrays."""
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        n, m = self.state_dim, self.control_dim
-        if x.ndim not in (1, 2) or x.shape[-1] != n:
-            raise ValueError(f"state has shape {x.shape}, expected ({n},) or (N, {n})")
-        if u.shape != x.shape[:-1] + (m,):
-            raise ValueError(f"control has shape {u.shape}, expected {x.shape[:-1] + (m,)}")
-        return x, u
-
-    def jacobians(self, x: Array, u: Array) -> tuple[Array, Array]:
-        """:meth:`transition_jacobians` after checking the dimensions and the smooth domain."""
-        x, u = self._check_dims(x, u)
-        phi = np.atleast_1d(u[..., 1])
-        singular = phi[np.abs(phi) >= self.phi_max]
-        if len(singular):
-            raise DomainError(
-                f"heading-rate map is singular at |phi| >= phi_max ({self.phi_max:.6g}); "
-                f"got phi = {singular[0]:.6g}"
-            )
-        return self.transition_jacobians(x, u)
-
     def rollout_nominal(self, x0: Array, controls: Array) -> NominalTrajectory:
         """Propagate x0 through the given control sequence.
 
         Returns K+1 states for K controls. The dimensions and the bounds of
         every control are checked before :meth:`open_loop_states` runs.
         """
+        x0 = np.asarray(x0, dtype=float)
         controls = np.asarray(controls, dtype=float)
-        if controls.ndim != 2 or len(controls) == 0:
-            raise ValueError("controls must be a nonempty (K, n_u) array")
-        x0, _ = self._check_dims(x0, controls[0])
+        if controls.ndim != 2 or len(controls) == 0 or controls.shape[1] != self.control_dim:
+            raise ValueError(f"controls must be a nonempty (K, {self.control_dim}) array")
+        if x0.shape != (self.state_dim,):
+            raise ValueError(f"x0 has shape {x0.shape}, expected ({self.state_dim},)")
         self.validate_control(controls)
         return NominalTrajectory(states=self.open_loop_states(x0, controls), controls=controls)

@@ -1,8 +1,8 @@
 """Small-noise exit statistics for the feedback-compensated system.
 
 The tracked closed loop steps x_{t+1} = f(x_t, u_fb(t, x_t)) + w_t, with
-f = ``policy.model.transition``, u_fb the clamped tracking law
-(:func:`~tlqr.lqr.feedback_control`) and w_t ~ N(0, sigma^2 I), sigma from
+f the Euler step ``policy.model.step_rows``, u_fb the clamped tracking law
+(:func:`~tlqr.lqr.feedback_rows`) and w_t ~ N(0, sigma^2 I), sigma from
 :func:`~tlqr.simulate.noise_sigma`, the one noise rule of the sweep and the
 exit study. The Freidlin-Wentzell action of a path is the noise energy it
 needs,
@@ -25,7 +25,7 @@ import numpy as np
 
 from ._stats import linear_fit, wilson_interval
 from .dynamics import Array
-from .lqr import TrackingPolicy, feedback_control
+from .lqr import TrackingPolicy, feedback_rows
 from .simulate import _CTX_EXIT, _CTX_LDP, CLOSED_LOOP, derive_seed, noise_sigma, seeded_runs
 
 def action_functional(policy: TrackingPolicy, path: Array, epsilon: float) -> float:
@@ -42,12 +42,18 @@ def action_functional(policy: TrackingPolicy, path: Array, epsilon: float) -> fl
     gave an action 10.5% above the noise energy it was drawn with.
     """
     path = np.atleast_2d(np.asarray(path, dtype=float))
-    if len(path) < 2:
-        raise ValueError("path needs at least two points")
+    n, k = policy.model.state_dim, policy.horizon
+    if path.ndim != 2 or path.shape[1] != n:
+        raise ValueError(f"path has shape {path.shape}, expected (T+1, {n})")
+    if not 2 <= len(path) <= k + 1:
+        raise ValueError(f"path needs 2 to K+1 = {k + 1} points, got {len(path)}")
     if not epsilon > 0:  # negated, so that NaN fails too
         raise ValueError("epsilon must be positive")
-    controls = np.array([feedback_control(policy, t, x) for t, x in enumerate(path[:-1])])
-    resid = path[1:] - policy.model.transition(path[:-1], controls)
+    x = path[:-1].T
+    controls = np.empty((policy.model.control_dim, x.shape[1]))
+    for t in range(x.shape[1]):
+        feedback_rows(policy, t, x[:, t : t + 1], controls[:, t : t + 1])
+    resid = path[1:] - policy.model.step_rows(x, controls, np.empty(x.shape)).T
     energy = float(np.sum(resid * resid))
     if energy == 0.0:
         return 0.0

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Array, KinematicCar, NominalTrajectory
-from .exceptions import NumericalFailure
+from .exceptions import DomainError, NumericalFailure
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +98,7 @@ class TrackingPolicy:
     ``closed_loop[t]`` stores A_t - B_t L_t; ``riccati`` has K+1 entries with
     the terminal weight last. ``model`` is the plant the policy was designed
     for and runs on: it supplies the execution-time control clamp and the
-    transition map of every rollout.
+    Euler step of every rollout.
     """
 
     nominal: NominalTrajectory
@@ -126,8 +126,26 @@ class TrackingPolicy:
 
 
 def linearize_along(model: KinematicCar, nominal: NominalTrajectory) -> LtvSystem:
-    """Jacobians of the transition map at every nominal (state, control) pair."""
-    a, b = model.jacobians(nominal.states[:-1], nominal.controls)
+    """Jacobians of the Euler step at every nominal (state, control) pair.
+
+    Raises ``ValueError`` when the nominal's dimensions are not the model's,
+    and ``DomainError`` when a steering angle (the last control) reaches its
+    strict bound, where the heading-rate map tan(phi)/L is singular.
+    """
+    n, m = model.state_dim, model.control_dim
+    if (nominal.state_dim, nominal.control_dim) != (n, m):
+        raise ValueError(
+            f"nominal dimensions (n={nominal.state_dim}, m={nominal.control_dim}) "
+            f"do not match the model (n={n}, m={m})"
+        )
+    phi, phi_max = nominal.controls[:, -1], model.control_bounds()[-1]
+    singular = phi[np.abs(phi) >= phi_max]
+    if len(singular):
+        raise DomainError(
+            f"heading-rate map is singular at |phi| >= phi_max ({phi_max:.6g}); "
+            f"got phi = {singular[0]:.6g}"
+        )
+    a, b = model.transition_jacobians(nominal.states[:-1], nominal.controls)
     return LtvSystem(a=a, b=b)
 
 
@@ -192,26 +210,6 @@ def design_tracking_policy(
     return TrackingPolicy(
         nominal=nominal, gains=gains, riccati=riccati, closed_loop=closed_loop, model=model
     )
-
-
-def feedback_control(policy: TrackingPolicy, t: int, x: Array) -> Array:
-    """Tracking control u_nom_t - L_t (x - x_nom_t), clamped to model bounds.
-
-    Takes one state (n,) and returns (m,), or a batch (N, n) and returns
-    (N, m); row i of a batch result equals the single-state result for row i.
-    It runs :func:`feedback_rows` on the state's (n, 1) or the batch's
-    transposed (n, N) rows.
-    """
-    if not 0 <= t <= policy.horizon - 1:
-        raise ValueError(f"time index {t} outside [0, {policy.horizon - 1}]")
-    x = np.asarray(x, dtype=float)
-    n = policy.model.state_dim
-    if x.ndim not in (1, 2) or x.shape[-1] != n:
-        raise ValueError(f"state has shape {x.shape}, expected ({n},) or (N, {n})")
-    rows = np.atleast_2d(x).T
-    m = policy.model.control_dim
-    out = feedback_rows(policy, t, rows, np.empty((m, rows.shape[1])))
-    return out.T.reshape(x.shape[:-1] + (m,))
 
 
 def feedback_rows(policy: TrackingPolicy, t: int, x: Array, out: Array) -> Array:

@@ -341,7 +341,7 @@ def optimize_nominal(
         gradient_norm = _norm(grad(best_z, best_states))
 
     max_violation = float(np.max(np.maximum(0.0, np.abs(controls) - model.control_bounds())))
-    controls = model.clamp_control(controls)
+    model.clamp_rows(controls.T)
 
     trajectory = model.rollout_nominal(x0, controls)
     final_cost = nominal_cost(cost, trajectory.states, trajectory.controls)

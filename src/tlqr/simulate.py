@@ -19,11 +19,11 @@ copies the result back into the buffer. It runs a
 (``policy.model``) through the row forms of the per-step maps: closed loop
 applies the clamped tracking law :func:`~tlqr.lqr.feedback_rows`, and every
 step the plant's Euler step ``step_rows``, each on the call's preallocated
-(n, N) and (m, N) work rows. The per-state maps ``feedback_control`` and
-``transition`` run the same row forms on one state's (n, 1) rows, so a
-run's states do not depend on its batch or the storage order and match a
-scalar per-run loop over them bit for bit. A call may cut a row of runs
-anywhere, and each run may carry its own epsilon.
+(n, N) and (m, N) work rows. Each entry of a row form depends on its own
+column alone, so a run's states do not depend on its batch or the storage
+order and match a per-run loop of the same row forms on one state's
+(n, 1) rows bit for bit. A call may cut a row of runs anywhere, and each
+run may carry its own epsilon.
 
 Seeding builds no ``SeedSequence`` per run. Two in-place hash passes run
 numpy's ``SeedSequence`` hash on uint32 entropy columns: ``_hash_seeds``
@@ -248,7 +248,7 @@ def rollout_states(
     On entry ``states[j, 1:]`` holds run j's (K, n) standard normals z_j and
     ``states[j, 0]`` is ignored; on return ``states[j]`` is run j's
     trajectory from the nominal initial state, with noise sigma_j * z_j
-    added after each transition. sigma_j comes from :func:`noise_sigma`, and
+    added after each Euler step. sigma_j comes from :func:`noise_sigma`, and
     a run with sigma_j = 0 gets exact +0.0 noise. ``epsilon`` is one value
     for all runs or one per run. Closed loop applies the clamped feedback
     law; open loop applies the planned controls, bound-checked once per call.

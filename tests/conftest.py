@@ -25,11 +25,6 @@ class LinearSystem:
         object.__setattr__(self, "state_dim", self.a.shape[0])
         object.__setattr__(self, "control_dim", self.b.shape[1])
 
-    def transition(self, x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        return (self.a @ x.T).T + (self.b @ u.T).T
-
     def step_rows(self, x, u, out):
         np.matmul(self.a, x, out=out)
         out += self.b @ u
@@ -39,21 +34,16 @@ class LinearSystem:
         reps = np.shape(x)[:-1] + (1, 1)
         return np.tile(self.a, reps), np.tile(self.b, reps)
 
-    jacobians = transition_jacobians
-
     def open_loop_states(self, x0, controls):
         states = np.empty((len(controls) + 1, self.state_dim))
         states[0] = x0
-        for t, u in enumerate(controls):
-            states[t + 1] = self.transition(states[t], u)
+        for t, u in enumerate(np.asarray(controls, dtype=float)):
+            self.step_rows(states[t][:, None], u[:, None], states[t + 1][:, None])
         return states
 
     def rollout_nominal(self, x0, controls):
         controls = np.asarray(controls, dtype=float)
         return NominalTrajectory(states=self.open_loop_states(x0, controls), controls=controls)
-
-    def clamp_control(self, u):
-        return np.asarray(u, dtype=float)
 
     def clamp_rows(self, u):
         return u

@@ -24,7 +24,6 @@ from tlqr.lqr import (
     LqrWeights,
     LtvSystem,
     closed_loop_matrices,
-    feedback_control,
     feedback_rows,
     riccati_backward,
 )
@@ -327,17 +326,18 @@ def test_clamped_feedback_rows_equal_single_calls(car_experiment, data):
     policy = car_experiment[0].policy
     car = policy.model
     t, states = data.draw(clamping_states(policy))
-    controls = feedback_control(policy, t, states)
+    # One state at a time, as (n, 1) rows.
+    controls = np.array(
+        [feedback_rows(policy, t, x[:, None], np.empty((2, 1)))[:, 0] for x in states]
+    )
     assert controls.shape == (len(states), 2)
-    for i, x in enumerate(states):
-        assert controls[i].tobytes() == feedback_control(policy, t, x).tobytes()
     assert np.all(np.abs(controls[:, 0]) <= car.v_max)
     assert np.all(np.abs(controls[:, 1]) < car.phi_max)
     # The row form on C-ordered and on transposed rows, and the law as an
     # elementwise product summed by np.sum over the state axis.
     dev = (states - policy.nominal.states[t])[:, None, :]
     law = policy.nominal.controls[t] - np.sum(policy.gains[t] * dev, axis=-1)
-    assert controls.tobytes() == car.clamp_control(law).tobytes()
+    assert controls.tobytes() == car.clamp_rows(law.T).T.tobytes()
     for rows in (np.ascontiguousarray(states.T), states.T):
         out = np.full((2, len(states)), np.nan)
         assert feedback_rows(policy, t, rows, out) is out

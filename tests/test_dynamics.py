@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import LinearSystem
-from tlqr.dynamics import KinematicCar
+from tlqr.dynamics import KinematicCar, NominalTrajectory
 from tlqr.exceptions import BoundViolation, DomainError
+from tlqr.lqr import linearize_along
 
 CAR = KinematicCar(wheelbase=0.5, step_period=0.7, v_max=0.6, phi_max=np.pi / 2)
 X0 = np.array([-1.5, 0.5, 0.0])
@@ -18,7 +19,7 @@ EVERY_MODEL = pytest.mark.parametrize(
 
 
 def step(model, x, u):
-    """One checked transition: the second state of a one-step rollout."""
+    """One checked Euler step: the second state of a one-step rollout."""
     return model.rollout_nominal(x, np.asarray(u, dtype=float)[None]).states[1]
 
 
@@ -48,19 +49,23 @@ def pow_sensitive_angles(rng, draws=20_000):
 
 
 def fd_jacobians(model, x, u, h=1e-5):
-    """Central finite differences of the transition map."""
+    """Central finite differences of the Euler step, one perturbed state or control per column."""
     n, m = model.state_dim, model.control_dim
-    a = np.empty((n, n))
-    b = np.empty((n, m))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        a[:, i] = (model.transition(x + e, u) - model.transition(x - e, u)) / (2 * h)
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = h
-        b[:, i] = (model.transition(x, u + e) - model.transition(x, u - e)) / (2 * h)
+
+    def steps(xs, us):
+        return model.step_rows(xs, us, np.empty(xs.shape))
+
+    xs, us = np.tile(x[:, None], (1, n)), np.tile(u[:, None], (1, n))
+    a = (steps(xs + h * np.eye(n), us) - steps(xs - h * np.eye(n), us)) / (2 * h)
+    xs, us = np.tile(x[:, None], (1, m)), np.tile(u[:, None], (1, m))
+    b = (steps(xs, us + h * np.eye(m)) - steps(xs, us - h * np.eye(m))) / (2 * h)
     return a, b
+
+
+def linearized_pair(model, x, u):
+    """``linearize_along`` at one (state, control) pair, as a one-step nominal."""
+    sys = linearize_along(model, NominalTrajectory(states=np.array([x, x]), controls=np.array([u])))
+    return sys.a[0], sys.b[0]
 
 
 def test_euler_step_straight():
@@ -79,12 +84,12 @@ def test_step_deterministic():
 
 
 def test_jacobian_state_hand_value():
-    a, _ = CAR.jacobians(X0, np.array([0.6, 0.0]))
+    a, _ = linearized_pair(CAR, X0, np.array([0.6, 0.0]))
     np.testing.assert_allclose(a, [[1, 0, 0], [0, 1, 0.42], [0, 0, 1]], atol=1e-12)
 
 
 def test_jacobian_control_hand_value():
-    _, b = CAR.jacobians(X0, np.array([0.6, 0.0]))
+    _, b = linearized_pair(CAR, X0, np.array([0.6, 0.0]))
     np.testing.assert_allclose(b, [[0.7, 0], [0, 0], [0, 0.84]], atol=1e-12)
 
 
@@ -99,10 +104,10 @@ def test_jacobians_match_finite_differences(model):
         else:
             x = rng.uniform(-2, 2, size=model.state_dim)
             u = rng.uniform(-1, 1, size=model.control_dim)
-        a, b = model.transition_jacobians(x, u)
+        a, b = model.transition_jacobians(x[None], u[None])
         a_fd, b_fd = fd_jacobians(model, x, u)
-        assert np.linalg.norm(a - a_fd) / np.linalg.norm(a) <= 1e-6
-        assert np.linalg.norm(b - b_fd) <= 1e-6 * max(np.linalg.norm(b), 1.0)
+        assert np.linalg.norm(a[0] - a_fd) / np.linalg.norm(a[0]) <= 1e-6
+        assert np.linalg.norm(b[0] - b_fd) <= 1e-6 * max(np.linalg.norm(b[0]), 1.0)
 
 
 @EVERY_MODEL
@@ -124,16 +129,17 @@ def test_batched_jacobians_equal_per_pair_formulas(model):
     for i in range(n):
         a_ref, b_ref = per_pair_jacobians(model, x[i], u[i])
         assert np.array_equal(a[i], a_ref) and np.array_equal(b[i], b_ref)
-        a_one, b_one = model.transition_jacobians(x[i], u[i])
-        assert np.array_equal(a_one, a_ref) and np.array_equal(b_one, b_ref)
-    checked = model.jacobians(x, u)
-    assert np.array_equal(checked[0], a) and np.array_equal(checked[1], b)
+        a_one, b_one = model.transition_jacobians(x[i : i + 1], u[i : i + 1])
+        assert np.array_equal(a_one[0], a_ref) and np.array_equal(b_one[0], b_ref)
+    # The checked entry: the same Jacobians along a nominal through the pairs.
+    checked = linearize_along(model, NominalTrajectory(states=np.vstack([x, x[:1]]), controls=u))
+    assert np.array_equal(checked.a, a) and np.array_equal(checked.b, b)
 
 
 def test_zero_step_period_degenerate():
     frozen = KinematicCar(wheelbase=0.5, step_period=0.0)
     u = np.array([0.3, 0.4])
-    a, b = frozen.jacobians(X0, u)
+    a, b = linearized_pair(frozen, X0, u)
     np.testing.assert_array_equal(a, np.eye(3))
     np.testing.assert_array_equal(b, np.zeros((3, 2)))
     np.testing.assert_array_equal(step(frozen, X0, u), X0)
@@ -166,14 +172,16 @@ def test_dimension_mismatch_errors():
         step(CAR, np.zeros(2), np.zeros(2))
     with pytest.raises(ValueError):
         step(CAR, X0, np.zeros(3))
+    with pytest.raises(ValueError, match="do not match the model"):
+        linearized_pair(CAR, np.zeros(2), np.zeros(2))
+    with pytest.raises(ValueError, match="do not match the model"):
+        linearized_pair(CAR, X0, np.zeros(3))
+    # Nominals of mismatched lengths or ranks never reach linearize_along:
+    # the trajectory itself rejects them.
     with pytest.raises(ValueError):
-        CAR.jacobians(np.zeros(2), np.zeros(2))
+        NominalTrajectory(states=np.zeros((4, 3)), controls=np.zeros((4, 2)))
     with pytest.raises(ValueError):
-        CAR.jacobians(X0, np.zeros(3))
-    with pytest.raises(ValueError):
-        CAR.jacobians(np.zeros((4, 3)), np.zeros((3, 2)))
-    with pytest.raises(ValueError):
-        CAR.jacobians(np.zeros((4, 3)), np.zeros(2))
+        NominalTrajectory(states=np.zeros((4, 3)), controls=np.zeros(2))
 
 
 def test_speed_bound_violation_names_component():
@@ -194,24 +202,25 @@ def test_steering_bound_violation_names_component():
 
 def test_jacobian_domain_error_at_singularity():
     with pytest.raises(DomainError):
-        CAR.jacobians(X0, np.array([0.1, CAR.phi_max]))
+        linearized_pair(CAR, X0, np.array([0.1, CAR.phi_max]))
     u = np.tile([0.1, 0.2], (5, 1))
     u[3, 1] = -CAR.phi_max
+    nominal = NominalTrajectory(states=np.tile(X0, (6, 1)), controls=u)
     with pytest.raises(DomainError, match="phi = -1.5708"):
-        CAR.jacobians(np.tile(X0, (5, 1)), u)
+        linearize_along(CAR, nominal)
 
 
-def test_clamp_control():
-    clamped = CAR.clamp_control(np.array([5.0, 3.0]))
+def test_clamp_rows():
+    clamped = CAR.clamp_rows(np.array([[5.0], [3.0]]))[:, 0]
     assert clamped[0] == CAR.v_max
     assert abs(clamped[1]) < CAR.phi_max
-    inside = np.array([0.2, -0.3])
-    np.testing.assert_array_equal(CAR.clamp_control(inside), inside)
+    inside = np.array([[0.2], [-0.3]])
+    np.testing.assert_array_equal(CAR.clamp_rows(inside.copy()), inside)
     batch = np.array([[5.0, 3.0], [0.2, -0.3], [-0.9, -2.0]])
-    clamped = CAR.clamp_control(batch)
-    assert clamped.shape == batch.shape
+    clamped = CAR.clamp_rows(batch.T.copy())
+    assert clamped.shape == batch.T.shape
     for i in range(len(batch)):
-        assert np.array_equal(clamped[i], CAR.clamp_control(batch[i]))
+        assert np.array_equal(clamped[:, i], CAR.clamp_rows(batch[i][:, None].copy())[:, 0])
 
 
 @EVERY_MODEL
@@ -219,10 +228,12 @@ def test_transition_batch_rows_equal_single_calls(model):
     rng = np.random.default_rng(11)
     x = rng.standard_normal((7, model.state_dim))
     u = 0.4 * rng.standard_normal((7, model.control_dim))
-    batch = model.transition(x, u)
-    assert batch.shape == (7, model.state_dim)
+    out = np.empty((model.state_dim, 7))
+    batch = model.step_rows(x.T, u.T, out)
+    assert batch is out
     for i in range(7):
-        assert np.array_equal(batch[i], model.transition(x[i], u[i]))
+        one = model.step_rows(x[i][:, None], u[i][:, None], np.empty((model.state_dim, 1)))
+        assert np.array_equal(batch[:, i], one[:, 0])
 
 
 def _parent_transition(car, x, u):
@@ -262,8 +273,8 @@ def test_step_rows_equal_the_stacked_drift_in_every_layout(car):
     x, u = _row_form_inputs()
     expected = _parent_transition(car, x, u)
     for i in range(len(x)):
-        assert car.transition(x[i], u[i]).tobytes() == expected[i].tobytes()
-    assert car.transition(x, u).tobytes() == expected.tobytes()
+        one = car.step_rows(x[i][:, None], u[i][:, None], np.empty((3, 1)))
+        assert one.tobytes() == expected[i].tobytes()
     for rows, u_rows in ((np.ascontiguousarray(x.T), np.ascontiguousarray(u.T)), (x.T, u.T)):
         out = np.full(rows.shape, np.nan)
         assert car.step_rows(rows, u_rows, out) is out
@@ -279,8 +290,7 @@ def test_clamp_rows_equal_the_parent_clamp_in_every_layout(car):
     u[9] = [np.nan, np.inf]
     expected = _parent_clamp(car, u)
     for i in range(len(u)):
-        assert car.clamp_control(u[i]).tobytes() == expected[i].tobytes()
-    assert car.clamp_control(u).tobytes() == expected.tobytes()
+        assert car.clamp_rows(u[i][:, None].copy()).tobytes() == expected[i].tobytes()
     for rows in (np.ascontiguousarray(u.T), u.copy().T):
         assert car.clamp_rows(rows) is rows  # in place
         assert rows.T.tobytes() == expected.tobytes()

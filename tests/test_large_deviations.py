@@ -7,7 +7,7 @@ import tlqr.simulate as simulate
 from conftest import LinearSystem, seeded_states
 from tlqr.dynamics import NominalTrajectory
 from tlqr.large_deviations import action_functional, estimate_exit_probability, exit_study, fit_rate
-from tlqr.lqr import TrackingPolicy, feedback_control
+from tlqr.lqr import TrackingPolicy, feedback_rows
 from tlqr.simulate import CLOSED_LOOP, _CTX_LDP, derive_seed, noise_sigma
 
 
@@ -34,9 +34,11 @@ def test_nominal_is_fixed_path_of_drift(car_experiment):
     planned, _ = car_experiment
     policy = planned.policy
     nominal = policy.nominal.states
+    u = np.empty((2, 1))
     for t in range(policy.horizon):
-        step = policy.model.transition(nominal[t], feedback_control(policy, t, nominal[t]))
-        np.testing.assert_allclose(step, nominal[t + 1], atol=1e-12)
+        x = nominal[t][:, None]
+        step = policy.model.step_rows(x, feedback_rows(policy, t, x, u), np.empty((3, 1)))
+        np.testing.assert_allclose(step[:, 0], nominal[t + 1], atol=1e-12)
 
 
 def test_action_scalar_hand_value():
@@ -89,8 +91,11 @@ def test_action_validation(car_experiment):
         action_functional(planned.policy, nominal[:1], epsilon=1.0)
     # The tracking law is defined for K steps, so a path of K+2 states fails.
     too_long = np.vstack([nominal, nominal[-1:]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"path needs 2 to K\+1"):
         action_functional(planned.policy, too_long, epsilon=1.0)
+    for wrong_dim in (nominal[:, :2], nominal[:, :, None]):
+        with pytest.raises(ValueError, match="path has shape"):
+            action_functional(planned.policy, wrong_dim, epsilon=1.0)
 
 
 def test_exit_probability_zero_noise(car_experiment):

@@ -13,7 +13,7 @@ from tlqr.lqr import (
     TrackingPolicy,
     closed_loop_matrices,
     design_tracking_policy,
-    feedback_control,
+    feedback_rows,
     linearize_along,
     riccati_backward,
 )
@@ -200,29 +200,26 @@ def test_policy_rejects_model_of_other_dimensions(car_experiment):
         dataclasses.replace(planned.policy, model=LinearSystem(a=np.eye(2), b=np.eye(2)))
 
 
+def feedback_column(policy, t, x):
+    """The clamped law at step t on one state, as the (n, 1) rows of ``feedback_rows``."""
+    return feedback_rows(policy, t, x[:, None], np.empty((policy.model.control_dim, 1)))[:, 0]
+
+
 def test_feedback_on_nominal_returns_nominal_control(car_experiment):
     planned, _ = car_experiment
     policy = planned.policy
     for t in (0, 7, policy.horizon - 1):
         np.testing.assert_array_equal(
-            feedback_control(policy, t, policy.nominal.states[t]), policy.nominal.controls[t]
+            feedback_column(policy, t, policy.nominal.states[t]), policy.nominal.controls[t]
         )
 
 
 def test_feedback_scalar_value_and_linearity():
     policy = scalar_policy(0.5)
-    assert feedback_control(policy, 0, np.array([1.0]))[0] == pytest.approx(-0.5)
-    u1 = feedback_control(policy, 0, np.array([0.3]))
-    u2 = feedback_control(policy, 0, np.array([0.6]))
+    assert feedback_column(policy, 0, np.array([1.0]))[0] == pytest.approx(-0.5)
+    u1 = feedback_column(policy, 0, np.array([0.3]))
+    u2 = feedback_column(policy, 0, np.array([0.6]))
     np.testing.assert_allclose(u2, 2 * u1, atol=1e-15)
-
-
-def test_feedback_time_index_validated():
-    policy = scalar_policy(0.5)
-    with pytest.raises(ValueError):
-        feedback_control(policy, 1, np.array([0.0]))
-    with pytest.raises(ValueError):
-        feedback_control(policy, -1, np.array([0.0]))
 
 
 def test_feedback_batch_rows_equal_single_states(car_experiment):
@@ -230,23 +227,17 @@ def test_feedback_batch_rows_equal_single_states(car_experiment):
     rng = np.random.default_rng(8)
     for t in (0, 9, policy.horizon - 1):
         batch = policy.nominal.states[t] + rng.normal(scale=0.5, size=(40, 3))
-        controls = feedback_control(policy, t, batch)
-        assert controls.shape == (40, 2)
-        for x, u in zip(batch, controls):
-            assert np.array_equal(feedback_control(policy, t, x), u)
-
-
-def test_feedback_state_shape_validated(car_experiment):
-    policy = car_experiment[0].policy
-    for bad in (np.zeros(2), np.zeros((4, 2)), np.zeros((2, 2, 3)), np.float64(0.0)):
-        with pytest.raises(ValueError, match="state has shape"):
-            feedback_control(policy, 0, bad)
+        out = np.empty((2, 40))
+        controls = feedback_rows(policy, t, batch.T, out)
+        assert controls is out
+        for x, u in zip(batch, controls.T):
+            assert np.array_equal(feedback_column(policy, t, x), u)
 
 
 def test_feedback_clamps_to_car_bounds(car_experiment):
     planned, _ = car_experiment
     policy = planned.policy
-    u = feedback_control(policy, 0, policy.nominal.states[0] + np.array([5.0, -5.0, 1.0]))
+    u = feedback_column(policy, 0, policy.nominal.states[0] + np.array([5.0, -5.0, 1.0]))
     assert abs(u[0]) <= planned.policy.model.v_max
     assert abs(u[1]) < planned.policy.model.phi_max
 
@@ -255,11 +246,12 @@ def test_closed_loop_error_contracts_after_startup(car_experiment):
     planned, _ = car_experiment
     policy, model = planned.policy, planned.policy.model
     direction = np.array([1.0, 1.0, 1.0]) / np.sqrt(3)
-    x = policy.nominal.states[0] + 0.05 * direction
+    x = (policy.nominal.states[0] + 0.05 * direction)[:, None]
+    u = np.empty((2, 1))
     errs = [0.05]
     for t in range(policy.horizon):
-        x = model.transition(x, feedback_control(policy, t, x))
-        errs.append(np.linalg.norm(x - policy.nominal.states[t + 1]))
+        x = model.step_rows(x, feedback_rows(policy, t, x, u), np.empty((3, 1)))
+        errs.append(np.linalg.norm(x[:, 0] - policy.nominal.states[t + 1]))
     assert all(b <= a + 1e-12 for a, b in zip(errs[3:], errs[4:]))
 
 

@@ -27,11 +27,12 @@ X_GOAL = np.array([-0.5, 1.0, 0.0])
 
 
 def raw_states(model, x0, controls):
-    """Rollout through the unchecked transition, so out-of-bound controls are allowed."""
-    states = [np.asarray(x0, dtype=float)]
-    for u in controls:
-        states.append(model.transition(states[-1], u))
-    return np.array(states)
+    """Rollout one unchecked Euler step at a time, so out-of-bound controls are allowed."""
+    states = np.empty((len(controls) + 1, model.state_dim))
+    states[0] = x0
+    for t, u in enumerate(np.asarray(controls, dtype=float)):
+        model.step_rows(states[t][:, None], u[:, None], states[t + 1][:, None])
+    return states
 
 
 def cost_of(model, cost, x0, controls):
@@ -263,7 +264,7 @@ def test_reference_plan_makes_no_per_step_calls(monkeypatch):
 
     for name in ("nominal_cost", "cost_gradient"):
         count(planner, name)
-    for name in ("transition", "transition_jacobians"):
+    for name in ("step_rows", "transition_jacobians"):
         count(KinematicCar, name)
     planned = plan_experiment(default_config())
     assert planned.report.iterations == 490
@@ -272,7 +273,7 @@ def test_reference_plan_makes_no_per_step_calls(monkeypatch):
     assert (counts["nominal_cost"], counts["cost_gradient"]) == (571, 492)
     # One more Jacobian call linearizes the final nominal for the gains.
     assert counts["transition_jacobians"] == counts["cost_gradient"] + 1
-    assert counts["transition"] == 0
+    assert counts["step_rows"] == 0
 
 
 def test_cost_history_monotone(car_experiment):
@@ -293,6 +294,27 @@ def test_stored_cost_matches_recompute(car_experiment):
     traj = planned.policy.nominal
     recomputed = nominal_cost(planned.cost, traj.states, traj.controls)
     assert planned.report.final_cost == pytest.approx(recomputed, rel=1e-10)
+
+
+def test_wrap_angle_maps_onto_minus_pi_to_pi():
+    # The terminal heading error is |_wrap_angle(theta_K - theta_goal)|.
+    two_pi = 2.0 * np.pi
+    cases = [
+        (0.0, 0.0),
+        (0.5, 0.5),
+        (-3.0, -3.0),
+        (np.pi - 0.25, np.pi - 0.25),
+        (np.pi + 0.25, 0.25 - np.pi),
+        (-np.pi - 0.25, np.pi - 0.25),
+        (two_pi + 0.3, 0.3),
+        (-two_pi - 0.3, -0.3),
+        (3 * two_pi + 1.0, 1.0),
+        (-5 * two_pi - 2.0, -2.0),
+    ]
+    for angle, expected in cases:
+        wrapped = planner._wrap_angle(angle)
+        assert -np.pi <= wrapped < np.pi
+        assert wrapped == pytest.approx(expected, abs=1e-12)
 
 
 def _linear_quadratic_optimum(model, x0, goal, r_u, r_g, k):

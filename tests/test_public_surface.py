@@ -141,7 +141,13 @@ def test_plant_interface():
     }
     # An empty set (the plant renamed away from ``model``) would pass vacuously.
     assert {
-        "clamp_rows", "jacobians", "open_loop_states", "step_rows", "transition", "validate_control"
+        "clamp_rows",
+        "control_bounds",
+        "open_loop_states",
+        "rollout_nominal",
+        "step_rows",
+        "transition_jacobians",
+        "validate_control",
     } <= used
     for plant in (tlqr.dynamics.KinematicCar(), LinearSystem(a=[[1.0]], b=[[1.0]])):
         missing = sorted(name for name in used if not hasattr(plant, name))

@@ -14,7 +14,7 @@ from tlqr.dynamics import NominalTrajectory
 from tlqr.exceptions import BoundViolation, NumericalFailure
 from tlqr.experiments import run_sweep
 from tlqr.large_deviations import action_functional, estimate_exit_probability
-from tlqr.lqr import LqrWeights, TrackingPolicy, design_tracking_policy, feedback_control
+from tlqr.lqr import LqrWeights, TrackingPolicy, design_tracking_policy, feedback_rows
 from tlqr.simulate import (
     CLOSED_LOOP,
     OPEN_LOOP,
@@ -48,7 +48,8 @@ def rollout(policy: TrackingPolicy, epsilon: float, mode: str, seed: int) -> Rol
 
     Closed loop applies the clamped feedback law each step; open loop applies
     the planned control sequence regardless of state. Every step checks the
-    control bounds before its transition.
+    control bounds before its Euler step, and runs the row forms on the
+    state's (n, 1) rows.
     """
     if mode not in (CLOSED_LOOP, OPEN_LOOP):
         raise ValueError(f"unknown mode '{mode}'")
@@ -64,13 +65,14 @@ def rollout(policy: TrackingPolicy, epsilon: float, mode: str, seed: int) -> Rol
     controls = np.empty((k, model.control_dim))
     states[0] = policy.nominal.states[0]
     for t in range(k):
+        x = states[t][:, None]
         if mode == CLOSED_LOOP:
-            u = feedback_control(policy, t, states[t])
+            feedback_rows(policy, t, x, controls[t][:, None])
         else:
-            u = policy.nominal.controls[t]
-        controls[t] = u
-        model.validate_control(u)
-        states[t + 1] = model.transition(states[t], u) + noises[t]
+            controls[t] = policy.nominal.controls[t]
+        model.validate_control(controls[t])
+        model.step_rows(x, controls[t][:, None], states[t + 1][:, None])
+        states[t + 1] += noises[t]
     return Rollout(states=states, controls=controls, noises=noises)
 
 
@@ -130,10 +132,7 @@ def test_noise_sigma_gives_one_sigma_per_run(car_experiment):
 
 
 class _NegativeZeroPlant(LinearSystem):
-    """Every transition lands on -0.0, so a -0.0 noise term would stay visible."""
-
-    def transition(self, x, u):
-        return np.full(np.shape(x), -0.0)
+    """Every Euler step lands on -0.0, so a -0.0 noise term would stay visible."""
 
     def step_rows(self, x, u, out):
         out[:] = -0.0
@@ -293,7 +292,7 @@ def test_rollout_states_open_loop_bitwise_equals_rollout(car_experiment, epsilon
 
 @pytest.mark.parametrize("epsilon", [0.01, 0.06, 0.1, 0.147])
 def test_rollout_states_closed_loop_matches_rollout(car_experiment, epsilon):
-    # Both paths apply the one feedback_control, so they agree bit for bit.
+    # Both paths apply the one feedback_rows, so they agree bit for bit.
     # The seeds include the full-grid sweep's closed-loop runs at epsilon; at
     # 0.147 one of them clamps the steering next to pi/2 and |theta| blows up.
     planned, _ = car_experiment
