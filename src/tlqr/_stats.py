@@ -18,24 +18,22 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def skewness(x: np.ndarray) -> float:
-    """Moment-based sample skewness g1 = m3 / m2^(3/2)."""
+def skewness_kurtosis(x: np.ndarray) -> tuple[float, float]:
+    """Moment-based sample skewness g1 = m3 / m2^(3/2) and excess kurtosis g2 = m4 / m2^2 - 3.
+
+    Both are 0.0 for constant data (m2 = 0). The centered copy d and one
+    scratch array hold each power d^2, d^3 and d^4 in turn, so two arrays
+    of the input's size are live at once.
+    """
     x = np.asarray(x, dtype=float)
     d = x - x.mean()
-    m2 = np.mean(d * d)
+    t = np.multiply(d, d)
+    m2 = np.mean(t)
     if m2 == 0.0:
-        return 0.0
-    return float(np.mean(d**3) / m2**1.5)
-
-
-def excess_kurtosis(x: np.ndarray) -> float:
-    """Moment-based sample excess kurtosis g2 = m4 / m2^2 - 3."""
-    x = np.asarray(x, dtype=float)
-    d = x - x.mean()
-    m2 = np.mean(d * d)
-    if m2 == 0.0:
-        return 0.0
-    return float(np.mean(d**4) / m2**2 - 3.0)
+        return 0.0, 0.0
+    m3 = np.mean(np.power(d, 3, out=t))
+    m4 = np.mean(np.power(d, 4, out=t))
+    return float(m3 / m2**1.5), float(m4 / m2**2 - 3.0)
 
 
 def linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:

@@ -267,13 +267,14 @@ def rollout_states(
     if mode == OPEN_LOOP:
         model.validate_control(nominal.controls)
 
-    # The normals are scaled once into ``cols``, the (time, component, run)
-    # working copy whose steps read and write contiguous rows of runs.
-    # ``states`` takes the result back in C order, the order nmse_values
-    # sums each run in.
+    # The normals are copied once into ``cols``, the (time, component, run)
+    # working copy whose steps read and write contiguous rows of runs, and
+    # scaled there in contiguous rows. ``states`` takes the result back in
+    # C order, the order nmse_values sums each run in.
     states[sigma == 0.0, 1:] = 0.0  # exact zeros at sigma = 0, not the -0.0 of 0 * z
     cols = np.empty((k + 1, n, n_runs))
-    np.multiply(states[:, 1:].transpose(1, 2, 0), sigma, out=cols[1:])
+    cols[1:] = states[:, 1:].transpose(1, 2, 0)
+    cols[1:] *= sigma
 
     cols[0] = nominal.states[0][:, None]
     step = np.empty((n, n_runs))

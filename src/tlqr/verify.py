@@ -17,20 +17,22 @@ to its bound, so a report is reviewable without rerunning. Suites:
 * ``ldp``: exit-rate regression signature plus exact synthetic recovery and
   the zero action of the nominal path.
 
-The random instances of the propagation and riccati suites are batched by
-(n_x, n_u) family: every instance of a family shares one Riccati sweep,
-front-padded with zeros to the family's longest horizon
-(``_padded_riccati``). All of them use identity weights, so an instance of
-horizon k finds its own gains and Riccati matrices in the last k steps of
-the padded sweep, bit for bit. Every other batched pass runs on one exact
-(n_x, n_u, K) shape, and every reported value is the one a loop over
-single instances gives.
+Each random instance of the propagation and riccati suites is drawn in one
+call: three shape integers, then every entry in one uniform draw
+(``_draw_instance``), the same doubles one draw per array would give. The
+instances are batched by (n_x, n_u) family: every instance of a family
+shares one Riccati sweep, front-padded with zeros to the family's longest
+horizon (``_padded_riccati``). All of them use identity weights, so an
+instance of horizon k finds its own gains and Riccati matrices in the last
+k steps of the padded sweep, bit for bit. Every other batched pass runs on
+one exact (n_x, n_u, K) shape, and every reported value is the one a loop
+over single instances gives.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -108,16 +110,38 @@ class SuiteReport:
         return out
 
 
-def _random_ltv_arrays(
-    rng: np.random.Generator, max_nx: int = 4, max_nu: int = 2, max_k: int = 20
-) -> tuple[Array, Array]:
-    """A (K, n, n) and B (K, n, m) of a random shape, entries uniform in [-1, 1]."""
-    n_x = int(rng.integers(1, max_nx + 1))
-    n_u = int(rng.integers(1, max_nu + 1))
-    k = int(rng.integers(2, max_k + 1))
-    a = rng.uniform(-1.0, 1.0, size=(k, n_x, n_x))
-    b = rng.uniform(-1.0, 1.0, size=(k, n_x, n_u))
-    return a, b
+def _propagation_shapes(n_x: int, n_u: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Arrays of one propagation instance, in draw order: A, B, noises, cx, cu, cx_K."""
+    return (k, n_x, n_x), (k, n_x, n_u), (k, n_x), (k, n_x), (k, n_u), (n_x,)
+
+
+def _riccati_shapes(n_x: int, n_u: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Arrays of one value-identity instance, in draw order: A, B, x0."""
+    return (k, n_x, n_x), (k, n_x, n_u), (n_x,)
+
+
+def _draw_instance(
+    rng: np.random.Generator, shapes: Callable[[int, int, int], Sequence[tuple[int, ...]]]
+) -> tuple[tuple[int, int, int], Array]:
+    """One random LTV instance: its (n_x, n_u, K) and one flat row of all its entries.
+
+    n_x in [1, 4], n_u in [1, 2] and K in [2, 20] come first, then every
+    entry of the arrays ``shapes(n_x, n_u, K)`` lists, uniform in [-1, 1],
+    in one draw: a generator yields the same doubles in one call as in one
+    call per array, so the row holds those arrays back to back.
+    """
+    dims = (int(rng.integers(1, 5)), int(rng.integers(1, 3)), int(rng.integers(2, 21)))
+    return dims, rng.uniform(-1.0, 1.0, size=sum(math.prod(s) for s in shapes(*dims)))
+
+
+def _split_rows(rows: Array, shapes: Sequence[tuple[int, ...]]) -> list[Array]:
+    """C-contiguous arrays, one per shape, cut from the flat rows (..., size) in order."""
+    arrays, start = [], 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        arrays.append(np.ascontiguousarray(rows[..., start:stop]).reshape(rows.shape[:-1] + shape))
+        start = stop
+    return arrays
 
 
 def _noise_maps(d: Array) -> Array:
@@ -189,40 +213,41 @@ def propagation_errors(n_instances: int = 1000, seed: int = 1001) -> dict:
     udev = -L xdev, and max relative error of the sensitivity-form
     cost-error reconstruction.
 
-    Every instance is drawn first, in one fixed order. All instances of one
-    (n_x, n_u) family share one Riccati sweep, front-padded to the family's
-    longest horizon (``_padded_riccati``). The rest runs once per exact
-    (n_x, n_u, K) shape: closed-loop matrices, deviations, noise maps, the
-    oracle sums, the cost-error sensitivities and the cost errors; padding
-    these would change the length of their sums. Each row equals its
-    single-instance computation bit for bit, and the maxima do not depend
-    on order.
+    Every instance is drawn first, in one fixed order, as its shape and one
+    flat row of entries (``_draw_instance``); each (n_x, n_u, K) group
+    stacks its rows once and splits them into its six arrays. All instances
+    of one (n_x, n_u) family share one Riccati sweep, front-padded to the
+    family's longest horizon (``_padded_riccati``). The rest runs once per
+    exact (n_x, n_u, K) shape: closed-loop matrices, deviations, noise maps,
+    the oracle sums, the cost-error sensitivities and the cost errors;
+    padding these would change the length of their sums. Each row equals
+    its single-instance computation bit for bit, and the maxima do not
+    depend on order.
     """
     rng = np.random.default_rng(seed)
-    families: dict[tuple[int, int], dict[int, list]] = {}
+    families: dict[tuple[int, int], dict[int, list[Array]]] = {}
     for _ in range(n_instances):
-        a, b = _random_ltv_arrays(rng)
-        k, n_x, n_u = b.shape
-        noises = rng.uniform(-1.0, 1.0, size=(k, n_x))
-        cx = rng.uniform(-1.0, 1.0, size=(k, n_x))
-        cu = rng.uniform(-1.0, 1.0, size=(k, n_u))
-        cx_terminal = rng.uniform(-1.0, 1.0, size=n_x)
-        shapes = families.setdefault((n_x, n_u), {})
-        shapes.setdefault(k, []).append((a, b, noises, cx, cu, cx_terminal))
+        (n_x, n_u, k), row = _draw_instance(rng, _propagation_shapes)
+        families.setdefault((n_x, n_u), {}).setdefault(k, []).append(row)
 
     max_state_rel = 0.0
     max_identity_abs = 0.0
     max_reconstruction_rel = 0.0
-    for shapes in families.values():
-        members = [m for group in shapes.values() for m in group]
-        padded_gains, _ = _padded_riccati([m[0] for m in members], [m[1] for m in members])
+    for (n_x, n_u), by_horizon in families.items():
+        groups = {
+            k: _split_rows(np.stack(rows), _propagation_shapes(n_x, n_u, k))
+            for k, rows in by_horizon.items()
+        }
+        padded_gains, _ = _padded_riccati(
+            [a_i for a, *_ in groups.values() for a_i in a],
+            [b_i for _, b, *_ in groups.values() for b_i in b],
+        )
         k_max, first = padded_gains.shape[1], 0
-        for k, group in shapes.items():
-            a, b, noises, cx, cu, cx_terminal = (np.stack(x) for x in zip(*group))
+        for k, (a, b, noises, cx, cu, cx_terminal) in groups.items():
             # A contiguous copy, laid out like an unpadded sweep's gains: the
             # einsum passes below sum in memory order.
-            gains = np.ascontiguousarray(padded_gains[first : first + len(group), k_max - k :])
-            first += len(group)
+            gains = np.ascontiguousarray(padded_gains[first : first + len(a), k_max - k :])
+            first += len(a)
             d = closed_loop_matrices(LtvSystem(a=a, b=b), gains)
             states, controls = linear_deviations(d, gains, noises)
             maps = _noise_maps(d)
@@ -289,9 +314,9 @@ def value_identity_error(n_instances: int = 100, seed: int = 1002) -> float:
     rng = np.random.default_rng(seed)
     families: dict[tuple[int, int], list] = {}
     for _ in range(n_instances):
-        sys = LtvSystem(*_random_ltv_arrays(rng))
-        x0 = rng.uniform(-1.0, 1.0, size=sys.state_dim)
-        families.setdefault((sys.state_dim, sys.control_dim), []).append((sys, x0))
+        (n_x, n_u, k), row = _draw_instance(rng, _riccati_shapes)
+        a, b, x0 = _split_rows(row, _riccati_shapes(n_x, n_u, k))
+        families.setdefault((n_x, n_u), []).append((LtvSystem(a=a, b=b), x0))
     worst = 0.0
     for (n_x, n_u), members in families.items():
         gains, riccati = _padded_riccati([m[0].a for m in members], [m[0].b for m in members])

@@ -9,7 +9,6 @@ from tlqr.dynamics import NominalTrajectory
 from tlqr.experiments import plan_experiment, run_sweep
 from tlqr.lqr import LqrWeights, LtvSystem
 from tlqr.simulate import _seed_words, _standard_normals, rollout_states
-from tlqr.verify import _random_ltv_arrays
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,8 +63,19 @@ def seeded_states(policy, epsilon, mode, seeds):
 
 
 def random_ltv_instance(rng, max_nx=4, max_nu=2, max_k=20):
-    """Random LTV system (entries uniform in [-1, 1], as verify draws them) with identity weights."""
-    sys = LtvSystem(*_random_ltv_arrays(rng, max_nx, max_nu, max_k))
+    """Random LTV system, entries uniform in [-1, 1], with identity weights.
+
+    Draws n_x, n_u and K, then A and B one call each. With the default
+    bounds these are verify's instances, which it draws in one call per
+    instance, so the tests' per-instance references built on this draw
+    check that stream independently.
+    """
+    n_x = int(rng.integers(1, max_nx + 1))
+    n_u = int(rng.integers(1, max_nu + 1))
+    k = int(rng.integers(2, max_k + 1))
+    sys = LtvSystem(
+        a=rng.uniform(-1.0, 1.0, size=(k, n_x, n_x)), b=rng.uniform(-1.0, 1.0, size=(k, n_x, n_u))
+    )
     weights = LqrWeights(np.ones(sys.state_dim), np.ones(sys.control_dim))
     return sys, weights
 
