@@ -71,6 +71,12 @@ class KinematicCar:
     the bound checks, as the planner's penalty method needs;
     ``rollout_nominal`` checks them.
 
+    The Euler step couples the state only through the heading: the drift
+    depends on theta alone, and the Jacobian A_t differs from the identity
+    only in its heading column. So ``open_loop_states`` runs forward as
+    prefix sums of the increments, and ``costates`` runs backward as one
+    stacked product and a reverse running sum of the heading entries.
+
     Controls are bounded by |v| <= v_max and |phi| < phi_max; the heading
     rate tan(phi)/L is singular at |phi| = phi_max when phi_max = pi/2.
     step_period = 0 is tolerated as a degenerate test configuration.
@@ -130,6 +136,27 @@ class KinematicCar:
         states[1:, 1] = dt * (v * np.sin(theta))
         np.add.accumulate(states[:, :2], axis=0, out=states[:, :2])
         return states
+
+    def costates(self, terminal: Array, a: Array) -> Array:
+        """Costates lam_K = terminal, lam_t = a_t^T lam_{t+1}, as (K+1, 3), for a (K, 3, 3).
+
+        Bit for bit ``planner.adjoint_sweep(terminal, None, a)`` on this
+        model's C-ordered Jacobians, whenever that history is finite. The
+        Euler step couples the state only through the heading, so a_t^T keeps
+        the x and y entries of lam and adds c_t = a_t[0, 2] lam[0] +
+        a_t[1, 2] lam[1] to the heading entry. One stacked product gives every
+        c_t through the per-item gemv the sweep takes, and the heading entries
+        are a running sum from the end: gemv adds the unit-coefficient heading
+        term last, so lam_t[2] = lam_{t+1}[2] + c_t rounds as the sweep does.
+        An elementwise c_t rounds differently on about one random history in five.
+        """
+        k = len(a)
+        lam = np.empty((k + 1, 3))
+        lam[k] = terminal
+        np.matmul(np.swapaxes(a, -1, -2), (lam[k, 0], lam[k, 1], 0.0), out=lam[:k])
+        heading = lam[::-1, 2]
+        np.add.accumulate(heading, out=heading)
+        return lam
 
     def transition_jacobians(self, x: Array, u: Array) -> tuple[Array, Array]:
         """Jacobians A (N, 3, 3) and B (N, 3, 2) of the Euler step at x (N, 3) and u (N, 2)."""

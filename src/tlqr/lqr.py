@@ -169,11 +169,12 @@ def riccati_backward(sys: LtvSystem, weights: LqrWeights) -> tuple[Array, Array]
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(k - 1, -1, -1):
             a, b = sys.a[..., t, :, :], sys.b[..., t, :, :]
-            b_t = np.swapaxes(b, -1, -2)
             p_next = riccati[..., t + 1, :, :]
-            gram = wu + b_t @ p_next @ b
+            # B'P, the left factor of both B'PB and B'PA (``@`` groups left).
+            bp = np.swapaxes(b, -1, -2) @ p_next
+            gram = wu + bp @ b
             try:
-                gain = np.linalg.solve(gram, b_t @ p_next @ a)
+                gain = np.linalg.solve(gram, bp @ a)
             except np.linalg.LinAlgError as exc:
                 raise NumericalFailure(f"singular gain system at step {t}") from exc
             gains[..., t, :, :] = gain

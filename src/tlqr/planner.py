@@ -7,10 +7,11 @@ is the deterministic rollout cost of one :class:`GoalCost`
 
 where the stage term c holds the control effort and a smooth penalty on the
 control bounds, and the terminal term c_K the goal attraction. Each trial
-point is rolled out once; the accepted point's states feed its gradient, the
-backward ``adjoint_sweep`` over the rollout Jacobians. The cost-error
-analysis runs the same sweep on the closed-loop matrices. The search
-direction comes from a limited-memory quasi-Newton update with a
+point is rolled out once; the accepted point's states feed its gradient,
+through the plant's backward costates over the rollout Jacobians (the car's
+``KinematicCar.costates``, bit for bit the general ``adjoint_sweep``). The
+cost-error analysis runs ``adjoint_sweep`` on the closed-loop matrices. The
+search direction comes from a limited-memory quasi-Newton update with a
 backtracking Armijo line search.
 """
 from __future__ import annotations
@@ -124,12 +125,15 @@ def adjoint_sweep(terminal: Array, forcing: Optional[Array], maps: Array) -> Arr
     returns the (K+1, n) history lam_0..lam_K; ``forcing=None`` is zero
     forcing. With a leading batch axis on every input, (N, n), (N, K, n) and
     (N, K, n, n), it returns (N, K+1, n), row i bit-identical to the call on
-    instance i. Each step is one BLAS gemv of the swapped map by lam_{t+1}:
-    ``ndarray.dot`` on one C-ordered instance, at about half the call cost
-    of a matmul, and a matmul with one output column otherwise. Both reach
-    the same gemv on C-ordered maps; on other layouts ``dot`` may take a
-    strided loop that rounds differently from matmul's, and so may an
-    elementwise sum or an einsum.
+    instance i. Each step is one matmul of the swapped maps by lam_{t+1} as
+    a column, which takes one instance's path for a batch row too: a BLAS
+    gemv on C-ordered maps. An elementwise sum or an einsum rounds
+    differently.
+
+    This is the one general backward sweep. ``verify``'s cost-error
+    sensitivities call it, and so does the ``costates`` of a plant without
+    a shortcut of its own; the car's planner gradient takes
+    ``KinematicCar.costates``, bit for bit this sweep.
     """
     maps = np.asarray(maps, dtype=float)
     terminal = np.asarray(terminal, dtype=float)
@@ -137,12 +141,6 @@ def adjoint_sweep(terminal: Array, forcing: Optional[Array], maps: Array) -> Arr
     lam = np.empty(terminal.shape[:-1] + (k + 1, terminal.shape[-1]))
     lam[..., k, :] = terminal
     maps_t = np.swapaxes(maps, -1, -2)
-    if maps.ndim == 3 and maps.flags.c_contiguous:
-        for t in range(k - 1, -1, -1):
-            maps_t[t].dot(lam[t + 1], out=lam[t])
-            if forcing is not None:
-                lam[t] += forcing[t]
-        return lam
     for t in range(k - 1, -1, -1):
         np.matmul(maps_t[..., t, :, :], lam[..., t + 1, :, None], out=lam[..., t, :, None])
         if forcing is not None:
@@ -214,13 +212,16 @@ def nominal_cost(cost: GoalCost, states: Array, controls: Array) -> float:
 def cost_gradient(model: KinematicCar, cost: GoalCost, states: Array, controls: Array) -> Array:
     """Gradient of nominal_cost with respect to each control along a rollout.
 
-    lam = adjoint_sweep(dc_K/dx, None, A_t) and g_t = dc_t/du + B_t^T lam_{t+1},
+    lam = model.costates(dc_K/dx, A_t) and g_t = dc_t/du + B_t^T lam_{t+1},
     with all (A_t, B_t) from one batched Jacobian call. The stage cost does
-    not depend on the state, so the sweep has no forcing.
+    not depend on the state, so the backward recursion has no forcing. Each
+    plant owns its costates, as it owns ``open_loop_states``: the car's are a
+    stacked product and a running sum, bit for bit the unforced
+    :func:`adjoint_sweep`, which a plant without that structure returns.
     """
     states, controls = _check_rollout(states, controls)
     a, b = model.transition_jacobians(states[:-1], controls)
-    lam = adjoint_sweep(cost.terminal_grad(states[-1]), None, a)
+    lam = model.costates(cost.terminal_grad(states[-1]), a)
     return cost.stage_grad(controls) + np.matmul(lam[1:, None, :], b)[:, 0, :]
 
 

@@ -8,6 +8,7 @@ from tlqr.config import default_config
 from tlqr.dynamics import NominalTrajectory
 from tlqr.experiments import plan_experiment, run_sweep
 from tlqr.lqr import LqrWeights, LtvSystem
+from tlqr.planner import adjoint_sweep
 from tlqr.simulate import _seed_words, _standard_normals, rollout_states
 
 
@@ -39,6 +40,9 @@ class LinearSystem:
         for t, u in enumerate(np.asarray(controls, dtype=float)):
             self.step_rows(states[t][:, None], u[:, None], states[t + 1][:, None])
         return states
+
+    def costates(self, terminal, a):
+        return adjoint_sweep(terminal, None, a)
 
     def rollout_nominal(self, x0, controls):
         controls = np.asarray(controls, dtype=float)

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import LinearSystem
 from tlqr.dynamics import KinematicCar, NominalTrajectory
 from tlqr.exceptions import BoundViolation, DomainError
 from tlqr.lqr import linearize_along
+from tlqr.planner import adjoint_sweep
 
 CAR = KinematicCar(wheelbase=0.5, step_period=0.7, v_max=0.6, phi_max=np.pi / 2)
 X0 = np.array([-1.5, 0.5, 0.0])
@@ -294,6 +297,38 @@ def test_clamp_rows_equal_the_parent_clamp_in_every_layout(car):
     for rows in (np.ascontiguousarray(u.T), u.copy().T):
         assert car.clamp_rows(rows) is rows  # in place
         assert rows.T.tobytes() == expected.tobytes()
+
+
+# Terminal entries: signed zeros, the extremes of the normal range and ordinary values.
+TERMINAL_ENTRIES = st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300]) | st.floats(-10, 10)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    car=st.sampled_from([CAR, KinematicCar(wheelbase=0.37, step_period=0.3, phi_max=1.2)]),
+    k=st.integers(1, 40),
+    terminal=st.lists(TERMINAL_ENTRIES, min_size=3, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_costates_equal_the_unforced_adjoint_sweep(car, k, terminal, seed):
+    """The car's costates are the general sweep on its Jacobians, bit for bit.
+
+    About a quarter of the headings are 0, -0.0 or pi/2, of the speeds
+    +-0.0, and of the steering angles within 1e-6 of +-phi_max.
+    """
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-4.0, 4.0, (k, 3))
+    u = rng.uniform(-1.0, 1.0, (k, 2)) * [car.v_max, car.phi_max]
+    special = rng.random((k, 3)) < 0.25
+    x[:, 2] = np.where(special[:, 0], rng.choice([0.0, -0.0, np.pi / 2], k), x[:, 2])
+    u[:, 0] = np.where(special[:, 1], rng.choice([0.0, -0.0], k), u[:, 0])
+    near_bound = rng.choice([np.nextafter(car.phi_max, 0.0), car.phi_max - 1e-6], k)
+    u[:, 1] = np.where(special[:, 2], rng.choice([-1.0, 1.0], k) * near_bound, u[:, 1])
+    a, _ = car.transition_jacobians(x, u)
+    terminal = np.array(terminal)
+    expected = adjoint_sweep(terminal, None, a)
+    assert np.isfinite(expected).all()
+    assert car.costates(terminal, a).tobytes() == expected.tobytes()
 
 
 def test_invalid_model_parameters():

@@ -260,7 +260,7 @@ def test_adjoint_sweep_rows_equal_single_calls_in_any_layout(layout):
 
 
 def test_reference_plan_makes_no_per_step_calls(monkeypatch):
-    """Each gradient is one Jacobian call and no rollout steps the Euler car.
+    """Each gradient is one Jacobian call and one costates call, and no rollout steps the Euler car.
 
     The planner calls ``nominal_cost`` and ``cost_gradient`` through the
     module, so wrappers set on it, as by an outside tracer, see every
@@ -277,9 +277,9 @@ def test_reference_plan_makes_no_per_step_calls(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    for name in ("nominal_cost", "cost_gradient"):
+    for name in ("nominal_cost", "cost_gradient", "adjoint_sweep"):
         count(planner, name)
-    for name in ("step_rows", "transition_jacobians"):
+    for name in ("costates", "step_rows", "transition_jacobians"):
         count(KinematicCar, name)
     planned = plan_experiment(default_config())
     assert planned.report.iterations == 490
@@ -288,6 +288,8 @@ def test_reference_plan_makes_no_per_step_calls(monkeypatch):
     assert (counts["nominal_cost"], counts["cost_gradient"]) == (571, 492)
     # One more Jacobian call linearizes the final nominal for the gains.
     assert counts["transition_jacobians"] == counts["cost_gradient"] + 1
+    # The car's costates replace the general sweep in every gradient.
+    assert (counts["costates"], counts["adjoint_sweep"]) == (492, 0)
     assert counts["step_rows"] == 0
 
 

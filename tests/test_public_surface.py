@@ -143,6 +143,7 @@ def test_plant_interface():
     assert {
         "clamp_rows",
         "control_bounds",
+        "costates",
         "open_loop_states",
         "rollout_nominal",
         "step_rows",
