@@ -21,18 +21,19 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 def skewness_kurtosis(x: np.ndarray) -> tuple[float, float]:
     """Moment-based sample skewness g1 = m3 / m2^(3/2) and excess kurtosis g2 = m4 / m2^2 - 3.
 
-    Both are 0.0 for constant data (m2 = 0). The centered copy d and one
-    scratch array hold each power d^2, d^3 and d^4 in turn, so two arrays
-    of the input's size are live at once.
+    Both are 0.0 for constant data (m2 = 0). One scratch array holds each
+    power d^2, d^3 and d^4 in turn, with the deviation d = x - mean
+    recomputed into it before each power, so it rounds as one centred copy
+    would; ``x`` is not modified.
     """
     x = np.asarray(x, dtype=float)
-    d = x - x.mean()
-    t = np.multiply(d, d)
-    m2 = np.mean(t)
+    mean = x.mean()
+    t = np.subtract(x, mean)
+    m2 = np.mean(np.multiply(t, t, out=t))
     if m2 == 0.0:
         return 0.0, 0.0
-    m3 = np.mean(np.power(d, 3, out=t))
-    m4 = np.mean(np.power(d, 4, out=t))
+    m3 = np.mean(np.power(np.subtract(x, mean, out=t), 3, out=t))
+    m4 = np.mean(np.power(np.subtract(x, mean, out=t), 4, out=t))
     return float(m3 / m2**1.5), float(m4 / m2**2 - 3.0)
 
 

@@ -214,15 +214,18 @@ def propagation_errors(n_instances: int = 1000, seed: int = 1001) -> dict:
     cost-error reconstruction.
 
     Every instance is drawn first, in one fixed order, as its shape and one
-    flat row of entries (``_draw_instance``); each (n_x, n_u, K) group
-    stacks its rows once and splits them into its six arrays. All instances
-    of one (n_x, n_u) family share one Riccati sweep, front-padded to the
-    family's longest horizon (``_padded_riccati``). The rest runs once per
-    exact (n_x, n_u, K) shape: closed-loop matrices, deviations, noise maps,
-    the oracle sums, the cost-error sensitivities and the cost errors;
-    padding these would change the length of their sums. Each row equals
-    its single-instance computation bit for bit, and the maxima do not
-    depend on order.
+    flat row of entries (``_draw_instance``). The (n_x, n_u) families then
+    run in ascending order, so the largest working set comes last, when
+    every other family's rows are gone: a family's rows are dropped once
+    each of its (n_x, n_u, K) groups has stacked them and split them into
+    its six arrays. All instances of one family share one Riccati sweep,
+    front-padded to the family's longest horizon (``_padded_riccati``), of
+    which only the gains are kept. The rest runs once per exact
+    (n_x, n_u, K) shape: closed-loop matrices, deviations, noise maps, the
+    oracle sums, the cost-error sensitivities and the cost errors; padding
+    these would change the length of their sums. Each row equals its
+    single-instance computation bit for bit, and the maxima do not depend
+    on order, since no value is NaN on these instances.
     """
     rng = np.random.default_rng(seed)
     families: dict[tuple[int, int], dict[int, list[Array]]] = {}
@@ -233,15 +236,15 @@ def propagation_errors(n_instances: int = 1000, seed: int = 1001) -> dict:
     max_state_rel = 0.0
     max_identity_abs = 0.0
     max_reconstruction_rel = 0.0
-    for (n_x, n_u), by_horizon in families.items():
+    for n_x, n_u in sorted(families):
         groups = {
             k: _split_rows(np.stack(rows), _propagation_shapes(n_x, n_u, k))
-            for k, rows in by_horizon.items()
+            for k, rows in families.pop((n_x, n_u)).items()
         }
-        padded_gains, _ = _padded_riccati(
+        padded_gains = _padded_riccati(
             [a_i for a, *_ in groups.values() for a_i in a],
             [b_i for _, b, *_ in groups.values() for b_i in b],
-        )
+        )[0]
         k_max, first = padded_gains.shape[1], 0
         for k, (a, b, noises, cx, cu, cx_terminal) in groups.items():
             # A contiguous copy, laid out like an unpadded sweep's gains: the

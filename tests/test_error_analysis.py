@@ -454,9 +454,17 @@ def _reference_moments(x):
 @example(x=[-3.0, 0.0, 0.0, 0.0, 1e-3, 7.5])
 @example(x=np.random.default_rng(31).standard_normal(100_000))
 @example(x=np.random.default_rng(32).exponential(size=1_001) * 1e8)
+# Offsets far above the spread: x - mean cancels most digits, and each
+# recomputed deviation must round as the reference's one centred copy does.
+@example(x=1e9 + np.random.default_rng(33).standard_normal(10_001))
+@example(x=-3e12 + np.random.default_rng(34).exponential(size=999) * 1e-2)
+@example(x=1e15 + np.arange(50.0))
 def test_skewness_kurtosis_equal_reference_formulas(x):
     x = np.array(x, dtype=float)
-    assert skewness_kurtosis(x) == _reference_moments(x)
+    before = x.copy()
+    moments = skewness_kurtosis(x)
+    assert x.tobytes() == before.tobytes()
+    assert moments == _reference_moments(x)
 
 
 def _one_shot_statistics(v, sigma, n_samples, rng):
@@ -517,7 +525,7 @@ def test_statistics_do_not_depend_on_whole_block_size(car_experiment, monkeypatc
 def test_statistics_traced_peak_stays_below_3_mb(car_experiment):
     # 100,000 samples of K n = 60 noises each: (10,000, 60) blocks drawn one
     # allocation at a time peaked at 5.6 MB. Here the peak is the moments'
-    # two 0.8 MB arrays beside the 0.8 MB sample, 2.4 MB; the reused
+    # one 0.8 MB scratch array beside the 0.8 MB sample, 1.6 MB; the reused
     # (1,000, 60) buffer is freed before them.
     planned, _ = car_experiment
     v = _car_sensitivities(planned)

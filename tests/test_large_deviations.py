@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import tlqr.large_deviations as large_deviations
 import tlqr.simulate as simulate
 from conftest import LinearSystem, seeded_states
 from tlqr.dynamics import NominalTrajectory
@@ -144,6 +145,34 @@ def test_chunked_estimate_equals_one_call(car_experiment, monkeypatch, cap):
     monkeypatch.setattr(simulate, "_RUNS_PER_CALL", cap)
     chunked = estimate_exit_probability(planned.policy, **kwargs)
     assert dataclasses.astuple(chunked) == dataclasses.astuple(one_call)
+
+
+def test_exit_count_equals_norm_of_crafted_deviations(car_experiment, monkeypatch):
+    # The deviation is computed in place in the yielded states; on states
+    # with NaN and +-inf entries its exit count must equal the one from
+    # np.linalg.norm on a copy, and a NaN deviation must count as an exit.
+    planned, _ = car_experiment
+    nominal = planned.policy.nominal.states
+
+    def exit_count(runs, delta):
+        def crafted_runs(policy, mode, epsilons, n_runs, key):
+            for first in range(0, n_runs, 120):
+                yield first, runs[first : first + 120].copy()
+
+        monkeypatch.setattr(large_deviations, "seeded_runs", crafted_runs)
+        return estimate_exit_probability(planned.policy, delta, 0.1, len(runs), seed=3).n_exits
+
+    rng = np.random.default_rng(41)
+    scale = rng.exponential(size=(200, 1, 1))
+    states = nominal + scale * rng.standard_normal((200,) + nominal.shape)
+    special = rng.random(states.shape) < 0.002
+    states[special] = rng.choice([np.nan, np.inf, -np.inf], size=int(special.sum()))
+    states[0] = nominal
+    states[0, 3, 1] = np.nan  # a run that otherwise stays on the nominal
+    worst = np.linalg.norm(states - nominal, axis=2).max(axis=1)
+    delta = float(np.nanmedian(worst))
+    assert 0 < exit_count(states, delta) == np.count_nonzero(~(worst <= delta)) < 200
+    assert exit_count(states[:1], 1e300) == 1
 
 
 def test_overflowed_runs_exit_without_warnings(car_experiment):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from tlqr.verify import Check, cost_error_suite, ldp_suite, propagation_suite, riccati_suite
@@ -45,3 +47,27 @@ def test_check_comparators_and_unknown_ops():
     for op in (">", "=="):
         with pytest.raises(ValueError, match="comparator"):
             Check("c", 1.0, 1.0, op).passed
+
+
+@pytest.mark.parametrize(
+    ("suite", "bound_mib"), [("propagation", 2.2), ("costerror", 1.9), ("ldp", 2.1)]
+)
+def test_suite_traced_peak_stays_bounded(car_experiment, suite, bound_mib):
+    # Each suite's peak is its own working set: the propagation families run
+    # smallest first with the drawn rows dropped once split, the moments reuse
+    # one scratch array and the exit deviation is taken in place. The bounds
+    # are about 12% above the peaks measured with those (1.94, 1.66, 1.84 MiB).
+    planned, _ = car_experiment
+    run = {
+        "propagation": propagation_suite,
+        "costerror": lambda: cost_error_suite(planned),
+        "ldp": lambda: ldp_suite(planned),
+    }[suite]
+    run()  # warm, so that one-off imports and caches are not counted
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mib * 2**20, f"{suite} peaked at {peak / 2**20:.3f} MiB"
