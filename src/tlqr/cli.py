@@ -36,7 +36,6 @@ from .experiments import (
     run_sweep,
 )
 from .simulate import CLOSED_LOOP, OPEN_LOOP
-from .verify import SUITE_NAMES, run_suites
 
 _MODE_CHOICES = {"both": (CLOSED_LOOP, OPEN_LOOP), "closed": (CLOSED_LOOP,), "open": (OPEN_LOOP,)}
 
@@ -105,19 +104,8 @@ def _write_outputs(
     write("manifest.json", _json(manifest))
 
 
-def _write_planned_outputs(
-    outdir: str, planned: PlannedExperiment, files: dict[str, str], stats: RunStats
-) -> int:
-    """Write a planning command's files and plan_report.json.
-
-    Returns 2, after one stderr line, if the plan did not converge.
-    """
-    plan_report = {
-        **dataclasses.asdict(planned.report),
-        "config_hash": config_hash(planned.config),
-        "tool_version": __version__,
-    }
-    _write_outputs(outdir, planned.config, {**files, "plan_report.json": _json(plan_report)}, stats)
+def _plan_status(planned: PlannedExperiment) -> int:
+    """0 if the plan converged; otherwise 2, after one stderr line."""
     report, tolerance = planned.report, planned.config.planner.tolerance
     if report.converged:
         return 0
@@ -127,6 +115,19 @@ def _write_planned_outputs(
         file=sys.stderr,
     )
     return 2
+
+
+def _write_planned_outputs(
+    outdir: str, planned: PlannedExperiment, files: dict[str, str], stats: RunStats
+) -> int:
+    """Write a planning command's files and plan_report.json, then return ``_plan_status``."""
+    plan_report = {
+        **dataclasses.asdict(planned.report),
+        "config_hash": config_hash(planned.config),
+        "tool_version": __version__,
+    }
+    _write_outputs(outdir, planned.config, {**files, "plan_report.json": _json(plan_report)}, stats)
+    return _plan_status(planned)
 
 
 def _load(args) -> ExperimentConfig:
@@ -183,9 +184,12 @@ def cmd_ldp(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # Imported here, so that the other commands never load the suites' modules.
+    from .verify import run_suites
+
     config = _load(args)
     stats = RunStats()
-    reports = run_suites(config, args.suite, stats)
+    reports, planned = run_suites(config, args.suite, stats)
     for report in reports:
         for check in report.checks:
             status = "PASS" if check.passed else "FAIL"
@@ -198,7 +202,8 @@ def cmd_verify(args) -> int:
         verify_report = {"passed": all_passed, "suites": [r.as_dict() for r in reports]}
         _write_outputs(args.out, config, {"verify_report.json": _json(verify_report)}, stats)
     print(f"verify: {'all checks passed' if all_passed else 'CHECKS FAILED'}")
-    return 0 if all_passed else 2
+    plan_status = _plan_status(planned) if planned is not None else 0
+    return 0 if all_passed and plan_status == 0 else 2
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -236,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run property-verification suites")
     common(p_verify, out_required=False)
-    p_verify.add_argument("--suite", default="all", help="|".join(SUITE_NAMES + ("all",)))
+    p_verify.add_argument("--suite", default="all", help="one suite's name, or all (the default)")
     p_verify.add_argument("--out", help="optional directory for the JSON report")
     p_verify.set_defaults(func=cmd_verify)
     return parser

@@ -91,6 +91,8 @@ def estimate_exit_probability(
     deviation is computed in place in each call's states, which this loop
     owns, by the operations ``np.linalg.norm(..., axis=2)`` applies to real
     input: square, ``np.add.reduce`` over the state axis, square root.
+    Each call's states and deviations are dropped before the next call is
+    drawn, so the estimate holds one call's buffers at a time.
     """
     if not delta > 0:  # negated, so that NaN fails too
         raise ValueError("delta must be positive")
@@ -101,6 +103,7 @@ def estimate_exit_probability(
             dev = np.subtract(states, policy.nominal.states, out=states)
             dev = np.sqrt(np.add.reduce(np.multiply(dev, dev, out=dev), axis=2))
             exits += int(np.count_nonzero(~(dev.max(axis=1) <= delta)))  # NaN exits
+            del states, dev  # freed before the driver draws the next call's states
     p_hat = exits / n_runs
     low, high = wilson_interval(exits, n_runs)
     return ExitEstimate(

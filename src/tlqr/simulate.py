@@ -62,11 +62,17 @@ _CTX_RECONSTRUCTION = 5  # noise draws of its sensitivity-form reconstruction ch
 
 # Runs per kernel call of every Monte Carlo study. It bounds the call's
 # arrays (its seed words, the states buffer and the kernel's column-major
-# working copy) whatever ``n_runs`` is. Each call also runs one pair of seed
-# hash passes of about 150 small array operations whatever its size: on the
-# full-grid sweep, calls of 500 runs were 8% slower than 1,000, and calls of
-# 2,000 raised its peak memory by 5%.
-_RUNS_PER_CALL = 1000
+# working copy) whatever ``n_runs`` is. Each call also pays a fixed cost
+# whatever its size: one pair of seed hash passes of about 150 small array
+# operations, and K kernel steps of about 17 row operations. The rule is two
+# live (N, K+1, n) buffers per call, since each caller drops a call's states
+# before the next is drawn: 2 x 1,500 runs hold the bytes that 3 x 1,000 did
+# when the previous call's states stayed alive. On the full-grid sweep
+# (fastest of 25 interleaved runs, 2 vCPUs), 1,500-run calls took 136 ms
+# against 142 ms for 1,000 and traced a 1.75 MiB peak, where 1,000-run calls
+# with three live buffers traced 1.69 MiB; 2,000-run calls were no faster
+# and traced 2.28 MiB.
+_RUNS_PER_CALL = 1500
 
 # numpy's SeedSequence (after O'Neill's seed_seq_fe): a pool of four uint32
 # words, two multiplicative hash constants and a mixing step. Both constants
@@ -304,7 +310,10 @@ def seeded_runs(
     row by row, i * n_runs + j, and reach the caller in that order in
     :func:`rollout_states` calls of ``_RUNS_PER_CALL`` runs, the last one
     shorter; a call may cut a row. ``n_runs`` outside [1, ``MAX_RUNS``]
-    raises ``ValueError`` before any run.
+    raises ``ValueError`` before any run. Each call's states are a new
+    array, so a yielded array is never overwritten. A caller drops each
+    call's states before advancing the driver, which then frees them as it
+    binds the next call's states, before that call is drawn and stepped.
     """
     if not 1 <= n_runs <= MAX_RUNS:
         raise ValueError(f"n_runs must lie in [1, {MAX_RUNS}]")
@@ -313,6 +322,9 @@ def seeded_runs(
     for first in range(0, total, _RUNS_PER_CALL):
         rows, runs = np.divmod(np.arange(first, min(first + _RUNS_PER_CALL, total)), n_runs)
         columns = [v[rows] if isinstance(v, np.ndarray) else v for v in key]
+        # Rebinding frees the previous call's states only after this one is
+        # allocated: freeing them first let the heap shrink and fault its pages
+        # back in on every call, 10 times the page faults on the full-grid sweep.
         states = np.empty((len(rows), policy.horizon + 1, policy.model.state_dim))
         _standard_normals(_seed_words(_hash_seeds(*columns, runs.astype(np.uint32))), states[:, 1:])
         rollout_states(policy, epsilons[rows], mode, states)
@@ -372,7 +384,8 @@ def sweep_epsilon(
     model's bounds raises :class:`~tlqr.exceptions.BoundViolation`, both
     before any run. A row whose mean or standard deviation is not finite
     (noise so large that the runs overflow) raises :class:`NumericalFailure`
-    naming its epsilon and mode.
+    naming its epsilon and mode. Each call's states are dropped once reduced,
+    so the sweep holds one call's buffers at a time.
     """
     grid = np.asarray(grid, dtype=float)
     # Negated comparisons, so that NaN fails too.
@@ -415,6 +428,7 @@ def sweep_epsilon(
                         f"{mode} NMSE at epsilon {grid[first + i]:.12g} is not finite "
                         f"(mean {rows[i, 0]:.6g}, sd {rows[i, 1]:.6g})"
                     )
+                del states  # freed before the driver draws the next call's states
     return tuple(
         SweepRow(
             epsilon=float(eps),

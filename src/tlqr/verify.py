@@ -402,11 +402,14 @@ def ldp_suite(planned: PlannedExperiment) -> SuiteReport:
     return SuiteReport(suite="ldp", checks=checks)
 
 
-def run_suites(config, which: str, stats: RunStats | None = None) -> list[SuiteReport]:
+def run_suites(
+    config, which: str, stats: RunStats | None = None
+) -> tuple[list[SuiteReport], PlannedExperiment | None]:
     """Run one named suite or all of them for a given configuration.
 
-    With ``stats``, records the plan (when a suite needs one) and one stage
-    per suite.
+    Returns the suites' reports and the plan they verified, or None when no
+    selected suite needs one (only ``costerror`` and ``ldp`` do). With
+    ``stats``, records the plan and one stage per suite.
     """
     if which != "all" and which not in SUITE_NAMES:
         choices = ", ".join(SUITE_NAMES + ("all",))
@@ -427,4 +430,4 @@ def run_suites(config, which: str, stats: RunStats | None = None) -> list[SuiteR
                 reports.append(cost_error_suite(planned))
             elif name == "ldp":
                 reports.append(ldp_suite(planned))
-    return reports
+    return reports, planned

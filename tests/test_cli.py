@@ -68,6 +68,22 @@ def test_plan_never_loads_numpy_random(config_path, tmp_path):
     assert result.stdout.splitlines()[-1] == "False"
 
 
+@pytest.mark.parametrize("command", ["plan", "sweep", "ldp"])
+def test_planning_commands_never_load_verify(config_path, tmp_path, command):
+    # Only `verify` runs the suites, so only it loads them and the cost-error analysis.
+    argv = [command, "--config", config_path, "--out", str(tmp_path / "out")]
+    script = (
+        "import sys, tlqr, tlqr.cli\n"
+        f"assert tlqr.cli.main({argv!r}) == 0\n"
+        "print(sorted({'tlqr.verify', 'tlqr.error_analysis'} & set(sys.modules)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(tlqr.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.splitlines()[-1] == "[]"
+
+
 def test_package_import_loads_only_what_it_needs():
     # Each name is imported from its defining module; the package and the
     # config schema load nothing they do not use.
@@ -452,6 +468,36 @@ def test_non_convergence_prints_one_line_and_writes_artifacts(tmp_path, capsys, 
     assert "plan_report.json" in manifest["outputs"]
     for name in manifest["outputs"]:
         assert (out / name).exists()
+
+
+@pytest.mark.parametrize(
+    ("suite", "n_checks", "code"), [("costerror", 5, 2), ("ldp", 7, 2), ("riccati", 3, 0)]
+)
+def test_verify_exits_two_on_unconverged_plan(tmp_path, capsys, suite, n_checks, code):
+    # The narrow config of the test above: a suite that verifies the plan
+    # reports every check and writes its report, then fails on the planner's
+    # line; the riccati suite needs no plan.
+    data = small_config_dict()
+    data["model"]["phi_max"] = 0.1
+    data["planner"]["max_iters"] = 40
+    path = tmp_path / "narrow.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["verify", "--config", str(path), "--suite", suite, "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == n_checks + 1 and lines[-1].startswith("verify: ")
+    assert all(line.startswith(("PASS ", "FAIL ")) for line in lines[:-1])
+    report = json.loads((out / "verify_report.json").read_text())
+    assert [r["suite"] for r in report["suites"]] == [suite]
+    if code == 0:
+        assert captured.err == ""
+    else:
+        assert re.fullmatch(
+            r"error: planner did not converge in 40 iterations "
+            r"\(gradient norm \S+, tolerance 1e-06\)\n",
+            captured.err,
+        )
 
 
 @pytest.mark.parametrize("weight", ["r_u", "r_g"])

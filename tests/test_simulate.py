@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -592,7 +593,8 @@ def test_sweep_cuts_rows_larger_than_a_kernel_call(car_experiment, monkeypatch):
 
 
 def test_full_grid_sweep_runs_fixed_calls_with_one_hash_pair_each(car_experiment, monkeypatch):
-    # --full-grid --mode both: 150 points of 100 runs per mode, so 15 calls of 1,000 runs.
+    # --full-grid --mode both: 150 points of 100 runs per mode, so 10 calls of
+    # 1,500 runs; the configured grid's 15 points take one call per mode.
     planned, _ = car_experiment
     calls, passes = [], {"_hash_seeds": 0, "_seed_words": 0}
 
@@ -616,8 +618,38 @@ def test_full_grid_sweep_runs_fixed_calls_with_one_hash_pair_each(car_experiment
     monkeypatch.setattr(simulate, "rollout_states", recorded)
     rows = run_sweep(planned, grid=epsilon_grid(*FULL_GRID))
     assert len(rows) == 150 and {r.n_runs for r in rows} == {100}
-    assert calls == [(CLOSED_LOOP, 1000)] * 15 + [(OPEN_LOOP, 1000)] * 15
-    assert passes == {"_hash_seeds": 30, "_seed_words": 30}
+    assert calls == [(CLOSED_LOOP, 1500)] * 10 + [(OPEN_LOOP, 1500)] * 10
+    assert passes == {"_hash_seeds": 20, "_seed_words": 20}
+
+    calls.clear()
+    passes.update(dict.fromkeys(passes, 0))
+    rows = run_sweep(planned)
+    assert len(rows) == 15 and {r.n_runs for r in rows} == {100}
+    assert calls == [(CLOSED_LOOP, 1500), (OPEN_LOOP, 1500)]
+    assert passes == {"_hash_seeds": 2, "_seed_words": 2}
+
+
+@pytest.mark.parametrize("study", ["full_grid_sweep", "exit_estimate"])
+def test_monte_carlo_peak_holds_one_call_of_buffers(car_experiment, study):
+    # Each driver drops a call's states before the next call is drawn, so its
+    # peak is one call's states plus the kernel's working copy: about 2.4
+    # (N, K+1, n) buffers of _RUNS_PER_CALL runs, where keeping the previous
+    # call's states alive made it 3.5 or more.
+    planned, _ = car_experiment
+    policy = planned.policy
+    run = {
+        "full_grid_sweep": lambda: run_sweep(planned, grid=epsilon_grid(*FULL_GRID)),
+        "exit_estimate": lambda: estimate_exit_probability(policy, 0.3, 0.05, 2000, 7),
+    }[study]
+    run()  # warm, so that one-off imports and caches are not counted
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    buffer = simulate._RUNS_PER_CALL * (policy.horizon + 1) * policy.model.state_dim * 8
+    assert peak <= 2.75 * buffer, f"{study} peaked at {peak / buffer:.2f} buffers"
 
 
 @pytest.mark.parametrize("master_seed", [13, 2**32, 2**40 + 3, 2**64 - 1])
