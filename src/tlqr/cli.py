@@ -6,16 +6,21 @@ verification (artifacts still written) or a numerical failure such as a
 Riccati recursion that is not finite (nothing written), 3 I/O failure.
 All artifact files are byte-reproducible from (config, master seed, tool
 version); only the run manifest carries timestamps and the run's stats
-(wall seconds per stage, planner iterations and milliseconds per iteration).
+(wall seconds per stage, planner iterations and milliseconds per iteration)
+and the numerical kernels it ran on.
 """
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
+import functools
 import json
 import os
 import sys
 from datetime import datetime, timezone
+
+import numpy as np
 
 from . import __version__
 from .config import (
@@ -75,6 +80,35 @@ def _matrix_stack_csv(prefix: str, stack) -> str:
     return _csv(header, [[t] + [float(v) for v in stack[t].ravel()] for t in range(len(stack))])
 
 
+@functools.cache
+def kernel_fingerprint() -> dict:
+    """The numerical kernels this process's numpy runs on, as a JSON-ready dict.
+
+    The bytes of a BLAS product or of a SIMD ufunc loop (``np.tan``,
+    ``np.exp``) depend on them, so the pins record them too. ``numpy`` is
+    its version; ``blas`` the name and version of the BLAS it was built
+    against; ``simd`` the SIMD targets numpy found on this CPU
+    (``NPY_DISABLE_CPU_FEATURES`` removes some); ``blas_core`` the core
+    OpenBLAS picked at load (``OPENBLAS_CORETYPE`` overrides it). Each is
+    None where this numpy or its BLAS does not report it.
+    """
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.26 only prints its build configuration
+        config = {}
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    linalg = ctypes.CDLL(np.linalg._umath_linalg.__file__)  # the library numpy loaded
+    corename = getattr(linalg, "scipy_openblas_get_corename64_", None)
+    if corename is not None:
+        corename.restype = ctypes.c_char_p
+    return {
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "simd": config.get("SIMD Extensions", {}).get("found"),
+        "blas_core": None if corename is None else corename().decode(),
+    }
+
+
 def _write_outputs(
     outdir: str, config: ExperimentConfig, files: dict[str, str], stats: RunStats
 ) -> None:
@@ -98,6 +132,7 @@ def _write_outputs(
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "master_seed": config.master_seed,
         "nmse_norm": "stacked_euclidean",
+        "kernels": kernel_fingerprint(),
         "outputs": sorted([*files, "manifest.json"]),
         "stats": stats.as_dict(),
     }

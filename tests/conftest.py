@@ -1,5 +1,7 @@
+import importlib.util
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,12 @@ from tlqr.experiments import plan_experiment, run_sweep
 from tlqr.lqr import LqrWeights, LtvSystem
 from tlqr.planner import adjoint_sweep
 from tlqr.simulate import _seed_words, _standard_normals, rollout_states
+
+# The generator and reader of tests/data/pins.json, every exact pin.
+_PINS_SCRIPT = Path(__file__).parent / "data" / "make_pins.py"
+_spec = importlib.util.spec_from_file_location("make_pins", _PINS_SCRIPT)
+make_pins = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_pins)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,11 +1,12 @@
-"""Write golden.json: sweep and exit-study values pinned for regression tests.
-
-Run from the repository root with the engine whose numbers are to be pinned:
-
-    PYTHONPATH=src python3 tests/data/make_golden.py
+"""How golden.json was made: sweep and exit-study values of tlqr 0.1.0.
 
 The committed file holds the values of the scalar per-run engine (tlqr
-0.1.0); ``tests/test_golden.py`` holds later engines to them.
+0.1.0), which this script wrote when run with that engine; it is kept as
+the record of what the file's numbers are and how they were computed.
+``tests/test_golden.py`` holds later engines to them at a relative 1e-9.
+The file is an oracle independent of the current code, so do not re-run
+this script to write it: the current engine would pin its own numbers.
+Exact pins of the current engine are ``pins.json``, by ``make_pins.py``.
 """
 from __future__ import annotations
 

@@ -327,7 +327,12 @@ def test_reused_out_directory_manifest_lists_only_this_run(config_path, tmp_path
 def test_manifest_records_stage_seconds_and_planner_work(config_path, tmp_path, command, stages):
     out = tmp_path / "out"
     assert main(command + ["--config", config_path, "--out", str(out)]) == 0
-    stats = json.loads((out / "manifest.json").read_text())["stats"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    kernels = manifest["kernels"]
+    assert kernels == cli.kernel_fingerprint()
+    assert set(kernels) == {"numpy", "blas", "simd", "blas_core"}
+    assert set(kernels["blas"]) == {"name", "version"}
+    stats = manifest["stats"]
     assert set(stats["stage_s"]) == stages
     values = list(stats["stage_s"].values())
     if "plan" in stages:
@@ -341,6 +346,14 @@ def test_manifest_records_stage_seconds_and_planner_work(config_path, tmp_path, 
     else:
         assert "planner" not in stats
     assert all(math.isfinite(v) and v >= 0 for v in values)
+
+
+def test_kernel_fingerprint_names_none_where_numpy_cannot_report(monkeypatch):
+    # numpy before 1.26 has show_config() without a mode, and prints only.
+    monkeypatch.setattr(cli.np, "show_config", lambda: None)
+    kernels = cli.kernel_fingerprint.__wrapped__()
+    assert kernels["blas"] == {"name": None, "version": None}
+    assert kernels["simd"] is None
 
 
 def test_run_stats_add_re_entered_stages_and_divide_planner_seconds(monkeypatch):

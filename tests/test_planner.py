@@ -1,5 +1,3 @@
-import dataclasses
-import hashlib
 from collections import Counter
 
 import numpy as np
@@ -7,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import LinearSystem
+from conftest import LinearSystem, make_pins
 from tlqr import cli, planner
 from tlqr.config import default_config
 from tlqr.dynamics import KinematicCar
@@ -184,62 +182,6 @@ def test_reference_instance_reaches_goal(car_experiment):
     assert report.max_bound_violation <= 1e-3
 
 
-def test_reference_run_pinned(car_experiment):
-    """The reference plan's iterate sequence, pinned to the last bit."""
-    report = car_experiment[0].report
-    assert report.iterations == 490
-    assert len(report.cost_history) == 491
-    assert report.final_cost == 0.16028221323927846
-    assert report.gradient_norm == 6.269212198836642e-07
-    digest = hashlib.sha256(np.array(report.cost_history).tobytes()).hexdigest()
-    assert digest == "b5ffbf6f9f3958f3a18bef8c11384c64cfcc83182dd453b39842213f59acc73f"
-
-
-# (row of default_rng(3).uniform(-0.3, 0.3, (11, 3)) added to the reference
-# goal, iterations, SHA-256 of cost_history, SHA-256 of the returned controls).
-# Row 0 stops at the iteration cap, row 3 stops at the cap after skipping one
-# curvature pair, row 9 converges early.
-PERTURBED_GOAL_PINS = [
-    (
-        0,
-        500,
-        "64dda3dd05b6dc629a47660a5a1930cb7defeeb739cf6d8ef697269015927ec3",
-        "d22bc8d88e7faeb764a6ee22df287772d38d2d652497a365c9c51257f01170e9",
-    ),
-    (
-        3,
-        500,
-        "5b8523dbe4ba3daf00d597737f7d1f46ba238d2050b15e1970ff2cddda3c7c0f",
-        "01b6fa337995425362e607a15b7f1533f093a54df44854f900a6221ba7ba882d",
-    ),
-    (
-        9,
-        409,
-        "f857fa1a66bf50771128b44df1ba12d455e593d6333c0b14281109fae49396f9",
-        "4d1169c042a454f592ffe9c94ae97a08acb0d563dce1ce56791da39a560fc436",
-    ),
-]
-
-
-@pytest.mark.parametrize("row, iterations, history_sha, controls_sha", PERTURBED_GOAL_PINS)
-def test_perturbed_goal_runs_pinned(row, iterations, history_sha, controls_sha):
-    """Iterate sequences off the reference goal, pinned to the last bit.
-
-    They cover the iteration cap and a skipped curvature pair, which the
-    reference run (converged at 490 with every pair kept) does not.
-    """
-    config = default_config()
-    offset = np.random.default_rng(3).uniform(-0.3, 0.3, (11, 3))[row]
-    goal = tuple((np.asarray(config.x_g) + offset).tolist())
-    planned = plan_experiment(dataclasses.replace(config, x_g=goal))
-    report = planned.report
-    assert report.iterations == iterations
-    assert report.converged == (iterations < config.planner.max_iters)
-    assert hashlib.sha256(np.array(report.cost_history).tobytes()).hexdigest() == history_sha
-    controls = np.ascontiguousarray(planned.policy.nominal.controls)
-    assert hashlib.sha256(controls.tobytes()).hexdigest() == controls_sha
-
-
 @pytest.mark.parametrize("layout", ["c", "fortran", "swapped", "every_other"])
 def test_adjoint_sweep_rows_equal_single_calls_in_any_layout(layout):
     """A batch row equals the call on its instance whatever the maps' memory layout."""
@@ -282,14 +224,16 @@ def test_reference_plan_makes_no_per_step_calls(monkeypatch):
     for name in ("costates", "step_rows", "transition_jacobians"):
         count(KinematicCar, name)
     planned = plan_experiment(default_config())
-    assert planned.report.iterations == 490
-    # Costs: 570 trial points and the final nominal. Gradients: the start,
-    # 490 accepted steps and the returned best point.
-    assert (counts["nominal_cost"], counts["cost_gradient"]) == (571, 492)
+    pin = make_pins.load()["goals"]["reference"]
+    assert planned.report.iterations == pin["iterations"]
+    assert counts["nominal_cost"] == pin["cost_evals"]
+    assert counts["cost_gradient"] == pin["grad_evals"]
+    # Gradients: the start, every accepted step and the returned best point.
+    assert counts["cost_gradient"] == planned.report.iterations + 2
     # One more Jacobian call linearizes the final nominal for the gains.
     assert counts["transition_jacobians"] == counts["cost_gradient"] + 1
     # The car's costates replace the general sweep in every gradient.
-    assert (counts["costates"], counts["adjoint_sweep"]) == (492, 0)
+    assert (counts["costates"], counts["adjoint_sweep"]) == (counts["cost_gradient"], 0)
     assert counts["step_rows"] == 0
 
 
