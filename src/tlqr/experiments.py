@@ -43,34 +43,37 @@ class PlannedExperiment:
 
 
 class RunStats:
-    """Where one run's time went: wall seconds per stage, and the planner's work.
+    """Where one run's time went: wall and CPU seconds per stage, and the planner's work.
 
-    Stage seconds add up when a stage is entered again. ``as_dict`` is the
-    ``stats`` entry of the run manifest, the one output that depends on the
-    clock.
+    Stage seconds add up when a stage is entered again; CPU seconds are
+    ``time.process_time``'s. ``as_dict`` is the ``stats`` entry of the run
+    manifest, the one output that depends on the clock.
     """
 
     def __init__(self) -> None:
         self.stage_seconds: dict[str, float] = {}
+        self.stage_cpu_seconds: dict[str, float] = {}
         self.planner_iterations: int | None = None
-        self.planner_seconds = 0.0
+        self.planner_seconds = self.planner_cpu_seconds = 0.0
 
     @contextmanager
     def stage(self, name: str) -> Iterator[None]:
-        start = time.perf_counter()
+        start, cpu_start = time.perf_counter(), time.process_time()
         try:
             yield
         finally:
-            elapsed = time.perf_counter() - start
+            elapsed, cpu = time.perf_counter() - start, time.process_time() - cpu_start
             self.stage_seconds[name] = self.stage_seconds.get(name, 0.0) + elapsed
+            self.stage_cpu_seconds[name] = self.stage_cpu_seconds.get(name, 0.0) + cpu
 
     def as_dict(self) -> dict:
-        out: dict = {"stage_s": dict(self.stage_seconds)}
+        out: dict = {"stage_s": dict(self.stage_seconds), "stage_cpu_s": dict(self.stage_cpu_seconds)}
         iterations = self.planner_iterations
         if iterations is not None:
             out["planner"] = {
                 "iterations": iterations,
                 "seconds": self.planner_seconds,
+                "cpu_seconds": self.planner_cpu_seconds,
                 "ms_per_iter": 1e3 * self.planner_seconds / iterations if iterations else 0.0,
             }
         return out
@@ -80,7 +83,7 @@ def plan_experiment(config: ExperimentConfig, stats: RunStats | None = None) -> 
     """Optimize the nominal trajectory and synthesize the tracking policy.
 
     With ``stats``, records the "plan" stage and the planner's iterations and
-    wall seconds.
+    wall and CPU seconds.
     """
     stats = RunStats() if stats is None else stats
     with stats.stage("plan"):
@@ -89,7 +92,7 @@ def plan_experiment(config: ExperimentConfig, stats: RunStats | None = None) -> 
         cost = goal_tracking_cost(
             model, config.x_g, effort_weight=p.r_u, goal_weight=p.r_g, bound_weight=p.r_b
         )
-        start = time.perf_counter()
+        start, cpu_start = time.perf_counter(), time.process_time()
         trajectory, report = optimize_nominal(
             model,
             cost,
@@ -99,6 +102,7 @@ def plan_experiment(config: ExperimentConfig, stats: RunStats | None = None) -> 
             max_iters=p.max_iters,
         )
         stats.planner_seconds = time.perf_counter() - start
+        stats.planner_cpu_seconds = time.process_time() - cpu_start
         stats.planner_iterations = report.iterations
         weights = LqrWeights(config.lqr.wx, config.lqr.wu)
         policy = design_tracking_policy(model, trajectory, weights)

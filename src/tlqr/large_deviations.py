@@ -87,23 +87,21 @@ def estimate_exit_probability(
     (Euclidean norm on the full state), or when its deviation is NaN, as it
     is when the noise is so large that the run overflows. Runs go through
     :func:`~tlqr.simulate.seeded_runs`. Per-run seeds derive from the given
-    seed, so estimates with the same seed share trajectories exactly. The
-    deviation is computed in place in each call's states, which this loop
-    owns, by the operations ``np.linalg.norm(..., axis=2)`` applies to real
-    input: square, ``np.add.reduce`` over the state axis, square root.
-    Each call's states and deviations are dropped before the next call is
-    drawn, so the estimate holds one call's buffers at a time.
+    seed, so estimates with the same seed share trajectories exactly. Each
+    run's largest deviation is taken in place in its call's states by the
+    operations ``np.linalg.norm(..., axis=2)`` applies to real input: square,
+    ``np.add.reduce`` over the state axis, square root.
     """
     if not delta > 0:  # negated, so that NaN fails too
         raise ValueError("delta must be positive")
-    exits = 0
-    key = (seed, _CTX_EXIT)
+
+    def max_deviation(states: Array) -> Array:
+        dev = np.subtract(states, policy.nominal.states, out=states)
+        return np.sqrt(np.add.reduce(np.multiply(dev, dev, out=dev), axis=2)).max(axis=1)
+
     with np.errstate(over="ignore", invalid="ignore"):
-        for _, states in seeded_runs(policy, CLOSED_LOOP, [epsilon], n_runs, key):
-            dev = np.subtract(states, policy.nominal.states, out=states)
-            dev = np.sqrt(np.add.reduce(np.multiply(dev, dev, out=dev), axis=2))
-            exits += int(np.count_nonzero(~(dev.max(axis=1) <= delta)))  # NaN exits
-            del states, dev  # freed before the driver draws the next call's states
+        worst = seeded_runs(policy, CLOSED_LOOP, [epsilon], n_runs, (seed, _CTX_EXIT), max_deviation)
+    exits = int(np.count_nonzero(~(worst <= delta)))  # NaN exits
     p_hat = exits / n_runs
     low, high = wilson_interval(exits, n_runs)
     return ExitEstimate(

@@ -8,7 +8,8 @@ results are bit-reproducible and do not depend on how runs are grouped.
 Every Monte Carlo study runs through one driver, :func:`seeded_runs`: it
 seeds the study's runs, draws their normals and steps them through one
 batched kernel, :func:`rollout_states`, in calls of ``_RUNS_PER_CALL``
-runs, yielding the states of each call for the caller to reduce. The
+runs, and returns the value the study's reducer takes from each run, so
+a study holds one call's buffers plus 8 bytes per run. The
 kernel takes a caller-owned C-contiguous (N, K+1, n) states buffer whose
 future rows hold the normals and steps it in place, so there is no
 separate noise array; callers may feed it any normals (zeros, impulses,
@@ -40,7 +41,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -64,14 +65,14 @@ _CTX_RECONSTRUCTION = 5  # noise draws of its sensitivity-form reconstruction ch
 # arrays (its seed words, the states buffer and the kernel's column-major
 # working copy) whatever ``n_runs`` is. Each call also pays a fixed cost
 # whatever its size: one pair of seed hash passes of about 150 small array
-# operations, and K kernel steps of about 17 row operations. The rule is two
-# live (N, K+1, n) buffers per call, since each caller drops a call's states
-# before the next is drawn: 2 x 1,500 runs hold the bytes that 3 x 1,000 did
-# when the previous call's states stayed alive. On the full-grid sweep
-# (fastest of 25 interleaved runs, 2 vCPUs), 1,500-run calls took 136 ms
-# against 142 ms for 1,000 and traced a 1.75 MiB peak, where 1,000-run calls
-# with three live buffers traced 1.69 MiB; 2,000-run calls were no faster
-# and traced 2.28 MiB.
+# operations, and K kernel steps of about 17 row operations. A call's peak
+# is two (N, K+1, n) buffers, its states and the kernel's working copy, since
+# the driver frees each call's states as it binds the next call's: 2 x 1,500
+# runs hold the bytes that 3 x 1,000 did when they stayed alive. On the
+# full-grid sweep (fastest of 25 interleaved runs, 2 vCPUs), 1,500-run calls
+# took 136 ms against 142 ms for 1,000 and traced a 1.75 MiB peak, where
+# 1,000-run calls with three live buffers traced 1.69 MiB; 2,000-run calls
+# were no faster and traced 2.28 MiB.
 _RUNS_PER_CALL = 1500
 
 # numpy's SeedSequence (after O'Neill's seed_seq_fe): a pool of four uint32
@@ -301,34 +302,40 @@ def seeded_runs(
     epsilons: Sequence[float],
     n_runs: int,
     key: Sequence[int | Array],
-) -> Iterator[tuple[int, Array]]:
-    """Seed, draw and step ``n_runs`` runs per row; yield (first run index, states) per kernel call.
+    reduce: Callable[[Array], Array],
+) -> Array:
+    """Seed, draw and step ``n_runs`` runs per row; return ``reduce``'s value for each run.
 
     Row i has epsilon ``epsilons[i]``, and its run j draws the normals of
     ``default_rng(derive_seed(*key_i, j))``, where ``key_i`` takes entry i
     of each uint32 array in ``key`` and each int as it is. Runs are numbered
-    row by row, i * n_runs + j, and reach the caller in that order in
+    row by row, i * n_runs + j, and go in that order through
     :func:`rollout_states` calls of ``_RUNS_PER_CALL`` runs, the last one
-    shorter; a call may cut a row. ``n_runs`` outside [1, ``MAX_RUNS``]
-    raises ``ValueError`` before any run. Each call's states are a new
-    array, so a yielded array is never overwritten. A caller drops each
-    call's states before advancing the driver, which then frees them as it
-    binds the next call's states, before that call is drawn and stepped.
+    shorter; a call may cut a row. ``reduce`` may overwrite a call's (N, K+1,
+    n) states and returns one value per run, shape (N,); any other shape
+    raises ``ValueError`` before the next call. Returns the C-contiguous
+    float64 (rows, ``n_runs``) grid of values. ``n_runs`` outside [1,
+    ``MAX_RUNS``] raises ``ValueError`` before any run.
     """
     if not 1 <= n_runs <= MAX_RUNS:
         raise ValueError(f"n_runs must lie in [1, {MAX_RUNS}]")
     epsilons = np.asarray(epsilons, dtype=float)
-    total = len(epsilons) * n_runs
-    for first in range(0, total, _RUNS_PER_CALL):
-        rows, runs = np.divmod(np.arange(first, min(first + _RUNS_PER_CALL, total)), n_runs)
+    values = np.empty(len(epsilons) * n_runs)
+    for call in range(0, len(values), _RUNS_PER_CALL):
+        end = min(call + _RUNS_PER_CALL, len(values))
+        rows, runs = np.divmod(np.arange(call, end), n_runs)
         columns = [v[rows] if isinstance(v, np.ndarray) else v for v in key]
         # Rebinding frees the previous call's states only after this one is
         # allocated: freeing them first let the heap shrink and fault its pages
         # back in on every call, 10 times the page faults on the full-grid sweep.
-        states = np.empty((len(rows), policy.horizon + 1, policy.model.state_dim))
+        states = np.empty((end - call, policy.horizon + 1, policy.model.state_dim))
         _standard_normals(_seed_words(_hash_seeds(*columns, runs.astype(np.uint32))), states[:, 1:])
         rollout_states(policy, epsilons[rows], mode, states)
-        yield first, states
+        reduced = reduce(states)
+        if np.shape(reduced) != (end - call,):
+            raise ValueError(f"reduce must return one value per run, shape ({end - call},)")
+        values[call:end] = reduced
+    return values.reshape(len(epsilons), n_runs)
 
 
 def nmse_values(planned: NominalTrajectory, states: Array) -> Array:
@@ -373,19 +380,16 @@ def sweep_epsilon(
 
     Returns one :class:`SweepRow` per grid point, in grid order, which the
     grid check makes strictly increasing in epsilon. Per mode, the runs go
-    through :func:`seeded_runs`; per-run seeds are derived from
-    (master_seed, grid index, mode, run index). A row's values are gathered
-    into one contiguous line before its mean and standard deviation (the
-    complete rows of a kernel call reduce as one block, one line per row, and
-    a row that a call cuts waits for the rest of its values), so the rows do
-    not depend on the packing. A planned trajectory of zero norm
+    through :func:`seeded_runs` with per-run seeds derived from (master_seed,
+    grid index, mode, run index), and each row's mean and ``ddof=1`` sd come
+    from its own line of the returned NMSE values, so the rows do not depend
+    on how the driver packs runs into calls. A planned trajectory of zero norm
     leaves the NMSE undefined and raises :class:`NumericalFailure`, and with
     ``OPEN_LOOP`` among the modes a nominal control sequence out of the
     model's bounds raises :class:`~tlqr.exceptions.BoundViolation`, both
     before any run. A row whose mean or standard deviation is not finite
     (noise so large that the runs overflow) raises :class:`NumericalFailure`
-    naming its epsilon and mode. Each call's states are dropped once reduced,
-    so the sweep holds one call's buffers at a time.
+    naming its epsilon and mode.
     """
     grid = np.asarray(grid, dtype=float)
     # Negated comparisons, so that NaN fails too.
@@ -404,31 +408,22 @@ def sweep_epsilon(
 
     stats = {m: np.full((len(grid), 2), np.nan) for m in (CLOSED_LOOP, OPEN_LOOP)}
     row_ids = np.arange(len(grid), dtype=np.uint32)
+    nmse = functools.partial(nmse_values, policy.nominal)
     # Overflow and NaN surface as a row that is not finite, raised below.
     with np.errstate(over="ignore", invalid="ignore"):
         for mode in modes:
             key = (master_seed, _CTX_SWEEP, row_ids, _MODE_TAGS[mode])
-            # ``cut`` holds the values of the row that the previous call cut, so
-            # ``vals`` starts at the start of row start // n_runs. Its complete
-            # rows reduce as one block, a contiguous line per row, which rounds
-            # as each row's own array would.
-            cut = np.empty(0)
-            for start, states in seeded_runs(policy, mode, grid, n_runs, key):
-                vals = np.concatenate((cut, nmse_values(policy.nominal, states)))
-                first, whole = start // n_runs, len(vals) // n_runs
-                cut = vals[whole * n_runs :]
-                block = vals[: whole * n_runs].reshape(whole, n_runs)
-                rows = stats[mode][first : first + whole]
-                rows[:, 0] = block.mean(axis=1)
-                rows[:, 1] = block.std(axis=1, ddof=1) if n_runs > 1 else 0.0
-                bad = ~np.isfinite(rows).all(axis=1)
-                if bad.any():
-                    i = np.argmax(bad)
-                    raise NumericalFailure(
-                        f"{mode} NMSE at epsilon {grid[first + i]:.12g} is not finite "
-                        f"(mean {rows[i, 0]:.6g}, sd {rows[i, 1]:.6g})"
-                    )
-                del states  # freed before the driver draws the next call's states
+            values = seeded_runs(policy, mode, grid, n_runs, key, nmse)
+            rows = stats[mode]
+            rows[:, 0] = values.mean(axis=1)
+            rows[:, 1] = values.std(axis=1, ddof=1) if n_runs > 1 else 0.0
+            bad = ~np.isfinite(rows).all(axis=1)
+            if bad.any():
+                i = np.argmax(bad)
+                raise NumericalFailure(
+                    f"{mode} NMSE at epsilon {grid[i]:.12g} is not finite "
+                    f"(mean {rows[i, 0]:.6g}, sd {rows[i, 1]:.6g})"
+                )
     return tuple(
         SweepRow(
             epsilon=float(eps),

@@ -333,11 +333,12 @@ def test_manifest_records_stage_seconds_and_planner_work(config_path, tmp_path, 
     assert set(kernels) == {"numpy", "blas", "simd", "blas_core"}
     assert set(kernels["blas"]) == {"name", "version"}
     stats = manifest["stats"]
-    assert set(stats["stage_s"]) == stages
-    values = list(stats["stage_s"].values())
+    assert set(stats["stage_s"]) == set(stats["stage_cpu_s"]) == stages
+    values = list(stats["stage_s"].values()) + list(stats["stage_cpu_s"].values())
     if "plan" in stages:
         planner = stats["planner"]
-        assert set(planner) == {"iterations", "seconds", "ms_per_iter"}
+        assert set(planner) == {"iterations", "seconds", "cpu_seconds", "ms_per_iter"}
+        assert planner["cpu_seconds"] <= stats["stage_cpu_s"]["plan"]
         assert isinstance(planner["iterations"], int)
         if command[0] != "verify":
             report = json.loads((out / "plan_report.json").read_text())
@@ -358,14 +359,18 @@ def test_kernel_fingerprint_names_none_where_numpy_cannot_report(monkeypatch):
 
 def test_run_stats_add_re_entered_stages_and_divide_planner_seconds(monkeypatch):
     clock = iter([1.0, 3.5, 10.0, 10.25])
+    cpu_clock = iter([2.0, 3.0, 4.0, 4.5])
     monkeypatch.setattr(experiments.time, "perf_counter", lambda: next(clock))
+    monkeypatch.setattr(experiments.time, "process_time", lambda: next(cpu_clock))
     stats = RunStats()
     for _ in range(2):
         with stats.stage("sweep"):
             pass
-    stats.planner_iterations, stats.planner_seconds = 8, 0.5
-    planner = {"iterations": 8, "seconds": 0.5, "ms_per_iter": 62.5}  # 1e3 * 0.5 / 8
-    assert stats.as_dict() == {"stage_s": {"sweep": 2.75}, "planner": planner}
+    stats.planner_iterations, stats.planner_seconds, stats.planner_cpu_seconds = 8, 0.5, 0.25
+    # ms_per_iter is 1e3 * 0.5 / 8, from the wall seconds.
+    planner = {"iterations": 8, "seconds": 0.5, "cpu_seconds": 0.25, "ms_per_iter": 62.5}
+    expected = {"stage_s": {"sweep": 2.75}, "stage_cpu_s": {"sweep": 1.5}, "planner": planner}
+    assert stats.as_dict() == expected
     stats.planner_iterations = 0
     assert stats.as_dict()["planner"]["ms_per_iter"] == 0.0
 

@@ -3,7 +3,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-import tlqr.large_deviations as large_deviations
 import tlqr.simulate as simulate
 from conftest import LinearSystem, seeded_states
 from tlqr.dynamics import NominalTrajectory
@@ -148,18 +147,23 @@ def test_chunked_estimate_equals_one_call(car_experiment, monkeypatch, cap):
 
 
 def test_exit_count_equals_norm_of_crafted_deviations(car_experiment, monkeypatch):
-    # The deviation is computed in place in the yielded states; on states
+    # The deviation is computed in place in each call's states; on states
     # with NaN and +-inf entries its exit count must equal the one from
     # np.linalg.norm on a copy, and a NaN deviation must count as an exit.
+    # The kernel is replaced by one that steps to the crafted states, in
+    # calls of 120 runs.
     planned, _ = car_experiment
     nominal = planned.policy.nominal.states
+    monkeypatch.setattr(simulate, "_RUNS_PER_CALL", 120)
 
     def exit_count(runs, delta):
-        def crafted_runs(policy, mode, epsilons, n_runs, key):
-            for first in range(0, n_runs, 120):
-                yield first, runs[first : first + 120].copy()
+        stepped = iter(runs)
 
-        monkeypatch.setattr(large_deviations, "seeded_runs", crafted_runs)
+        def crafted_rollout(policy, epsilon, mode, states):
+            for run in states:
+                run[...] = next(stepped)
+
+        monkeypatch.setattr(simulate, "rollout_states", crafted_rollout)
         return estimate_exit_probability(planned.policy, delta, 0.1, len(runs), seed=3).n_exits
 
     rng = np.random.default_rng(41)

@@ -232,20 +232,33 @@ def test_sweep_block_names_its_first_row_that_is_not_finite(car_experiment):
 
 @pytest.mark.parametrize("n_runs", [1, 7, 999, 1001, 2500])
 def test_sweep_rows_equal_each_rows_own_reduction(car_experiment, n_runs):
-    # Calls of 1,000 runs cut rows of 7, 999, 1,001 and 2,500 runs; each row's
-    # mean and sd must be those of the row's own array of values.
+    # At 1,500 runs per call, calls cut rows of 999, 1,001 and 2,500 runs,
+    # and one call holds all rows of 1 or 7; each row's mean and sd must be
+    # those of the row's own array of values.
     policy = car_experiment[0].policy
     grid, master_seed = [0.02, 0.09, 0.13], 31
     rows = sweep_epsilon(policy, grid, n_runs, master_seed)
     for mode in (CLOSED_LOOP, OPEN_LOOP):
         key = (master_seed, _CTX_SWEEP, np.arange(len(grid), dtype=np.uint32), _MODE_TAGS[mode])
-        calls = seeded_runs(policy, mode, grid, n_runs, key)
-        vals = np.concatenate([nmse_values(policy.nominal, states) for _, states in calls])
+        calls = _recorded_runs(policy, mode, grid, n_runs, key)
+        vals = np.concatenate([nmse_values(policy.nominal, states) for states in calls])
         tag = "closed" if mode == CLOSED_LOOP else "open"
         for i, row in enumerate(rows):
             own = vals[i * n_runs : (i + 1) * n_runs].copy()
             sd = own.std(ddof=1) if n_runs > 1 else 0.0
             assert (getattr(row, f"avg_nmse_{tag}"), getattr(row, f"sd_{tag}")) == (own.mean(), sd)
+
+
+def _recorded_runs(policy, mode, epsilons, n_runs, key):
+    """Copies of the states of each kernel call ``seeded_runs`` makes, in call order."""
+    calls = []
+
+    def record(states):
+        calls.append(states.copy())
+        return np.zeros(len(states))
+
+    seeded_runs(policy, mode, epsilons, n_runs, key, record)
+    return calls
 
 
 def _out_of_bounds_open_loop_policy(planned):
@@ -593,10 +606,16 @@ def test_sweep_cuts_rows_larger_than_a_kernel_call(car_experiment, monkeypatch):
 
 
 def test_full_grid_sweep_runs_fixed_calls_with_one_hash_pair_each(car_experiment, monkeypatch):
-    # --full-grid --mode both: 150 points of 100 runs per mode, so 10 calls of
-    # 1,500 runs; the configured grid's 15 points take one call per mode.
+    # --full-grid --mode both: 150 points of 100 runs per mode, packed into
+    # ceil(15,000 / _RUNS_PER_CALL) calls per mode, the last one shorter; the
+    # configured grid's 15 points of 100 runs, one call per mode at 1,500.
     planned, _ = car_experiment
     calls, passes = [], {"_hash_seeds": 0, "_seed_words": 0}
+
+    def packed(total):
+        size = simulate._RUNS_PER_CALL
+        sizes = [size] * (total // size) + ([total % size] if total % size else [])
+        return [(CLOSED_LOOP, n) for n in sizes] + [(OPEN_LOOP, n) for n in sizes]
 
     def counted(name):
         original = getattr(simulate, name)
@@ -618,23 +637,24 @@ def test_full_grid_sweep_runs_fixed_calls_with_one_hash_pair_each(car_experiment
     monkeypatch.setattr(simulate, "rollout_states", recorded)
     rows = run_sweep(planned, grid=epsilon_grid(*FULL_GRID))
     assert len(rows) == 150 and {r.n_runs for r in rows} == {100}
-    assert calls == [(CLOSED_LOOP, 1500)] * 10 + [(OPEN_LOOP, 1500)] * 10
-    assert passes == {"_hash_seeds": 20, "_seed_words": 20}
+    assert calls == packed(15_000)
+    assert passes == dict.fromkeys(passes, len(calls))
 
     calls.clear()
     passes.update(dict.fromkeys(passes, 0))
     rows = run_sweep(planned)
     assert len(rows) == 15 and {r.n_runs for r in rows} == {100}
-    assert calls == [(CLOSED_LOOP, 1500), (OPEN_LOOP, 1500)]
-    assert passes == {"_hash_seeds": 2, "_seed_words": 2}
+    assert calls == packed(1_500)
+    assert passes == dict.fromkeys(passes, len(calls))
 
 
 @pytest.mark.parametrize("study", ["full_grid_sweep", "exit_estimate"])
 def test_monte_carlo_peak_holds_one_call_of_buffers(car_experiment, study):
-    # Each driver drops a call's states before the next call is drawn, so its
-    # peak is one call's states plus the kernel's working copy: about 2.4
-    # (N, K+1, n) buffers of _RUNS_PER_CALL runs, where keeping the previous
-    # call's states alive made it 3.5 or more.
+    # The driver keeps no call's states past the allocation of the next
+    # call's, so a study's peak is one call's states plus the kernel's working
+    # copy and the value grid: about 2.6 (N, K+1, n) buffers of
+    # _RUNS_PER_CALL runs, where keeping the previous call's states alive
+    # made it 3.5 or more.
     planned, _ = car_experiment
     policy = planned.policy
     run = {
@@ -692,17 +712,69 @@ def test_seeded_runs_equal_per_run_default_rng(car_experiment, monkeypatch, mode
     row_ids = np.array([4, 0, 2**32 - 1], dtype=np.uint32)
     key = (2**40 + 3, 9, row_ids, 2**33)
     monkeypatch.setattr(simulate, "_RUNS_PER_CALL", call_size)
-    calls = list(seeded_runs(policy, mode, eps, n_runs, key))
-    assert [first for first, _ in calls] == np.cumsum([0] + sizes[:-1]).tolist()
-    assert [len(states) for _, states in calls] == sizes
+    calls = _recorded_runs(policy, mode, eps, n_runs, key)
+    assert [len(states) for states in calls] == sizes
     expected = np.empty((len(eps), n_runs, k + 1, n))
     for i, row in enumerate(expected):
         for j, run in enumerate(row):
             seed = derive_seed(2**40 + 3, 9, int(row_ids[i]), 2**33, j)
             run[1:] = np.random.default_rng(seed).standard_normal((k, n))
         rollout_states(policy, eps[i], mode, row)
-    got = np.concatenate([states for _, states in calls])
+    got = np.concatenate(calls)
     assert got.tobytes() == expected.reshape(got.shape).tobytes()
+
+
+@pytest.mark.parametrize("call_size", [4, 5, 21])
+def test_seeded_runs_grid_holds_each_runs_value(car_experiment, monkeypatch, call_size):
+    # Rows of 5 runs: calls of 4 cut every row, calls of 21 hold all three.
+    policy = car_experiment[0].policy
+    eps, n_runs, key = [0.02, 0.07, 0.12], 5, (6, np.arange(3, dtype=np.uint32))
+    monkeypatch.setattr(simulate, "_RUNS_PER_CALL", call_size)
+    values = seeded_runs(policy, CLOSED_LOOP, eps, n_runs, key, lambda states: states[:, -1, 0])
+    assert values.dtype == np.float64 and values.shape == (3, n_runs)
+    assert values.flags.c_contiguous
+    states = np.concatenate(_recorded_runs(policy, CLOSED_LOOP, eps, n_runs, key))
+    assert values.tobytes() == states[:, -1, 0].tobytes()
+
+
+def test_seeded_runs_reducer_may_overwrite_states(car_experiment, monkeypatch):
+    policy = car_experiment[0].policy
+    monkeypatch.setattr(simulate, "_RUNS_PER_CALL", 7)
+
+    def overwriting(states):
+        np.square(states, out=states)
+        return np.add.reduce(states.reshape(len(states), -1), axis=1)
+
+    def on_a_copy(states):
+        return overwriting(states.copy())
+
+    args = (policy, OPEN_LOOP, [0.03, 0.11], 10, (8, np.arange(2, dtype=np.uint32)))
+    assert seeded_runs(*args, overwriting).tobytes() == seeded_runs(*args, on_a_copy).tobytes()
+
+
+@pytest.mark.parametrize(
+    "reduce",
+    [
+        lambda states: 1.0,
+        lambda states: np.zeros((len(states), 1)),
+        lambda states: np.zeros(len(states) - 1),
+    ],
+    ids=["scalar", "column", "short"],
+)
+def test_seeded_runs_reject_reducer_of_other_shape(car_experiment, monkeypatch, reduce):
+    policy = car_experiment[0].policy
+    steps = []
+    original = simulate.rollout_states
+
+    def counted(*args):
+        steps.append(len(args[3]))
+        return original(*args)
+
+    monkeypatch.setattr(simulate, "rollout_states", counted)
+    monkeypatch.setattr(simulate, "_RUNS_PER_CALL", 4)
+    with pytest.raises(ValueError, match=re.escape("one value per run, shape (4,)")):
+        seeded_runs(policy, CLOSED_LOOP, [0.05], 10, (3, 2), reduce)
+    assert steps == [4]
 
 
 def test_seeded_runs_check_n_runs_before_any_run(car_experiment, monkeypatch):
@@ -711,7 +783,7 @@ def test_seeded_runs_check_n_runs_before_any_run(car_experiment, monkeypatch):
     monkeypatch.setattr(simulate, "rollout_states", lambda *args: steps.append(args))
     for n_runs in (0, MAX_RUNS + 1):
         with pytest.raises(ValueError, match="n_runs"):
-            next(seeded_runs(planned.policy, CLOSED_LOOP, [0.05], n_runs, (3, 2)))
+            seeded_runs(planned.policy, CLOSED_LOOP, [0.05], n_runs, (3, 2), steps.append)
     assert steps == []
 
 
@@ -767,10 +839,15 @@ def test_rollout_states_leaves_its_arguments_unchanged(car_experiment, mode):
     epsilon = np.linspace(0.0, 0.15, 12)
     key = (99, np.arange(12, dtype=np.uint32))
     before = [a.tobytes() for a in arguments + (epsilon, key[1])]
-    ((first, states),) = seeded_runs(policy, mode, epsilon, 1, key)
+    layouts = []
+
+    def layout(states):
+        layouts.append((states.shape, states.flags.c_contiguous))
+        return np.zeros(len(states))
+
+    seeded_runs(policy, mode, epsilon, 1, key, layout)
     # nmse_values sums each run's entries in memory order, so the layout is part of the result.
-    assert first == 0 and states.shape == (12, policy.horizon + 1, policy.model.state_dim)
-    assert states.flags.c_contiguous
+    assert layouts == [((12, policy.horizon + 1, policy.model.state_dim), True)]
     assert [a.tobytes() for a in arguments + (epsilon, key[1])] == before
 
 
