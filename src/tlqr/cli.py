@@ -155,9 +155,13 @@ def _plan_status(planned: PlannedExperiment) -> int:
 def _write_planned_outputs(
     outdir: str, planned: PlannedExperiment, files: dict[str, str], stats: RunStats
 ) -> int:
-    """Write a planning command's files and plan_report.json, then return ``_plan_status``."""
+    """Write a planning command's files and plan_report.json, then return ``_plan_status``.
+
+    The report's fields go in as they are: ``dataclasses.asdict`` would
+    deep-copy the cost history one float at a time, for the same JSON.
+    """
     plan_report = {
-        **dataclasses.asdict(planned.report),
+        **vars(planned.report),
         "config_hash": config_hash(planned.config),
         "tool_version": __version__,
     }

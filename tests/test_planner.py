@@ -1,8 +1,9 @@
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import LinearSystem, make_pins
@@ -130,7 +131,7 @@ def test_open_loop_states_equal_stepwise_loop(model, oracle, rtol):
     for k in (1, 2, 7, 40):
         x0 = rng.uniform(-3, 3, size=model.state_dim)
         controls = rng.uniform(-1.2, 1.2, size=(k, model.control_dim))
-        states, expected = model.open_loop_states(x0, controls), oracle(model, x0, controls)
+        (states, _), expected = model.open_loop_rollout(x0, controls), oracle(model, x0, controls)
         assert states.shape == expected.shape
         assert np.abs(states - expected).max() <= rtol * np.abs(expected).max()
 
@@ -151,6 +152,76 @@ def test_batched_stage_terms_equal_per_row_calls(model):
             expected += cost.bound_weight * float(hinge @ hinge)
         assert value == expected
         assert np.array_equal(grad, cost.stage_grad(u))
+
+
+def untrimmed_stage(cost, u):
+    """The stage cost with the bound penalty added whenever its weight is positive."""
+    value = cost.effort_weight * planner._squared_norms(u)
+    if cost.bound_weight > 0:
+        hinge = np.maximum(0.0, np.abs(u) - cost.bounds)
+        value = value + cost.bound_weight * planner._squared_norms(hinge)
+    return value
+
+
+def untrimmed_stage_grad(cost, u):
+    """The stage gradient with the bound penalty's term added whenever its weight is positive."""
+    grad = 2.0 * cost.effort_weight * u
+    if cost.bound_weight > 0:
+        hinge = np.maximum(0.0, np.abs(u) - cost.bounds)
+        grad = grad + 2.0 * cost.bound_weight * hinge * np.sign(u)
+    return grad
+
+
+def control_entries(bound, inside):
+    """Entries of one control component: signed zeros, NaN, the bound's edges and plain values."""
+    edge = math.nextafter(bound, 0.0)
+    special = [0.0, -0.0, edge, -edge, bound * (1 - 1e-12), -bound * (1 - 1e-12)]
+    if inside:
+        inner = st.floats(-bound, bound, exclude_min=True, exclude_max=True)
+        return st.sampled_from(special) | inner
+    special += [math.nan, bound, -bound, math.nextafter(bound, 4.0), -math.nextafter(bound, 4.0)]
+    return st.sampled_from(special) | st.floats(-2.0 * bound, 2.0 * bound)
+
+
+@st.composite
+def stage_cases(draw):
+    """(effort weight, bound weight, controls (K, 2)); in half the draws every control is inside."""
+    inside = draw(st.booleans())
+    rows = st.tuples(control_entries(CAR.v_max, inside), control_entries(CAR.phi_max, inside))
+    controls = np.array(draw(st.lists(rows, min_size=1, max_size=8)), dtype=float)
+    effort = draw(st.sampled_from([0.0, 0.1]) | st.floats(0.0, 10.0))
+    bound = draw(st.sampled_from([0.0, 100.0]) | st.floats(0.0, 1e3))
+    return effort, bound, controls
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(case=stage_cases(), seed=st.integers(0, 2**32 - 1))
+# All inside the bounds with a -0.0 entry: the full gradient formula turns it into +0.0.
+@example(case=(0.1, 100.0, np.array([[-0.0, 0.3], [0.2, -0.0]])), seed=0)
+@example(case=(0.0, 100.0, np.array([[-0.0, -0.3], [0.0, 1.5]])), seed=1)
+# One control below its negative bound and none above a positive one.
+@example(case=(0.1, 100.0, np.array([[0.1, 0.2], [-0.7, -0.1]])), seed=2)
+@example(case=(0.1, 100.0, np.array([[0.1, -math.nextafter(np.pi / 2, 4.0)]])), seed=3)
+@example(case=(0.1, 100.0, np.array([[math.nan, 0.2], [0.1, -0.0]])), seed=4)
+def test_trimmed_stage_terms_and_rollout_fed_gradient_equal_the_full_formulas(case, seed):
+    """Skipping the zero bound penalty and reusing the rollout's terms keep every bit."""
+    effort, bound, controls = case
+    rng = np.random.default_rng(seed)
+    cost = goal_tracking_cost(
+        CAR, rng.uniform(-2, 2, size=3), effort_weight=effort, bound_weight=bound
+    )
+    with np.errstate(all="ignore"):
+        for u in (controls, controls[0]):  # a horizon and one control
+            value, expected = np.asarray(cost.stage(u)), np.asarray(untrimmed_stage(cost, u))
+            assert value.tobytes() == expected.tobytes()
+            assert cost.stage_grad(u).tobytes() == untrimmed_stage_grad(cost, u).tobytes()
+        states, terms = CAR.open_loop_rollout(rng.uniform(-1, 1, size=3), controls)
+        fed = cost_gradient(CAR, cost, states, controls, terms)
+        assert fed.tobytes() == cost_gradient(CAR, cost, states, controls).tobytes()
+        a, b = CAR.transition_jacobians(states[:-1], controls)
+        lam = CAR.costates(cost.terminal_grad(states[-1]), a)
+        full = untrimmed_stage_grad(cost, controls) + np.matmul(lam[1:, None, :], b)[:, 0, :]
+        assert fed.tobytes() == full.tobytes()
 
 
 def test_gradient_effort_only_closed_form():
@@ -235,6 +306,81 @@ def test_reference_plan_makes_no_per_step_calls(monkeypatch):
     # The car's costates replace the general sweep in every gradient.
     assert (counts["costates"], counts["adjoint_sweep"]) == (counts["cost_gradient"], 0)
     assert counts["step_rows"] == 0
+
+
+def direction_with_recomputed_gamma(grad, pairs):
+    """The two-loop direction with 1 / s'y and gamma = s'y / y'y recomputed from s and y."""
+    q = grad.copy()
+    alphas = []
+    for s, y, *_ in reversed(pairs):
+        a = (1.0 / s.dot(y)) * s.dot(q)
+        alphas.append(a)
+        q -= a * y
+    if pairs:
+        s, y = pairs[-1][:2]
+        q *= s.dot(y) / y.dot(y)
+    for (s, y, *_), a in zip(pairs, reversed(alphas)):
+        beta = (1.0 / s.dot(y)) * y.dot(q)
+        q += (a - beta) * s
+    return -q
+
+
+def test_directions_after_a_skipped_pair_and_a_reset_take_gamma_from_the_newest_kept_pair(
+    monkeypatch,
+):
+    """Stored pair scalars give the directions of scalars recomputed from the kept pairs.
+
+    The reference plan rejects two pairs by the curvature test early on; one
+    ascent direction handed back later forces a steepest-descent reset.
+    """
+    original = planner._two_loop_direction
+    calls = []
+    flipped = 30
+
+    def spy(grad, pairs):
+        d = original(grad, pairs)
+        calls.append((grad, list(pairs), d))
+        return -d if len(calls) == flipped else d
+
+    monkeypatch.setattr(planner, "_two_loop_direction", spy)
+    plan_experiment(default_config())
+    after_skip = [
+        i
+        for i in range(1, flipped)
+        if calls[i][1] and calls[i - 1][1] and calls[i][1][-1] is calls[i - 1][1][-1]
+    ]
+    assert after_skip, "no pair failed the curvature test"
+    # The reset emptied the memory, so the next call holds at most the one pair kept since.
+    assert len(calls[flipped][1]) <= 1 < len(calls[flipped - 1][1])
+    for i, (grad, pairs, d) in enumerate(calls):
+        assert d.tobytes() == direction_with_recomputed_gamma(grad, pairs).tobytes(), i
+
+
+def test_reference_plan_evaluates_each_trigonometric_term_once(monkeypatch):
+    """tan, cos and sin calls of the reference plan, in closed form of its pinned evaluation counts.
+
+    Each rollout (cost_evals - 1 trial points, then the returned nominal)
+    takes tan(phi), cos(theta) and sin(theta) once; each gradient reuses its
+    rollout's and takes only cos(phi), for the steering derivative; the
+    linearization for the gains computes all four afresh.
+    """
+    counts = Counter()
+    for name in ("tan", "cos", "sin"):
+        ufunc = getattr(np, name)
+
+        def counted(*args, _name=name, _ufunc=ufunc, **kwargs):
+            counts[_name] += 1
+            return _ufunc(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, counted)
+    plan_experiment(default_config())
+    pin = make_pins.load()["goals"]["reference"]
+    rollouts = pin["cost_evals"]
+    assert counts == {
+        "tan": rollouts + 1,
+        "cos": rollouts + pin["grad_evals"] + 2,
+        "sin": rollouts + 1,
+    }
 
 
 def test_cost_history_monotone(car_experiment):
@@ -325,8 +471,8 @@ def test_step_collapse_far_from_the_tolerance_is_not_convergence(monkeypatch, tm
     # the gradient disagree with the cost, and the line search collapses.
     original = KinematicCar.transition_jacobians
 
-    def wrong_jacobians(self, x, u):
-        a, b = original(self, x, u)
+    def wrong_jacobians(self, x, u, terms=None):
+        a, b = original(self, x, u, terms)
         b[..., 2, 1] /= np.cos(np.asarray(u)[..., 1])
         return a, b
 

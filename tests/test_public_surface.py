@@ -5,7 +5,7 @@ A name counts as used when some module of ``tlqr`` (the package
 its own definition: a top-level function (public or private) or a public
 class by name or as a module attribute, a method as an attribute, an
 annotated class field as an attribute read. A class whose instances the package passes to
-``dataclasses.asdict`` has every field read; the instance's class comes
+``dataclasses.asdict`` or ``vars`` has every field read; the instance's class comes
 from an annotation of its name, or from the return annotation of the call
 that assigned it. The match is by name, not by type, so a method or field
 is covered by any attribute of the same name.
@@ -82,7 +82,7 @@ def _bindings(target: ast.expr, annotation: ast.expr | None):
 
 
 def serialized_classes(nodes: list[ast.AST]) -> set[str]:
-    """Names of the classes whose instances reach ``asdict``, as the module docstring says."""
+    """Names of the classes whose instances reach ``asdict`` or ``vars``, as the docstring says."""
     annotated = defaultdict(set)
     returns = {}
     for node in nodes:
@@ -101,7 +101,7 @@ def serialized_classes(nodes: list[ast.AST]) -> set[str]:
     return {
         cls
         for node in nodes
-        if isinstance(node, ast.Call) and _last_name(node.func) == "asdict"
+        if isinstance(node, ast.Call) and _last_name(node.func) in ("asdict", "vars")
         for cls in annotated[_last_name(node.args[0])]
     }
 
@@ -144,7 +144,7 @@ def test_plant_interface():
         "clamp_rows",
         "control_bounds",
         "costates",
-        "open_loop_states",
+        "open_loop_rollout",
         "rollout_nominal",
         "step_rows",
         "transition_jacobians",
