@@ -68,8 +68,9 @@ class GoalCost:
 
     The stage terms add the bound penalty only when some |u_i| is not below
     its bound; in the reference plan 557 of 571 cost evaluations skip it.
-    For finite weights that are +0.0 or positive, as the config's are, each
-    skip returns the bits of the full formula (the tests compare them).
+    For finite weights that are +0.0 or positive, as ``goal_tracking_cost``
+    stores them (a -0.0 weight as +0.0), each skip returns the bits of the
+    full formula (the tests compare them).
     """
 
     goal: Array
@@ -202,10 +203,14 @@ def goal_tracking_cost(
     """The goal cost toward ``x_g`` under the model's control bounds.
 
     The terminal weights are all 1 except HEADING_WEIGHT on the third
-    (heading) component of planar models.
+    (heading) component of planar models. Each cost weight must be finite
+    and nonnegative, and is stored plus 0.0, so that a -0.0 weight is +0.0.
     """
-    if min(effort_weight, goal_weight, bound_weight) < 0:
-        raise ValueError("cost weights must be nonnegative")
+    weights = (effort_weight, goal_weight, bound_weight)
+    # Negated, so that NaN fails the test as well.
+    if not all(0.0 <= w < math.inf for w in weights):
+        raise ValueError(f"cost weights must be finite and nonnegative, got {weights}")
+    effort_weight, goal_weight, bound_weight = (w + 0.0 for w in weights)
     w_diag = np.ones(model.state_dim)
     if model.state_dim >= 3:
         w_diag[2] = HEADING_WEIGHT

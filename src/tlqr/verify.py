@@ -20,19 +20,26 @@ to its bound, so a report is reviewable without rerunning. Suites:
 Each random instance of the propagation and riccati suites is drawn in one
 call: three shape integers, then every entry in one uniform draw
 (``_draw_instance``), the same doubles one draw per array would give. The
-instances are batched by (n_x, n_u) family: every instance of a family
-shares one Riccati sweep, front-padded with zeros to the family's longest
-horizon (``_padded_riccati``). All of them use identity weights, so an
-instance of horizon k finds its own gains and Riccati matrices in the last
-k steps of the padded sweep, bit for bit. Every other batched pass runs on
-one exact (n_x, n_u, K) shape, and every reported value is the one a loop
-over single instances gives.
+instances are batched by (n_x, n_u) family and sorted by horizon, and each
+O(K) recursion runs once per batch, front-padded with zeros to the batch's
+longest horizon (``_front_pad``): the Riccati sweep (``_padded_riccati``),
+and in the propagation suite the closed-loop matrices, deviations and
+cost-error sensitivities too (``_propagation_batch``), in the riccati suite
+the value identity's simulation. All of them use identity weights, and a
+padded step has A = B = 0, so an instance of horizon k finds its own
+results in the last k steps of the padded passes, bit for bit. A batch is a
+whole family in the riccati suite and at most ``PROPAGATION_BATCH``
+instances in the propagation suite. The passes whose sums padding would
+lengthen (the noise maps, the oracle sums and the cost errors) run on one
+exact (n_x, n_u, K) shape, and every reported value is the one a loop over
+single instances gives.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from itertools import groupby
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -57,6 +64,11 @@ COST_ERROR_EPSILON = 0.05
 COST_ERROR_SAMPLES = 100_000
 # Noise sequences of the costerror suite's sensitivity-form reconstruction.
 _RECONSTRUCTION_DRAWS = 100
+# Instances per front-padded batch of the propagation suite. A batch runs each
+# O(K) recursion once, so larger batches take fewer Python-level steps, but
+# they hold more padded rows at once: whole families raise the suite's traced
+# peak from 1.74 to 2.46 MiB.
+PROPAGATION_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -176,27 +188,93 @@ def _control_sums(maps: Array, gains: Array, noises: Array) -> Array:
     return controls
 
 
+def _front_pad(runs: Sequence[Array], k_max: int) -> Array:
+    """Runs of instances stacked into one (N, k_max, ...) array, zeros in front.
+
+    Each run is an (N_j, k_j, ...) stack of N_j instances of one horizon k_j;
+    its rows follow the previous run's, each in its last k_j steps.
+    """
+    out = np.zeros((sum(len(run) for run in runs), k_max) + runs[0].shape[2:])
+    first = 0
+    for run in runs:
+        out[first : first + len(run), k_max - run.shape[1] :] = run
+        first += len(run)
+    return out
+
+
 def _padded_riccati(a: Sequence[Array], b: Sequence[Array]) -> tuple[Array, Array]:
     """One Riccati sweep for LTV systems of one (n_x, n_u) family and any horizons.
 
-    Each (A, B) is front-padded with zeros to the family's longest horizon
-    K_max, and all share identity weights. Returns the padded gains
-    (N, K_max, m, n) and Riccati matrices (N, K_max+1, n, n); a system of
-    horizon k finds its own results in ``[i, K_max - k:]``, bit for bit:
-    the last k steps of the padded recursion start from the same terminal
-    weight and run that system's own steps, and each stacked matmul and
-    solve acts row by row. A padded step has B = 0, so its gain system is
-    W_u = I and never singular.
+    ``a`` and ``b`` list one (A, B) per system, each front-padded with zeros
+    to the longest horizon K_max (``_front_pad``); an (N, K_max, ...) array
+    is N systems of horizon K_max, its own padding. All share identity
+    weights. Returns the padded gains (N, K_max, m, n) and Riccati matrices
+    (N, K_max+1, n, n); a system of horizon k finds its own results in
+    ``[i, K_max - k:]``, bit for bit: the last k steps of the padded
+    recursion start from the same terminal weight and run that system's own
+    steps, and each stacked matmul and solve acts row by row. A padded step
+    has B = 0, so its gain system is W_u = I and never singular, and A = 0,
+    so its gain is 0.
     """
-    k_max = max(len(a_i) for a_i in a)
-    n_x, n_u = b[0].shape[1:]
-    a_pad = np.zeros((len(a), k_max, n_x, n_x))
-    b_pad = np.zeros((len(b), k_max, n_x, n_u))
-    for i, (a_i, b_i) in enumerate(zip(a, b)):
-        a_pad[i, k_max - len(a_i) :] = a_i
-        b_pad[i, k_max - len(b_i) :] = b_i
+    if not isinstance(a, np.ndarray):
+        k_max = max(len(a_i) for a_i in a)
+        a, b = (_front_pad([system[None] for system in ab], k_max) for ab in (a, b))
+    n_x, n_u = b.shape[-2:]
     weights = LqrWeights(np.ones(n_x), np.ones(n_u))
-    return riccati_backward(LtvSystem(a=a_pad, b=b_pad), weights)
+    return riccati_backward(LtvSystem(a=a, b=b), weights)
+
+
+def _propagation_batch(
+    n_x: int, n_u: int, members: list[tuple[int, Array]]
+) -> Iterator[tuple[Array, ...]]:
+    """The O(K) recursions of one propagation batch, once on its front-padded stack.
+
+    ``members`` holds (K, flat row) pairs of one (n_x, n_u) family, drawn by
+    ``_draw_instance``, in ascending horizon; the list is emptied
+    once its rows are split into one group of six arrays per horizon. The
+    arrays with a time axis are front-padded to the batch's longest horizon
+    K_b, and one Riccati sweep, one closed-loop build, one deviation
+    recursion and one sensitivity sweep run on the stack. Yields, per
+    horizon k, the group's noises, cx, cu and cx_K, then its cuts of the
+    gains, closed-loop matrices D, state and control deviations and
+    sensitivities from step K_b - k on: each row is bit for bit its
+    instance's own unpadded calls. A padded step has A = B = 0, so its gain,
+    its D, its noise and its forcing are 0: a deviation stays +0.0 until its
+    instance's first step, the backward sweeps reach the real steps first,
+    and each stacked product acts item by item. Only the oracles' inputs and
+    the recursions' results stay alive while the groups are yielded.
+    """
+    groups = [
+        _split_rows(np.stack([row for _, row in run]), _propagation_shapes(n_x, n_u, k))
+        for k, run in groupby(members, key=lambda member: member[0])
+    ]
+    members.clear()
+    k_max = max(group[0].shape[1] for group in groups)
+    a, b, noises, cx, cu = (_front_pad([group[j] for group in groups], k_max) for j in range(5))
+    groups = [group[2:] for group in groups]
+    gains = _padded_riccati(a, b)[0]
+    d = closed_loop_matrices(LtvSystem(a=a, b=b), gains)
+    states, controls = linear_deviations(d, gains, noises)
+    terminal = np.concatenate([group[3] for group in groups])
+    v = cost_error_sensitivities(CostLinearization(cx=cx, cu=cu, cx_terminal=terminal), d, gains)
+    del a, b, noises, cx, cu
+    first = 0
+    for group in groups:
+        rows, start = slice(first, first + len(group[0])), k_max - group[0].shape[1]
+        first = rows.stop
+        gains_k, d_k, states_k, controls_k, v_k = (
+            x[rows, start:] for x in (gains, d, states, controls, v)
+        )
+        # The gains and deviations go as contiguous copies, laid out like an
+        # unpadded call's: the oracles' einsum passes sum in memory order.
+        yield (
+            *group,
+            np.ascontiguousarray(gains_k),
+            d_k,
+            np.ascontiguousarray(states_k),
+            np.ascontiguousarray(controls_k),
+            v_k,
+        )
 
 
 def _max_reconstruction_rel(v: Array, noises: Array, direct: Array) -> float:
@@ -216,55 +294,45 @@ def propagation_errors(n_instances: int = 1000, seed: int = 1001) -> dict:
     Every instance is drawn first, in one fixed order, as its shape and one
     flat row of entries (``_draw_instance``). The (n_x, n_u) families then
     run in ascending order, so the largest working set comes last, when
-    every other family's rows are gone: a family's rows are dropped once
-    each of its (n_x, n_u, K) groups has stacked them and split them into
-    its six arrays. All instances of one family share one Riccati sweep,
-    front-padded to the family's longest horizon (``_padded_riccati``), of
-    which only the gains are kept. The rest runs once per exact
-    (n_x, n_u, K) shape: closed-loop matrices, deviations, noise maps, the
-    oracle sums, the cost-error sensitivities and the cost errors; padding
-    these would change the length of their sums. Each row equals its
-    single-instance computation bit for bit, and the maxima do not depend
-    on order, since no value is NaN on these instances.
+    every other family's rows are gone. A family's instances are sorted by
+    horizon, draw order kept within one, and cut into batches of at most
+    ``PROPAGATION_BATCH``. Each batch runs its Riccati sweep, closed-loop
+    matrices, deviations and cost-error sensitivities once, front-padded to
+    its own longest horizon (``_propagation_batch``), and drops its rows once
+    they are split into six arrays, one group per horizon. The rest runs once
+    per exact (n_x, n_u, K) group of a batch, on its cuts of those results:
+    the noise maps, the oracle sums and the cost errors, which padding would
+    give longer sums.
+    Each row equals its single-instance computation bit for bit, and the
+    maxima do not depend on order, since no value is NaN on these instances.
     """
     rng = np.random.default_rng(seed)
-    families: dict[tuple[int, int], dict[int, list[Array]]] = {}
+    families: dict[tuple[int, int], list[tuple[int, Array]]] = {}
     for _ in range(n_instances):
         (n_x, n_u, k), row = _draw_instance(rng, _propagation_shapes)
-        families.setdefault((n_x, n_u), {}).setdefault(k, []).append(row)
+        families.setdefault((n_x, n_u), []).append((k, row))
 
     max_state_rel = 0.0
     max_identity_abs = 0.0
     max_reconstruction_rel = 0.0
     for n_x, n_u in sorted(families):
-        groups = {
-            k: _split_rows(np.stack(rows), _propagation_shapes(n_x, n_u, k))
-            for k, rows in families.pop((n_x, n_u)).items()
-        }
-        padded_gains = _padded_riccati(
-            [a_i for a, *_ in groups.values() for a_i in a],
-            [b_i for _, b, *_ in groups.values() for b_i in b],
-        )[0]
-        k_max, first = padded_gains.shape[1], 0
-        for k, (a, b, noises, cx, cu, cx_terminal) in groups.items():
-            # A contiguous copy, laid out like an unpadded sweep's gains: the
-            # einsum passes below sum in memory order.
-            gains = np.ascontiguousarray(padded_gains[first : first + len(a), k_max - k :])
-            first += len(a)
-            d = closed_loop_matrices(LtvSystem(a=a, b=b), gains)
-            states, controls = linear_deviations(d, gains, noises)
-            maps = _noise_maps(d)
-            gap = np.linalg.norm(_state_sums(maps, noises)[:, 1:] - states[:, 1:], axis=-1)
-            denom = np.maximum(np.linalg.norm(states[:, 1:], axis=-1), 1e-12)
-            max_state_rel = max(max_state_rel, float((gap / denom).max()))
-            resid = _control_sums(maps, gains, noises) - controls
-            max_identity_abs = max(max_identity_abs, float(np.abs(resid).max()))
-            lin = CostLinearization(cx=cx, cu=cu, cx_terminal=cx_terminal)
-            v = cost_error_sensitivities(lin, d, gains)
-            direct = first_order_cost_error(lin, states, controls)
-            max_reconstruction_rel = max(
-                max_reconstruction_rel, _max_reconstruction_rel(v, noises, direct)
-            )
+        members = sorted(families.pop((n_x, n_u)), key=lambda member: member[0])
+        while members:
+            # The batch's list is the generator's alone, which drops its rows once split.
+            batch = _propagation_batch(n_x, n_u, members[:PROPAGATION_BATCH])
+            members = members[PROPAGATION_BATCH:]
+            for noises, cx, cu, cx_terminal, gains, d, states, controls, v in batch:
+                maps = _noise_maps(d)
+                gap = np.linalg.norm(_state_sums(maps, noises)[:, 1:] - states[:, 1:], axis=-1)
+                denom = np.maximum(np.linalg.norm(states[:, 1:], axis=-1), 1e-12)
+                max_state_rel = max(max_state_rel, float((gap / denom).max()))
+                resid = _control_sums(maps, gains, noises) - controls
+                max_identity_abs = max(max_identity_abs, float(np.abs(resid).max()))
+                lin = CostLinearization(cx=cx, cu=cu, cx_terminal=cx_terminal)
+                direct = first_order_cost_error(lin, states, controls)
+                max_reconstruction_rel = max(
+                    max_reconstruction_rel, _max_reconstruction_rel(v, noises, direct)
+                )
     return {
         "max_state_rel": max_state_rel,
         "max_identity_abs": max_identity_abs,
@@ -293,43 +361,82 @@ def riccati_fixture_errors() -> tuple[float, float]:
 
 
 def simulated_quadratic_cost(
-    sys: LtvSystem, weights: LqrWeights, gains: Array, x0: Array
-) -> float:
-    """Accumulated tracking cost of the noise-free LTV error dynamics."""
+    sys: LtvSystem,
+    weights: LqrWeights,
+    gains: Array,
+    x0: Array,
+    horizons: Sequence[int] | None = None,
+) -> float | Array:
+    """Accumulated tracking cost of the noise-free LTV error dynamics.
+
+    One system (K, ...) with its (K, m, n) gains and an (n,) start gives a
+    float. A batch front-padded to K steps, (N, K, ...) with (N, n) starts,
+    takes each instance's own horizon, in ascending order (all K when
+    omitted), and gives the (N,) totals: the instances running at step t
+    are the last ones, those of horizon at least K - t. Before its first
+    step an instance's state stays at x0 and its total gains nothing. Every
+    product is a matmul on stacks of columns, which acts item by item as on
+    one instance, so each total is bit for bit its own single call's.
+    """
     wx, wu = np.diag(weights.wx), np.diag(weights.wu)
-    x = np.asarray(x0, dtype=float)
-    total = 0.0
-    for t in range(sys.horizon):
-        u = -gains[t] @ x
-        total += float(x @ wx @ x + u @ wu @ u)
-        x = sys.a[t] @ x + sys.b[t] @ u
-    total += float(x @ wx @ x)
-    return total
+    single = np.ndim(x0) == 1
+    a, b, gains = (x[None] if single else x for x in (sys.a, sys.b, np.asarray(gains, float)))
+    k = a.shape[1]
+    horizons = np.full(len(a), k) if horizons is None else np.asarray(horizons)
+    if (np.diff(horizons) < 0).any():
+        raise ValueError("horizons must be in ascending order")
+    x = np.array(x0, dtype=float).reshape(len(a), -1, 1)
+    total = np.zeros(len(a))
+    for t in range(k):
+        live = slice(int(np.searchsorted(horizons, k - t)), None)
+        x_t = x[live]
+        u = -gains[live, t] @ x_t
+        stage = np.swapaxes(x_t, 1, 2) @ wx @ x_t + np.swapaxes(u, 1, 2) @ wu @ u
+        total[live] += stage[:, 0, 0]
+        x[live] = a[live, t] @ x_t + b[live, t] @ u
+    total += (np.swapaxes(x, 1, 2) @ wx @ x)[:, 0, 0]
+    return float(total[0]) if single else total
+
+
+def _value_identity_totals(members: Sequence[Sequence[Array]]) -> tuple[Array, Array]:
+    """x0' P_0 x0 and the simulated quadratic cost of each (A, B, x0) of one family.
+
+    The members come in ascending horizon. They share one Riccati sweep and
+    one simulation, front-padded to the longest horizon K_max; a member of
+    horizon k reads its P_0 at K_max - k and runs the last k steps. Each
+    value is bit for bit its member's own unpadded sweep and simulation.
+    """
+    a, b, x0 = zip(*members)
+    horizons = [len(a_i) for a_i in a]
+    k_max = max(horizons)
+    sys = LtvSystem(*(_front_pad([system[None] for system in ab], k_max) for ab in (a, b)))
+    gains, riccati = _padded_riccati(sys.a, sys.b)
+    x0 = np.stack(x0)
+    p0 = riccati[np.arange(len(x0)), k_max - np.asarray(horizons)]
+    predicted = (x0[:, None, :] @ p0 @ x0[:, :, None])[:, 0, 0]
+    weights = LqrWeights(np.ones(sys.state_dim), np.ones(sys.control_dim))
+    return predicted, simulated_quadratic_cost(sys, weights, gains, x0, horizons)
 
 
 def value_identity_error(n_instances: int = 100, seed: int = 1002) -> float:
     """Max relative gap between x0' P_0 x0 and the simulated quadratic cost.
 
-    Each (n_x, n_u) family of the drawn instances shares one front-padded
-    Riccati sweep (``_padded_riccati``); an instance of horizon k reads its
-    gains and P_0 from index K_max - k on, bit for bit those of its own sweep.
+    The instances of each (n_x, n_u) family, sorted by horizon, share one
+    Riccati sweep and one simulation, front-padded to the family's longest
+    horizon (``_value_identity_totals``): every value is bit for bit the
+    one of the instance's own sweep and simulation.
     """
     rng = np.random.default_rng(seed)
-    families: dict[tuple[int, int], list] = {}
+    families: dict[tuple[int, int], list[list[Array]]] = {}
     for _ in range(n_instances):
         (n_x, n_u, k), row = _draw_instance(rng, _riccati_shapes)
-        a, b, x0 = _split_rows(row, _riccati_shapes(n_x, n_u, k))
-        families.setdefault((n_x, n_u), []).append((LtvSystem(a=a, b=b), x0))
+        families.setdefault((n_x, n_u), []).append(_split_rows(row, _riccati_shapes(n_x, n_u, k)))
     worst = 0.0
-    for (n_x, n_u), members in families.items():
-        gains, riccati = _padded_riccati([m[0].a for m in members], [m[0].b for m in members])
-        k_max = gains.shape[1]
-        weights = LqrWeights(np.ones(n_x), np.ones(n_u))
-        for i, (sys, x0) in enumerate(members):
-            first = k_max - sys.horizon
-            predicted = float(x0 @ riccati[i, first] @ x0)
-            simulated = simulated_quadratic_cost(sys, weights, gains[i, first:], x0)
-            worst = max(worst, abs(predicted - simulated) / max(abs(simulated), 1e-12))
+    for members in families.values():
+        members.sort(key=lambda member: len(member[0]))
+        predicted, simulated = _value_identity_totals(members)
+        gaps = np.abs(predicted - simulated) / np.maximum(np.abs(simulated), 1e-12)
+        worst = max(worst, float(gaps.max()))
     return worst
 
 

@@ -37,7 +37,7 @@ from tlqr.simulate import (
     derive_seed,
     rollout_states,
 )
-from tlqr.verify import _padded_riccati
+from tlqr.verify import _padded_riccati, _propagation_batch, _propagation_shapes, _split_rows
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -65,6 +65,42 @@ def test_padded_riccati_rows_equal_single_sweeps(n_x, n_u, horizons, seed):
         one_gains, one_riccati = riccati_backward(LtvSystem(a=a[i], b=b[i]), weights)
         assert np.array_equal(gains[i, k_max - k :], one_gains)
         assert np.array_equal(riccati[i, k_max - k :], one_riccati)
+
+
+@PROPERTY
+@given(
+    n_x=dims,
+    n_u=st.integers(1, 2),
+    horizons=st.lists(st.integers(1, 20), min_size=1, max_size=8),
+    seed=generator_seeds,
+)
+@example(n_x=2, n_u=1, horizons=[7], seed=0)  # a single instance
+@example(n_x=3, n_u=2, horizons=[5, 5, 5, 5], seed=1)  # all horizons equal
+@example(n_x=1, n_u=2, horizons=[20, 1, 3, 20, 1, 19], seed=2)
+def test_padded_propagation_batch_cuts_equal_unpadded_calls(n_x, n_u, horizons, seed):
+    """Each instance's cut of a front-padded batch is its own unpadded calls, byte for byte."""
+    rng = np.random.default_rng(seed)
+    sizes = {k: sum(math.prod(s) for s in _propagation_shapes(n_x, n_u, k)) for k in horizons}
+    # (K, flat row) pairs in ascending horizon, as the propagation suite batches them.
+    members = sorted(((k, rng.uniform(-1, 1, size=sizes[k])) for k in horizons), key=lambda m: m[0])
+    instances = iter(list(members))
+    groups = list(_propagation_batch(n_x, n_u, members))
+    assert members == []  # the batch drops its rows
+    assert [len(group[0]) for group in groups] == [horizons.count(k) for k in sorted(set(horizons))]
+    weights = LqrWeights(np.ones(n_x), np.ones(n_u))
+    for group in groups:
+        for i in range(len(group[0])):
+            k, row = next(instances)
+            a, b, noises, cx, cu, cx_terminal = _split_rows(row, _propagation_shapes(n_x, n_u, k))
+            one = LtvSystem(a=a, b=b)
+            gains = riccati_backward(one, weights)[0]
+            d = closed_loop_matrices(one, gains)
+            states, controls = linear_deviations(d, gains, noises)
+            lin = CostLinearization(cx=cx, cu=cu, cx_terminal=cx_terminal)
+            v = cost_error_sensitivities(lin, d, gains)
+            expected = (noises, cx, cu, cx_terminal, gains, d, states, controls, v)
+            assert [x[i].shape for x in group] == [x.shape for x in expected]
+            assert [x[i].tobytes() for x in group] == [x.tobytes() for x in expected]
 
 
 @PROPERTY

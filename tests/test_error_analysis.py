@@ -171,32 +171,57 @@ def test_shape_batched_propagation_equals_per_instance_reference(n_instances, se
     )
 
 
-def test_propagation_makes_one_riccati_call_per_family(monkeypatch):
-    families, sizes = [], []
-    groups, group_sizes = [], []
+def test_propagation_makes_one_riccati_and_one_sensitivity_sweep_per_batch(monkeypatch):
+    # The instances as the suite draws them: (n_x, n_u, K) and the bytes of A.
+    rng = np.random.default_rng(7)
+    drawn = {}
+    for i in range(1000):
+        (n_x, n_u, k), row = verify._draw_instance(rng, verify._propagation_shapes)
+        drawn[row[: k * n_x * n_x].tobytes()] = i, (n_x, n_u, k)
+    batches, sensitivity_shapes = [], []
     original_riccati = verify.riccati_backward
     original_sensitivities = verify.cost_error_sensitivities
 
     def counted_riccati(sys, weights):
-        families.append((sys.state_dim, sys.control_dim))
-        sizes.append(sys.a.shape[0])
+        # An instance of horizon k fills the last k steps of its row; every
+        # real step of A has nonzero entries.
+        real = np.abs(sys.a).sum(axis=(-2, -1)) > 0
+        horizons = real.sum(axis=1)
+        assert (real == (np.arange(sys.horizon) >= sys.horizon - horizons[:, None])).all()
+        found = [drawn[a[sys.horizon - k :].tobytes()] for a, k in zip(sys.a, horizons)]
+        dims = [(sys.state_dim, sys.control_dim, k) for k in horizons]
+        assert [shape for _, shape in found] == dims
+        ids = [i for i, _ in found]
+        batches.append((sys.state_dim, sys.control_dim, sys.a.shape[:2], list(horizons), ids))
         return original_riccati(sys, weights)
 
     def counted_sensitivities(lin, closed_loop, gains):
-        n, k, n_u, n_x = gains.shape
-        groups.append((n_x, n_u, k))
-        group_sizes.append(n)
+        sensitivity_shapes.append(gains.shape)
         return original_sensitivities(lin, closed_loop, gains)
 
     monkeypatch.setattr(verify, "riccati_backward", counted_riccati)
     monkeypatch.setattr(verify, "cost_error_sensitivities", counted_sensitivities)
-    propagation_errors(n_instances=300, seed=7)
-    assert len(set(families)) == len(families) <= 8
-    assert sum(sizes) == 300
-    # One sensitivity sweep per (n_x, n_u, K) shape, together covering every instance.
-    assert len(set(groups)) == len(groups)
-    assert {g[:2] for g in groups} == set(families)
-    assert sum(group_sizes) == 300
+    propagation_errors(n_instances=1000, seed=7)
+    # One Riccati sweep and one sensitivity sweep per batch, on the same padded stack.
+    assert len(sensitivity_shapes) == len(batches)
+    for (n_x, n_u, stack, horizons, ids), shape in zip(batches, sensitivity_shapes):
+        assert shape == stack + (n_u, n_x)
+        # A batch is at most the batch size, sorted by horizon, padded to its longest.
+        assert 1 <= len(ids) <= verify.PROPAGATION_BATCH
+        assert horizons == sorted(horizons) and horizons[-1] == stack[1]
+    # Each batch lies inside one family, and together they hold every instance once.
+    families = [(n_x, n_u) for n_x, n_u, *_ in batches]
+    assert families == sorted(families)
+    assert sorted(i for *_, ids in batches for i in ids) == list(range(1000))
+    # A family's instances run in horizon order, in full batches but the last.
+    for family in set(families):
+        members = [batch for f, batch in zip(families, batches) if f == family]
+        assert sum((horizons for *_, horizons, _ in members), []) == sorted(
+            k for *_, horizons, _ in members for k in horizons
+        )
+        assert all(len(ids) == verify.PROPAGATION_BATCH for *_, ids in members[:-1])
+    # Some family fills more than one batch.
+    assert len(set(families)) < len(batches) <= 1000 // verify.PROPAGATION_BATCH + 8
 
 
 @pytest.mark.parametrize("n_x, n_u, k", [(1, 1, 2), (1, 2, 5), (2, 2, 2), (3, 1, 7), (4, 2, 20)])

@@ -133,6 +133,46 @@ def test_family_padded_value_identity_equals_per_instance_reference(seed):
     assert value_identity_error(100, seed) == _per_instance_value_identity_error(100, seed)
 
 
+def _loop_quadratic_cost(sys, weights, gains, x0):
+    """Reference: the simulated cost one instance, one step and one vector at a time."""
+    wx, wu = np.diag(weights.wx), np.diag(weights.wu)
+    x = np.asarray(x0, dtype=float)
+    total = 0.0
+    for t in range(sys.horizon):
+        u = -gains[t] @ x
+        total += float(x @ wx @ x + u @ wu @ u)
+        x = sys.a[t] @ x + sys.b[t] @ u
+    return total + float(x @ wx @ x)
+
+
+@pytest.mark.parametrize("seed", [1002, 5, 77])
+def test_family_padded_value_identity_totals_equal_per_instance_loops(seed):
+    rng = np.random.default_rng(seed)
+    families = {}
+    for _ in range(100):
+        sys, weights = random_ltv_instance(rng)
+        x0 = rng.uniform(-1.0, 1.0, size=sys.state_dim)
+        families.setdefault((sys.state_dim, sys.control_dim), []).append((sys, weights, x0))
+    for members in families.values():
+        members.sort(key=lambda member: member[0].horizon)
+        arrays = [(sys.a, sys.b, x0) for sys, _, x0 in members]
+        predicted, simulated = verify._value_identity_totals(arrays)
+        assert predicted.shape == simulated.shape == (len(members),)
+        for (sys, weights, x0), batch_p, batch_s in zip(members, predicted, simulated):
+            gains, riccati = riccati_backward(sys, weights)
+            loop = _loop_quadratic_cost(sys, weights, gains, x0)
+            assert batch_p.tobytes() == np.float64(x0 @ riccati[0] @ x0).tobytes()
+            assert batch_s.tobytes() == np.float64(loop).tobytes()
+            single = simulated_quadratic_cost(sys, weights, gains, x0)
+            assert np.float64(single).tobytes() == np.float64(loop).tobytes()
+    # A padded batch's horizons must ascend, so that the running instances are the last ones.
+    sys, weights, x0 = members[0]
+    batch = LtvSystem(a=np.stack([sys.a] * 2), b=np.stack([sys.b] * 2))
+    gains = np.stack([riccati_backward(sys, weights)[0]] * 2)
+    with pytest.raises(ValueError, match="ascending"):
+        simulated_quadratic_cost(batch, weights, gains, np.stack([x0] * 2), [sys.horizon, 1])
+
+
 def test_value_identity_makes_one_riccati_call_per_family(monkeypatch):
     families, sizes = [], []
     original = verify.riccati_backward

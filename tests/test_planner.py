@@ -189,8 +189,10 @@ def stage_cases(draw):
     inside = draw(st.booleans())
     rows = st.tuples(control_entries(CAR.v_max, inside), control_entries(CAR.phi_max, inside))
     controls = np.array(draw(st.lists(rows, min_size=1, max_size=8)), dtype=float)
-    effort = draw(st.sampled_from([0.0, 0.1]) | st.floats(0.0, 10.0))
-    bound = draw(st.sampled_from([0.0, 100.0]) | st.floats(0.0, 1e3))
+    # Hypothesis favours the first entries, so a -0.0 effort weight often meets
+    # a positive bound weight: there the skips must turn -0.0 terms into +0.0.
+    effort = draw(st.sampled_from([-0.0, 0.0, 0.1]) | st.floats(0.0, 10.0))
+    bound = draw(st.sampled_from([100.0, 0.0, -0.0]) | st.floats(0.0, 1e3))
     return effort, bound, controls
 
 
@@ -203,6 +205,9 @@ def stage_cases(draw):
 @example(case=(0.1, 100.0, np.array([[0.1, 0.2], [-0.7, -0.1]])), seed=2)
 @example(case=(0.1, 100.0, np.array([[0.1, -math.nextafter(np.pi / 2, 4.0)]])), seed=3)
 @example(case=(0.1, 100.0, np.array([[math.nan, 0.2], [0.1, -0.0]])), seed=4)
+# A -0.0 effort weight: the full formulas add the +0.0 penalty, which makes the effort term +0.0.
+@example(case=(-0.0, 100.0, np.array([[0.3, -0.2], [-0.0, 0.1]])), seed=5)
+@example(case=(-0.0, -0.0, np.array([[0.3, -0.2], [2.0, 0.1]])), seed=6)
 def test_trimmed_stage_terms_and_rollout_fed_gradient_equal_the_full_formulas(case, seed):
     """Skipping the zero bound penalty and reusing the rollout's terms keep every bit."""
     effort, bound, controls = case
@@ -222,6 +227,16 @@ def test_trimmed_stage_terms_and_rollout_fed_gradient_equal_the_full_formulas(ca
         lam = CAR.costates(cost.terminal_grad(states[-1]), a)
         full = untrimmed_stage_grad(cost, controls) + np.matmul(lam[1:, None, :], b)[:, 0, :]
         assert fed.tobytes() == full.tobytes()
+
+
+def test_cost_weights_must_be_finite_and_nonnegative_and_store_negative_zero_as_positive():
+    names = ("effort_weight", "goal_weight", "bound_weight")
+    for name in names:
+        for value in (math.nan, math.inf, -math.inf, -1.0, -5e-324):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                goal_tracking_cost(CAR, X_GOAL, **{name: value})
+    cost = goal_tracking_cost(CAR, X_GOAL, **{name: -0.0 for name in names})
+    assert [math.copysign(1.0, getattr(cost, name)) for name in names] == [1.0, 1.0, 1.0]
 
 
 def test_gradient_effort_only_closed_form():
