@@ -17,22 +17,10 @@ to its bound, so a report is reviewable without rerunning. Suites:
 * ``ldp``: exit-rate regression signature plus exact synthetic recovery and
   the zero action of the nominal path.
 
-Each random instance of the propagation and riccati suites is drawn in one
-call: three shape integers, then every entry in one uniform draw
-(``_draw_instance``), the same doubles one draw per array would give. The
-instances are batched by (n_x, n_u) family and sorted by horizon, and each
-O(K) recursion runs once per batch, front-padded with zeros to the batch's
-longest horizon (``_front_pad``): the Riccati sweep (``_padded_riccati``),
-and in the propagation suite the closed-loop matrices, deviations and
-cost-error sensitivities too (``_propagation_batch``), in the riccati suite
-the value identity's simulation. All of them use identity weights, and a
-padded step has A = B = 0, so an instance of horizon k finds its own
-results in the last k steps of the padded passes, bit for bit. A batch is a
-whole family in the riccati suite and at most ``PROPAGATION_BATCH``
-instances in the propagation suite. The passes whose sums padding would
-lengthen (the noise maps, the oracle sums and the cost errors) run on one
-exact (n_x, n_u, K) shape, and every reported value is the one a loop over
-single instances gives.
+The propagation and riccati suites read their random LTV instances from
+one stream of front-padded batches (``_padded_batches``): each O(K)
+recursion runs once per batch, and every reported value is bit for bit the
+one a loop over single instances gives.
 """
 from __future__ import annotations
 
@@ -64,11 +52,11 @@ COST_ERROR_EPSILON = 0.05
 COST_ERROR_SAMPLES = 100_000
 # Noise sequences of the costerror suite's sensitivity-form reconstruction.
 _RECONSTRUCTION_DRAWS = 100
-# Instances per front-padded batch of the propagation suite. A batch runs each
-# O(K) recursion once, so larger batches take fewer Python-level steps, but
-# they hold more padded rows at once: whole families raise the suite's traced
-# peak from 1.74 to 2.46 MiB.
-PROPAGATION_BATCH = 64
+# Instances per front-padded batch of the propagation and riccati suites. A
+# batch runs each O(K) recursion once, so larger batches take fewer
+# Python-level steps, but they hold more padded rows at once: whole families
+# raise the propagation suite's traced peak from 1.78 to 2.91 MiB.
+PADDED_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -202,79 +190,56 @@ def _front_pad(runs: Sequence[Array], k_max: int) -> Array:
     return out
 
 
-def _padded_riccati(a: Sequence[Array], b: Sequence[Array]) -> tuple[Array, Array]:
-    """One Riccati sweep for LTV systems of one (n_x, n_u) family and any horizons.
+def _padded_batches(
+    shapes: Callable[[int, int, int], Sequence[tuple[int, ...]]], n_instances: int, seed: int
+) -> Iterator[tuple[list[Array], list[int]]]:
+    """Random LTV instances as front-padded batches of one (n_x, n_u) family.
 
-    ``a`` and ``b`` list one (A, B) per system, each front-padded with zeros
-    to the longest horizon K_max (``_front_pad``); an (N, K_max, ...) array
-    is N systems of horizon K_max, its own padding. All share identity
-    weights. Returns the padded gains (N, K_max, m, n) and Riccati matrices
-    (N, K_max+1, n, n); a system of horizon k finds its own results in
-    ``[i, K_max - k:]``, bit for bit: the last k steps of the padded
-    recursion start from the same terminal weight and run that system's own
-    steps, and each stacked matmul and solve acts row by row. A padded step
-    has B = 0, so its gain system is W_u = I and never singular, and A = 0,
-    so its gain is 0.
+    Every instance is drawn first, in one fixed order (``_draw_instance``).
+    The families then come in ascending order, so the largest working set
+    comes last, when every other family's rows are gone. A family's
+    instances are sorted by horizon, draw order kept within one, and cut
+    into batches of at most ``PADDED_BATCH``. Yields per batch its ascending
+    horizons and one stack per array ``shapes`` lists: an array of more than
+    one axis has the time axis first and is front-padded with zeros to the
+    batch's longest horizon K_b (``_front_pad``), and an instance of horizon
+    k holds its own steps in the last k.
+
+    Under identity weights a padded step has A = B = 0, so its gain system
+    is W_u = I and never singular, and its gain, closed-loop matrix, noise
+    and forcing are 0. The backward sweeps therefore reach an instance's
+    last k steps from its own terminal values, a forward recursion stays at
+    its start until the instance's first step, and each stacked product acts
+    item by item: every recursion's cut from step K_b - k on is bit for bit
+    the instance's own unpadded call. The passes whose sums padding would
+    lengthen (the noise maps, the oracle sums and the cost errors) must run
+    on those cuts instead.
     """
-    if not isinstance(a, np.ndarray):
-        k_max = max(len(a_i) for a_i in a)
-        a, b = (_front_pad([system[None] for system in ab], k_max) for ab in (a, b))
+    rng = np.random.default_rng(seed)
+    families: dict[tuple[int, int], list[tuple[int, Array]]] = {}
+    for _ in range(n_instances):
+        (n_x, n_u, k), row = _draw_instance(rng, shapes)
+        families.setdefault((n_x, n_u), []).append((k, row))
+    for n_x, n_u in sorted(families):
+        members = sorted(families.pop((n_x, n_u)), key=lambda member: member[0])
+        while members:
+            batch, members = members[:PADDED_BATCH], members[PADDED_BATCH:]
+            horizons = [k for k, _ in batch]
+            runs = [
+                _split_rows(np.stack([row for _, row in run]), shapes(n_x, n_u, k))
+                for k, run in groupby(batch, key=lambda member: member[0])
+            ]
+            del batch
+            yield [
+                _front_pad(stack, horizons[-1]) if stack[0].ndim > 2 else np.concatenate(stack)
+                for stack in zip(*runs)
+            ], horizons
+
+
+def _identity_riccati(a: Array, b: Array) -> tuple[Array, Array]:
+    """``riccati_backward`` on an (N, K, ...) stack of systems with identity weights."""
     n_x, n_u = b.shape[-2:]
-    weights = LqrWeights(np.ones(n_x), np.ones(n_u))
-    return riccati_backward(LtvSystem(a=a, b=b), weights)
-
-
-def _propagation_batch(
-    n_x: int, n_u: int, members: list[tuple[int, Array]]
-) -> Iterator[tuple[Array, ...]]:
-    """The O(K) recursions of one propagation batch, once on its front-padded stack.
-
-    ``members`` holds (K, flat row) pairs of one (n_x, n_u) family, drawn by
-    ``_draw_instance``, in ascending horizon; the list is emptied
-    once its rows are split into one group of six arrays per horizon. The
-    arrays with a time axis are front-padded to the batch's longest horizon
-    K_b, and one Riccati sweep, one closed-loop build, one deviation
-    recursion and one sensitivity sweep run on the stack. Yields, per
-    horizon k, the group's noises, cx, cu and cx_K, then its cuts of the
-    gains, closed-loop matrices D, state and control deviations and
-    sensitivities from step K_b - k on: each row is bit for bit its
-    instance's own unpadded calls. A padded step has A = B = 0, so its gain,
-    its D, its noise and its forcing are 0: a deviation stays +0.0 until its
-    instance's first step, the backward sweeps reach the real steps first,
-    and each stacked product acts item by item. Only the oracles' inputs and
-    the recursions' results stay alive while the groups are yielded.
-    """
-    groups = [
-        _split_rows(np.stack([row for _, row in run]), _propagation_shapes(n_x, n_u, k))
-        for k, run in groupby(members, key=lambda member: member[0])
-    ]
-    members.clear()
-    k_max = max(group[0].shape[1] for group in groups)
-    a, b, noises, cx, cu = (_front_pad([group[j] for group in groups], k_max) for j in range(5))
-    groups = [group[2:] for group in groups]
-    gains = _padded_riccati(a, b)[0]
-    d = closed_loop_matrices(LtvSystem(a=a, b=b), gains)
-    states, controls = linear_deviations(d, gains, noises)
-    terminal = np.concatenate([group[3] for group in groups])
-    v = cost_error_sensitivities(CostLinearization(cx=cx, cu=cu, cx_terminal=terminal), d, gains)
-    del a, b, noises, cx, cu
-    first = 0
-    for group in groups:
-        rows, start = slice(first, first + len(group[0])), k_max - group[0].shape[1]
-        first = rows.stop
-        gains_k, d_k, states_k, controls_k, v_k = (
-            x[rows, start:] for x in (gains, d, states, controls, v)
-        )
-        # The gains and deviations go as contiguous copies, laid out like an
-        # unpadded call's: the oracles' einsum passes sum in memory order.
-        yield (
-            *group,
-            np.ascontiguousarray(gains_k),
-            d_k,
-            np.ascontiguousarray(states_k),
-            np.ascontiguousarray(controls_k),
-            v_k,
-        )
+    return riccati_backward(LtvSystem(a=a, b=b), LqrWeights(np.ones(n_x), np.ones(n_u)))
 
 
 def _max_reconstruction_rel(v: Array, noises: Array, direct: Array) -> float:
@@ -289,54 +254,53 @@ def propagation_errors(n_instances: int = 1000, seed: int = 1001) -> dict:
     Returns max relative error of the non-recursive state deviation against
     the recursion, max entrywise error of the explicit control sum against
     udev = -L xdev, and max relative error of the sensitivity-form
-    cost-error reconstruction.
+    cost-error reconstruction; a NaN anywhere makes its maximum NaN.
 
-    Every instance is drawn first, in one fixed order, as its shape and one
-    flat row of entries (``_draw_instance``). The (n_x, n_u) families then
-    run in ascending order, so the largest working set comes last, when
-    every other family's rows are gone. A family's instances are sorted by
-    horizon, draw order kept within one, and cut into batches of at most
-    ``PROPAGATION_BATCH``. Each batch runs its Riccati sweep, closed-loop
-    matrices, deviations and cost-error sensitivities once, front-padded to
-    its own longest horizon (``_propagation_batch``), and drops its rows once
-    they are split into six arrays, one group per horizon. The rest runs once
-    per exact (n_x, n_u, K) group of a batch, on its cuts of those results:
-    the noise maps, the oracle sums and the cost errors, which padding would
-    give longer sums.
-    Each row equals its single-instance computation bit for bit, and the
-    maxima do not depend on order, since no value is NaN on these instances.
+    The Riccati sweep, closed-loop matrices, deviations and cost-error
+    sensitivities run once per front-padded batch (``_padded_batches``). The
+    noise maps, oracle sums and cost errors run once per horizon of a batch,
+    on its instances' cuts of those results, so each row equals its
+    single-instance computation bit for bit.
     """
-    rng = np.random.default_rng(seed)
-    families: dict[tuple[int, int], list[tuple[int, Array]]] = {}
-    for _ in range(n_instances):
-        (n_x, n_u, k), row = _draw_instance(rng, _propagation_shapes)
-        families.setdefault((n_x, n_u), []).append((k, row))
-
-    max_state_rel = 0.0
-    max_identity_abs = 0.0
-    max_reconstruction_rel = 0.0
-    for n_x, n_u in sorted(families):
-        members = sorted(families.pop((n_x, n_u)), key=lambda member: member[0])
-        while members:
-            # The batch's list is the generator's alone, which drops its rows once split.
-            batch = _propagation_batch(n_x, n_u, members[:PROPAGATION_BATCH])
-            members = members[PROPAGATION_BATCH:]
-            for noises, cx, cu, cx_terminal, gains, d, states, controls, v in batch:
-                maps = _noise_maps(d)
-                gap = np.linalg.norm(_state_sums(maps, noises)[:, 1:] - states[:, 1:], axis=-1)
-                denom = np.maximum(np.linalg.norm(states[:, 1:], axis=-1), 1e-12)
-                max_state_rel = max(max_state_rel, float((gap / denom).max()))
-                resid = _control_sums(maps, gains, noises) - controls
-                max_identity_abs = max(max_identity_abs, float(np.abs(resid).max()))
-                lin = CostLinearization(cx=cx, cu=cu, cx_terminal=cx_terminal)
-                direct = first_order_cost_error(lin, states, controls)
-                max_reconstruction_rel = max(
-                    max_reconstruction_rel, _max_reconstruction_rel(v, noises, direct)
-                )
+    worst = np.zeros(3)
+    batches = _padded_batches(_propagation_shapes, n_instances, seed)
+    for (a, b, noises, cx, cu, cx_terminal), horizons in batches:
+        gains = _identity_riccati(a, b)[0]
+        d = closed_loop_matrices(LtvSystem(a=a, b=b), gains)
+        del a, b
+        states, controls = linear_deviations(d, gains, noises)
+        lin = CostLinearization(cx=cx, cu=cu, cx_terminal=cx_terminal)
+        v = cost_error_sensitivities(lin, d, gains)
+        first = 0
+        for k, run in groupby(horizons):
+            rows, start = slice(first, first + len(list(run))), horizons[-1] - k
+            first = rows.stop
+            d_k, v_k = d[rows, start:], v[rows, start:]
+            # The other cuts go as contiguous copies, laid out like an
+            # unpadded call's: the oracles' einsum passes sum in memory order.
+            gains_k, noises_k, cx_k, cu_k, states_k, controls_k = (
+                np.ascontiguousarray(x[rows, start:])
+                for x in (gains, noises, cx, cu, states, controls)
+            )
+            maps = _noise_maps(d_k)
+            gap = np.linalg.norm(_state_sums(maps, noises_k)[:, 1:] - states_k[:, 1:], axis=-1)
+            denom = np.maximum(np.linalg.norm(states_k[:, 1:], axis=-1), 1e-12)
+            resid = _control_sums(maps, gains_k, noises_k) - controls_k
+            lin = CostLinearization(cx=cx_k, cu=cu_k, cx_terminal=cx_terminal[rows])
+            direct = first_order_cost_error(lin, states_k, controls_k)
+            worst = np.maximum(
+                worst,
+                [
+                    (gap / denom).max(),
+                    np.abs(resid).max(),
+                    _max_reconstruction_rel(v_k, noises_k, direct),
+                ],
+            )
+    state_rel, identity_abs, reconstruction_rel = map(float, worst)
     return {
-        "max_state_rel": max_state_rel,
-        "max_identity_abs": max_identity_abs,
-        "max_reconstruction_rel": max_reconstruction_rel,
+        "max_state_rel": state_rel,
+        "max_identity_abs": identity_abs,
+        "max_reconstruction_rel": reconstruction_rel,
     }
 
 
@@ -398,46 +362,24 @@ def simulated_quadratic_cost(
     return float(total[0]) if single else total
 
 
-def _value_identity_totals(members: Sequence[Sequence[Array]]) -> tuple[Array, Array]:
-    """x0' P_0 x0 and the simulated quadratic cost of each (A, B, x0) of one family.
-
-    The members come in ascending horizon. They share one Riccati sweep and
-    one simulation, front-padded to the longest horizon K_max; a member of
-    horizon k reads its P_0 at K_max - k and runs the last k steps. Each
-    value is bit for bit its member's own unpadded sweep and simulation.
-    """
-    a, b, x0 = zip(*members)
-    horizons = [len(a_i) for a_i in a]
-    k_max = max(horizons)
-    sys = LtvSystem(*(_front_pad([system[None] for system in ab], k_max) for ab in (a, b)))
-    gains, riccati = _padded_riccati(sys.a, sys.b)
-    x0 = np.stack(x0)
-    p0 = riccati[np.arange(len(x0)), k_max - np.asarray(horizons)]
-    predicted = (x0[:, None, :] @ p0 @ x0[:, :, None])[:, 0, 0]
-    weights = LqrWeights(np.ones(sys.state_dim), np.ones(sys.control_dim))
-    return predicted, simulated_quadratic_cost(sys, weights, gains, x0, horizons)
-
-
 def value_identity_error(n_instances: int = 100, seed: int = 1002) -> float:
     """Max relative gap between x0' P_0 x0 and the simulated quadratic cost.
 
-    The instances of each (n_x, n_u) family, sorted by horizon, share one
-    Riccati sweep and one simulation, front-padded to the family's longest
-    horizon (``_value_identity_totals``): every value is bit for bit the
-    one of the instance's own sweep and simulation.
+    Each front-padded batch (``_padded_batches``) runs one Riccati sweep and
+    one simulation; an instance of horizon k reads its P_0 at step K_b - k.
+    Every value is bit for bit its instance's own sweep and simulation, and
+    a NaN makes the maximum NaN.
     """
-    rng = np.random.default_rng(seed)
-    families: dict[tuple[int, int], list[list[Array]]] = {}
-    for _ in range(n_instances):
-        (n_x, n_u, k), row = _draw_instance(rng, _riccati_shapes)
-        families.setdefault((n_x, n_u), []).append(_split_rows(row, _riccati_shapes(n_x, n_u, k)))
     worst = 0.0
-    for members in families.values():
-        members.sort(key=lambda member: len(member[0]))
-        predicted, simulated = _value_identity_totals(members)
+    for (a, b, x0), horizons in _padded_batches(_riccati_shapes, n_instances, seed):
+        gains, riccati = _identity_riccati(a, b)
+        p0 = riccati[np.arange(len(x0)), horizons[-1] - np.asarray(horizons)]
+        predicted = (x0[:, None, :] @ p0 @ x0[:, :, None])[:, 0, 0]
+        weights = LqrWeights(np.ones(a.shape[-1]), np.ones(b.shape[-1]))
+        simulated = simulated_quadratic_cost(LtvSystem(a=a, b=b), weights, gains, x0, horizons)
         gaps = np.abs(predicted - simulated) / np.maximum(np.abs(simulated), 1e-12)
-        worst = max(worst, float(gaps.max()))
-    return worst
+        worst = np.maximum(worst, gaps.max())
+    return float(worst)
 
 
 def riccati_suite(n_instances: int = 100, seed: int = 1002) -> SuiteReport:

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tlqr.verify as verify
 from tlqr.config import default_config
 from tlqr.dynamics import NominalTrajectory
 from tlqr.experiments import plan_experiment, run_sweep
@@ -91,6 +92,45 @@ def random_ltv_instance(rng, max_nx=4, max_nu=2, max_k=20):
     )
     weights = LqrWeights(np.ones(sys.state_dim), np.ones(sys.control_dim))
     return sys, weights
+
+
+def padded_batch_members(shapes, n_instances, seed):
+    """``verify._padded_batches``, each batch with its instances' own unpadded arrays.
+
+    Yields (arrays, horizons, members), members being the arrays of each
+    instance as ``_draw_instance`` drew them, and checks the batch rule on
+    the way: the batches hold every instance once, the (n_x, n_u) families
+    in ascending order and each by horizon, draw order kept within one; a
+    batch holds at most ``PADDED_BATCH`` instances, and only a family's last
+    one fewer; and a stack holds each instance's own entries, its time-axis
+    arrays in the last k steps after +0.0 padding.
+    """
+    rng = np.random.default_rng(seed)
+    drawn = []
+    for _ in range(n_instances):
+        dims, row = verify._draw_instance(rng, shapes)
+        drawn.append((dims, verify._split_rows(row, shapes(*dims))))
+    expected = iter(sorted(drawn, key=lambda instance: instance[0]))
+    sizes = []
+    for arrays, horizons in verify._padded_batches(shapes, n_instances, seed):
+        members = [next(expected) for _ in horizons]
+        family = members[0][0][:2]
+        assert [dims for dims, _ in members] == [family + (k,) for k in horizons]
+        assert 1 <= len(horizons) <= verify.PADDED_BATCH
+        assert len(arrays) == len(members[0][1])
+        sizes.append((family, len(horizons)))
+        k_b = horizons[-1]
+        for i, (k, (_, own)) in enumerate(zip(horizons, members)):
+            for stack, x in zip(arrays, own):
+                if x.ndim > 1:
+                    assert stack[i, : k_b - k].tobytes() == bytes(stack[i, : k_b - k].nbytes)
+                    assert stack[i, k_b - k :].tobytes() == x.tobytes()
+                else:
+                    assert stack[i].tobytes() == x.tobytes()
+        yield arrays, horizons, [own for _, own in members]
+    assert next(expected, None) is None
+    for (family, size), (following, _) in zip(sizes, sizes[1:]):
+        assert family != following or size == verify.PADDED_BATCH
 
 
 @pytest.fixture(scope="session")

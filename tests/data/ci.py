@@ -49,7 +49,8 @@ COMMANDS = {
     "tier1": (TIER1, {}),
     # A BLAS product rounds a row by where it falls in the thread split, so the
     # cost-error block identity must hold under both splits, and so must the
-    # padded value identity, which rests on item-wise products.
+    # byte tests of verify's front-padded batches (in test_error_analysis.py
+    # and test_lqr.py), which rest on item-wise products.
     "tests-1thread": (
         [*PYTEST, "tests/test_error_analysis.py", "tests/test_verify.py", "tests/test_lqr.py"],
         SINGLE_THREAD,

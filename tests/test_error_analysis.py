@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import tlqr.error_analysis as error_analysis
 import tlqr.verify as verify
-from conftest import random_ltv_instance, seeded_states
+from conftest import padded_batch_members, random_ltv_instance, seeded_states
 from tlqr._stats import linear_fit, skewness_kurtosis
 from tlqr.error_analysis import (
     cost_error_sensitivities,
@@ -207,7 +207,7 @@ def test_propagation_makes_one_riccati_and_one_sensitivity_sweep_per_batch(monke
     for (n_x, n_u, stack, horizons, ids), shape in zip(batches, sensitivity_shapes):
         assert shape == stack + (n_u, n_x)
         # A batch is at most the batch size, sorted by horizon, padded to its longest.
-        assert 1 <= len(ids) <= verify.PROPAGATION_BATCH
+        assert 1 <= len(ids) <= verify.PADDED_BATCH
         assert horizons == sorted(horizons) and horizons[-1] == stack[1]
     # Each batch lies inside one family, and together they hold every instance once.
     families = [(n_x, n_u) for n_x, n_u, *_ in batches]
@@ -219,9 +219,46 @@ def test_propagation_makes_one_riccati_and_one_sensitivity_sweep_per_batch(monke
         assert sum((horizons for *_, horizons, _ in members), []) == sorted(
             k for *_, horizons, _ in members for k in horizons
         )
-        assert all(len(ids) == verify.PROPAGATION_BATCH for *_, ids in members[:-1])
+        assert all(len(ids) == verify.PADDED_BATCH for *_, ids in members[:-1])
     # Some family fills more than one batch.
-    assert len(set(families)) < len(batches) <= 1000 // verify.PROPAGATION_BATCH + 8
+    assert len(set(families)) < len(batches) <= 1000 // verify.PADDED_BATCH + 8
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(n_instances=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+@example(n_instances=1, seed=0)  # a single instance
+@example(n_instances=3, seed=13019)  # three (n_x, n_u, K) = (4, 2, 6) instances: no padding
+@example(n_instances=600, seed=1)  # seven families of 65 to 95 instances
+def test_padded_propagation_batches_equal_unpadded_calls(n_instances, seed):
+    """Each instance's cut of a front-padded batch is its own unpadded calls, byte for byte."""
+    batches = padded_batch_members(verify._propagation_shapes, n_instances, seed)
+    for (a, b, noises, cx, cu, cx_terminal), horizons, members in batches:
+        # The batch's recursions, as propagation_errors runs them.
+        gains, riccati = verify._identity_riccati(a, b)
+        d = closed_loop_matrices(LtvSystem(a=a, b=b), gains)
+        states, controls = linear_deviations(d, gains, noises)
+        lin = CostLinearization(cx=cx, cu=cu, cx_terminal=cx_terminal)
+        v = cost_error_sensitivities(lin, d, gains)
+        weights = LqrWeights(np.ones(a.shape[-1]), np.ones(b.shape[-1]))
+        for i, (k, (a_i, b_i, noises_i, cx_i, cu_i, cx_terminal_i)) in enumerate(
+            zip(horizons, members)
+        ):
+            one = LtvSystem(a=a_i, b=b_i)
+            one_gains, one_riccati = riccati_backward(one, weights)
+            one_d = closed_loop_matrices(one, one_gains)
+            one_states, one_controls = linear_deviations(one_d, one_gains, noises_i)
+            lin = CostLinearization(cx=cx_i, cu=cu_i, cx_terminal=cx_terminal_i)
+            expected = (
+                one_gains,
+                one_riccati,
+                one_d,
+                one_states,
+                one_controls,
+                cost_error_sensitivities(lin, one_d, one_gains),
+            )
+            cuts = [x[i, horizons[-1] - k :] for x in (gains, riccati, d, states, controls, v)]
+            assert [x.shape for x in cuts] == [x.shape for x in expected]
+            assert [x.tobytes() for x in cuts] == [x.tobytes() for x in expected]
 
 
 @pytest.mark.parametrize("n_x, n_u, k", [(1, 1, 2), (1, 2, 5), (2, 2, 2), (3, 1, 7), (4, 2, 20)])

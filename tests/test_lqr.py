@@ -2,9 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tlqr.verify as verify
-from conftest import LinearSystem, random_ltv_instance
+from conftest import LinearSystem, padded_batch_members, random_ltv_instance
 from tlqr.dynamics import KinematicCar, NominalTrajectory
 from tlqr.exceptions import NumericalFailure
 from tlqr.lqr import (
@@ -17,7 +19,7 @@ from tlqr.lqr import (
     linearize_along,
     riccati_backward,
 )
-from tlqr.verify import _padded_riccati, simulated_quadratic_cost, value_identity_error
+from tlqr.verify import _front_pad, simulated_quadratic_cost, value_identity_error
 
 CAR = KinematicCar()
 X0 = np.array([-1.5, 0.5, 0.0])
@@ -147,60 +149,82 @@ def _loop_quadratic_cost(sys, weights, gains, x0):
 
 @pytest.mark.parametrize("seed", [1002, 5, 77])
 def test_family_padded_value_identity_totals_equal_per_instance_loops(seed):
-    rng = np.random.default_rng(seed)
-    families = {}
-    for _ in range(100):
-        sys, weights = random_ltv_instance(rng)
-        x0 = rng.uniform(-1.0, 1.0, size=sys.state_dim)
-        families.setdefault((sys.state_dim, sys.control_dim), []).append((sys, weights, x0))
-    for members in families.values():
-        members.sort(key=lambda member: member[0].horizon)
-        arrays = [(sys.a, sys.b, x0) for sys, _, x0 in members]
-        predicted, simulated = verify._value_identity_totals(arrays)
+    # 600 instances: every family fills more than one batch at these seeds.
+    batches = padded_batch_members(verify._riccati_shapes, 600, seed)
+    for (a, b, x0), horizons, members in batches:
+        # The batch's sweep and simulation, as value_identity_error runs them.
+        gains, riccati = verify._identity_riccati(a, b)
+        p0 = riccati[np.arange(len(x0)), horizons[-1] - np.asarray(horizons)]
+        predicted = (x0[:, None, :] @ p0 @ x0[:, :, None])[:, 0, 0]
+        weights = LqrWeights(np.ones(a.shape[-1]), np.ones(b.shape[-1]))
+        sys = LtvSystem(a=a, b=b)
+        simulated = simulated_quadratic_cost(sys, weights, gains, x0, horizons)
         assert predicted.shape == simulated.shape == (len(members),)
-        for (sys, weights, x0), batch_p, batch_s in zip(members, predicted, simulated):
-            gains, riccati = riccati_backward(sys, weights)
-            loop = _loop_quadratic_cost(sys, weights, gains, x0)
-            assert batch_p.tobytes() == np.float64(x0 @ riccati[0] @ x0).tobytes()
-            assert batch_s.tobytes() == np.float64(loop).tobytes()
-            single = simulated_quadratic_cost(sys, weights, gains, x0)
+        for i, (k, (a_i, b_i, x0_i)) in enumerate(zip(horizons, members)):
+            one = LtvSystem(a=a_i, b=b_i)
+            one_gains, one_riccati = riccati_backward(one, weights)
+            assert gains[i, horizons[-1] - k :].tobytes() == one_gains.tobytes()
+            assert riccati[i, horizons[-1] - k :].tobytes() == one_riccati.tobytes()
+            assert predicted[i].tobytes() == np.float64(x0_i @ one_riccati[0] @ x0_i).tobytes()
+            loop = _loop_quadratic_cost(one, weights, one_gains, x0_i)
+            assert simulated[i].tobytes() == np.float64(loop).tobytes()
+            single = simulated_quadratic_cost(one, weights, one_gains, x0_i)
             assert np.float64(single).tobytes() == np.float64(loop).tobytes()
     # A padded batch's horizons must ascend, so that the running instances are the last ones.
-    sys, weights, x0 = members[0]
-    batch = LtvSystem(a=np.stack([sys.a] * 2), b=np.stack([sys.b] * 2))
-    gains = np.stack([riccati_backward(sys, weights)[0]] * 2)
+    batch = LtvSystem(a=np.stack([one.a] * 2), b=np.stack([one.b] * 2))
+    gains = np.stack([one_gains] * 2)
     with pytest.raises(ValueError, match="ascending"):
-        simulated_quadratic_cost(batch, weights, gains, np.stack([x0] * 2), [sys.horizon, 1])
+        simulated_quadratic_cost(batch, weights, gains, np.stack([x0_i] * 2), [one.horizon, 1])
 
 
-def test_value_identity_makes_one_riccati_call_per_family(monkeypatch):
-    families, sizes = [], []
+def test_value_identity_riccati_calls_follow_the_padded_batch_rule(monkeypatch):
+    calls = []
     original = verify.riccati_backward
 
     def counted(sys, weights):
-        families.append((sys.state_dim, sys.control_dim))
-        sizes.append(sys.a.shape[0])
+        # An instance of horizon k fills the last k steps of its row; every
+        # real step of A has nonzero entries.
+        real = np.abs(sys.a).sum(axis=(-2, -1)) > 0
+        horizons = real.sum(axis=1)
+        assert (real == (np.arange(sys.horizon) >= sys.horizon - horizons[:, None])).all()
+        calls.append(((sys.state_dim, sys.control_dim), horizons.tolist(), sys.horizon))
         return original(sys, weights)
 
     monkeypatch.setattr(verify, "riccati_backward", counted)
-    value_identity_error(n_instances=100, seed=1002)
-    assert len(set(families)) == len(families) <= 8
-    assert sum(sizes) == 100
+    value_identity_error(n_instances=1000, seed=1002)
+    # Each call is one batch: at most the batch size, ascending horizons,
+    # padded to its longest; the families come in ascending order.
+    for _, horizons, k_b in calls:
+        assert 1 <= len(horizons) <= verify.PADDED_BATCH
+        assert horizons == sorted(horizons) and horizons[-1] == k_b
+    families = [family for family, *_ in calls]
+    assert families == sorted(families)
+    assert sum(len(horizons) for _, horizons, _ in calls) == 1000
+    assert len(set(families)) < len(calls)  # some family fills more than one batch
 
 
-@pytest.mark.parametrize("n, m", [(1, 1), (3, 2)])
-def test_padded_riccati_rows_equal_unpadded_sweeps(n, m):
-    rng = np.random.default_rng(10 * n + m)
-    horizons = [2, 20, 7, 2, 1, 20]
-    a = [rng.uniform(-1, 1, size=(k, n, n)) for k in horizons]
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(
+    horizons=st.lists(st.integers(1, 24), min_size=1, max_size=6), seed=st.integers(0, 2**32 - 1)
+)
+@example(horizons=[2, 20, 7, 2, 1, 20], seed=0)
+@pytest.mark.parametrize("n, m", [(1, 1), (3, 2), (4, 1), (2, 4)])
+def test_padded_riccati_rows_equal_unpadded_sweeps(n, m, horizons, seed):
+    # Horizons in any order: each system is its own run of the padded stack.
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-1, 1)
+    a = [scale * rng.uniform(-1, 1, size=(k, n, n)) for k in horizons]
     b = [rng.uniform(-1, 1, size=(k, n, m)) for k in horizons]
-    gains, riccati = _padded_riccati(a, b)
-    assert gains.shape == (len(horizons), 20, m, n) and riccati.shape[1] == 21
+    k_max = max(horizons)
+    gains, riccati = verify._identity_riccati(
+        _front_pad([a_i[None] for a_i in a], k_max), _front_pad([b_i[None] for b_i in b], k_max)
+    )
+    assert gains.shape == (len(horizons), k_max, m, n) and riccati.shape[1] == k_max + 1
+    weights = LqrWeights(np.ones(n), np.ones(m))
     for i, k in enumerate(horizons):
-        weights = LqrWeights(np.ones(n), np.ones(m))
         one_gains, one_riccati = riccati_backward(LtvSystem(a=a[i], b=b[i]), weights)
-        np.testing.assert_array_equal(gains[i, 20 - k :], one_gains)
-        np.testing.assert_array_equal(riccati[i, 20 - k :], one_riccati)
+        assert gains[i, k_max - k :].tobytes() == one_gains.tobytes()
+        assert riccati[i, k_max - k :].tobytes() == one_riccati.tobytes()
 
 
 def test_gain_perturbation_never_beats_optimum():
