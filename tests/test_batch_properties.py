@@ -37,11 +37,36 @@ from tlqr.simulate import (
     derive_seed,
     rollout_states,
 )
+from tlqr.verify import _front_pad, _identity_riccati
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
 dims = st.integers(1, 4)
 generator_seeds = st.integers(0, 2**32 - 1)
+
+
+@PROPERTY
+@given(
+    n_x=dims,
+    n_u=dims,
+    horizons=st.lists(st.integers(1, 24), min_size=1, max_size=6),
+    seed=generator_seeds,
+)
+def test_padded_riccati_rows_equal_single_sweeps(n_x, n_u, horizons, seed):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-1, 1)
+    a = [scale * rng.uniform(-1, 1, size=(k, n_x, n_x)) for k in horizons]
+    b = [rng.uniform(-1, 1, size=(k, n_x, n_u)) for k in horizons]
+    k_max = max(horizons)
+    gains, riccati = _identity_riccati(
+        _front_pad([a_i[None] for a_i in a], k_max), _front_pad([b_i[None] for b_i in b], k_max)
+    )
+    assert gains.shape == (len(horizons), k_max, n_u, n_x)
+    for i, k in enumerate(horizons):
+        weights = LqrWeights(np.ones(n_x), np.ones(n_u))
+        one_gains, one_riccati = riccati_backward(LtvSystem(a=a[i], b=b[i]), weights)
+        assert np.array_equal(gains[i, k_max - k :], one_gains)
+        assert np.array_equal(riccati[i, k_max - k :], one_riccati)
 
 
 @PROPERTY
