@@ -6,8 +6,8 @@ verification (artifacts still written) or a numerical failure such as a
 Riccati recursion that is not finite (nothing written), 3 I/O failure.
 All artifact files are byte-reproducible from (config, master seed, tool
 version); only the run manifest carries timestamps and the run's stats
-(wall seconds per stage, planner iterations and milliseconds per iteration)
-and the numerical kernels it ran on.
+(wall and CPU seconds per stage; the planner's iterations, wall and CPU
+seconds, and milliseconds per iteration) and the numerical kernels it ran on.
 """
 from __future__ import annotations
 
@@ -33,14 +33,8 @@ from .config import (
     load_config,
 )
 from .exceptions import ConfigError, NumericalFailure
-from .experiments import (
-    PlannedExperiment,
-    RunStats,
-    plan_experiment,
-    run_exit_study,
-    run_sweep,
-)
-from .simulate import CLOSED_LOOP, OPEN_LOOP
+from .experiments import PlannedExperiment, RunStats, plan_experiment, run_exit_study
+from .simulate import CLOSED_LOOP, OPEN_LOOP, sweep_epsilon
 
 _MODE_CHOICES = {"both": (CLOSED_LOOP, OPEN_LOOP), "closed": (CLOSED_LOOP,), "open": (OPEN_LOOP,)}
 
@@ -193,9 +187,16 @@ def cmd_plan(args) -> int:
 def cmd_sweep(args) -> int:
     stats = RunStats()
     planned = plan_experiment(_load(args), stats)
-    grid = epsilon_grid(*FULL_GRID) if args.full_grid else None
+    cfg = planned.config.sweep
+    bounds = FULL_GRID if args.full_grid else (cfg.eps_start, cfg.eps_step, cfg.eps_end)
     with stats.stage("sweep"):
-        sweep_rows = run_sweep(planned, modes=_MODE_CHOICES[args.mode], grid=grid)
+        sweep_rows = sweep_epsilon(
+            planned.policy,
+            epsilon_grid(*bounds),
+            cfg.n_runs,
+            planned.config.master_seed,
+            modes=_MODE_CHOICES[args.mode],
+        )
     header = ["epsilon", "avg_nmse_closed_pct", "avg_nmse_open_pct", "sd_closed", "sd_open", "n_runs"]
     rows = [
         [r.epsilon, r.avg_nmse_closed, r.avg_nmse_open, r.sd_closed, r.sd_open, r.n_runs]

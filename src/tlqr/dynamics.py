@@ -152,7 +152,7 @@ class KinematicCar:
     def costates(self, terminal: Array, a: Array) -> Array:
         """Costates lam_K = terminal, lam_t = a_t^T lam_{t+1}, as (K+1, 3), for a (K, 3, 3).
 
-        Bit for bit ``planner.adjoint_sweep(terminal, None, a)`` on this
+        Bit for bit ``error_analysis.adjoint_sweep(terminal, None, a)`` on this
         model's C-ordered Jacobians, whenever that history is finite. The
         Euler step couples the state only through the heading, so a_t^T keeps
         the x and y entries of lam and adds c_t = a_t[0, 2] lam[0] +

@@ -9,8 +9,9 @@ Plugging the deviations into the first-order cost expansion shows that the
 cost deviation from the nominal cost is linear in the noise,
 sum_s v_s . w_s, with one sensitivity vector per noise step. It therefore
 has exactly zero mean for zero-mean noise and is Gaussian for Gaussian
-noise. ``cost_error_sensitivities`` computes every v_s with the planner's
-backward ``adjoint_sweep`` over a cost linearization:
+noise. ``cost_error_sensitivities`` computes every v_s with one backward
+``adjoint_sweep`` over the cost's linearization along the nominal
+(``linearize_cost``):
 
     mu_K = cx_K,  mu_t = cx_t - L_t^T cu_t + D_t^T mu_{t+1},  v_s = mu_{s+1}.
 
@@ -23,8 +24,8 @@ sensitivities and a given noise sigma. It draws the noise in blocks of
 ``COST_ERROR_BLOCK`` rows through one reused buffer, so its memory does not
 grow with the block count: whole blocks give the samples of a single draw
 bit for bit, and only a ragged last block may move a sample's last bits.
-Everything here is array math: the caller linearizes the cost and picks the
-noise level.
+Everything here is array math: the caller picks the cost, the nominal it is
+linearized along and the noise level.
 
 The paper's non-recursive forms are oracles for these recursions: the
 noise maps D_t ... D_{s+1} and the explicit deviation sums in ``verify``,
@@ -33,12 +34,12 @@ the per-(s, t) cost coefficients in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from ._stats import skewness_kurtosis
-from .dynamics import Array
-from .planner import CostLinearization, adjoint_sweep
+from .dynamics import Array, NominalTrajectory
+from .planner import GoalCost
 
 # Rows of noise drawn and reduced at a time by ``cost_error_statistics``,
 # through one buffer reused for every block. The blocks come from one
@@ -48,6 +49,63 @@ from .planner import CostLinearization, adjoint_sweep
 # suite's 100,000 samples) match a single draw bit for bit, whatever the
 # block size.
 COST_ERROR_BLOCK = 1_000
+
+
+@dataclass(frozen=True, eq=False)
+class CostLinearization:
+    """Cost gradients along a trajectory, one row per stage."""
+
+    cx: Array
+    cu: Array
+    cx_terminal: Array
+
+    @property
+    def horizon(self) -> int:
+        return self.cx.shape[-2]
+
+
+def linearize_cost(cost: GoalCost, nominal: NominalTrajectory) -> CostLinearization:
+    """Stage and terminal cost gradients evaluated at the trajectory points.
+
+    The stage cost does not depend on the state, so ``cx`` is zero. ``cu``
+    is C-ordered whatever the layout of the controls: the reductions that
+    read it (``einsum`` in the cost-error analysis) sum in memory order.
+    """
+    return CostLinearization(
+        cx=np.zeros((nominal.horizon, nominal.state_dim)),
+        cu=np.ascontiguousarray(cost.stage_grad(nominal.controls)),
+        cx_terminal=cost.terminal_grad(nominal.states[-1]),
+    )
+
+
+def adjoint_sweep(terminal: Array, forcing: Optional[Array], maps: Array) -> Array:
+    """Backward vector recursion lam_K = terminal, lam_t = forcing_t + maps_t^T lam_{t+1}.
+
+    Takes the (n,) terminal, K forcing rows (K, n) and K maps (K, n, n), and
+    returns the (K+1, n) history lam_0..lam_K; ``forcing=None`` is zero
+    forcing. With a leading batch axis on every input, (N, n), (N, K, n) and
+    (N, K, n, n), it returns (N, K+1, n), row i bit-identical to the call on
+    instance i. Each step is one matmul of the swapped maps by lam_{t+1} as
+    a column, which takes one instance's path for a batch row too: a BLAS
+    gemv on C-ordered maps. An elementwise sum or an einsum rounds
+    differently.
+
+    This is the one general backward sweep. ``cost_error_sensitivities``
+    calls it, and so does the ``costates`` of a plant without a shortcut of
+    its own; the planner's gradient on the car takes
+    ``KinematicCar.costates``, bit for bit this sweep.
+    """
+    maps = np.asarray(maps, dtype=float)
+    terminal = np.asarray(terminal, dtype=float)
+    k = maps.shape[-3]
+    lam = np.empty(terminal.shape[:-1] + (k + 1, terminal.shape[-1]))
+    lam[..., k, :] = terminal
+    maps_t = np.swapaxes(maps, -1, -2)
+    for t in range(k - 1, -1, -1):
+        np.matmul(maps_t[..., t, :, :], lam[..., t + 1, :, None], out=lam[..., t, :, None])
+        if forcing is not None:
+            lam[..., t, :] += forcing[..., t, :]
+    return lam
 
 
 def linear_deviations(closed_loop: Array, gains: Array, noises: Array) -> tuple[Array, Array]:
@@ -123,6 +181,25 @@ class CostErrorStats:
     z: float
     skewness: float
     kurtosis: float
+
+
+def skewness_kurtosis(x: np.ndarray) -> tuple[float, float]:
+    """Moment-based sample skewness g1 = m3 / m2^(3/2) and excess kurtosis g2 = m4 / m2^2 - 3.
+
+    Both are 0.0 for constant data (m2 = 0). One scratch array holds each
+    power d^2, d^3 and d^4 in turn, with the deviation d = x - mean
+    recomputed into it before each power, so it rounds as one centred copy
+    would; ``x`` is not modified.
+    """
+    x = np.asarray(x, dtype=float)
+    mean = x.mean()
+    t = np.subtract(x, mean)
+    m2 = np.mean(np.multiply(t, t, out=t))
+    if m2 == 0.0:
+        return 0.0, 0.0
+    m3 = np.mean(np.power(np.subtract(x, mean, out=t), 3, out=t))
+    m4 = np.mean(np.power(np.subtract(x, mean, out=t), 4, out=t))
+    return float(m3 / m2**1.5), float(m4 / m2**2 - 3.0)
 
 
 def cost_error_statistics(v: Array, sigma: float, n_samples: int, seed: int) -> CostErrorStats:

@@ -1,5 +1,8 @@
-"""Wiring from experiment configurations to planned policies and studies; each study
-seeds its own runs (``simulate.sweep_epsilon``, ``large_deviations.exit_study``)."""
+"""Wiring from an experiment configuration to its planned policy and its exit study.
+
+Each study seeds its own runs; the command line calls ``simulate.sweep_epsilon``
+on the grid it picks, and ``run_exit_study`` calls ``large_deviations.exit_study``.
+"""
 from __future__ import annotations
 
 import time
@@ -9,12 +12,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .config import ExperimentConfig, epsilon_grid
+from .config import ExperimentConfig
 from .dynamics import KinematicCar
 from .large_deviations import ExitEstimate, RateFit, exit_study
 from .lqr import LqrWeights, TrackingPolicy, design_tracking_policy
 from .planner import GoalCost, PlannerReport, goal_tracking_cost, optimize_nominal
-from .simulate import CLOSED_LOOP, OPEN_LOOP, SweepRow, sweep_epsilon
 
 
 def build_model(config: ExperimentConfig) -> KinematicCar:
@@ -107,24 +109,6 @@ def plan_experiment(config: ExperimentConfig, stats: RunStats | None = None) -> 
         weights = LqrWeights(config.lqr.wx, config.lqr.wu)
         policy = design_tracking_policy(model, trajectory, weights)
     return PlannedExperiment(config=config, cost=cost, report=report, policy=policy)
-
-
-def run_sweep(
-    planned: PlannedExperiment,
-    modes=(CLOSED_LOOP, OPEN_LOOP),
-    grid=None,
-) -> tuple[SweepRow, ...]:
-    """NMSE sweep rows over the configured (or overridden) epsilon grid."""
-    cfg = planned.config.sweep
-    if grid is None:
-        grid = epsilon_grid(cfg.eps_start, cfg.eps_step, cfg.eps_end)
-    return sweep_epsilon(
-        planned.policy,
-        grid,
-        cfg.n_runs,
-        planned.config.master_seed,
-        modes=modes,
-    )
 
 
 def run_exit_study(

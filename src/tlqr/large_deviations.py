@@ -23,10 +23,24 @@ from typing import Sequence
 
 import numpy as np
 
-from ._stats import linear_fit, wilson_interval
 from .dynamics import Array
 from .lqr import TrackingPolicy, feedback_rows
 from .simulate import _CTX_EXIT, _CTX_LDP, CLOSED_LOOP, derive_seed, noise_sigma, seeded_runs
+
+# Standard normal 97.5% quantile, for 95% two-sided intervals.
+Z95 = 1.959963984540054
+
+
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval (95%, two-sided) for a binomial proportion."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    p = successes / trials
+    denom = 1.0 + Z95 * Z95 / trials
+    center = (p + Z95 * Z95 / (2 * trials)) / denom
+    half = Z95 * np.sqrt(p * (1 - p) / trials + Z95 * Z95 / (4 * trials * trials)) / denom
+    return max(0.0, center - half), min(1.0, center + half)
+
 
 def action_functional(policy: TrackingPolicy, path: Array, epsilon: float) -> float:
     """Noise energy of a path under the tracked closed loop, on ``noise_sigma``'s scale.
@@ -123,6 +137,28 @@ class RateFit:
     intercept: float
     r_squared: float
     n_used: int
+
+
+def linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """Least-squares line fit; returns (slope, intercept, r_squared).
+
+    r_squared is 1.0 for an exact fit of constant data (zero total variance).
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape or x.ndim != 1:
+        raise ValueError("x and y must be 1-d arrays of equal length")
+    xm, ym = x.mean(), y.mean()
+    sxx = np.sum((x - xm) ** 2)
+    if sxx == 0.0:
+        raise ValueError("degenerate fit: all x values identical")
+    slope = float(np.sum((x - xm) * (y - ym)) / sxx)
+    intercept = float(ym - slope * xm)
+    resid = y - (slope * x + intercept)
+    ss_res = float(np.sum(resid**2))
+    ss_tot = float(np.sum((y - ym) ** 2))
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    return slope, intercept, r2
 
 
 def fit_rate(epsilons: Sequence[float], p_hats: Sequence[float]) -> RateFit | None:

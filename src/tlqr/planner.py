@@ -9,10 +9,9 @@ where the stage term c holds the control effort and a smooth penalty on the
 control bounds, and the terminal term c_K the goal attraction. Each trial
 point is rolled out once; the accepted point's states feed its gradient,
 through the plant's backward costates over the rollout Jacobians (the car's
-``KinematicCar.costates``, bit for bit the general ``adjoint_sweep``). The
-cost-error analysis runs ``adjoint_sweep`` on the closed-loop matrices. The
-search direction comes from a limited-memory quasi-Newton update with a
-backtracking Armijo line search.
+``KinematicCar.costates``, bit for bit the general
+``error_analysis.adjoint_sweep``). The search direction comes from a
+limited-memory quasi-Newton update with a backtracking Armijo line search.
 
 An iteration computes each term once, to the bits of computing it again:
 the gradient's Jacobians take the trigonometric terms of the rollout that
@@ -118,63 +117,6 @@ class GoalCost:
         return 2.0 * self.goal_weight * self.terminal_weights * (x - self.goal)
 
 
-@dataclass(frozen=True, eq=False)
-class CostLinearization:
-    """Cost gradients along a trajectory, one row per stage."""
-
-    cx: Array
-    cu: Array
-    cx_terminal: Array
-
-    @property
-    def horizon(self) -> int:
-        return self.cx.shape[-2]
-
-
-def linearize_cost(cost: GoalCost, nominal: NominalTrajectory) -> CostLinearization:
-    """Stage and terminal cost gradients evaluated at the trajectory points.
-
-    The stage cost does not depend on the state, so ``cx`` is zero. ``cu``
-    is C-ordered whatever the layout of the controls: the reductions that
-    read it (``einsum`` in the cost-error analysis) sum in memory order.
-    """
-    return CostLinearization(
-        cx=np.zeros((nominal.horizon, nominal.state_dim)),
-        cu=np.ascontiguousarray(cost.stage_grad(nominal.controls)),
-        cx_terminal=cost.terminal_grad(nominal.states[-1]),
-    )
-
-
-def adjoint_sweep(terminal: Array, forcing: Optional[Array], maps: Array) -> Array:
-    """Backward vector recursion lam_K = terminal, lam_t = forcing_t + maps_t^T lam_{t+1}.
-
-    Takes the (n,) terminal, K forcing rows (K, n) and K maps (K, n, n), and
-    returns the (K+1, n) history lam_0..lam_K; ``forcing=None`` is zero
-    forcing. With a leading batch axis on every input, (N, n), (N, K, n) and
-    (N, K, n, n), it returns (N, K+1, n), row i bit-identical to the call on
-    instance i. Each step is one matmul of the swapped maps by lam_{t+1} as
-    a column, which takes one instance's path for a batch row too: a BLAS
-    gemv on C-ordered maps. An elementwise sum or an einsum rounds
-    differently.
-
-    This is the one general backward sweep. ``verify``'s cost-error
-    sensitivities call it, and so does the ``costates`` of a plant without
-    a shortcut of its own; the car's planner gradient takes
-    ``KinematicCar.costates``, bit for bit this sweep.
-    """
-    maps = np.asarray(maps, dtype=float)
-    terminal = np.asarray(terminal, dtype=float)
-    k = maps.shape[-3]
-    lam = np.empty(terminal.shape[:-1] + (k + 1, terminal.shape[-1]))
-    lam[..., k, :] = terminal
-    maps_t = np.swapaxes(maps, -1, -2)
-    for t in range(k - 1, -1, -1):
-        np.matmul(maps_t[..., t, :, :], lam[..., t + 1, :, None], out=lam[..., t, :, None])
-        if forcing is not None:
-            lam[..., t, :] += forcing[..., t, :]
-    return lam
-
-
 @dataclass(frozen=True)
 class PlannerReport:
     """Outcome of one optimize_nominal call."""
@@ -254,7 +196,8 @@ def cost_gradient(
     not depend on the state, so the backward recursion has no forcing. Each
     plant owns its costates, as it owns ``open_loop_rollout``: the car's are a
     stacked product and a running sum, bit for bit the unforced
-    :func:`adjoint_sweep`, which a plant without that structure returns.
+    ``error_analysis.adjoint_sweep``, which a plant without that structure
+    returns.
     ``terms`` are what ``model.open_loop_rollout`` returned with ``states``;
     the Jacobians reuse them, and compute them afresh when they are None.
     """

@@ -33,16 +33,17 @@ import numpy as np
 
 from .dynamics import Array
 from .error_analysis import (
+    CostLinearization,
     cost_error_sensitivities,
     cost_error_statistics,
     first_order_cost_error,
     linear_deviations,
+    linearize_cost,
 )
 from .exceptions import ConfigError
 from .experiments import PlannedExperiment, RunStats, plan_experiment, run_exit_study
 from .large_deviations import action_functional, fit_rate
 from .lqr import LqrWeights, LtvSystem, closed_loop_matrices, riccati_backward
-from .planner import CostLinearization, linearize_cost
 from .simulate import _CTX_COST_ERROR, _CTX_RECONSTRUCTION, derive_seed, noise_sigma
 
 SUITE_NAMES = ("propagation", "costerror", "riccati", "ldp")

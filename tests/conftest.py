@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 import tlqr.verify as verify
-from tlqr.config import default_config
+from tlqr.config import default_config, epsilon_grid
 from tlqr.dynamics import NominalTrajectory
-from tlqr.experiments import plan_experiment, run_sweep
+from tlqr.error_analysis import adjoint_sweep
+from tlqr.experiments import plan_experiment
 from tlqr.lqr import LqrWeights, LtvSystem
-from tlqr.planner import adjoint_sweep
-from tlqr.simulate import _seed_words, _standard_normals, rollout_states
+from tlqr.simulate import _seed_words, _standard_normals, rollout_states, sweep_epsilon
 
 # The generator and reader of tests/data/pins.json, every exact pin.
 _PINS_SCRIPT = Path(__file__).parent / "data" / "make_pins.py"
@@ -66,6 +66,14 @@ class LinearSystem:
 
     def control_bounds(self):
         return np.full(self.control_dim, np.inf)
+
+
+def config_sweep(planned, grid=None):
+    """``tlqr sweep``'s rows of both modes, on ``grid`` or else on the configured grid."""
+    cfg, seed = planned.config.sweep, planned.config.master_seed
+    if grid is None:
+        grid = epsilon_grid(cfg.eps_start, cfg.eps_step, cfg.eps_end)
+    return sweep_epsilon(planned.policy, grid, cfg.n_runs, seed)
 
 
 def seeded_states(policy, epsilon, mode, seeds):
@@ -146,5 +154,5 @@ def desk_sweep(car_experiment):
     """Full desk-grid sweep rows (15 epsilons x 100 runs), with its wall time."""
     planned, _ = car_experiment
     t0 = time.perf_counter()
-    rows = run_sweep(planned)
+    rows = config_sweep(planned)
     return rows, time.perf_counter() - t0

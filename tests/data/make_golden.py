@@ -15,9 +15,10 @@ import json
 from pathlib import Path
 
 import tlqr
-from tlqr.config import default_config
-from tlqr.experiments import plan_experiment, run_sweep
+from tlqr.config import default_config, epsilon_grid
+from tlqr.experiments import plan_experiment
 from tlqr.large_deviations import exit_study
+from tlqr.simulate import sweep_epsilon
 
 # Exit study on the configured epsilon grid with fewer runs per point than
 # the configured 2000, so the test stays fast.
@@ -27,13 +28,16 @@ EXIT_RUNS = 300
 def main() -> None:
     config = default_config()
     planned = plan_experiment(config)
+    sweep = config.sweep
+    grid = epsilon_grid(sweep.eps_start, sweep.eps_step, sweep.eps_end)
+    rows = sweep_epsilon(planned.policy, grid, sweep.n_runs, config.master_seed)
     exits, _ = exit_study(
         planned.policy, config.ldp.delta, config.ldp.eps_grid, EXIT_RUNS, config.master_seed
     )
     golden = {
         "tool_version": tlqr.__version__,
         "master_seed": config.master_seed,
-        "sweep": [row.__dict__ for row in run_sweep(planned)],
+        "sweep": [row.__dict__ for row in rows],
         "exit_runs": EXIT_RUNS,
         "exits": [dataclasses.asdict(e) for e in exits],
     }

@@ -10,7 +10,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tlqr._stats import linear_fit
 from tlqr.cli import main
 from tlqr.config import default_config
 from tlqr.error_analysis import (
@@ -18,9 +17,10 @@ from tlqr.error_analysis import (
     cost_error_statistics,
     first_order_cost_error,
     linear_deviations,
+    linearize_cost,
 )
 from tlqr.experiments import run_exit_study
-from tlqr.planner import linearize_cost
+from tlqr.large_deviations import linear_fit
 from tlqr.simulate import _CTX_COST_ERROR, _CTX_RECONSTRUCTION, derive_seed
 from tlqr.verify import (
     propagation_errors,

@@ -18,7 +18,13 @@ from hypothesis import strategies as st
 from conftest import seeded_states
 from tlqr.cli import main
 from tlqr.config import ExperimentConfig, default_config, epsilon_grid, parse_config
-from tlqr.error_analysis import cost_error_sensitivities, first_order_cost_error, linear_deviations
+from tlqr.error_analysis import (
+    CostLinearization,
+    adjoint_sweep,
+    cost_error_sensitivities,
+    first_order_cost_error,
+    linear_deviations,
+)
 from tlqr.exceptions import ConfigError
 from tlqr.lqr import (
     LqrWeights,
@@ -27,7 +33,6 @@ from tlqr.lqr import (
     feedback_rows,
     riccati_backward,
 )
-from tlqr.planner import CostLinearization, adjoint_sweep
 from tlqr.simulate import (
     _CTX_SWEEP,
     _MODE_TAGS,

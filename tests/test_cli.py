@@ -546,7 +546,8 @@ def test_plan_rejects_unsupported_integrator(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "command, stage",
-    [(["plan"], "plan_experiment"), (["sweep"], "run_sweep"), (["ldp"], "run_exit_study")],
+    [(["plan"], "plan_experiment"), (["sweep"], "sweep_epsilon"), (["ldp"], "run_exit_study")],
+    ids=["command0-plan_experiment", "command1-run_sweep", "command2-run_exit_study"],
 )
 def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, command, stage):
     # A configured size too large for memory, without allocating it.

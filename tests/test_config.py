@@ -100,6 +100,9 @@ def test_zero_horizon_names_field():
         pytest.param("sweep", "n_runs", MAX_RUNS + 1, "sweep.n_runs", id="sweep-n_runs-above_max"),
         pytest.param("ldp", "n_runs", 2**33, "ldp.n_runs", id="ldp-n_runs-2**33"),
         ("model", "integrator", "rk4", "model.integrator"),
+        ("model", "v_max", 0.0, "model.v_max"),
+        ("planner", "tolerance", 0.0, "planner.tolerance"),
+        ("planner", "max_iters", 0, "planner.max_iters"),
     ],
 )
 def test_out_of_domain_fields_rejected(section, key, value, field):
@@ -108,6 +111,13 @@ def test_out_of_domain_fields_rejected(section, key, value, field):
     with pytest.raises(ConfigError) as exc:
         parse_config(data)
     assert exc.value.field == field
+
+
+@pytest.mark.parametrize("data", [[], "car", None], ids=["array", "string", "null"])
+def test_top_level_must_be_an_object(data):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(data)
+    assert exc.value.field == "<root>"
 
 
 def test_missing_key_rejected():

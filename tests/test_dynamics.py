@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from conftest import LinearSystem
 from tlqr.dynamics import KinematicCar, NominalTrajectory
+from tlqr.error_analysis import adjoint_sweep
 from tlqr.exceptions import BoundViolation, DomainError
 from tlqr.lqr import linearize_along
-from tlqr.planner import adjoint_sweep
 
 CAR = KinematicCar(wheelbase=0.5, step_period=0.7, v_max=0.6, phi_max=np.pi / 2)
 X0 = np.array([-1.5, 0.5, 0.0])

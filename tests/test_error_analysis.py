@@ -9,15 +9,18 @@ from hypothesis import strategies as st
 import tlqr.error_analysis as error_analysis
 import tlqr.verify as verify
 from conftest import padded_batch_members, random_ltv_instance, seeded_states
-from tlqr._stats import linear_fit, skewness_kurtosis
 from tlqr.error_analysis import (
+    CostLinearization,
     cost_error_sensitivities,
     cost_error_statistics,
     first_order_cost_error,
     linear_deviations,
+    linearize_cost,
+    skewness_kurtosis,
 )
+from tlqr.large_deviations import linear_fit
 from tlqr.lqr import LqrWeights, LtvSystem, closed_loop_matrices, linearize_along, riccati_backward
-from tlqr.planner import CostLinearization, goal_tracking_cost, linearize_cost
+from tlqr.planner import goal_tracking_cost
 from tlqr.simulate import CLOSED_LOOP, _CTX_RECONSTRUCTION, derive_seed, noise_sigma
 from tlqr.verify import _control_sums, _noise_maps, _state_sums, propagation_errors
 

@@ -7,6 +7,7 @@ closed-loop regime above eps ~0.129 (steering clamp saturated near pi/2)
 amplifies chaotically, so closed-loop columns are compared up to eps = 0.1.
 """
 import dataclasses
+import importlib.util
 import json
 from pathlib import Path
 
@@ -14,7 +15,8 @@ import pytest
 
 from tlqr.large_deviations import exit_study
 
-GOLDEN = json.loads((Path(__file__).parent / "data" / "golden.json").read_text(encoding="utf-8"))
+DATA = Path(__file__).parent / "data"
+GOLDEN = json.loads((DATA / "golden.json").read_text(encoding="utf-8"))
 REL_TOL = 1e-9
 CLOSED_EPS_MAX = 0.1
 
@@ -44,3 +46,13 @@ def test_exit_estimates_match_golden(car_experiment):
         GOLDEN["master_seed"],
     )
     assert [dataclasses.asdict(est) for est in estimates] == refs
+
+
+def test_golden_script_imports_and_records_the_exit_runs():
+    # The script is never run (see its docstring), so loading it is what
+    # shows that every name it imports from the package still exists.
+    spec = importlib.util.spec_from_file_location("make_golden", DATA / "make_golden.py")
+    make_golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_golden)
+    assert callable(make_golden.main)
+    assert make_golden.EXIT_RUNS == GOLDEN["exit_runs"]

@@ -6,7 +6,14 @@ import pytest
 import tlqr.simulate as simulate
 from conftest import LinearSystem, seeded_states
 from tlqr.dynamics import NominalTrajectory
-from tlqr.large_deviations import action_functional, estimate_exit_probability, exit_study, fit_rate
+from tlqr.large_deviations import (
+    action_functional,
+    estimate_exit_probability,
+    exit_study,
+    fit_rate,
+    linear_fit,
+    wilson_interval,
+)
 from tlqr.lqr import TrackingPolicy, feedback_rows
 from tlqr.simulate import CLOSED_LOOP, _CTX_LDP, derive_seed, noise_sigma
 
@@ -194,6 +201,26 @@ def test_wilson_interval_brackets_estimate(car_experiment):
         planned.policy, delta=0.3, epsilon=0.05, n_runs=300, seed=4
     )
     assert 0.0 <= est.wilson_low <= est.p_hat <= est.wilson_high <= 1.0
+
+
+def test_wilson_interval_needs_a_trial():
+    assert wilson_interval(0, 1)[0] == 0.0
+    with pytest.raises(ValueError, match="trials"):
+        wilson_interval(0, 0)
+
+
+@pytest.mark.parametrize(
+    "x, y, message",
+    [
+        ([1.0, 2.0, 3.0], [1.0, 2.0], "equal length"),
+        ([[1.0, 2.0]], [[1.0, 2.0]], "1-d"),
+        ([0.5, 0.5, 0.5], [1.0, 2.0, 3.0], "degenerate"),
+    ],
+    ids=["unequal_lengths", "two_dimensional", "constant_x"],
+)
+def test_linear_fit_rejects_unfit_data(x, y, message):
+    with pytest.raises(ValueError, match=message):
+        linear_fit(np.array(x), np.array(y))
 
 
 def test_fit_rate_recovers_synthetic_exponent():

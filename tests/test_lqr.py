@@ -264,6 +264,17 @@ def test_policy_rejects_model_of_other_dimensions(car_experiment):
         dataclasses.replace(planned.policy, model=LinearSystem(a=np.eye(2), b=np.eye(2)))
 
 
+@pytest.mark.parametrize(
+    "field, message",
+    [("gains", "one entry per"), ("closed_loop", "one entry per"), ("riccati", r"K\+1 entries")],
+    ids=["gains", "closed_loop", "riccati"],
+)
+def test_policy_rejects_stacks_of_the_wrong_length(car_experiment, field, message):
+    policy = car_experiment[0].policy
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(policy, **{field: getattr(policy, field)[1:]})
+
+
 def feedback_column(policy, t, x):
     """The clamped law at step t on one state, as the (n, 1) rows of ``feedback_rows``."""
     return feedback_rows(policy, t, x[:, None], np.empty((policy.model.control_dim, 1)))[:, 0]

@@ -7,13 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import LinearSystem, make_pins
-from tlqr import cli, planner
+from tlqr import cli, error_analysis, planner
 from tlqr.config import default_config
 from tlqr.dynamics import KinematicCar
+from tlqr.error_analysis import adjoint_sweep
 from tlqr.exceptions import NumericalFailure
 from tlqr.experiments import plan_experiment
 from tlqr.planner import (
-    adjoint_sweep,
+    PlannerReport,
     cost_gradient,
     goal_tracking_cost,
     nominal_cost,
@@ -305,8 +306,9 @@ def test_reference_plan_makes_no_per_step_calls(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    for name in ("nominal_cost", "cost_gradient", "adjoint_sweep"):
+    for name in ("nominal_cost", "cost_gradient"):
         count(planner, name)
+    count(error_analysis, "adjoint_sweep")
     for name in ("costates", "step_rows", "transition_jacobians"):
         count(KinematicCar, name)
     planned = plan_experiment(default_config())
@@ -512,6 +514,35 @@ def test_horizon_validation():
     cost = goal_tracking_cost(CAR, X_GOAL)
     with pytest.raises(ValueError, match="horizon"):
         optimize_nominal(CAR, cost, X0, horizon=0)
+
+
+def test_report_rejects_negative_iterations():
+    fields = dict(
+        final_cost=0.0,
+        terminal_position_error=0.0,
+        terminal_heading_error=0.0,
+        gradient_norm=0.0,
+        converged=True,
+        cost_history=(0.0,),
+        max_bound_violation=0.0,
+    )
+    assert PlannerReport(iterations=0, **fields).iterations == 0
+    with pytest.raises(ValueError, match="nonnegative"):
+        PlannerReport(iterations=-1, **fields)
+
+
+@pytest.mark.parametrize(
+    "n_states, controls_shape",
+    [(5, (4,)), (1, (0, 2)), (4, (4, 2)), (6, (4, 2))],
+    ids=["flat_controls", "no_controls", "short_states", "long_states"],
+)
+def test_rollout_shapes_checked(n_states, controls_shape):
+    cost = goal_tracking_cost(CAR, X_GOAL)
+    states, controls = np.zeros((n_states, 3)), np.zeros(controls_shape)
+    with pytest.raises(ValueError, match="expected nonempty"):
+        nominal_cost(cost, states, controls)
+    with pytest.raises(ValueError, match="expected nonempty"):
+        cost_gradient(CAR, cost, states, controls)
 
 
 @pytest.mark.parametrize("x0", [[-1.5], [[-1.5, 0.5, 0.0]]], ids=["scalar", "row"])

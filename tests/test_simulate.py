@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import LinearSystem, seeded_states
+from conftest import LinearSystem, config_sweep, seeded_states
 from tlqr import simulate
 from tlqr.config import FULL_GRID, MAX_RUNS, epsilon_grid
 from tlqr.dynamics import NominalTrajectory
 from tlqr.exceptions import BoundViolation, NumericalFailure
-from tlqr.experiments import run_sweep
 from tlqr.large_deviations import action_functional, estimate_exit_probability
 from tlqr.lqr import LqrWeights, TrackingPolicy, design_tracking_policy, feedback_rows
 from tlqr.simulate import (
@@ -635,14 +634,14 @@ def test_full_grid_sweep_runs_fixed_calls_with_one_hash_pair_each(car_experiment
     for name in passes:
         monkeypatch.setattr(simulate, name, counted(name))
     monkeypatch.setattr(simulate, "rollout_states", recorded)
-    rows = run_sweep(planned, grid=epsilon_grid(*FULL_GRID))
+    rows = config_sweep(planned, grid=epsilon_grid(*FULL_GRID))
     assert len(rows) == 150 and {r.n_runs for r in rows} == {100}
     assert calls == packed(15_000)
     assert passes == dict.fromkeys(passes, len(calls))
 
     calls.clear()
     passes.update(dict.fromkeys(passes, 0))
-    rows = run_sweep(planned)
+    rows = config_sweep(planned)
     assert len(rows) == 15 and {r.n_runs for r in rows} == {100}
     assert calls == packed(1_500)
     assert passes == dict.fromkeys(passes, len(calls))
@@ -658,7 +657,7 @@ def test_monte_carlo_peak_holds_one_call_of_buffers(car_experiment, study):
     planned, _ = car_experiment
     policy = planned.policy
     run = {
-        "full_grid_sweep": lambda: run_sweep(planned, grid=epsilon_grid(*FULL_GRID)),
+        "full_grid_sweep": lambda: config_sweep(planned, grid=epsilon_grid(*FULL_GRID)),
         "exit_estimate": lambda: estimate_exit_probability(policy, 0.3, 0.05, 2000, 7),
     }[study]
     run()  # warm, so that one-off imports and caches are not counted
