@@ -10,14 +10,15 @@ cost deviation from the nominal cost is linear in the noise,
 sum_s v_s . w_s, with one sensitivity vector per noise step. It therefore
 has exactly zero mean for zero-mean noise and is Gaussian for Gaussian
 noise. ``cost_error_sensitivities`` computes every v_s with one backward
-``adjoint_sweep`` over the cost's linearization along the nominal
-(``linearize_cost``):
+``adjoint_sweep`` over the cost's linearization along the nominal, the
+plain gradient stacks (cx, cu, cx_K) of ``linearize_cost``:
 
     mu_K = cx_K,  mu_t = cx_t - L_t^T cu_t + D_t^T mu_{t+1},  v_s = mu_{s+1}.
 
 The deviation recursion, the cost error and the sensitivities each take
 one instance or a batch of one (K, n, m) shape, row i bit-identical to the
-call on instance i.
+call on instance i; a batch of noise rows may share one closed loop, and a
+batch of deviations one linearization.
 
 ``cost_error_statistics`` samples the moments of sum_s v_s . w_s from given
 sensitivities and a given noise sigma. It draws the noise in blocks of
@@ -51,30 +52,18 @@ from .planner import GoalCost
 COST_ERROR_BLOCK = 1_000
 
 
-@dataclass(frozen=True, eq=False)
-class CostLinearization:
-    """Cost gradients along a trajectory, one row per stage."""
+def linearize_cost(cost: GoalCost, nominal: NominalTrajectory) -> tuple[Array, Array, Array]:
+    """Stage and terminal cost gradients at the trajectory points, as plain arrays.
 
-    cx: Array
-    cu: Array
-    cx_terminal: Array
-
-    @property
-    def horizon(self) -> int:
-        return self.cx.shape[-2]
-
-
-def linearize_cost(cost: GoalCost, nominal: NominalTrajectory) -> CostLinearization:
-    """Stage and terminal cost gradients evaluated at the trajectory points.
-
-    The stage cost does not depend on the state, so ``cx`` is zero. ``cu``
-    is C-ordered whatever the layout of the controls: the reductions that
-    read it (``einsum`` in the cost-error analysis) sum in memory order.
+    Returns (cx (K, n), cu (K, m), cx_K (n,)). The stage cost does not
+    depend on the state, so ``cx`` is zero. ``cu`` is C-ordered whatever the
+    layout of the controls: the reductions that read it (``einsum`` in the
+    cost-error analysis) sum in memory order.
     """
-    return CostLinearization(
-        cx=np.zeros((nominal.horizon, nominal.state_dim)),
-        cu=np.ascontiguousarray(cost.stage_grad(nominal.controls)),
-        cx_terminal=cost.terminal_grad(nominal.states[-1]),
+    return (
+        np.zeros((nominal.horizon, nominal.state_dim)),
+        np.ascontiguousarray(cost.stage_grad(nominal.controls)),
+        cost.terminal_grad(nominal.states[-1]),
     )
 
 
@@ -113,15 +102,17 @@ def linear_deviations(closed_loop: Array, gains: Array, noises: Array) -> tuple[
 
     xdev_0 = 0, xdev_{t+1} = D_t xdev_t + w_t and udev_t = -L_t xdev_t.
     Returns the (K+1, n) state and (K, m) control deviations. With a leading
-    batch axis on all three inputs it returns (N, K+1, n) and (N, K, m),
-    row i bit-identical to the call on instance i.
+    batch axis on the noises, (N, K, n), it returns (N, K+1, n) and
+    (N, K, m), row i bit-identical to the call on instance i; the
+    closed-loop matrices and gains then hold one set per instance,
+    (N, K, ...), or one shared by all.
     """
     d = np.asarray(closed_loop, dtype=float)
     gains = np.asarray(gains, dtype=float)
     noises = np.asarray(noises, dtype=float)
     k = d.shape[-3]
-    if noises.shape != d.shape[:-1]:
-        raise ValueError(f"noises must be {d.shape[:-1]}")
+    if noises.shape[-2:] != d.shape[-3:-1]:
+        raise ValueError(f"noises must end in {d.shape[-3:-1]}")
     states = np.zeros(noises.shape[:-2] + (k + 1, noises.shape[-1]))
     for t in range(k):
         step = d[..., t, :, :] @ states[..., t, :, None]
@@ -131,44 +122,48 @@ def linear_deviations(closed_loop: Array, gains: Array, noises: Array) -> tuple[
 
 
 def first_order_cost_error(
-    lin: CostLinearization, states: Array, controls: Array
+    cx: Array, cu: Array, cx_terminal: Array, states: Array, controls: Array
 ) -> float | Array:
     """Linear part of the cost deviation: sum_t (cx_t xdev_t + cu_t udev_t) + terminal.
 
-    Takes (K+1, n) states and (K, m) controls and returns a float. With a
-    leading batch axis, (N, K+1, n) and (N, K, m), it returns an (N,) array,
-    row i bit-identical to the call on instance i; ``lin`` then holds one
-    linearization per instance, (N, K, ...), or one shared by all.
+    Takes the cost's linearization (``linearize_cost``), (K+1, n) states and
+    (K, m) controls, and returns a float. With a leading batch axis, (N,
+    K+1, n) and (N, K, m), it returns an (N,) array, row i bit-identical to
+    the call on instance i; the linearization then holds one row per
+    instance, (N, K, ...), or one shared by all.
     """
     states = np.asarray(states, dtype=float)
     controls = np.asarray(controls, dtype=float)
-    k = lin.cx.shape[-2]
+    k = cx.shape[-2]
     if states.shape[-2] != k + 1 or controls.shape[-2] != k:
         raise ValueError("deviation horizon does not match the cost linearization")
-    stage = np.einsum("...tn,...tn->...", lin.cx, states[..., :k, :])
-    effort = np.einsum("...tm,...tm->...", lin.cu, controls)
+    stage = np.einsum("...tn,...tn->...", cx, states[..., :k, :])
+    effort = np.einsum("...tm,...tm->...", cu, controls)
     # A matmul of one row by one column is a dot per instance; a batched
     # einsum would sum the terminal product in another order.
-    terminal = (lin.cx_terminal[..., None, :] @ states[..., k, :, None])[..., 0, 0]
+    terminal = (cx_terminal[..., None, :] @ states[..., k, :, None])[..., 0, 0]
     total = stage + effort + terminal
     return float(total) if total.ndim == 0 else total
 
 
-def cost_error_sensitivities(lin: CostLinearization, closed_loop: Array, gains: Array) -> Array:
+def cost_error_sensitivities(
+    cx: Array, cu: Array, cx_terminal: Array, closed_loop: Array, gains: Array
+) -> Array:
     """Per-noise sensitivities v (K, n): the first-order cost error is sum_s v_s . w_s.
 
     v_s = mu_{s+1} of ``adjoint_sweep`` with forcing cx_t - L_t^T cu_t and
     maps D_t. Stage 0 never enters, since xdev_0 = 0. With a leading batch
-    axis on ``lin``, the closed-loop matrices and the gains, (N, K, ...), it
-    returns (N, K, n), row i bit-identical to the call on instance i.
+    axis on the linearization, the closed-loop matrices and the gains,
+    (N, K, ...), it returns (N, K, n), row i bit-identical to the call on
+    instance i.
     """
     d = np.asarray(closed_loop, dtype=float)
     gains = np.asarray(gains, dtype=float)
-    k = lin.horizon
+    k = cx.shape[-2]
     if d.shape[-3] != k or gains.shape[-3] != k:
         raise ValueError("closed-loop and gain horizons do not match the cost linearization")
-    forcing = lin.cx - (np.swapaxes(gains, -1, -2) @ lin.cu[..., None])[..., 0]
-    return adjoint_sweep(lin.cx_terminal, forcing, d)[..., 1:, :]
+    forcing = cx - (np.swapaxes(gains, -1, -2) @ cu[..., None])[..., 0]
+    return adjoint_sweep(cx_terminal, forcing, d)[..., 1:, :]
 
 
 @dataclass(frozen=True)

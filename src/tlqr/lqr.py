@@ -1,7 +1,8 @@
 """Finite-horizon time-varying LQR synthesis along a nominal trajectory.
 
-Linearizing the dynamics at each nominal point gives an LTV system
-(A_t, B_t); the backward Riccati recursion
+Linearizing the dynamics at each nominal point gives an LTV system, the
+stacks A (K, n, n) and B (K, n, m) that every function here takes as plain
+arrays; the backward Riccati recursion
 
     P_K = Wx
     L_t = (Wu + B_t^T P_{t+1} B_t)^{-1} B_t^T P_{t+1} A_t
@@ -26,41 +27,6 @@ import numpy as np
 
 from .dynamics import Array, KinematicCar, NominalTrajectory
 from .exceptions import DomainError, NumericalFailure
-
-
-@dataclass(frozen=True, eq=False)
-class LtvSystem:
-    """Time-indexed linearization: A stacked (K, n, n), B stacked (K, n, m).
-
-    A leading batch axis, A (N, K, n, n) with B (N, K, n, m), holds N
-    systems of one shape; ``riccati_backward`` and ``closed_loop_matrices``
-    then return one row per system, bit-identical to the single-system call.
-    """
-
-    a: Array
-    b: Array
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        if a.ndim not in (3, 4) or a.shape[-2] != a.shape[-1]:
-            raise ValueError("A must be a (K, n, n) or (N, K, n, n) stack of square matrices")
-        if b.ndim != a.ndim or b.shape[:-1] != a.shape[:-1]:
-            raise ValueError("B must be a (K, n, m) or (N, K, n, m) stack aligned with A")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    @property
-    def horizon(self) -> int:
-        return self.a.shape[-3]
-
-    @property
-    def state_dim(self) -> int:
-        return self.a.shape[-1]
-
-    @property
-    def control_dim(self) -> int:
-        return self.b.shape[-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,12 +91,13 @@ class TrackingPolicy:
         return self.nominal.horizon
 
 
-def linearize_along(model: KinematicCar, nominal: NominalTrajectory) -> LtvSystem:
+def linearize_along(model: KinematicCar, nominal: NominalTrajectory) -> tuple[Array, Array]:
     """Jacobians of the Euler step at every nominal (state, control) pair.
 
-    Raises ``ValueError`` when the nominal's dimensions are not the model's,
-    and ``DomainError`` when a steering angle (the last control) reaches its
-    strict bound, where the heading-rate map tan(phi)/L is singular.
+    Returns the stacks A (K, n, n) and B (K, n, m). Raises ``ValueError``
+    when the nominal's dimensions are not the model's, and ``DomainError``
+    when a steering angle (the last control) is NaN or reaches its strict
+    bound, where the heading-rate map tan(phi)/L is singular.
     """
     n, m = model.state_dim, model.control_dim
     if (nominal.state_dim, nominal.control_dim) != (n, m):
@@ -139,46 +106,53 @@ def linearize_along(model: KinematicCar, nominal: NominalTrajectory) -> LtvSyste
             f"do not match the model (n={n}, m={m})"
         )
     phi, phi_max = nominal.controls[:, -1], model.control_bounds()[-1]
-    singular = phi[np.abs(phi) >= phi_max]
+    singular = phi[~(np.abs(phi) < phi_max)]
     if len(singular):
         raise DomainError(
             f"heading-rate map is singular at |phi| >= phi_max ({phi_max:.6g}); "
             f"got phi = {singular[0]:.6g}"
         )
-    a, b = model.transition_jacobians(nominal.states[:-1], nominal.controls)
-    return LtvSystem(a=a, b=b)
+    return model.transition_jacobians(nominal.states[:-1], nominal.controls)
 
 
-def riccati_backward(sys: LtvSystem, weights: LqrWeights) -> tuple[Array, Array]:
+def riccati_backward(a: Array, b: Array, weights: LqrWeights) -> tuple[Array, Array]:
     """Backward Riccati recursion; returns (gains (K, m, n), riccati (K+1, n, n)).
 
-    A batched system (N, K, ...) shares the weights and gets (N, K, m, n)
-    gains and (N, K+1, n, n) Riccati matrices. A P or gain that is not
-    finite, as when huge weights overflow, raises ``NumericalFailure`` naming
-    the first such step of the recursion.
+    Takes A stacked (K, n, n) and B stacked (K, n, m). A leading batch axis,
+    A (N, K, n, n) with B (N, K, n, m), holds N systems of one shape that
+    share the weights; they get (N, K, m, n) gains and (N, K+1, n, n)
+    Riccati matrices, row i bit-identical to the single-system call. A P or
+    gain that is not finite, as when huge weights overflow, raises
+    ``NumericalFailure`` naming the first such step of the recursion.
     """
-    k, n, m = sys.horizon, sys.state_dim, sys.control_dim
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim not in (3, 4) or a.shape[-2] != a.shape[-1]:
+        raise ValueError("A must be a (K, n, n) or (N, K, n, n) stack of square matrices")
+    if b.shape[:-1] != a.shape[:-1]:
+        raise ValueError("B must be a (K, n, m) or (N, K, n, m) stack aligned with A")
+    k, n, m = b.shape[-3:]
     if weights.wx.shape != (n,) or weights.wu.shape != (m,):
         raise ValueError(f"weights must have the LTV system's n={n} and m={m} entries")
     wx, wu = np.diag(weights.wx), np.diag(weights.wu)
-    batch = sys.a.shape[:-3]
+    batch = a.shape[:-3]
     gains = np.empty(batch + (k, m, n))
     riccati = np.empty(batch + (k + 1, n, n))
     riccati[..., k, :, :] = wx
     # An overflow shows up as a non-finite entry, reported below as a failure.
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(k - 1, -1, -1):
-            a, b = sys.a[..., t, :, :], sys.b[..., t, :, :]
+            a_t, b_t = a[..., t, :, :], b[..., t, :, :]
             p_next = riccati[..., t + 1, :, :]
             # B'P, the left factor of both B'PB and B'PA (``@`` groups left).
-            bp = np.swapaxes(b, -1, -2) @ p_next
-            gram = wu + bp @ b
+            bp = np.swapaxes(b_t, -1, -2) @ p_next
+            gram = wu + bp @ b_t
             try:
-                gain = np.linalg.solve(gram, bp @ a)
+                gain = np.linalg.solve(gram, bp @ a_t)
             except np.linalg.LinAlgError as exc:
                 raise NumericalFailure(f"singular gain system at step {t}") from exc
             gains[..., t, :, :] = gain
-            p = wx + np.swapaxes(a, -1, -2) @ p_next @ (a - b @ gain)
+            p = wx + np.swapaxes(a_t, -1, -2) @ p_next @ (a_t - b_t @ gain)
             riccati[..., t, :, :] = 0.5 * (p + np.swapaxes(p, -1, -2))
     finite = np.isfinite(gains).all(axis=(-2, -1)) & np.isfinite(riccati[..., :k, :, :]).all(
         axis=(-2, -1)
@@ -189,25 +163,30 @@ def riccati_backward(sys: LtvSystem, weights: LqrWeights) -> tuple[Array, Array]
     return gains, riccati
 
 
-def closed_loop_matrices(sys: LtvSystem, gains: Array) -> Array:
+def closed_loop_matrices(a: Array, b: Array, gains: Array) -> Array:
     """Closed-loop matrices D_t = A_t - B_t L_t for t = 0 .. K-1, shape (K, n, n).
 
-    A batched system takes (N, K, m, n) gains and returns (N, K, n, n).
+    A batch of systems (N, K, ...) takes (N, K, m, n) gains and returns
+    (N, K, n, n).
     """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     gains = np.asarray(gains, dtype=float)
-    expected = sys.a.shape[:-3] + (sys.horizon, sys.control_dim, sys.state_dim)
-    if gains.shape != expected:
-        raise ValueError(f"gains have shape {gains.shape}, expected {expected}")
-    return sys.a - np.einsum("...tnm,...tmk->...tnk", sys.b, gains)
+    *lead, n, m = b.shape
+    if a.shape != (*lead, n, n):
+        raise ValueError(f"A has shape {a.shape}, expected {(*lead, n, n)}")
+    if gains.shape != (*lead, m, n):
+        raise ValueError(f"gains have shape {gains.shape}, expected {(*lead, m, n)}")
+    return a - np.einsum("...tnm,...tmk->...tnk", b, gains)
 
 
 def design_tracking_policy(
     model: KinematicCar, nominal: NominalTrajectory, weights: LqrWeights
 ) -> TrackingPolicy:
     """Linearize along the nominal and synthesize the tracking gains."""
-    sys = linearize_along(model, nominal)
-    gains, riccati = riccati_backward(sys, weights)
-    closed_loop = closed_loop_matrices(sys, gains)
+    a, b = linearize_along(model, nominal)
+    gains, riccati = riccati_backward(a, b, weights)
+    closed_loop = closed_loop_matrices(a, b, gains)
     return TrackingPolicy(
         nominal=nominal, gains=gains, riccati=riccati, closed_loop=closed_loop, model=model
     )

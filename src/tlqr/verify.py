@@ -10,17 +10,19 @@ to its bound, so a report is reviewable without rerunning. Suites:
   sensitivity form sum_s v_s . w_s of the first-order cost error against
   its evaluation on the deviation history.
 * ``costerror``: the same reconstruction on 100 noise sequences drawn as
-  one batch, plus zero-mean / Gaussianity statistics of the first-order
-  cost error on the configured car policy, and its sample variance against
-  the closed form sigma^2 sum_s |v_s|^2.
+  one batch, which share the car policy's closed loop and gains, plus
+  zero-mean / Gaussianity statistics of the first-order cost error on the
+  configured car policy, and its sample variance against the closed form
+  sigma^2 sum_s |v_s|^2.
 * ``riccati``: the scalar hand fixture and the LQR value identity.
 * ``ldp``: exit-rate regression signature plus exact synthetic recovery and
   the zero action of the nominal path.
 
 The propagation and riccati suites read their random LTV instances from
-one stream of front-padded batches (``_padded_batches``): each O(K)
-recursion runs once per batch, and every reported value is bit for bit the
-one a loop over single instances gives.
+one stream of front-padded batches (``_padded_batches``) and hand their
+stacks to the LQR and first-order stages as the plain arrays those take:
+each O(K) recursion runs once per batch, and every reported value is bit
+for bit the one a loop over single instances gives.
 """
 from __future__ import annotations
 
@@ -33,7 +35,6 @@ import numpy as np
 
 from .dynamics import Array
 from .error_analysis import (
-    CostLinearization,
     cost_error_sensitivities,
     cost_error_statistics,
     first_order_cost_error,
@@ -43,7 +44,7 @@ from .error_analysis import (
 from .exceptions import ConfigError
 from .experiments import PlannedExperiment, RunStats, plan_experiment, run_exit_study
 from .large_deviations import action_functional, fit_rate
-from .lqr import LqrWeights, LtvSystem, closed_loop_matrices, riccati_backward
+from .lqr import LqrWeights, closed_loop_matrices, riccati_backward
 from .simulate import _CTX_COST_ERROR, _CTX_RECONSTRUCTION, derive_seed, noise_sigma
 
 SUITE_NAMES = ("propagation", "costerror", "riccati", "ldp")
@@ -240,7 +241,7 @@ def _padded_batches(
 def _identity_riccati(a: Array, b: Array) -> tuple[Array, Array]:
     """``riccati_backward`` on an (N, K, ...) stack of systems with identity weights."""
     n_x, n_u = b.shape[-2:]
-    return riccati_backward(LtvSystem(a=a, b=b), LqrWeights(np.ones(n_x), np.ones(n_u)))
+    return riccati_backward(a, b, LqrWeights(np.ones(n_x), np.ones(n_u)))
 
 
 def _max_reconstruction_rel(v: Array, noises: Array, direct: Array) -> float:
@@ -267,11 +268,10 @@ def propagation_errors(n_instances: int = 1000, seed: int = 1001) -> dict:
     batches = _padded_batches(_propagation_shapes, n_instances, seed)
     for (a, b, noises, cx, cu, cx_terminal), horizons in batches:
         gains = _identity_riccati(a, b)[0]
-        d = closed_loop_matrices(LtvSystem(a=a, b=b), gains)
+        d = closed_loop_matrices(a, b, gains)
         del a, b
         states, controls = linear_deviations(d, gains, noises)
-        lin = CostLinearization(cx=cx, cu=cu, cx_terminal=cx_terminal)
-        v = cost_error_sensitivities(lin, d, gains)
+        v = cost_error_sensitivities(cx, cu, cx_terminal, d, gains)
         first = 0
         for k, run in groupby(horizons):
             rows, start = slice(first, first + len(list(run))), horizons[-1] - k
@@ -287,8 +287,7 @@ def propagation_errors(n_instances: int = 1000, seed: int = 1001) -> dict:
             gap = np.linalg.norm(_state_sums(maps, noises_k)[:, 1:] - states_k[:, 1:], axis=-1)
             denom = np.maximum(np.linalg.norm(states_k[:, 1:], axis=-1), 1e-12)
             resid = _control_sums(maps, gains_k, noises_k) - controls_k
-            lin = CostLinearization(cx=cx_k, cu=cu_k, cx_terminal=cx_terminal[rows])
-            direct = first_order_cost_error(lin, states_k, controls_k)
+            direct = first_order_cost_error(cx_k, cu_k, cx_terminal[rows], states_k, controls_k)
             worst = np.maximum(
                 worst,
                 [
@@ -317,16 +316,16 @@ def propagation_suite(n_instances: int = 1000, seed: int = 1001) -> SuiteReport:
 
 def riccati_fixture_errors() -> tuple[float, float]:
     """Scalar A=B=Wx=Wu=1, K=2; exact values P=(1.6, 1.5, 1), L=(0.6, 0.5)."""
-    sys = LtvSystem(a=np.ones((2, 1, 1)), b=np.ones((2, 1, 1)))
-    weights = LqrWeights([1.0], [1.0])
-    gains, riccati = riccati_backward(sys, weights)
+    ones = np.ones((2, 1, 1))
+    gains, riccati = riccati_backward(ones, ones, LqrWeights([1.0], [1.0]))
     p_err = float(np.abs(riccati.ravel() - np.array([1.6, 1.5, 1.0])).max())
     l_err = float(np.abs(gains.ravel() - np.array([0.6, 0.5])).max())
     return p_err, l_err
 
 
 def simulated_quadratic_cost(
-    sys: LtvSystem,
+    a: Array,
+    b: Array,
     weights: LqrWeights,
     gains: Array,
     x0: Array,
@@ -334,18 +333,21 @@ def simulated_quadratic_cost(
 ) -> float | Array:
     """Accumulated tracking cost of the noise-free LTV error dynamics.
 
-    One system (K, ...) with its (K, m, n) gains and an (n,) start gives a
-    float. A batch front-padded to K steps, (N, K, ...) with (N, n) starts,
-    takes each instance's own horizon, in ascending order (all K when
-    omitted), and gives the (N,) totals: the instances running at step t
-    are the last ones, those of horizon at least K - t. Before its first
-    step an instance's state stays at x0 and its total gains nothing. Every
-    product is a matmul on stacks of columns, which acts item by item as on
-    one instance, so each total is bit for bit its own single call's.
+    One system, A (K, n, n) and B (K, n, m), with its (K, m, n) gains and an
+    (n,) start gives a float. A batch front-padded to K steps, (N, K, ...)
+    with (N, n) starts, takes each instance's own horizon, in ascending
+    order (all K when omitted), and gives the (N,) totals: the instances
+    running at step t are the last ones, those of horizon at least K - t.
+    Before its first step an instance's state stays at x0 and its total
+    gains nothing. Every product is a matmul on stacks of columns, which
+    acts item by item as on one instance, so each total is bit for bit its
+    own single call's.
     """
     wx, wu = np.diag(weights.wx), np.diag(weights.wu)
     single = np.ndim(x0) == 1
-    a, b, gains = (x[None] if single else x for x in (sys.a, sys.b, np.asarray(gains, float)))
+    a, b, gains = (np.asarray(x, dtype=float) for x in (a, b, gains))
+    if single:
+        a, b, gains = a[None], b[None], gains[None]
     k = a.shape[1]
     horizons = np.full(len(a), k) if horizons is None else np.asarray(horizons)
     if (np.diff(horizons) < 0).any():
@@ -377,7 +379,7 @@ def value_identity_error(n_instances: int = 100, seed: int = 1002) -> float:
         p0 = riccati[np.arange(len(x0)), horizons[-1] - np.asarray(horizons)]
         predicted = (x0[:, None, :] @ p0 @ x0[:, :, None])[:, 0, 0]
         weights = LqrWeights(np.ones(a.shape[-1]), np.ones(b.shape[-1]))
-        simulated = simulated_quadratic_cost(LtvSystem(a=a, b=b), weights, gains, x0, horizons)
+        simulated = simulated_quadratic_cost(a, b, weights, gains, x0, horizons)
         gaps = np.abs(predicted - simulated) / np.maximum(np.abs(simulated), 1e-12)
         worst = np.maximum(worst, gaps.max())
     return float(worst)
@@ -396,21 +398,16 @@ def riccati_suite(n_instances: int = 100, seed: int = 1002) -> SuiteReport:
 def cost_error_suite(planned: PlannedExperiment) -> SuiteReport:
     policy, seed = planned.policy, planned.config.master_seed
     lin = linearize_cost(planned.cost, policy.nominal)
-    v = cost_error_sensitivities(lin, policy.closed_loop, policy.gains)
+    v = cost_error_sensitivities(*lin, policy.closed_loop, policy.gains)
     sigma = noise_sigma(policy, COST_ERROR_EPSILON)
 
     # Direct evaluation through the deviation histories vs the sensitivity
     # form, on _RECONSTRUCTION_DRAWS noise sequences taken from one draw: a
     # generator yields the same numbers in one draw as in successive ones.
     rng = np.random.default_rng(derive_seed(seed, _CTX_RECONSTRUCTION))
-    batch = (_RECONSTRUCTION_DRAWS,)
-    noises = sigma * rng.standard_normal(batch + v.shape)
-    states, controls = linear_deviations(
-        np.broadcast_to(policy.closed_loop, batch + policy.closed_loop.shape),
-        np.broadcast_to(policy.gains, batch + policy.gains.shape),
-        noises,
-    )
-    max_rel = _max_reconstruction_rel(v, noises, first_order_cost_error(lin, states, controls))
+    noises = sigma * rng.standard_normal((_RECONSTRUCTION_DRAWS,) + v.shape)
+    states, controls = linear_deviations(policy.closed_loop, policy.gains, noises)
+    max_rel = _max_reconstruction_rel(v, noises, first_order_cost_error(*lin, states, controls))
 
     stats = cost_error_statistics(v, sigma, COST_ERROR_SAMPLES, derive_seed(seed, _CTX_COST_ERROR))
     # All-zero planned controls give sigma = 0 and no closed form to compare

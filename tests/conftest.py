@@ -11,7 +11,7 @@ from tlqr.config import default_config, epsilon_grid
 from tlqr.dynamics import NominalTrajectory
 from tlqr.error_analysis import adjoint_sweep
 from tlqr.experiments import plan_experiment
-from tlqr.lqr import LqrWeights, LtvSystem
+from tlqr.lqr import LqrWeights
 from tlqr.simulate import _seed_words, _standard_normals, rollout_states, sweep_epsilon
 
 # The generator and reader of tests/data/pins.json, every exact pin.
@@ -85,7 +85,7 @@ def seeded_states(policy, epsilon, mode, seeds):
 
 
 def random_ltv_instance(rng, max_nx=4, max_nu=2, max_k=20):
-    """Random LTV system, entries uniform in [-1, 1], with identity weights.
+    """Random LTV system (A, B, weights), entries uniform in [-1, 1], with identity weights.
 
     Draws n_x, n_u and K, then A and B one call each. With the default
     bounds these are verify's instances, which it draws in one call per
@@ -95,11 +95,9 @@ def random_ltv_instance(rng, max_nx=4, max_nu=2, max_k=20):
     n_x = int(rng.integers(1, max_nx + 1))
     n_u = int(rng.integers(1, max_nu + 1))
     k = int(rng.integers(2, max_k + 1))
-    sys = LtvSystem(
-        a=rng.uniform(-1.0, 1.0, size=(k, n_x, n_x)), b=rng.uniform(-1.0, 1.0, size=(k, n_x, n_u))
-    )
-    weights = LqrWeights(np.ones(sys.state_dim), np.ones(sys.control_dim))
-    return sys, weights
+    a = rng.uniform(-1.0, 1.0, size=(k, n_x, n_x))
+    b = rng.uniform(-1.0, 1.0, size=(k, n_x, n_u))
+    return a, b, LqrWeights(np.ones(n_x), np.ones(n_u))
 
 
 def padded_batch_members(shapes, n_instances, seed):

@@ -118,7 +118,7 @@ def test_criterion_3_cost_error_zero_mean_gaussian(car_experiment):
     t0 = time.perf_counter()
     policy = planned.policy
     lin = linearize_cost(planned.cost, policy.nominal)
-    v = cost_error_sensitivities(lin, policy.closed_loop, policy.gains)
+    v = cost_error_sensitivities(*lin, policy.closed_loop, policy.gains)
     sigma = 0.05 * float(np.linalg.norm(policy.nominal.controls, axis=1).max())
     seed = planned.config.master_seed
     rng = np.random.default_rng(derive_seed(seed, _CTX_RECONSTRUCTION))
@@ -126,7 +126,7 @@ def test_criterion_3_cost_error_zero_mean_gaussian(car_experiment):
     for _ in range(100):
         noises = sigma * rng.standard_normal((policy.horizon, 3))
         states, controls = linear_deviations(policy.closed_loop, policy.gains, noises)
-        direct = first_order_cost_error(lin, states, controls)
+        direct = first_order_cost_error(*lin, states, controls)
         max_rel = max(max_rel, abs(float(np.sum(v * noises)) - direct) / max(abs(direct), 1e-12))
 
     stats = cost_error_statistics(v, sigma, 100_000, derive_seed(seed, _CTX_COST_ERROR))

@@ -19,7 +19,6 @@ from conftest import seeded_states
 from tlqr.cli import main
 from tlqr.config import ExperimentConfig, default_config, epsilon_grid, parse_config
 from tlqr.error_analysis import (
-    CostLinearization,
     adjoint_sweep,
     cost_error_sensitivities,
     first_order_cost_error,
@@ -28,7 +27,6 @@ from tlqr.error_analysis import (
 from tlqr.exceptions import ConfigError
 from tlqr.lqr import (
     LqrWeights,
-    LtvSystem,
     closed_loop_matrices,
     feedback_rows,
     riccati_backward,
@@ -69,7 +67,7 @@ def test_padded_riccati_rows_equal_single_sweeps(n_x, n_u, horizons, seed):
     assert gains.shape == (len(horizons), k_max, n_u, n_x)
     for i, k in enumerate(horizons):
         weights = LqrWeights(np.ones(n_x), np.ones(n_u))
-        one_gains, one_riccati = riccati_backward(LtvSystem(a=a[i], b=b[i]), weights)
+        one_gains, one_riccati = riccati_backward(a[i], b[i], weights)
         assert np.array_equal(gains[i, k_max - k :], one_gains)
         assert np.array_equal(riccati[i, k_max - k :], one_riccati)
 
@@ -79,20 +77,17 @@ def test_padded_riccati_rows_equal_single_sweeps(n_x, n_u, horizons, seed):
 def test_batched_riccati_closed_loop_and_deviation_rows_equal_single_calls(n, k, n_x, n_u, seed):
     rng = np.random.default_rng(seed)
     scale = 10.0 ** rng.uniform(-1, 1)
-    sys = LtvSystem(
-        a=scale * rng.uniform(-1, 1, size=(n, k, n_x, n_x)),
-        b=rng.uniform(-1, 1, size=(n, k, n_x, n_u)),
-    )
+    a = scale * rng.uniform(-1, 1, size=(n, k, n_x, n_x))
+    b = rng.uniform(-1, 1, size=(n, k, n_x, n_u))
     weights = LqrWeights(rng.uniform(0, 2, size=n_x), rng.uniform(0.1, 2, size=n_u))
     noises = rng.standard_normal((n, k, n_x))
-    gains, riccati = riccati_backward(sys, weights)
-    d = closed_loop_matrices(sys, gains)
+    gains, riccati = riccati_backward(a, b, weights)
+    d = closed_loop_matrices(a, b, gains)
     states, controls = linear_deviations(d, gains, noises)
     assert states.shape == (n, k + 1, n_x) and controls.shape == (n, k, n_u)
     for i in range(n):
-        one = LtvSystem(a=sys.a[i], b=sys.b[i])
-        one_gains, one_riccati = riccati_backward(one, weights)
-        one_d = closed_loop_matrices(one, one_gains)
+        one_gains, one_riccati = riccati_backward(a[i], b[i], weights)
+        one_d = closed_loop_matrices(a[i], b[i], one_gains)
         one_states, one_controls = linear_deviations(one_d, one_gains, noises[i])
         assert gains[i].tobytes() == one_gains.tobytes()
         assert riccati[i].tobytes() == one_riccati.tobytes()
@@ -152,21 +147,20 @@ def test_adjoint_sweep_equals_explicit_sums(n_batch, k, n, seed):
 @given(n=st.integers(1, 8), k=st.integers(1, 24), n_x=dims, n_u=dims, seed=generator_seeds)
 def test_batched_cost_error_sensitivity_rows_equal_single_calls(n, k, n_x, n_u, seed):
     rng = np.random.default_rng(seed)
-    sys = LtvSystem(
-        a=rng.uniform(-1, 1, size=(n, k, n_x, n_x)), b=rng.uniform(-1, 1, size=(n, k, n_x, n_u))
+    a = rng.uniform(-1, 1, size=(n, k, n_x, n_x))
+    b = rng.uniform(-1, 1, size=(n, k, n_x, n_u))
+    gains, _ = riccati_backward(a, b, LqrWeights(np.ones(n_x), np.ones(n_u)))
+    d = closed_loop_matrices(a, b, gains)
+    lin = (
+        rng.uniform(-1, 1, size=(n, k, n_x)),
+        rng.uniform(-1, 1, size=(n, k, n_u)),
+        rng.uniform(-1, 1, size=(n, n_x)),
     )
-    gains, _ = riccati_backward(sys, LqrWeights(np.ones(n_x), np.ones(n_u)))
-    d = closed_loop_matrices(sys, gains)
-    lin = CostLinearization(
-        cx=rng.uniform(-1, 1, size=(n, k, n_x)),
-        cu=rng.uniform(-1, 1, size=(n, k, n_u)),
-        cx_terminal=rng.uniform(-1, 1, size=(n, n_x)),
-    )
-    v = cost_error_sensitivities(lin, d, gains)
+    v = cost_error_sensitivities(*lin, d, gains)
     assert v.shape == (n, k, n_x)
     for i in range(n):
-        row = CostLinearization(lin.cx[i], lin.cu[i], lin.cx_terminal[i])
-        assert v[i].tobytes() == cost_error_sensitivities(row, d[i], gains[i]).tobytes()
+        row = [x[i] for x in lin]
+        assert v[i].tobytes() == cost_error_sensitivities(*row, d[i], gains[i]).tobytes()
 
 
 @PROPERTY
@@ -181,18 +175,18 @@ def test_batched_cost_error_sensitivity_rows_equal_single_calls(n, k, n_x, n_u, 
 def test_batched_first_order_cost_error_rows_equal_single_calls(n, k, n_x, n_u, shared, seed):
     rng = np.random.default_rng(seed)
     batch = () if shared else (n,)
-    lin = CostLinearization(
-        cx=rng.standard_normal(batch + (k, n_x)),
-        cu=rng.standard_normal(batch + (k, n_u)),
-        cx_terminal=rng.standard_normal(batch + (n_x,)),
+    lin = (
+        rng.standard_normal(batch + (k, n_x)),
+        rng.standard_normal(batch + (k, n_u)),
+        rng.standard_normal(batch + (n_x,)),
     )
     states = rng.standard_normal((n, k + 1, n_x))
     controls = rng.standard_normal((n, k, n_u))
-    values = first_order_cost_error(lin, states, controls)
+    values = first_order_cost_error(*lin, states, controls)
     assert values.shape == (n,)
     for i in range(n):
-        row = lin if shared else CostLinearization(lin.cx[i], lin.cu[i], lin.cx_terminal[i])
-        assert values[i] == first_order_cost_error(row, states[i], controls[i])
+        row = lin if shared else [x[i] for x in lin]
+        assert values[i] == first_order_cost_error(*row, states[i], controls[i])
 
 
 @PROPERTY

@@ -67,8 +67,9 @@ def fd_jacobians(model, x, u, h=1e-5):
 
 def linearized_pair(model, x, u):
     """``linearize_along`` at one (state, control) pair, as a one-step nominal."""
-    sys = linearize_along(model, NominalTrajectory(states=np.array([x, x]), controls=np.array([u])))
-    return sys.a[0], sys.b[0]
+    nominal = NominalTrajectory(states=np.array([x, x]), controls=np.array([u]))
+    a, b = linearize_along(model, nominal)
+    return a[0], b[0]
 
 
 def test_euler_step_straight():
@@ -135,8 +136,10 @@ def test_batched_jacobians_equal_per_pair_formulas(model):
         a_one, b_one = model.transition_jacobians(x[i : i + 1], u[i : i + 1])
         assert np.array_equal(a_one[0], a_ref) and np.array_equal(b_one[0], b_ref)
     # The checked entry: the same Jacobians along a nominal through the pairs.
-    checked = linearize_along(model, NominalTrajectory(states=np.vstack([x, x[:1]]), controls=u))
-    assert np.array_equal(checked.a, a) and np.array_equal(checked.b, b)
+    a_checked, b_checked = linearize_along(
+        model, NominalTrajectory(states=np.vstack([x, x[:1]]), controls=u)
+    )
+    assert np.array_equal(a_checked, a) and np.array_equal(b_checked, b)
 
 
 def test_zero_step_period_degenerate():
@@ -211,6 +214,11 @@ def test_jacobian_domain_error_at_singularity():
     nominal = NominalTrajectory(states=np.tile(X0, (6, 1)), controls=u)
     with pytest.raises(DomainError, match="phi = -1.5708"):
         linearize_along(CAR, nominal)
+    # A NaN steering angle is not within the bound either.
+    u = np.tile([0.1, 0.2], (3, 1))
+    u[1, 1] = np.nan
+    with pytest.raises(DomainError, match="phi = nan"):
+        linearize_along(CAR, NominalTrajectory(states=np.tile(X0, (4, 1)), controls=u))
 
 
 def test_clamp_rows():

@@ -10,7 +10,6 @@ import tlqr.error_analysis as error_analysis
 import tlqr.verify as verify
 from conftest import padded_batch_members, random_ltv_instance, seeded_states
 from tlqr.error_analysis import (
-    CostLinearization,
     cost_error_sensitivities,
     cost_error_statistics,
     first_order_cost_error,
@@ -19,25 +18,25 @@ from tlqr.error_analysis import (
     skewness_kurtosis,
 )
 from tlqr.large_deviations import linear_fit
-from tlqr.lqr import LqrWeights, LtvSystem, closed_loop_matrices, linearize_along, riccati_backward
+from tlqr.lqr import LqrWeights, closed_loop_matrices, linearize_along, riccati_backward
 from tlqr.planner import goal_tracking_cost
 from tlqr.simulate import CLOSED_LOOP, _CTX_RECONSTRUCTION, derive_seed, noise_sigma
 from tlqr.verify import _control_sums, _noise_maps, _state_sums, propagation_errors
 
 
-def _coefficient_sums(lin: CostLinearization, maps, gains):
+def _coefficient_sums(cx, cu, cx_terminal, maps, gains):
     """Oracle: v_s = sum_t w_{s,t}, the paper's per-(noise, cost term) coefficients.
 
     For a stage term t <= K-1, w_{s,t} = cx_t M - cu_t L_t M with
     M = M(s, t-1); the terminal term contributes cx_K M(s, K-1).
     """
-    k = lin.horizon
+    k = len(cx)
     v = np.zeros((k, maps.shape[-1]))
     for s in range(k):
         for t in range(s + 1, k):
             m = maps[s, t - 1]
-            v[s] += lin.cx[t] @ m - lin.cu[t] @ (gains[t] @ m)
-        v[s] += lin.cx_terminal @ maps[s, k - 1]
+            v[s] += cx[t] @ m - cu[t] @ (gains[t] @ m)
+        v[s] += cx_terminal @ maps[s, k - 1]
     return v
 
 
@@ -46,31 +45,32 @@ def scalar_stack(values):
 
 
 def random_cost_linearization(rng, k, n_x, n_u):
-    return CostLinearization(
-        cx=rng.uniform(-1, 1, size=(k, n_x)),
-        cu=rng.uniform(-1, 1, size=(k, n_u)),
-        cx_terminal=rng.uniform(-1, 1, size=n_x),
+    """Random (cx, cu, cx_K), entries uniform in [-1, 1]."""
+    return (
+        rng.uniform(-1, 1, size=(k, n_x)),
+        rng.uniform(-1, 1, size=(k, n_u)),
+        rng.uniform(-1, 1, size=n_x),
     )
 
 
 def test_closed_loop_matrices_conventions(car_experiment):
     rng = np.random.default_rng(2)
-    sys, weights = random_ltv_instance(rng, max_nx=3, max_k=8)
-    gains, _ = riccati_backward(sys, weights)
-    d = closed_loop_matrices(sys, gains)
-    for t in range(sys.horizon):
-        np.testing.assert_allclose(d[t], sys.a[t] - sys.b[t] @ gains[t], atol=1e-15)
+    a, b, weights = random_ltv_instance(rng, max_nx=3, max_k=8)
+    gains, _ = riccati_backward(a, b, weights)
+    d = closed_loop_matrices(a, b, gains)
+    for t in range(len(a)):
+        np.testing.assert_allclose(d[t], a[t] - b[t] @ gains[t], atol=1e-15)
     # no feedback or no actuation leaves A unchanged
     zero_gains = np.zeros_like(gains)
-    np.testing.assert_array_equal(closed_loop_matrices(sys, zero_gains), sys.a)
-    scalar_sys = LtvSystem(a=np.ones((2, 1, 1)), b=np.ones((2, 1, 1)))
-    d_scalar = closed_loop_matrices(scalar_sys, np.full((2, 1, 1), 0.5))
+    np.testing.assert_array_equal(closed_loop_matrices(a, b, zero_gains), a)
+    ones = np.ones((2, 1, 1))
+    d_scalar = closed_loop_matrices(ones, ones, np.full((2, 1, 1), 0.5))
     assert d_scalar[1, 0, 0] == 0.5
     # the policy stores exactly the builder's output for its own linearization
     planned, _ = car_experiment
     policy = planned.policy
-    lin_sys = linearize_along(policy.model, policy.nominal)
-    np.testing.assert_array_equal(policy.closed_loop, closed_loop_matrices(lin_sys, policy.gains))
+    a, b = linearize_along(policy.model, policy.nominal)
+    np.testing.assert_array_equal(policy.closed_loop, closed_loop_matrices(a, b, policy.gains))
 
 
 def test_product_table_identities():
@@ -119,13 +119,13 @@ def test_error_length_validation():
         linear_deviations(d, gains, np.zeros((3, 1)))
     with pytest.raises(ValueError):
         linear_deviations(d, gains, np.zeros((2, 2)))
-    lin = CostLinearization(cx=np.zeros((3, 1)), cu=np.zeros((3, 1)), cx_terminal=np.zeros(1))
+    lin = np.zeros((3, 1)), np.zeros((3, 1)), np.zeros(1)
     with pytest.raises(ValueError):
-        cost_error_sensitivities(lin, d, gains)
+        cost_error_sensitivities(*lin, d, gains)
     with pytest.raises(ValueError):
-        first_order_cost_error(lin, np.zeros((3, 1)), np.zeros((3, 1)))
+        first_order_cost_error(*lin, np.zeros((3, 1)), np.zeros((3, 1)))
     with pytest.raises(ValueError):
-        first_order_cost_error(lin, np.zeros((5, 1)), np.zeros((3, 1)))
+        first_order_cost_error(*lin, np.zeros((5, 1)), np.zeros((3, 1)))
 
 
 def test_nonrecursive_matches_recursive_and_feedback_identity():
@@ -142,10 +142,10 @@ def _per_instance_propagation_errors(n_instances, seed):
     max_identity_abs = 0.0
     max_reconstruction_rel = 0.0
     for _ in range(n_instances):
-        sys, weights = random_ltv_instance(rng)
-        gains, _ = riccati_backward(sys, weights)
-        d = closed_loop_matrices(sys, gains)
-        k, n_x = sys.horizon, sys.state_dim
+        a, b, weights = random_ltv_instance(rng)
+        gains, _ = riccati_backward(a, b, weights)
+        d = closed_loop_matrices(a, b, gains)
+        k, n_x, n_u = b.shape
         noises = rng.uniform(-1.0, 1.0, size=(k, n_x))
         states, controls = linear_deviations(d, gains, noises)
         maps = _noise_maps(d)
@@ -154,9 +154,9 @@ def _per_instance_propagation_errors(n_instances, seed):
         max_state_rel = max(max_state_rel, float((gap / denom).max()))
         resid = _control_sums(maps, gains, noises) - controls
         max_identity_abs = max(max_identity_abs, float(np.abs(resid).max()))
-        lin = random_cost_linearization(rng, k, n_x, sys.control_dim)
-        v = cost_error_sensitivities(lin, d, gains)
-        direct_value = first_order_cost_error(lin, states, controls)
+        lin = random_cost_linearization(rng, k, n_x, n_u)
+        v = cost_error_sensitivities(*lin, d, gains)
+        direct_value = first_order_cost_error(*lin, states, controls)
         rebuilt = float(np.sum(v * noises))
         denom = max(abs(direct_value), 1e-12)
         max_reconstruction_rel = max(max_reconstruction_rel, abs(rebuilt - direct_value) / denom)
@@ -185,22 +185,23 @@ def test_propagation_makes_one_riccati_and_one_sensitivity_sweep_per_batch(monke
     original_riccati = verify.riccati_backward
     original_sensitivities = verify.cost_error_sensitivities
 
-    def counted_riccati(sys, weights):
+    def counted_riccati(a, b, weights):
         # An instance of horizon k fills the last k steps of its row; every
         # real step of A has nonzero entries.
-        real = np.abs(sys.a).sum(axis=(-2, -1)) > 0
+        k_b, n_x, n_u = b.shape[-3:]
+        real = np.abs(a).sum(axis=(-2, -1)) > 0
         horizons = real.sum(axis=1)
-        assert (real == (np.arange(sys.horizon) >= sys.horizon - horizons[:, None])).all()
-        found = [drawn[a[sys.horizon - k :].tobytes()] for a, k in zip(sys.a, horizons)]
-        dims = [(sys.state_dim, sys.control_dim, k) for k in horizons]
+        assert (real == (np.arange(k_b) >= k_b - horizons[:, None])).all()
+        found = [drawn[a_i[k_b - k :].tobytes()] for a_i, k in zip(a, horizons)]
+        dims = [(n_x, n_u, k) for k in horizons]
         assert [shape for _, shape in found] == dims
         ids = [i for i, _ in found]
-        batches.append((sys.state_dim, sys.control_dim, sys.a.shape[:2], list(horizons), ids))
-        return original_riccati(sys, weights)
+        batches.append((n_x, n_u, a.shape[:2], list(horizons), ids))
+        return original_riccati(a, b, weights)
 
-    def counted_sensitivities(lin, closed_loop, gains):
+    def counted_sensitivities(cx, cu, cx_terminal, closed_loop, gains):
         sensitivity_shapes.append(gains.shape)
-        return original_sensitivities(lin, closed_loop, gains)
+        return original_sensitivities(cx, cu, cx_terminal, closed_loop, gains)
 
     monkeypatch.setattr(verify, "riccati_backward", counted_riccati)
     monkeypatch.setattr(verify, "cost_error_sensitivities", counted_sensitivities)
@@ -238,26 +239,23 @@ def test_padded_propagation_batches_equal_unpadded_calls(n_instances, seed):
     for (a, b, noises, cx, cu, cx_terminal), horizons, members in batches:
         # The batch's recursions, as propagation_errors runs them.
         gains, riccati = verify._identity_riccati(a, b)
-        d = closed_loop_matrices(LtvSystem(a=a, b=b), gains)
+        d = closed_loop_matrices(a, b, gains)
         states, controls = linear_deviations(d, gains, noises)
-        lin = CostLinearization(cx=cx, cu=cu, cx_terminal=cx_terminal)
-        v = cost_error_sensitivities(lin, d, gains)
+        v = cost_error_sensitivities(cx, cu, cx_terminal, d, gains)
         weights = LqrWeights(np.ones(a.shape[-1]), np.ones(b.shape[-1]))
         for i, (k, (a_i, b_i, noises_i, cx_i, cu_i, cx_terminal_i)) in enumerate(
             zip(horizons, members)
         ):
-            one = LtvSystem(a=a_i, b=b_i)
-            one_gains, one_riccati = riccati_backward(one, weights)
-            one_d = closed_loop_matrices(one, one_gains)
+            one_gains, one_riccati = riccati_backward(a_i, b_i, weights)
+            one_d = closed_loop_matrices(a_i, b_i, one_gains)
             one_states, one_controls = linear_deviations(one_d, one_gains, noises_i)
-            lin = CostLinearization(cx=cx_i, cu=cu_i, cx_terminal=cx_terminal_i)
             expected = (
                 one_gains,
                 one_riccati,
                 one_d,
                 one_states,
                 one_controls,
-                cost_error_sensitivities(lin, one_d, one_gains),
+                cost_error_sensitivities(cx_i, cu_i, cx_terminal_i, one_d, one_gains),
             )
             cuts = [x[i, horizons[-1] - k :] for x in (gains, riccati, d, states, controls, v)]
             assert [x.shape for x in cuts] == [x.shape for x in expected]
@@ -271,10 +269,11 @@ def test_batched_deviations_and_oracles_match_per_instance_rows(n_x, n_u, k):
     b = rng.uniform(-1, 1, size=(6, k, n_x, n_u))
     noises = rng.uniform(-1, 1, size=(6, k, n_x))
     weights = LqrWeights(np.ones(n_x), np.ones(n_u))
-    sys = LtvSystem(a=a, b=b)
-    gains, _ = riccati_backward(sys, weights)
-    d = closed_loop_matrices(sys, gains)
+    gains, _ = riccati_backward(a, b, weights)
+    d = closed_loop_matrices(a, b, gains)
     states, controls = linear_deviations(d, gains, noises)
+    # One closed loop and one set of gains shared by every noise row.
+    shared_states, shared_controls = linear_deviations(d[0], gains[0], noises)
     maps = _noise_maps(d)
     state_sums = _state_sums(maps, noises)
     control_sums = _control_sums(maps, gains, noises)
@@ -282,6 +281,9 @@ def test_batched_deviations_and_oracles_match_per_instance_rows(n_x, n_u, k):
         one_states, one_controls = linear_deviations(d[i], gains[i], noises[i])
         np.testing.assert_array_equal(states[i], one_states)
         np.testing.assert_array_equal(controls[i], one_controls)
+        row_states, row_controls = linear_deviations(d[0], gains[0], noises[i])
+        assert shared_states[i].tobytes() == row_states.tobytes()
+        assert shared_controls[i].tobytes() == row_controls.tobytes()
         one_maps = _noise_maps(d[i])
         np.testing.assert_array_equal(maps[i], one_maps)
         np.testing.assert_array_equal(state_sums[i], _state_sums(one_maps, noises[i]))
@@ -292,21 +294,21 @@ def test_batched_deviations_and_oracles_match_per_instance_rows(n_x, n_u, k):
 
 def test_first_index_convention_is_inert():
     rng = np.random.default_rng(12)
-    sys, weights = random_ltv_instance(rng, max_nx=3, max_k=10)
-    gains, _ = riccati_backward(sys, weights)
-    d = closed_loop_matrices(sys, gains)
+    a, b, weights = random_ltv_instance(rng, max_nx=3, max_k=10)
+    gains, _ = riccati_backward(a, b, weights)
+    d = closed_loop_matrices(a, b, gains)
     d_junk = d.copy()
     d_junk[0] = rng.uniform(-9, 9, size=d[0].shape)
-    noises = rng.standard_normal((sys.horizon, sys.state_dim))
+    noises = rng.standard_normal(b.shape[:2])
     maps, maps_junk = _noise_maps(d), _noise_maps(d_junk)
     np.testing.assert_array_equal(maps, maps_junk)
     np.testing.assert_array_equal(_state_sums(maps, noises), _state_sums(maps_junk, noises))
     np.testing.assert_array_equal(
         linear_deviations(d, gains, noises)[0], linear_deviations(d_junk, gains, noises)[0]
     )
-    lin = random_cost_linearization(rng, sys.horizon, sys.state_dim, sys.control_dim)
+    lin = random_cost_linearization(rng, *b.shape)
     np.testing.assert_array_equal(
-        cost_error_sensitivities(lin, d, gains), cost_error_sensitivities(lin, d_junk, gains)
+        cost_error_sensitivities(*lin, d, gains), cost_error_sensitivities(*lin, d_junk, gains)
     )
 
 
@@ -316,9 +318,9 @@ def test_linearize_cost_effort_only(car_experiment):
     cost = goal_tracking_cost(
         policy.model, planned.config.x_g, effort_weight=0.3, goal_weight=0.0, bound_weight=0.0
     )
-    lin = linearize_cost(cost, policy.nominal)
-    np.testing.assert_allclose(lin.cu, 2 * 0.3 * policy.nominal.controls, atol=1e-15)
-    assert np.all(lin.cx == 0.0)
+    cx, cu, _ = linearize_cost(cost, policy.nominal)
+    np.testing.assert_allclose(cu, 2 * 0.3 * policy.nominal.controls, atol=1e-15)
+    assert np.all(cx == 0.0)
 
 
 def test_linearize_cost_terminal_gradient_zero_at_goal():
@@ -329,13 +331,13 @@ def test_linearize_cost_terminal_gradient_zero_at_goal():
     cost = goal_tracking_cost(car, goal, effort_weight=0.0, goal_weight=5.0, bound_weight=0.0)
     states = np.vstack([np.zeros(3), goal])
     traj = NominalTrajectory(states=states, controls=np.zeros((1, 2)))
-    lin = linearize_cost(cost, traj)
-    np.testing.assert_array_equal(lin.cx_terminal, np.zeros(3))
+    _, _, cx_terminal = linearize_cost(cost, traj)
+    np.testing.assert_array_equal(cx_terminal, np.zeros(3))
 
 
 def test_linearize_cost_matches_finite_differences(car_experiment):
     planned, _ = car_experiment
-    lin = linearize_cost(planned.cost, planned.policy.nominal)
+    _, cu, cx_terminal = linearize_cost(planned.cost, planned.policy.nominal)
     cost = planned.cost
     h = 1e-6
     for t in (0, 5, 19):
@@ -343,7 +345,7 @@ def test_linearize_cost_matches_finite_differences(car_experiment):
         fd_u = np.array(
             [(cost.stage(u + h * e) - cost.stage(u - h * e)) / (2 * h) for e in np.eye(2)]
         )
-        assert np.linalg.norm(lin.cu[t] - fd_u) <= 1e-6 * max(np.linalg.norm(fd_u), 1.0)
+        assert np.linalg.norm(cu[t] - fd_u) <= 1e-6 * max(np.linalg.norm(fd_u), 1.0)
     x_k = planned.policy.nominal.states[-1]
     fd_x = np.array(
         [
@@ -351,20 +353,16 @@ def test_linearize_cost_matches_finite_differences(car_experiment):
             for e in np.eye(3)
         ]
     )
-    assert np.linalg.norm(lin.cx_terminal - fd_x) <= 1e-6 * np.linalg.norm(fd_x)
+    assert np.linalg.norm(cx_terminal - fd_x) <= 1e-6 * np.linalg.norm(fd_x)
 
 
 def test_first_order_cost_error_zero_and_linear():
-    lin = CostLinearization(
-        cx=np.array([[1.0, 2.0], [0.5, -1.0]]),
-        cu=np.array([[1.0], [2.0]]),
-        cx_terminal=np.array([3.0, -1.0]),
-    )
-    assert first_order_cost_error(lin, np.zeros((3, 2)), np.zeros((2, 1))) == 0.0
+    lin = np.array([[1.0, 2.0], [0.5, -1.0]]), np.array([[1.0], [2.0]]), np.array([3.0, -1.0])
+    assert first_order_cost_error(*lin, np.zeros((3, 2)), np.zeros((2, 1))) == 0.0
     rng = np.random.default_rng(1)
     states, controls = rng.standard_normal((3, 2)), rng.standard_normal((2, 1))
-    assert first_order_cost_error(lin, 3.5 * states, 3.5 * controls) == pytest.approx(
-        3.5 * first_order_cost_error(lin, states, controls), rel=1e-12
+    assert first_order_cost_error(*lin, 3.5 * states, 3.5 * controls) == pytest.approx(
+        3.5 * first_order_cost_error(*lin, states, controls), rel=1e-12
     )
 
 
@@ -373,34 +371,30 @@ def test_coefficient_table_scalar_hand_values():
     # (0,2) = 0.5 and (1,2) = 1.0 sum to v = [1.5, 1.0].
     d = scalar_stack([2.0, 0.5])
     gains = scalar_stack([0.5, 0.5])
-    lin = CostLinearization(
-        cx=np.ones((2, 1)),
-        cu=np.zeros((2, 1)),
-        cx_terminal=np.ones(1),
-    )
-    v = cost_error_sensitivities(lin, d, gains)
+    lin = np.ones((2, 1)), np.zeros((2, 1)), np.ones(1)
+    v = cost_error_sensitivities(*lin, d, gains)
     np.testing.assert_allclose(v[:, 0], [1.5, 1.0], rtol=0, atol=1e-15)
-    oracle = _coefficient_sums(lin, _noise_maps(d), gains)
+    oracle = _coefficient_sums(*lin, _noise_maps(d), gains)
     np.testing.assert_allclose(oracle[:, 0], [1.5, 1.0], rtol=0, atol=1e-15)
 
 
 def test_zero_cost_gradients_give_zero_coefficients():
     d = scalar_stack([1.0, 1.0, 1.0])
     gains = np.ones((3, 1, 1))
-    lin = CostLinearization(cx=np.zeros((3, 1)), cu=np.zeros((3, 1)), cx_terminal=np.zeros(1))
-    assert np.all(cost_error_sensitivities(lin, d, gains) == 0.0)
-    assert np.all(_coefficient_sums(lin, _noise_maps(d), gains) == 0.0)
+    lin = np.zeros((3, 1)), np.zeros((3, 1)), np.zeros(1)
+    assert np.all(cost_error_sensitivities(*lin, d, gains) == 0.0)
+    assert np.all(_coefficient_sums(*lin, _noise_maps(d), gains) == 0.0)
 
 
 def test_sensitivities_match_coefficient_oracle():
     rng = np.random.default_rng(31)
     for _ in range(50):
-        sys, weights = random_ltv_instance(rng)
-        gains, _ = riccati_backward(sys, weights)
-        d = closed_loop_matrices(sys, gains)
-        lin = random_cost_linearization(rng, sys.horizon, sys.state_dim, sys.control_dim)
-        v = cost_error_sensitivities(lin, d, gains)
-        oracle = _coefficient_sums(lin, _noise_maps(d), gains)
+        a, b, weights = random_ltv_instance(rng)
+        gains, _ = riccati_backward(a, b, weights)
+        d = closed_loop_matrices(a, b, gains)
+        lin = random_cost_linearization(rng, *b.shape)
+        v = cost_error_sensitivities(*lin, d, gains)
+        oracle = _coefficient_sums(*lin, _noise_maps(d), gains)
         assert np.linalg.norm(v - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
 
@@ -408,7 +402,7 @@ def test_cost_error_is_odd_and_additive_in_noise(car_experiment):
     planned, _ = car_experiment
     policy = planned.policy
     lin = linearize_cost(planned.cost, policy.nominal)
-    v = cost_error_sensitivities(lin, policy.closed_loop, policy.gains)
+    v = cost_error_sensitivities(*lin, policy.closed_loop, policy.gains)
 
     def evaluate(noises):
         return float(np.sum(v * noises))
@@ -426,14 +420,14 @@ def _looped_reconstruction_rel(planned):
     """Reference: the costerror suite's reconstruction, one (K, n) draw at a time."""
     policy = planned.policy
     lin = linearize_cost(planned.cost, policy.nominal)
-    v = cost_error_sensitivities(lin, policy.closed_loop, policy.gains)
+    v = cost_error_sensitivities(*lin, policy.closed_loop, policy.gains)
     sigma = noise_sigma(policy, 0.05)
     rng = np.random.default_rng(derive_seed(planned.config.master_seed, _CTX_RECONSTRUCTION))
     max_rel = 0.0
     for _ in range(100):
         noises = sigma * rng.standard_normal(v.shape)
         direct = first_order_cost_error(
-            lin, *linear_deviations(policy.closed_loop, policy.gains, noises)
+            *lin, *linear_deviations(policy.closed_loop, policy.gains, noises)
         )
         rebuilt = float(np.sum(v * noises))
         max_rel = max(max_rel, abs(rebuilt - direct) / max(abs(direct), 1e-12))
@@ -461,25 +455,21 @@ def test_batched_first_order_cost_error_rows_equal_single_calls():
     rng = np.random.default_rng(44)
     lins = [random_cost_linearization(rng, 9, 3, 2) for _ in range(5)]
     states, controls = rng.uniform(-1, 1, size=(5, 10, 3)), rng.uniform(-1, 1, size=(5, 9, 2))
-    stacked = CostLinearization(
-        cx=np.stack([lin.cx for lin in lins]),
-        cu=np.stack([lin.cu for lin in lins]),
-        cx_terminal=np.stack([lin.cx_terminal for lin in lins]),
-    )
-    batched = first_order_cost_error(stacked, states, controls)
-    shared = first_order_cost_error(lins[0], states, controls)
+    stacked = [np.stack(x) for x in zip(*lins)]
+    batched = first_order_cost_error(*stacked, states, controls)
+    shared = first_order_cost_error(*lins[0], states, controls)
     assert batched.shape == shared.shape == (5,)
     for i, lin in enumerate(lins):
-        assert batched[i] == first_order_cost_error(lin, states[i], controls[i])
-        assert shared[i] == first_order_cost_error(lins[0], states[i], controls[i])
+        assert batched[i] == first_order_cost_error(*lin, states[i], controls[i])
+        assert shared[i] == first_order_cost_error(*lins[0], states[i], controls[i])
     with pytest.raises(ValueError):
-        first_order_cost_error(stacked, states[:, :9], controls)
+        first_order_cost_error(*stacked, states[:, :9], controls)
 
 
 def _car_sensitivities(planned):
     policy = planned.policy
     lin = linearize_cost(planned.cost, policy.nominal)
-    return cost_error_sensitivities(lin, policy.closed_loop, policy.gains)
+    return cost_error_sensitivities(*lin, policy.closed_loop, policy.gains)
 
 
 def test_statistics_zero_epsilon_degenerate(car_experiment):

@@ -11,7 +11,6 @@ from tlqr.dynamics import KinematicCar, NominalTrajectory
 from tlqr.exceptions import NumericalFailure
 from tlqr.lqr import (
     LqrWeights,
-    LtvSystem,
     TrackingPolicy,
     closed_loop_matrices,
     design_tracking_policy,
@@ -40,24 +39,24 @@ def scalar_policy(gain: float) -> TrackingPolicy:
 
 def test_linearize_constant_nominal():
     traj = CAR.rollout_nominal(X0, np.zeros((5, 2)))
-    sys = linearize_along(CAR, traj)
-    assert sys.horizon == 5
+    a, b = linearize_along(CAR, traj)
+    assert len(a) == len(b) == 5
     for t in range(1, 5):
-        np.testing.assert_array_equal(sys.a[t], sys.a[0])
-        np.testing.assert_array_equal(sys.b[t], sys.b[0])
+        np.testing.assert_array_equal(a[t], a[0])
+        np.testing.assert_array_equal(b[t], b[0])
 
 
 def test_linearize_matches_dynamics_hand_values():
     u = np.array([0.6, 0.0])
     traj = CAR.rollout_nominal(X0, u[None, :])
-    sys = linearize_along(CAR, traj)
-    np.testing.assert_allclose(sys.a[0], [[1, 0, 0], [0, 1, 0.42], [0, 0, 1]], atol=1e-12)
-    np.testing.assert_allclose(sys.b[0], [[0.7, 0], [0, 0], [0, 0.84]], atol=1e-12)
+    a, b = linearize_along(CAR, traj)
+    np.testing.assert_allclose(a[0], [[1, 0, 0], [0, 1, 0.42], [0, 0, 1]], atol=1e-12)
+    np.testing.assert_allclose(b[0], [[0.7, 0], [0, 0], [0, 0.84]], atol=1e-12)
 
 
 def test_riccati_scalar_hand_fixture():
-    sys = LtvSystem(a=np.ones((2, 1, 1)), b=np.ones((2, 1, 1)))
-    gains, riccati = riccati_backward(sys, LqrWeights([1.0], [1.0]))
+    ones = np.ones((2, 1, 1))
+    gains, riccati = riccati_backward(ones, ones, LqrWeights([1.0], [1.0]))
     np.testing.assert_allclose(riccati.ravel(), [1.6, 1.5, 1.0], atol=1e-12)
     np.testing.assert_allclose(gains.ravel(), [0.6, 0.5], atol=1e-12)
 
@@ -66,8 +65,7 @@ def test_riccati_no_actuation_reduces_to_open_loop():
     rng = np.random.default_rng(5)
     k, n = 6, 3
     a = rng.uniform(-1, 1, size=(k, n, n))
-    sys = LtvSystem(a=a, b=np.zeros((k, n, 1)))
-    gains, riccati = riccati_backward(sys, LqrWeights(np.ones(n), [1.0]))
+    gains, riccati = riccati_backward(a, np.zeros((k, n, 1)), LqrWeights(np.ones(n), [1.0]))
     assert np.all(gains == 0.0)
     expected = np.eye(n)
     for t in range(k - 1, -1, -1):  # oracle: P_t = Wx + A^T P_{t+1} A
@@ -79,37 +77,45 @@ def test_riccati_no_actuation_reduces_to_open_loop():
 def test_riccati_zero_state_weight_gives_zero():
     k, n = 4, 2
     rng = np.random.default_rng(8)
-    sys = LtvSystem(a=rng.uniform(-1, 1, (k, n, n)), b=rng.uniform(-1, 1, (k, n, 1)))
-    gains, riccati = riccati_backward(sys, LqrWeights(np.zeros(n), [1.0]))
+    a, b = rng.uniform(-1, 1, (k, n, n)), rng.uniform(-1, 1, (k, n, 1))
+    gains, riccati = riccati_backward(a, b, LqrWeights(np.zeros(n), [1.0]))
     assert np.all(gains == 0.0) and np.all(riccati == 0.0)
 
 
 @pytest.mark.parametrize("n, m, k", [(1, 1, 2), (1, 2, 6), (2, 2, 2), (3, 1, 9), (4, 2, 20)])
 def test_batched_riccati_and_closed_loop_match_per_instance_rows(n, m, k):
     rng = np.random.default_rng(n * 100 + m * 10 + k)
-    sys = LtvSystem(a=rng.uniform(-1, 1, (5, k, n, n)), b=rng.uniform(-1, 1, (5, k, n, m)))
-    assert (sys.horizon, sys.state_dim, sys.control_dim) == (k, n, m)
+    a, b = rng.uniform(-1, 1, (5, k, n, n)), rng.uniform(-1, 1, (5, k, n, m))
     weights = LqrWeights(np.ones(n), np.ones(m))
-    gains, riccati = riccati_backward(sys, weights)
-    d = closed_loop_matrices(sys, gains)
+    gains, riccati = riccati_backward(a, b, weights)
+    d = closed_loop_matrices(a, b, gains)
     assert gains.shape == (5, k, m, n) and riccati.shape == (5, k + 1, n, n)
     for i in range(5):
-        one = LtvSystem(a=sys.a[i], b=sys.b[i])
-        one_gains, one_riccati = riccati_backward(one, weights)
+        one_gains, one_riccati = riccati_backward(a[i], b[i], weights)
         np.testing.assert_array_equal(gains[i], one_gains)
         np.testing.assert_array_equal(riccati[i], one_riccati)
-        np.testing.assert_array_equal(d[i], closed_loop_matrices(one, one_gains))
-    with pytest.raises(ValueError):
-        closed_loop_matrices(sys, gains[0])
+        np.testing.assert_array_equal(d[i], closed_loop_matrices(a[i], b[i], one_gains))
+    with pytest.raises(ValueError, match="gains have shape"):
+        closed_loop_matrices(a, b, gains[0])
+    # A non-square A is rejected, not broadcast against B L.
+    with pytest.raises(ValueError, match="A has shape"):
+        closed_loop_matrices(a[..., :0], b, gains)
 
 
 def test_ltv_system_batch_shapes_validated():
-    with pytest.raises(ValueError):
-        LtvSystem(a=np.zeros((2, 3, 1, 1)), b=np.zeros((3, 3, 1, 1)))  # batch sizes differ
-    with pytest.raises(ValueError):
-        LtvSystem(a=np.zeros((2, 3, 1, 1)), b=np.zeros((3, 1, 1)))  # batch axis on A only
-    with pytest.raises(ValueError):
-        LtvSystem(a=np.zeros((1, 2, 3, 1, 1)), b=np.zeros((1, 2, 3, 1, 1)))  # two batch axes
+    weights = LqrWeights([1.0], [1.0])
+    # Batch sizes differ.
+    with pytest.raises(ValueError, match="aligned"):
+        riccati_backward(np.zeros((2, 3, 1, 1)), np.zeros((3, 3, 1, 1)), weights)
+    # A batch axis on A only.
+    with pytest.raises(ValueError, match="aligned"):
+        riccati_backward(np.zeros((2, 3, 1, 1)), np.zeros((3, 1, 1)), weights)
+    # Two batch axes.
+    with pytest.raises(ValueError, match="square"):
+        riccati_backward(np.zeros((1, 2, 3, 1, 1)), np.zeros((1, 2, 3, 1, 1)), weights)
+    # A non-square A: a (K, n, 1) stack would broadcast through the recursion.
+    with pytest.raises(ValueError, match="square"):
+        riccati_backward(np.ones((3, 2, 1)), np.ones((3, 2, 1)), LqrWeights([1.0, 1.0], [1.0]))
 
 
 def test_value_identity_on_random_instances():
@@ -121,11 +127,11 @@ def _per_instance_value_identity_error(n_instances, seed):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_instances):
-        sys, weights = random_ltv_instance(rng)
-        gains, riccati = riccati_backward(sys, weights)
-        x0 = rng.uniform(-1.0, 1.0, size=sys.state_dim)
+        a, b, weights = random_ltv_instance(rng)
+        gains, riccati = riccati_backward(a, b, weights)
+        x0 = rng.uniform(-1.0, 1.0, size=a.shape[-1])
         predicted = float(x0 @ riccati[0] @ x0)
-        simulated = simulated_quadratic_cost(sys, weights, gains, x0)
+        simulated = simulated_quadratic_cost(a, b, weights, gains, x0)
         worst = max(worst, abs(predicted - simulated) / max(abs(simulated), 1e-12))
     return worst
 
@@ -135,15 +141,15 @@ def test_family_padded_value_identity_equals_per_instance_reference(seed):
     assert value_identity_error(100, seed) == _per_instance_value_identity_error(100, seed)
 
 
-def _loop_quadratic_cost(sys, weights, gains, x0):
+def _loop_quadratic_cost(a, b, weights, gains, x0):
     """Reference: the simulated cost one instance, one step and one vector at a time."""
     wx, wu = np.diag(weights.wx), np.diag(weights.wu)
     x = np.asarray(x0, dtype=float)
     total = 0.0
-    for t in range(sys.horizon):
+    for t in range(len(a)):
         u = -gains[t] @ x
         total += float(x @ wx @ x + u @ wu @ u)
-        x = sys.a[t] @ x + sys.b[t] @ u
+        x = a[t] @ x + b[t] @ u
     return total + float(x @ wx @ x)
 
 
@@ -157,38 +163,36 @@ def test_family_padded_value_identity_totals_equal_per_instance_loops(seed):
         p0 = riccati[np.arange(len(x0)), horizons[-1] - np.asarray(horizons)]
         predicted = (x0[:, None, :] @ p0 @ x0[:, :, None])[:, 0, 0]
         weights = LqrWeights(np.ones(a.shape[-1]), np.ones(b.shape[-1]))
-        sys = LtvSystem(a=a, b=b)
-        simulated = simulated_quadratic_cost(sys, weights, gains, x0, horizons)
+        simulated = simulated_quadratic_cost(a, b, weights, gains, x0, horizons)
         assert predicted.shape == simulated.shape == (len(members),)
         for i, (k, (a_i, b_i, x0_i)) in enumerate(zip(horizons, members)):
-            one = LtvSystem(a=a_i, b=b_i)
-            one_gains, one_riccati = riccati_backward(one, weights)
+            one_gains, one_riccati = riccati_backward(a_i, b_i, weights)
             assert gains[i, horizons[-1] - k :].tobytes() == one_gains.tobytes()
             assert riccati[i, horizons[-1] - k :].tobytes() == one_riccati.tobytes()
             assert predicted[i].tobytes() == np.float64(x0_i @ one_riccati[0] @ x0_i).tobytes()
-            loop = _loop_quadratic_cost(one, weights, one_gains, x0_i)
+            loop = _loop_quadratic_cost(a_i, b_i, weights, one_gains, x0_i)
             assert simulated[i].tobytes() == np.float64(loop).tobytes()
-            single = simulated_quadratic_cost(one, weights, one_gains, x0_i)
+            single = simulated_quadratic_cost(a_i, b_i, weights, one_gains, x0_i)
             assert np.float64(single).tobytes() == np.float64(loop).tobytes()
     # A padded batch's horizons must ascend, so that the running instances are the last ones.
-    batch = LtvSystem(a=np.stack([one.a] * 2), b=np.stack([one.b] * 2))
-    gains = np.stack([one_gains] * 2)
+    a, b, gains, x0 = (np.stack([x] * 2) for x in (a_i, b_i, one_gains, x0_i))
     with pytest.raises(ValueError, match="ascending"):
-        simulated_quadratic_cost(batch, weights, gains, np.stack([x0_i] * 2), [one.horizon, 1])
+        simulated_quadratic_cost(a, b, weights, gains, x0, [len(a_i), 1])
 
 
 def test_value_identity_riccati_calls_follow_the_padded_batch_rule(monkeypatch):
     calls = []
     original = verify.riccati_backward
 
-    def counted(sys, weights):
+    def counted(a, b, weights):
         # An instance of horizon k fills the last k steps of its row; every
         # real step of A has nonzero entries.
-        real = np.abs(sys.a).sum(axis=(-2, -1)) > 0
+        k_b, n_x, n_u = b.shape[-3:]
+        real = np.abs(a).sum(axis=(-2, -1)) > 0
         horizons = real.sum(axis=1)
-        assert (real == (np.arange(sys.horizon) >= sys.horizon - horizons[:, None])).all()
-        calls.append(((sys.state_dim, sys.control_dim), horizons.tolist(), sys.horizon))
-        return original(sys, weights)
+        assert (real == (np.arange(k_b) >= k_b - horizons[:, None])).all()
+        calls.append(((n_x, n_u), horizons.tolist(), k_b))
+        return original(a, b, weights)
 
     monkeypatch.setattr(verify, "riccati_backward", counted)
     value_identity_error(n_instances=1000, seed=1002)
@@ -222,7 +226,7 @@ def test_padded_riccati_rows_equal_unpadded_sweeps(n, m, horizons, seed):
     assert gains.shape == (len(horizons), k_max, m, n) and riccati.shape[1] == k_max + 1
     weights = LqrWeights(np.ones(n), np.ones(m))
     for i, k in enumerate(horizons):
-        one_gains, one_riccati = riccati_backward(LtvSystem(a=a[i], b=b[i]), weights)
+        one_gains, one_riccati = riccati_backward(a[i], b[i], weights)
         assert gains[i, k_max - k :].tobytes() == one_gains.tobytes()
         assert riccati[i, k_max - k :].tobytes() == one_riccati.tobytes()
 
@@ -230,16 +234,16 @@ def test_padded_riccati_rows_equal_unpadded_sweeps(n, m, horizons, seed):
 def test_gain_perturbation_never_beats_optimum():
     rng = np.random.default_rng(17)
     for _ in range(20):
-        sys, weights = random_ltv_instance(rng, max_nx=3, max_k=10)
-        gains, _ = riccati_backward(sys, weights)
-        x0 = rng.uniform(-1, 1, size=sys.state_dim)
-        base = simulated_quadratic_cost(sys, weights, gains, x0)
-        t = int(rng.integers(0, sys.horizon))
+        a, b, weights = random_ltv_instance(rng, max_nx=3, max_k=10)
+        gains, _ = riccati_backward(a, b, weights)
+        x0 = rng.uniform(-1, 1, size=a.shape[-1])
+        base = simulated_quadratic_cost(a, b, weights, gains, x0)
+        t = int(rng.integers(0, len(a)))
         direction = rng.standard_normal(gains[t].shape)
         direction *= 1e-3 / np.linalg.norm(direction)
         perturbed = gains.copy()
         perturbed[t] = perturbed[t] + direction
-        assert simulated_quadratic_cost(sys, weights, perturbed, x0) >= base - 1e-12
+        assert simulated_quadratic_cost(a, b, weights, perturbed, x0) >= base - 1e-12
 
 
 def test_policy_invariants(car_experiment):
@@ -251,11 +255,9 @@ def test_policy_invariants(car_experiment):
         assert np.linalg.norm(p - p.T) <= 1e-10
         assert np.linalg.eigvalsh(p).min() >= -1e-10
     np.testing.assert_array_equal(policy.riccati[k], np.eye(3))
-    sys = linearize_along(policy.model, policy.nominal)
+    a, b = linearize_along(policy.model, policy.nominal)
     for t in range(k):
-        np.testing.assert_allclose(
-            policy.closed_loop[t], sys.a[t] - sys.b[t] @ policy.gains[t], atol=1e-12
-        )
+        np.testing.assert_allclose(policy.closed_loop[t], a[t] - b[t] @ policy.gains[t], atol=1e-12)
 
 
 def test_policy_rejects_model_of_other_dimensions(car_experiment):
@@ -354,32 +356,29 @@ def test_weights_validation():
 
 @pytest.mark.parametrize("wx, wu", [(np.ones(3), np.ones(1)), (np.ones(2), np.ones(2))])
 def test_riccati_rejects_weights_of_other_dimensions(wx, wu):
-    sys = LtvSystem(a=np.ones((4, 2, 2)), b=np.ones((4, 2, 1)))
     with pytest.raises(ValueError, match="the LTV system's n=2 and m=1 entries"):
-        riccati_backward(sys, LqrWeights(wx, wu))
+        riccati_backward(np.ones((4, 2, 2)), np.ones((4, 2, 1)), LqrWeights(wx, wu))
 
 
 def test_riccati_terminal_weight_is_the_diagonal():
     # Bit for bit the symmetrized terminal weight 0.5 (W + W^T) of a weight
     # matrix W, for any weight whose double does not overflow.
     wx = np.array([3.0, 5e-324, 0.0, 8.9e307])
-    sys = LtvSystem(a=np.zeros((2, 4, 4)), b=np.zeros((2, 4, 1)))
-    _, riccati = riccati_backward(sys, LqrWeights(wx, [1.0]))
+    _, riccati = riccati_backward(np.zeros((2, 4, 4)), np.zeros((2, 4, 1)), LqrWeights(wx, [1.0]))
     w = np.diag(wx)
     assert riccati[2].tobytes() == w.tobytes() == (0.5 * (w + w.T)).tobytes()
 
 
 def test_riccati_overflow_names_the_first_step(car_experiment):
     policy = car_experiment[0].policy
-    sys = linearize_along(policy.model, policy.nominal)
+    a, b = linearize_along(policy.model, policy.nominal)
     with pytest.raises(NumericalFailure, match="Riccati recursion is not finite at step 19"):
-        riccati_backward(sys, LqrWeights(np.full(3, 1e308), np.ones(2)))
+        riccati_backward(a, b, LqrWeights(np.full(3, 1e308), np.ones(2)))
     k = 7
     a = np.zeros((2, k, 1, 1))
     a[1, 3] = 1e200  # only row 1 overflows, at step 3: P_3 = 1 + 1e400
-    sys = LtvSystem(a=a, b=np.zeros((2, k, 1, 1)))
     with pytest.raises(NumericalFailure, match="not finite at step 3$"):
-        riccati_backward(sys, LqrWeights([1.0], [1.0]))
+        riccati_backward(a, np.zeros((2, k, 1, 1)), LqrWeights([1.0], [1.0]))
 
 
 def test_design_policy_round_trip(car_experiment):

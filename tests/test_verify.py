@@ -59,7 +59,7 @@ def test_nan_results_fail_the_worst_case_checks(monkeypatch):
     def nan_deviations(d, gains, noises):
         return tuple(np.full_like(x, np.nan) for x in original(d, gains, noises))
 
-    def nan_costs(sys, weights, gains, x0, horizons=None):
+    def nan_costs(a, b, weights, gains, x0, horizons=None):
         return np.full(len(x0), np.nan)
 
     monkeypatch.setattr(verify, "linear_deviations", nan_deviations)
