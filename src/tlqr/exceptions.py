@@ -16,10 +16,6 @@ class BoundViolation(ValueError):
         )
 
 
-class DomainError(ValueError):
-    """Evaluation requested outside the model's smooth domain."""
-
-
 class NumericalFailure(RuntimeError):
     """A numerical routine produced NaN/Inf or hit a singular system."""
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Array, KinematicCar, NominalTrajectory
-from .exceptions import DomainError, NumericalFailure
+from .exceptions import NumericalFailure
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,9 +95,9 @@ def linearize_along(model: KinematicCar, nominal: NominalTrajectory) -> tuple[Ar
     """Jacobians of the Euler step at every nominal (state, control) pair.
 
     Returns the stacks A (K, n, n) and B (K, n, m). Raises ``ValueError``
-    when the nominal's dimensions are not the model's, and ``DomainError``
-    when a steering angle (the last control) is NaN or reaches its strict
-    bound, where the heading-rate map tan(phi)/L is singular.
+    when the nominal's dimensions are not the model's, and the model's
+    ``validate_control`` error (the car's ``BoundViolation``) when a nominal
+    control lies outside its domain.
     """
     n, m = model.state_dim, model.control_dim
     if (nominal.state_dim, nominal.control_dim) != (n, m):
@@ -105,13 +105,7 @@ def linearize_along(model: KinematicCar, nominal: NominalTrajectory) -> tuple[Ar
             f"nominal dimensions (n={nominal.state_dim}, m={nominal.control_dim}) "
             f"do not match the model (n={n}, m={m})"
         )
-    phi, phi_max = nominal.controls[:, -1], model.control_bounds()[-1]
-    singular = phi[~(np.abs(phi) < phi_max)]
-    if len(singular):
-        raise DomainError(
-            f"heading-rate map is singular at |phi| >= phi_max ({phi_max:.6g}); "
-            f"got phi = {singular[0]:.6g}"
-        )
+    model.validate_control(nominal.controls)
     return model.transition_jacobians(nominal.states[:-1], nominal.controls)
 
 

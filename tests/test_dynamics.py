@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import LinearSystem
 from tlqr.dynamics import KinematicCar, NominalTrajectory
 from tlqr.error_analysis import adjoint_sweep
-from tlqr.exceptions import BoundViolation, DomainError
+from tlqr.exceptions import BoundViolation
 from tlqr.lqr import linearize_along
 
 CAR = KinematicCar(wheelbase=0.5, step_period=0.7, v_max=0.6, phi_max=np.pi / 2)
@@ -207,18 +207,28 @@ def test_steering_bound_violation_names_component():
 
 
 def test_jacobian_domain_error_at_singularity():
-    with pytest.raises(DomainError):
+    # linearize_along asks the plant, so a nominal outside the car's control
+    # domain raises the car's BoundViolation, naming the component.
+    with pytest.raises(BoundViolation, match="'phi' = 1.5708"):
         linearized_pair(CAR, X0, np.array([0.1, CAR.phi_max]))
     u = np.tile([0.1, 0.2], (5, 1))
     u[3, 1] = -CAR.phi_max
     nominal = NominalTrajectory(states=np.tile(X0, (6, 1)), controls=u)
-    with pytest.raises(DomainError, match="phi = -1.5708"):
+    with pytest.raises(BoundViolation, match="'phi' = -1.5708"):
         linearize_along(CAR, nominal)
-    # A NaN steering angle is not within the bound either.
-    u = np.tile([0.1, 0.2], (3, 1))
-    u[1, 1] = np.nan
-    with pytest.raises(DomainError, match="phi = nan"):
-        linearize_along(CAR, NominalTrajectory(states=np.tile(X0, (4, 1)), controls=u))
+    cases = [
+        (CAR, 1, np.nan, "'phi' = nan"),  # a NaN angle is not within the bound either
+        (CAR, 0, np.nan, "'v' = nan"),
+        (CAR, 0, 0.9, "'v' = 0.9 violates bound 0.6"),
+        # The bound is the model's, not the angle where tan(phi) is singular.
+        (KinematicCar(phi_max=1.0), 1, 1.0, "'phi' = 1 violates bound 1$"),
+    ]
+    for model, component, value, message in cases:
+        u = np.tile([0.1, 0.2], (3, 1))
+        u[1, component] = value
+        nominal = NominalTrajectory(states=np.tile(X0, (4, 1)), controls=u)
+        with pytest.raises(BoundViolation, match=message):
+            linearize_along(model, nominal)
 
 
 def test_clamp_rows():

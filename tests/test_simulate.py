@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import LinearSystem, config_sweep, seeded_states
-from tlqr import simulate
+from tlqr import large_deviations, simulate
 from tlqr.config import FULL_GRID, MAX_RUNS, epsilon_grid
 from tlqr.dynamics import NominalTrajectory
 from tlqr.exceptions import BoundViolation, NumericalFailure
+from tlqr.experiments import plan_experiment
 from tlqr.large_deviations import action_functional, estimate_exit_probability
 from tlqr.lqr import LqrWeights, TrackingPolicy, design_tracking_policy, feedback_rows
 from tlqr.simulate import (
@@ -875,3 +876,64 @@ def test_monte_carlo_builds_no_seed_sequence_per_run(car_experiment, monkeypatch
     counts.clear()
     estimate_exit_probability(planned.policy, 0.3, 0.05, 3 * n_runs, seed=3)
     assert counts == {"PCG64": 3 * n_runs, "Generator": 3 * n_runs}
+
+
+def test_mirrored_goal_mirrors_plan_gains_and_runs_bit_for_bit(car_experiment, monkeypatch):
+    """y -> -y, theta -> -theta maps the whole pipeline onto itself, bit for bit.
+
+    IEEE negation is exact, sin and tan are odd and cos is even in every
+    kernel, and the squares and dot products carry no sign, so this holds on
+    every BLAS and SIMD row where the pins do not. The closed-loop runs at
+    eps = 0.15 include some that reach the singular steering clamp.
+    """
+    s, s_u = np.array([1.0, -1.0, -1.0]), np.array([1.0, -1.0])
+    planned = car_experiment[0]
+    cfg = planned.config
+    cfg = dataclasses.replace(cfg, x0=tuple(s * cfg.x0), x_g=tuple(s * cfg.x_g))
+    mirror = plan_experiment(cfg)
+    fields = (
+        "iterations",
+        "cost_history",
+        "final_cost",
+        "terminal_position_error",
+        "terminal_heading_error",
+    )
+    assert [getattr(mirror.report, f) for f in fields] == [getattr(planned.report, f) for f in fields]
+    p, q = planned.policy, mirror.policy
+    assert q.nominal.states.tobytes() == (p.nominal.states * s).tobytes()
+    assert q.nominal.controls.tobytes() == (p.nominal.controls * s_u).tobytes()
+    assert q.gains.tobytes() == (s_u[:, None] * p.gains * s).tobytes()
+    # P_K is diag(wx) on both sides; S P_K S would write its zeros as -0.0.
+    assert q.riccati[:-1].tobytes() == (s[:, None] * p.riccati[:-1] * s).tobytes()
+    assert q.riccati[-1].tobytes() == p.riccati[-1].tobytes()
+
+    z = np.random.default_rng(28).standard_normal((3000, p.horizon, 3))
+    for mode in (CLOSED_LOOP, OPEN_LOOP):
+        runs, mirrored = np.empty((2, 3000, p.horizon + 1, 3))
+        runs[:, 1:], mirrored[:, 1:] = z, z * s
+        rollout_states(p, 0.15, mode, runs)
+        rollout_states(q, 0.15, mode, mirrored)
+        assert mirrored.tobytes() == (runs * s).tobytes()
+        assert nmse_values(q.nominal, mirrored).tobytes() == nmse_values(p.nominal, runs).tobytes()
+        # tan(phi) at the clamp is about 3.5e15: only closed-loop runs reach it.
+        assert (np.abs(runs[..., 2]) > 1e6).any() == (mode == CLOSED_LOOP)
+
+    def exit_deviations(policy, sign):
+        """The exit study's per-run maximum deviations, its normals times ``sign``."""
+        worst = []
+
+        def draw(words, out):
+            _standard_normals(words, out)
+            out *= sign
+
+        def spy(*args):
+            worst.append(seeded_runs(*args))
+            return worst[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(simulate, "_standard_normals", draw)
+            patch.setattr(large_deviations, "seeded_runs", spy)
+            estimate_exit_probability(policy, 0.3, 0.15, 3000, seed=28)
+        return worst[0]
+
+    assert exit_deviations(q, s).tobytes() == exit_deviations(p, 1.0).tobytes()
