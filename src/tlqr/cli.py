@@ -1,4 +1,10 @@
-"""Command-line entry point: plan / sweep / ldp / verify.
+"""Command-line entry point: plan / sweep / ldp / verify, and the wiring beneath them.
+
+``plan_experiment`` turns a config into its goal cost, planned nominal and
+tracking policy, timing the stage in a ``RunStats``; each command then runs
+its study on that plan (``simulate.sweep_epsilon``,
+``large_deviations.exit_study`` or the ``verify`` suites) and writes its
+files.
 
 Exit codes: 0 success, 1 configuration or usage error (a configured size
 that does not fit in memory included), 2 non-convergence or failed
@@ -18,7 +24,10 @@ import functools
 import json
 import os
 import sys
+import time
+from contextlib import contextmanager
 from datetime import datetime, timezone
+from typing import Iterator
 
 import numpy as np
 
@@ -32,11 +41,98 @@ from .config import (
     epsilon_grid,
     load_config,
 )
+from .dynamics import KinematicCar
 from .exceptions import ConfigError, NumericalFailure
-from .experiments import PlannedExperiment, RunStats, plan_experiment, run_exit_study
+from .large_deviations import exit_study
+from .lqr import LqrWeights, TrackingPolicy, design_tracking_policy
+from .planner import GoalCost, PlannerReport, goal_tracking_cost, optimize_nominal
 from .simulate import CLOSED_LOOP, OPEN_LOOP, sweep_epsilon
 
 _MODE_CHOICES = {"both": (CLOSED_LOOP, OPEN_LOOP), "closed": (CLOSED_LOOP,), "open": (OPEN_LOOP,)}
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class PlannedExperiment:
+    """Everything derived from one config: goal cost, planner report and policy.
+
+    ``cost`` is the goal cost the nominal minimizes; the cost-error analysis
+    linearizes it along the nominal. The policy carries the model
+    (``policy.model``) and the planned nominal (``policy.nominal``).
+    """
+
+    config: ExperimentConfig
+    cost: GoalCost
+    report: PlannerReport
+    policy: TrackingPolicy
+
+
+class RunStats:
+    """Where one run's time went: wall and CPU seconds per stage, and the planner's work.
+
+    Stage seconds add up when a stage is entered again; CPU seconds are
+    ``time.process_time``'s. ``as_dict`` is the ``stats`` entry of the run
+    manifest, the one output that depends on the clock.
+    """
+
+    def __init__(self) -> None:
+        self.stage_seconds: dict[str, float] = {}
+        self.stage_cpu_seconds: dict[str, float] = {}
+        self.planner_iterations: int | None = None
+        self.planner_seconds = self.planner_cpu_seconds = 0.0
+
+    @contextmanager
+    def stage(self, name: str) -> Iterator[None]:
+        start, cpu_start = time.perf_counter(), time.process_time()
+        try:
+            yield
+        finally:
+            elapsed, cpu = time.perf_counter() - start, time.process_time() - cpu_start
+            self.stage_seconds[name] = self.stage_seconds.get(name, 0.0) + elapsed
+            self.stage_cpu_seconds[name] = self.stage_cpu_seconds.get(name, 0.0) + cpu
+
+    def as_dict(self) -> dict:
+        out: dict = {"stage_s": dict(self.stage_seconds), "stage_cpu_s": dict(self.stage_cpu_seconds)}
+        iterations = self.planner_iterations
+        if iterations is not None:
+            out["planner"] = {
+                "iterations": iterations,
+                "seconds": self.planner_seconds,
+                "cpu_seconds": self.planner_cpu_seconds,
+                "ms_per_iter": 1e3 * self.planner_seconds / iterations if iterations else 0.0,
+            }
+        return out
+
+
+def plan_experiment(config: ExperimentConfig, stats: RunStats | None = None) -> PlannedExperiment:
+    """Optimize the nominal trajectory and synthesize the tracking policy.
+
+    With ``stats``, records the "plan" stage and the planner's iterations and
+    wall and CPU seconds.
+    """
+    stats = RunStats() if stats is None else stats
+    with stats.stage("plan"):
+        m, p = config.model, config.planner
+        model = KinematicCar(
+            wheelbase=m.wheelbase, step_period=m.dt, v_max=m.v_max, phi_max=m.phi_max
+        )
+        cost = goal_tracking_cost(
+            model, config.x_g, effort_weight=p.r_u, goal_weight=p.r_g, bound_weight=p.r_b
+        )
+        start, cpu_start = time.perf_counter(), time.process_time()
+        trajectory, report = optimize_nominal(
+            model,
+            cost,
+            np.asarray(config.x0),
+            horizon=config.horizon,
+            tolerance=p.tolerance,
+            max_iters=p.max_iters,
+        )
+        stats.planner_seconds = time.perf_counter() - start
+        stats.planner_cpu_seconds = time.process_time() - cpu_start
+        stats.planner_iterations = report.iterations
+        weights = LqrWeights(config.lqr.wx, config.lqr.wu)
+        policy = design_tracking_policy(model, trajectory, weights)
+    return PlannedExperiment(config=config, cost=cost, report=report, policy=policy)
 
 
 def _json(obj) -> str:
@@ -208,8 +304,11 @@ def cmd_sweep(args) -> int:
 def cmd_ldp(args) -> int:
     stats = RunStats()
     planned = plan_experiment(_load(args), stats)
+    ldp = planned.config.ldp
     with stats.stage("ldp"):
-        estimates, fit = run_exit_study(planned)
+        estimates, fit = exit_study(
+            planned.policy, ldp.delta, ldp.eps_grid, ldp.n_runs, planned.config.master_seed
+        )
     header = ["epsilon", "delta", "n_runs", "n_exits", "p_hat", "wilson_lo", "wilson_hi"]
     rows = [
         [e.epsilon, e.delta, e.n_runs, e.n_exits, e.p_hat, e.wilson_low, e.wilson_high]
@@ -218,18 +317,34 @@ def cmd_ldp(args) -> int:
     fit_dict = dataclasses.asdict(fit) if fit is not None else None
     files = {
         "ldp.csv": _csv(header, rows),
-        "ratefit.json": _json({"fit": fit_dict, "delta": planned.config.ldp.delta}),
+        "ratefit.json": _json({"fit": fit_dict, "delta": ldp.delta}),
     }
     return _write_planned_outputs(args.out, planned, files, stats)
 
 
 def cmd_verify(args) -> int:
     # Imported here, so that the other commands never load the suites' modules.
-    from .verify import run_suites
+    from . import verify
 
     config = _load(args)
+    # Each suite is looked up on ``verify`` when it runs, so a wrapper set on
+    # the module after import (perfbench's tracer) sees the call.
+    suites = {
+        "propagation": lambda: verify.propagation_suite(),
+        "costerror": lambda: verify.cost_error_suite(planned),
+        "riccati": lambda: verify.riccati_suite(),
+        "ldp": lambda: verify.ldp_suite(planned),
+    }
+    if args.suite != "all" and args.suite not in suites:
+        choices = ", ".join([*suites, "all"])
+        raise ConfigError("--suite", f"unknown suite '{args.suite}' (choose from {choices})")
+    names = list(suites) if args.suite == "all" else [args.suite]
     stats = RunStats()
-    reports, planned = run_suites(config, args.suite, stats)
+    planned = plan_experiment(config, stats) if {"costerror", "ldp"} & set(names) else None
+    reports = []
+    for name in names:
+        with stats.stage(name):
+            reports.append(suites[name]())
     for report in reports:
         for check in report.checks:
             status = "PASS" if check.passed else "FAIL"

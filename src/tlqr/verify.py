@@ -18,6 +18,9 @@ to its bound, so a report is reviewable without rerunning. Suites:
 * ``ldp``: exit-rate regression signature plus exact synthetic recovery and
   the zero action of the nominal path.
 
+The module holds only the checks: ``cli.cmd_verify`` picks the suites, plans
+the experiment that costerror and ldp verify, and times and reports each.
+
 The propagation and riccati suites read their random LTV instances from
 one stream of front-padded batches (``_padded_batches``) and hand their
 stacks to the LQR and first-order stages as the plain arrays those take:
@@ -29,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from itertools import groupby
-from typing import Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -41,13 +44,12 @@ from .error_analysis import (
     linear_deviations,
     linearize_cost,
 )
-from .exceptions import ConfigError
-from .experiments import PlannedExperiment, RunStats, plan_experiment, run_exit_study
-from .large_deviations import action_functional, fit_rate
+from .large_deviations import action_functional, exit_study, fit_rate
 from .lqr import LqrWeights, closed_loop_matrices, riccati_backward
 from .simulate import _CTX_COST_ERROR, _CTX_RECONSTRUCTION, derive_seed, noise_sigma
 
-SUITE_NAMES = ("propagation", "costerror", "riccati", "ldp")
+if TYPE_CHECKING:  # annotations only: importing the suites loads no cli
+    from .cli import PlannedExperiment
 
 # Noise level and sample count of the costerror suite.
 COST_ERROR_EPSILON = 0.05
@@ -435,7 +437,10 @@ def synthetic_rate_recovery(a: float = 0.02) -> tuple[float, float]:
 def ldp_suite(planned: PlannedExperiment) -> SuiteReport:
     slope_err, r2_err = synthetic_rate_recovery()
     nominal_action = action_functional(planned.policy, planned.policy.nominal.states, epsilon=0.1)
-    estimates, fit = run_exit_study(planned)
+    ldp = planned.config.ldp
+    estimates, fit = exit_study(
+        planned.policy, ldp.delta, ldp.eps_grid, ldp.n_runs, planned.config.master_seed
+    )
     p_hats = [e.p_hat for e in estimates]
     checks = (
         Check("synthetic_slope_recovery_abs", slope_err, 1e-10, "<="),
@@ -447,34 +452,3 @@ def ldp_suite(planned: PlannedExperiment) -> SuiteReport:
         Check("rate_fit_r_squared", fit.r_squared if fit else 0.0, 0.8, ">="),
     )
     return SuiteReport(suite="ldp", checks=checks)
-
-
-def run_suites(
-    config, which: str, stats: RunStats | None = None
-) -> tuple[list[SuiteReport], PlannedExperiment | None]:
-    """Run one named suite or all of them for a given configuration.
-
-    Returns the suites' reports and the plan they verified, or None when no
-    selected suite needs one (only ``costerror`` and ``ldp`` do). With
-    ``stats``, records the plan and one stage per suite.
-    """
-    if which != "all" and which not in SUITE_NAMES:
-        choices = ", ".join(SUITE_NAMES + ("all",))
-        raise ConfigError("--suite", f"unknown suite '{which}' (choose from {choices})")
-    stats = RunStats() if stats is None else stats
-    names = SUITE_NAMES if which == "all" else (which,)
-    planned = None
-    if {"costerror", "ldp"} & set(names):
-        planned = plan_experiment(config, stats)
-    reports = []
-    for name in names:
-        with stats.stage(name):
-            if name == "propagation":
-                reports.append(propagation_suite())
-            elif name == "riccati":
-                reports.append(riccati_suite())
-            elif name == "costerror":
-                reports.append(cost_error_suite(planned))
-            elif name == "ldp":
-                reports.append(ldp_suite(planned))
-    return reports, planned

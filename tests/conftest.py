@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 import tlqr.verify as verify
+from tlqr.cli import plan_experiment
 from tlqr.config import default_config, epsilon_grid
 from tlqr.dynamics import NominalTrajectory
 from tlqr.error_analysis import adjoint_sweep
-from tlqr.experiments import plan_experiment
 from tlqr.lqr import LqrWeights
 from tlqr.simulate import _seed_words, _standard_normals, rollout_states, sweep_epsilon
 

@@ -15,8 +15,8 @@ import json
 from pathlib import Path
 
 import tlqr
+from tlqr.cli import plan_experiment
 from tlqr.config import default_config, epsilon_grid
-from tlqr.experiments import plan_experiment
 from tlqr.large_deviations import exit_study
 from tlqr.simulate import sweep_epsilon
 

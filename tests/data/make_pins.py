@@ -48,10 +48,9 @@ import numpy as np
 
 import tlqr
 from tlqr import planner
-from tlqr.cli import kernel_fingerprint
+from tlqr.cli import kernel_fingerprint, plan_experiment
 from tlqr.cli import main as cli_main
 from tlqr.config import default_config
-from tlqr.experiments import plan_experiment
 
 PATH = Path(__file__).with_name("pins.json")
 EXTRA_SEEDS = tuple(range(2, 9))

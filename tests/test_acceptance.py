@@ -19,8 +19,7 @@ from tlqr.error_analysis import (
     linear_deviations,
     linearize_cost,
 )
-from tlqr.experiments import run_exit_study
-from tlqr.large_deviations import linear_fit
+from tlqr.large_deviations import exit_study, linear_fit
 from tlqr.simulate import _CTX_COST_ERROR, _CTX_RECONSTRUCTION, derive_seed
 from tlqr.verify import (
     propagation_errors,
@@ -212,7 +211,10 @@ def test_criterion_7_closed_vs_open_ordering(desk_sweep):
 def test_criterion_8_exit_rate_signature(car_experiment):
     planned, _ = car_experiment
     slope_err, r2_err = synthetic_rate_recovery(a=0.02)
-    estimates, fit = run_exit_study(planned)
+    ldp = planned.config.ldp
+    estimates, fit = exit_study(
+        planned.policy, ldp.delta, ldp.eps_grid, ldp.n_runs, planned.config.master_seed
+    )
     p_hats = [e.p_hat for e in estimates]
     from tlqr.large_deviations import action_functional
 

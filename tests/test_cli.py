@@ -9,10 +9,9 @@ from pathlib import Path
 import pytest
 
 import tlqr
-from tlqr import cli, experiments
-from tlqr.cli import main
+from tlqr import cli
+from tlqr.cli import RunStats, main
 from tlqr.config import MAX_HORIZON, canonical_json, default_config, parse_config
-from tlqr.experiments import RunStats
 from tlqr.large_deviations import RateFit
 
 
@@ -82,6 +81,17 @@ def test_planning_commands_never_load_verify(config_path, tmp_path, command):
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.splitlines()[-1] == "[]"
+
+
+def test_verify_import_never_loads_cli():
+    # The suites name the planned experiment in annotations only; the command
+    # line imports them, not the other way round.
+    script = "import sys, tlqr.verify\nprint('tlqr.cli' in sys.modules)\n"
+    env = {**os.environ, "PYTHONPATH": str(Path(tlqr.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.splitlines()[-1] == "False"
 
 
 def test_package_import_loads_only_what_it_needs():
@@ -284,6 +294,35 @@ def test_verify_unknown_suite(config_path, capsys):
     assert "unknown suite" in capsys.readouterr().err
 
 
+def test_verify_reports_a_bad_config_before_an_unknown_suite(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(small_config_dict(horizon=0)), encoding="utf-8")
+    assert main(["verify", "--config", str(path), "--suite", "bogus"]) == 1
+    err = capsys.readouterr().err
+    assert "horizon" in err and "unknown suite" not in err and err.count("\n") == 1
+
+
+def test_verify_calls_each_suite_through_the_module(config_path, monkeypatch, capsys):
+    # A wrapper set on tlqr.verify after import, as perfbench's tracer sets
+    # one, sees every suite's call, in the printed order.
+    import tlqr.verify as verify
+
+    calls = []
+
+    def recorded(name, suite):
+        def call(*args):
+            calls.append(name)
+            return suite(*args)
+
+        return call
+
+    for name in ("propagation_suite", "cost_error_suite", "riccati_suite", "ldp_suite"):
+        monkeypatch.setattr(verify, name, recorded(name, getattr(verify, name)))
+    assert main(["verify", "--config", config_path]) == 0
+    assert calls == ["propagation_suite", "cost_error_suite", "riccati_suite", "ldp_suite"]
+    assert capsys.readouterr().out.endswith("verify: all checks passed\n")
+
+
 def test_verify_writes_report(config_path, tmp_path):
     out = tmp_path / "out"
     assert main(["verify", "--config", config_path, "--suite", "riccati", "--out", str(out)]) == 0
@@ -360,8 +399,8 @@ def test_kernel_fingerprint_names_none_where_numpy_cannot_report(monkeypatch):
 def test_run_stats_add_re_entered_stages_and_divide_planner_seconds(monkeypatch):
     clock = iter([1.0, 3.5, 10.0, 10.25])
     cpu_clock = iter([2.0, 3.0, 4.0, 4.5])
-    monkeypatch.setattr(experiments.time, "perf_counter", lambda: next(clock))
-    monkeypatch.setattr(experiments.time, "process_time", lambda: next(cpu_clock))
+    monkeypatch.setattr(cli.time, "perf_counter", lambda: next(clock))
+    monkeypatch.setattr(cli.time, "process_time", lambda: next(cpu_clock))
     stats = RunStats()
     for _ in range(2):
         with stats.stage("sweep"):
@@ -400,10 +439,10 @@ def test_verify_zero_controls_fails_variance_check(tmp_path, capsys):
 
 
 def test_non_finite_json_value_exits_two_before_writing(config_path, tmp_path, capsys, monkeypatch):
-    def infinite_fit(planned):
+    def infinite_fit(*args):
         return [], RateFit(slope=math.inf, intercept=0.0, r_squared=1.0, n_used=3)
 
-    monkeypatch.setattr(cli, "run_exit_study", infinite_fit)
+    monkeypatch.setattr(cli, "exit_study", infinite_fit)
     out = tmp_path / "out"
     assert main(["ldp", "--config", config_path, "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -546,7 +585,7 @@ def test_plan_rejects_unsupported_integrator(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "command, stage",
-    [(["plan"], "plan_experiment"), (["sweep"], "sweep_epsilon"), (["ldp"], "run_exit_study")],
+    [(["plan"], "plan_experiment"), (["sweep"], "sweep_epsilon"), (["ldp"], "exit_study")],
     ids=["command0-plan_experiment", "command1-run_sweep", "command2-run_exit_study"],
 )
 def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, command, stage):

@@ -381,6 +381,26 @@ def test_riccati_overflow_names_the_first_step(car_experiment):
         riccati_backward(a, np.zeros((2, k, 1, 1)), LqrWeights([1.0], [1.0]))
 
 
+def test_singular_gain_system_names_its_step(monkeypatch):
+    # LqrWeights keeps every gain system positive definite, so only a solver
+    # failure reaches this mapping; the sweep runs t = K-1 down, so the third
+    # solve of a K = 5 system is step 2. The CLI prints a NumericalFailure as
+    # one line and exits 2, where a bare LinAlgError would be a traceback.
+    solve, calls = np.linalg.solve, []
+
+    def failing_solve(*args):
+        calls.append(None)
+        if len(calls) == 3:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", failing_solve)
+    with pytest.raises(NumericalFailure, match="^singular gain system at step 2$") as exc:
+        riccati_backward(np.ones((5, 1, 1)), np.ones((5, 1, 1)), LqrWeights([1.0], [1.0]))
+    assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+    assert len(calls) == 3
+
+
 def test_design_policy_round_trip(car_experiment):
     planned, _ = car_experiment
     policy = planned.policy

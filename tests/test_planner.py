@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from conftest import LinearSystem, make_pins
 from tlqr import cli, error_analysis, planner
+from tlqr.cli import plan_experiment
 from tlqr.config import default_config
 from tlqr.dynamics import KinematicCar
 from tlqr.error_analysis import adjoint_sweep
 from tlqr.exceptions import NumericalFailure
-from tlqr.experiments import plan_experiment
 from tlqr.planner import (
     PlannerReport,
     cost_gradient,

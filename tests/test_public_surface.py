@@ -22,8 +22,8 @@ import tlqr.dynamics
 from conftest import LinearSystem
 
 SOURCES = sorted(p for p in Path(tlqr.__file__).parent.glob("*.py") if p.name != "__init__.py")
-# The modules that take a plant as ``model`` (in config and experiments that
-# name is a ModelConfig).
+# The modules that take a plant as ``model`` (config and cli also read
+# ``config.model``, a ModelConfig).
 PLANT_USERS = ("large_deviations", "lqr", "planner", "simulate")
 
 

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from conftest import LinearSystem, config_sweep, seeded_states
 from tlqr import large_deviations, simulate
+from tlqr.cli import plan_experiment
 from tlqr.config import FULL_GRID, MAX_RUNS, epsilon_grid
 from tlqr.dynamics import NominalTrajectory
 from tlqr.exceptions import BoundViolation, NumericalFailure
-from tlqr.experiments import plan_experiment
 from tlqr.large_deviations import action_functional, estimate_exit_probability
 from tlqr.lqr import LqrWeights, TrackingPolicy, design_tracking_policy, feedback_rows
 from tlqr.simulate import (
